@@ -1,0 +1,81 @@
+"""Golden digests: a fixed (config, seed) must give a bit-identical trace.
+
+Each digest is a sha256 over the event records, the success flag of every
+contention slot and the MSE series, the fields that the benchmark's
+per-run fingerprint covers. A change that alters any draw, any pose or any
+floating-point result in the slot loop changes a digest. Such a change
+must say so, measure the deviation and re-pin the digests in its own
+commit.
+"""
+
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+
+from alarmmac.config import config_from_dict
+from alarmmac.engine import Simulation
+
+CONTENTION = {
+    "n_channels": 3,
+    "alpha": 1.0,
+    "eta": 0.06,
+    "tx_threshold": 0.3,
+    "activation_mode": "threshold_only",
+    "deadline_slots": 2,
+}
+
+# name -> (config keys, slots)
+SCENARIOS = {
+    # the acceptance suite's contention scenario
+    "contention": ({**CONTENTION, "n_subnets": 20}, 120),
+    # Bernoulli activation and long deadlines: idle slots between events
+    "bernoulli": ({"n_subnets": 12, "n_channels": 2, "eta": 0.3, "alpha": 0.2}, 200),
+    # crowded and fast: poses resample headings at walls and at each other;
+    # a short activation range keeps active sets small enough to succeed
+    "crowded": (
+        {**CONTENTION, "n_subnets": 150, "speed_mps": 25.0, "eta": 0.6, "tx_threshold": 0.1},
+        40,
+    ),
+}
+
+GOLDEN = {
+    ("contention", "rch"): "19a5e1ec5503ded570f7ae73accd1dbb4582680431bf6c666e9ca1895e2466a3",
+    ("contention", "mapra"): "ff7dd43f5321dc727b8bb59fcdcd56b43c2577fa06813707480188d38527bd43",
+    ("contention", "drl"): "2d29c1da653eb88d21a6ac38b34c2ad1be7e4e4d0b9da08aacd98a9a95489576",
+    ("bernoulli", "rch"): "08daf6182eaca35a7db577f1cc4d120e7697d8722adc11e69818597b51f4ac32",
+    ("bernoulli", "mapra"): "21c2cbaf6e400cb2fe404517acebd4016e44c7f4a2a08eee498e6dea554e83bc",
+    ("bernoulli", "drl"): "548148c8d210da2f161df1ef3465eac1ae36401ddeea934baea402c14b178ac5",
+    ("crowded", "rch"): "c67c4be2e821b54bf86fbffb6f0fc2bdb31ac4042de99c0368c16638eb8aa85c",
+    ("crowded", "mapra"): "b3b21390ffce6f6aa8c86b2b3cc80669bc63e0aca8dec797962fe2f69bab86bd",
+    ("crowded", "drl"): "65a51e2d40125065e1a3f19a5f8ddb396193a1e1119c3dcf67d18528236e508d",
+}
+
+
+def run_digest(scenario: str, policy: str, seed: int = 3) -> tuple[str, int]:
+    """(digest, heading resamples) of one seeded run."""
+    keys, slots = SCENARIOS[scenario]
+    sim = Simulation(config_from_dict({**keys, "policy_kind": policy}), seed=seed)
+    flags = []
+    resamples = 0
+    for _ in range(slots):
+        before = sim.poses
+        outcome = sim.run_slot()
+        resamples += sum(a.heading != b.heading for a, b in zip(before, sim.poses))
+        if outcome.age is not None:
+            flags.append(outcome.success)
+    h = hashlib.sha256()
+    for e in sim.trace.events:
+        h.update(struct.pack("<qq?qq", e.birth_slot, e.end_slot, e.delivered, e.attempts, e.active_size))
+    h.update(bytes(flags))
+    h.update(np.asarray(sim.trace.mse, dtype="<f8").tobytes())
+    return h.hexdigest(), resamples
+
+
+@pytest.mark.parametrize("scenario,policy", sorted(GOLDEN))
+def test_golden_digest(scenario, policy):
+    digest, resamples = run_digest(scenario, policy)
+    assert digest == GOLDEN[scenario, policy]
+    if scenario == "crowded":
+        assert resamples > 0  # the crowded scenario exercises the resample path

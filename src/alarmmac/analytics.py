@@ -250,8 +250,9 @@ def complexity_bounds(
 
 
 def compact_lower_bound(n_channels: int) -> int:
-    """Lower bound for the default compact network (two hidden units,
-    minibatch 30 * 2**M), from the general formula."""
+    """Lower bound for the default compact network, layers [M, 1, 1, 2**M]
+    (two hidden layers of one unit each) and minibatch 30 * 2**M, from the
+    general formula."""
     m = n_channels
     layers = [m, 1, 1, 1 << m]
     _, z_lb, _ = complexity_bounds(m, 30 * (1 << m), layers)

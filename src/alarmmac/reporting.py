@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -101,11 +102,24 @@ class ExperimentResult:
         return cls(**raw)
 
 
+# mkstemp makes owner-only files; results get the mode open() would give
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
 def _atomic_write(path: str, data: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    """Write through a temporary file of its own in the target directory,
+    then rename it over `path`, so concurrent writers never share one."""
+    directory, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=f".{name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(data)
+        os.chmod(tmp, 0o666 & ~_UMASK)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_result(result: ExperimentResult, path: str) -> None:

@@ -1,11 +1,16 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alarmmac.geometry import (
     PlacementError,
     SubnetPose,
+    _clear_of,
+    _within_reach,
     distance,
     place_uniform,
     step_mobility,
@@ -90,3 +95,167 @@ def test_containment_and_separation_hold_over_many_slots():
         for i in range(len(poses)):
             for j in range(i + 1, len(poses)):
                 assert distance(poses[i].position, poses[j].position) >= cfg.min_separation_m - 1e-12
+
+
+# --- scalar references: the per-pose loops the vectorised code must match ---
+
+
+def _reference_place(config, rng):
+    n, sep = config.n_subnets, config.min_separation_m
+    placed = []
+    for _ in range(n):
+        while True:
+            x = rng.uniform(0.0, config.area_width_m)
+            y = rng.uniform(0.0, config.area_height_m)
+            if all((x - px) ** 2 + (y - py) ** 2 >= sep * sep for px, py in placed):
+                placed.append((x, y))
+                break
+    headings = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    return [
+        SubnetPose(x=px, y=py, heading=float(h), speed=config.speed_mps)
+        for (px, py), h in zip(placed, headings)
+    ]
+
+
+def _reference_step(poses, config, rng):
+    step = config.speed_mps * config.slot_ms / 1000.0
+    sep2 = config.min_separation_m**2
+    out = list(poses)
+    for i, pose in enumerate(poses):
+        heading = pose.heading
+        moved = None
+        for _ in range(16):
+            nx = pose.x + step * math.cos(heading)
+            ny = pose.y + step * math.sin(heading)
+            clear = all(
+                (nx - q.x) ** 2 + (ny - q.y) ** 2 >= sep2 for j, q in enumerate(out) if j != i
+            )
+            inside = 0.0 <= nx <= config.area_width_m and 0.0 <= ny <= config.area_height_m
+            if inside and clear:
+                moved = replace(pose, x=nx, y=ny, heading=heading)
+                break
+            heading = rng.uniform(0.0, 2.0 * math.pi)
+        if moved is None:
+            moved = replace(pose, heading=heading)
+        out[i] = moved
+    return out
+
+
+def assert_steps_match(poses, cfg, seed, n_steps=3):
+    """Both steps give equal poses and leave the RNG in the same state."""
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = ref = poses
+    for _ in range(n_steps):
+        new = step_mobility(new, cfg, rng_new)
+        ref = _reference_step(ref, cfg, rng_ref)
+        assert new == ref
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 40, 300])
+def test_placement_matches_scalar_reference(n):
+    cfg = make_config(n_subnets=n)
+    for seed in range(4):
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert place_uniform(cfg, rng_new) == _reference_place(cfg, rng_ref)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_too_close_pair_matches_reference():
+    cfg = make_config(n_subnets=2)
+    poses = [
+        SubnetPose(x=10.0, y=10.0, heading=0.0, speed=cfg.speed_mps),
+        SubnetPose(x=11.4, y=10.0, heading=math.pi, speed=cfg.speed_mps),
+    ]
+    assert_steps_match(poses, cfg, seed=5)
+
+
+def test_corner_and_edge_poses_match_reference():
+    cfg = make_config(n_subnets=4)
+    w, h = cfg.area_width_m, cfg.area_height_m
+    poses = [
+        SubnetPose(x=0.0, y=0.0, heading=1.25 * math.pi, speed=cfg.speed_mps),
+        SubnetPose(x=w, y=h, heading=0.25 * math.pi, speed=cfg.speed_mps),
+        SubnetPose(x=w, y=20.0, heading=0.0, speed=cfg.speed_mps),
+        SubnetPose(x=30.0, y=h, heading=0.5 * math.pi, speed=cfg.speed_mps),
+    ]
+    assert_steps_match(poses, cfg, seed=11)
+
+
+@st.composite
+def mobility_cases(draw):
+    n = draw(st.integers(1, 150))
+    speed = draw(st.sampled_from([0.0, 2.0, 25.0]))
+    width = draw(st.sampled_from([10.0, 50.0]))
+    height = 50.0
+    packing_sep = 2.0 * math.sqrt(width * height / (math.pi * n))
+    sep = draw(st.sampled_from([0.0, 1.5, 0.95 * packing_sep]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    cfg = make_config(
+        n_subnets=n, speed_mps=speed, min_separation_m=sep, area_width_m=width, area_height_m=height
+    )
+    g = np.random.default_rng(seed)
+    x = g.uniform(0.0, width, n)
+    y = g.uniform(0.0, height, n)
+    # a share of the poses sits exactly on an edge or a corner
+    on_edge = g.random(n) < 0.2
+    x[on_edge & (g.random(n) < 0.5)] = 0.0
+    x[on_edge & (g.random(n) < 0.5)] = width
+    y[on_edge & (g.random(n) < 0.3)] = height
+    if n >= 2:  # a pair closer than the separation
+        x[1], y[1] = min(x[0] + 0.93 * sep, width), y[0]
+    headings = g.uniform(0.0, 2.0 * math.pi, n)
+    poses = [
+        SubnetPose(x=float(a), y=float(b), heading=float(c), speed=speed)
+        for a, b, c in zip(x, y, headings)
+    ]
+    return poses, cfg, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(mobility_cases())
+def test_step_matches_scalar_reference(case):
+    poses, cfg, seed = case
+    assert_steps_match(poses, cfg, seed)
+
+
+def test_step_matches_reference_on_placed_crowd():
+    cfg = make_config(n_subnets=150, speed_mps=25.0)
+    poses = place_uniform(cfg, np.random.default_rng(2))
+    assert_steps_match(poses, cfg, seed=2, n_steps=20)
+
+
+def test_clear_of_decides_as_python_floats_at_the_threshold():
+    # numpy's x * x and Python's x ** 2 (libm pow) differ in the last bit
+    # for some x, so the threshold case must follow the Python expression
+    origin = np.zeros(1)
+    for x in np.random.default_rng(0).uniform(-60.0, 60.0, 5000).tolist():
+        assert _clear_of(x, 0.0, origin, origin, x**2)
+        assert not _clear_of(x, 0.0, origin, origin, math.nextafter(x**2, math.inf))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 200])
+def test_within_reach_matches_brute_force(n):
+    g = np.random.default_rng(n)
+    xs = g.uniform(0.0, 20.0, n)
+    ys = g.uniform(0.0, 20.0, n)
+    xs[: n // 2] = 7.0  # a column sharing one x: far more sweep pairs than one chunk holds
+    reach = 1.6
+    d2 = (xs[:, None] - xs[None, :]) ** 2 + (ys[:, None] - ys[None, :]) ** 2
+    np.fill_diagonal(d2, np.inf)
+    expected = (d2 < reach * reach).any(axis=1) if n else np.zeros(0, dtype=bool)
+    assert np.array_equal(_within_reach(xs, ys, reach), expected)
+
+
+def test_step_memory_is_linear_in_poses():
+    # an N x N float matrix would be 32 MB here
+    cfg = make_config(n_subnets=2000, area_width_m=200.0, area_height_m=200.0)
+    rng = np.random.default_rng(4)
+    poses = place_uniform(cfg, rng)
+    tracemalloc.start()
+    try:
+        step_mobility(poses, cfg, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024

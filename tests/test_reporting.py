@@ -110,6 +110,21 @@ def test_result_file_round_trip(tmp_path):
     assert again == result  # wall clock excluded from equality and the file
 
 
+def test_write_result_ignores_stale_tmp_directory(tmp_path):
+    # a fixed "<path>.tmp" would collide with this directory, or with a
+    # concurrent writer of the same path
+    cfg = make_config(**{**DENSE, "n_runs": 2})
+    result = run_experiment(cfg)
+    path = tmp_path / "result.json"
+    (tmp_path / "result.json.tmp").mkdir()
+    write_result(result, str(path))
+    assert read_result(str(path)) == result
+    assert sorted(os.listdir(tmp_path)) == ["result.json", "result.json.tmp"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_result_files_byte_identical(tmp_path):
     cfg = make_config(**{**DENSE, "n_runs": 2, "rng_seed": 123})
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")

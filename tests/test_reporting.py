@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from alarmmac.engine import Simulation
 from alarmmac.events import AlarmEvent
 from alarmmac.reporting import (
     ExperimentResult,
+    _atomic_write,
     in_time_probability,
     mse_decile_medians,
     read_result,
@@ -123,6 +125,29 @@ def test_write_result_ignores_stale_tmp_directory(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_concurrent_writers_of_one_path(tmp_path):
+    path = str(tmp_path / "out.txt")
+    errors = []
+
+    def writer(tag):
+        try:
+            for _ in range(200):
+                _atomic_write(path, f"{tag}\n")
+        except OSError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(tag,)) for tag in "abcd"]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() in {"a\n", "b\n", "c\n", "d\n"}
+    assert os.listdir(tmp_path) == ["out.txt"]
 
 
 def test_result_files_byte_identical(tmp_path):

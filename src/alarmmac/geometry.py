@@ -34,10 +34,9 @@ from .config import ScenarioConfig
 _MAX_HEADING_RESAMPLES = 16
 _PLACEMENT_TRIES_PER_POSE = 10_000
 _SWEEP_CHUNK_PAIRS = 4096
-# Below these sizes a Python loop over the pairs costs less than numpy's
-# fixed cost per call (measured on a 2-vCPU Xeon host).
+# Below this size a Python loop over the pairs costs less than numpy's fixed
+# cost per call (measured on a 2-vCPU Xeon host; see CHANGES.md).
 _SCREEN_MIN_POSES = 14
-_NUMPY_MIN_PLACED = 28
 # absorbs rounding in the screen's reach, relative to the rectangle's longer side
 _REACH_MARGIN = 1e-9
 
@@ -83,26 +82,20 @@ def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> list[Subn
                 f"{config.area_width_m} x {config.area_height_m} m "
                 f"(packing bound ~{packing_cap:.0f})"
             )
-    placed: list[tuple[float, float]] = []
     xs, ys = np.empty(n), np.empty(n)
     for k in range(n):
         for _ in range(_PLACEMENT_TRIES_PER_POSE):
             x = rng.uniform(0.0, config.area_width_m)
             y = rng.uniform(0.0, config.area_height_m)
-            if k < _NUMPY_MIN_PLACED:
-                clear = all((x - px) ** 2 + (y - py) ** 2 >= sep * sep for px, py in placed)
-            else:
-                clear = _clear_of(x, y, xs[:k], ys[:k], sep * sep)
-            if clear:
-                placed.append((x, y))
+            if _clear_of(x, y, xs[:k], ys[:k], sep * sep):
                 xs[k], ys[k] = x, y
                 break
         else:
             raise PlacementError(f"placement infeasible after {_PLACEMENT_TRIES_PER_POSE} tries per pose")
     headings = rng.uniform(0.0, 2.0 * math.pi, size=n)
     return [
-        SubnetPose(x=px, y=py, heading=float(h), speed=config.speed_mps)
-        for (px, py), h in zip(placed, headings)
+        SubnetPose(x=px, y=py, heading=h, speed=config.speed_mps)
+        for px, py, h in zip(xs.tolist(), ys.tolist(), headings.tolist())
     ]
 
 

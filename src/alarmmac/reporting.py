@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import time
+import uuid
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -102,20 +102,16 @@ class ExperimentResult:
         return cls(**raw)
 
 
-# mkstemp makes owner-only files; results get the mode open() would give
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-
-
 def _atomic_write(path: str, data: str) -> None:
     """Write through a temporary file of its own in the target directory,
     then rename it over `path`, so concurrent writers never share one."""
     directory, name = os.path.split(path)
-    fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=f".{name}.", suffix=".tmp")
+    tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
+    # mode 0o666 less the umask, as open() would give
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(data)
-        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

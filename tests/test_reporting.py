@@ -122,9 +122,9 @@ def test_write_result_ignores_stale_tmp_directory(tmp_path):
     write_result(result, str(path))
     assert read_result(str(path)) == result
     assert sorted(os.listdir(tmp_path)) == ["result.json", "result.json.tmp"]
-    umask = os.umask(0)
-    os.umask(umask)
-    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+    plain = tmp_path / "plain.txt"
+    plain.write_text("", encoding="utf-8")
+    assert path.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777
 
 
 def test_concurrent_writers_of_one_path(tmp_path):

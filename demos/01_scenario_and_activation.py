@@ -11,7 +11,7 @@ import numpy as np
 
 from alarmmac.config import ActivationMode, ScenarioConfig, derive_stream, validate_config, with_overrides
 from alarmmac.events import activation_probability, build_active_set, empirical_activation
-from alarmmac.geometry import distance, place_uniform, step_mobility
+from alarmmac.geometry import place_uniform, step_mobility
 
 cfg = validate_config(ScenarioConfig(n_subnets=20, n_channels=3, rng_seed=7))
 
@@ -19,7 +19,7 @@ print("=== placement ===")
 rng = derive_stream(cfg.rng_seed, "placement")
 poses = place_uniform(cfg, rng)
 pairs = [
-    distance(poses[i].position, poses[j].position)
+    math.hypot(poses[i].x - poses[j].x, poses[i].y - poses[j].y)
     for i in range(len(poses))
     for j in range(i + 1, len(poses))
 ]
@@ -28,10 +28,10 @@ print(f"closest pair: {min(pairs):.2f} m (separation floor {cfg.min_separation_m
 
 print("\n=== mobility ===")
 mob = derive_stream(cfg.rng_seed, "mobility")
-start = [p.position for p in poses]
+start = [(p.x, p.y) for p in poses]
 for _ in range(1000):
     poses = step_mobility(poses, cfg, mob)
-moved = [distance(a, p.position) for a, p in zip(start, poses)]
+moved = [math.hypot(p.x - x0, p.y - y0) for (x0, y0), p in zip(start, poses)]
 step = cfg.speed_mps * cfg.slot_ms / 1000.0
 print(f"per-slot step {step * 1000:.1f} mm; after 1000 slots mean displacement {np.mean(moved):.2f} m")
 

@@ -18,7 +18,6 @@ cfg = validate_config(ScenarioConfig(
     n_subnets=10, n_channels=3, policy_kind=PolicyKind.DRL,
     alpha=1.0, activation_mode="threshold_only", eta=0.06, tx_threshold=0.3,
     deadline_slots=2, n_slots=10**9, lr_initial=0.05, lr_decay_per_event=0.002,
-    record_tuples=False,
 ))
 
 sim = Simulation(cfg, seed=314159)

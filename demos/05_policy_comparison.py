@@ -15,7 +15,7 @@ base = validate_config(ScenarioConfig(
     n_subnets=12, n_channels=3, alpha=1.0, activation_mode="threshold_only",
     eta=0.06, tx_threshold=0.3, deadline_slots=2,
     lr_initial=0.05, lr_decay_per_event=0.002,
-    n_slots=10**7, n_runs=6, rng_seed=2718, record_tuples=False,
+    n_slots=10**7, n_runs=6, rng_seed=2718,
 ))
 
 out_dir = Path(tempfile.mkdtemp(prefix="alarmmac_sweep_"))

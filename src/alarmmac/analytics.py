@@ -53,6 +53,30 @@ def uniform_access(n: int, n_channels: int) -> AccessDistribution:
     return AccessDistribution(np.full((n, width), 1.0 / width))
 
 
+def _activation_subsets(p: np.ndarray, n_channels: int):
+    """Every activation subset with members and nonzero weight.
+
+    Yields (members, weight, joints, ok): the subset's members in ascending
+    order; its probability, p_n for members and 1 - p_n for the others;
+    every joint pattern choice of the members as the columns of a
+    (len(members), (2**M) ** len(members)) array; and a boolean per joint
+    choice, whether some channel carries exactly one transmitter.
+    """
+    n = len(p)
+    table = pattern_table(n_channels)
+    width = 1 << n_channels
+    for mask in range(1 << n):
+        members = [i for i in range(n) if (mask >> i) & 1]
+        weight = 1.0
+        for i in range(n):
+            weight *= p[i] if (mask >> i) & 1 else 1.0 - p[i]
+        if weight == 0.0 or not members:
+            continue
+        joints = np.array(list(itertools.product(range(width), repeat=len(members))), dtype=int).T
+        ok = (table[joints].sum(axis=0) == 1).any(axis=1)
+        yield members, weight, joints, ok
+
+
 def success_probability_bruteforce(p: np.ndarray, access: AccessDistribution) -> float:
     """Exact per-slot success probability by full enumeration.
 
@@ -70,20 +94,8 @@ def success_probability_bruteforce(p: np.ndarray, access: AccessDistribution) ->
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("activation probabilities must lie in [0, 1]")
 
-    table = pattern_table(m)
-    width = 1 << m
     total = 0.0
-    for mask in range(1 << n):
-        members = [i for i in range(n) if (mask >> i) & 1]
-        weight = 1.0
-        for i in range(n):
-            weight *= p[i] if (mask >> i) & 1 else 1.0 - p[i]
-        if weight == 0.0 or not members:
-            continue
-        k = len(members)
-        joints = np.array(list(itertools.product(range(width), repeat=k)), dtype=int).T
-        counts = table[joints].sum(axis=0)
-        ok = (counts == 1).any(axis=1)
+    for members, weight, joints, ok in _activation_subsets(p, m):
         choice_prob = np.ones(joints.shape[1])
         for row, member in enumerate(members):
             choice_prob *= access.psi[member, joints[row]]
@@ -192,22 +204,11 @@ def best_stationary_psi(
     n = len(p)
     if n > 3 or n_channels > 2:
         raise ValueError("grid search oracle limited to N <= 3, M <= 2")
-    width = 1 << n_channels
-    rows = _grid_rows(width, grid_step)
-    table = pattern_table(n_channels)
-
-    # precompute, per activation subset, the success indicator over joint choices
-    subsets: list[tuple[list[int], float, np.ndarray, np.ndarray]] = []
-    for mask in range(1 << n):
-        members = [i for i in range(n) if (mask >> i) & 1]
-        weight = 1.0
-        for i in range(n):
-            weight *= p[i] if (mask >> i) & 1 else 1.0 - p[i]
-        if weight == 0.0 or not members:
-            continue
-        joints = np.array(list(itertools.product(range(width), repeat=len(members))), dtype=int).T
-        ok = (table[joints].sum(axis=0) == 1).any(axis=1).astype(float)
-        subsets.append((members, weight, joints, ok))
+    rows = _grid_rows(1 << n_channels, grid_step)
+    subsets = [
+        (members, weight, joints, ok.astype(float))
+        for members, weight, joints, ok in _activation_subsets(p, n_channels)
+    ]
 
     best_psi: tuple[tuple[float, ...], ...] | None = None
     best_success = -1.0

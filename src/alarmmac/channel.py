@@ -13,19 +13,10 @@ decided purely by the transmission patterns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ScenarioConfig
-
-
-@dataclass(frozen=True)
-class LinkGain:
-    pathloss_db: float
-    shadow_db: float
-    fading: np.ndarray  # complex, one entry per channel
-    gain: np.ndarray  # complex, fading * 10**(-(PL+shadow)/10)
 
 
 def pathloss_db(d_m: float, los: bool, config: ScenarioConfig) -> float:
@@ -85,16 +76,3 @@ def rayleigh_fading(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
 def attenuation(pathloss: float | np.ndarray, shadow: float | np.ndarray) -> np.ndarray:
     return 10.0 ** (-(np.asarray(pathloss, dtype=float) + np.asarray(shadow, dtype=float)) / 10.0)
 
-
-def draw_link(
-    d_m: float,
-    los: bool,
-    shadow_db_value: float,
-    rng: np.random.Generator,
-    config: ScenarioConfig,
-) -> LinkGain:
-    """Compose one link's per-channel gains for a slot."""
-    pl = pathloss_db(d_m, los, config)
-    kappa = rayleigh_fading(rng, (config.n_channels,))
-    amp = attenuation(pl, shadow_db_value)
-    return LinkGain(pathloss_db=pl, shadow_db=float(shadow_db_value), fading=kappa, gain=kappa * amp)

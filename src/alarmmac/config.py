@@ -54,6 +54,15 @@ class ConfigError(ValueError):
     """Raised when a config document fails to parse or violates an invariant."""
 
 
+_ENUM_FIELDS = {
+    "policy_kind": PolicyKind,
+    "reward_scope": RewardScope,
+    "activation_mode": ActivationMode,
+    "cs_gain_mode": CsGainMode,
+    "pilot_mode": PilotMode,
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All physical, protocol, and learning parameters of one experiment."""
@@ -79,7 +88,6 @@ class ScenarioConfig:
     allow_event_overlap: bool = False
 
     # Radio
-    tx_power_dbm: float = -10.0
     snr_avg_db: float = 10.0
     carrier_ghz: float = 6.0
     pathloss_abg_los: tuple[float, float, float] = (2.15, 31.84, 1.90)
@@ -115,7 +123,16 @@ class ScenarioConfig:
     rng_seed: int = 0
     n_slots: int = 1000
     n_runs: int = 100
-    record_tuples: bool = True
+
+    def __post_init__(self) -> None:
+        # a plain string such as policy_kind="rch" becomes its member here, so
+        # the identity checks against members hold however the config is built
+        for name, enum_cls in _ENUM_FIELDS.items():
+            try:
+                object.__setattr__(self, name, enum_cls(getattr(self, name)))
+            except (ValueError, TypeError):
+                options = ", ".join(e.value for e in enum_cls)
+                raise ConfigError(f"{name}: must be one of {options}") from None
 
     @property
     def n_patterns(self) -> int:
@@ -134,13 +151,6 @@ class ScenarioConfig:
         return [self.n_channels] + [self.dnn_hidden_size] * self.dnn_hidden_layers + [self.n_patterns]
 
 
-_ENUM_FIELDS = {
-    "policy_kind": PolicyKind,
-    "reward_scope": RewardScope,
-    "activation_mode": ActivationMode,
-    "cs_gain_mode": CsGainMode,
-    "pilot_mode": PilotMode,
-}
 _TUPLE_FIELDS = ("pathloss_abg_los", "pathloss_abg_nlos")
 
 
@@ -214,13 +224,7 @@ def config_from_dict(raw: dict[str, Any]) -> ScenarioConfig:
             raise ConfigError(f"{key}: required")
     kwargs: dict[str, Any] = {}
     for key, value in raw.items():
-        if key in _ENUM_FIELDS:
-            try:
-                value = _ENUM_FIELDS[key](value)
-            except ValueError:
-                options = ", ".join(e.value for e in _ENUM_FIELDS[key])
-                raise ConfigError(f"{key}: must be one of {options}") from None
-        elif key in _TUPLE_FIELDS:
+        if key in _TUPLE_FIELDS:
             value = tuple(float(v) for v in value)
         kwargs[key] = value
     try:
@@ -257,9 +261,6 @@ def config_fingerprint(cfg: ScenarioConfig) -> str:
 
 
 def with_overrides(cfg: ScenarioConfig, **kwargs: Any) -> ScenarioConfig:
-    for key, enum_cls in _ENUM_FIELDS.items():
-        if key in kwargs and isinstance(kwargs[key], str):
-            kwargs[key] = enum_cls(kwargs[key])
     return validate_config(replace(cfg, **kwargs))
 
 

@@ -34,12 +34,8 @@ from .policies import Policy, make_policy, pattern_table
 @dataclass
 class SlotOutcome:
     slot: int
-    channel_counts: np.ndarray  # transmitters per channel
     success: bool  # any channel with exactly one transmitter
-    successful_channels: tuple[int, ...]
-    winner: int | None  # unique transmitter on the lowest successful channel
-    age: int | None  # alarm age entering this round (oldest live event)
-    records: list[tuple[int, np.ndarray, int, float]] | None  # (lap, context, action, reward)
+    age: int | None  # alarm age entering this round (oldest live event); None when idle
 
 
 @dataclass
@@ -57,11 +53,15 @@ class EventRecord:
 
 @dataclass
 class RunTrace:
-    outcomes: list[SlotOutcome] = field(default_factory=list)
+    """What a run keeps: one record per terminal event, the MSE of every
+    training slot, and slot counts. Per-slot outcomes are returned by
+    `Simulation.run_slot` and not kept."""
+
     events: list[EventRecord] = field(default_factory=list)
     mse: list[float] = field(default_factory=list)
     n_slots: int = 0
     n_contention_slots: int = 0
+    n_successful_slots: int = 0
 
     @property
     def delivered_count(self) -> int:
@@ -194,18 +194,12 @@ class Simulation:
                 if event.active_set:
                     self.live_events.append(event)
 
-        outcome = self._contention_round() if self.live_events else SlotOutcome(
-            slot=self.slot,
-            channel_counts=np.zeros(cfg.n_channels, dtype=int),
-            success=False,
-            successful_channels=(),
-            winner=None,
-            age=None,
-            records=None,
-        )
-        if outcome.age is not None:
-            self.trace.outcomes.append(outcome)
+        if self.live_events:
+            outcome = self._contention_round()
             self.trace.n_contention_slots += 1
+            self.trace.n_successful_slots += outcome.success
+        else:
+            outcome = SlotOutcome(slot=self.slot, success=False, age=None)
         self.slot += 1
         self.trace.n_slots = self.slot
         return outcome
@@ -225,8 +219,7 @@ class Simulation:
             contexts = np.zeros((0, cfg.n_channels))
             actions = []
 
-        success, counts, successful, winner_row = resolve_collisions(actions, cfg.n_channels)
-        winner = active[winner_row] if winner_row is not None else None
+        success, _, successful, _ = resolve_collisions(actions, cfg.n_channels)
 
         # map each successful channel's unique transmitter to its event
         delivered_by: dict[int, int] = {}
@@ -235,7 +228,6 @@ class Simulation:
             for m in successful:
                 delivered_by[m] = active[int(np.nonzero(bits[:, m])[0][0])]
 
-        records: list[tuple[int, np.ndarray, int, float]] = []
         losses: list[float] = []
         still_live: list[AlarmEvent] = []
         row_of = {n: row for row, n in enumerate(active)}
@@ -255,8 +247,6 @@ class Simulation:
                 loss = self.policies[n].observe(contexts[row], actions[row], r, rng=self.rng_sample)
                 if loss is not None:
                     losses.append(loss)
-                if cfg.record_tuples:
-                    records.append((n, contexts[row], actions[row], r))
 
             if delivered:
                 event.delivered = True
@@ -274,15 +264,7 @@ class Simulation:
         if losses:
             self.trace.mse.append(float(np.mean(losses)))
 
-        return SlotOutcome(
-            slot=self.slot,
-            channel_counts=counts,
-            success=success,
-            successful_channels=successful,
-            winner=winner,
-            age=oldest_age,
-            records=records if cfg.record_tuples else None,
-        )
+        return SlotOutcome(slot=self.slot, success=success, age=oldest_age)
 
     def _finish_event(self, event: AlarmEvent) -> None:
         self.trace.events.append(

@@ -52,18 +52,6 @@ class SubnetPose:
     heading: float
     speed: float
 
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-
-def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def positions_array(poses: list[SubnetPose]) -> np.ndarray:
-    return np.array([[p.x, p.y] for p in poses], dtype=float)
-
 
 def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> list[SubnetPose]:
     """Place N poses uniformly in the rectangle with pairwise separation.

@@ -92,11 +92,11 @@ def test_criterion_3_simulation_matches_theory():
     cfg = validate_config(ScenarioConfig(
         n_subnets=4, n_channels=2, policy_kind=PolicyKind.RCH,
         eta=1e-6, tx_threshold=0.5, activation_mode="threshold_only",
-        alpha=1.0, deadline_slots=1, n_slots=100_000, record_tuples=False,
+        alpha=1.0, deadline_slots=1, n_slots=100_000,
     ))
     sim = Simulation(cfg, seed=20240)
     trace = sim.run()
-    per_slot = sum(1 for o in trace.outcomes if o.success) / trace.n_contention_slots
+    per_slot = trace.n_successful_slots / trace.n_contention_slots
     theory_ps = analytics.success_probability_bruteforce(
         np.ones(4), analytics.uniform_access(4, 2)
     )
@@ -180,7 +180,7 @@ def test_criterion_5_clipping_and_schedules():
 CONTENTION = dict(
     n_channels=3, alpha=1.0, activation_mode="threshold_only",
     eta=0.06, tx_threshold=0.3, deadline_slots=2, n_slots=10**9,
-    lr_initial=0.05, lr_decay_per_event=0.002, record_tuples=False,
+    lr_initial=0.05, lr_decay_per_event=0.002,
 )
 
 

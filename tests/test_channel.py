@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import numpy as np
 from alarmmac.channel import (
     attenuation,
     correlated_field,
-    draw_link,
     los_probability,
     pathloss_db,
     rayleigh_fading,
     shadowing_db,
 )
+from alarmmac.config import CsGainMode
+from alarmmac.engine import Simulation
 
 from conftest import make_config
 
@@ -78,24 +80,35 @@ def test_fading_unit_mean_power(rng):
     assert abs(np.mean(np.abs(k) ** 2) - 1.0) < 0.05
 
 
-def test_draw_link_composes_exactly(rng):
-    cfg = make_config()
-    link = draw_link(17.3, False, shadow_db_value=4.2, rng=rng, config=cfg)
-    expected = link.fading * 10.0 ** (-(link.pathloss_db + link.shadow_db) / 10.0)
-    assert np.array_equal(link.gain, expected)
-    assert link.fading.shape == (cfg.n_channels,)
+def raw_gain_world(**overrides):
+    return Simulation(make_config(cs_gain_mode=CsGainMode.RAW, **overrides), seed=9)
 
 
-def test_draw_link_mean_power_matches_attenuation(rng):
-    # fixed pathloss and zero shadowing: E[|gain|^2] = attenuation(PL, 0)^2
-    cfg = make_config()
-    pl = pathloss_db(5.0, True, cfg)
-    powers = []
-    for _ in range(20_000):
-        link = draw_link(5.0, True, shadow_db_value=0.0, rng=rng, config=cfg)
-        powers.append(np.abs(link.gain) ** 2)
-    expected = attenuation(pl, 0.0) ** 2
-    assert abs(np.mean(powers) / expected - 1.0) < 0.02
+def expected_attenuation(sim, n):
+    """attenuation(pathloss_db(d, los), shadow) of agent n's link to the controller."""
+    cx, cy = sim.cap_xy
+    d = math.hypot(sim.poses[n].x - cx, sim.poses[n].y - cy)
+    return attenuation(pathloss_db(d, bool(sim.los[n]), sim.config), sim.shadow_db[n])
+
+
+def test_link_gains_compose_exactly():
+    sim = raw_gain_world(n_subnets=6, n_channels=3)
+    active = (0, 2, 5)
+    kappa = rayleigh_fading(copy.deepcopy(sim.rng_fading), (len(active), 3))
+    gains = sim._link_gains(active)
+    assert gains.shape == (len(active), 3)
+    for row, n in enumerate(active):
+        assert np.array_equal(gains[row], kappa[row] * expected_attenuation(sim, n))
+
+
+def test_link_gains_mean_power_matches_attenuation():
+    # zero shadowing: E[|gain|^2] = attenuation(PL, 0)^2 on every link
+    sim = raw_gain_world(shadow_sigma_los_db=0.0, shadow_sigma_nlos_db=0.0)
+    active = tuple(range(sim.config.n_subnets))
+    expected = np.array([expected_attenuation(sim, n) for n in active]) ** 2
+    assert np.all(sim.shadow_db == 0.0)
+    powers = [np.abs(sim._link_gains(active)) ** 2 / expected[:, None] for _ in range(5_000)]
+    assert abs(np.mean(powers) - 1.0) < 0.02
 
 
 def test_los_probability_shape():

@@ -8,19 +8,22 @@ from alarmmac.config import (
     ConfigError,
     PolicyKind,
     RewardScope,
+    ScenarioConfig,
     config_fingerprint,
     derive_run_seed,
     derive_stream,
     load_config,
     serialize_config,
+    validate_config,
     with_overrides,
 )
+from alarmmac.engine import Simulation
+from alarmmac.policies import RchPolicy
 
 
 def test_minimal_document_gets_documented_defaults():
     cfg = load_config('{"n_subnets": 20, "n_channels": 4}')
     assert cfg.area_width_m == 50.0 and cfg.area_height_m == 50.0
-    assert cfg.tx_power_dbm == -10.0
     assert cfg.speed_mps == 2.0
     assert cfg.min_separation_m == 1.5
     assert cfg.slot_ms == 3.0
@@ -84,6 +87,20 @@ def test_enum_fields_parse_and_reject():
     assert cfg.activation_mode is ActivationMode.THRESHOLD_ONLY
     with pytest.raises(ConfigError, match="policy_kind"):
         load_config('{"n_subnets": 3, "n_channels": 2, "policy_kind": "smart"}')
+
+
+def test_enum_strings_become_members_on_construction():
+    cfg = validate_config(ScenarioConfig(
+        n_subnets=2, n_channels=2, policy_kind="rch", activation_mode="threshold_and_bernoulli",
+    ))
+    assert cfg.policy_kind is PolicyKind.RCH
+    assert cfg.activation_mode is ActivationMode.THRESHOLD_AND_BERNOULLI
+    assert all(isinstance(p, RchPolicy) for p in Simulation(cfg, seed=1).policies)
+    assert with_overrides(cfg, policy_kind="mapra").policy_kind is PolicyKind.MAP_RA
+    with pytest.raises(ConfigError, match="activation_mode: must be one of"):
+        ScenarioConfig(n_subnets=2, n_channels=2, activation_mode="bernoulli")
+    with pytest.raises(ConfigError, match="policy_kind"):
+        with_overrides(cfg, policy_kind="smart")
 
 
 def test_serialize_round_trip():

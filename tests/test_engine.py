@@ -1,8 +1,10 @@
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 
-from alarmmac.config import PolicyKind, RewardScope
+from alarmmac.config import ActivationMode, PolicyKind, RewardScope
 from alarmmac.engine import Simulation, resolve_collisions, reward_of, run
 from alarmmac.events import AlarmEvent
 from conftest import FixedPolicy, make_config
@@ -77,7 +79,7 @@ def test_no_live_alarm_means_no_policy_calls():
     sim = quiet_world(policy_kind=PolicyKind.DRL)
     for _ in range(50):
         outcome = sim.run_slot()
-        assert outcome.age is None and outcome.records is None
+        assert outcome.age is None and not outcome.success
     assert sim.trace.n_contention_slots == 0
     assert all(p.update_count == 0 for p in sim.policies)
     assert len(sim.trace.events) == 0
@@ -165,7 +167,7 @@ def test_training_tuples_only_for_active_agents():
 def test_run_zero_slots_empty_trace():
     cfg = make_config(n_slots=0)
     trace = run(cfg, seed=3)
-    assert trace.n_slots == 0 and trace.outcomes == [] and trace.events == []
+    assert trace.n_slots == 0 and trace.n_contention_slots == 0 and trace.events == []
 
 
 def test_run_alpha_zero_no_events():
@@ -174,18 +176,27 @@ def test_run_alpha_zero_no_events():
     assert len(trace.events) == 0 and trace.n_contention_slots == 0
 
 
+def run_collecting(cfg, seed):
+    """(trace, outcome of every contention slot) of one seeded run."""
+    sim = Simulation(cfg, seed=seed)
+    outcomes = [sim.run_slot() for _ in range(cfg.n_slots)]
+    return sim.trace, [o for o in outcomes if o.age is not None]
+
+
 def test_run_deterministic_given_seed():
     cfg = make_config(
         n_subnets=6, n_slots=800, alpha=0.4, eta=0.05, tx_threshold=0.3,
         deadline_slots=4, policy_kind=PolicyKind.DRL,
     )
-    a = run(cfg, seed=11)
-    b = run(cfg, seed=11)
+    a, a_outcomes = run_collecting(cfg, seed=11)
+    b, b_outcomes = run_collecting(cfg, seed=11)
     assert a.n_contention_slots == b.n_contention_slots
     assert [e.end_slot for e in a.events] == [e.end_slot for e in b.events]
     assert [e.delivered for e in a.events] == [e.delivered for e in b.events]
     assert a.mse == b.mse
-    assert [o.success for o in a.outcomes] == [o.success for o in b.outcomes]
+    assert [o.success for o in a_outcomes] == [o.success for o in b_outcomes]
+    assert len(a_outcomes) == a.n_contention_slots
+    assert a.n_successful_slots == sum(o.success for o in a_outcomes)
 
 
 def test_every_event_reaches_exactly_one_terminal_state():
@@ -207,8 +218,8 @@ def test_delivered_event_has_successful_outcome_in_window():
         n_subnets=5, n_slots=600, alpha=0.5, eta=0.05, tx_threshold=0.3, deadline_slots=4,
         policy_kind=PolicyKind.RCH,
     )
-    trace = run(cfg, seed=5)
-    success_slots = {o.slot for o in trace.outcomes if o.success}
+    trace, outcomes = run_collecting(cfg, seed=5)
+    success_slots = {o.slot for o in outcomes if o.success}
     for e in trace.events:
         if e.delivered:
             assert e.end_slot in success_slots
@@ -231,11 +242,23 @@ def test_event_overlap_mode_keeps_agents_exclusive():
     assert sim.trace.delivered_count + sim.trace.failed_count == len(sim.trace.events)
 
 
-def test_record_tuples_flag_drops_per_agent_records():
+def test_run_record_retains_little_per_contention_slot():
+    # the contention scenario: every slot contends
     cfg = make_config(
-        n_subnets=4, n_slots=400, alpha=0.6, eta=0.05, tx_threshold=0.3,
-        record_tuples=False, policy_kind=PolicyKind.RCH,
+        n_subnets=20, n_channels=3, n_slots=1000, alpha=1.0, eta=0.06, tx_threshold=0.3,
+        activation_mode=ActivationMode.THRESHOLD_ONLY, deadline_slots=2,
+        policy_kind=PolicyKind.RCH,
     )
-    trace = run(cfg, seed=2)
-    assert trace.n_contention_slots > 0
-    assert all(o.records is None for o in trace.outcomes)
+    tracemalloc.start()
+    try:
+        trace = run(cfg, seed=2)
+        contention = trace.n_contention_slots
+        gc.collect()
+        with_trace = tracemalloc.get_traced_memory()[0]
+        del trace
+        gc.collect()
+        retained = with_trace - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert contention > 500
+    assert retained / contention < 0.5 * 1024

@@ -11,18 +11,11 @@ from alarmmac.geometry import (
     SubnetPose,
     _clear_of,
     _within_reach,
-    distance,
     place_uniform,
     step_mobility,
 )
 
 from conftest import make_config
-
-
-def test_distance_examples():
-    assert distance((0, 0), (3, 4)) == 5.0
-    assert distance((2.5, -1.0), (2.5, -1.0)) == 0.0
-    assert abs(distance((0, 0), (50, 50)) - math.sqrt(5000.0)) < 1e-9
 
 
 def test_single_pose_inside_rectangle(rng):
@@ -36,10 +29,10 @@ def test_pairwise_separation_enforced():
     cfg = make_config(n_subnets=40)
     for seed in range(5):
         poses = place_uniform(cfg, np.random.default_rng(seed))
-        pts = [(p.x, p.y) for p in poses]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                assert distance(pts[i], pts[j]) >= cfg.min_separation_m
+        for i in range(len(poses)):
+            for j in range(i + 1, len(poses)):
+                d = math.hypot(poses[i].x - poses[j].x, poses[i].y - poses[j].y)
+                assert d >= cfg.min_separation_m
 
 
 def test_overdense_placement_infeasible(rng):
@@ -57,7 +50,7 @@ def test_displacement_is_speed_times_slot(rng):
     ]
     stepped = step_mobility(poses, cfg, rng)
     for before, after in zip(poses, stepped):
-        moved = distance(before.position, after.position)
+        moved = math.hypot(after.x - before.x, after.y - before.y)
         assert abs(moved - 0.006) < 1e-12
         assert after.heading == before.heading
 
@@ -78,8 +71,8 @@ def test_too_close_pair_resamples_or_holds(rng):
         SubnetPose(x=11.4, y=10.0, heading=math.pi, speed=cfg.speed_mps),
     ]
     stepped = step_mobility(poses, cfg, rng)
-    d = distance(stepped[0].position, stepped[1].position)
-    held = all(s.position == p.position for s, p in zip(stepped, poses))
+    d = math.hypot(stepped[1].x - stepped[0].x, stepped[1].y - stepped[0].y)
+    held = all((s.x, s.y) == (p.x, p.y) for s, p in zip(stepped, poses))
     assert d >= cfg.min_separation_m or held
     assert all(s.heading != p.heading for s, p in zip(stepped, poses))
 
@@ -94,7 +87,8 @@ def test_containment_and_separation_hold_over_many_slots():
             assert 0 <= p.x <= cfg.area_width_m and 0 <= p.y <= cfg.area_height_m
         for i in range(len(poses)):
             for j in range(i + 1, len(poses)):
-                assert distance(poses[i].position, poses[j].position) >= cfg.min_separation_m - 1e-12
+                d = math.hypot(poses[i].x - poses[j].x, poses[i].y - poses[j].y)
+                assert d >= cfg.min_separation_m - 1e-12
 
 
 # --- scalar references: the per-pose loops the vectorised code must match ---

@@ -2,8 +2,10 @@
 
 Each active agent trains its own tiny value network from replayed
 (context, action, reward) tuples, one clipped RMSProp step per contention
-slot. This script watches the exploration schedule, the learning-rate decay,
-and the system training error over a single seeded run.
+slot; the population object `sim.policy` holds every agent's state and
+`fleet.model(n)` views agent n's network. This script watches the
+exploration schedule, the learning-rate decay, and the system training error
+over a single seeded run.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import numpy as np
 from alarmmac.config import PolicyKind, ScenarioConfig, validate_config
 from alarmmac.engine import Simulation
 from alarmmac.learning import forward
-from alarmmac.policies import DrlPolicy
+from alarmmac.policies import DrlPopulation
 from alarmmac.reporting import in_time_probability, mse_decile_medians
 
 cfg = validate_config(ScenarioConfig(
@@ -38,19 +40,20 @@ first, last = mse_decile_medians(list(mse))
 print(f"first-decile median {first:.3f} -> last-decile median {last:.3f}")
 
 print("\n=== per-agent schedules after the run ===")
-agent = sim.policies[0]
-assert isinstance(agent, DrlPolicy)
-print(f"epsilon: start {cfg.epsilon_start} -> now {agent.epsilon} (floor {cfg.epsilon_floor})")
-print(f"learning rate: start {cfg.lr_initial} -> now {agent.opt.lr:.5f}")
-print(f"replay memory: {len(agent.memory)}/{agent.memory.capacity} tuples, "
-      f"{agent.update_count} updates")
+fleet = sim.policy
+assert isinstance(fleet, DrlPopulation)
+agent = 0
+print(f"epsilon: start {cfg.epsilon_start} -> now {fleet.epsilon(agent)} (floor {cfg.epsilon_floor})")
+print(f"learning rate: start {cfg.lr_initial} -> now {fleet.opt.lr[agent]:.5f}")
+print(f"replay memory: {fleet.replay.size[agent]}/{fleet.replay.capacity} tuples, "
+      f"{fleet.update_count[agent]} updates")
 
 print("\n=== what the fleet learned ===")
 print("greedy pattern of every agent at a typical signature level:")
 context = np.full(cfg.n_channels, 0.25)
 preferred = {}
-for n, policy in enumerate(sim.policies):
-    best = int(np.argmax(forward(policy.model, context)))
+for n in range(cfg.n_subnets):
+    best = int(np.argmax(forward(fleet.model(n), context)))
     preferred.setdefault(best, []).append(n)
 for pattern in sorted(preferred):
     bits = bin(pattern)[2:].zfill(cfg.n_channels)[::-1]  # channel 0 first

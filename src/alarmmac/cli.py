@@ -98,8 +98,7 @@ def _selftest_checks():
                 for joint in itertools.product(range(width), repeat=k):
                     matrix = pattern_table(m)[list(joint)].T if k else np.zeros((m, 0), dtype=int)
                     expected = any(int(matrix[ch].sum()) == 1 for ch in range(m))
-                    got, _, _, _ = resolve_collisions(list(joint), m)
-                    if got != expected:
+                    if resolve_collisions(list(joint), m).success != expected:
                         raise AssertionError(f"collision mismatch at M={m} joint={joint}")
 
     def dtmc_consistency() -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Any
@@ -152,6 +153,7 @@ class ScenarioConfig:
 
 
 _TUPLE_FIELDS = ("pathloss_abg_los", "pathloss_abg_nlos")
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}  # annotations as strings
 
 
 def _check(cond: bool, name: str, reason: str) -> None:
@@ -214,24 +216,47 @@ def load_config(text: str) -> ScenarioConfig:
     return config_from_dict(raw)
 
 
+def _finite_number(value: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _typed(key: str, value: Any) -> Any:
+    """The value of `key` from a document, if its JSON type fits the field.
+
+    Flags take only true or false; counts take integers, not booleans;
+    quantities take finite numbers; triples take three finite numbers.
+    Enum fields are checked by `ScenarioConfig` itself.
+    """
+    kind = _FIELD_TYPES[key]
+    if kind == "bool":
+        _check(isinstance(value, bool), key, "must be true or false")
+    elif kind == "int" or (kind == "int | None" and value is not None):
+        _check(isinstance(value, int) and not isinstance(value, bool), key, "must be an integer")
+    elif kind == "float":
+        _check(_finite_number(value), key, "must be a finite number")
+    elif key in _TUPLE_FIELDS:
+        _check(
+            isinstance(value, (list, tuple)) and len(value) == 3 and all(_finite_number(v) for v in value),
+            key,
+            "needs exactly 3 finite numbers (a, b, g)",
+        )
+        value = tuple(float(v) for v in value)
+    return value
+
+
 def config_from_dict(raw: dict[str, Any]) -> ScenarioConfig:
-    known = {f.name for f in fields(ScenarioConfig)}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(_FIELD_TYPES))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     for key in ("n_subnets", "n_channels"):
         if key not in raw:
             raise ConfigError(f"{key}: required")
-    kwargs: dict[str, Any] = {}
-    for key, value in raw.items():
-        if key in _TUPLE_FIELDS:
-            value = tuple(float(v) for v in value)
-        kwargs[key] = value
-    try:
-        cfg = ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return validate_config(cfg)
+    return validate_config(ScenarioConfig(**{key: _typed(key, value) for key, value in raw.items()}))
 
 
 def load_config_file(path: str) -> ScenarioConfig:

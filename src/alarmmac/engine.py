@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from . import signature as sig
 from .config import CsGainMode, RewardScope, ScenarioConfig, derive_stream
 from .events import AlarmEvent, maybe_spawn_event
 from .geometry import SubnetPose, place_uniform, step_mobility
-from .policies import Policy, make_policy, pattern_table
+from .policies import Population, make_policy, pattern_table
 
 
 @dataclass
@@ -83,25 +84,26 @@ def reward_of(delivered: bool, winner: int | None, lap: int, config: ScenarioCon
     return config.reward_success if lap == winner else config.reward_failure
 
 
-def resolve_collisions(
-    action_indices: list[int] | np.ndarray, n_channels: int
-) -> tuple[bool, np.ndarray, tuple[int, ...], int | None]:
-    """Collision outcome of one slot.
+class Collisions(NamedTuple):
+    """Collision outcome of one slot."""
 
-    Returns (success, per-channel transmitter counts, successful channels,
-    index into `action_indices` of the winner). The winner is the unique
-    transmitter on the lowest-indexed successful channel.
-    """
-    table = pattern_table(n_channels)
+    success: bool  # any channel with exactly one transmitter
+    counts: np.ndarray  # transmitters per channel
+    channels: tuple[int, ...]  # the successful channels, ascending
+    transmitters: tuple[int, ...]  # per successful channel, the index into the actions of its transmitter
+
+
+def resolve_collisions(action_indices: list[int] | np.ndarray, n_channels: int) -> Collisions:
+    """Collision outcome of one slot's transmission patterns."""
     actions = np.asarray(action_indices, dtype=int)
-    bits = table[actions] if actions.size else np.zeros((0, n_channels), dtype=np.uint8)
-    counts = bits.sum(axis=0).astype(int) if actions.size else np.zeros(n_channels, dtype=int)
-    successful = tuple(int(m) for m in np.nonzero(counts == 1)[0])
-    winner = None
-    if successful:
-        m = successful[0]
-        winner = int(np.nonzero(bits[:, m])[0][0])
-    return bool(successful), counts, successful, winner
+    if not actions.size:
+        return Collisions(False, np.zeros(n_channels, dtype=int), (), ())
+    bits = pattern_table(n_channels)[actions]
+    counts = bits.sum(axis=0).astype(int)
+    channels = np.flatnonzero(counts == 1)
+    # each successful column holds a single 1: argmax finds its row
+    transmitters = bits[:, channels].argmax(axis=0)
+    return Collisions(bool(channels.size), counts, tuple(channels.tolist()), tuple(transmitters.tolist()))
 
 
 class Simulation:
@@ -124,7 +126,7 @@ class Simulation:
         self.poses: list[SubnetPose] = place_uniform(config, rng_place)
         self.cap_xy = (config.area_width_m / 2.0, config.area_height_m / 2.0)
         self._snapshot_channel_state()
-        self.policies: list[Policy] = [make_policy(config, rng_init) for _ in range(config.n_subnets)]
+        self.policy: Population = make_policy(config, rng_init)
         self.live_events: list[AlarmEvent] = []
         self.slot = 0
         self.trace = RunTrace()
@@ -208,46 +210,32 @@ class Simulation:
         cfg = self.config
         active = tuple(sorted(self._busy_laps()))
         oldest_age = max(e.age for e in self.live_events)
+        contexts = self._contexts(active)
+        actions = self.policy.select_action(active, contexts, self.rng_explore)
+        collisions = resolve_collisions(actions, cfg.n_channels)
+        # the agent that got through on each successful channel, by channel
+        deliverers = [active[row] for row in collisions.transmitters]
 
-        if active:
-            contexts = self._contexts(active)
-            actions = [
-                self.policies[n].select_action(contexts[row], self.rng_explore)
-                for row, n in enumerate(active)
-            ]
-        else:
-            contexts = np.zeros((0, cfg.n_channels))
-            actions = []
-
-        success, _, successful, _ = resolve_collisions(actions, cfg.n_channels)
-
-        # map each successful channel's unique transmitter to its event
-        delivered_by: dict[int, int] = {}
-        if successful:
-            bits = pattern_table(cfg.n_channels)[np.asarray(actions, dtype=int)]
-            for m in successful:
-                delivered_by[m] = active[int(np.nonzero(bits[:, m])[0][0])]
-
-        losses: list[float] = []
-        still_live: list[AlarmEvent] = []
+        # every live event's rewards, then one update, then the events end:
+        # an event's end never decays a learning rate before its last update
         row_of = {n: row for row, n in enumerate(active)}
-
+        agents: list[int] = []
+        rewards: list[float] = []
+        delivered_flags: list[bool] = []
         for event in self.live_events:
-            event_winner = None
-            for m in successful:
-                if delivered_by[m] in event.active_set:
-                    event_winner = delivered_by[m]
-                    break
-            delivered = event_winner is not None
-            event.attempts += 1
-
+            winner = next((n for n in deliverers if n in event.active_set), None)
+            delivered_flags.append(winner is not None)
             for n in event.active_set:
-                row = row_of[n]
-                r = reward_of(delivered, event_winner, n, cfg)
-                loss = self.policies[n].observe(contexts[row], actions[row], r, rng=self.rng_sample)
-                if loss is not None:
-                    losses.append(loss)
+                agents.append(n)
+                rewards.append(reward_of(winner is not None, winner, n, cfg))
+        rows = [row_of[n] for n in agents]
+        losses = self.policy.observe(agents, contexts[rows], actions[rows], rewards, self.rng_sample)
+        if losses is not None:
+            self.trace.mse.append(float(np.mean(losses)))
 
+        still_live: list[AlarmEvent] = []
+        for event, delivered in zip(self.live_events, delivered_flags):
+            event.attempts += 1
             if delivered:
                 event.delivered = True
                 event.delivery_slot = self.slot
@@ -260,11 +248,7 @@ class Simulation:
                 else:
                     still_live.append(event)
         self.live_events = still_live
-
-        if losses:
-            self.trace.mse.append(float(np.mean(losses)))
-
-        return SlotOutcome(slot=self.slot, success=success, age=oldest_age)
+        return SlotOutcome(slot=self.slot, success=collisions.success, age=oldest_age)
 
     def _finish_event(self, event: AlarmEvent) -> None:
         self.trace.events.append(
@@ -276,8 +260,7 @@ class Simulation:
                 active_size=len(event.active_set),
             )
         )
-        for n in event.active_set:
-            self.policies[n].end_event()
+        self.policy.end_event(event.active_set)
 
     def run(self, n_slots: int | None = None, until_events: int | None = None) -> RunTrace:
         """Advance the world; stops at n_slots, or earlier once until_events

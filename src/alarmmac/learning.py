@@ -9,6 +9,10 @@ reward:
 
 so gradients flow only through taken-action outputs. Updates are RMSProp
 steps on the globally norm-clipped gradient.
+
+The single-model kernels are the reference. Their stacked twins train N
+networks of one shape at once, one row per network, with the same
+floating-point operations per network.
 """
 
 from __future__ import annotations
@@ -160,44 +164,198 @@ def rmsprop_step(model: Mlp, state: RmsPropState, grads: Grads) -> None:
         model.biases[i] -= lr * gb / (np.sqrt(state.sq_biases[i]) + eps)
 
 
-class ReplayMemory:
-    """Bounded FIFO of (context, action, reward) tuples; oldest evicted first."""
+# --- stacked kernels: N networks of one shape, trained together -----------
+#
+# Network k of a stack is an Mlp whose layer i is weights[i][k], biases[i][k].
+# Each kernel does, per network, the same floating-point operations as its
+# single-model twin above, so a stack of one agrees with it bit for bit.
 
-    def __init__(self, capacity: int, n_channels: int):
+StackedBatch = tuple[np.ndarray, np.ndarray, np.ndarray]  # contexts (K, B, M), actions (K, B), rewards (K, B)
+
+
+@dataclass
+class MlpStack:
+    """K networks of one shape, layer by layer."""
+
+    weights: list[np.ndarray]  # per layer, shape (K, fan_out, fan_in)
+    biases: list[np.ndarray]  # per layer, shape (K, fan_out)
+
+    @classmethod
+    def of(cls, models: list[Mlp]) -> "MlpStack":
+        layers = range(len(models[0].weights))
+        return cls(
+            weights=[np.stack([m.weights[i] for m in models]) for i in layers],
+            biases=[np.stack([m.biases[i] for m in models]) for i in layers],
+        )
+
+    def model(self, k: int) -> Mlp:
+        """Network k, its arrays views into the stack."""
+        return Mlp(weights=[w[k] for w in self.weights], biases=[b[k] for b in self.biases])
+
+    def rows(self, idx: np.ndarray) -> "MlpStack":
+        """A copy of the networks at `idx`."""
+        return MlpStack(weights=[w[idx] for w in self.weights], biases=[b[idx] for b in self.biases])
+
+    def put(self, idx: np.ndarray, part: "MlpStack") -> None:
+        """Write `part` back over the networks at `idx`."""
+        for w, b, pw, pb in zip(self.weights, self.biases, part.weights, part.biases):
+            w[idx] = pw
+            b[idx] = pb
+
+
+def _forward_stacked_cached(stack: MlpStack, x: np.ndarray) -> list[np.ndarray]:
+    """Activations per layer for one batch (K, B, M) per network."""
+    acts = [x]
+    h = x
+    last = len(stack.weights) - 1
+    for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
+        z = h @ w.transpose(0, 2, 1) + b[:, None, :]
+        h = z if i == last else np.maximum(z, 0.0)
+        acts.append(h)
+    return acts
+
+
+def forward_stacked(stack: MlpStack, contexts: np.ndarray) -> np.ndarray:
+    """Action values of network k for context k: (K, M) -> (K, 2**M)."""
+    x = np.asarray(contexts, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("context must be finite")
+    return _forward_stacked_cached(stack, x[:, None, :])[-1][:, 0]
+
+
+def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[Grads, np.ndarray]:
+    """`backward` of network k on minibatch k; returns (grads, per-network loss).
+
+    Gradient arrays are stacked like the network's: (K, fan_out, fan_in)
+    and (K, fan_out).
+    """
+    contexts, actions, rewards = batch
+    actions = np.asarray(actions, dtype=int)
+    rewards = np.asarray(rewards, dtype=float)
+    n_nets, b_size = rewards.shape
+    if b_size == 0:
+        raise ValueError("empty minibatch")
+    acts = _forward_stacked_cached(stack, np.asarray(contexts, dtype=float))
+    values = acts[-1]
+    # flat position of each taken action's value in the (K, B, 2**M) block
+    taken = np.arange(n_nets * b_size).reshape(n_nets, b_size) * values.shape[2] + actions
+    residual = np.take(values, taken) - rewards
+
+    delta = np.zeros_like(values)
+    delta.flat[taken] = 2.0 * residual / b_size
+
+    grads: Grads = [None] * len(stack.weights)  # type: ignore[list-item]
+    for i in range(len(stack.weights) - 1, -1, -1):
+        grads[i] = (delta.transpose(0, 2, 1) @ acts[i], delta.sum(axis=1))
+        if i > 0:
+            delta = (delta @ stack.weights[i]) * (acts[i] > 0.0)
+    return grads, np.mean(residual**2, axis=1)
+
+
+def grad_norm_stacked(grads: Grads) -> np.ndarray:
+    """Global gradient norm of each network: (K,)."""
+    total = np.zeros(len(grads[0][0]))
+    for gw, gb in grads:
+        total = total + ((gw**2).sum(axis=(1, 2)) + (gb**2).sum(axis=1))
+    return np.sqrt(total)
+
+
+def clip_gradient_stacked(grads: Grads, beta0: float) -> Grads:
+    """Global norm clipping of each network's gradient on its own."""
+    if beta0 <= 0:
+        raise ValueError("beta0 must be > 0")
+    scale = beta0 / np.maximum(grad_norm_stacked(grads), beta0)
+    return [(gw * scale[:, None, None], gb * scale[:, None]) for gw, gb in grads]
+
+
+@dataclass
+class RmsPropStack:
+    """RMSProp state of a stack; each network has its own learning rate."""
+
+    sq_weights: list[np.ndarray]
+    sq_biases: list[np.ndarray]
+    lr: np.ndarray  # (K,)
+    decay: float = 0.9
+    smoothing: float = 1e-8
+
+    @classmethod
+    def for_stack(cls, stack: MlpStack, decay: float, smoothing: float, lr: float) -> "RmsPropStack":
+        return cls(
+            sq_weights=[np.zeros_like(w) for w in stack.weights],
+            sq_biases=[np.zeros_like(b) for b in stack.biases],
+            lr=np.full(len(stack.weights[0]), lr),
+            decay=decay,
+            smoothing=smoothing,
+        )
+
+    def rows(self, idx: np.ndarray) -> "RmsPropStack":
+        """A copy of the state of the networks at `idx`."""
+        return RmsPropStack(
+            sq_weights=[s[idx] for s in self.sq_weights],
+            sq_biases=[s[idx] for s in self.sq_biases],
+            lr=self.lr[idx],
+            decay=self.decay,
+            smoothing=self.smoothing,
+        )
+
+    def put(self, idx: np.ndarray, part: "RmsPropStack") -> None:
+        """Write the squared-gradient averages of `part` back at `idx`."""
+        for s, ps in zip(self.sq_weights + self.sq_biases, part.sq_weights + part.sq_biases):
+            s[idx] = ps
+
+
+def rmsprop_step_stacked(stack: MlpStack, state: RmsPropStack, grads: Grads) -> None:
+    """`rmsprop_step` of every network of the stack, in place."""
+    g, eps = state.decay, state.smoothing
+    lr_w, lr_b = state.lr[:, None, None], state.lr[:, None]
+    for i, (gw, gb) in enumerate(grads):
+        state.sq_weights[i] = g * state.sq_weights[i] + (1.0 - g) * gw**2
+        state.sq_biases[i] = g * state.sq_biases[i] + (1.0 - g) * gb**2
+        stack.weights[i] -= lr_w * gw / (np.sqrt(state.sq_weights[i]) + eps)
+        stack.biases[i] -= lr_b * gb / (np.sqrt(state.sq_biases[i]) + eps)
+
+
+class StackedReplay:
+    """One bounded FIFO of (context, action, reward) tuples per agent, kept as
+    (N, capacity, M) rings with a cursor and a fill count per agent; each
+    agent's oldest tuple is evicted first."""
+
+    def __init__(self, n_agents: int, capacity: int, n_channels: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._contexts = np.zeros((capacity, n_channels))
-        self._actions = np.zeros(capacity, dtype=np.int64)
-        self._rewards = np.zeros(capacity)
-        self._next = 0
-        self._size = 0
+        self._contexts = np.zeros((n_agents, capacity, n_channels))
+        self._actions = np.zeros((n_agents, capacity), dtype=np.int64)
+        self._rewards = np.zeros((n_agents, capacity))
+        self._next = np.zeros(n_agents, dtype=np.int64)
+        self.size = np.zeros(n_agents, dtype=np.int64)
 
-    def __len__(self) -> int:
-        return self._size
+    def push(self, agents: np.ndarray, contexts: np.ndarray, actions: np.ndarray, rewards: np.ndarray) -> None:
+        """One tuple for each of the distinct `agents`."""
+        at = self._next[agents]
+        self._contexts[agents, at] = contexts
+        self._actions[agents, at] = actions
+        self._rewards[agents, at] = rewards
+        self._next[agents] = (at + 1) % self.capacity
+        self.size[agents] = np.minimum(self.size[agents] + 1, self.capacity)
 
-    def push(self, context: np.ndarray, action: int, reward: float) -> None:
-        self._contexts[self._next] = context
-        self._actions[self._next] = action
-        self._rewards[self._next] = reward
-        self._next = (self._next + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
-
-    def contents(self) -> Batch:
-        """Stored tuples, oldest first."""
-        if self._size < self.capacity:
-            idx = np.arange(self._size)
-        else:
-            idx = np.roll(np.arange(self.capacity), -self._next)
-        return self._contexts[idx], self._actions[idx], self._rewards[idx]
-
-    def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
-        """Uniform minibatch; with replacement only while size < batch_size."""
-        if self._size == 0:
-            raise ValueError("cannot sample from empty memory")
-        replace = self._size < batch_size
-        idx = rng.choice(self._size, size=batch_size, replace=replace)
-        return self._contexts[idx], self._actions[idx], self._rewards[idx]
+    def sample(self, agents: np.ndarray, batch_size: int, rng: np.random.Generator) -> StackedBatch:
+        """A uniform minibatch per agent, with replacement only while its
+        memory holds fewer than batch_size tuples. The indices are drawn one
+        agent at a time, in the order given."""
+        idx = np.empty((len(agents), batch_size), dtype=np.int64)
+        for k, n in enumerate(agents):
+            size = int(self.size[n])
+            if size == 0:
+                raise ValueError("cannot sample from empty memory")
+            idx[k] = rng.choice(size, size=batch_size, replace=size < batch_size)
+        flat = np.asarray(agents)[:, None] * self.capacity + idx  # position in the (N * capacity) rows
+        n_channels = self._contexts.shape[2]
+        return (
+            np.take(self._contexts.reshape(-1, n_channels), flat, axis=0),
+            np.take(self._actions, flat),
+            np.take(self._rewards, flat),
+        )
 
 
 def params_to_vector(model: Mlp) -> np.ndarray:

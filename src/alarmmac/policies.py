@@ -6,11 +6,25 @@ index i maps to bits via the binary expansion of i, least significant bit
 first. Three policies are provided: the learned network policy, a
 context-free value-table bandit, and uniform random selection. Exploration
 rate and learning rate decay once per alarm event, never per slot.
+
+Each policy is one population object that holds the state of all N agents.
+Its methods take the agents concerned, which must be distinct:
+
+- `select_action(agents, contexts, rng)`: one pattern per agent, given
+  each agent's context row;
+- `observe(agents, contexts, actions, rewards, rng)`: one training tuple
+  per agent; returns each agent's minibatch loss, or None for policies that
+  do not regress;
+- `end_event(agents)`: the agents' alarm event ended.
+
+Random draws are taken one agent at a time in the order given, so a
+population draws exactly what N separate agents called in that order would.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -38,131 +52,148 @@ def decayed_epsilon(start: float, floor: float, step: float, n_events: int) -> f
     return max(floor, start - step * n_events)
 
 
-def _greedy(values: np.ndarray) -> int:
-    return int(np.argmax(values))  # first maximum, so ties break to the lowest index
-
-
-class RchPolicy:
-    """Uniform random pattern selection."""
-
-    def __init__(self, n_channels: int):
-        self.n_patterns = 1 << n_channels
-
-    def select_action(self, context: np.ndarray, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.n_patterns))
-
-    def observe(
-        self,
-        context: np.ndarray,
-        action: int,
-        reward: float,
-        rng: np.random.Generator | None = None,
-    ) -> float | None:
-        return None
-
-    def end_event(self) -> None:
-        return None
-
-
-class MapRaPolicy:
-    """Context-free epsilon-greedy bandit: Q(a) <- (1 - tau) Q(a) + tau * r."""
+class RchPopulation:
+    """Uniform random pattern selection for every agent."""
 
     def __init__(self, config: ScenarioConfig):
-        self.q = np.zeros(config.n_patterns)
-        self.tau = config.mapra_tau
+        self.n_patterns = config.n_patterns
+
+    def select_action(self, agents: Sequence[int], contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return np.array([rng.integers(self.n_patterns) for _ in agents], dtype=np.int64)
+
+    def observe(self, agents, contexts, actions, rewards, rng) -> None:
+        return None
+
+    def end_event(self, agents: Sequence[int]) -> None:
+        return None
+
+
+class _EpsilonGreedy:
+    """Per-agent event counters and the exploration schedule they drive."""
+
+    def __init__(self, config: ScenarioConfig):
+        self.n_patterns = config.n_patterns
+        self.events = [0] * config.n_subnets
         self._eps_start = config.epsilon_start
         self._eps_floor = config.epsilon_floor
         self._eps_step = config.epsilon_step
-        self._events = 0
 
-    @property
-    def epsilon(self) -> float:
-        return decayed_epsilon(self._eps_start, self._eps_floor, self._eps_step, self._events)
+    def epsilon(self, agent: int) -> float:
+        return decayed_epsilon(self._eps_start, self._eps_floor, self._eps_step, self.events[agent])
 
-    def select_action(self, context: np.ndarray, rng: np.random.Generator) -> int:
-        if rng.random() < self.epsilon:
-            return int(rng.integers(len(self.q)))
-        return _greedy(self.q)
+    def _explore(self, agents: Sequence[int], rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
+        """Actions of the exploring agents and the rows of the greedy ones.
 
-    def observe(
-        self,
-        context: np.ndarray,
-        action: int,
-        reward: float,
-        rng: np.random.Generator | None = None,
-    ) -> float | None:
-        if not np.isfinite(reward):
-            raise ValueError("reward must be finite")
-        self.q[action] = (1.0 - self.tau) * self.q[action] + self.tau * reward
+        One agent at a time, in order: a uniform draw against epsilon, then
+        the random pattern only if the agent explores.
+        """
+        actions = [0] * len(agents)
+        greedy = []
+        for row, n in enumerate(agents):
+            if rng.random() < self.epsilon(n):
+                actions[row] = int(rng.integers(self.n_patterns))
+            else:
+                greedy.append(row)
+        return np.array(actions, dtype=np.int64), greedy
+
+    def end_event(self, agents: Sequence[int]) -> None:
+        for n in agents:
+            self.events[n] += 1
+
+
+def _finite_rewards(rewards) -> np.ndarray:
+    rewards = np.asarray(rewards, dtype=float)
+    if not np.all(np.isfinite(rewards)):
+        raise ValueError("reward must be finite")
+    return rewards
+
+
+class MapRaPopulation(_EpsilonGreedy):
+    """Context-free epsilon-greedy bandit per agent, one row of an (N, 2**M)
+    value table each: Q[n, a] <- (1 - tau) Q[n, a] + tau * r."""
+
+    def __init__(self, config: ScenarioConfig):
+        super().__init__(config)
+        self.q = np.zeros((config.n_subnets, config.n_patterns))
+        self.tau = config.mapra_tau
+
+    def select_action(self, agents: Sequence[int], contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        actions, greedy = self._explore(agents, rng)
+        if greedy:
+            # first maximum, so ties break to the lowest index
+            actions[greedy] = np.argmax(self.q[np.asarray(agents)[greedy]], axis=1)
+        return actions
+
+    def observe(self, agents, contexts, actions, rewards, rng) -> None:
+        taken = (np.asarray(agents), actions)
+        self.q[taken] = (1.0 - self.tau) * self.q[taken] + self.tau * _finite_rewards(rewards)
         return None
 
-    def end_event(self) -> None:
-        self._events += 1
 
+class DrlPopulation(_EpsilonGreedy):
+    """Network policy: each agent is epsilon-greedy over its own learned
+    action values. The networks, their RMSProp state and their replay
+    memories are stacked, so a slot's arithmetic runs once over all active
+    agents.
 
-class DrlPolicy:
-    """Network policy: epsilon-greedy over learned action values.
-
-    Each observed (context, action, reward) tuple is pushed to replay, then
-    one clipped RMSProp step is taken on a sampled minibatch. The minibatch
-    loss before the step is returned for convergence tracking.
+    Each observed (context, action, reward) tuple is pushed to its agent's
+    replay, then one clipped RMSProp step is taken on a minibatch sampled
+    from it. The minibatch loss before the step is returned per agent for
+    convergence tracking. An event's end decays its agents' learning rates.
     """
 
     def __init__(self, config: ScenarioConfig, init_rng: np.random.Generator):
-        self.model = learning.init_mlp(config.layer_sizes, init_rng)
-        self.opt = learning.RmsPropState.for_model(
-            self.model, decay=config.rms_decay, smoothing=config.rms_smoothing, lr=config.lr_initial
+        super().__init__(config)
+        # per agent, in agent order, so the initial weights are those of N separate draws
+        self.net = learning.MlpStack.of(
+            [learning.init_mlp(config.layer_sizes, init_rng) for _ in range(config.n_subnets)]
         )
-        self.memory = learning.ReplayMemory(config.replay, config.n_channels)
-        self.n_patterns = config.n_patterns
+        self.opt = learning.RmsPropStack.for_stack(
+            self.net, decay=config.rms_decay, smoothing=config.rms_smoothing, lr=config.lr_initial
+        )
+        self.replay = learning.StackedReplay(config.n_subnets, config.replay, config.n_channels)
         self.batch_size = config.minibatch
         self.clip_threshold = config.clip_threshold
         self.lr_decay = config.lr_decay_per_event
-        self._eps_start = config.epsilon_start
-        self._eps_floor = config.epsilon_floor
-        self._eps_step = config.epsilon_step
-        self._events = 0
-        self.update_count = 0
+        self.update_count = np.zeros(config.n_subnets, dtype=np.int64)
 
-    @property
-    def epsilon(self) -> float:
-        return decayed_epsilon(self._eps_start, self._eps_floor, self._eps_step, self._events)
+    def model(self, agent: int) -> learning.Mlp:
+        """The agent's network, its arrays views into the stack."""
+        return self.net.model(agent)
 
-    def select_action(self, context: np.ndarray, rng: np.random.Generator) -> int:
-        if rng.random() < self.epsilon:
-            return int(rng.integers(self.n_patterns))
-        return _greedy(learning.forward(self.model, context))
+    def select_action(self, agents: Sequence[int], contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        actions, greedy = self._explore(agents, rng)
+        if greedy:
+            values = learning.forward_stacked(self.net.rows(np.asarray(agents)[greedy]), contexts[greedy])
+            # first maximum, so ties break to the lowest index
+            actions[greedy] = np.argmax(values, axis=1)
+        return actions
 
-    def observe(
-        self,
-        context: np.ndarray,
-        action: int,
-        reward: float,
-        rng: np.random.Generator | None = None,
-    ) -> float | None:
-        if not np.isfinite(reward):
-            raise ValueError("reward must be finite")
-        if rng is None:
-            raise ValueError("minibatch sampling needs a random stream")
-        self.memory.push(context, action, reward)
-        batch = self.memory.sample(self.batch_size, rng)
-        grads, batch_loss = learning.backward(self.model, batch)
-        grads = learning.clip_gradient(grads, self.clip_threshold)
-        learning.rmsprop_step(self.model, self.opt, grads)
-        self.update_count += 1
-        return batch_loss
+    def observe(self, agents, contexts, actions, rewards, rng) -> np.ndarray:
+        rewards = _finite_rewards(rewards)
+        agents = np.asarray(agents, dtype=np.intp)
+        self.replay.push(agents, contexts, actions, rewards)
+        batch = self.replay.sample(agents, self.batch_size, rng)
+        net, opt = self.net.rows(agents), self.opt.rows(agents)
+        grads, losses = learning.backward_stacked(net, batch)
+        learning.rmsprop_step_stacked(net, opt, learning.clip_gradient_stacked(grads, self.clip_threshold))
+        self.net.put(agents, net)
+        self.opt.put(agents, opt)
+        self.update_count[agents] += 1
+        return losses
 
-    def end_event(self) -> None:
-        self._events += 1
-        self.opt.lr *= 1.0 - self.lr_decay
+    def end_event(self, agents: Sequence[int]) -> None:
+        super().end_event(agents)
+        self.opt.lr[list(agents)] *= 1.0 - self.lr_decay
 
 
-Policy = RchPolicy | MapRaPolicy | DrlPolicy
+Population = RchPopulation | MapRaPopulation | DrlPopulation
 
 
-def make_policy(config: ScenarioConfig, init_rng: np.random.Generator) -> Policy:
+def make_policy(config: ScenarioConfig, init_rng: np.random.Generator) -> Population:
+    """The population of all N agents under the configured policy."""
     if config.policy_kind is PolicyKind.RCH:
-        return RchPolicy(config.n_channels)
+        return RchPopulation(config)
     if config.policy_kind is PolicyKind.MAP_RA:
-        return MapRaPolicy(config)
-    return DrlPolicy(config, init_rng)
+        return MapRaPopulation(config)
+    return DrlPopulation(config, init_rng)

@@ -5,22 +5,29 @@ from alarmmac.config import ScenarioConfig, validate_config
 
 
 class FixedPolicy:
-    """Test stub: always plays one pattern; records what it observes."""
+    """Test stub population: agent n always plays patterns[n]; records, per
+    agent, what it observes and how many of its events ended, and the order
+    of the observe and end_event calls."""
 
-    def __init__(self, pattern_index: int):
-        self.pattern_index = pattern_index
-        self.observed: list[tuple[int, float]] = []
-        self.events_ended = 0
+    def __init__(self, patterns):
+        self.patterns = list(patterns)
+        self.observed: list[list[tuple[int, float]]] = [[] for _ in self.patterns]
+        self.events_ended = [0] * len(self.patterns)
+        self.calls: list[tuple[str, tuple[int, ...]]] = []
 
-    def select_action(self, context, rng):
-        return self.pattern_index
+    def select_action(self, agents, contexts, rng):
+        return np.array([self.patterns[n] for n in agents], dtype=np.int64)
 
-    def observe(self, context, action, reward, rng=None):
-        self.observed.append((action, reward))
+    def observe(self, agents, contexts, actions, rewards, rng):
+        self.calls.append(("observe", tuple(agents)))
+        for n, action, reward in zip(agents, actions, rewards):
+            self.observed[n].append((int(action), float(reward)))
         return None
 
-    def end_event(self):
-        self.events_ended += 1
+    def end_event(self, agents):
+        self.calls.append(("end_event", tuple(agents)))
+        for n in agents:
+            self.events_ended[n] += 1
 
 
 @pytest.fixture

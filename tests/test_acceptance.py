@@ -18,7 +18,7 @@ from alarmmac.config import (
     with_overrides,
 )
 from alarmmac.engine import Simulation, resolve_collisions
-from alarmmac.policies import MapRaPolicy
+from alarmmac.policies import make_policy
 from alarmmac.reporting import in_time_probability, run_experiment
 
 
@@ -45,8 +45,7 @@ def test_criterion_1_collision_oracle_equivalence():
     for m in (1, 2, 3):
         for k in range(0, 5):
             for joint in itertools.product(range(1 << m), repeat=k):
-                got, _, _, _ = resolve_collisions(list(joint), m)
-                if got != matrix_success_indicator(joint, m):
+                if resolve_collisions(list(joint), m).success != matrix_success_indicator(joint, m):
                     mismatches += 1
                 checked += 1
     elapsed = time.perf_counter() - started
@@ -117,9 +116,43 @@ def test_criterion_3_simulation_matches_theory():
     )
 
 
+def numeric_gradient(model, batch, step=1e-5):
+    """Central finite differences of the single-model loss."""
+    theta = learning.params_to_vector(model)
+    numeric = np.zeros_like(theta)
+    for j in range(theta.size):
+        bump = np.zeros_like(theta)
+        bump[j] = step
+        learning.vector_to_params(model, theta + bump)
+        up = learning.loss(model, batch)
+        learning.vector_to_params(model, theta - bump)
+        down = learning.loss(model, batch)
+        numeric[j] = (up - down) / (2 * step)
+    learning.vector_to_params(model, theta)
+    return numeric
+
+
+def relative_error(analytic, numeric):
+    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def kink_distance(model, contexts):
+    """Smallest |pre-activation| of a rectifier unit over the contexts."""
+    h, nearest = contexts, np.inf
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = h @ w.T + b
+        nearest = min(nearest, float(np.abs(z).min()))
+        h = np.maximum(z, 0.0)
+    return nearest
+
+
 def test_criterion_4_gradient_correctness():
     rng = np.random.default_rng(4)
+    extra = np.random.default_rng(40)  # the stacked check's other networks
     worst = 0.0
+    worst_stacked = 0.0
+    near_kink = 0
     for _ in range(100):
         m = int(rng.integers(1, 4))
         hidden = int(rng.integers(1, 5))
@@ -129,24 +162,28 @@ def test_criterion_4_gradient_correctness():
         b = int(rng.integers(1, 6))
         batch = (rng.random((b, m)), rng.integers(0, 1 << m, b), rng.standard_normal(b))
         grads, _ = learning.backward(model, batch)
-        analytic = learning.grads_to_vector(grads)
+        worst = max(worst, relative_error(learning.grads_to_vector(grads), numeric_gradient(model, batch)))
 
-        theta = learning.params_to_vector(model)
-        numeric = np.zeros_like(theta)
-        for j in range(theta.size):
-            bump = np.zeros_like(theta)
-            bump[j] = 1e-5
-            learning.vector_to_params(model, theta + bump)
-            up = learning.loss(model, batch)
-            learning.vector_to_params(model, theta - bump)
-            down = learning.loss(model, batch)
-            numeric[j] = (up - down) / 2e-5
-        learning.vector_to_params(model, theta)
-
-        denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
-        worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
-    report(4, "backprop matches central finite differences on 100 random models",
-           worst < 1e-4, f"max relative error {worst:.2e}")
+        # the stacked kernel: this network and two more of its shape, one minibatch each
+        models = [model] + [learning.init_mlp(sizes, extra) for _ in range(2)]
+        batches = [batch] + [
+            (extra.random((b, m)), extra.integers(0, 1 << m, b), extra.standard_normal(b)) for _ in range(2)
+        ]
+        stacked, _ = learning.backward_stacked(
+            learning.MlpStack.of(models), tuple(np.stack(part) for part in zip(*batches))
+        )
+        for k, (net, net_batch) in enumerate(zip(models, batches)):
+            if k and kink_distance(net, net_batch[0]) < 1e-4:
+                # a 1e-5 bump can cross a rectifier's kink, where central
+                # differences do not estimate the gradient
+                near_kink += 1
+                continue
+            analytic = learning.grads_to_vector([(gw[k], gb[k]) for gw, gb in stacked])
+            worst_stacked = max(worst_stacked, relative_error(analytic, numeric_gradient(net, net_batch)))
+    report(4, "backprop, single and stacked, matches central finite differences on 100 random models",
+           worst < 1e-4 and worst_stacked < 1e-4 and near_kink <= 10,
+           f"max relative error {worst:.2e}, stacked {worst_stacked:.2e} "
+           f"({near_kink} of 200 extra networks skipped near a kink)")
 
 
 def test_criterion_5_clipping_and_schedules():
@@ -163,16 +200,18 @@ def test_criterion_5_clipping_and_schedules():
         if raw_norm <= 5.0 and not np.array_equal(clipped[0][0], grads[0][0]):
             clip_ok = False
 
-    policy = MapRaPolicy(validate_config(ScenarioConfig(n_subnets=2, n_channels=2)))
-    eps_ok = policy.epsilon == 1.0
+    cfg = validate_config(ScenarioConfig(n_subnets=2, n_channels=2, policy_kind=PolicyKind.MAP_RA))
+    policy = make_policy(cfg, np.random.default_rng(5))
+    eps_ok = policy.epsilon(0) == 1.0
     for event in range(1, 241):
-        policy.end_event()
+        policy.end_event([0])
         if event == 179:
-            eps_ok &= policy.epsilon > 0.1
+            eps_ok &= policy.epsilon(0) > 0.1
         if event == 180:
-            eps_ok &= policy.epsilon == 0.1
+            eps_ok &= policy.epsilon(0) == 0.1
         if event > 180:
-            eps_ok &= policy.epsilon == 0.1
+            eps_ok &= policy.epsilon(0) == 0.1
+    eps_ok &= policy.epsilon(1) == 1.0  # another agent's events do not count
     report(5, "post-clip norm bounded by 5; exploration floor 0.1 hit at event 180",
            clip_ok and eps_ok)
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from dataclasses import fields
+from hypothesis import given, settings, strategies as st
 
 from alarmmac.config import (
     ActivationMode,
@@ -18,7 +20,7 @@ from alarmmac.config import (
     with_overrides,
 )
 from alarmmac.engine import Simulation
-from alarmmac.policies import RchPolicy
+from alarmmac.policies import RchPopulation
 
 
 def test_minimal_document_gets_documented_defaults():
@@ -95,12 +97,82 @@ def test_enum_strings_become_members_on_construction():
     ))
     assert cfg.policy_kind is PolicyKind.RCH
     assert cfg.activation_mode is ActivationMode.THRESHOLD_AND_BERNOULLI
-    assert all(isinstance(p, RchPolicy) for p in Simulation(cfg, seed=1).policies)
+    assert isinstance(Simulation(cfg, seed=1).policy, RchPopulation)
     assert with_overrides(cfg, policy_kind="mapra").policy_kind is PolicyKind.MAP_RA
     with pytest.raises(ConfigError, match="activation_mode: must be one of"):
         ScenarioConfig(n_subnets=2, n_channels=2, activation_mode="bernoulli")
     with pytest.raises(ConfigError, match="policy_kind"):
         with_overrides(cfg, policy_kind="smart")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("allow_event_overlap", '"no"'),  # a truthy string must not switch overlap on
+        ("allow_event_overlap", "1"),
+        ("n_subnets", "2.5"),
+        ("n_subnets", "true"),
+        ("n_subnets", '"20"'),
+        ("deadline_slots", "1.5"),
+        ("minibatch_size", "4.0"),
+        ("snr_avg_db", "NaN"),
+        ("reward_success", "NaN"),
+        ("speed_mps", "Infinity"),
+        ("eta", "false"),
+        ("eta", '"0.5"'),
+        ("area_width_m", "1e400"),
+        ("pathloss_abg_los", "3"),
+        ("pathloss_abg_los", "[2.0, 30.0]"),
+        ("pathloss_abg_nlos", '[2.0, "30", 2.0]'),
+        ("pathloss_abg_nlos", "[2.0, NaN, 2.0]"),
+    ],
+)
+def test_mistyped_value_rejected_naming_the_key(key, value):
+    doc = {"n_subnets": 3, "n_channels": 2}
+    text = json.dumps(doc)[:-1] + f', "{key}": {value}}}'
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        load_config(text)
+
+
+def test_numbers_of_the_right_kind_accepted():
+    cfg = load_config(
+        '{"n_subnets": 3, "n_channels": 2, "area_width_m": 40, "minibatch_size": null,'
+        ' "allow_event_overlap": true, "pathloss_abg_los": [2, 31.84, 1.9]}'
+    )
+    assert cfg.area_width_m == 40 and cfg.minibatch_size is None and cfg.allow_event_overlap is True
+    assert cfg.pathloss_abg_los == (2.0, 31.84, 1.9)
+
+
+def test_every_field_has_a_checked_kind():
+    enums = {"PolicyKind", "RewardScope", "ActivationMode", "CsGainMode", "PilotMode"}
+    kinds = {"bool", "int", "int | None", "float", "tuple[float, float, float]"} | enums
+    assert {f.type for f in fields(ScenarioConfig)} <= kinds
+
+
+KEYS = [f.name for f in fields(ScenarioConfig)] + ["bogus"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5,
+)
+PLAUSIBLE = st.one_of(
+    JSON_VALUES,
+    st.integers(-2, 40),
+    st.floats(-1.0, 60.0),
+    st.sampled_from(["drl", "mapra", "rch", "individual", "threshold_only", "raw", "random_phase"]),
+    st.lists(st.floats(0.0, 40.0), min_size=3, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(KEYS), PLAUSIBLE, max_size=6), st.booleans())
+def test_any_json_object_loads_and_round_trips_or_raises_config_error(extra, with_required):
+    doc = {**({"n_subnets": 3, "n_channels": 2} if with_required else {}), **extra}
+    try:
+        cfg = load_config(json.dumps(doc))
+    except ConfigError:
+        return
+    assert load_config(serialize_config(cfg)) == cfg
 
 
 def test_serialize_round_trip():

@@ -23,36 +23,47 @@ def test_worked_five_agent_example():
     # channels x agents matrix [[0,0,0,0,1],[1,1,0,1,1]]: agents 1, 2, 4 on
     # channel 2, agent 5 on both, agent 3 silent; channel 1 carries exactly one
     patterns = [2, 2, 0, 2, 3]
-    success, counts, successful, winner = resolve_collisions(patterns, 2)
+    success, counts, successful, transmitters = resolve_collisions(patterns, 2)
     assert success
     assert list(counts) == [1, 4]
     assert successful == (0,)
-    assert winner == 4
+    assert transmitters == (4,)
 
 
 def test_two_agents_same_channel_collide():
-    success, counts, successful, winner = resolve_collisions([1, 1], 2)
-    assert not success and successful == () and winner is None
+    success, counts, successful, transmitters = resolve_collisions([1, 1], 2)
+    assert not success and successful == () and transmitters == ()
     assert list(counts) == [2, 0]
 
 
 def test_single_silent_agent_fails():
-    success, _, _, winner = resolve_collisions([0], 2)
-    assert not success and winner is None
+    success, _, _, transmitters = resolve_collisions([0], 2)
+    assert not success and transmitters == ()
 
 
 def test_resolve_matches_brute_force_exhaustively():
     for m in (1, 2):
         for k in range(0, 4):
             for joint in itertools.product(range(1 << m), repeat=k):
-                got, _, _, _ = resolve_collisions(list(joint), m)
-                assert got == brute_force_success(joint, m)
+                assert resolve_collisions(list(joint), m).success == brute_force_success(joint, m)
 
 
 def test_winner_is_unique_transmitter_on_lowest_successful_channel():
     # channel 0: agents 0 and 1 collide; channel 1: only agent 2
-    success, _, successful, winner = resolve_collisions([1, 1, 2], 2)
-    assert success and successful == (1,) and winner == 2
+    success, _, successful, transmitters = resolve_collisions([1, 1, 2], 2)
+    assert success and successful == (1,) and transmitters == (2,)
+
+
+def test_each_successful_channel_names_its_transmitter():
+    # channel 0: only agent 1; channel 1: agents 0 and 2 collide; channel 2: only agent 0
+    collisions = resolve_collisions([6, 1, 2], 3)
+    assert collisions.channels == (0, 2) and collisions.transmitters == (1, 0)
+    assert list(collisions.counts) == [1, 2, 1]
+    for joint in itertools.product(range(8), repeat=3):
+        bits = [[(a >> m) & 1 for m in range(3)] for a in joint]
+        collisions = resolve_collisions(list(joint), 3)
+        for m, row in zip(collisions.channels, collisions.transmitters):
+            assert [b[m] for b in bits].count(1) == 1 and bits[row][m] == 1
 
 
 def quiet_world(**overrides):
@@ -81,31 +92,31 @@ def test_no_live_alarm_means_no_policy_calls():
         outcome = sim.run_slot()
         assert outcome.age is None and not outcome.success
     assert sim.trace.n_contention_slots == 0
-    assert all(p.update_count == 0 for p in sim.policies)
+    assert not sim.policy.update_count.any()
     assert len(sim.trace.events) == 0
 
 
 def test_shared_scope_rewards_all_on_delivery():
     sim = quiet_world()
-    sim.policies = [FixedPolicy(1), FixedPolicy(2)]  # disjoint single channels
+    sim.policy = FixedPolicy([1, 2])  # disjoint single channels
     event = inject_event(sim, (0, 1))
     outcome = sim.run_slot()
     assert outcome.success and event.delivered and event.delivery_slot == 0
     assert sim.live_events == []
-    assert sim.policies[0].observed == [(1, 1.0)]
-    assert sim.policies[1].observed == [(2, 1.0)]
-    assert sim.policies[0].events_ended == 1 and sim.policies[1].events_ended == 1
+    assert sim.policy.observed[0] == [(1, 1.0)]
+    assert sim.policy.observed[1] == [(2, 1.0)]
+    assert sim.policy.events_ended[0] == 1 and sim.policy.events_ended[1] == 1
     assert len(sim.trace.events) == 1 and sim.trace.events[0].delivered
 
 
 def test_shared_scope_penalizes_all_on_collision():
     sim = quiet_world()
-    sim.policies = [FixedPolicy(1), FixedPolicy(1)]
+    sim.policy = FixedPolicy([1, 1])
     event = inject_event(sim, (0, 1))
     outcome = sim.run_slot()
     assert not outcome.success and not event.delivered
-    assert sim.policies[0].observed == [(1, -1.0)]
-    assert sim.policies[1].observed == [(1, -1.0)]
+    assert sim.policy.observed[0] == [(1, -1.0)]
+    assert sim.policy.observed[1] == [(1, -1.0)]
     assert event.age == 1
 
 
@@ -122,17 +133,17 @@ def test_reward_of_scopes():
 
 def test_individual_scope_rewards_winner_only():
     sim = quiet_world(reward_scope=RewardScope.INDIVIDUAL)
-    sim.policies = [FixedPolicy(2), FixedPolicy(1)]  # agent 1 wins channel 0
+    sim.policy = FixedPolicy([2, 1])  # agent 1 wins channel 0
     inject_event(sim, (0, 1))
     sim.run_slot()
-    assert sim.policies[1].observed == [(1, 1.0)]
-    assert sim.policies[0].observed == [(2, -1.0)]
+    assert sim.policy.observed[1] == [(1, 1.0)]
+    assert sim.policy.observed[0] == [(2, -1.0)]
 
 
 def test_forced_collision_runs_deadline_plus_one_slots_then_fails():
     deadline = 5
     sim = quiet_world(deadline_slots=deadline)
-    sim.policies = [FixedPolicy(1), FixedPolicy(1)]
+    sim.policy = FixedPolicy([1, 1])
     event = inject_event(sim, (0, 1))
     for _ in range(deadline + 1):
         assert not event.terminal
@@ -140,7 +151,7 @@ def test_forced_collision_runs_deadline_plus_one_slots_then_fails():
     assert event.failed and not event.delivered
     assert event.attempts == deadline + 1
     assert sim.trace.n_contention_slots == deadline + 1
-    assert sim.policies[0].events_ended == 1
+    assert sim.policy.events_ended[0] == 1
     # deactivated: the following slots hold no contention
     sim.run_slot()
     assert sim.trace.n_contention_slots == deadline + 1
@@ -148,20 +159,32 @@ def test_forced_collision_runs_deadline_plus_one_slots_then_fails():
 
 def test_signalling_overhead_consumes_deadline_budget():
     sim = quiet_world(deadline_slots=3, cs_overhead_slots=1)
-    sim.policies = [FixedPolicy(1), FixedPolicy(1)]
+    sim.policy = FixedPolicy([1, 1])
     event = inject_event(sim, (0, 1))
     while not event.terminal:
         sim.run_slot()
     assert event.attempts == 2  # ages 0 and 2; age 4 exceeds the deadline
 
 
+def test_events_end_after_the_slots_update():
+    sim = quiet_world(n_subnets=4, allow_event_overlap=True)
+    sim.policy = FixedPolicy([1, 1, 2, 1])  # agent 2 delivers event B; event A collides
+    event_a = inject_event(sim, (0, 1), deadline=0)
+    event_b = inject_event(sim, (3, 2))
+    sim.run_slot()
+    assert event_a.failed and event_b.delivered
+    # one update for both events, in live-event order, before either ends
+    assert sim.policy.calls == [("observe", (0, 1, 3, 2)), ("end_event", (0, 1)), ("end_event", (3, 2))]
+    assert sim.policy.observed[2] == [(2, 1.0)] and sim.policy.observed[0] == [(1, -1.0)]
+
+
 def test_training_tuples_only_for_active_agents():
     sim = quiet_world(n_subnets=3)
-    sim.policies = [FixedPolicy(1), FixedPolicy(2), FixedPolicy(3)]
+    sim.policy = FixedPolicy([1, 2, 3])
     inject_event(sim, (0, 1))
     sim.run_slot()
-    assert sim.policies[2].observed == []
-    assert sim.policies[2].events_ended == 0
+    assert sim.policy.observed[2] == []
+    assert sim.policy.events_ended[2] == 0
 
 
 def test_run_zero_slots_empty_trace():

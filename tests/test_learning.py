@@ -7,8 +7,9 @@ from alarmmac import learning
 from alarmmac.analytics import forward_madds
 from alarmmac.learning import (
     Mlp,
-    ReplayMemory,
+    MlpStack,
     RmsPropState,
+    StackedReplay,
     backward,
     clip_gradient,
     forward,
@@ -213,47 +214,102 @@ def test_rmsprop_repeated_identical_steps_shrink():
     assert second < first
 
 
-def test_replay_fifo_eviction():
-    mem = ReplayMemory(2, n_channels=1)
+def stored_rewards(mem, agent, rng):
+    """The agent's stored rewards, sorted: a full sample without replacement."""
+    size = int(mem.size[agent])
+    return sorted(mem.sample(np.array([agent]), size, rng)[2][0]) if size else []
+
+
+def test_replay_fifo_eviction(rng):
+    mem = StackedReplay(1, 2, n_channels=1)
     for i, tag in enumerate([10.0, 20.0, 30.0]):
-        mem.push(np.array([float(i)]), i, tag)
-    ctx, actions, rewards = mem.contents()
-    assert list(rewards) == [20.0, 30.0]
-    assert list(actions) == [1, 2]
-    assert len(mem) == 2
+        mem.push(np.array([0]), np.array([[float(i)]]), np.array([i]), np.array([tag]))
+    assert stored_rewards(mem, 0, rng) == [20.0, 30.0]
+    assert mem.size[0] == 2
+
+
+def test_replay_agents_keep_separate_rings(rng):
+    mem = StackedReplay(3, 2, n_channels=1)
+    mem.push(np.array([2, 0]), np.array([[1.0], [2.0]]), np.array([1, 2]), np.array([1.0, 2.0]))
+    mem.push(np.array([2]), np.array([[3.0]]), np.array([3]), np.array([3.0]))
+    mem.push(np.array([2]), np.array([[4.0]]), np.array([4]), np.array([4.0]))
+    assert list(mem.size) == [1, 0, 2]
+    assert stored_rewards(mem, 0, rng) == [2.0]
+    assert stored_rewards(mem, 2, rng) == [3.0, 4.0]
 
 
 def test_replay_full_sample_is_permutation(rng):
-    mem = ReplayMemory(8, n_channels=1)
+    mem = StackedReplay(1, 8, n_channels=1)
     for i in range(8):
-        mem.push(np.array([float(i)]), i, float(i))
-    _, actions, _ = mem.sample(8, rng)
-    assert sorted(actions) == list(range(8))
+        mem.push(np.array([0]), np.array([[float(i)]]), np.array([i]), np.array([float(i)]))
+    _, actions, _ = mem.sample(np.array([0]), 8, rng)
+    assert sorted(actions[0]) == list(range(8))
 
 
 def test_replay_small_memory_samples_with_replacement(rng):
-    mem = ReplayMemory(100, n_channels=1)
-    mem.push(np.array([1.0]), 1, 1.0)
-    _, actions, _ = mem.sample(4, rng)
-    assert list(actions) == [1, 1, 1, 1]
+    mem = StackedReplay(1, 100, n_channels=1)
+    mem.push(np.array([0]), np.array([[1.0]]), np.array([1]), np.array([1.0]))
+    _, actions, _ = mem.sample(np.array([0]), 4, rng)
+    assert list(actions[0]) == [1, 1, 1, 1]
 
 
 def test_replay_sampling_uniform(rng):
-    mem = ReplayMemory(10, n_channels=1)
+    mem = StackedReplay(1, 10, n_channels=1)
     for i in range(10):
-        mem.push(np.array([float(i)]), i, 0.0)
-    counts = np.zeros(10)
+        mem.push(np.array([0]), np.array([[float(i)]]), np.array([i]), np.array([0.0]))
     draws = 100_000
-    _, actions, _ = mem.sample(draws, rng)  # with replacement: draws > size
-    for a in actions:
-        counts[a] += 1
+    _, actions, _ = mem.sample(np.array([0]), draws, rng)  # with replacement: draws > size
+    counts = np.bincount(actions[0], minlength=10)
     assert np.all(np.abs(counts / draws - 0.1) < 0.01)
 
 
 def test_replay_empty_sample_rejected(rng):
-    mem = ReplayMemory(4, n_channels=2)
+    mem = StackedReplay(2, 4, n_channels=2)
+    mem.push(np.array([0]), np.zeros((1, 2)), np.array([0]), np.array([0.0]))
     with pytest.raises(ValueError):
-        mem.sample(2, rng)
+        mem.sample(np.array([0, 1]), 2, rng)
+
+
+def test_stacked_kernels_equal_single_model_kernels(rng):
+    sizes = [3, 4, 4, 8]
+    models = [init_mlp(sizes, rng) for _ in range(5)]
+    stack = MlpStack.of(models)
+    contexts = rng.random((5, 3))
+    values = learning.forward_stacked(stack, contexts)
+    scales = np.array([[0.1], [50.0], [1.0], [500.0], [0.0]])  # some networks' gradients exceed the clip
+    batch = (rng.random((5, 9, 3)), rng.integers(0, 8, (5, 9)), rng.standard_normal((5, 9)) * scales)
+    grads, losses = learning.backward_stacked(stack, batch)
+    norms = learning.grad_norm_stacked(grads)
+    clipped = learning.clip_gradient_stacked(grads, 5.0)
+    for k, model in enumerate(models):
+        assert np.array_equal(values[k], forward(model, contexts[k]))
+        single, single_loss = backward(model, tuple(part[k] for part in batch))
+        assert losses[k] == single_loss and norms[k] == grad_norm(single)
+        assert np.array_equal(grads_to_vector([(gw[k], gb[k]) for gw, gb in grads]), grads_to_vector(single))
+        assert np.array_equal(
+            grads_to_vector([(gw[k], gb[k]) for gw, gb in clipped]), grads_to_vector(clip_gradient(single, 5.0))
+        )
+    assert np.any(norms > 5.0) and np.any(norms < 5.0)  # the clip fires for some networks only
+
+
+def test_stacked_forward_rejects_nonfinite_input():
+    stack = MlpStack.of([zero_model([2, 1, 4])])
+    with pytest.raises(ValueError):
+        learning.forward_stacked(stack, np.array([[np.nan, 0.0]]))
+
+
+def test_stacked_backward_matches_finite_differences():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        sizes = [2, int(rng.integers(1, 5)), 4]
+        models = [init_mlp(sizes, rng) for _ in range(3)]
+        batch = (rng.random((3, 5, 2)), rng.integers(0, 4, (3, 5)), rng.standard_normal((3, 5)))
+        grads, _ = learning.backward_stacked(MlpStack.of(models), batch)
+        for k, model in enumerate(models):
+            analytic = grads_to_vector([(gw[k], gb[k]) for gw, gb in grads])
+            numeric = finite_difference_gradient(model, tuple(part[k] for part in batch))
+            denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
+            assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
 
 
 def test_parameter_and_madd_counts():

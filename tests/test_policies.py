@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from alarmmac import learning
 from alarmmac.config import PolicyKind
 from alarmmac.policies import (
-    DrlPolicy,
-    MapRaPolicy,
-    RchPolicy,
+    DrlPopulation,
+    MapRaPopulation,
+    RchPopulation,
     decayed_epsilon,
     make_policy,
     pattern_bits,
@@ -47,13 +48,15 @@ def test_pattern_table_bijection():
 
 def test_full_exploration_is_uniform():
     cfg = make_config(epsilon_start=1.0, epsilon_floor=1.0)
-    policy = MapRaPolicy(cfg)
+    policy = MapRaPopulation(cfg)
     rng = np.random.default_rng(0)
-    draws = 100_000
+    agents = list(range(cfg.n_subnets))
+    rounds = 25_000
     counts = np.zeros(4)
-    ctx = np.zeros(2)
-    for _ in range(draws):
-        counts[policy.select_action(ctx, rng)] += 1
+    ctx = np.zeros((cfg.n_subnets, 2))
+    for _ in range(rounds):
+        counts += np.bincount(policy.select_action(agents, ctx, rng), minlength=4)
+    draws = rounds * cfg.n_subnets
     assert np.all(np.abs(counts / draws - 0.25) < 0.01)
 
 
@@ -61,40 +64,62 @@ GREEDY = dict(epsilon_start=1e-12, epsilon_floor=1e-12)  # exploration effective
 
 
 def test_greedy_zero_network_tie_breaks_to_lowest_index():
-    policy = DrlPolicy(make_config(**GREEDY), np.random.default_rng(1))
-    for w in policy.model.weights:
+    policy = DrlPopulation(make_config(**GREEDY), np.random.default_rng(1))
+    for w in policy.net.weights + policy.net.biases:
         w[:] = 0.0
-    for b in policy.model.biases:
-        b[:] = 0.0
     rng = np.random.default_rng(2)
-    assert all(policy.select_action(np.array([0.4, 0.2]), rng) == 0 for _ in range(50))
+    ctx = np.tile([0.4, 0.2], (4, 1))
+    assert all(list(policy.select_action([0, 1, 2, 3], ctx, rng)) == [0, 0, 0, 0] for _ in range(50))
 
 
 def test_greedy_mapra_argmax():
-    policy = MapRaPolicy(make_config(**GREEDY))
-    policy.q[:] = [0.1, 0.9, 0.3, 0.2]
+    policy = MapRaPopulation(make_config(**GREEDY))
+    policy.q[0] = [0.1, 0.9, 0.3, 0.2]
+    policy.q[2] = [0.5, 0.1, 0.3, 0.8]
     rng = np.random.default_rng(3)
-    assert all(policy.select_action(np.zeros(2), rng) == 1 for _ in range(50))
+    assert all(list(policy.select_action([2, 0], np.zeros((2, 2)), rng)) == [3, 1] for _ in range(50))
 
 
 def test_mapra_update_rule():
     cfg = make_config(mapra_tau=0.1)
-    policy = MapRaPolicy(cfg)
-    policy.observe(np.zeros(2), 2, 1.0)
-    assert abs(policy.q[2] - 0.1) < 1e-15
-    assert np.all(policy.q[[0, 1, 3]] == 0.0)  # only the taken action moves
+    policy = MapRaPopulation(cfg)
+    policy.observe([1], np.zeros((1, 2)), np.array([2]), [1.0], None)
+    assert abs(policy.q[1, 2] - 0.1) < 1e-15
+    policy.q[1, 2] = 0.0
+    assert np.all(policy.q == 0.0)  # only the taken action of the observing agent moves
+
+
+def test_mapra_table_update_equals_scalar_rule(rng):
+    cfg = make_config(n_subnets=9, n_channels=3, mapra_tau=0.3)
+    policy = MapRaPopulation(cfg)
+    policy.q[:] = rng.standard_normal(policy.q.shape)
+    expected = policy.q.copy()
+    agents = [7, 2, 5, 0]
+    actions = rng.integers(0, 8, len(agents))
+    rewards = rng.standard_normal(len(agents))
+    for n, a, r in zip(agents, actions, rewards):
+        expected[n, a] = (1.0 - cfg.mapra_tau) * expected[n, a] + cfg.mapra_tau * r
+    policy.observe(agents, np.zeros((4, 3)), actions, rewards, None)
+    assert np.array_equal(policy.q, expected)
+
+
+def test_mapra_rejects_nonfinite_reward():
+    policy = MapRaPopulation(make_config())
+    with pytest.raises(ValueError):
+        policy.observe([0], np.zeros((1, 2)), np.array([1]), [np.nan], None)
 
 
 def test_epsilon_schedule_reaches_floor_after_180_events():
     cfg = make_config()
-    policy = MapRaPolicy(cfg)
+    policy = MapRaPopulation(cfg)
     trajectory = []
     for _ in range(200):
-        policy.end_event()
-        trajectory.append(policy.epsilon)
+        policy.end_event([0])
+        trajectory.append(policy.epsilon(0))
     assert trajectory[178] > 0.1
     assert trajectory[179] == 0.1
     assert all(v == 0.1 for v in trajectory[179:])
+    assert policy.epsilon(1) == cfg.epsilon_start  # counted per agent
 
 
 def test_decayed_epsilon_never_below_floor():
@@ -104,64 +129,155 @@ def test_decayed_epsilon_never_below_floor():
 
 
 def test_rch_observe_is_noop(rng):
-    policy = RchPolicy(2)
-    assert policy.observe(np.zeros(2), 1, -1.0) is None
-    policy.end_event()
+    policy = RchPopulation(make_config())
+    assert policy.observe([0], np.zeros((1, 2)), np.array([1]), [-1.0], rng) is None
+    policy.end_event([0])
     counts = np.zeros(4)
-    for _ in range(20_000):
-        counts[policy.select_action(np.zeros(2), rng)] += 1
+    for _ in range(5_000):
+        counts += np.bincount(policy.select_action([0, 1, 2, 3], np.zeros((4, 2)), rng), minlength=4)
     assert np.all(counts > 0)
 
 
 def test_argmax_invariant_to_constant_shift(rng):
-    policy = MapRaPolicy(make_config(**GREEDY))
-    policy.q[:] = rng.standard_normal(4)
-    before = policy.select_action(np.zeros(2), np.random.default_rng(0))
+    policy = MapRaPopulation(make_config(**GREEDY))
+    policy.q[:] = rng.standard_normal(policy.q.shape)
+    agents, ctx = [0, 1, 2, 3], np.zeros((4, 2))
+    before = policy.select_action(agents, ctx, np.random.default_rng(0))
     policy.q += 123.456
-    after = policy.select_action(np.zeros(2), np.random.default_rng(0))
-    assert before == after
+    after = policy.select_action(agents, ctx, np.random.default_rng(0))
+    assert np.array_equal(before, after)
 
 
 def test_drl_observe_updates_weights_and_returns_loss(rng):
     cfg = make_config(minibatch_size=4, replay_capacity=16)
-    policy = DrlPolicy(cfg, np.random.default_rng(4))
-    from alarmmac.learning import params_to_vector
-
-    before = params_to_vector(policy.model).copy()
-    value = policy.observe(np.array([0.2, 0.4]), 3, 1.0, rng=rng)
-    assert value is not None and value >= 0.0
-    assert policy.update_count == 1
-    assert not np.array_equal(before, params_to_vector(policy.model))
+    policy = DrlPopulation(cfg, np.random.default_rng(4))
+    before = [w.copy() for w in policy.net.weights]
+    value = policy.observe([1], np.array([[0.2, 0.4]]), np.array([3]), [1.0], rng)
+    assert value.shape == (1,) and value[0] >= 0.0
+    assert list(policy.update_count) == [0, 1, 0, 0]
+    changed = [not np.array_equal(w[1], b[1]) for w, b in zip(policy.net.weights, before)]
+    assert any(changed)
+    for n in (0, 2, 3):  # only the observing agent's network moves
+        assert all(np.array_equal(w[n], b[n]) for w, b in zip(policy.net.weights, before))
 
 
 def test_drl_lr_decays_per_event():
     cfg = make_config(lr_initial=0.01, lr_decay_per_event=0.015)
-    policy = DrlPolicy(cfg, np.random.default_rng(5))
-    policy.end_event()
-    assert abs(policy.opt.lr - 0.01 * 0.985) < 1e-15
-    policy.end_event()
-    assert abs(policy.opt.lr - 0.01 * 0.985**2) < 1e-15
+    policy = DrlPopulation(cfg, np.random.default_rng(5))
+    policy.end_event([0, 2])
+    assert abs(policy.opt.lr[0] - 0.01 * 0.985) < 1e-15
+    policy.end_event([0])
+    assert abs(policy.opt.lr[0] - 0.01 * 0.985**2) < 1e-15
+    assert abs(policy.opt.lr[2] - 0.01 * 0.985) < 1e-15
+    assert policy.opt.lr[1] == 0.01 and policy.opt.lr[3] == 0.01
+
+
+def test_drl_model_view_is_the_agents_network():
+    cfg = make_config(n_channels=3)
+    init = np.random.default_rng(7)
+    policy = DrlPopulation(cfg, np.random.default_rng(7))
+    separate = [learning.init_mlp(cfg.layer_sizes, init) for _ in range(cfg.n_subnets)]
+    ctx = np.array([0.1, 0.5, 0.3])
+    for n, model in enumerate(separate):  # drawn in agent order, as N separate networks would be
+        assert np.array_equal(learning.forward(policy.model(n), ctx), learning.forward(model, ctx))
+    policy.model(2).weights[0][:] = 0.0  # a view: writes reach the stack
+    assert not policy.net.weights[0][2].any()
+
+
+class ReferenceAgent:
+    """One agent trained the single-model way: its own replay ring, then
+    backward -> clip_gradient -> rmsprop_step."""
+
+    def __init__(self, model, cfg):
+        self.model = model
+        self.opt = learning.RmsPropState.for_model(
+            model, decay=cfg.rms_decay, smoothing=cfg.rms_smoothing, lr=cfg.lr_initial
+        )
+        self.cfg = cfg
+        self.tuples = []
+        self.pushed = 0
+        self.clip_fired = 0
+
+    def observe(self, context, action, reward, rng):
+        if len(self.tuples) < self.cfg.replay:
+            self.tuples.append((context, action, reward))
+        else:  # overwrite the oldest slot
+            self.tuples[self.pushed % self.cfg.replay] = (context, action, reward)
+        self.pushed += 1
+        size, b_size = len(self.tuples), self.cfg.minibatch
+        idx = rng.choice(size, size=b_size, replace=size < b_size)
+        batch = tuple(np.array([self.tuples[i][part] for i in idx]) for part in range(3))
+        grads, batch_loss = learning.backward(self.model, batch)
+        self.clip_fired += learning.grad_norm(grads) > self.cfg.clip_threshold
+        learning.rmsprop_step(self.model, self.opt, learning.clip_gradient(grads, self.cfg.clip_threshold))
+        return batch_loss
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_stacked_observe_matches_per_agent_updates(k):
+    # replay 6 and minibatch 4: sampled with replacement for 3 updates, then
+    # without, then with eviction
+    cfg = make_config(n_subnets=9, n_channels=3, minibatch_size=4, replay_capacity=6, dnn_hidden_size=3)
+    policy = DrlPopulation(cfg, np.random.default_rng(11))
+    init = np.random.default_rng(11)
+    reference = [ReferenceAgent(learning.init_mlp(cfg.layer_sizes, init), cfg) for _ in range(cfg.n_subnets)]
+    data = np.random.default_rng(12)
+    agents = [8, 3, 0, 5, 1, 6, 2][:k]
+    # reward scales from 0.01 to 1e4: small ones stay under the clip threshold, large ones exceed it
+    scales = np.array([0.01, 1e4, 0.1, 30.0, 0.05, 1e3, 2.0][:k])
+    rng_stacked, rng_reference = np.random.default_rng(13), np.random.default_rng(13)
+    for step in range(9):
+        contexts = data.random((k, 3))
+        actions = data.integers(0, 8, k)
+        rewards = data.standard_normal(k) * scales
+        losses = policy.observe(agents, contexts, actions, rewards, rng_stacked)
+        for row, n in enumerate(agents):
+            expected = reference[n].observe(contexts[row], actions[row], rewards[row], rng_reference)
+            assert abs(losses[row] - expected) <= 1e-12 * max(1.0, abs(expected)), (step, row)
+        if step == 4:
+            policy.end_event(agents[::2])
+            for n in agents[::2]:
+                reference[n].opt.lr *= 1.0 - cfg.lr_decay_per_event
+    fired = [reference[n].clip_fired for n in agents]
+    if k > 1:
+        assert max(fired) > 0 and min(fired) < 9  # the clip fires for some updates, not for all
+    for n in range(cfg.n_subnets):
+        model = policy.model(n)
+        for got, want in zip(model.weights + model.biases, reference[n].model.weights + reference[n].model.biases):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    assert rng_stacked.bit_generator.state == rng_reference.bit_generator.state
+
+
+def test_drl_observe_draws_minibatches_agent_by_agent():
+    cfg = make_config(minibatch_size=4, replay_capacity=8)
+    policy = DrlPopulation(cfg, np.random.default_rng(4))
+    rng = np.random.default_rng(9)
+    twin = np.random.default_rng(9)
+    policy.observe([2, 0], np.zeros((2, 2)), np.array([1, 3]), [1.0, -1.0], rng)
+    for _ in range(2):
+        twin.choice(1, size=4, replace=True)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_mapra_converges_on_stationary_bandit():
-    # fixed reward per action; greedy choice must find the best arm
+    # fixed reward per action; greedy choice must find the best arm. Each of
+    # the 100 agents is its own bandit, one row of the value table.
     rewards = np.array([0.1, 0.9, 0.3, 0.2])
-    wins = 0
-    for seed in range(100):
-        cfg = make_config(mapra_tau=0.1)
-        policy = MapRaPolicy(cfg)
-        rng = np.random.default_rng(seed)
-        for _ in range(2000):
-            action = policy.select_action(np.zeros(2), rng)
-            policy.observe(np.zeros(2), action, float(rewards[action]))
-            policy.end_event()
-        if int(np.argmax(policy.q)) == 1:
-            wins += 1
+    cfg = make_config(n_subnets=100, mapra_tau=0.1)
+    policy = MapRaPopulation(cfg)
+    agents = list(range(cfg.n_subnets))
+    ctx = np.zeros((cfg.n_subnets, 2))
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        actions = policy.select_action(agents, ctx, rng)
+        policy.observe(agents, ctx, actions, rewards[actions], None)
+        policy.end_event(agents)
+    wins = int(np.sum(np.argmax(policy.q, axis=1) == 1))
     assert wins >= 95
 
 
 def test_make_policy_dispatch():
     rng = np.random.default_rng(6)
-    assert isinstance(make_policy(make_config(policy_kind=PolicyKind.RCH), rng), RchPolicy)
-    assert isinstance(make_policy(make_config(policy_kind=PolicyKind.MAP_RA), rng), MapRaPolicy)
-    assert isinstance(make_policy(make_config(policy_kind=PolicyKind.DRL), rng), DrlPolicy)
+    assert isinstance(make_policy(make_config(policy_kind=PolicyKind.RCH), rng), RchPopulation)
+    assert isinstance(make_policy(make_config(policy_kind=PolicyKind.MAP_RA), rng), MapRaPopulation)
+    assert isinstance(make_policy(make_config(policy_kind=PolicyKind.DRL), rng), DrlPopulation)

@@ -27,7 +27,7 @@ def collision_trace(deadline=4):
     """Two agents pinned to the same channel: every event times out."""
     cfg = make_config(n_subnets=2, alpha=0.0, deadline_slots=deadline, policy_kind=PolicyKind.RCH)
     sim = Simulation(cfg, seed=1)
-    sim.policies = [FixedPolicy(1), FixedPolicy(1)]
+    sim.policy = FixedPolicy([1, 1])
     for birth in range(3):
         event = AlarmEvent(
             epicenter=(25.0, 25.0), birth_slot=sim.slot, deadline_slots=deadline, active_set=(0, 1)
@@ -41,7 +41,7 @@ def collision_trace(deadline=4):
 def test_in_time_probability_trivial_cases():
     cfg = make_config(n_subnets=2, alpha=0.0, policy_kind=PolicyKind.RCH)
     sim = Simulation(cfg, seed=1)
-    sim.policies = [FixedPolicy(1), FixedPolicy(2)]
+    sim.policy = FixedPolicy([1, 2])
     for _ in range(3):
         event = AlarmEvent(epicenter=(25.0, 25.0), birth_slot=sim.slot, deadline_slots=5, active_set=(0, 1))
         sim.live_events.append(event)

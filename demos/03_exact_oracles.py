@@ -1,8 +1,9 @@
-"""Exact small-instance analysis: success probability, deadline chain, and
-the complexity accounting.
+"""Exact analysis: success probability, deadline chain, and the complexity
+accounting.
 
-Everything here is enumeration or closed form, no simulation. These oracles
-are what the simulator is validated against in the test suite.
+Everything here is enumeration, dynamic programming or closed form, no
+simulation. These oracles are what the simulator is validated against in
+the test suite.
 """
 
 import numpy as np
@@ -17,6 +18,10 @@ for m in (1, 2, 3):
         ps = analytics.success_probability_bruteforce(np.ones(k), analytics.uniform_access(k, m))
         row.append(f"k={k}: {ps:.4f}")
     print(f"  M={m}:  " + "  ".join(row))
+    dp = [analytics.success_probability_dp(np.ones(k), analytics.uniform_access(k, m)) for k in (1, 2, 3, 4)]
+    print(f"  M={m} by the capped-count DP: " + "  ".join(f"k={k}: {ps:.4f}" for k, ps in zip((1, 2, 3, 4), dp)))
+row = [analytics.success_probability_dp(np.ones(20), analytics.uniform_access(20, m)) for m in (1, 2, 3)]
+print("  k=20, beyond enumeration, by the DP: " + "  ".join(f"M={m}: {ps:.2e}" for m, ps in zip((1, 2, 3), row)))
 print("more channels help; more contenders hurt")
 
 print("\n=== deadline probabilities, three independent computations ===")

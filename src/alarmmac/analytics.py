@@ -1,13 +1,19 @@
-"""Exact small-instance oracles and closed forms for the contention process.
+"""Exact oracles and closed forms for the contention process.
 
-Covers: brute-force shared-message success probability over all activation
-subsets and joint pattern choices; deadline probabilities for the absorbing
-age chain, computed three independent ways (product form, absorbing-matrix
-form, literal path enumeration); exhaustive grid search for the best
-stationary access distribution; and protocol complexity counts.
+Covers: the shared-message per-slot success probability, two ways (full
+enumeration of activation subsets and joint pattern choices, and a dynamic
+programme over agents on per-channel transmitter counts capped at two);
+deadline probabilities for the absorbing age chain, computed three
+independent ways (product form, absorbing-matrix form, literal path
+enumeration); exhaustive grid search for the best stationary access
+distribution, with every candidate evaluated by the dynamic programme; and
+protocol complexity counts.
 
-These are validation oracles. They enumerate exponentially many cases and
-refuse instances beyond desk scale.
+The enumeration oracles cost exponentially many cases and refuse instances
+beyond desk scale (N <= 6, M <= 3 for the success probability; N <= 3,
+M <= 2 for the grid search). The dynamic programme is linear in N and
+reaches benchmark scale (N = 20 and up) for M <= 8; the enumeration stays
+as its independent reference.
 """
 
 from __future__ import annotations
@@ -53,36 +59,13 @@ def uniform_access(n: int, n_channels: int) -> AccessDistribution:
     return AccessDistribution(np.full((n, width), 1.0 / width))
 
 
-def _activation_subsets(p: np.ndarray, n_channels: int):
-    """Every activation subset with members and nonzero weight.
-
-    Yields (members, weight, joints, ok): the subset's members in ascending
-    order; its probability, p_n for members and 1 - p_n for the others;
-    every joint pattern choice of the members as the columns of a
-    (len(members), (2**M) ** len(members)) array; and a boolean per joint
-    choice, whether some channel carries exactly one transmitter.
-    """
-    n = len(p)
-    table = pattern_table(n_channels)
-    width = 1 << n_channels
-    for mask in range(1 << n):
-        members = [i for i in range(n) if (mask >> i) & 1]
-        weight = 1.0
-        for i in range(n):
-            weight *= p[i] if (mask >> i) & 1 else 1.0 - p[i]
-        if weight == 0.0 or not members:
-            continue
-        joints = np.array(list(itertools.product(range(width), repeat=len(members))), dtype=int).T
-        ok = (table[joints].sum(axis=0) == 1).any(axis=1)
-        yield members, weight, joints, ok
-
-
 def success_probability_bruteforce(p: np.ndarray, access: AccessDistribution) -> float:
     """Exact per-slot success probability by full enumeration.
 
     Sums over every activation subset (active members weighted by p_n,
     inactive by 1 - p_n) and every joint pattern assignment the indicator
-    that some channel carries exactly one transmitter.
+    that some channel carries exactly one transmitter. This is the
+    independent reference for `success_probability_dp`.
     """
     p = np.asarray(p, dtype=float)
     n = len(p)
@@ -94,13 +77,95 @@ def success_probability_bruteforce(p: np.ndarray, access: AccessDistribution) ->
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("activation probabilities must lie in [0, 1]")
 
+    table = pattern_table(m)
+    width = 1 << m
     total = 0.0
-    for members, weight, joints, ok in _activation_subsets(p, m):
+    for mask in range(1 << n):
+        members = [i for i in range(n) if (mask >> i) & 1]
+        weight = 1.0
+        for i in range(n):
+            weight *= p[i] if (mask >> i) & 1 else 1.0 - p[i]
+        if weight == 0.0 or not members:
+            continue
+        # column j holds the members' patterns of joint choice j, in
+        # itertools.product order; uint8 counts hold at most six transmitters
+        joints = np.indices((width,) * len(members)).reshape(len(members), -1)
+        counts = table[joints[0]].copy()
+        for row in joints[1:]:
+            counts += table[row]
+        ok = (counts == 1).any(axis=1)
         choice_prob = np.ones(joints.shape[1])
         for row, member in enumerate(members):
             choice_prob *= access.psi[member, joints[row]]
         total += weight * float((choice_prob * ok).sum())
     return total
+
+
+DP_MAX_CHANNELS = 8
+
+
+def _dp_step(state: np.ndarray, rows: np.ndarray, p_n: float, n_channels: int) -> np.ndarray:
+    """One more agent joins the capped-count chain.
+
+    `state` holds masses of shape (..., 3**M); index s = sum_c k_c 3**c,
+    where k_c in {0, 1, 2} is channel c's transmitter count capped at two.
+    `rows` holds R candidate access rows, shape (R, 2**M). Returns the
+    masses of shape (..., R, 3**M) after the agent joins with each row: it
+    stays inactive with 1 - p_n, else plays pattern a with rows[r, a].
+    """
+    lead = state.shape[:-1]
+    # moved[..., a, :] is the mass moved by pattern a. Pattern bit c adds a
+    # transmitter to channel c, which is axis -(c + 1) of the (3,)*M view.
+    moved = state[..., None, :]
+    for c in range(n_channels):
+        grid = moved.reshape(moved.shape[:-1] + (3,) * n_channels)
+        counts = np.moveaxis(grid, -(c + 1), 0)
+        added = np.empty_like(counts)
+        added[0] = 0.0
+        added[1] = counts[0]
+        added[2] = counts[1] + counts[2]
+        added = np.moveaxis(added, 0, -(c + 1))
+        moved = np.concatenate([grid, added], axis=len(lead)).reshape(lead + (-1, state.shape[-1]))
+    return (1.0 - p_n) * state[..., None, :] + p_n * (rows @ moved)
+
+
+def _dp_success_mask(n_channels: int) -> np.ndarray:
+    """Per capped-count state, whether some channel holds exactly one transmitter."""
+    counts = np.indices((3,) * n_channels).reshape(n_channels, -1)
+    return (counts == 1).any(axis=0).astype(float)
+
+
+def _dp_start(n_channels: int) -> np.ndarray:
+    state = np.zeros(3**n_channels)
+    state[0] = 1.0  # nobody has transmitted yet
+    return state
+
+
+def success_probability_dp(p: np.ndarray, access: AccessDistribution) -> float:
+    """Exact per-slot success probability by a dynamic programme over agents.
+
+    The same quantity as `success_probability_bruteforce`, from the same
+    inputs. Agents join one at a time; the state is the per-channel
+    transmitter count capped at {0, 1, >=2}, which is all the success
+    indicator needs. The cost is O(N * 3**M * 2**M * M) time and
+    O(3**M * 2**M) memory, with no limit on N. M is limited to
+    DP_MAX_CHANNELS = 8, where one agent's step holds 6**8 = 1.7 M floats
+    (13 MB).
+    """
+    p = np.asarray(p, dtype=float)
+    n = len(p)
+    m = access.n_channels
+    if access.psi.shape[0] != n:
+        raise ValueError("psi must have one row per subnetwork")
+    if m > DP_MAX_CHANNELS:
+        raise ValueError(f"dynamic-programme oracle limited to M <= {DP_MAX_CHANNELS}")
+    if np.any(p < 0) or np.any(p > 1):
+        raise ValueError("activation probabilities must lie in [0, 1]")
+
+    state = _dp_start(m)
+    for n_idx in range(n):
+        state = _dp_step(state, access.psi[n_idx : n_idx + 1], p[n_idx], m)[0]
+    return float(state @ _dp_success_mask(m))
 
 
 @dataclass(frozen=True)
@@ -191,41 +256,39 @@ def _grid_rows(width: int, grid_step: float) -> list[tuple[float, ...]]:
     return rows
 
 
+_GRID_MAX_FLOATS = 1 << 22  # candidates times states in the last step, 32 MB per array
+
+
 def best_stationary_psi(
     p: np.ndarray, n_channels: int, deadline: int, grid_step: float = 0.25
 ) -> tuple[AccessDistribution, float]:
     """Exhaustive grid search for the access matrix minimizing the miss
     probability under a stationary contention process.
 
-    Rows are restricted to the probability grid; ties resolve to the
-    lexicographically smallest matrix. Returns (argmin, miss probability).
+    Rows are restricted to the probability grid. Every candidate matrix is
+    evaluated at once: the dynamic programme of `success_probability_dp`
+    runs over a tensor with one axis of grid rows per agent. Of the
+    candidates whose success lies within 1e-12 of the maximum, the
+    lexicographically smallest matrix is returned. Returns (argmin, miss
+    probability).
     """
     p = np.asarray(p, dtype=float)
     n = len(p)
     if n > 3 or n_channels > 2:
         raise ValueError("grid search oracle limited to N <= 3, M <= 2")
-    rows = _grid_rows(1 << n_channels, grid_step)
-    subsets = [
-        (members, weight, joints, ok.astype(float))
-        for members, weight, joints, ok in _activation_subsets(p, n_channels)
-    ]
+    # in lexicographic order, so the flat candidate order is lexicographic too
+    rows = np.array(_grid_rows(1 << n_channels, grid_step))
+    if len(rows) ** n * 3**n_channels > _GRID_MAX_FLOATS:
+        raise ValueError(f"grid of {len(rows)} rows over {n} agents is too large; use a coarser grid_step")
 
-    best_psi: tuple[tuple[float, ...], ...] | None = None
-    best_success = -1.0
-    for candidate in itertools.product(rows, repeat=n):
-        psi = np.array(candidate)
-        success = 0.0
-        for members, weight, joints, ok in subsets:
-            choice = np.ones(joints.shape[1])
-            for row, member in enumerate(members):
-                choice *= psi[member, joints[row]]
-            success += weight * float(choice @ ok)
-        if success > best_success + 1e-15:
-            best_success = success
-            best_psi = candidate
-    assert best_psi is not None
-    _, miss = stationary_deadline_probability(best_success, deadline)
-    return AccessDistribution(np.array(best_psi)), float(miss)
+    state = _dp_start(n_channels)
+    for n_idx in range(n):
+        state = _dp_step(state, rows, p[n_idx], n_channels)
+    success = (state @ _dp_success_mask(n_channels)).ravel()
+    best = int(np.flatnonzero(success >= success.max() - 1e-12)[0])
+    picked = np.unravel_index(best, (len(rows),) * n)
+    _, miss = stationary_deadline_probability(float(success[best]), deadline)
+    return AccessDistribution(rows[np.array(picked, dtype=int)]), float(miss)
 
 
 def forward_madds(layer_sizes: list[int]) -> int:

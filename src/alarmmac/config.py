@@ -162,6 +162,16 @@ def _check(cond: bool, name: str, reason: str) -> None:
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
+    """`cfg`, checked: a ConfigError naming the key unless every field has
+    the right type and range.
+
+    Every way of building a config passes through here, so the per-field
+    type check is the same for a JSON document, a config built in code and
+    `with_overrides`. The triples come back as tuples of floats, whether
+    given as lists or with integers.
+    """
+    typed = {name: _typed(name, getattr(cfg, name)) for name in _FIELD_TYPES}
+    cfg = replace(cfg, **{name: typed[name] for name in _TUPLE_FIELDS})
     _check(cfg.n_subnets >= 1, "n_subnets", "must be >= 1")
     _check(cfg.n_channels >= 1, "n_channels", "n_channels >= 1")
     _check(cfg.n_channels <= 16, "n_channels", "must be <= 16 (2**n_channels action space)")
@@ -226,7 +236,7 @@ def _finite_number(value: Any) -> bool:
 
 
 def _typed(key: str, value: Any) -> Any:
-    """The value of `key` from a document, if its JSON type fits the field.
+    """The value of field `key`, if its type fits the field.
 
     Flags take only true or false; counts take integers, not booleans;
     quantities take finite numbers; triples take three finite numbers.
@@ -256,7 +266,7 @@ def config_from_dict(raw: dict[str, Any]) -> ScenarioConfig:
     for key in ("n_subnets", "n_channels"):
         if key not in raw:
             raise ConfigError(f"{key}: required")
-    return validate_config(ScenarioConfig(**{key: _typed(key, value) for key, value in raw.items()}))
+    return validate_config(ScenarioConfig(**raw))
 
 
 def load_config_file(path: str) -> ScenarioConfig:

@@ -65,10 +65,22 @@ def _decimate(values: Sequence[float], max_points: int = 400) -> list[float]:
 
 @dataclass
 class ExperimentResult:
+    """Aggregates of one experiment's runs.
+
+    `slots_per_run` is the number of slots each run actually ran: one
+    number if every run ran as many, else one per run (`until_events` can
+    stop runs at different slots). `mse_first_decile_median` and
+    `mse_last_decile_median` are medians over runs of each run's own
+    first- and last-decile MSE median (`mse_decile_medians`); runs with
+    fewer than 10 MSE points are left out, and both are None if no run has
+    10. `mse_series` is the runs' MSE series joined in seed order, decimated
+    to at most 400 points.
+    """
+
     config_fingerprint: str
     policy: str
     seeds: list[int]
-    slots_per_run: int
+    slots_per_run: int | list[int]
     per_run_in_time: list[float | None]
     mean_in_time: float | None
     stderr_in_time: float | None
@@ -140,14 +152,20 @@ def run_experiment(
     seeds = [int(s) for s in seeds]
 
     per_run: list[float | None] = []
+    slots: list[int] = []
     delivered = failed = 0
     mse_all: list[float] = []
+    run_deciles: list[tuple[float, float]] = []
     for seed in seeds:
         trace = Simulation(config, seed=seed).run(until_events=until_events)
         per_run.append(in_time_probability(trace))
+        slots.append(trace.n_slots)
         delivered += trace.delivered_count
         failed += trace.failed_count
         mse_all.extend(trace.mse)
+        deciles = mse_decile_medians(trace.mse)
+        if deciles is not None:
+            run_deciles.append(deciles)
 
     defined = [v for v in per_run if v is not None]
     mean = sum(defined) / len(defined) if defined else None
@@ -157,20 +175,19 @@ def run_experiment(
             stderr = 0.0  # repeated seeds are bit-identical runs
         else:
             stderr = float(np.std(defined, ddof=1) / math.sqrt(len(defined)))
-    deciles = mse_decile_medians(mse_all)
 
     result = ExperimentResult(
         config_fingerprint=config_fingerprint(config),
         policy=config.policy_kind.value,
         seeds=seeds,
-        slots_per_run=config.n_slots,
+        slots_per_run=slots[0] if len(set(slots)) == 1 else slots,
         per_run_in_time=per_run,
         mean_in_time=mean,
         stderr_in_time=stderr,
         events_delivered=delivered,
         events_failed=failed,
-        mse_first_decile_median=deciles[0] if deciles else None,
-        mse_last_decile_median=deciles[1] if deciles else None,
+        mse_first_decile_median=float(np.median([d[0] for d in run_deciles])) if run_deciles else None,
+        mse_last_decile_median=float(np.median([d[1] for d in run_deciles])) if run_deciles else None,
         mse_series=_decimate(mse_all),
         wall_clock_s=time.perf_counter() - started,
     )

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The learning criteria
 """
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -20,6 +21,14 @@ from alarmmac.config import (
 from alarmmac.engine import Simulation, resolve_collisions
 from alarmmac.policies import make_policy
 from alarmmac.reporting import in_time_probability, run_experiment
+
+
+# the contention preset of criteria 6 and 7: several agents per alarm, D = 2
+CONTENTION = dict(
+    n_channels=3, alpha=1.0, activation_mode="threshold_only",
+    eta=0.06, tx_threshold=0.3, deadline_slots=2, n_slots=10**9,
+    lr_initial=0.05, lr_decay_per_event=0.002,
+)
 
 
 def report(num: int, title: str, passed: bool, detail: str = "") -> None:
@@ -113,6 +122,35 @@ def test_criterion_3_simulation_matches_theory():
         ok,
         f"per-slot {per_slot:.4f} vs {theory_ps:.4f}, in-time {in_time:.4f} vs "
         f"{theory_in_time:.4f}, {elapsed:.1f}s for {trace.n_contention_slots} slots",
+    )
+
+
+def test_criterion_3_at_benchmark_scale_matches_dp():
+    # contention slots at N = 20 hold up to a dozen agents, beyond any
+    # enumeration; given each slot's active count k, an RCH slot succeeds
+    # independently with the DP's exact P_s(k)
+    cfg = validate_config(ScenarioConfig(n_subnets=20, policy_kind=PolicyKind.RCH, **CONTENTION))
+    sim = Simulation(cfg, seed=derive_run_seed(0, 0))
+    counts = []
+    select = sim.policy.select_action
+
+    def recording(agents, contexts, rng):
+        counts.append(len(agents))
+        return select(agents, contexts, rng)
+
+    sim.policy.select_action = recording
+    trace = sim.run(n_slots=5000)
+    ps = {k: analytics.success_probability_dp(np.ones(k), analytics.uniform_access(k, 3)) for k in set(counts)}
+    expected = sum(ps[k] for k in counts)
+    sigma = math.sqrt(sum(ps[k] * (1.0 - ps[k]) for k in counts))
+    observed = trace.n_successful_slots
+    report(
+        3,
+        "random policy at N = 20 matches the exact DP success given each slot's active count",
+        len(counts) == trace.n_contention_slots and max(counts) > 6
+        and abs(observed - expected) <= 4.0 * sigma,
+        f"{observed} successful slots vs {expected:.1f} +- {sigma:.1f} expected over "
+        f"{len(counts)} contention slots, k up to {max(counts)}",
     )
 
 
@@ -214,13 +252,6 @@ def test_criterion_5_clipping_and_schedules():
     eps_ok &= policy.epsilon(1) == 1.0  # another agent's events do not count
     report(5, "post-clip norm bounded by 5; exploration floor 0.1 hit at event 180",
            clip_ok and eps_ok)
-
-
-CONTENTION = dict(
-    n_channels=3, alpha=1.0, activation_mode="threshold_only",
-    eta=0.06, tx_threshold=0.3, deadline_slots=2, n_slots=10**9,
-    lr_initial=0.05, lr_decay_per_event=0.002,
-)
 
 
 def test_criterion_6_training_reduces_system_mse():

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from alarmmac.analytics import (
     AccessDistribution,
+    DP_MAX_CHANNELS,
     DtmcSpec,
     best_stationary_psi,
     compact_lower_bound,
@@ -15,9 +18,11 @@ from alarmmac.analytics import (
     stationary_deadline_probability,
     stationary_dtmc,
     success_probability_bruteforce,
+    success_probability_dp,
     transition_blocks,
     uniform_access,
 )
+from alarmmac.policies import pattern_table
 
 
 def deterministic_access(rows, width):
@@ -73,6 +78,44 @@ class TestSuccessProbability:
     def test_row_sum_violation_rejected(self):
         with pytest.raises(ValueError):
             AccessDistribution(np.array([[0.5, 0.2]]))
+
+
+def random_instance(rng, n, m):
+    """Activation probabilities with exact 0s and 1s, and access rows of
+    which some are deterministic."""
+    p = rng.random(n)
+    p[rng.random(n) < 0.25] = 0.0
+    p[rng.random(n) < 0.25] = 1.0
+    psi = rng.dirichlet(np.ones(1 << m), size=n).reshape(n, 1 << m)
+    for row in np.flatnonzero(rng.random(n) < 0.3):
+        psi[row] = 0.0
+        psi[row, rng.integers(1 << m)] = 1.0
+    return p, AccessDistribution(psi)
+
+
+class TestSuccessProbabilityDp:
+    def test_matches_bruteforce_up_to_six_agents_three_channels(self):
+        rng = np.random.default_rng(5)
+        for n in range(7):
+            for m in (1, 2, 3):
+                for _ in range(4):
+                    p, access = random_instance(rng, n, m)
+                    dp = success_probability_dp(p, access)
+                    assert abs(dp - success_probability_bruteforce(p, access)) < 1e-12
+
+    def test_uniform_rch_closed_form_beyond_enumeration(self):
+        for k in (1, 7, 20, 40):
+            for m in (1, 3, 4):
+                got = success_probability_dp(np.ones(k), uniform_access(k, m))
+                assert abs(got - (1.0 - (1.0 - k / 2.0**k) ** m)) < 1e-12
+
+    def test_inputs_checked_like_bruteforce(self):
+        with pytest.raises(ValueError):
+            success_probability_dp(np.ones(2), uniform_access(3, 2))
+        with pytest.raises(ValueError):
+            success_probability_dp([0.5, 1.5], uniform_access(2, 2))
+        with pytest.raises(ValueError):
+            success_probability_dp(np.ones(2), uniform_access(2, DP_MAX_CHANNELS + 1))
 
 
 class TestDeadlineProbability:
@@ -136,6 +179,45 @@ class TestDeadlineProbability:
         assert r[2, 1] == pytest.approx(0.1)
 
 
+def _reference_best_stationary_psi(p, n_channels, deadline, grid_step=0.25):
+    """The grid search by enumeration: every candidate matrix, every
+    activation subset, every joint pattern choice. Of the candidates within
+    1e-12 of the best success, the lexicographically smallest wins."""
+    n = len(p)
+    width = 1 << n_channels
+    ticks = int(round(1.0 / grid_step))
+    rows = [tuple(c * grid_step for c in combo)
+            for combo in itertools.product(range(ticks + 1), repeat=width) if sum(combo) == ticks]
+    table = pattern_table(n_channels)
+    subsets = []
+    for mask in range(1 << n):
+        members = [i for i in range(n) if (mask >> i) & 1]
+        weight = 1.0
+        for i in range(n):
+            weight *= p[i] if (mask >> i) & 1 else 1.0 - p[i]
+        if weight == 0.0 or not members:
+            continue
+        joints = np.array(list(itertools.product(range(width), repeat=len(members))), dtype=int).T
+        ok = (table[joints].sum(axis=0) == 1).any(axis=1).astype(float)
+        subsets.append((members, weight, joints, ok))
+
+    candidates = list(itertools.product(rows, repeat=n))
+    successes = []
+    for candidate in candidates:
+        psi = np.array(candidate)
+        success = 0.0
+        for members, weight, joints, ok in subsets:
+            choice = np.ones(joints.shape[1])
+            for row, member in enumerate(members):
+                choice *= psi[member, joints[row]]
+            success += weight * float(choice @ ok)
+        successes.append(success)
+    top = max(successes)
+    best = next(i for i, s in enumerate(successes) if s >= top - 1e-12)
+    _, miss = stationary_deadline_probability(successes[best], deadline)
+    return np.array(candidates[best]), miss
+
+
 class TestBestStationaryPsi:
     def test_single_agent_always_transmits(self):
         access, miss = best_stationary_psi(np.array([1.0]), n_channels=1, deadline=3)
@@ -150,11 +232,33 @@ class TestBestStationaryPsi:
     def test_nobody_active_all_equal(self):
         access, miss = best_stationary_psi(np.zeros(2), n_channels=1, deadline=4)
         assert miss == 1.0
-        assert access.psi.shape == (2, 2)
+        # every candidate ties at zero success: the lexicographically smallest wins
+        assert np.array_equal(access.psi, [[0.0, 1.0], [0.0, 1.0]])
 
     def test_instance_too_large_rejected(self):
         with pytest.raises(ValueError):
             best_stationary_psi(np.ones(4), n_channels=2, deadline=3)
+
+    def test_matches_enumeration_reference(self):
+        rng = np.random.default_rng(9)
+        instances = []
+        for i in range(54):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            kind = i % 3  # random, all ones, all equal
+            p = rng.random(n) if kind == 0 else np.ones(n) if kind == 1 else np.full(n, rng.random())
+            # the full 0.25 grid at N = 3, M = 2 takes the reference about 2 s
+            instances.append((p, m, 0.5 if (n, m) == (3, 2) else 0.25))
+        instances.append((rng.random(3), 2, 0.25))  # the benchmark's shape
+        for p, m, step in instances:
+            deadline = int(rng.integers(0, 5))
+            access, miss = best_stationary_psi(p, m, deadline, step)
+            ref_psi, ref_miss = _reference_best_stationary_psi(p, m, deadline, step)
+            assert np.array_equal(access.psi, ref_psi)
+            assert abs(miss - ref_miss) < 1e-12
+
+    def test_oversized_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid_step"):
+            best_stationary_psi(np.ones(3), n_channels=2, deadline=3, grid_step=0.1)
 
 
 class TestComplexity:

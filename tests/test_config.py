@@ -134,6 +134,32 @@ def test_mistyped_value_rejected_naming_the_key(key, value):
         load_config(text)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("allow_event_overlap", "no"),
+        ("n_subnets", 2.5),
+        ("n_subnets", "3"),
+        ("n_runs", True),
+        ("eta", None),
+        ("speed_mps", float("inf")),
+        ("pathloss_abg_los", (2.0, 30.0)),
+    ],
+)
+def test_configs_built_in_code_are_type_checked(key, value):
+    base = load_config('{"n_subnets": 3, "n_channels": 2}')
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        with_overrides(base, **{key: value})
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        validate_config(ScenarioConfig(**{"n_subnets": 3, "n_channels": 2, key: value}))
+
+
+def test_triples_built_in_code_become_float_tuples():
+    cfg = validate_config(ScenarioConfig(n_subnets=2, n_channels=2, pathloss_abg_los=[2, 31, 1.9]))
+    assert cfg.pathloss_abg_los == (2.0, 31.0, 1.9)
+    assert all(type(v) is float for v in cfg.pathloss_abg_los)
+
+
 def test_numbers_of_the_right_kind_accepted():
     cfg = load_config(
         '{"n_subnets": 3, "n_channels": 2, "area_width_m": 40, "minibatch_size": null,'

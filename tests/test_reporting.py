@@ -103,6 +103,29 @@ def test_run_experiment_mean_is_arithmetic_mean():
     assert abs(result.mean_in_time - sum(values) / len(values)) < 1e-12
 
 
+def test_slots_per_run_counts_the_slots_actually_run():
+    cfg = make_config(**{**DENSE, "n_runs": 3, "n_slots": 5000})
+    assert run_experiment(cfg, seeds=[1]).slots_per_run == 5000
+    result = run_experiment(cfg, until_events=3)
+    ran = [Simulation(cfg, seed=s).run(until_events=3).n_slots for s in result.seeds]
+    assert max(ran) < 5000 and len(set(ran)) > 1  # every run stops early, at its own slot
+    assert result.slots_per_run == ran
+    same = run_experiment(cfg, seeds=[result.seeds[0]] * 2, until_events=3)
+    assert same.slots_per_run == ran[0]
+
+
+def test_mse_decile_medians_are_taken_per_run_then_aggregated():
+    cfg = make_config(**{**DENSE, "n_runs": 3, "policy_kind": PolicyKind.DRL})
+    result = run_experiment(cfg)
+    per_run = [mse_decile_medians(Simulation(cfg, seed=s).run().mse) for s in result.seeds]
+    assert None not in per_run
+    assert result.mse_first_decile_median == float(np.median([d[0] for d in per_run]))
+    assert result.mse_last_decile_median == float(np.median([d[1] for d in per_run]))
+    # a run too short for deciles is left out; with none left, both are None
+    short = run_experiment(make_config(**{**DENSE, "n_runs": 2, "n_slots": 3, "policy_kind": PolicyKind.DRL}))
+    assert short.mse_first_decile_median is None and short.mse_last_decile_median is None
+
+
 def test_result_file_round_trip(tmp_path):
     cfg = make_config(**{**DENSE, "n_runs": 2})
     result = run_experiment(cfg)

@@ -21,7 +21,7 @@ from .config import (
     with_overrides,
 )
 from .engine import RunTrace, Simulation, resolve_collisions, run
-from .reporting import ExperimentResult, in_time_probability, run_experiment, sweep, system_mse
+from .reporting import ExperimentResult, in_time_probability, run_experiment, sweep
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "run_experiment",
     "serialize_config",
     "sweep",
-    "system_mse",
     "validate_config",
     "with_overrides",
     "__version__",

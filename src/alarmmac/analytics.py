@@ -313,18 +313,10 @@ def complexity_bounds(
     return z1, z_lb, z_ub
 
 
-def compact_lower_bound(n_channels: int) -> int:
-    """Lower bound for the default compact network, layers [M, 1, 1, 2**M]
-    (two hidden layers of one unit each) and minibatch 30 * 2**M, from the
-    general formula."""
-    m = n_channels
-    layers = [m, 1, 1, 1 << m]
-    _, z_lb, _ = complexity_bounds(m, 30 * (1 << m), layers)
-    return z_lb
-
-
 def compact_lower_bound_closed_form(n_channels: int) -> int:
-    """Widely quoted expanded polynomial for the same compact architecture.
+    """Widely quoted expanded polynomial for the lower bound of the compact
+    network: layers [M, 1, 1, 2**M] (two hidden layers of one unit each)
+    and minibatch 30 * 2**M, as `complexity_bounds` computes it.
 
     Note: its trailing term is 2**M + 7 where direct expansion of
     (B + 1) * z1 + 3 gives 2*M + 7; the two agree only at M = 2. Both are

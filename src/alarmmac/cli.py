@@ -10,7 +10,7 @@ import numpy as np
 
 from . import analytics
 from .config import PolicyKind, load_config_file, with_overrides
-from .reporting import SWEEP_AXES, run_experiment, sweep
+from .reporting import SWEEP_AXES, parse_axis_value, run_experiment, sweep
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -44,18 +44,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_axis_value(axis: str, raw: str):
-    if axis == "dnn_shape":
-        layers, size = raw.lower().split("x")
-        return (int(layers), int(size))
-    if axis == "eta":
-        return float(raw)
-    return int(raw)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    values = [_parse_axis_value(args.axis, v) for v in args.values]
+    values = [parse_axis_value(args.axis, v) for v in args.values]
     policies = args.policies.split(",") if args.policies else [cfg.policy_kind.value]
     rows = sweep(cfg, args.axis, values, policies=policies, out_dir=args.out)
     for label, policy, result in rows:
@@ -67,95 +58,35 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     ps = [float(v) for v in args.ps]
+    deadline = args.deadline
     if any(not 0.0 <= v <= 1.0 for v in ps):
         print("error: success probabilities must lie in [0, 1]", file=sys.stderr)
         return 2
-    deadline = args.deadline
+    if deadline < 0:
+        print("error: deadline must be >= 0", file=sys.stderr)
+        return 2
+    if len(ps) != 1 and len(ps) < deadline + 1:
+        print(f"error: need 1 or >= {deadline + 1} success probabilities", file=sys.stderr)
+        return 2
     print("D  P_within_deadline  P_missed")
     for d in range(deadline + 1):
         if len(ps) == 1:
             spec = analytics.stationary_dtmc(ps[0], d)
-        elif len(ps) >= d + 1:
-            spec = analytics.DtmcSpec(np.array(ps[: d + 1]))
         else:
-            print(f"error: need 1 or >= {deadline + 1} success probabilities", file=sys.stderr)
-            return 2
+            spec = analytics.DtmcSpec(np.array(ps[: d + 1]))
         p_leq, p_gt = analytics.deadline_probability(spec)
         print(f"{d:<3}{p_leq:<19.12f}{p_gt:.12f}")
     return 0
 
 
-def _selftest_checks():
-    from .engine import resolve_collisions
-    from .policies import pattern_table
-    from . import learning
-    import itertools
-
-    def collision_oracle() -> None:
-        for m in (1, 2):
-            width = 1 << m
-            for k in range(5):
-                for joint in itertools.product(range(width), repeat=k):
-                    matrix = pattern_table(m)[list(joint)].T if k else np.zeros((m, 0), dtype=int)
-                    expected = any(int(matrix[ch].sum()) == 1 for ch in range(m))
-                    if resolve_collisions(list(joint), m).success != expected:
-                        raise AssertionError(f"collision mismatch at M={m} joint={joint}")
-
-    def dtmc_consistency() -> None:
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            spec = analytics.DtmcSpec(rng.random(int(rng.integers(1, 8))))
-            a = analytics.deadline_probability(spec)
-            b = analytics.deadline_probability_via_absorption(spec)
-            if abs(a[0] - b[0]) > 1e-10 or abs(a[1] - b[1]) > 1e-10:
-                raise AssertionError("deadline probability paths disagree")
-
-    def gradient_check() -> None:
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            model = learning.init_mlp([2, 3, 4], rng)
-            batch = (rng.random((6, 2)), rng.integers(0, 4, 6), rng.standard_normal(6))
-            grads, _ = learning.backward(model, batch)
-            flat = learning.grads_to_vector(grads)
-            theta = learning.params_to_vector(model)
-            for j in rng.choice(theta.size, 10, replace=False):
-                step = np.zeros_like(theta)
-                step[j] = 1e-5
-                learning.vector_to_params(model, theta + step)
-                up = learning.loss(model, batch)
-                learning.vector_to_params(model, theta - step)
-                down = learning.loss(model, batch)
-                learning.vector_to_params(model, theta)
-                numeric = (up - down) / 2e-5
-                if abs(numeric - flat[j]) / max(abs(numeric) + abs(flat[j]), 1e-6) > 1e-4:
-                    raise AssertionError("analytic gradient disagrees with finite differences")
-
-    def clip_norm() -> None:
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            grads = [(rng.standard_normal((3, 2)) * 10, rng.standard_normal(3) * 10)]
-            clipped = learning.clip_gradient(grads, 5.0)
-            if learning.grad_norm(clipped) > 5.0 + 1e-9:
-                raise AssertionError("clipped norm exceeds threshold")
-
-    return {
-        "collision_oracle": collision_oracle,
-        "dtmc_consistency": dtmc_consistency,
-        "gradient_check": gradient_check,
-        "clip_norm": clip_norm,
-    }
-
-
 def _cmd_selftest(_args: argparse.Namespace) -> int:
+    from .selfcheck import selftest
+
     failures = []
-    for name, check in _selftest_checks().items():
-        try:
-            check()
-        except AssertionError as exc:
+    for name, passed, measured in selftest():
+        print(f"{'ok  ' if passed else 'FAIL'} {name}: {measured}")
+        if not passed:
             failures.append(name)
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"ok   {name}")
     if failures:
         print(f"selftest failed: {', '.join(failures)}", file=sys.stderr)
         return 1

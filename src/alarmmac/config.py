@@ -40,10 +40,8 @@ class CsGainMode(str, Enum):
     #               snr_avg_db is the average link SNR at a typical distance.
     #   RAW:        full gain as drawn (pathloss makes the signal vanish
     #               against unit noise at factory distances).
-    #   FADING_ONLY: small-scale fading only.
     NORMALIZED = "normalized"
     RAW = "raw"
-    FADING_ONLY = "fading_only"
 
 
 class PilotMode(str, Enum):

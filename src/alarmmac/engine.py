@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -46,10 +46,6 @@ class EventRecord:
     delivered: bool
     attempts: int
     active_size: int
-
-    @property
-    def slots_to_delivery(self) -> int | None:
-        return self.end_slot - self.birth_slot if self.delivered else None
 
 
 @dataclass
@@ -132,15 +128,16 @@ class Simulation:
         self.trace = RunTrace()
         self.snr_linear = 10.0 ** (config.snr_avg_db / 10.0)
 
-    def _cap_distances(self) -> np.ndarray:
+    def _cap_distances(self, agents: Iterable[int]) -> np.ndarray:
+        """Distance from each of `agents` to the central controller."""
         cx, cy = self.cap_xy
-        return np.array([math.hypot(p.x - cx, p.y - cy) for p in self.poses])
+        return np.array([math.hypot(self.poses[n].x - cx, self.poses[n].y - cy) for n in agents])
 
     def _snapshot_channel_state(self) -> None:
         """Line-of-sight, shadowing, and the reference attenuation are frozen
         per snapshot; only small-scale fading is redrawn each slot."""
         cfg = self.config
-        d = self._cap_distances()
+        d = self._cap_distances(range(len(self.poses)))
         self.los = np.array([chan.draw_los(di, self.rng_channel, cfg) for di in d])
         sigma = np.where(self.los, cfg.shadow_sigma_los_db, cfg.shadow_sigma_nlos_db)
         positions = np.array([[p.x, p.y] for p in self.poses])
@@ -154,12 +151,8 @@ class Simulation:
         cfg = self.config
         k = len(active)
         kappa = chan.rayleigh_fading(self.rng_fading, (k, cfg.n_channels))
-        if cfg.cs_gain_mode is CsGainMode.FADING_ONLY:
-            return kappa
-        cx, cy = self.cap_xy
         amps = np.empty(k)
-        for row, n in enumerate(active):
-            d = math.hypot(self.poses[n].x - cx, self.poses[n].y - cy)
+        for row, (n, d) in enumerate(zip(active, self._cap_distances(active))):
             pl = chan.pathloss_db(d, bool(self.los[n]), cfg)
             amps[row] = chan.attenuation(pl, self.shadow_db[n])
         if cfg.cs_gain_mode is CsGainMode.NORMALIZED and self._reference_amp > 0:
@@ -237,25 +230,23 @@ class Simulation:
         for event, delivered in zip(self.live_events, delivered_flags):
             event.attempts += 1
             if delivered:
-                event.delivered = True
-                event.delivery_slot = self.slot
-                self._finish_event(event)
+                self._finish_event(event, True)
             else:
                 event.age += 1 + cfg.cs_overhead_slots
                 if event.age > event.deadline_slots:
-                    event.failed = True
-                    self._finish_event(event)
+                    self._finish_event(event, False)
                 else:
                     still_live.append(event)
         self.live_events = still_live
         return SlotOutcome(slot=self.slot, success=collisions.success, age=oldest_age)
 
-    def _finish_event(self, event: AlarmEvent) -> None:
+    def _finish_event(self, event: AlarmEvent, delivered: bool) -> None:
+        """Record the event's outcome; it ends in this slot."""
         self.trace.events.append(
             EventRecord(
                 birth_slot=event.birth_slot,
                 end_slot=self.slot,
-                delivered=event.delivered,
+                delivered=delivered,
                 attempts=event.attempts,
                 active_size=len(event.active_set),
             )

@@ -24,18 +24,7 @@ class AlarmEvent:
     deadline_slots: int
     active_set: tuple[int, ...]
     age: int = 0
-    delivered: bool = False
-    delivery_slot: int | None = None
-    failed: bool = False
     attempts: int = 0
-
-    @property
-    def deadline_slot(self) -> int:
-        return self.birth_slot + self.deadline_slots
-
-    @property
-    def terminal(self) -> bool:
-        return self.delivered or self.failed
 
 
 def activation_probability(d_m: float, eta: float) -> float:
@@ -45,6 +34,17 @@ def activation_probability(d_m: float, eta: float) -> float:
     if eta <= 0:
         raise ValueError("eta must be > 0")
     return math.exp(-eta * d_m)
+
+
+def _activated(d: np.ndarray, rng: np.random.Generator, config: ScenarioConfig) -> np.ndarray:
+    """Which of the distances `d` activate: p(d) = exp(-eta * d) passes the
+    threshold gate and, in the default mode, a Bernoulli(p(d)) draw of one
+    uniform per distance."""
+    p = np.exp(-config.eta * d)
+    passed = p >= config.tx_threshold
+    if config.activation_mode is ActivationMode.THRESHOLD_AND_BERNOULLI:
+        passed &= rng.random(p.shape) < p
+    return passed
 
 
 def build_active_set(
@@ -60,12 +60,7 @@ def build_active_set(
     """
     ex, ey = epicenter
     d = np.array([math.hypot(p.x - ex, p.y - ey) for p in poses])
-    p = np.exp(-config.eta * d)
-    passed = p >= config.tx_threshold
-    if config.activation_mode is ActivationMode.THRESHOLD_AND_BERNOULLI:
-        u = rng.random(len(poses))
-        passed &= u < p
-    return tuple(int(i) for i in np.nonzero(passed)[0])
+    return tuple(int(i) for i in np.nonzero(_activated(d, rng, config))[0])
 
 
 def maybe_spawn_event(
@@ -109,9 +104,5 @@ def empirical_activation(
     out = np.empty(len(poses))
     for n in range(len(poses)):
         d = np.hypot(pos[n, 0] - ex, pos[n, 1] - ey)
-        p = np.exp(-config.eta * d)
-        hit = p >= config.tx_threshold
-        if config.activation_mode is ActivationMode.THRESHOLD_AND_BERNOULLI:
-            hit = hit & (rng.random(n_trials) < p)
-        out[n] = config.alpha * hit.mean()
+        out[n] = config.alpha * _activated(d, rng, config).mean()
     return out

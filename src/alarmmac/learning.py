@@ -17,7 +17,6 @@ floating-point operations per network.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,19 +28,6 @@ Batch = tuple[np.ndarray, np.ndarray, np.ndarray]  # contexts (B, M), actions (B
 class Mlp:
     weights: list[np.ndarray]  # per layer, shape (fan_out, fan_in)
     biases: list[np.ndarray]  # per layer, shape (fan_out,)
-
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    @property
-    def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    @property
-    def madd_count(self) -> int:
-        """Multiply-add count of one forward pass: sum of l_out * (2*l_in + 1)."""
-        return sum(w.shape[0] * (2 * w.shape[1] + 1) for w in self.weights)
 
 
 def init_mlp(layer_sizes: list[int], rng: np.random.Generator) -> Mlp:
@@ -76,15 +62,11 @@ def forward(model: Mlp, context: np.ndarray) -> np.ndarray:
     return _forward_cached(model, x[None, :])[-1][0]
 
 
-def forward_batch(model: Mlp, contexts: np.ndarray) -> np.ndarray:
-    return _forward_cached(model, np.asarray(contexts, dtype=float))[-1]
-
-
 def loss(model: Mlp, batch: Batch) -> float:
     contexts, actions, rewards = batch
     if len(rewards) == 0:
         raise ValueError("empty minibatch")
-    values = forward_batch(model, contexts)
+    values = _forward_cached(model, np.asarray(contexts, dtype=float))[-1]
     taken = values[np.arange(len(rewards)), np.asarray(actions, dtype=int)]
     return float(np.mean((np.asarray(rewards, dtype=float) - taken) ** 2))
 
@@ -383,36 +365,3 @@ def grads_to_vector(grads: Grads) -> np.ndarray:
         parts.append(gw.ravel())
         parts.append(gb.ravel())
     return np.concatenate(parts)
-
-
-_MAGIC = b"TMLP"
-_VERSION = 1
-
-
-def save_weights(model: Mlp, path: str, update_count: int = 0) -> None:
-    """Flat little-endian snapshot: header (layer sizes, counter) + float64 params."""
-    sizes = model.layer_sizes
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HH", _VERSION, len(sizes)))
-        fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        fh.write(struct.pack("<Q", update_count))
-        fh.write(params_to_vector(model).astype("<f8").tobytes())
-
-
-def load_weights(path: str) -> tuple[Mlp, int]:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a weight snapshot")
-        version, n_sizes = struct.unpack("<HH", fh.read(4))
-        if version != _VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        sizes = list(struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes)))
-        (update_count,) = struct.unpack("<Q", fh.read(8))
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    model = Mlp(
-        weights=[np.zeros((o, i)) for i, o in zip(sizes[:-1], sizes[1:])],
-        biases=[np.zeros(o) for o in sizes[1:]],
-    )
-    vector_to_params(model, flat.astype(float))
-    return model, update_count

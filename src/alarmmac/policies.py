@@ -38,10 +38,6 @@ def pattern_bits(index: int, n_channels: int) -> np.ndarray:
     return np.array([(index >> m) & 1 for m in range(n_channels)], dtype=np.uint8)
 
 
-def pattern_index(bits: np.ndarray) -> int:
-    return int(sum(int(b) << m for m, b in enumerate(bits)))
-
-
 @lru_cache(maxsize=None)
 def pattern_table(n_channels: int) -> np.ndarray:
     """(2**M, M) lookup of all patterns; row i is pattern_bits(i)."""

@@ -38,13 +38,6 @@ def in_time_probability(trace: RunTrace) -> float | None:
     return trace.delivered_count / total
 
 
-def system_mse(losses: Sequence[float]) -> float:
-    """Mean minibatch loss across the agents that trained at one epoch."""
-    if len(losses) == 0:
-        raise ValueError("system MSE needs at least one active agent")
-    return float(np.mean(losses))
-
-
 def mse_decile_medians(mse: Sequence[float]) -> tuple[float, float] | None:
     """Medians of the first and last 10% of the update-epoch MSE series."""
     n = len(mse)
@@ -196,6 +189,16 @@ def run_experiment(
         name = f"result_{result.policy}_{result.config_fingerprint[:12]}.json"
         write_result(result, os.path.join(out_dir, name))
     return result
+
+
+def parse_axis_value(axis: str, raw: str) -> Any:
+    """A sweep value from its command-line text: `LxS` for dnn_shape."""
+    if axis == "dnn_shape":
+        layers, size = raw.lower().split("x")
+        return (int(layers), int(size))
+    if axis == "eta":
+        return float(raw)
+    return int(raw)
 
 
 def _apply_axis(config: ScenarioConfig, axis: str, value: Any) -> ScenarioConfig:

@@ -4,13 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s`. The learning criteria
 (6 and 7) execute full training runs and take a few minutes combined.
 """
 
-import itertools
 import math
 import time
 
 import numpy as np
 
-from alarmmac import analytics, learning
+from alarmmac import analytics, learning, selfcheck
 from alarmmac.config import (
     PolicyKind,
     ScenarioConfig,
@@ -18,7 +17,7 @@ from alarmmac.config import (
     validate_config,
     with_overrides,
 )
-from alarmmac.engine import Simulation, resolve_collisions
+from alarmmac.engine import Simulation
 from alarmmac.policies import make_policy
 from alarmmac.reporting import in_time_probability, run_experiment
 
@@ -38,25 +37,9 @@ def report(num: int, title: str, passed: bool, detail: str = "") -> None:
     assert passed, f"criterion {num}: {title}{suffix}"
 
 
-def matrix_success_indicator(joint, n_channels):
-    """Independent oracle: explicit channels x agents matrix, literal scan."""
-    matrix = [[0] * len(joint) for _ in range(n_channels)]
-    for col, idx in enumerate(joint):
-        for ch in range(n_channels):
-            matrix[ch][col] = (idx >> ch) & 1
-    return any(sum(row) == 1 for row in matrix)
-
-
 def test_criterion_1_collision_oracle_equivalence():
     started = time.perf_counter()
-    checked = 0
-    mismatches = 0
-    for m in (1, 2, 3):
-        for k in range(0, 5):
-            for joint in itertools.product(range(1 << m), repeat=k):
-                if resolve_collisions(list(joint), m).success != matrix_success_indicator(joint, m):
-                    mismatches += 1
-                checked += 1
+    mismatches, checked = selfcheck.collision_mismatches((1, 2, 3), 4)
     elapsed = time.perf_counter() - started
     report(
         1,
@@ -67,26 +50,7 @@ def test_criterion_1_collision_oracle_equivalence():
 
 
 def test_criterion_2_dtmc_consistency():
-    rng = np.random.default_rng(2024)
-    worst_pair = 0.0
-    worst_stationary = 0.0
-    for _ in range(100):
-        deadline = int(rng.integers(0, 11))
-        spec = analytics.DtmcSpec(rng.random(deadline + 1))
-        a = analytics.deadline_probability(spec)
-        b = analytics.deadline_probability_via_absorption(spec)
-        c = analytics.deadline_probability_by_paths(spec)
-        worst_pair = max(
-            worst_pair,
-            abs(a[0] - b[0]), abs(a[1] - b[1]),
-            abs(a[0] - c[0]), abs(a[1] - c[1]),
-        )
-    for _ in range(100):
-        ps = float(rng.random())
-        deadline = int(rng.integers(0, 11))
-        got = analytics.deadline_probability(analytics.stationary_dtmc(ps, deadline))
-        closed = analytics.stationary_deadline_probability(ps, deadline)
-        worst_stationary = max(worst_stationary, abs(got[0] - closed[0]), abs(got[1] - closed[1]))
+    worst_pair, worst_stationary = selfcheck.dtmc_disagreement(np.random.default_rng(2024), 100)
     report(
         2,
         "deadline probabilities agree across product, absorption, and path forms",
@@ -154,27 +118,6 @@ def test_criterion_3_at_benchmark_scale_matches_dp():
     )
 
 
-def numeric_gradient(model, batch, step=1e-5):
-    """Central finite differences of the single-model loss."""
-    theta = learning.params_to_vector(model)
-    numeric = np.zeros_like(theta)
-    for j in range(theta.size):
-        bump = np.zeros_like(theta)
-        bump[j] = step
-        learning.vector_to_params(model, theta + bump)
-        up = learning.loss(model, batch)
-        learning.vector_to_params(model, theta - bump)
-        down = learning.loss(model, batch)
-        numeric[j] = (up - down) / (2 * step)
-    learning.vector_to_params(model, theta)
-    return numeric
-
-
-def relative_error(analytic, numeric):
-    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
-    return float(np.max(np.abs(analytic - numeric) / denom))
-
-
 def kink_distance(model, contexts):
     """Smallest |pre-activation| of a rectifier unit over the contexts."""
     h, nearest = contexts, np.inf
@@ -192,17 +135,12 @@ def test_criterion_4_gradient_correctness():
     worst_stacked = 0.0
     near_kink = 0
     for _ in range(100):
-        m = int(rng.integers(1, 4))
-        hidden = int(rng.integers(1, 5))
-        depth = int(rng.integers(1, 3))
-        sizes = [m] + [hidden] * depth + [1 << m]
-        model = learning.init_mlp(sizes, rng)
-        b = int(rng.integers(1, 6))
-        batch = (rng.random((b, m)), rng.integers(0, 1 << m, b), rng.standard_normal(b))
-        grads, _ = learning.backward(model, batch)
-        worst = max(worst, relative_error(learning.grads_to_vector(grads), numeric_gradient(model, batch)))
+        model, batch = selfcheck.random_model_batch(rng, max_batch=5)
+        worst = max(worst, selfcheck.gradient_error(model, batch))
 
         # the stacked kernel: this network and two more of its shape, one minibatch each
+        b, m = batch[0].shape
+        sizes = [m] + [w.shape[0] for w in model.weights]
         models = [model] + [learning.init_mlp(sizes, extra) for _ in range(2)]
         batches = [batch] + [
             (extra.random((b, m)), extra.integers(0, 1 << m, b), extra.standard_normal(b)) for _ in range(2)
@@ -217,7 +155,9 @@ def test_criterion_4_gradient_correctness():
                 near_kink += 1
                 continue
             analytic = learning.grads_to_vector([(gw[k], gb[k]) for gw, gb in stacked])
-            worst_stacked = max(worst_stacked, relative_error(analytic, numeric_gradient(net, net_batch)))
+            worst_stacked = max(
+                worst_stacked, selfcheck.relative_error(analytic, selfcheck.finite_difference_gradient(net, net_batch))
+            )
     report(4, "backprop, single and stacked, matches central finite differences on 100 random models",
            worst < 1e-4 and worst_stacked < 1e-4 and near_kink <= 10,
            f"max relative error {worst:.2e}, stacked {worst_stacked:.2e} "
@@ -225,18 +165,7 @@ def test_criterion_4_gradient_correctness():
 
 
 def test_criterion_5_clipping_and_schedules():
-    rng = np.random.default_rng(5)
-    clip_ok = True
-    for _ in range(1000):
-        scale = 10.0 ** rng.uniform(-3, 3)
-        grads = [(rng.standard_normal((3, 4)) * scale, rng.standard_normal(3) * scale)]
-        raw_norm = learning.grad_norm(grads)
-        clipped = learning.clip_gradient(grads, 5.0)
-        norm = learning.grad_norm(clipped)
-        if norm > 5.0 + 1e-9:
-            clip_ok = False
-        if raw_norm <= 5.0 and not np.array_equal(clipped[0][0], grads[0][0]):
-            clip_ok = False
+    clip_ok = selfcheck.clip_violations(np.random.default_rng(5), 1000) == 0
 
     cfg = validate_config(ScenarioConfig(n_subnets=2, n_channels=2, policy_kind=PolicyKind.MAP_RA))
     policy = make_policy(cfg, np.random.default_rng(5))
@@ -308,15 +237,16 @@ def test_criterion_8_complexity_identities():
         _, z_lb, z_ub = analytics.complexity_bounds(m, 30 * (1 << m), layers)
         if z_ub - z_lb != (1 << m) - 1:
             gap_ok = False
-    m2_ok = analytics.compact_lower_bound(2) == 2423
-    direct3 = analytics.compact_lower_bound(3)
+    compact_lb = {m: analytics.complexity_bounds(m, 30 * (1 << m), [m, 1, 1, 1 << m])[1] for m in (2, 3)}
+    m2_ok = compact_lb[2] == 2423
+    direct3 = compact_lb[3]
     closed3 = analytics.compact_lower_bound_closed_form(3)
     discrepancy_ok = direct3 == 8197 and closed3 == 8199
     report(
         8,
         "complexity bound identities hold and the M=3 closed-form discrepancy is reported",
         gap_ok and m2_ok and discrepancy_ok,
-        f"lower bound M=2: {analytics.compact_lower_bound(2)}; "
+        f"lower bound M=2: {compact_lb[2]}; "
         f"M=3 direct {direct3} vs expanded polynomial {closed3}",
     )
 

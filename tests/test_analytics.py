@@ -8,7 +8,6 @@ from alarmmac.analytics import (
     DP_MAX_CHANNELS,
     DtmcSpec,
     best_stationary_psi,
-    compact_lower_bound,
     compact_lower_bound_closed_form,
     complexity_bounds,
     deadline_probability,
@@ -275,8 +274,9 @@ class TestComplexity:
             assert z_ub - z_lb == (1 << m) - 1
 
     def test_closed_form_agrees_only_at_m2(self):
-        assert compact_lower_bound(2) == compact_lower_bound_closed_form(2) == 2423
-        assert compact_lower_bound(3) == 8197
+        compact_lb = {m: complexity_bounds(m, 30 * (1 << m), [m, 1, 1, 1 << m])[1] for m in (2, 3)}
+        assert compact_lb[2] == compact_lower_bound_closed_form(2) == 2423
+        assert compact_lb[3] == 8197
         assert compact_lower_bound_closed_form(3) == 8199
 
     def test_inconsistent_layer_vector_rejected(self):
@@ -287,3 +287,5 @@ class TestComplexity:
 
     def test_forward_madds_formula(self):
         assert forward_madds([2, 1, 1, 4]) == 1 * 5 + 1 * 3 + 4 * 3
+        assert forward_madds([3, 4, 8]) == 4 * 7 + 8 * 9
+        assert forward_madds([1, 1, 2]) == 1 * 3 + 2 * 3

@@ -1,5 +1,6 @@
 import json
 
+from alarmmac import engine, policies
 from alarmmac.cli import main
 
 
@@ -79,8 +80,41 @@ def test_analyze_rejects_bad_probability(capsys):
     assert main(["analyze", "--ps", "1.5", "--deadline", "2"]) == 2
 
 
+def test_analyze_too_few_probabilities_prints_no_rows(capsys):
+    assert main(["analyze", "--ps", "0.1", "0.2", "0.3", "--deadline", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need 1 or >= 6 success probabilities" in captured.err
+
+
+def test_analyze_rejects_negative_deadline(capsys):
+    assert main(["analyze", "--ps", "0.3", "--deadline", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "deadline" in captured.err
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     for name in ("collision_oracle", "dtmc_consistency", "gradient_check", "clip_norm"):
         assert f"ok   {name}" in out
+
+
+def test_selftest_catches_a_wrong_pattern_table(monkeypatch, capsys):
+    table = policies.pattern_table
+
+    def swapped(n_channels):
+        wrong = table(n_channels).copy()
+        wrong[[0, 1]] = wrong[[1, 0]]  # silence and pattern 1 trade bits
+        return wrong
+
+    # the collision rule reads the table through both modules' names
+    monkeypatch.setattr(engine, "pattern_table", swapped)
+    monkeypatch.setattr(policies, "pattern_table", swapped)
+    assert main(["selftest"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL collision_oracle" in captured.out
+    assert "collision_oracle" in captured.err
+    for name in ("dtmc_consistency", "gradient_check", "clip_norm"):
+        assert f"ok   {name}" in captured.out

@@ -125,6 +125,7 @@ def test_enum_strings_become_members_on_construction():
         ("pathloss_abg_los", "[2.0, 30.0]"),
         ("pathloss_abg_nlos", '[2.0, "30", 2.0]'),
         ("pathloss_abg_nlos", "[2.0, NaN, 2.0]"),
+        ("cs_gain_mode", '"fading_only"'),  # a mode that no longer exists
     ],
 )
 def test_mistyped_value_rejected_naming_the_key(key, value):

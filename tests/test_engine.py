@@ -2,21 +2,11 @@ import gc
 import itertools
 import tracemalloc
 
-import numpy as np
-
+from alarmmac import selfcheck
 from alarmmac.config import ActivationMode, PolicyKind, RewardScope
 from alarmmac.engine import Simulation, resolve_collisions, reward_of, run
 from alarmmac.events import AlarmEvent
 from conftest import FixedPolicy, make_config
-
-
-def brute_force_success(joint, m):
-    """Independent evaluation of the success indicator over the explicit matrix."""
-    matrix = np.zeros((m, len(joint)), dtype=int)
-    for col, idx in enumerate(joint):
-        for ch in range(m):
-            matrix[ch, col] = (idx >> ch) & 1
-    return any(int(matrix[ch].sum()) == 1 for ch in range(m))
 
 
 def test_worked_five_agent_example():
@@ -42,10 +32,8 @@ def test_single_silent_agent_fails():
 
 
 def test_resolve_matches_brute_force_exhaustively():
-    for m in (1, 2):
-        for k in range(0, 4):
-            for joint in itertools.product(range(1 << m), repeat=k):
-                assert resolve_collisions(list(joint), m).success == brute_force_success(joint, m)
+    mismatches, _ = selfcheck.collision_mismatches((1, 2), 3)
+    assert mismatches == 0
 
 
 def test_winner_is_unique_transmitter_on_lowest_successful_channel():
@@ -99,9 +87,9 @@ def test_no_live_alarm_means_no_policy_calls():
 def test_shared_scope_rewards_all_on_delivery():
     sim = quiet_world()
     sim.policy = FixedPolicy([1, 2])  # disjoint single channels
-    event = inject_event(sim, (0, 1))
+    inject_event(sim, (0, 1))
     outcome = sim.run_slot()
-    assert outcome.success and event.delivered and event.delivery_slot == 0
+    assert outcome.success and sim.trace.events[0].end_slot == 0
     assert sim.live_events == []
     assert sim.policy.observed[0] == [(1, 1.0)]
     assert sim.policy.observed[1] == [(2, 1.0)]
@@ -114,7 +102,7 @@ def test_shared_scope_penalizes_all_on_collision():
     sim.policy = FixedPolicy([1, 1])
     event = inject_event(sim, (0, 1))
     outcome = sim.run_slot()
-    assert not outcome.success and not event.delivered
+    assert not outcome.success and sim.live_events == [event] and sim.trace.events == []
     assert sim.policy.observed[0] == [(1, -1.0)]
     assert sim.policy.observed[1] == [(1, -1.0)]
     assert event.age == 1
@@ -146,10 +134,11 @@ def test_forced_collision_runs_deadline_plus_one_slots_then_fails():
     sim.policy = FixedPolicy([1, 1])
     event = inject_event(sim, (0, 1))
     for _ in range(deadline + 1):
-        assert not event.terminal
+        assert sim.live_events == [event]
         sim.run_slot()
-    assert event.failed and not event.delivered
-    assert event.attempts == deadline + 1
+    (record,) = sim.trace.events
+    assert sim.live_events == [] and not record.delivered
+    assert event.attempts == record.attempts == deadline + 1
     assert sim.trace.n_contention_slots == deadline + 1
     assert sim.policy.events_ended[0] == 1
     # deactivated: the following slots hold no contention
@@ -161,7 +150,7 @@ def test_signalling_overhead_consumes_deadline_budget():
     sim = quiet_world(deadline_slots=3, cs_overhead_slots=1)
     sim.policy = FixedPolicy([1, 1])
     event = inject_event(sim, (0, 1))
-    while not event.terminal:
+    while sim.live_events:
         sim.run_slot()
     assert event.attempts == 2  # ages 0 and 2; age 4 exceeds the deadline
 
@@ -169,10 +158,11 @@ def test_signalling_overhead_consumes_deadline_budget():
 def test_events_end_after_the_slots_update():
     sim = quiet_world(n_subnets=4, allow_event_overlap=True)
     sim.policy = FixedPolicy([1, 1, 2, 1])  # agent 2 delivers event B; event A collides
-    event_a = inject_event(sim, (0, 1), deadline=0)
-    event_b = inject_event(sim, (3, 2))
+    inject_event(sim, (0, 1), deadline=0)
+    inject_event(sim, (3, 2))
     sim.run_slot()
-    assert event_a.failed and event_b.delivered
+    # both end, A by its deadline and B delivered, in live-event order
+    assert sim.live_events == [] and [e.delivered for e in sim.trace.events] == [False, True]
     # one update for both events, in live-event order, before either ends
     assert sim.policy.calls == [("observe", (0, 1, 3, 2)), ("end_event", (0, 1)), ("end_event", (3, 2))]
     assert sim.policy.observed[2] == [(2, 1.0)] and sim.policy.observed[0] == [(1, -1.0)]

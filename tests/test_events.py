@@ -142,6 +142,6 @@ def test_event_fields(rng):
     cfg = make_config(alpha=1.0, deadline_slots=7, tx_threshold=0.0, eta=1e-6,
                       activation_mode=ActivationMode.THRESHOLD_ONLY)
     event = maybe_spawn_event(12, poses_at([(25, 25)]), rng, cfg)
-    assert event.deadline_slot == 12 + 7
+    assert event.birth_slot == 12 and event.deadline_slots == 7
     assert event.active_set == (0,)
-    assert not event.terminal
+    assert event.age == 0 and event.attempts == 0

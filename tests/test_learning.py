@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from alarmmac import learning
-from alarmmac.analytics import forward_madds
+from alarmmac import learning, selfcheck
 from alarmmac.learning import (
     Mlp,
     MlpStack,
@@ -16,12 +15,9 @@ from alarmmac.learning import (
     grad_norm,
     grads_to_vector,
     init_mlp,
-    load_weights,
     loss,
     params_to_vector,
     rmsprop_step,
-    save_weights,
-    vector_to_params,
 )
 
 
@@ -30,21 +26,6 @@ def zero_model(layer_sizes):
         weights=[np.zeros((o, i)) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])],
         biases=[np.zeros(o) for o in layer_sizes[1:]],
     )
-
-
-def finite_difference_gradient(model, batch, step=1e-5):
-    theta = params_to_vector(model)
-    grad = np.zeros_like(theta)
-    for j in range(theta.size):
-        bump = np.zeros_like(theta)
-        bump[j] = step
-        vector_to_params(model, theta + bump)
-        up = loss(model, batch)
-        vector_to_params(model, theta - bump)
-        down = loss(model, batch)
-        grad[j] = (up - down) / (2 * step)
-    vector_to_params(model, theta)
-    return grad
 
 
 def test_forward_all_zero_parameters():
@@ -87,7 +68,7 @@ def test_loss_cases():
     model = init_mlp([1, 2, 2], rng)
     ctx = rng.random((3, 1))
     actions = np.array([0, 1, 0])
-    fitted = learning.forward_batch(model, ctx)[np.arange(3), actions]
+    fitted = learning._forward_cached(model, ctx)[-1][np.arange(3), actions]
     assert loss(model, (ctx, actions, fitted)) == 0.0
 
     zm = zero_model([1, 1, 2])
@@ -108,7 +89,7 @@ def test_backward_zero_residuals_zero_gradient():
     model = init_mlp([2, 2, 4], rng)
     ctx = rng.random((4, 2))
     actions = np.array([0, 1, 2, 3])
-    rewards = learning.forward_batch(model, ctx)[np.arange(4), actions]
+    rewards = learning._forward_cached(model, ctx)[-1][np.arange(4), actions]
     grads, value = backward(model, (ctx, actions, rewards))
     assert value == 0.0
     assert grad_norm(grads) == 0.0
@@ -126,24 +107,7 @@ def test_backward_masks_untaken_actions():
 
 
 def test_backward_matches_finite_differences():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        m = int(rng.integers(1, 4))
-        h = int(rng.integers(1, 5))
-        depth = int(rng.integers(1, 3))
-        sizes = [m] + [h] * depth + [1 << m]
-        model = init_mlp(sizes, rng)
-        b = int(rng.integers(1, 8))
-        batch = (
-            rng.random((b, m)),
-            rng.integers(0, 1 << m, size=b),
-            rng.standard_normal(b),
-        )
-        grads, _ = backward(model, batch)
-        analytic = grads_to_vector(grads)
-        numeric = finite_difference_gradient(model, batch)
-        denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
-        assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
+    assert selfcheck.worst_gradient_error(np.random.default_rng(3), 20, max_batch=7) < 1e-4
 
 
 def test_clip_below_threshold_unchanged():
@@ -307,20 +271,8 @@ def test_stacked_backward_matches_finite_differences():
         grads, _ = learning.backward_stacked(MlpStack.of(models), batch)
         for k, model in enumerate(models):
             analytic = grads_to_vector([(gw[k], gb[k]) for gw, gb in grads])
-            numeric = finite_difference_gradient(model, tuple(part[k] for part in batch))
-            denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
-            assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
-
-
-def test_parameter_and_madd_counts():
-    for sizes in ([2, 1, 1, 4], [3, 4, 8], [1, 1, 2]):
-        model = init_mlp(sizes, np.random.default_rng(0))
-        expected_params = sum(o * (i + 1) for i, o in zip(sizes[:-1], sizes[1:]))
-        expected_madds = sum(o * (2 * i + 1) for i, o in zip(sizes[:-1], sizes[1:]))
-        assert model.param_count == expected_params
-        assert model.madd_count == expected_madds
-        assert model.madd_count == forward_madds(sizes)
-        assert model.layer_sizes == sizes
+            numeric = selfcheck.finite_difference_gradient(model, tuple(part[k] for part in batch))
+            assert selfcheck.relative_error(analytic, numeric) < 1e-4
 
 
 def test_training_reduces_loss_on_fixed_batch():
@@ -333,21 +285,3 @@ def test_training_reduces_loss_on_fixed_batch():
         grads, _ = backward(model, batch)
         rmsprop_step(model, state, clip_gradient(grads, 5.0))
     assert loss(model, batch) < initial
-
-
-def test_weight_snapshot_round_trip(tmp_path):
-    rng = np.random.default_rng(6)
-    model = init_mlp([3, 2, 2, 8], rng)
-    path = str(tmp_path / "weights.bin")
-    save_weights(model, path, update_count=41)
-    loaded, count = load_weights(path)
-    assert count == 41
-    assert loaded.layer_sizes == model.layer_sizes
-    assert np.array_equal(params_to_vector(loaded), params_to_vector(model))
-
-
-def test_weight_snapshot_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"definitely not a snapshot")
-    with pytest.raises(ValueError):
-        load_weights(str(path))

@@ -16,7 +16,6 @@ from alarmmac.reporting import (
     read_result,
     run_experiment,
     sweep,
-    system_mse,
     write_result,
 )
 
@@ -33,7 +32,7 @@ def collision_trace(deadline=4):
             epicenter=(25.0, 25.0), birth_slot=sim.slot, deadline_slots=deadline, active_set=(0, 1)
         )
         sim.live_events.append(event)
-        while not event.terminal:
+        while sim.live_events:
             sim.run_slot()
     return sim.trace
 
@@ -58,13 +57,6 @@ def test_in_time_probability_absent_without_events():
     sim = Simulation(cfg, seed=1)
     sim.run()
     assert in_time_probability(sim.trace) is None
-
-
-def test_system_mse():
-    assert system_mse([0.4]) == 0.4
-    assert system_mse([0.2, 0.6]) == pytest.approx(0.4)
-    with pytest.raises(ValueError):
-        system_mse([])
 
 
 def test_mse_decile_medians():

@@ -29,8 +29,7 @@ print(f"closest pair: {min(pairs):.2f} m (separation floor {cfg.min_separation_m
 print("\n=== mobility ===")
 mob = derive_stream(cfg.rng_seed, "mobility")
 start = [(p.x, p.y) for p in poses]
-for _ in range(1000):
-    poses = step_mobility(poses, cfg, mob)
+poses = step_mobility(poses, cfg, mob, n_steps=1000)  # the poses and draws of 1000 one-slot steps
 moved = [math.hypot(p.x - x0, p.y - y0) for (x0, y0), p in zip(start, poses)]
 step = cfg.speed_mps * cfg.slot_ms / 1000.0
 print(f"per-slot step {step * 1000:.1f} mm; after 1000 slots mean displacement {np.mean(moved):.2f} m")

@@ -14,6 +14,10 @@ set terminates the event for all of them. An undelivered event fails once
 its age exceeds the deadline, after exactly D + 1 contention rounds when no
 signalling overhead is configured. Acknowledgements are error-free and
 instantaneous on a dedicated channel.
+
+The mobility step is lazy: a slot only counts it, and the steps owed are
+advanced when the poses are next read, which is when an event spawns or a
+contention round runs (see `Simulation.poses`).
 """
 
 from __future__ import annotations
@@ -119,7 +123,8 @@ class Simulation:
         rng_place = derive_stream(s, "placement")
         rng_init = derive_stream(s, "init")
 
-        self.poses: list[SubnetPose] = place_uniform(config, rng_place)
+        self._poses: list[SubnetPose] = place_uniform(config, rng_place)
+        self._pending_steps = 0  # mobility steps owed to the poses
         self.cap_xy = (config.area_width_m / 2.0, config.area_height_m / 2.0)
         self._snapshot_channel_state()
         self.policy: Population = make_policy(config, rng_init)
@@ -128,10 +133,22 @@ class Simulation:
         self.trace = RunTrace()
         self.snr_linear = 10.0 ** (config.snr_avg_db / 10.0)
 
+    @property
+    def poses(self) -> list[SubnetPose]:
+        """The poses in the current slot. A slot only counts its mobility
+        step; the steps owed are advanced here, in one call, when the poses
+        are read. Only mobility draws from its stream, so the draws and the
+        poses are those of one step per slot."""
+        if self._pending_steps:
+            self._poses = step_mobility(self._poses, self.config, self.rng_mobility, self._pending_steps)
+            self._pending_steps = 0
+        return self._poses
+
     def _cap_distances(self, agents: Iterable[int]) -> np.ndarray:
         """Distance from each of `agents` to the central controller."""
         cx, cy = self.cap_xy
-        return np.array([math.hypot(self.poses[n].x - cx, self.poses[n].y - cy) for n in agents])
+        poses = self.poses
+        return np.array([math.hypot(poses[n].x - cx, poses[n].y - cy) for n in agents])
 
     def _snapshot_channel_state(self) -> None:
         """Line-of-sight, shadowing, and the reference attenuation are frozen
@@ -176,10 +193,10 @@ class Simulation:
 
     def run_slot(self) -> SlotOutcome:
         cfg = self.config
-        self.poses = step_mobility(self.poses, cfg, self.rng_mobility)
+        self._pending_steps += 1
 
         if self._spawn_allowed():
-            event = maybe_spawn_event(self.slot, self.poses, self.rng_events, cfg)
+            event = maybe_spawn_event(self.slot, lambda: self.poses, self.rng_events, cfg)
             if event is not None:
                 if cfg.allow_event_overlap:
                     # an agent already holding an alarm does not join a second one

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -65,18 +66,22 @@ def build_active_set(
 
 def maybe_spawn_event(
     slot: int,
-    poses: list[SubnetPose],
+    poses: Callable[[], list[SubnetPose]],
     rng: np.random.Generator,
     config: ScenarioConfig,
 ) -> AlarmEvent | None:
-    """With probability alpha, spawn an event with a uniform epicenter."""
+    """With probability alpha, spawn an event with a uniform epicenter.
+
+    `poses` returns the current poses; it is called only when an event
+    spawns, so a slot without one never needs them.
+    """
     if rng.random() >= config.alpha:
         return None
     epicenter = (
         float(rng.uniform(0.0, config.area_width_m)),
         float(rng.uniform(0.0, config.area_height_m)),
     )
-    active = build_active_set(epicenter, poses, rng, config)
+    active = build_active_set(epicenter, poses(), rng, config)
     return AlarmEvent(
         epicenter=epicenter,
         birth_slot=slot,

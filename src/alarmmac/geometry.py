@@ -7,19 +7,29 @@ deployment rectangle or bring two poses within the minimum separation; after
 index order: pose i is checked against the new positions of the poses below
 it and the old positions of those above it.
 
-A step screens all poses first, in one vectorised pass. A pose is at risk if
-its first-try position lies outside the rectangle, or if another pose's old
-position is closer than reach = min separation + 2 * step (plus a margin of
-1e-9 of the rectangle's longer side for rounding). Every pose ends a slot
-within one step of where it started, so a pose that is not at risk is
-certain to keep its first try: its check cannot fail and it draws nothing
-from the mobility stream. Only the at-risk poses then run the exact
-per-pose loop, in index order, with the same draws as a loop over all poses,
-and each is checked against the poses whose old position is within reach of
-its own, as no other can fail the check. The screen sweeps the poses in x
-order and needs O(N) memory. Below 14 poses the fixed cost of the numpy calls
-exceeds that of checking all pairs, so every pose is at risk and checked
-against all others.
+`step_mobility` advances any number of slots, in windows of K slots, where
+2 * K * step stays within max(min separation, 1 m) and K is at most 256.
+Each window screens all poses once, in one vectorised pass. A pose is at
+risk if its straight-line end point, K sequential adds of its one-slot move,
+lies outside the rectangle, or (for K > 1) its start point does, or if
+another pose's start position is closer than reach = min separation +
+2 * K * step, plus a margin of K * 1e-9 of the rectangle's longer side for
+the rounding of K sequential adds. Every pose ends each slot within one
+step of where it started, so in a window it stays within K steps of its
+start; and repeated float addition of one move is monotone in each
+coordinate, so a path whose two ends are inside stays inside. A pose that
+is not at risk is therefore certain to keep its first try in every slot of
+the window: it draws nothing from the mobility stream and ends at its
+straight-line end point. Only the at-risk poses then run the exact per-pose
+check, slot by slot and in index order, with the same draws as one-slot
+calls over all poses, each against the poses whose start position is
+within reach of its own, as no other can fail the check. For K = 1 the
+screen is the one-slot test. The screen sweeps the poses in x order and
+needs O(N) memory; the neighbour lists of the at-risk poses, kept for the
+window, hold the pairs within reach, which the separation keeps few per
+pose. Below 14 poses the fixed cost of the numpy calls exceeds
+that of checking all pairs, so every pose is at risk and checked against
+all others.
 """
 
 from __future__ import annotations
@@ -37,8 +47,11 @@ _SWEEP_CHUNK_PAIRS = 4096
 # Below this size a Python loop over the pairs costs less than numpy's fixed
 # cost per call (measured on a 2-vCPU Xeon host; see CHANGES.md).
 _SCREEN_MIN_POSES = 14
-# absorbs rounding in the screen's reach, relative to the rectangle's longer side
+# absorbs the rounding of one slot's move in the screen's reach, relative to
+# the rectangle's longer side
 _REACH_MARGIN = 1e-9
+# the longest window screened at once; a longer catch-up runs several
+_MAX_WINDOW_STEPS = 256
 
 
 class PlacementError(RuntimeError):
@@ -85,10 +98,6 @@ def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> list[Subn
         SubnetPose(x=px, y=py, heading=h, speed=config.speed_mps)
         for px, py, h in zip(xs.tolist(), ys.tolist(), headings.tolist())
     ]
-
-
-def _inside(x: float, y: float, config: ScenarioConfig) -> bool:
-    return 0.0 <= x <= config.area_width_m and 0.0 <= y <= config.area_height_m
 
 
 def _clear_of(x: float, y: float, xs: np.ndarray, ys: np.ndarray, sep2: float) -> bool:
@@ -142,53 +151,85 @@ def _within_reach(xs: np.ndarray, ys: np.ndarray, reach: float) -> np.ndarray:
     return near
 
 
+def _window_steps(min_separation_m: float, step: float) -> int:
+    """Steps per screened window: the most that keep 2 * K * step within
+    max(min separation, 1 m), so the screen's reach stays below
+    min separation + max(min separation, 1 m); at most _MAX_WINDOW_STEPS."""
+    if step <= 0.0:
+        return _MAX_WINDOW_STEPS
+    return max(1, min(_MAX_WINDOW_STEPS, int(max(min_separation_m, 1.0) / (2.0 * step))))
+
+
 def step_mobility(
-    poses: list[SubnetPose], config: ScenarioConfig, rng: np.random.Generator
+    poses: list[SubnetPose], config: ScenarioConfig, rng: np.random.Generator, n_steps: int = 1
 ) -> list[SubnetPose]:
-    """Advance every pose by one slot; lower-indexed poses move first."""
-    n = len(poses)
+    """Advance every pose by `n_steps` slots; in each slot lower-indexed
+    poses move first. Gives the poses and draws of `n_steps` one-slot calls."""
     step = config.speed_mps * config.slot_ms / 1000.0
+    window = _window_steps(config.min_separation_m, step) if n_steps > 1 else 1  # one step is its own window
+    for done in range(0, n_steps, window):
+        poses = _advance_window(poses, config, rng, step, min(window, n_steps - done))
+    return poses
+
+
+def _advance_window(
+    poses: list[SubnetPose], config: ScenarioConfig, rng: np.random.Generator, step: float, k: int
+) -> list[SubnetPose]:
+    """Advance every pose by k slots after one screen (see the module docstring)."""
+    n = len(poses)
     sep2 = config.min_separation_m**2
     width, height = config.area_width_m, config.area_height_m
-    reach = config.min_separation_m + 2.0 * step + _REACH_MARGIN * max(1.0, width, height)
-    screened = n >= _SCREEN_MIN_POSES
-    if screened:
-        xs = np.array([p.x for p in poses])
-        ys = np.array([p.y for p in poses])
-        # first tries, with the float operations of the exact check below
-        new_x = xs + step * np.array([math.cos(p.heading) for p in poses])
-        new_y = ys + step * np.array([math.sin(p.heading) for p in poses])
-        risky = (new_x < 0.0) | (new_x > width) | (new_y < 0.0) | (new_y > height)
-        risky |= _within_reach(xs, ys, reach)
-        out = [
-            SubnetPose(x, y, p.heading, p.speed)
-            for x, y, p in zip(new_x.tolist(), new_y.tolist(), poses)
-        ]
-        at_risk = np.flatnonzero(risky).tolist()
+    if n >= _SCREEN_MIN_POSES:
+        reach = config.min_separation_m + 2.0 * k * step + k * _REACH_MARGIN * max(1.0, width, height)
+        sx = np.array([p.x for p in poses])
+        sy = np.array([p.y for p in poses])
+        # one-slot moves, with the float operations of the exact check below
+        dx = step * np.array([math.cos(p.heading) for p in poses])
+        dy = step * np.array([math.sin(p.heading) for p in poses])
+        ex, ey = sx + dx, sy + dy
+        for _ in range(k - 1):
+            ex += dx
+            ey += dy
+        risky = (ex < 0.0) | (ex > width) | (ey < 0.0) | (ey > height)
+        if k > 1:  # each coordinate moves monotonically, so a path between two inside points stays inside
+            risky |= (sx < 0.0) | (sx > width) | (sy < 0.0) | (sy > height)
+        risky |= _within_reach(sx, sy, reach)
+        out = [SubnetPose(x, y, p.heading, p.speed) for x, y, p in zip(ex.tolist(), ey.tolist(), poses)]
+        at_risk = risky.nonzero()[0].tolist()
+        if not at_risk:
+            return out
+        # only the poses that start within reach of pose i can fail its check
+        reach2 = reach * reach
+        others = {}
+        for i in at_risk:
+            others[i] = near = (np.square(sx - sx[i]) + np.square(sy - sy[i]) < reach2).nonzero()[0].tolist()
+            near.remove(i)
+        moving = sorted(set(at_risk).union(*others.values()))
+        # a pose that is not at risk passes its first try whoever it is checked against
+        for i in moving:
+            others.setdefault(i, [])
+        xs = {i: poses[i].x for i in moving}
+        ys = {i: poses[i].y for i in moving}
+        headings = {i: poses[i].heading for i in moving}
     else:
-        out, at_risk = list(poses), range(n)
+        out, moving = list(poses), range(n)
+        others = [[j for j in moving if j != i] for i in moving]
+        xs, ys, headings = [p.x for p in poses], [p.y for p in poses], [p.heading for p in poses]
 
-    for i in at_risk:
-        if screened:  # only the poses whose old position is within reach can fail the check
-            d2 = np.square(xs - xs[i]) + np.square(ys - ys[i])
-            near = np.flatnonzero(d2 < reach * reach).tolist()
-        else:
-            near = range(n)
-        # below i the poses stand at their new position, above it at the old
-        others = [out[j] if j < i else poses[j] for j in near if j != i]
-        pose = poses[i]
-        heading = pose.heading
-        moved = None
-        for _ in range(_MAX_HEADING_RESAMPLES):
-            nx = pose.x + step * math.cos(heading)
-            ny = pose.y + step * math.sin(heading)
-            if _inside(nx, ny, config) and all(
-                (nx - q.x) ** 2 + (ny - q.y) ** 2 >= sep2 for q in others
-            ):
-                moved = SubnetPose(nx, ny, heading, pose.speed)
-                break
-            heading = rng.uniform(0.0, 2.0 * math.pi)
-        if moved is None:
-            moved = SubnetPose(pose.x, pose.y, heading, pose.speed)  # hold position for this slot
-        out[i] = moved
+    for _ in range(k):
+        # in index order: below i the poses stand at this slot's position, above it at the last one's
+        for i in moving:
+            x, y, heading = xs[i], ys[i], headings[i]
+            for _ in range(_MAX_HEADING_RESAMPLES):
+                nx = x + step * math.cos(heading)
+                ny = y + step * math.sin(heading)
+                if 0.0 <= nx <= width and 0.0 <= ny <= height and all(
+                    (nx - xs[j]) ** 2 + (ny - ys[j]) ** 2 >= sep2 for j in others[i]
+                ):
+                    xs[i], ys[i] = nx, ny
+                    break
+                heading = rng.uniform(0.0, 2.0 * math.pi)
+            headings[i] = heading  # after 16 failed tries the pose holds its position
+    for i in moving:
+        out[i] = SubnetPose(xs[i], ys[i], headings[i], poses[i].speed)
     return out

@@ -9,6 +9,7 @@ its own sizes and bounds.
 from __future__ import annotations
 
 import itertools
+from typing import Callable
 
 import numpy as np
 
@@ -125,16 +126,43 @@ def clip_violations(rng: np.random.Generator, n_draws: int, threshold: float = 5
     return violations
 
 
-def selftest() -> list[tuple[str, bool, str]]:
-    """Every check at desk size: (name, passed, what it measured)."""
+def _collision_check() -> tuple[bool, str]:
     mismatches, checked = collision_mismatches((1, 2), 4)
+    return mismatches == 0, f"{mismatches} of {checked} joint assignments mismatched"
+
+
+def _dtmc_check() -> tuple[bool, str]:
     pair, closed = dtmc_disagreement(np.random.default_rng(1), 20)
+    return pair < 1e-10 and closed < 1e-12, f"max pairwise gap {pair:.1e}, vs closed form {closed:.1e}"
+
+
+def _gradient_check() -> tuple[bool, str]:
     grad = worst_gradient_error(np.random.default_rng(2), 5, max_batch=6)
+    return grad < 1e-4, f"max relative error {grad:.1e}"
+
+
+def _clip_check() -> tuple[bool, str]:
     clips = clip_violations(np.random.default_rng(3), 20)
-    return [
-        ("collision_oracle", mismatches == 0, f"{mismatches} of {checked} joint assignments mismatched"),
-        ("dtmc_consistency", pair < 1e-10 and closed < 1e-12,
-         f"max pairwise gap {pair:.1e}, vs closed form {closed:.1e}"),
-        ("gradient_check", grad < 1e-4, f"max relative error {grad:.1e}"),
-        ("clip_norm", clips == 0, f"{clips} of 20 clipped gradients out of bound"),
-    ]
+    return clips == 0, f"{clips} of 20 clipped gradients out of bound"
+
+
+_CHECKS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
+    ("collision_oracle", _collision_check),
+    ("dtmc_consistency", _dtmc_check),
+    ("gradient_check", _gradient_check),
+    ("clip_norm", _clip_check),
+)
+
+
+def selftest() -> list[tuple[str, bool, str]]:
+    """Every check at desk size: (name, passed, what it measured). A check
+    that raises fails, with the exception as its measurement, and the
+    checks after it still run."""
+    results = []
+    for name, check in _CHECKS:
+        try:
+            passed, measured = check()
+        except Exception as exc:
+            passed, measured = False, f"raised {type(exc).__name__}: {exc}"
+        results.append((name, passed, measured))
+    return results

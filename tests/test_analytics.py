@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from alarmmac import selfcheck
 from alarmmac.analytics import (
     AccessDistribution,
     DP_MAX_CHANNELS,
@@ -11,7 +12,6 @@ from alarmmac.analytics import (
     compact_lower_bound_closed_form,
     complexity_bounds,
     deadline_probability,
-    deadline_probability_by_paths,
     deadline_probability_via_absorption,
     forward_madds,
     stationary_deadline_probability,
@@ -135,25 +135,15 @@ class TestDeadlineProbability:
         assert abs(p_leq - 0.3) < 1e-15 and abs(p_gt - 0.7) < 1e-15
 
     def test_three_computations_agree_on_random_instances(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            ps = rng.random(int(rng.integers(1, 12)))
-            spec = DtmcSpec(ps)
-            a = deadline_probability(spec)
-            b = deadline_probability_via_absorption(spec)
-            c = deadline_probability_by_paths(spec)
-            for x, y in ((a, b), (a, c)):
-                assert abs(x[0] - y[0]) < 1e-10 and abs(x[1] - y[1]) < 1e-10
-            assert abs(a[0] + a[1] - 1.0) < 1e-12
+        # 100 age chains of 1 to 11 ages; the partition into within and
+        # missed is test_properties.test_deadline_probabilities_partition_unity
+        worst_pair, _ = selfcheck.dtmc_disagreement(np.random.default_rng(1), 100, max_deadline=10)
+        assert worst_pair < 1e-10
 
     def test_stationary_matches_geometric_closed_form(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            ps = float(rng.random())
-            deadline = int(rng.integers(0, 20))
-            p_leq, p_gt = deadline_probability(stationary_dtmc(ps, deadline))
-            c_leq, c_gt = stationary_deadline_probability(ps, deadline)
-            assert abs(p_leq - c_leq) < 1e-12 and abs(p_gt - c_gt) < 1e-12
+        # 50 stationary chains with deadlines 0 to 19
+        _, worst_closed = selfcheck.dtmc_disagreement(np.random.default_rng(2), 50, max_deadline=19)
+        assert worst_closed < 1e-12
 
     def test_monotone_in_success_probability(self):
         rng = np.random.default_rng(3)

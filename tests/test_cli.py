@@ -118,3 +118,20 @@ def test_selftest_catches_a_wrong_pattern_table(monkeypatch, capsys):
     assert "collision_oracle" in captured.err
     for name in ("dtmc_consistency", "gradient_check", "clip_norm"):
         assert f"ok   {name}" in captured.out
+
+
+def test_selftest_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
+    table = policies.pattern_table
+
+    def truncated(n_channels):
+        return table(n_channels)[:-1]  # one pattern short: the last pattern index is out of bounds
+
+    monkeypatch.setattr(engine, "pattern_table", truncated)
+    monkeypatch.setattr(policies, "pattern_table", truncated)
+    assert main(["selftest"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL collision_oracle: raised IndexError: " in captured.out
+    assert "collision_oracle" in captured.err
+    assert "error:" not in captured.err
+    for name in ("dtmc_consistency", "gradient_check", "clip_norm"):
+        assert f"ok   {name}" in captured.out

@@ -1,12 +1,19 @@
 import gc
+import hashlib
 import itertools
+import struct
 import tracemalloc
 
-from alarmmac import selfcheck
-from alarmmac.config import ActivationMode, PolicyKind, RewardScope
+import numpy as np
+import pytest
+
+from alarmmac import engine, selfcheck
+from alarmmac.config import ActivationMode, PolicyKind, RewardScope, config_from_dict, derive_stream
 from alarmmac.engine import Simulation, resolve_collisions, reward_of, run
-from alarmmac.events import AlarmEvent
+from alarmmac.events import AlarmEvent, maybe_spawn_event
+from alarmmac.geometry import step_mobility
 from conftest import FixedPolicy, make_config
+from test_golden import GOLDEN, SCENARIOS
 
 
 def test_worked_five_agent_example():
@@ -275,3 +282,68 @@ def test_run_record_retains_little_per_contention_slot():
         tracemalloc.stop()
     assert contention > 500
     assert retained / contention < 0.5 * 1024
+
+
+# --- lazy mobility ---------------------------------------------------------
+
+
+def golden_digest_reading_poses(scenario: str, policy: str, read_share: float) -> str:
+    """The golden digest of test_golden, from a run that reads `sim.poses`
+    before a random `read_share` of its slots (seed 3, as pinned)."""
+    keys, slots = SCENARIOS[scenario]
+    sim = Simulation(config_from_dict({**keys, "policy_kind": policy}), seed=3)
+    reads = np.random.default_rng(11).random(slots) < read_share
+    flags = []
+    for read in reads:
+        if read:
+            sim.poses
+        outcome = sim.run_slot()
+        if outcome.age is not None:
+            flags.append(outcome.success)
+    h = hashlib.sha256()
+    for e in sim.trace.events:
+        h.update(struct.pack("<qq?qq", e.birth_slot, e.end_slot, e.delivered, e.attempts, e.active_size))
+    h.update(bytes(flags))
+    h.update(np.asarray(sim.trace.mse, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("read_share", [0.0, 0.3])
+@pytest.mark.parametrize("scenario,policy", sorted(GOLDEN))
+def test_golden_digest_whenever_poses_are_read(scenario, policy, read_share):
+    assert golden_digest_reading_poses(scenario, policy, read_share) == GOLDEN[scenario, policy]
+
+
+def test_mobility_advances_only_when_a_slot_reads_the_poses(monkeypatch):
+    calls: list[int] = []
+    spawns: list[bool] = []
+
+    def counted_step(poses, config, rng, n_steps=1):
+        calls.append(n_steps)
+        return step_mobility(poses, config, rng, n_steps)
+
+    def counted_spawn(slot, poses, rng, config):
+        event = maybe_spawn_event(slot, poses, rng, config)
+        spawns.append(event is not None)
+        return event
+
+    monkeypatch.setattr(engine, "step_mobility", counted_step)
+    monkeypatch.setattr(engine, "maybe_spawn_event", counted_spawn)
+    # the sparse benchmark scenario: most slots are idle
+    cfg = make_config(n_subnets=20, n_channels=3, policy_kind=PolicyKind.MAP_RA, alpha=0.05, eta=0.06,
+                      tx_threshold=0.3, deadline_slots=15)
+    slots = 2000
+    sim = Simulation(cfg, seed=1)
+    sim.run(slots)
+    assert 0 < len(calls) <= sum(spawns) + sim.trace.n_contention_slots
+    assert max(calls) > 1
+
+    # every slot's step is advanced once, and the poses are those of one step per slot
+    final = sim.poses
+    assert sum(calls) == slots
+    rng = derive_stream(1, "mobility")
+    poses = Simulation(cfg, seed=1).poses
+    for _ in range(slots):
+        poses = step_mobility(poses, cfg, rng)
+    assert final == poses
+    assert rng.bit_generator.state == sim.rng_mobility.bit_generator.state

@@ -38,14 +38,14 @@ def test_activation_probability_rejects_bad_args():
 def test_alpha_zero_never_spawns(rng):
     cfg = make_config(alpha=0.0)
     poses = poses_at([(10, 10), (20, 20), (30, 30), (40, 40)])
-    assert all(maybe_spawn_event(t, poses, rng, cfg) is None for t in range(1000))
+    assert all(maybe_spawn_event(t, lambda: poses, rng, cfg) is None for t in range(1000))
 
 
 def test_alpha_one_spawns_every_slot(rng):
     cfg = make_config(alpha=1.0, tx_threshold=0.0, activation_mode=ActivationMode.THRESHOLD_ONLY)
     poses = poses_at([(10, 10), (20, 20), (30, 30), (40, 40)])
     for t in range(100):
-        event = maybe_spawn_event(t, poses, rng, cfg)
+        event = maybe_spawn_event(t, lambda: poses, rng, cfg)
         assert event is not None and event.birth_slot == t
         assert 0 <= event.epicenter[0] <= 50 and 0 <= event.epicenter[1] <= 50
 
@@ -53,7 +53,7 @@ def test_alpha_one_spawns_every_slot(rng):
 def test_spawn_count_binomial(rng):
     cfg = make_config(alpha=0.1)
     poses = poses_at([(25, 25)])
-    count = sum(maybe_spawn_event(t, poses, rng, cfg) is not None for t in range(100_000))
+    count = sum(maybe_spawn_event(t, lambda: poses, rng, cfg) is not None for t in range(100_000))
     assert abs(count - 10_000) <= 300
 
 
@@ -141,7 +141,7 @@ def test_active_set_permutation_covariant(rng):
 def test_event_fields(rng):
     cfg = make_config(alpha=1.0, deadline_slots=7, tx_threshold=0.0, eta=1e-6,
                       activation_mode=ActivationMode.THRESHOLD_ONLY)
-    event = maybe_spawn_event(12, poses_at([(25, 25)]), rng, cfg)
+    event = maybe_spawn_event(12, lambda: poses_at([(25, 25)]), rng, cfg)
     assert event.birth_slot == 12 and event.deadline_slots == 7
     assert event.active_set == (0,)
     assert event.age == 0 and event.attempts == 0

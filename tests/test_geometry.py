@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alarmmac.geometry import (
+    _SCREEN_MIN_POSES,
     PlacementError,
     SubnetPose,
     _clear_of,
+    _window_steps,
     _within_reach,
     place_uniform,
     step_mobility,
@@ -177,9 +179,9 @@ def test_corner_and_edge_poses_match_reference():
 
 
 @st.composite
-def mobility_cases(draw):
-    n = draw(st.integers(1, 150))
-    speed = draw(st.sampled_from([0.0, 2.0, 25.0]))
+def mobility_cases(draw, max_poses=150):
+    n = draw(st.integers(1, max_poses))
+    speed = draw(st.sampled_from([0.0, 1e-6, 2.0, 25.0]))
     width = draw(st.sampled_from([10.0, 50.0]))
     height = 50.0
     packing_sep = 2.0 * math.sqrt(width * height / (math.pi * n))
@@ -219,6 +221,54 @@ def test_step_matches_reference_on_placed_crowd():
     assert_steps_match(poses, cfg, seed=2, n_steps=20)
 
 
+def assert_multi_step_matches(poses, cfg, seed, n_steps):
+    """One call of n_steps gives the poses and the RNG state of n_steps
+    one-step reference calls."""
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref = poses
+    for _ in range(n_steps):
+        ref = _reference_step(ref, cfg, rng_ref)
+    assert step_mobility(poses, cfg, rng_new, n_steps) == ref
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def window_of(cfg):
+    return _window_steps(cfg.min_separation_m, cfg.speed_mps * cfg.slot_ms / 1000.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mobility_cases(max_poses=2 * _SCREEN_MIN_POSES), st.data())
+def test_multi_step_matches_scalar_reference(case, data):
+    poses, cfg, seed = case
+    window = window_of(cfg)
+    # a few steps, one window and its edges, and more than two windows
+    n_steps = data.draw(
+        st.one_of(
+            st.integers(1, 3),
+            st.sampled_from([max(1, window - 1), window, window + 1, 2 * window + 1]),
+            st.integers(1, 2 * window + 2),
+        ),
+        label="n_steps",
+    )
+    assert_multi_step_matches(poses, cfg, seed, n_steps)
+
+
+@pytest.mark.parametrize("speed", [2.0, 25.0])
+def test_multi_step_matches_reference_on_placed_crowd(speed):
+    # at 2 m/s a window is 125 steps, at 25 m/s 10
+    cfg = make_config(n_subnets=60, speed_mps=speed, area_width_m=20.0, area_height_m=20.0)
+    poses = place_uniform(cfg, np.random.default_rng(3))
+    assert_multi_step_matches(poses, cfg, seed=3, n_steps=2 * window_of(cfg) + 5)
+
+
+def test_window_keeps_reach_within_twice_the_separation():
+    assert _window_steps(1.5, 0.006) == 125
+    assert _window_steps(1.5, 0.075) == 10
+    assert _window_steps(0.0, 0.075) == 6  # a 1 m floor under the separation
+    assert _window_steps(1.5, 10.0) == 1
+    assert _window_steps(1.5, 0.0) == _window_steps(1.5, 1e-9) == 256
+
+
 def test_clear_of_decides_as_python_floats_at_the_threshold():
     # numpy's x * x and Python's x ** 2 (libm pow) differ in the last bit
     # for some x, so the threshold case must follow the Python expression
@@ -246,10 +296,11 @@ def test_step_memory_is_linear_in_poses():
     cfg = make_config(n_subnets=2000, area_width_m=200.0, area_height_m=200.0)
     rng = np.random.default_rng(4)
     poses = place_uniform(cfg, rng)
-    tracemalloc.start()
-    try:
-        step_mobility(poses, cfg, rng)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 1024 * 1024
+    for n_steps in (1, 20):  # one step, and one window of 20
+        tracemalloc.start()
+        try:
+            step_mobility(poses, cfg, rng, n_steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024

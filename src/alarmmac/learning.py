@@ -11,13 +11,30 @@ so gradients flow only through taken-action outputs. Updates are RMSProp
 steps on the globally norm-clipped gradient.
 
 The single-model kernels are the reference. Their stacked twins train N
-networks of one shape at once, one row per network, with the same
-floating-point operations per network.
+networks of one shape at once, with the same floating-point operations per
+network, so a stacked update agrees with the single-model one bit for bit:
+
+- A stack keeps its networks as one (N, P) float64 block, row k holding
+  network k's parameters in `params_to_vector` order (layer by layer,
+  weights row-major, then biases). The per-layer weight and bias arrays are
+  views into the block. A gradient and the RMSProp averages use the same
+  layout, so gathering a stack's rows, clipping and the RMSProp step are
+  one operation each over the whole block.
+- The clipping norm keeps the reference's grouping: per layer the sum of
+  squared weight gradients plus the sum of squared bias gradients, added
+  to the total layer by layer.
+- Only taken actions carry an output-layer gradient. Its bias gradient is
+  one `np.bincount` over (network, action) bins, which adds each bin's
+  terms in minibatch order, as the reference's sum over the minibatch does
+  with the untaken zeros in between; at most the sign of a zero differs.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -148,27 +165,52 @@ def rmsprop_step(model: Mlp, state: RmsPropState, grads: Grads) -> None:
 
 # --- stacked kernels: N networks of one shape, trained together -----------
 #
-# Network k of a stack is an Mlp whose layer i is weights[i][k], biases[i][k].
-# Each kernel does, per network, the same floating-point operations as its
-# single-model twin above, so a stack of one agrees with it bit for bit.
+# Network k of a stack is row k of its parameter block; a gradient of a stack
+# is a stack of the same layout. Each kernel does, per network, the same
+# floating-point operations as its single-model twin above.
 
 StackedBatch = tuple[np.ndarray, np.ndarray, np.ndarray]  # contexts (K, B, M), actions (K, B), rewards (K, B)
 
 
-@dataclass
-class MlpStack:
-    """K networks of one shape, layer by layer."""
+@lru_cache(maxsize=None)
+def _layout(layer_sizes: tuple[int, ...]) -> tuple[tuple[int, int, int, int, int], ...]:
+    """Per layer: (fan_in, fan_out, first weight column, first bias column,
+    end column) in the params_to_vector order of a network's parameters."""
+    layers, pos = [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        at_bias = pos + fan_out * fan_in
+        layers.append((fan_in, fan_out, pos, at_bias, at_bias + fan_out))
+        pos = at_bias + fan_out
+    return tuple(layers)
 
-    weights: list[np.ndarray]  # per layer, shape (K, fan_out, fan_in)
-    biases: list[np.ndarray]  # per layer, shape (K, fan_out)
+
+class MlpStack:
+    """K networks of one shape as one (K, P) parameter block; the per-layer
+    arrays are views into it."""
+
+    def __init__(self, params: np.ndarray, layer_sizes: Sequence[int]):
+        self.params = params
+        self.layer_sizes = tuple(layer_sizes)
+        self.layout = _layout(self.layer_sizes)
+        if params.shape[1] != self.layout[-1][-1]:
+            raise ValueError("parameter block width does not match layer sizes")
+
+    @cached_property
+    def weights(self) -> list[np.ndarray]:
+        """Per layer, a (K, fan_out, fan_in) view."""
+        k = len(self.params)
+        return [self.params[:, at_w:at_b].reshape(k, fan_out, fan_in) for fan_in, fan_out, at_w, at_b, _ in self.layout]
+
+    @cached_property
+    def biases(self) -> list[np.ndarray]:
+        """Per layer, a (K, fan_out) view."""
+        return [self.params[:, at_b:end] for _, _, _, at_b, end in self.layout]
 
     @classmethod
     def of(cls, models: list[Mlp]) -> "MlpStack":
-        layers = range(len(models[0].weights))
-        return cls(
-            weights=[np.stack([m.weights[i] for m in models]) for i in layers],
-            biases=[np.stack([m.biases[i] for m in models]) for i in layers],
-        )
+        first = models[0]
+        sizes = [first.weights[0].shape[1]] + [w.shape[0] for w in first.weights]
+        return cls(np.stack([params_to_vector(m) for m in models]), sizes)
 
     def model(self, k: int) -> Mlp:
         """Network k, its arrays views into the stack."""
@@ -176,13 +218,11 @@ class MlpStack:
 
     def rows(self, idx: np.ndarray) -> "MlpStack":
         """A copy of the networks at `idx`."""
-        return MlpStack(weights=[w[idx] for w in self.weights], biases=[b[idx] for b in self.biases])
+        return MlpStack(self.params[idx], self.layer_sizes)
 
     def put(self, idx: np.ndarray, part: "MlpStack") -> None:
         """Write `part` back over the networks at `idx`."""
-        for w, b, pw, pb in zip(self.weights, self.biases, part.weights, part.biases):
-            w[idx] = pw
-            b[idx] = pb
+        self.params[idx] = part.params
 
 
 def _forward_stacked_cached(stack: MlpStack, x: np.ndarray) -> list[np.ndarray]:
@@ -191,8 +231,10 @@ def _forward_stacked_cached(stack: MlpStack, x: np.ndarray) -> list[np.ndarray]:
     h = x
     last = len(stack.weights) - 1
     for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
-        z = h @ w.transpose(0, 2, 1) + b[:, None, :]
-        h = z if i == last else np.maximum(z, 0.0)
+        h = np.matmul(h, w.transpose(0, 2, 1))
+        h += b[:, None, :]
+        if i < last:
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     return acts
 
@@ -205,11 +247,11 @@ def forward_stacked(stack: MlpStack, contexts: np.ndarray) -> np.ndarray:
     return _forward_stacked_cached(stack, x[:, None, :])[-1][:, 0]
 
 
-def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[Grads, np.ndarray]:
+def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[MlpStack, np.ndarray]:
     """`backward` of network k on minibatch k; returns (grads, per-network loss).
 
-    Gradient arrays are stacked like the network's: (K, fan_out, fan_in)
-    and (K, fan_out).
+    The gradient is a stack laid out like `stack`: row k is network k's
+    gradient in params_to_vector order.
     """
     contexts, actions, rewards = batch
     actions = np.asarray(actions, dtype=int)
@@ -219,82 +261,77 @@ def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[Grads, np.nd
         raise ValueError("empty minibatch")
     acts = _forward_stacked_cached(stack, np.asarray(contexts, dtype=float))
     values = acts[-1]
+    n_out = values.shape[2]
     # flat position of each taken action's value in the (K, B, 2**M) block
-    taken = np.arange(n_nets * b_size).reshape(n_nets, b_size) * values.shape[2] + actions
+    taken = np.arange(n_nets * b_size).reshape(n_nets, b_size) * n_out + actions
     residual = np.take(values, taken) - rewards
+    d_taken = 2.0 * residual / b_size
 
     delta = np.zeros_like(values)
-    delta.flat[taken] = 2.0 * residual / b_size
-
-    grads: Grads = [None] * len(stack.weights)  # type: ignore[list-item]
-    for i in range(len(stack.weights) - 1, -1, -1):
-        grads[i] = (delta.transpose(0, 2, 1) @ acts[i], delta.sum(axis=1))
+    delta.reshape(-1)[taken] = d_taken
+    grads = MlpStack(np.empty_like(stack.params), stack.layer_sizes)
+    last = len(stack.weights) - 1
+    for i in range(last, -1, -1):
+        np.matmul(delta.transpose(0, 2, 1), acts[i], out=grads.weights[i])
+        if i == last:
+            # the taken actions' terms per (network, action), in minibatch order
+            bins = np.arange(n_nets)[:, None] * n_out + actions
+            grads.biases[i][...] = np.bincount(
+                bins.reshape(-1), weights=d_taken.reshape(-1), minlength=n_nets * n_out
+            ).reshape(n_nets, n_out)
+        else:
+            grads.biases[i][...] = delta.sum(axis=1)
         if i > 0:
-            delta = (delta @ stack.weights[i]) * (acts[i] > 0.0)
-    return grads, np.mean(residual**2, axis=1)
+            delta = np.matmul(delta, stack.weights[i])
+            delta *= acts[i] > 0.0
+    return grads, (residual**2).sum(axis=1) / b_size  # the operations of np.mean(axis=1)
 
 
-def grad_norm_stacked(grads: Grads) -> np.ndarray:
-    """Global gradient norm of each network: (K,)."""
-    total = np.zeros(len(grads[0][0]))
-    for gw, gb in grads:
-        total = total + ((gw**2).sum(axis=(1, 2)) + (gb**2).sum(axis=1))
+def grad_norm_stacked(grads: MlpStack) -> np.ndarray:
+    """Global gradient norm of each network: (K,), summed layer by layer as
+    `grad_norm` sums."""
+    squares = grads.params**2
+    total = np.zeros(len(squares))
+    for _, _, at_w, at_b, end in grads.layout:
+        total = total + (squares[:, at_w:at_b].sum(axis=1) + squares[:, at_b:end].sum(axis=1))
     return np.sqrt(total)
 
 
-def clip_gradient_stacked(grads: Grads, beta0: float) -> Grads:
+def clip_gradient_stacked(grads: MlpStack, beta0: float) -> MlpStack:
     """Global norm clipping of each network's gradient on its own."""
     if beta0 <= 0:
         raise ValueError("beta0 must be > 0")
     scale = beta0 / np.maximum(grad_norm_stacked(grads), beta0)
-    return [(gw * scale[:, None, None], gb * scale[:, None]) for gw, gb in grads]
+    return MlpStack(grads.params * scale[:, None], grads.layer_sizes)
 
 
 @dataclass
 class RmsPropStack:
     """RMSProp state of a stack; each network has its own learning rate."""
 
-    sq_weights: list[np.ndarray]
-    sq_biases: list[np.ndarray]
+    sq: np.ndarray  # (K, P) squared-gradient averages, laid out like MlpStack.params
     lr: np.ndarray  # (K,)
     decay: float = 0.9
     smoothing: float = 1e-8
 
     @classmethod
     def for_stack(cls, stack: MlpStack, decay: float, smoothing: float, lr: float) -> "RmsPropStack":
-        return cls(
-            sq_weights=[np.zeros_like(w) for w in stack.weights],
-            sq_biases=[np.zeros_like(b) for b in stack.biases],
-            lr=np.full(len(stack.weights[0]), lr),
-            decay=decay,
-            smoothing=smoothing,
-        )
+        return cls(sq=np.zeros_like(stack.params), lr=np.full(len(stack.params), lr), decay=decay, smoothing=smoothing)
 
     def rows(self, idx: np.ndarray) -> "RmsPropStack":
         """A copy of the state of the networks at `idx`."""
-        return RmsPropStack(
-            sq_weights=[s[idx] for s in self.sq_weights],
-            sq_biases=[s[idx] for s in self.sq_biases],
-            lr=self.lr[idx],
-            decay=self.decay,
-            smoothing=self.smoothing,
-        )
+        return RmsPropStack(sq=self.sq[idx], lr=self.lr[idx], decay=self.decay, smoothing=self.smoothing)
 
     def put(self, idx: np.ndarray, part: "RmsPropStack") -> None:
         """Write the squared-gradient averages of `part` back at `idx`."""
-        for s, ps in zip(self.sq_weights + self.sq_biases, part.sq_weights + part.sq_biases):
-            s[idx] = ps
+        self.sq[idx] = part.sq
 
 
-def rmsprop_step_stacked(stack: MlpStack, state: RmsPropStack, grads: Grads) -> None:
+def rmsprop_step_stacked(stack: MlpStack, state: RmsPropStack, grads: MlpStack) -> None:
     """`rmsprop_step` of every network of the stack, in place."""
-    g, eps = state.decay, state.smoothing
-    lr_w, lr_b = state.lr[:, None, None], state.lr[:, None]
-    for i, (gw, gb) in enumerate(grads):
-        state.sq_weights[i] = g * state.sq_weights[i] + (1.0 - g) * gw**2
-        state.sq_biases[i] = g * state.sq_biases[i] + (1.0 - g) * gb**2
-        stack.weights[i] -= lr_w * gw / (np.sqrt(state.sq_weights[i]) + eps)
-        stack.biases[i] -= lr_b * gb / (np.sqrt(state.sq_biases[i]) + eps)
+    g = grads.params
+    state.sq = state.decay * state.sq + (1.0 - state.decay) * g**2
+    stack.params -= state.lr[:, None] * g / (np.sqrt(state.sq) + state.smoothing)
 
 
 class StackedReplay:
@@ -323,15 +360,28 @@ class StackedReplay:
 
     def sample(self, agents: np.ndarray, batch_size: int, rng: np.random.Generator) -> StackedBatch:
         """A uniform minibatch per agent, with replacement only while its
-        memory holds fewer than batch_size tuples. The indices are drawn one
-        agent at a time, in the order given."""
+        memory holds fewer than batch_size tuples.
+
+        The draws are those of `rng.choice(size, batch_size, replace=size <
+        batch_size)` per agent, in the order given. A run of agents that
+        sample with replacement draws in one `rng.integers` call, which
+        takes the same draws from the stream as their `choice` calls.
+        """
+        agents = np.asarray(agents)
+        sizes = self.size[agents]
+        if not np.all(sizes):
+            raise ValueError("cannot sample from empty memory")
         idx = np.empty((len(agents), batch_size), dtype=np.int64)
-        for k, n in enumerate(agents):
-            size = int(self.size[n])
-            if size == 0:
-                raise ValueError("cannot sample from empty memory")
-            idx[k] = rng.choice(size, size=batch_size, replace=size < batch_size)
-        flat = np.asarray(agents)[:, None] * self.capacity + idx  # position in the (N * capacity) rows
+        start = 0
+        for small, run in itertools.groupby((sizes < batch_size).tolist()):
+            end = start + len(list(run))
+            if small:
+                idx[start:end] = rng.integers(0, sizes[start:end, None], (end - start, batch_size))
+            else:
+                for k in range(start, end):
+                    idx[k] = rng.choice(sizes[k], size=batch_size, replace=False)
+            start = end
+        flat = agents[:, None] * self.capacity + idx  # position in the (N * capacity) rows
         n_channels = self._contexts.shape[2]
         return (
             np.take(self._contexts.reshape(-1, n_channels), flat, axis=0),

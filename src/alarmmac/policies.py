@@ -17,7 +17,7 @@ Its methods take the agents concerned, which must be distinct:
   do not regress;
 - `end_event(agents)`: the agents' alarm event ended.
 
-Random draws are taken one agent at a time in the order given, so a
+Random draws are those of one agent at a time in the order given, so a
 population draws exactly what N separate agents called in that order would.
 """
 
@@ -128,9 +128,9 @@ class MapRaPopulation(_EpsilonGreedy):
 
 class DrlPopulation(_EpsilonGreedy):
     """Network policy: each agent is epsilon-greedy over its own learned
-    action values. The networks, their RMSProp state and their replay
-    memories are stacked, so a slot's arithmetic runs once over all active
-    agents.
+    action values. The networks and their RMSProp state are one parameter
+    block each and the replay memories one set of rings, so a slot's
+    arithmetic runs once over all active agents.
 
     Each observed (context, action, reward) tuple is pushed to its agent's
     replay, then one clipped RMSProp step is taken on a minibatch sampled

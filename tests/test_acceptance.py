@@ -154,7 +154,7 @@ def test_criterion_4_gradient_correctness():
                 # differences do not estimate the gradient
                 near_kink += 1
                 continue
-            analytic = learning.grads_to_vector([(gw[k], gb[k]) for gw, gb in stacked])
+            analytic = stacked.params[k]  # network k's gradient, in grads_to_vector order
             worst_stacked = max(
                 worst_stacked, selfcheck.relative_error(analytic, selfcheck.finite_difference_gradient(net, net_batch))
             )

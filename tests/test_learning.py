@@ -227,6 +227,21 @@ def test_replay_sampling_uniform(rng):
     assert np.all(np.abs(counts / draws - 0.1) < 0.01)
 
 
+def test_replay_sample_draws_as_per_agent_choice():
+    # memories that hold fewer than B tuples sample with replacement, and a
+    # run of them draws in one call; the others draw without replacement
+    sizes, b_size = [2, 9, 3, 3, 12], 4
+    mem = StackedReplay(len(sizes), 12, n_channels=1)
+    for n, size in enumerate(sizes):
+        for i in range(size):  # the reward is the tuple's ring index
+            mem.push(np.array([n]), np.array([[0.0]]), np.array([0]), np.array([float(i)]))
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    _, _, drawn = mem.sample(np.arange(len(sizes)), b_size, rng)
+    expected = [reference.choice(size, size=b_size, replace=size < b_size) for size in sizes]
+    assert np.array_equal(drawn, np.array(expected, dtype=float))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def test_replay_empty_sample_rejected(rng):
     mem = StackedReplay(2, 4, n_channels=2)
     mem.push(np.array([0]), np.zeros((1, 2)), np.array([0]), np.array([0.0]))
@@ -235,25 +250,93 @@ def test_replay_empty_sample_rejected(rng):
 
 
 def test_stacked_kernels_equal_single_model_kernels(rng):
-    sizes = [3, 4, 4, 8]
-    models = [init_mlp(sizes, rng) for _ in range(5)]
-    stack = MlpStack.of(models)
-    contexts = rng.random((5, 3))
-    values = learning.forward_stacked(stack, contexts)
-    scales = np.array([[0.1], [50.0], [1.0], [500.0], [0.0]])  # some networks' gradients exceed the clip
-    batch = (rng.random((5, 9, 3)), rng.integers(0, 8, (5, 9)), rng.standard_normal((5, 9)) * scales)
-    grads, losses = learning.backward_stacked(stack, batch)
-    norms = learning.grad_norm_stacked(grads)
-    clipped = learning.clip_gradient_stacked(grads, 5.0)
-    for k, model in enumerate(models):
-        assert np.array_equal(values[k], forward(model, contexts[k]))
-        single, single_loss = backward(model, tuple(part[k] for part in batch))
-        assert losses[k] == single_loss and norms[k] == grad_norm(single)
-        assert np.array_equal(grads_to_vector([(gw[k], gb[k]) for gw, gb in grads]), grads_to_vector(single))
-        assert np.array_equal(
-            grads_to_vector([(gw[k], gb[k]) for gw, gb in clipped]), grads_to_vector(clip_gradient(single, 5.0))
+    # a wide network on a short minibatch, and the default shape on the
+    # default minibatch, where numpy sums the hidden deltas pairwise
+    for sizes, b_size in (([3, 4, 4, 8], 9), ([3, 1, 1, 8], 240)):
+        models = [init_mlp(sizes, rng) for _ in range(5)]
+        stack = MlpStack.of(models)
+        contexts = rng.random((5, 3))
+        values = learning.forward_stacked(stack, contexts)
+        scales = np.array([[0.1], [50.0], [1.0], [500.0], [0.0]])  # some networks' gradients exceed the clip
+        batch = (
+            rng.random((5, b_size, 3)),
+            rng.integers(0, 8, (5, b_size)),
+            rng.standard_normal((5, b_size)) * scales,
         )
-    assert np.any(norms > 5.0) and np.any(norms < 5.0)  # the clip fires for some networks only
+        grads, losses = learning.backward_stacked(stack, batch)
+        norms = learning.grad_norm_stacked(grads)
+        clipped = learning.clip_gradient_stacked(grads, 5.0)
+        opt = learning.RmsPropStack.for_stack(stack, decay=0.9, smoothing=1e-8, lr=0.01)
+        opt.lr[:] = [0.01, 0.02, 0.005, 0.01, 0.03]
+        opt.sq[:] = rng.random(opt.sq.shape)
+        sq_before = opt.sq.copy()
+        learning.rmsprop_step_stacked(stack, opt, clipped)
+        for k, model in enumerate(models):
+            assert np.array_equal(values[k], forward(model, contexts[k]))
+            single, single_loss = backward(model, tuple(part[k] for part in batch))
+            assert losses[k] == single_loss and norms[k] == grad_norm(single)
+            assert np.array_equal(grads.params[k], grads_to_vector(single))
+            single_clipped = clip_gradient(single, 5.0)
+            assert np.array_equal(clipped.params[k], grads_to_vector(single_clipped))
+            state = RmsPropState.for_model(model, decay=0.9, smoothing=1e-8, lr=opt.lr[k])
+            sq = MlpStack(sq_before, sizes).model(k)
+            state.sq_weights, state.sq_biases = sq.weights, sq.biases
+            rmsprop_step(model, state, single_clipped)
+            assert np.array_equal(stack.params[k], params_to_vector(model))
+            assert np.array_equal(opt.sq[k], grads_to_vector(list(zip(state.sq_weights, state.sq_biases))))
+        assert np.any(norms > 5.0) and np.any(norms < 5.0)  # the clip fires for some networks only
+
+
+def test_stack_is_one_parameter_block(rng):
+    sizes = [3, 2, 1, 8]
+    models = [init_mlp(sizes, rng) for _ in range(4)]
+    stack = MlpStack.of(models)
+    assert stack.params.shape == (4, (3 * 2 + 2) + (2 * 1 + 1) + (1 * 8 + 8))
+    for k, model in enumerate(models):
+        assert np.array_equal(stack.params[k], params_to_vector(model))
+
+    # writes through a network's view and through the layer views land in the block
+    stack.model(2).weights[1][:] = 7.0
+    stack.biases[0][3] = -1.0
+    stack.weights[2][1, 4, 0] = 5.0
+    assert np.all(stack.params[2, 8:10] == 7.0)  # layer 1's weights follow layer 0's 3*2 + 2
+    assert np.all(stack.params[3, 6:8] == -1.0)
+    assert stack.params[1, 11 + 4] == 5.0
+    assert np.array_equal(stack.model(3).biases[0], [-1.0, -1.0])
+
+    idx = np.array([3, 0])
+    part = stack.rows(idx)
+    assert np.array_equal(part.params, stack.params[idx])
+    part.weights[0][:] = 0.25  # a copy: the stack does not see it yet
+    assert not np.any(stack.weights[0][idx] == 0.25)
+    before = stack.params.copy()
+    stack.put(idx, part)
+    assert np.array_equal(stack.params[idx], part.params)
+    assert np.all(stack.weights[0][idx] == 0.25)
+    assert np.array_equal(stack.params[[1, 2]], before[[1, 2]])
+
+    with pytest.raises(ValueError):
+        MlpStack(np.zeros((2, 5)), sizes)
+
+
+def test_output_bias_gradient_equals_delta_sum(rng):
+    # bincount adds each (network, action) bin in minibatch order, as the
+    # sum over the minibatch axis of the zero-filled delta does; array_equal
+    # compares every bit but the sign of a zero
+    for _ in range(40):
+        n_nets, b_size, m = int(rng.integers(1, 7)), int(rng.integers(1, 300)), int(rng.integers(1, 4))
+        sizes = [m, int(rng.integers(1, 4)), 1 << m]
+        stack = MlpStack.of([init_mlp(sizes, rng) for _ in range(n_nets)])
+        actions = rng.integers(0, max(1, (1 << m) - 1), (n_nets, b_size))  # the last action is never taken
+        batch = (rng.random((n_nets, b_size, m)), actions, rng.standard_normal((n_nets, b_size)) * 10.0)
+        grads, _ = learning.backward_stacked(stack, batch)
+
+        values = learning._forward_stacked_cached(stack, batch[0])[-1]
+        nets, rows = np.meshgrid(np.arange(n_nets), np.arange(b_size), indexing="ij")
+        delta = np.zeros_like(values)
+        delta[nets, rows, actions] = 2.0 * (values[nets, rows, actions] - batch[2]) / b_size
+        assert np.array_equal(grads.biases[-1], delta.sum(axis=1))
+        assert np.all(grads.biases[-1][:, -1] == 0.0)
 
 
 def test_stacked_forward_rejects_nonfinite_input():
@@ -270,7 +353,7 @@ def test_stacked_backward_matches_finite_differences():
         batch = (rng.random((3, 5, 2)), rng.integers(0, 4, (3, 5)), rng.standard_normal((3, 5)))
         grads, _ = learning.backward_stacked(MlpStack.of(models), batch)
         for k, model in enumerate(models):
-            analytic = grads_to_vector([(gw[k], gb[k]) for gw, gb in grads])
+            analytic = grads.params[k]
             numeric = selfcheck.finite_difference_gradient(model, tuple(part[k] for part in batch))
             assert selfcheck.relative_error(analytic, numeric) < 1e-4
 

@@ -6,6 +6,10 @@ per-run fingerprint covers. A change that alters any draw, any pose or any
 floating-point result in the slot loop changes a digest. Such a change
 must say so, measure the deviation and re-pin the digests in its own
 commit.
+
+The digests hold with one BLAS thread, which tests/conftest.py pins. The
+crowded DRL trace reads the Cholesky factor of the N = 150 shadowing
+covariance, whose last bits depend on the OpenBLAS thread count.
 """
 
 import hashlib
@@ -49,7 +53,7 @@ GOLDEN = {
     ("bernoulli", "drl"): "548148c8d210da2f161df1ef3465eac1ae36401ddeea934baea402c14b178ac5",
     ("crowded", "rch"): "c67c4be2e821b54bf86fbffb6f0fc2bdb31ac4042de99c0368c16638eb8aa85c",
     ("crowded", "mapra"): "b3b21390ffce6f6aa8c86b2b3cc80669bc63e0aca8dec797962fe2f69bab86bd",
-    ("crowded", "drl"): "65a51e2d40125065e1a3f19a5f8ddb396193a1e1119c3dcf67d18528236e508d",
+    ("crowded", "drl"): "883bb534a0d14c601ad2263eadf3c2fb2671e849648da4224bfe2d630e85d88b",
 }
 
 

@@ -199,7 +199,9 @@ class MlpStack:
     def weights(self) -> list[np.ndarray]:
         """Per layer, a (K, fan_out, fan_in) view."""
         k = len(self.params)
-        return [self.params[:, at_w:at_b].reshape(k, fan_out, fan_in) for fan_in, fan_out, at_w, at_b, _ in self.layout]
+        return [
+            self.params[:, at_w:at_b].reshape(k, fan_out, fan_in) for fan_in, fan_out, at_w, at_b, _ in self.layout
+        ]
 
     @cached_property
     def biases(self) -> list[np.ndarray]:
@@ -284,7 +286,7 @@ def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[MlpStack, np
         if i > 0:
             delta = np.matmul(delta, stack.weights[i])
             delta *= acts[i] > 0.0
-    return grads, (residual**2).sum(axis=1) / b_size  # the operations of np.mean(axis=1)
+    return grads, np.mean(residual**2, axis=1)
 
 
 def grad_norm_stacked(grads: MlpStack) -> np.ndarray:
@@ -316,7 +318,8 @@ class RmsPropStack:
 
     @classmethod
     def for_stack(cls, stack: MlpStack, decay: float, smoothing: float, lr: float) -> "RmsPropStack":
-        return cls(sq=np.zeros_like(stack.params), lr=np.full(len(stack.params), lr), decay=decay, smoothing=smoothing)
+        lrs = np.full(len(stack.params), lr)
+        return cls(sq=np.zeros_like(stack.params), lr=lrs, decay=decay, smoothing=smoothing)
 
     def rows(self, idx: np.ndarray) -> "RmsPropStack":
         """A copy of the state of the networks at `idx`."""

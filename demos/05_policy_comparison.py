@@ -18,11 +18,12 @@ base = validate_config(ScenarioConfig(
     n_slots=10**7, n_runs=6, rng_seed=2718,
 ))
 
-out_dir = Path(tempfile.mkdtemp(prefix="alarmmac_sweep_"))
-rows = sweep(
-    base, axis="n_subnets", values=[8, 12, 16],
-    policies=["drl", "mapra", "rch"], out_dir=str(out_dir), until_events=250,
-)
+with tempfile.TemporaryDirectory(prefix="alarmmac_sweep_") as tmp:
+    rows = sweep(
+        base, axis="n_subnets", values=[8, 12, 16],
+        policies=["drl", "mapra", "rch"], out_dir=tmp, until_events=250,
+    )
+    written = sorted(p.name for p in Path(tmp).iterdir())
 
 print("in-time alarm delivery, 250 events per run, 6 runs per point")
 print(f"{'N':>4} {'policy':>7} {'mean':>7} {'stderr':>7}")
@@ -32,4 +33,4 @@ for label, policy, result in rows:
 
 print("\nevery policy at a sweep point ran the same seeds (common random numbers),")
 print("so differences come from the policies, not from the scenario draws")
-print(f"\nwrote {sorted(p.name for p in out_dir.iterdir())} to {out_dir}")
+print(f"\nthe sweep wrote {written} (removed with its temporary directory)")

@@ -1,10 +1,10 @@
 import os
 import sys
 
-# One BLAS thread, before numpy loads BLAS: the Cholesky factor of the
-# shadowing covariance differs in its last bits between one and two
-# OpenBLAS threads at N >= 150, and the crowded DRL golden digest reads it
-# (through the contexts). bench/run.py pins the same value.
+# One BLAS thread, set before numpy loads BLAS. Above about N = 120 the
+# Cholesky factor of the shadowing covariance differs in its last bits
+# between one and two OpenBLAS threads, and the crowded DRL golden digest
+# (N = 150) reads it through the contexts. bench/run.py pins the same value.
 assert "numpy" not in sys.modules, "numpy was imported before tests/conftest.py could pin BLAS threads"
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -194,19 +194,12 @@ class MlpStack:
         self.layout = _layout(self.layer_sizes)
         if params.shape[1] != self.layout[-1][-1]:
             raise ValueError("parameter block width does not match layer sizes")
-
-    @cached_property
-    def weights(self) -> list[np.ndarray]:
-        """Per layer, a (K, fan_out, fan_in) view."""
-        k = len(self.params)
-        return [
-            self.params[:, at_w:at_b].reshape(k, fan_out, fan_in) for fan_in, fan_out, at_w, at_b, _ in self.layout
+        k = len(params)
+        # per layer, views of shape (K, fan_out, fan_in) and (K, fan_out)
+        self.weights = [
+            params[:, at_w:at_b].reshape(k, fan_out, fan_in) for fan_in, fan_out, at_w, at_b, _ in self.layout
         ]
-
-    @cached_property
-    def biases(self) -> list[np.ndarray]:
-        """Per layer, a (K, fan_out) view."""
-        return [self.params[:, at_b:end] for _, _, _, at_b, end in self.layout]
+        self.biases = [params[:, at_b:end] for _, _, _, at_b, end in self.layout]
 
     @classmethod
     def of(cls, models: list[Mlp]) -> "MlpStack":
@@ -269,7 +262,7 @@ def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[MlpStack, np
     residual = np.take(values, taken) - rewards
     d_taken = 2.0 * residual / b_size
 
-    delta = np.zeros_like(values)
+    delta = np.zeros(values.shape)
     delta.reshape(-1)[taken] = d_taken
     grads = MlpStack(np.empty_like(stack.params), stack.layer_sizes)
     last = len(stack.weights) - 1
@@ -372,7 +365,7 @@ class StackedReplay:
         """
         agents = np.asarray(agents)
         sizes = self.size[agents]
-        if not np.all(sizes):
+        if not sizes.all():
             raise ValueError("cannot sample from empty memory")
         idx = np.empty((len(agents), batch_size), dtype=np.int64)
         start = 0

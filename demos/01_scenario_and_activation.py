@@ -17,9 +17,10 @@ cfg = validate_config(ScenarioConfig(n_subnets=20, n_channels=3, rng_seed=7))
 
 print("=== placement ===")
 rng = derive_stream(cfg.rng_seed, "placement")
-poses = place_uniform(cfg, rng)
+poses = place_uniform(cfg, rng)  # a record array: one (x, y, heading) record per subnetwork
+xs, ys = poses.x.tolist(), poses.y.tolist()
 pairs = [
-    math.hypot(poses[i].x - poses[j].x, poses[i].y - poses[j].y)
+    math.hypot(xs[i] - xs[j], ys[i] - ys[j])
     for i in range(len(poses))
     for j in range(i + 1, len(poses))
 ]
@@ -28,9 +29,9 @@ print(f"closest pair: {min(pairs):.2f} m (separation floor {cfg.min_separation_m
 
 print("\n=== mobility ===")
 mob = derive_stream(cfg.rng_seed, "mobility")
-start = [(p.x, p.y) for p in poses]
-poses = step_mobility(poses, cfg, mob, n_steps=1000)  # the poses and draws of 1000 one-slot steps
-moved = [math.hypot(p.x - x0, p.y - y0) for (x0, y0), p in zip(start, poses)]
+start = poses
+poses = step_mobility(poses, cfg, mob, n_steps=1000)  # a new array: the poses and draws of 1000 one-slot steps
+moved = [math.hypot(x - x0, y - y0) for x, y, x0, y0 in zip(poses.x, poses.y, start.x, start.y)]
 step = cfg.speed_mps * cfg.slot_ms / 1000.0
 print(f"per-slot step {step * 1000:.1f} mm; after 1000 slots mean displacement {np.mean(moved):.2f} m")
 

@@ -173,7 +173,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     _check(cfg.n_subnets >= 1, "n_subnets", "must be >= 1")
     _check(cfg.n_channels >= 1, "n_channels", "n_channels >= 1")
     _check(cfg.n_channels <= 16, "n_channels", "must be <= 16 (2**n_channels action space)")
-    _check(cfg.area_width_m > 0 and cfg.area_height_m > 0, "area", "must be positive")
+    _check(cfg.area_width_m > 0, "area_width_m", "must be > 0")
+    _check(cfg.area_height_m > 0, "area_height_m", "must be > 0")
     _check(cfg.speed_mps >= 0, "speed_mps", "must be >= 0")
     _check(cfg.min_separation_m >= 0, "min_separation_m", "must be >= 0")
     _check(cfg.slot_ms > 0, "slot_ms", "must be > 0")
@@ -202,7 +203,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     _check(cfg.shadow_corr_distance_m > 0, "shadow_corr_distance_m", "must be > 0")
     _check(cfg.los_decay_m > 0, "los_decay_m", "must be > 0")
     _check(cfg.carrier_ghz > 0, "carrier_ghz", "must be > 0")
-    _check(cfg.shadow_sigma_los_db >= 0 and cfg.shadow_sigma_nlos_db >= 0, "shadow_sigma", "must be >= 0")
+    _check(cfg.shadow_sigma_los_db >= 0, "shadow_sigma_los_db", "must be >= 0")
+    _check(cfg.shadow_sigma_nlos_db >= 0, "shadow_sigma_nlos_db", "must be >= 0")
     _check(cfg.n_slots >= 0, "n_slots", "must be >= 0")
     _check(cfg.n_runs >= 1, "n_runs", "must be >= 1")
     for name in _TUPLE_FIELDS:

@@ -17,7 +17,8 @@ instantaneous on a dedicated channel.
 
 The mobility step is lazy: a slot only counts it, and the steps owed are
 advanced when the poses are next read, which is when an event spawns or a
-contention round runs (see `Simulation.poses`).
+contention round runs (see `Simulation.poses`). Each advance makes a new
+record array of poses (see `geometry`), so an array read earlier stays as it was.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import channel as chan
 from . import signature as sig
 from .config import CsGainMode, RewardScope, ScenarioConfig, derive_stream
 from .events import AlarmEvent, maybe_spawn_event
-from .geometry import SubnetPose, place_uniform, step_mobility
+from .geometry import place_uniform, step_mobility
 from .policies import Population, make_policy, pattern_table
 
 
@@ -123,7 +124,7 @@ class Simulation:
         rng_place = derive_stream(s, "placement")
         rng_init = derive_stream(s, "init")
 
-        self._poses: list[SubnetPose] = place_uniform(config, rng_place)
+        self._poses: np.recarray = place_uniform(config, rng_place)
         self._pending_steps = 0  # mobility steps owed to the poses
         self.cap_xy = (config.area_width_m / 2.0, config.area_height_m / 2.0)
         self._snapshot_channel_state()
@@ -134,8 +135,9 @@ class Simulation:
         self.snr_linear = 10.0 ** (config.snr_avg_db / 10.0)
 
     @property
-    def poses(self) -> list[SubnetPose]:
-        """The poses in the current slot. A slot only counts its mobility
+    def poses(self) -> np.recarray:
+        """The poses in the current slot, a record array with fields `x`, `y`
+        and `heading` (see `geometry`). A slot only counts its mobility
         step; the steps owed are advanced here, in one call, when the poses
         are read. Only mobility draws from its stream, so the draws and the
         poses are those of one step per slot."""
@@ -147,8 +149,9 @@ class Simulation:
     def _cap_distances(self, agents: Iterable[int]) -> np.ndarray:
         """Distance from each of `agents` to the central controller."""
         cx, cy = self.cap_xy
-        poses = self.poses
-        return np.array([math.hypot(poses[n].x - cx, poses[n].y - cy) for n in agents])
+        poses = self.poses.view(np.ndarray)
+        xs, ys = poses["x"].tolist(), poses["y"].tolist()
+        return np.array([math.hypot(xs[n] - cx, ys[n] - cy) for n in agents])
 
     def _snapshot_channel_state(self) -> None:
         """Line-of-sight, shadowing, and the reference attenuation are frozen
@@ -157,7 +160,7 @@ class Simulation:
         d = self._cap_distances(range(len(self.poses)))
         self.los = np.array([chan.draw_los(di, self.rng_channel, cfg) for di in d])
         sigma = np.where(self.los, cfg.shadow_sigma_los_db, cfg.shadow_sigma_nlos_db)
-        positions = np.array([[p.x, p.y] for p in self.poses])
+        positions = np.column_stack((self.poses.x, self.poses.y))
         self.shadow_db = chan.shadowing_db(positions, self.rng_channel, cfg, sigma_db=sigma)
         pl = np.array([chan.pathloss_db(di, bool(l), cfg) for di, l in zip(d, self.los)])
         amps = chan.attenuation(pl, self.shadow_db)

@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .config import ActivationMode, ScenarioConfig
-from .geometry import SubnetPose
 
 
 @dataclass
@@ -50,7 +49,7 @@ def _activated(d: np.ndarray, rng: np.random.Generator, config: ScenarioConfig) 
 
 def build_active_set(
     epicenter: tuple[float, float],
-    poses: list[SubnetPose],
+    poses: np.recarray,
     rng: np.random.Generator,
     config: ScenarioConfig,
 ) -> tuple[int, ...]:
@@ -60,13 +59,14 @@ def build_active_set(
     with different eta but equal seeds see coupled randomness.
     """
     ex, ey = epicenter
-    d = np.array([math.hypot(p.x - ex, p.y - ey) for p in poses])
+    cols = poses.view(np.ndarray)
+    d = np.array([math.hypot(x - ex, y - ey) for x, y in zip(cols["x"].tolist(), cols["y"].tolist())])
     return tuple(int(i) for i in np.nonzero(_activated(d, rng, config))[0])
 
 
 def maybe_spawn_event(
     slot: int,
-    poses: Callable[[], list[SubnetPose]],
+    poses: Callable[[], np.recarray],
     rng: np.random.Generator,
     config: ScenarioConfig,
 ) -> AlarmEvent | None:
@@ -91,7 +91,7 @@ def maybe_spawn_event(
 
 
 def empirical_activation(
-    poses: list[SubnetPose],
+    poses: np.recarray,
     config: ScenarioConfig,
     rng: np.random.Generator,
     n_trials: int = 100_000,
@@ -105,9 +105,9 @@ def empirical_activation(
         raise ValueError("n_trials must be >= 10000")
     ex = rng.uniform(0.0, config.area_width_m, size=n_trials)
     ey = rng.uniform(0.0, config.area_height_m, size=n_trials)
-    pos = np.array([[p.x, p.y] for p in poses])
+    xs, ys = poses.x, poses.y
     out = np.empty(len(poses))
     for n in range(len(poses)):
-        d = np.hypot(pos[n, 0] - ex, pos[n, 1] - ey)
+        d = np.hypot(xs[n] - ex, ys[n] - ey)
         out[n] = config.alpha * _activated(d, rng, config).mean()
     return out

@@ -1,5 +1,9 @@
 """Uniform placement and snapshot-based constant-speed mobility.
 
+The poses are one ``(N,)`` record array of float fields ``x``, ``y`` and
+``heading``, which its items expose as attributes. `place_uniform` and
+`step_mobility` return a new array and never change their input.
+
 Poses advance by v * slot duration along their heading each slot. A heading
 is resampled uniformly on [0, 2*pi) whenever the step would leave the
 deployment rectangle or bring two poses within the minimum separation; after
@@ -35,7 +39,6 @@ all others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,21 +55,21 @@ _SCREEN_MIN_POSES = 14
 _REACH_MARGIN = 1e-9
 # the longest window screened at once; a longer catch-up runs several
 _MAX_WINDOW_STEPS = 256
+# a record dtype, so a record-array view of a new array needs no dtype conversion
+_POSE = np.dtype((np.record, [("x", float), ("y", float), ("heading", float)]))
 
 
 class PlacementError(RuntimeError):
     """Deployment area cannot host the requested number of separated poses."""
 
 
-@dataclass(frozen=True)
-class SubnetPose:
-    x: float
-    y: float
-    heading: float
-    speed: float
+def _pose_array(xs, ys, headings) -> np.recarray:
+    poses = np.empty(len(xs), dtype=_POSE)
+    poses["x"], poses["y"], poses["heading"] = xs, ys, headings
+    return poses.view(np.recarray)
 
 
-def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> list[SubnetPose]:
+def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> np.recarray:
     """Place N poses uniformly in the rectangle with pairwise separation.
 
     Uses rejection sampling after a disk-packing feasibility precheck, so an
@@ -93,11 +96,7 @@ def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> list[Subn
                 break
         else:
             raise PlacementError(f"placement infeasible after {_PLACEMENT_TRIES_PER_POSE} tries per pose")
-    headings = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return [
-        SubnetPose(x=px, y=py, heading=h, speed=config.speed_mps)
-        for px, py, h in zip(xs.tolist(), ys.tolist(), headings.tolist())
-    ]
+    return _pose_array(xs, ys, rng.uniform(0.0, 2.0 * math.pi, size=n))
 
 
 def _clear_of(x: float, y: float, xs: np.ndarray, ys: np.ndarray, sep2: float) -> bool:
@@ -161,10 +160,11 @@ def _window_steps(min_separation_m: float, step: float) -> int:
 
 
 def step_mobility(
-    poses: list[SubnetPose], config: ScenarioConfig, rng: np.random.Generator, n_steps: int = 1
-) -> list[SubnetPose]:
+    poses: np.recarray, config: ScenarioConfig, rng: np.random.Generator, n_steps: int = 1
+) -> np.recarray:
     """Advance every pose by `n_steps` slots; in each slot lower-indexed
-    poses move first. Gives the poses and draws of `n_steps` one-slot calls."""
+    poses move first. Gives the poses and draws of `n_steps` one-slot calls;
+    each step makes a new array, and `poses` is not changed."""
     step = config.speed_mps * config.slot_ms / 1000.0
     window = _window_steps(config.min_separation_m, step) if n_steps > 1 else 1  # one step is its own window
     for done in range(0, n_steps, window):
@@ -173,19 +173,20 @@ def step_mobility(
 
 
 def _advance_window(
-    poses: list[SubnetPose], config: ScenarioConfig, rng: np.random.Generator, step: float, k: int
-) -> list[SubnetPose]:
+    poses: np.recarray, config: ScenarioConfig, rng: np.random.Generator, step: float, k: int
+) -> np.recarray:
     """Advance every pose by k slots after one screen (see the module docstring)."""
     n = len(poses)
     sep2 = config.min_separation_m**2
     width, height = config.area_width_m, config.area_height_m
+    start = poses.view(np.ndarray)  # a plain view reads fields faster than the record array
+    xs, ys, headings = start["x"].tolist(), start["y"].tolist(), start["heading"].tolist()
     if n >= _SCREEN_MIN_POSES:
         reach = config.min_separation_m + 2.0 * k * step + k * _REACH_MARGIN * max(1.0, width, height)
-        sx = np.array([p.x for p in poses])
-        sy = np.array([p.y for p in poses])
+        sx, sy = start["x"], start["y"]
         # one-slot moves, with the float operations of the exact check below
-        dx = step * np.array([math.cos(p.heading) for p in poses])
-        dy = step * np.array([math.sin(p.heading) for p in poses])
+        dx = step * np.array([math.cos(h) for h in headings])
+        dy = step * np.array([math.sin(h) for h in headings])
         ex, ey = sx + dx, sy + dy
         for _ in range(k - 1):
             ex += dx
@@ -194,7 +195,7 @@ def _advance_window(
         if k > 1:  # each coordinate moves monotonically, so a path between two inside points stays inside
             risky |= (sx < 0.0) | (sx > width) | (sy < 0.0) | (sy > height)
         risky |= _within_reach(sx, sy, reach)
-        out = [SubnetPose(x, y, p.heading, p.speed) for x, y, p in zip(ex.tolist(), ey.tolist(), poses)]
+        out = _pose_array(ex, ey, headings)
         at_risk = risky.nonzero()[0].tolist()
         if not at_risk:
             return out
@@ -208,13 +209,9 @@ def _advance_window(
         # a pose that is not at risk passes its first try whoever it is checked against
         for i in moving:
             others.setdefault(i, [])
-        xs = {i: poses[i].x for i in moving}
-        ys = {i: poses[i].y for i in moving}
-        headings = {i: poses[i].heading for i in moving}
     else:
-        out, moving = list(poses), range(n)
+        moving = range(n)
         others = [[j for j in moving if j != i] for i in moving]
-        xs, ys, headings = [p.x for p in poses], [p.y for p in poses], [p.heading for p in poses]
 
     for _ in range(k):
         # in index order: below i the poses stand at this slot's position, above it at the last one's
@@ -230,6 +227,8 @@ def _advance_window(
                     break
                 heading = rng.uniform(0.0, 2.0 * math.pi)
             headings[i] = heading  # after 16 failed tries the pose holds its position
-    for i in moving:
-        out[i] = SubnetPose(xs[i], ys[i], headings[i], poses[i].speed)
+    if n < _SCREEN_MIN_POSES:
+        return _pose_array(xs, ys, headings)
+    for name, column in (("x", xs), ("y", ys), ("heading", headings)):
+        out[name][moving] = [column[i] for i in moving]
     return out

@@ -22,11 +22,9 @@ import numpy as np
 from .config import PilotMode
 
 
-def _complex_noise(rng: np.random.Generator, shape: tuple[int, ...], power: float) -> np.ndarray:
-    if power == 0.0:
-        return np.zeros(shape, dtype=complex)
+def _complex_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     z = rng.standard_normal(shape + (2,))
-    return math.sqrt(power / 2.0) * (z[..., 0] + 1j * z[..., 1])
+    return math.sqrt(1.0 / 2.0) * (z[..., 0] + 1j * z[..., 1])
 
 
 def make_pilots(
@@ -46,7 +44,6 @@ def aggregate_pilots(
     pilots: np.ndarray,
     snr: float,
     rng: np.random.Generator,
-    noise_power: float = 1.0,
 ) -> np.ndarray:
     """Uplink aggregate received by the controller; `snr` is linear."""
     gains = np.atleast_2d(np.asarray(gains, dtype=complex))
@@ -55,7 +52,7 @@ def aggregate_pilots(
         raise ValueError(f"gains {gains.shape} and pilots {pilots.shape} must match")
     m = gains.shape[1] if gains.size else pilots.shape[1]
     signal = math.sqrt(snr) * (gains * pilots).sum(axis=0) if gains.size else np.zeros(m, dtype=complex)
-    return signal + _complex_noise(rng, (m,), noise_power)
+    return signal + _complex_noise(rng, (m,))
 
 
 def broadcast_cs(
@@ -63,14 +60,13 @@ def broadcast_cs(
     gains: np.ndarray,
     snr: float,
     rng: np.random.Generator,
-    noise_power: float = 1.0,
 ) -> np.ndarray:
     """Per-subnetwork received contention signature, fresh noise per receiver."""
     y = np.asarray(y, dtype=complex)
     gains = np.atleast_2d(np.asarray(gains, dtype=complex))
     if gains.shape[1] != y.shape[0]:
         raise ValueError("gain width must equal signature length")
-    return math.sqrt(snr) * gains * y[None, :] + _complex_noise(rng, gains.shape, noise_power)
+    return math.sqrt(snr) * gains * y[None, :] + _complex_noise(rng, gains.shape)
 
 
 def featurize(y_n: np.ndarray) -> np.ndarray:

@@ -46,6 +46,11 @@ def base_config():
     return validate_config(ScenarioConfig(n_subnets=4, n_channels=2))
 
 
+def pose_array(records) -> np.recarray:
+    """Poses as `geometry` keeps them, from (x, y, heading) tuples."""
+    return np.rec.fromrecords(list(records), formats="f8,f8,f8", names="x,y,heading")
+
+
 def make_config(**kwargs) -> ScenarioConfig:
     kwargs.setdefault("n_subnets", 4)
     kwargs.setdefault("n_channels", 2)

@@ -155,6 +155,14 @@ def test_configs_built_in_code_are_type_checked(key, value):
         validate_config(ScenarioConfig(**{"n_subnets": 3, "n_channels": 2, key: value}))
 
 
+@pytest.mark.parametrize(
+    "key", ["area_width_m", "area_height_m", "shadow_sigma_los_db", "shadow_sigma_nlos_db"]
+)
+def test_out_of_range_value_rejected_naming_the_key(key):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        load_config(json.dumps({"n_subnets": 3, "n_channels": 2, key: -1}))
+
+
 def test_triples_built_in_code_become_float_tuples():
     cfg = validate_config(ScenarioConfig(n_subnets=2, n_channels=2, pathloss_abg_los=[2, 31, 1.9]))
     assert cfg.pathloss_abg_los == (2.0, 31.0, 1.9)

@@ -345,5 +345,5 @@ def test_mobility_advances_only_when_a_slot_reads_the_poses(monkeypatch):
     poses = Simulation(cfg, seed=1).poses
     for _ in range(slots):
         poses = step_mobility(poses, cfg, rng)
-    assert final == poses
+    assert np.array_equal(final, poses)
     assert rng.bit_generator.state == sim.rng_mobility.bit_generator.state

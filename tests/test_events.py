@@ -10,13 +10,12 @@ from alarmmac.events import (
     empirical_activation,
     maybe_spawn_event,
 )
-from alarmmac.geometry import SubnetPose
 
-from conftest import make_config
+from conftest import make_config, pose_array
 
 
-def poses_at(points, speed=2.0):
-    return [SubnetPose(x=x, y=y, heading=0.0, speed=speed) for x, y in points]
+def poses_at(points):
+    return pose_array((x, y, 0.0) for x, y in points)
 
 
 def test_activation_probability_values():

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from alarmmac.geometry import (
     _SCREEN_MIN_POSES,
     PlacementError,
-    SubnetPose,
     _clear_of,
     _window_steps,
     _within_reach,
@@ -17,14 +15,15 @@ from alarmmac.geometry import (
     step_mobility,
 )
 
-from conftest import make_config
+from conftest import make_config, pose_array
 
 
 def test_single_pose_inside_rectangle(rng):
     cfg = make_config(n_subnets=1)
-    (pose,) = place_uniform(cfg, rng)
+    poses = place_uniform(cfg, rng)
+    assert poses.dtype.names == ("x", "y", "heading") and poses.shape == (1,)
+    (pose,) = poses
     assert 0 <= pose.x <= cfg.area_width_m and 0 <= pose.y <= cfg.area_height_m
-    assert pose.speed == cfg.speed_mps
 
 
 def test_pairwise_separation_enforced():
@@ -46,10 +45,7 @@ def test_overdense_placement_infeasible(rng):
 def test_displacement_is_speed_times_slot(rng):
     # far from walls and from each other: no direction change can trigger
     cfg = make_config(n_subnets=2)
-    poses = [
-        SubnetPose(x=10.0, y=10.0, heading=0.3, speed=cfg.speed_mps),
-        SubnetPose(x=40.0, y=40.0, heading=2.0, speed=cfg.speed_mps),
-    ]
+    poses = pose_array([(10.0, 10.0, 0.3), (40.0, 40.0, 2.0)])
     stepped = step_mobility(poses, cfg, rng)
     for before, after in zip(poses, stepped):
         moved = math.hypot(after.x - before.x, after.y - before.y)
@@ -59,8 +55,8 @@ def test_displacement_is_speed_times_slot(rng):
 
 def test_outward_heading_at_boundary_is_resampled(rng):
     cfg = make_config(n_subnets=1)
-    pose = SubnetPose(x=0.0005, y=25.0, heading=math.pi, speed=cfg.speed_mps)
-    (after,) = step_mobility([pose], cfg, rng)
+    (pose,) = poses = pose_array([(0.0005, 25.0, math.pi)])
+    (after,) = step_mobility(poses, cfg, rng)
     assert 0 <= after.x <= cfg.area_width_m and 0 <= after.y <= cfg.area_height_m
     assert after.heading != pose.heading
 
@@ -68,10 +64,7 @@ def test_outward_heading_at_boundary_is_resampled(rng):
 def test_too_close_pair_resamples_or_holds(rng):
     # a 6 mm step cannot restore 1.5 m from 1.4 m, so both poses hold
     cfg = make_config(n_subnets=2)
-    poses = [
-        SubnetPose(x=10.0, y=10.0, heading=0.0, speed=cfg.speed_mps),
-        SubnetPose(x=11.4, y=10.0, heading=math.pi, speed=cfg.speed_mps),
-    ]
+    poses = pose_array([(10.0, 10.0, 0.0), (11.4, 10.0, math.pi)])
     stepped = step_mobility(poses, cfg, rng)
     d = math.hypot(stepped[1].x - stepped[0].x, stepped[1].y - stepped[0].y)
     held = all((s.x, s.y) == (p.x, p.y) for s, p in zip(stepped, poses))
@@ -85,11 +78,12 @@ def test_containment_and_separation_hold_over_many_slots():
     poses = place_uniform(cfg, rng)
     for _ in range(200):
         poses = step_mobility(poses, cfg, rng)
-        for p in poses:
-            assert 0 <= p.x <= cfg.area_width_m and 0 <= p.y <= cfg.area_height_m
+        xs, ys = poses.x.tolist(), poses.y.tolist()
+        for x, y in zip(xs, ys):
+            assert 0 <= x <= cfg.area_width_m and 0 <= y <= cfg.area_height_m
         for i in range(len(poses)):
             for j in range(i + 1, len(poses)):
-                d = math.hypot(poses[i].x - poses[j].x, poses[i].y - poses[j].y)
+                d = math.hypot(xs[i] - xs[j], ys[i] - ys[j])
                 assert d >= cfg.min_separation_m - 1e-12
 
 
@@ -107,44 +101,49 @@ def _reference_place(config, rng):
                 placed.append((x, y))
                 break
     headings = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return [
-        SubnetPose(x=px, y=py, heading=float(h), speed=config.speed_mps)
-        for (px, py), h in zip(placed, headings)
-    ]
+    return pose_array((px, py, h) for (px, py), h in zip(placed, headings.tolist()))
 
 
 def _reference_step(poses, config, rng):
+    """One slot over (x, y, heading) tuples of Python floats, pose by pose."""
     step = config.speed_mps * config.slot_ms / 1000.0
     sep2 = config.min_separation_m**2
     out = list(poses)
-    for i, pose in enumerate(poses):
-        heading = pose.heading
+    for i, (x, y, heading) in enumerate(poses):
         moved = None
         for _ in range(16):
-            nx = pose.x + step * math.cos(heading)
-            ny = pose.y + step * math.sin(heading)
+            nx = x + step * math.cos(heading)
+            ny = y + step * math.sin(heading)
             clear = all(
-                (nx - q.x) ** 2 + (ny - q.y) ** 2 >= sep2 for j, q in enumerate(out) if j != i
+                (nx - qx) ** 2 + (ny - qy) ** 2 >= sep2 for j, (qx, qy, _) in enumerate(out) if j != i
             )
             inside = 0.0 <= nx <= config.area_width_m and 0.0 <= ny <= config.area_height_m
             if inside and clear:
-                moved = replace(pose, x=nx, y=ny, heading=heading)
+                moved = (nx, ny, heading)
                 break
             heading = rng.uniform(0.0, 2.0 * math.pi)
-        if moved is None:
-            moved = replace(pose, heading=heading)
-        out[i] = moved
+        out[i] = (x, y, heading) if moved is None else moved
     return out
+
+
+def stepped_apart(poses, cfg, rng, n_steps=1):
+    """step_mobility's result, checked to be a new array that left `poses` as
+    it was: the benchmark and the golden test compare the two."""
+    before = poses.copy()
+    after = step_mobility(poses, cfg, rng, n_steps)
+    assert after is not poses
+    assert poses.tobytes() == before.tobytes()
+    return after
 
 
 def assert_steps_match(poses, cfg, seed, n_steps=3):
     """Both steps give equal poses and leave the RNG in the same state."""
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    new = ref = poses
+    new, ref = poses, poses.tolist()
     for _ in range(n_steps):
-        new = step_mobility(new, cfg, rng_new)
+        new = stepped_apart(new, cfg, rng_new)
         ref = _reference_step(ref, cfg, rng_ref)
-        assert new == ref
+        assert np.array_equal(new, pose_array(ref))
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -153,28 +152,25 @@ def test_placement_matches_scalar_reference(n):
     cfg = make_config(n_subnets=n)
     for seed in range(4):
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert place_uniform(cfg, rng_new) == _reference_place(cfg, rng_ref)
+        assert np.array_equal(place_uniform(cfg, rng_new), _reference_place(cfg, rng_ref))
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_too_close_pair_matches_reference():
     cfg = make_config(n_subnets=2)
-    poses = [
-        SubnetPose(x=10.0, y=10.0, heading=0.0, speed=cfg.speed_mps),
-        SubnetPose(x=11.4, y=10.0, heading=math.pi, speed=cfg.speed_mps),
-    ]
+    poses = pose_array([(10.0, 10.0, 0.0), (11.4, 10.0, math.pi)])
     assert_steps_match(poses, cfg, seed=5)
 
 
 def test_corner_and_edge_poses_match_reference():
     cfg = make_config(n_subnets=4)
     w, h = cfg.area_width_m, cfg.area_height_m
-    poses = [
-        SubnetPose(x=0.0, y=0.0, heading=1.25 * math.pi, speed=cfg.speed_mps),
-        SubnetPose(x=w, y=h, heading=0.25 * math.pi, speed=cfg.speed_mps),
-        SubnetPose(x=w, y=20.0, heading=0.0, speed=cfg.speed_mps),
-        SubnetPose(x=30.0, y=h, heading=0.5 * math.pi, speed=cfg.speed_mps),
-    ]
+    poses = pose_array([
+        (0.0, 0.0, 1.25 * math.pi),
+        (w, h, 0.25 * math.pi),
+        (w, 20.0, 0.0),
+        (30.0, h, 0.5 * math.pi),
+    ])
     assert_steps_match(poses, cfg, seed=11)
 
 
@@ -201,11 +197,7 @@ def mobility_cases(draw, max_poses=150):
     if n >= 2:  # a pair closer than the separation
         x[1], y[1] = min(x[0] + 0.93 * sep, width), y[0]
     headings = g.uniform(0.0, 2.0 * math.pi, n)
-    poses = [
-        SubnetPose(x=float(a), y=float(b), heading=float(c), speed=speed)
-        for a, b, c in zip(x, y, headings)
-    ]
-    return poses, cfg, seed
+    return pose_array(zip(x.tolist(), y.tolist(), headings.tolist())), cfg, seed
 
 
 @settings(max_examples=40, deadline=None)
@@ -225,10 +217,10 @@ def assert_multi_step_matches(poses, cfg, seed, n_steps):
     """One call of n_steps gives the poses and the RNG state of n_steps
     one-step reference calls."""
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    ref = poses
+    ref = poses.tolist()
     for _ in range(n_steps):
         ref = _reference_step(ref, cfg, rng_ref)
-    assert step_mobility(poses, cfg, rng_new, n_steps) == ref
+    assert np.array_equal(stepped_apart(poses, cfg, rng_new, n_steps), pose_array(ref))
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 

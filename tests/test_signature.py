@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -11,6 +12,13 @@ def ones(k, m):
     return np.ones((k, m), dtype=complex)
 
 
+def next_noise(rng, shape):
+    """The unit-power noise the next call draws from `rng`, from a copy, with
+    the float operations of the module's expression."""
+    z = copy.deepcopy(rng).standard_normal(shape + (2,))
+    return math.sqrt(1.0 / 2.0) * (z[..., 0] + 1j * z[..., 1])
+
+
 def test_empty_active_set_leaves_noise_floor(rng):
     powers = []
     for _ in range(50_000):
@@ -20,24 +28,29 @@ def test_empty_active_set_leaves_noise_floor(rng):
 
 
 def test_single_unit_link_no_noise(rng):
-    y = aggregate_pilots(ones(1, 3), ones(1, 3), snr=9.0, rng=rng, noise_power=0.0)
-    assert np.allclose(y, 3.0)
+    # the noiseless aggregate is y minus the noise drawn
+    noise = next_noise(rng, (3,))
+    y = aggregate_pilots(ones(1, 3), ones(1, 3), snr=9.0, rng=rng)
+    assert np.array_equal(y, 3.0 + noise)
 
 
 def test_two_links_sum_coherently(rng):
-    y = aggregate_pilots(ones(2, 2), ones(2, 2), snr=4.0, rng=rng, noise_power=0.0)
-    assert np.allclose(y, 4.0)  # 2 links * sqrt(4)
+    noise = next_noise(rng, (2,))
+    y = aggregate_pilots(ones(2, 2), ones(2, 2), snr=4.0, rng=rng)
+    assert np.array_equal(y, 4.0 + noise)  # 2 links * sqrt(4)
 
 
 def test_broadcast_of_zero_is_zero(rng):
-    out = broadcast_cs(np.zeros(2, dtype=complex), ones(3, 2), snr=5.0, rng=rng, noise_power=0.0)
-    assert np.all(out == 0)
+    noise = next_noise(rng, (3, 2))
+    out = broadcast_cs(np.zeros(2, dtype=complex), ones(3, 2), snr=5.0, rng=rng)
+    assert np.array_equal(out, noise)
 
 
 def test_broadcast_identity_gain(rng):
     y = np.array([1.0 + 2.0j, -0.5j])
-    out = broadcast_cs(y, ones(2, 2), snr=1.0, rng=rng, noise_power=0.0)
-    assert np.allclose(out, np.stack([y, y]))
+    noise = next_noise(rng, (2, 2))
+    out = broadcast_cs(y, ones(2, 2), snr=1.0, rng=rng)
+    assert np.array_equal(out, np.stack([y, y]) + noise)
 
 
 def test_broadcast_received_power(rng):
@@ -89,10 +102,9 @@ def test_extra_link_does_not_reduce_expected_power(rng):
     extra = rng.standard_normal((20_000, 2)) + 1j * rng.standard_normal((20_000, 2))
     p_one, p_two = 0.0, 0.0
     for i in range(20_000):
-        noise = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / math.sqrt(2)
-        y1 = aggregate_pilots(base_gain, ones(1, 2), 4.0, rng, noise_power=0.0) + noise
+        y1 = aggregate_pilots(base_gain, ones(1, 2), 4.0, copy.deepcopy(rng))
         both = np.vstack([base_gain, extra[i][None, :]])
-        y2 = aggregate_pilots(both, ones(2, 2), 4.0, rng, noise_power=0.0) + noise
+        y2 = aggregate_pilots(both, ones(2, 2), 4.0, rng)
         p_one += float((np.abs(y1) ** 2).sum())
         p_two += float((np.abs(y2) ** 2).sum())
     assert p_two >= p_one

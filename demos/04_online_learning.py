@@ -2,17 +2,17 @@
 
 Each active agent trains its own tiny value network from replayed
 (context, action, reward) tuples, one clipped RMSProp step per contention
-slot; the population object `sim.policy` holds every agent's state and
-`fleet.model(n)` views agent n's network. This script watches the
-exploration schedule, the learning-rate decay, and the system training error
-over a single seeded run.
+slot; the population object `sim.policy` holds every agent's state, all
+its networks in one stack. This script watches the exploration schedule,
+the learning-rate decay, and the system training error over a single
+seeded run.
 """
 
 import numpy as np
 
 from alarmmac.config import PolicyKind, ScenarioConfig, validate_config
 from alarmmac.engine import Simulation
-from alarmmac.learning import forward
+from alarmmac.learning import forward_stacked
 from alarmmac.policies import DrlPopulation
 from alarmmac.reporting import in_time_probability, mse_decile_medians
 
@@ -51,9 +51,9 @@ print(f"replay memory: {fleet.replay.size[agent]}/{fleet.replay.capacity} tuples
 print("\n=== what the fleet learned ===")
 print("greedy pattern of every agent at a typical signature level:")
 context = np.full(cfg.n_channels, 0.25)
+values = forward_stacked(fleet.net, np.tile(context, (cfg.n_subnets, 1)))
 preferred = {}
-for n in range(cfg.n_subnets):
-    best = int(np.argmax(forward(fleet.model(n), context)))
+for n, best in enumerate(np.argmax(values, axis=1).tolist()):
     preferred.setdefault(best, []).append(n)
 for pattern in sorted(preferred):
     bits = bin(pattern)[2:].zfill(cfg.n_channels)[::-1]  # channel 0 first

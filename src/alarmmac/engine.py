@@ -89,7 +89,6 @@ class Collisions(NamedTuple):
     """Collision outcome of one slot."""
 
     success: bool  # any channel with exactly one transmitter
-    counts: np.ndarray  # transmitters per channel
     channels: tuple[int, ...]  # the successful channels, ascending
     transmitters: tuple[int, ...]  # per successful channel, the index into the actions of its transmitter
 
@@ -98,13 +97,13 @@ def resolve_collisions(action_indices: list[int] | np.ndarray, n_channels: int) 
     """Collision outcome of one slot's transmission patterns."""
     actions = np.asarray(action_indices, dtype=int)
     if not actions.size:
-        return Collisions(False, np.zeros(n_channels, dtype=int), (), ())
+        return Collisions(False, (), ())
     bits = pattern_table(n_channels)[actions]
     counts = bits.sum(axis=0).astype(int)
     channels = np.flatnonzero(counts == 1)
     # each successful column holds a single 1: argmax finds its row
     transmitters = bits[:, channels].argmax(axis=0)
-    return Collisions(bool(channels.size), counts, tuple(channels.tolist()), tuple(transmitters.tolist()))
+    return Collisions(bool(channels.size), tuple(channels.tolist()), tuple(transmitters.tolist()))
 
 
 class Simulation:

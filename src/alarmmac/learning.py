@@ -1,6 +1,6 @@
-"""Tiny fully connected network with exact backprop, RMSProp, and replay.
+"""Tiny fully connected networks with exact backprop, RMSProp, and replay.
 
-The network maps a length-M context to one value per transmission pattern
+Each network maps a length-M context to one value per transmission pattern
 (2**M outputs), with rectifier hidden layers and an identity output layer.
 Training regresses the value of the action actually taken onto its observed
 reward:
@@ -10,23 +10,24 @@ reward:
 so gradients flow only through taken-action outputs. Updates are RMSProp
 steps on the globally norm-clipped gradient.
 
-The single-model kernels are the reference. Their stacked twins train N
-networks of one shape at once, with the same floating-point operations per
-network, so a stacked update agrees with the single-model one bit for bit:
+Every kernel works on a stack of K networks of one shape, network k on its
+own minibatch, so one call trains all active agents:
 
-- A stack keeps its networks as one (N, P) float64 block, row k holding
-  network k's parameters in `params_to_vector` order (layer by layer,
-  weights row-major, then biases). The per-layer weight and bias arrays are
-  views into the block. A gradient and the RMSProp averages use the same
-  layout, so gathering a stack's rows, clipping and the RMSProp step are
-  one operation each over the whole block.
-- The clipping norm keeps the reference's grouping: per layer the sum of
-  squared weight gradients plus the sum of squared bias gradients, added
-  to the total layer by layer.
+- A stack keeps its networks as one (K, P) float64 block. Row k holds
+  network k's parameters layer by layer, each layer's weights row-major and
+  then its biases. The per-layer weight and bias arrays are views into the
+  block. A gradient and the RMSProp averages use the same layout, so
+  gathering a stack's rows, clipping and the RMSProp step are one operation
+  each over the whole block.
+- The clipping norm is summed layer by layer: per layer the sum of squared
+  weight gradients plus the sum of squared bias gradients.
 - Only taken actions carry an output-layer gradient. Its bias gradient is
   one `np.bincount` over (network, action) bins, which adds each bin's
-  terms in minibatch order, as the reference's sum over the minibatch does
-  with the untaken zeros in between; at most the sign of a zero differs.
+  terms in minibatch order.
+
+`selfcheck` checks the gradient against finite differences and the clip
+against its bound; the tests keep a one-network reference that each kernel
+agrees with bit for bit.
 """
 
 from __future__ import annotations
@@ -38,83 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-Batch = tuple[np.ndarray, np.ndarray, np.ndarray]  # contexts (B, M), actions (B,), rewards (B,)
-
-
-@dataclass
-class Mlp:
-    weights: list[np.ndarray]  # per layer, shape (fan_out, fan_in)
-    biases: list[np.ndarray]  # per layer, shape (fan_out,)
-
-
-def init_mlp(layer_sizes: list[int], rng: np.random.Generator) -> Mlp:
-    """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer."""
-    if len(layer_sizes) < 2:
-        raise ValueError("need at least input and output layers")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return Mlp(weights=weights, biases=biases)
-
-
-def _forward_cached(model: Mlp, x: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer for a batch (B, M); last entry is the output."""
-    acts = [x]
-    h = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w.T + b
-        h = z if i == last else np.maximum(z, 0.0)
-        acts.append(h)
-    return acts
-
-
-def forward(model: Mlp, context: np.ndarray) -> np.ndarray:
-    """Action values for one context (M,) -> (2**M,)."""
-    x = np.asarray(context, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("context must be finite")
-    return _forward_cached(model, x[None, :])[-1][0]
-
-
-def loss(model: Mlp, batch: Batch) -> float:
-    contexts, actions, rewards = batch
-    if len(rewards) == 0:
-        raise ValueError("empty minibatch")
-    values = _forward_cached(model, np.asarray(contexts, dtype=float))[-1]
-    taken = values[np.arange(len(rewards)), np.asarray(actions, dtype=int)]
-    return float(np.mean((np.asarray(rewards, dtype=float) - taken) ** 2))
-
-
+# only bench/workloads.py calls grad_norm; it goes with ROADMAP direction 1
 Grads = list[tuple[np.ndarray, np.ndarray]]
-
-
-def backward(model: Mlp, batch: Batch) -> tuple[Grads, float]:
-    """Exact gradient of the taken-action squared loss; returns (grads, loss)."""
-    contexts, actions, rewards = batch
-    if len(rewards) == 0:
-        raise ValueError("empty minibatch")
-    contexts = np.asarray(contexts, dtype=float)
-    actions = np.asarray(actions, dtype=int)
-    rewards = np.asarray(rewards, dtype=float)
-    acts = _forward_cached(model, contexts)
-    values = acts[-1]
-    b_size = len(rewards)
-    rows = np.arange(b_size)
-    residual = values[rows, actions] - rewards
-
-    delta = np.zeros_like(values)
-    delta[rows, actions] = 2.0 * residual / b_size
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.weights)  # type: ignore[list-item]
-    for i in range(len(model.weights) - 1, -1, -1):
-        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
-        if i > 0:
-            delta = (delta @ model.weights[i]) * (acts[i] > 0.0)
-    flat_loss = float(np.mean(residual**2))
-    return grads, flat_loss
 
 
 def grad_norm(grads: Grads) -> float:
@@ -124,58 +50,13 @@ def grad_norm(grads: Grads) -> float:
     return float(np.sqrt(total))
 
 
-def clip_gradient(grads: Grads, beta0: float) -> Grads:
-    """Global norm clipping: g * beta0 / max(||g||, beta0)."""
-    if beta0 <= 0:
-        raise ValueError("beta0 must be > 0")
-    scale = beta0 / max(grad_norm(grads), beta0)
-    if scale == 1.0:
-        return grads
-    return [(gw * scale, gb * scale) for gw, gb in grads]
-
-
-@dataclass
-class RmsPropState:
-    sq_weights: list[np.ndarray]
-    sq_biases: list[np.ndarray]
-    decay: float = 0.9
-    smoothing: float = 1e-8
-    lr: float = 0.01
-
-    @classmethod
-    def for_model(cls, model: Mlp, decay: float = 0.9, smoothing: float = 1e-8, lr: float = 0.01) -> "RmsPropState":
-        return cls(
-            sq_weights=[np.zeros_like(w) for w in model.weights],
-            sq_biases=[np.zeros_like(b) for b in model.biases],
-            decay=decay,
-            smoothing=smoothing,
-            lr=lr,
-        )
-
-
-def rmsprop_step(model: Mlp, state: RmsPropState, grads: Grads) -> None:
-    """s <- decay*s + (1-decay)*g^2; w <- w - lr * g / (sqrt(s) + eps). In place."""
-    g, eps, lr = state.decay, state.smoothing, state.lr
-    for i, (gw, gb) in enumerate(grads):
-        state.sq_weights[i] = g * state.sq_weights[i] + (1.0 - g) * gw**2
-        state.sq_biases[i] = g * state.sq_biases[i] + (1.0 - g) * gb**2
-        model.weights[i] -= lr * gw / (np.sqrt(state.sq_weights[i]) + eps)
-        model.biases[i] -= lr * gb / (np.sqrt(state.sq_biases[i]) + eps)
-
-
-# --- stacked kernels: N networks of one shape, trained together -----------
-#
-# Network k of a stack is row k of its parameter block; a gradient of a stack
-# is a stack of the same layout. Each kernel does, per network, the same
-# floating-point operations as its single-model twin above.
-
 StackedBatch = tuple[np.ndarray, np.ndarray, np.ndarray]  # contexts (K, B, M), actions (K, B), rewards (K, B)
 
 
 @lru_cache(maxsize=None)
 def _layout(layer_sizes: tuple[int, ...]) -> tuple[tuple[int, int, int, int, int], ...]:
     """Per layer: (fan_in, fan_out, first weight column, first bias column,
-    end column) in the params_to_vector order of a network's parameters."""
+    end column) in a network's row of a parameter block."""
     layers, pos = [], 0
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         at_bias = pos + fan_out * fan_in
@@ -202,14 +83,17 @@ class MlpStack:
         self.biases = [params[:, at_b:end] for _, _, _, at_b, end in self.layout]
 
     @classmethod
-    def of(cls, models: list[Mlp]) -> "MlpStack":
-        first = models[0]
-        sizes = [first.weights[0].shape[1]] + [w.shape[0] for w in first.weights]
-        return cls(np.stack([params_to_vector(m) for m in models]), sizes)
-
-    def model(self, k: int) -> Mlp:
-        """Network k, its arrays views into the stack."""
-        return Mlp(weights=[w[k] for w in self.weights], biases=[b[k] for b in self.biases])
+    def init(cls, layer_sizes: Sequence[int], n: int, rng: np.random.Generator) -> "MlpStack":
+        """n networks, each layer uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)].
+        Network by network and layer by layer, the weights are drawn as one
+        (fan_out, fan_in) array and then the biases."""
+        stack = cls(np.zeros((n, _layout(tuple(layer_sizes))[-1][-1])), layer_sizes)
+        for k in range(n):
+            for (fan_in, fan_out, *_), w, b in zip(stack.layout, stack.weights, stack.biases):
+                bound = 1.0 / np.sqrt(fan_in)
+                w[k] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+                b[k] = rng.uniform(-bound, bound, size=fan_out)
+        return stack
 
     def rows(self, idx: np.ndarray) -> "MlpStack":
         """A copy of the networks at `idx`."""
@@ -243,10 +127,11 @@ def forward_stacked(stack: MlpStack, contexts: np.ndarray) -> np.ndarray:
 
 
 def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[MlpStack, np.ndarray]:
-    """`backward` of network k on minibatch k; returns (grads, per-network loss).
+    """Exact gradient of network k's taken-action squared loss on minibatch
+    k; returns (grads, per-network loss).
 
     The gradient is a stack laid out like `stack`: row k is network k's
-    gradient in params_to_vector order.
+    gradient.
     """
     contexts, actions, rewards = batch
     actions = np.asarray(actions, dtype=int)
@@ -283,8 +168,7 @@ def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[MlpStack, np
 
 
 def grad_norm_stacked(grads: MlpStack) -> np.ndarray:
-    """Global gradient norm of each network: (K,), summed layer by layer as
-    `grad_norm` sums."""
+    """Global gradient norm of each network: (K,), summed layer by layer."""
     squares = grads.params**2
     total = np.zeros(len(squares))
     for _, _, at_w, at_b, end in grads.layout:
@@ -293,7 +177,8 @@ def grad_norm_stacked(grads: MlpStack) -> np.ndarray:
 
 
 def clip_gradient_stacked(grads: MlpStack, beta0: float) -> MlpStack:
-    """Global norm clipping of each network's gradient on its own."""
+    """Global norm clipping of each network's gradient on its own:
+    g * beta0 / max(||g||, beta0)."""
     if beta0 <= 0:
         raise ValueError("beta0 must be > 0")
     scale = beta0 / np.maximum(grad_norm_stacked(grads), beta0)
@@ -324,7 +209,8 @@ class RmsPropStack:
 
 
 def rmsprop_step_stacked(stack: MlpStack, state: RmsPropStack, grads: MlpStack) -> None:
-    """`rmsprop_step` of every network of the stack, in place."""
+    """s <- decay*s + (1-decay)*g^2; w <- w - lr * g / (sqrt(s) + eps), for
+    every network of the stack with its own lr. In place."""
     g = grads.params
     state.sq = state.decay * state.sq + (1.0 - state.decay) * g**2
     stack.params -= state.lr[:, None] * g / (np.sqrt(state.sq) + state.smoothing)
@@ -384,30 +270,3 @@ class StackedReplay:
             np.take(self._actions, flat),
             np.take(self._rewards, flat),
         )
-
-
-def params_to_vector(model: Mlp) -> np.ndarray:
-    parts = []
-    for w, b in zip(model.weights, model.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
-
-
-def vector_to_params(model: Mlp, vec: np.ndarray) -> None:
-    pos = 0
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        model.weights[i] = vec[pos : pos + w.size].reshape(w.shape).copy()
-        pos += w.size
-        model.biases[i] = vec[pos : pos + b.size].copy()
-        pos += b.size
-    if pos != vec.size:
-        raise ValueError("vector length does not match model")
-
-
-def grads_to_vector(grads: Grads) -> np.ndarray:
-    parts = []
-    for gw, gb in grads:
-        parts.append(gw.ravel())
-        parts.append(gb.ravel())
-    return np.concatenate(parts)

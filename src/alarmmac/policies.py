@@ -141,9 +141,7 @@ class DrlPopulation(_EpsilonGreedy):
     def __init__(self, config: ScenarioConfig, init_rng: np.random.Generator):
         super().__init__(config)
         # per agent, in agent order, so the initial weights are those of N separate draws
-        self.net = learning.MlpStack.of(
-            [learning.init_mlp(config.layer_sizes, init_rng) for _ in range(config.n_subnets)]
-        )
+        self.net = learning.MlpStack.init(config.layer_sizes, config.n_subnets, init_rng)
         self.opt = learning.RmsPropStack.for_stack(
             self.net, decay=config.rms_decay, smoothing=config.rms_smoothing, lr=config.lr_initial
         )
@@ -152,10 +150,6 @@ class DrlPopulation(_EpsilonGreedy):
         self.clip_threshold = config.clip_threshold
         self.lr_decay = config.lr_decay_per_event
         self.update_count = np.zeros(config.n_subnets, dtype=np.int64)
-
-    def model(self, agent: int) -> learning.Mlp:
-        """The agent's network, its arrays views into the stack."""
-        return self.net.model(agent)
 
     def select_action(self, agents: Sequence[int], contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         actions, greedy = self._explore(agents, rng)

@@ -62,68 +62,69 @@ def dtmc_disagreement(rng: np.random.Generator, n_chains: int, max_deadline: int
     return worst_pair, worst_closed
 
 
-def finite_difference_gradient(model: learning.Mlp, batch: learning.Batch, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of the single-model loss, one parameter
-    at a time, in `params_to_vector` order. The model is restored."""
-    theta = learning.params_to_vector(model)
+def finite_difference_gradient(
+    stack: learning.MlpStack, batch: learning.StackedBatch, step: float = 1e-5
+) -> np.ndarray:
+    """Central finite differences of each network's loss, laid out like the
+    stack's (K, P) block. Network k's loss reads only row k, so one bump of
+    column j of the whole block serves all K networks. The stack is restored."""
+    theta = stack.params.copy()
     numeric = np.zeros_like(theta)
-    for j in range(theta.size):
-        bump = np.zeros_like(theta)
-        bump[j] = step
-        learning.vector_to_params(model, theta + bump)
-        up = learning.loss(model, batch)
-        learning.vector_to_params(model, theta - bump)
-        down = learning.loss(model, batch)
-        numeric[j] = (up - down) / (2 * step)
-    learning.vector_to_params(model, theta)
+    for j in range(theta.shape[1]):
+        stack.params[:, j] = theta[:, j] + step
+        _, up = learning.backward_stacked(stack, batch)
+        stack.params[:, j] = theta[:, j] - step
+        _, down = learning.backward_stacked(stack, batch)
+        stack.params[:, j] = theta[:, j]
+        numeric[:, j] = (up - down) / (2 * step)
     return numeric
 
 
-def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Largest |a - n| / max(|a| + |n|, 1e-6) over the entries."""
+def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
+    """Largest |a - n| / max(|a| + |n|, 1e-6) over the entries of each row."""
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    return np.max(np.abs(analytic - numeric) / denom, axis=1)
 
 
-def gradient_error(model: learning.Mlp, batch: learning.Batch) -> float:
-    """Relative error of `learning.backward` against finite differences."""
-    grads, _ = learning.backward(model, batch)
-    return relative_error(learning.grads_to_vector(grads), finite_difference_gradient(model, batch))
+def gradient_error(stack: learning.MlpStack, batch: learning.StackedBatch) -> np.ndarray:
+    """Relative error of each network's `learning.backward_stacked` gradient
+    against finite differences: (K,)."""
+    grads, _ = learning.backward_stacked(stack, batch)
+    return relative_error(grads.params, finite_difference_gradient(stack, batch))
 
 
-def random_model_batch(rng: np.random.Generator, max_batch: int) -> tuple[learning.Mlp, learning.Batch]:
-    """A network of 1-3 channels with 1-2 hidden layers of 1-4 units, and a
-    minibatch of 1 to `max_batch` tuples for it."""
+def random_model_batch(rng: np.random.Generator, max_batch: int) -> tuple[learning.MlpStack, learning.StackedBatch]:
+    """A stack of three networks of 1-3 channels with 1-2 hidden layers of
+    1-4 units, and a minibatch of 1 to `max_batch` tuples for each."""
     m = int(rng.integers(1, 4))
     hidden = int(rng.integers(1, 5))
     depth = int(rng.integers(1, 3))
-    model = learning.init_mlp([m] + [hidden] * depth + [1 << m], rng)
+    stack = learning.MlpStack.init([m] + [hidden] * depth + [1 << m], 3, rng)
     b = int(rng.integers(1, max_batch + 1))
-    batch = (rng.random((b, m)), rng.integers(0, 1 << m, b), rng.standard_normal(b))
-    return model, batch
+    batch = (rng.random((3, b, m)), rng.integers(0, 1 << m, (3, b)), rng.standard_normal((3, b)))
+    return stack, batch
 
 
-def worst_gradient_error(rng: np.random.Generator, n_models: int, max_batch: int) -> float:
-    """Largest `gradient_error` over `n_models` random networks."""
+def worst_gradient_error(rng: np.random.Generator, n_stacks: int, max_batch: int) -> float:
+    """Largest `gradient_error` over the networks of `n_stacks` random stacks."""
     worst = 0.0
-    for _ in range(n_models):
-        worst = max(worst, gradient_error(*random_model_batch(rng, max_batch)))
+    for _ in range(n_stacks):
+        worst = max(worst, float(gradient_error(*random_model_batch(rng, max_batch)).max()))
     return worst
 
 
 def clip_violations(rng: np.random.Generator, n_draws: int, threshold: float = 5.0) -> int:
     """Random gradients whose clipped norm exceeds `threshold`, or that
-    `clip_gradient` changed although their norm was within it. Scales span
-    1e-3 to 1e3."""
-    violations = 0
-    for _ in range(n_draws):
-        scale = 10.0 ** rng.uniform(-3, 3)
-        grads = [(rng.standard_normal((3, 4)) * scale, rng.standard_normal(3) * scale)]
-        clipped = learning.clip_gradient(grads, threshold)
-        over = learning.grad_norm(clipped) > threshold + 1e-9
-        moved = learning.grad_norm(grads) <= threshold and not np.array_equal(clipped[0][0], grads[0][0])
-        violations += over or moved
-    return violations
+    `learning.clip_gradient_stacked` changed although their norm was within
+    it. The draws are one stack of two-layer gradients, each at its own
+    scale between 1e-3 and 1e3."""
+    scale = 10.0 ** rng.uniform(-3, 3, n_draws)
+    # layers 4 -> 3 -> 2: (4*3 + 3) + (3*2 + 2) = 23 entries per network
+    grads = learning.MlpStack(rng.standard_normal((n_draws, 23)) * scale[:, None], [4, 3, 2])
+    clipped = learning.clip_gradient_stacked(grads, threshold)
+    over = learning.grad_norm_stacked(clipped) > threshold + 1e-9
+    moved = (learning.grad_norm_stacked(grads) <= threshold) & np.any(clipped.params != grads.params, axis=1)
+    return int(np.sum(over | moved))
 
 
 def _collision_check() -> tuple[bool, str]:

@@ -1,6 +1,6 @@
 import json
 
-from alarmmac import engine, policies
+from alarmmac import engine, learning, policies, selfcheck
 from alarmmac.cli import main
 
 
@@ -135,3 +135,29 @@ def test_selftest_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys)
     assert "error:" not in captured.err
     for name in ("dtmc_consistency", "gradient_check", "clip_norm"):
         assert f"ok   {name}" in captured.out
+
+
+def failed_checks():
+    return [name for name, passed, _ in selfcheck.selftest() if not passed]
+
+
+def test_selftest_catches_a_wrong_stacked_gradient(monkeypatch):
+    backward = learning.backward_stacked
+
+    def doubled_output_bias(stack, batch):
+        grads, losses = backward(stack, batch)
+        grads.biases[-1][...] *= 2.0
+        return grads, losses
+
+    monkeypatch.setattr(learning, "backward_stacked", doubled_output_bias)
+    assert failed_checks() == ["gradient_check"]
+
+
+def test_selftest_catches_a_wrong_stacked_clip(monkeypatch):
+    clip = learning.clip_gradient_stacked
+
+    def loose(grads, beta0):
+        return clip(grads, 2.0 * beta0)
+
+    monkeypatch.setattr(learning, "clip_gradient_stacked", loose)
+    assert failed_checks() == ["clip_norm"]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from alarmmac import learning
 from alarmmac.config import PolicyKind
 from alarmmac.policies import (
     DrlPopulation,
@@ -15,6 +14,7 @@ from alarmmac.policies import (
 )
 
 from conftest import make_config
+import reference_mlp as ref
 
 
 def test_pattern_examples():
@@ -169,16 +169,14 @@ def test_drl_lr_decays_per_event():
     assert policy.opt.lr[1] == 0.01 and policy.opt.lr[3] == 0.01
 
 
-def test_drl_model_view_is_the_agents_network():
+def test_drl_initial_weights_are_per_agent_draws():
     cfg = make_config(n_channels=3)
-    init = np.random.default_rng(7)
-    policy = DrlPopulation(cfg, np.random.default_rng(7))
-    separate = [learning.init_mlp(cfg.layer_sizes, init) for _ in range(cfg.n_subnets)]
-    ctx = np.array([0.1, 0.5, 0.3])
-    for n, model in enumerate(separate):  # drawn in agent order, as N separate networks would be
-        assert np.array_equal(learning.forward(policy.model(n), ctx), learning.forward(model, ctx))
-    policy.model(2).weights[0][:] = 0.0  # a view: writes reach the stack
-    assert not policy.net.weights[0][2].any()
+    init, twin = np.random.default_rng(7), np.random.default_rng(7)
+    policy = DrlPopulation(cfg, init)
+    # drawn in agent order, as N separate networks would be
+    separate = ref.stack_of([ref.init_mlp(cfg.layer_sizes, twin) for _ in range(cfg.n_subnets)])
+    assert np.array_equal(policy.net.params, separate.params)
+    assert init.bit_generator.state == twin.bit_generator.state
 
 
 class ReferenceAgent:
@@ -187,7 +185,7 @@ class ReferenceAgent:
 
     def __init__(self, model, cfg):
         self.model = model
-        self.opt = learning.RmsPropState.for_model(
+        self.opt = ref.RmsPropState.for_model(
             model, decay=cfg.rms_decay, smoothing=cfg.rms_smoothing, lr=cfg.lr_initial
         )
         self.cfg = cfg
@@ -204,9 +202,9 @@ class ReferenceAgent:
         size, b_size = len(self.tuples), self.cfg.minibatch
         idx = rng.choice(size, size=b_size, replace=size < b_size)
         batch = tuple(np.array([self.tuples[i][part] for i in idx]) for part in range(3))
-        grads, batch_loss = learning.backward(self.model, batch)
-        self.clip_fired += learning.grad_norm(grads) > self.cfg.clip_threshold
-        learning.rmsprop_step(self.model, self.opt, learning.clip_gradient(grads, self.cfg.clip_threshold))
+        grads, batch_loss = ref.backward(self.model, batch)
+        self.clip_fired += ref.grad_norm(grads) > self.cfg.clip_threshold
+        ref.rmsprop_step(self.model, self.opt, ref.clip_gradient(grads, self.cfg.clip_threshold))
         return batch_loss
 
 
@@ -217,7 +215,7 @@ def test_stacked_observe_matches_per_agent_updates(k):
     cfg = make_config(n_subnets=9, n_channels=3, minibatch_size=4, replay_capacity=6, dnn_hidden_size=3)
     policy = DrlPopulation(cfg, np.random.default_rng(11))
     init = np.random.default_rng(11)
-    reference = [ReferenceAgent(learning.init_mlp(cfg.layer_sizes, init), cfg) for _ in range(cfg.n_subnets)]
+    reference = [ReferenceAgent(ref.init_mlp(cfg.layer_sizes, init), cfg) for _ in range(cfg.n_subnets)]
     data = np.random.default_rng(12)
     agents = [8, 3, 0, 5, 1, 6, 2][:k]
     # reward scales from 0.01 to 1e4: small ones stay under the clip threshold, large ones exceed it
@@ -239,7 +237,7 @@ def test_stacked_observe_matches_per_agent_updates(k):
     if k > 1:
         assert max(fired) > 0 and min(fired) < 9  # the clip fires for some updates, not for all
     for n in range(cfg.n_subnets):
-        model = policy.model(n)
+        model = ref.model_of(policy.net, n)
         for got, want in zip(model.weights + model.biases, reference[n].model.weights + reference[n].model.biases):
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     assert rng_stacked.bit_generator.state == rng_reference.bit_generator.state

@@ -69,6 +69,12 @@ def test_forward_rejects_nonfinite_input():
         forward_stacked(stack, np.array([[0.5, 0.0], [np.nan, 0.0]]))
 
 
+def test_stacked_forward_rejects_nonfinite_input():
+    stack = zero_stack([2, 1, 4])
+    with pytest.raises(ValueError):
+        forward_stacked(stack, np.array([[np.nan, 0.0]]))
+
+
 def test_loss_cases():
     rng = np.random.default_rng(0)
     stack = MlpStack.init([1, 2, 2], 1, rng)

@@ -9,8 +9,7 @@ tracks how many agents are contending.
 import numpy as np
 
 from alarmmac.channel import rayleigh_fading
-from alarmmac.signature import aggregate_pilots, broadcast_cs, featurize, make_pilots
-from alarmmac.config import PilotMode
+from alarmmac.signature import aggregate_pilots, broadcast_cs, featurize
 
 rng = np.random.default_rng(42)
 M = 3
@@ -24,8 +23,7 @@ for k in (0, 1, 2, 4, 8, 16):
     trials = 2000
     for _ in range(trials):
         gains = rayleigh_fading(rng, (k, M))
-        pilots = make_pilots(k, M, PilotMode.ONES)
-        y = aggregate_pilots(gains, pilots, SNR, rng)
+        y = aggregate_pilots(gains, SNR, rng)
         cs = broadcast_cs(y, gains, SNR, rng) if k else np.zeros((1, M), dtype=complex)
         agg_power += float(np.mean(np.abs(y) ** 2))
         feat_mean += float(np.mean(featurize(cs)))
@@ -37,8 +35,7 @@ print("implicit, zero-coordination announcement of the current contention level"
 print("\n=== what one agent sees ===")
 k = 4
 gains = rayleigh_fading(rng, (k, M))
-pilots = make_pilots(k, M, PilotMode.ONES)
-y = aggregate_pilots(gains, pilots, SNR, rng)
+y = aggregate_pilots(gains, SNR, rng)
 cs = broadcast_cs(y, gains, SNR, rng)
 for n in range(k):
     feats = featurize(cs[n])

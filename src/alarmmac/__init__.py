@@ -7,7 +7,6 @@ from .config import (
     ActivationMode,
     ConfigError,
     CsGainMode,
-    PilotMode,
     PolicyKind,
     RewardScope,
     ScenarioConfig,
@@ -30,7 +29,6 @@ __all__ = [
     "ConfigError",
     "CsGainMode",
     "ExperimentResult",
-    "PilotMode",
     "PolicyKind",
     "RewardScope",
     "RunTrace",

@@ -4,6 +4,9 @@ A scenario is described by a flat JSON document whose keys carry explicit
 units in their names. Unknown keys are rejected so that typos surface as
 errors instead of silently falling back to defaults. The config object is
 a frozen dataclass and safe to share read-only across concurrent runs.
+
+The model has no knob for what the paper fixes: at most one alarm is live
+at a time (see `engine`), and every pilot symbol is 1 (see `signature`).
 """
 
 from __future__ import annotations
@@ -44,11 +47,6 @@ class CsGainMode(str, Enum):
     RAW = "raw"
 
 
-class PilotMode(str, Enum):
-    ONES = "ones"
-    RANDOM_PHASE = "random_phase"
-
-
 class ConfigError(ValueError):
     """Raised when a config document fails to parse or violates an invariant."""
 
@@ -58,7 +56,6 @@ _ENUM_FIELDS = {
     "reward_scope": RewardScope,
     "activation_mode": ActivationMode,
     "cs_gain_mode": CsGainMode,
-    "pilot_mode": PilotMode,
 }
 
 
@@ -84,7 +81,6 @@ class ScenarioConfig:
     alpha: float = 0.1
     tx_threshold: float = 0.1
     activation_mode: ActivationMode = ActivationMode.THRESHOLD_AND_BERNOULLI
-    allow_event_overlap: bool = False
 
     # Radio
     snr_avg_db: float = 10.0
@@ -96,7 +92,6 @@ class ScenarioConfig:
     shadow_corr_distance_m: float = 10.0
     los_decay_m: float = 9.0
     cs_gain_mode: CsGainMode = CsGainMode.NORMALIZED
-    pilot_mode: PilotMode = PilotMode.ONES
     cs_overhead_slots: int = 0
 
     # Policy and learning
@@ -238,14 +233,12 @@ def _finite_number(value: Any) -> bool:
 def _typed(key: str, value: Any) -> Any:
     """The value of field `key`, if its type fits the field.
 
-    Flags take only true or false; counts take integers, not booleans;
-    quantities take finite numbers; triples take three finite numbers.
+    Counts take integers, not booleans; quantities take finite numbers;
+    triples take three finite numbers.
     Enum fields are checked by `ScenarioConfig` itself.
     """
     kind = _FIELD_TYPES[key]
-    if kind == "bool":
-        _check(isinstance(value, bool), key, "must be true or false")
-    elif kind == "int" or (kind == "int | None" and value is not None):
+    if kind == "int" or (kind == "int | None" and value is not None):
         _check(isinstance(value, int) and not isinstance(value, bool), key, "must be an integer")
     elif kind == "float":
         _check(_finite_number(value), key, "must be a finite number")

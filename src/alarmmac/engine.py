@@ -1,16 +1,16 @@
 """Slot loop: mobility, events, signature exchange, contention, training.
 
-Each slot executes, in order: one mobility step; an event spawn check (new
-alarms are suppressed while one is in flight unless overlap is enabled); and,
-if an alarm is live, one full contention round:
+Each slot executes, in order: one mobility step; an event spawn check, made
+only while no alarm is live, so at most one alarm is live at a time; and, if
+an alarm is live, one full contention round:
 
     pilots -> aggregate at the controller -> signature broadcast ->
     featurize -> per-agent action selection -> collision resolution ->
     reward assignment -> one training update per active agent.
 
 A channel succeeds when exactly one active agent transmits on it; the slot
-succeeds when any channel does. Delivery by any member of an event's active
-set terminates the event for all of them. An undelivered event fails once
+succeeds when any channel does, and delivers the alarm, which ends it for
+every member of its active set. An undelivered event fails once
 its age exceeds the deadline, after exactly D + 1 contention rounds when no
 signalling overhead is configured. Acknowledgements are error-free and
 instantaneous on a dedicated channel.
@@ -41,7 +41,7 @@ from .policies import Population, make_policy, pattern_table
 class SlotOutcome:
     slot: int
     success: bool  # any channel with exactly one transmitter
-    age: int | None  # alarm age entering this round (oldest live event); None when idle
+    age: int | None  # alarm age entering this round; None when idle
 
 
 @dataclass
@@ -128,7 +128,7 @@ class Simulation:
         self.cap_xy = (config.area_width_m / 2.0, config.area_height_m / 2.0)
         self._snapshot_channel_state()
         self.policy: Population = make_policy(config, rng_init)
-        self.live_events: list[AlarmEvent] = []
+        self.event: AlarmEvent | None = None  # the live alarm, if any
         self.slot = 0
         self.trace = RunTrace()
         self.snr_linear = 10.0 ** (config.snr_avg_db / 10.0)
@@ -179,37 +179,24 @@ class Simulation:
         return kappa * amps[:, None]
 
     def _contexts(self, active: tuple[int, ...]) -> np.ndarray:
-        cfg = self.config
         gains = self._link_gains(active)
-        pilots = sig.make_pilots(len(active), cfg.n_channels, cfg.pilot_mode, self.rng_noise)
-        y = sig.aggregate_pilots(gains, pilots, self.snr_linear, self.rng_noise)
+        y = sig.aggregate_pilots(gains, self.snr_linear, self.rng_noise)
         # reciprocity: the downlink reuses this slot's uplink gains
         cs = sig.broadcast_cs(y, gains, self.snr_linear, self.rng_noise)
         return sig.featurize(cs)
-
-    def _spawn_allowed(self) -> bool:
-        return self.config.allow_event_overlap or not self.live_events
-
-    def _busy_laps(self) -> set[int]:
-        return {n for e in self.live_events for n in e.active_set}
 
     def run_slot(self) -> SlotOutcome:
         cfg = self.config
         self._pending_steps += 1
 
-        if self._spawn_allowed():
+        if self.event is None:
             event = maybe_spawn_event(self.slot, lambda: self.poses, self.rng_events, cfg)
-            if event is not None:
-                if cfg.allow_event_overlap:
-                    # an agent already holding an alarm does not join a second one
-                    busy = self._busy_laps()
-                    event.active_set = tuple(n for n in event.active_set if n not in busy)
-                # an event nobody detects is a coverage miss, not a delivery failure
-                if event.active_set:
-                    self.live_events.append(event)
+            # an event nobody detects is a coverage miss, not a delivery failure
+            if event is not None and event.active_set:
+                self.event = event
 
-        if self.live_events:
-            outcome = self._contention_round()
+        if self.event is not None:
+            outcome = self._contention_round(self.event)
             self.trace.n_contention_slots += 1
             self.trace.n_successful_slots += outcome.success
         else:
@@ -218,46 +205,32 @@ class Simulation:
         self.trace.n_slots = self.slot
         return outcome
 
-    def _contention_round(self) -> SlotOutcome:
+    def _contention_round(self, event: AlarmEvent) -> SlotOutcome:
         cfg = self.config
-        active = tuple(sorted(self._busy_laps()))
-        oldest_age = max(e.age for e in self.live_events)
+        active, age = event.active_set, event.age
         contexts = self._contexts(active)
         actions = self.policy.select_action(active, contexts, self.rng_explore)
         collisions = resolve_collisions(actions, cfg.n_channels)
-        # the agent that got through on each successful channel, by channel
-        deliverers = [active[row] for row in collisions.transmitters]
+        # every transmitter belongs to the one event; the lowest successful
+        # channel names the winner
+        delivered = collisions.success
+        winner = active[collisions.transmitters[0]] if delivered else None
 
-        # every live event's rewards, then one update, then the events end:
-        # an event's end never decays a learning rate before its last update
-        row_of = {n: row for row, n in enumerate(active)}
-        agents: list[int] = []
-        rewards: list[float] = []
-        delivered_flags: list[bool] = []
-        for event in self.live_events:
-            winner = next((n for n in deliverers if n in event.active_set), None)
-            delivered_flags.append(winner is not None)
-            for n in event.active_set:
-                agents.append(n)
-                rewards.append(reward_of(winner is not None, winner, n, cfg))
-        rows = [row_of[n] for n in agents]
-        losses = self.policy.observe(agents, contexts[rows], actions[rows], rewards, self.rng_sample)
+        # the update comes before the event ends: an event's end never decays
+        # a learning rate before its last update
+        rewards = [reward_of(delivered, winner, n, cfg) for n in active]
+        losses = self.policy.observe(active, contexts, actions, rewards, self.rng_sample)
         if losses is not None:
             self.trace.mse.append(float(np.mean(losses)))
 
-        still_live: list[AlarmEvent] = []
-        for event, delivered in zip(self.live_events, delivered_flags):
-            event.attempts += 1
-            if delivered:
-                self._finish_event(event, True)
-            else:
-                event.age += 1 + cfg.cs_overhead_slots
-                if event.age > event.deadline_slots:
-                    self._finish_event(event, False)
-                else:
-                    still_live.append(event)
-        self.live_events = still_live
-        return SlotOutcome(slot=self.slot, success=collisions.success, age=oldest_age)
+        event.attempts += 1
+        if delivered:
+            self._finish_event(event, True)
+        else:
+            event.age += 1 + cfg.cs_overhead_slots
+            if event.age > cfg.deadline_slots:
+                self._finish_event(event, False)
+        return SlotOutcome(slot=self.slot, success=delivered, age=age)
 
     def _finish_event(self, event: AlarmEvent, delivered: bool) -> None:
         """Record the event's outcome; it ends in this slot."""
@@ -271,6 +244,7 @@ class Simulation:
             )
         )
         self.policy.end_event(event.active_set)
+        self.event = None
 
     def run(self, n_slots: int | None = None, until_events: int | None = None) -> RunTrace:
         """Advance the world; stops at n_slots, or earlier once until_events

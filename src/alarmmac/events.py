@@ -21,7 +21,6 @@ from .config import ActivationMode, ScenarioConfig
 class AlarmEvent:
     epicenter: tuple[float, float]
     birth_slot: int
-    deadline_slots: int
     active_set: tuple[int, ...]
     age: int = 0
     attempts: int = 0
@@ -82,12 +81,7 @@ def maybe_spawn_event(
         float(rng.uniform(0.0, config.area_height_m)),
     )
     active = build_active_set(epicenter, poses(), rng, config)
-    return AlarmEvent(
-        epicenter=epicenter,
-        birth_slot=slot,
-        deadline_slots=config.deadline_slots,
-        active_set=active,
-    )
+    return AlarmEvent(epicenter=epicenter, birth_slot=slot, active_set=active)
 
 
 def empirical_activation(

@@ -102,10 +102,6 @@ class ExperimentResult:
             "mse_series": self.mse_series,
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "ExperimentResult":
-        return cls(**raw)
-
 
 def _atomic_write(path: str, data: str) -> None:
     """Write through a temporary file of its own in the target directory,
@@ -125,11 +121,6 @@ def _atomic_write(path: str, data: str) -> None:
 
 def write_result(result: ExperimentResult, path: str) -> None:
     _atomic_write(path, json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n")
-
-
-def read_result(path: str) -> ExperimentResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentResult.from_dict(json.load(fh))
 
 
 def run_experiment(

@@ -1,9 +1,9 @@
 """Pilot aggregation at the controller and the contention-signature broadcast.
 
-Active subnetworks each transmit one pilot symbol per channel. The controller
-receives the aggregate
+Active subnetworks each transmit one pilot symbol x_n = 1 per channel. The
+controller receives the aggregate
 
-    y = sum_n sqrt(snr) * h_n * x_n + noise
+    y = sum_n sqrt(snr) * h_n + noise
 
 and broadcasts it back; subnetwork n receives
 
@@ -19,40 +19,19 @@ import math
 
 import numpy as np
 
-from .config import PilotMode
-
 
 def _complex_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     z = rng.standard_normal(shape + (2,))
     return math.sqrt(1.0 / 2.0) * (z[..., 0] + 1j * z[..., 1])
 
 
-def make_pilots(
-    n_active: int, n_channels: int, mode: PilotMode, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Unit-power pilot symbols, one per (active subnetwork, channel)."""
-    if mode is PilotMode.RANDOM_PHASE:
-        if rng is None:
-            raise ValueError("random-phase pilots need a random stream")
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=(n_active, n_channels))
-        return np.exp(1j * theta)
-    return np.ones((n_active, n_channels), dtype=complex)
-
-
-def aggregate_pilots(
-    gains: np.ndarray,
-    pilots: np.ndarray,
-    snr: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Uplink aggregate received by the controller; `snr` is linear."""
+def aggregate_pilots(gains: np.ndarray, snr: float, rng: np.random.Generator) -> np.ndarray:
+    """Uplink aggregate received by the controller; `snr` is linear. Every
+    pilot symbol is 1, so the aggregate sums the gains (k, M) over the
+    active subnetworks."""
     gains = np.atleast_2d(np.asarray(gains, dtype=complex))
-    pilots = np.atleast_2d(np.asarray(pilots, dtype=complex))
-    if gains.shape != pilots.shape:
-        raise ValueError(f"gains {gains.shape} and pilots {pilots.shape} must match")
-    m = gains.shape[1] if gains.size else pilots.shape[1]
-    signal = math.sqrt(snr) * (gains * pilots).sum(axis=0) if gains.size else np.zeros(m, dtype=complex)
-    return signal + _complex_noise(rng, (m,))
+    signal = math.sqrt(snr) * gains.sum(axis=0)
+    return signal + _complex_noise(rng, signal.shape)
 
 
 def broadcast_cs(

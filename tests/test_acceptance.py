@@ -118,29 +118,10 @@ def test_criterion_3_at_benchmark_scale_matches_dp():
     )
 
 
-def kink_distance(stack, contexts):
-    """Smallest |pre-activation| of a rectifier unit over each network's
-    contexts (K, B, M): (K,)."""
-    h, nearest = contexts, np.full(len(contexts), np.inf)
-    for w, b in zip(stack.weights[:-1], stack.biases[:-1]):
-        z = np.matmul(h, w.transpose(0, 2, 1)) + b[:, None, :]
-        nearest = np.minimum(nearest, np.abs(z).min(axis=(1, 2)))
-        h = np.maximum(z, 0.0)
-    return nearest
-
-
 def test_criterion_4_gradient_correctness():
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    near_kink = 0
-    for _ in range(100):
-        stack, batch = selfcheck.random_model_batch(rng, max_batch=5)
-        errors = selfcheck.gradient_error(stack, batch)
-        # a 1e-5 bump can cross a rectifier's kink, where central differences
-        # do not estimate the gradient
-        skip = kink_distance(stack, batch[0]) < 1e-4
-        near_kink += int(skip.sum())
-        worst = max(worst, float(errors[~skip].max(initial=0.0)))
+    # networks near a rectifier's kink are skipped: there central
+    # differences do not estimate the gradient
+    worst, near_kink = selfcheck.worst_gradient_error(np.random.default_rng(4), 100, max_batch=5)
     report(4, "stacked backprop matches central finite differences on 100 random stacks of 3 networks",
            worst < 1e-4 and near_kink <= 10,
            f"max relative error {worst:.2e} ({near_kink} of 300 networks skipped near a kink)")

@@ -99,6 +99,7 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     for name in ("collision_oracle", "dtmc_consistency", "gradient_check", "clip_norm"):
         assert f"ok   {name}" in out
+    assert "of 15 networks skipped near a kink" in out
 
 
 def test_selftest_catches_a_wrong_pattern_table(monkeypatch, capsys):

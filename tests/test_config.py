@@ -65,6 +65,13 @@ def test_unknown_keys_rejected():
         load_config('{"n_subnets": 3, "n_chanels": 2}')
 
 
+@pytest.mark.parametrize("key, value", [("allow_event_overlap", "false"), ("pilot_mode", '"ones"')])
+def test_removed_keys_rejected_as_unknown(key, value):
+    # one live alarm and all-ones pilots are the model, not options
+    with pytest.raises(ConfigError, match=f"^unknown config keys: {key}$"):
+        load_config(f'{{"n_subnets": 3, "n_channels": 2, "{key}": {value}}}')
+
+
 def test_parse_failure_reported():
     with pytest.raises(ConfigError, match="parse"):
         load_config("{not json")
@@ -108,8 +115,6 @@ def test_enum_strings_become_members_on_construction():
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("allow_event_overlap", '"no"'),  # a truthy string must not switch overlap on
-        ("allow_event_overlap", "1"),
         ("n_subnets", "2.5"),
         ("n_subnets", "true"),
         ("n_subnets", '"20"'),
@@ -138,7 +143,6 @@ def test_mistyped_value_rejected_naming_the_key(key, value):
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("allow_event_overlap", "no"),
         ("n_subnets", 2.5),
         ("n_subnets", "3"),
         ("n_runs", True),
@@ -172,15 +176,15 @@ def test_triples_built_in_code_become_float_tuples():
 def test_numbers_of_the_right_kind_accepted():
     cfg = load_config(
         '{"n_subnets": 3, "n_channels": 2, "area_width_m": 40, "minibatch_size": null,'
-        ' "allow_event_overlap": true, "pathloss_abg_los": [2, 31.84, 1.9]}'
+        ' "pathloss_abg_los": [2, 31.84, 1.9]}'
     )
-    assert cfg.area_width_m == 40 and cfg.minibatch_size is None and cfg.allow_event_overlap is True
+    assert cfg.area_width_m == 40 and cfg.minibatch_size is None
     assert cfg.pathloss_abg_los == (2.0, 31.84, 1.9)
 
 
 def test_every_field_has_a_checked_kind():
-    enums = {"PolicyKind", "RewardScope", "ActivationMode", "CsGainMode", "PilotMode"}
-    kinds = {"bool", "int", "int | None", "float", "tuple[float, float, float]"} | enums
+    enums = {"PolicyKind", "RewardScope", "ActivationMode", "CsGainMode"}
+    kinds = {"int", "int | None", "float", "tuple[float, float, float]"} | enums
     assert {f.type for f in fields(ScenarioConfig)} <= kinds
 
 
@@ -194,7 +198,7 @@ PLAUSIBLE = st.one_of(
     JSON_VALUES,
     st.integers(-2, 40),
     st.floats(-1.0, 60.0),
-    st.sampled_from(["drl", "mapra", "rch", "individual", "threshold_only", "raw", "random_phase"]),
+    st.sampled_from(["drl", "mapra", "rch", "individual", "threshold_only", "raw"]),
     st.lists(st.floats(0.0, 40.0), min_size=3, max_size=3),
 )
 

@@ -67,15 +67,9 @@ def quiet_world(**overrides):
     return sim
 
 
-def inject_event(sim, active, deadline=None):
-    event = AlarmEvent(
-        epicenter=(25.0, 25.0),
-        birth_slot=sim.slot,
-        deadline_slots=sim.config.deadline_slots if deadline is None else deadline,
-        active_set=tuple(active),
-    )
-    sim.live_events.append(event)
-    return event
+def inject_event(sim, active):
+    sim.event = AlarmEvent(epicenter=(25.0, 25.0), birth_slot=sim.slot, active_set=tuple(active))
+    return sim.event
 
 
 def test_no_live_alarm_means_no_policy_calls():
@@ -94,7 +88,7 @@ def test_shared_scope_rewards_all_on_delivery():
     inject_event(sim, (0, 1))
     outcome = sim.run_slot()
     assert outcome.success and sim.trace.events[0].end_slot == 0
-    assert sim.live_events == []
+    assert sim.event is None
     assert sim.policy.observed[0] == [(1, 1.0)]
     assert sim.policy.observed[1] == [(2, 1.0)]
     assert sim.policy.events_ended[0] == 1 and sim.policy.events_ended[1] == 1
@@ -106,7 +100,7 @@ def test_shared_scope_penalizes_all_on_collision():
     sim.policy = FixedPolicy([1, 1])
     event = inject_event(sim, (0, 1))
     outcome = sim.run_slot()
-    assert not outcome.success and sim.live_events == [event] and sim.trace.events == []
+    assert not outcome.success and sim.event is event and sim.trace.events == []
     assert sim.policy.observed[0] == [(1, -1.0)]
     assert sim.policy.observed[1] == [(1, -1.0)]
     assert event.age == 1
@@ -138,10 +132,10 @@ def test_forced_collision_runs_deadline_plus_one_slots_then_fails():
     sim.policy = FixedPolicy([1, 1])
     event = inject_event(sim, (0, 1))
     for _ in range(deadline + 1):
-        assert sim.live_events == [event]
+        assert sim.event is event
         sim.run_slot()
     (record,) = sim.trace.events
-    assert sim.live_events == [] and not record.delivered
+    assert sim.event is None and not record.delivered
     assert event.attempts == record.attempts == deadline + 1
     assert sim.trace.n_contention_slots == deadline + 1
     assert sim.policy.events_ended[0] == 1
@@ -154,22 +148,34 @@ def test_signalling_overhead_consumes_deadline_budget():
     sim = quiet_world(deadline_slots=3, cs_overhead_slots=1)
     sim.policy = FixedPolicy([1, 1])
     event = inject_event(sim, (0, 1))
-    while sim.live_events:
+    while sim.event is not None:
         sim.run_slot()
     assert event.attempts == 2  # ages 0 and 2; age 4 exceeds the deadline
 
 
 def test_events_end_after_the_slots_update():
-    sim = quiet_world(n_subnets=4, allow_event_overlap=True)
-    sim.policy = FixedPolicy([1, 1, 2, 1])  # agent 2 delivers event B; event A collides
-    inject_event(sim, (0, 1), deadline=0)
-    inject_event(sim, (3, 2))
-    sim.run_slot()
-    # both end, A by its deadline and B delivered, in live-event order
-    assert sim.live_events == [] and [e.delivered for e in sim.trace.events] == [False, True]
-    # one update for both events, in live-event order, before either ends
-    assert sim.policy.calls == [("observe", (0, 1, 3, 2)), ("end_event", (0, 1)), ("end_event", (3, 2))]
-    assert sim.policy.observed[2] == [(2, 1.0)] and sim.policy.observed[0] == [(1, -1.0)]
+    # a collided event ends by its deadline, a delivered one by delivery:
+    # either way the slot's update comes before the event's end
+    for patterns, delivered in (([1, 1], False), ([1, 2], True)):
+        sim = quiet_world(deadline_slots=0)
+        sim.policy = FixedPolicy(patterns)
+        inject_event(sim, (0, 1))
+        sim.run_slot()
+        assert sim.event is None and [e.delivered for e in sim.trace.events] == [delivered]
+        assert sim.policy.calls == [("observe", (0, 1)), ("end_event", (0, 1))]
+
+
+def test_no_event_draws_while_an_alarm_is_live():
+    sim = quiet_world(alpha=1.0, deadline_slots=4)
+    sim.policy = FixedPolicy([1, 1])  # every round collides, so the alarm lives D + 1 slots
+    inject_event(sim, (0, 1))
+    before = sim.rng_events.bit_generator.state
+    for _ in range(5):
+        sim.run_slot()
+    assert sim.event is None and len(sim.trace.events) == 1
+    assert sim.rng_events.bit_generator.state == before
+    sim.run_slot()  # idle again: the spawn check draws
+    assert sim.rng_events.bit_generator.state != before
 
 
 def test_training_tuples_only_for_active_agents():
@@ -240,23 +246,6 @@ def test_delivered_event_has_successful_outcome_in_window():
     for e in trace.events:
         if e.delivered:
             assert e.end_slot in success_slots
-
-
-def test_event_overlap_mode_keeps_agents_exclusive():
-    cfg = make_config(
-        n_subnets=8, n_slots=1200, alpha=0.9, eta=0.08, tx_threshold=0.2, deadline_slots=6,
-        allow_event_overlap=True, policy_kind=PolicyKind.RCH,
-    )
-    sim = Simulation(cfg, seed=13)
-    saw_overlap = False
-    for _ in range(cfg.n_slots):
-        sim.run_slot()
-        if len(sim.live_events) > 1:
-            saw_overlap = True
-            members = [n for e in sim.live_events for n in e.active_set]
-            assert len(members) == len(set(members))
-    assert saw_overlap
-    assert sim.trace.delivered_count + sim.trace.failed_count == len(sim.trace.events)
 
 
 def test_run_record_retains_little_per_contention_slot():

@@ -138,9 +138,8 @@ def test_active_set_permutation_covariant(rng):
 
 
 def test_event_fields(rng):
-    cfg = make_config(alpha=1.0, deadline_slots=7, tx_threshold=0.0, eta=1e-6,
-                      activation_mode=ActivationMode.THRESHOLD_ONLY)
+    cfg = make_config(alpha=1.0, tx_threshold=0.0, eta=1e-6, activation_mode=ActivationMode.THRESHOLD_ONLY)
     event = maybe_spawn_event(12, lambda: poses_at([(25, 25)]), rng, cfg)
-    assert event.birth_slot == 12 and event.deadline_slots == 7
+    assert event.birth_slot == 12
     assert event.active_set == (0,)
     assert event.age == 0 and event.attempts == 0

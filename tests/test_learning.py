@@ -119,7 +119,22 @@ def test_backward_masks_untaken_actions():
 
 
 def test_backward_matches_finite_differences():
-    assert selfcheck.worst_gradient_error(np.random.default_rng(3), 20, max_batch=7) < 1e-4
+    worst, _ = selfcheck.worst_gradient_error(np.random.default_rng(3), 20, max_batch=7)
+    assert worst < 1e-4
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_gradient_check_skips_networks_near_a_kink(seed):
+    # unscreened, seed 4 reads 1.9e-1: a bump across a rectifier's kink
+    worst, skipped = selfcheck.worst_gradient_error(np.random.default_rng(seed), 100, max_batch=5)
+    assert worst < 1e-4 and skipped <= 10
+
+
+def test_kink_distance_is_the_smallest_hidden_pre_activation():
+    # one hidden unit with weight 1 and bias -0.5: pre-activations x - 0.5
+    stack = MlpStack(np.array([[1.0, -0.5, 1.0, 0.0]]), [1, 1, 1])
+    contexts = np.array([[[0.9], [0.3], [0.7]]])
+    assert selfcheck.kink_distance(stack, contexts)[0] == pytest.approx(0.2)
 
 
 def test_clip_below_threshold_unchanged():

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from alarmmac.config import PilotMode
-from alarmmac.signature import aggregate_pilots, broadcast_cs, featurize, make_pilots
+from alarmmac.signature import aggregate_pilots, broadcast_cs, featurize
 
 
 def ones(k, m):
@@ -22,7 +21,7 @@ def next_noise(rng, shape):
 def test_empty_active_set_leaves_noise_floor(rng):
     powers = []
     for _ in range(50_000):
-        y = aggregate_pilots(np.zeros((0, 2)), np.zeros((0, 2)), snr=4.0, rng=rng)
+        y = aggregate_pilots(np.zeros((0, 2)), snr=4.0, rng=rng)
         powers.append(np.abs(y) ** 2)
     assert abs(np.mean(powers) - 1.0) < 0.02
 
@@ -30,13 +29,13 @@ def test_empty_active_set_leaves_noise_floor(rng):
 def test_single_unit_link_no_noise(rng):
     # the noiseless aggregate is y minus the noise drawn
     noise = next_noise(rng, (3,))
-    y = aggregate_pilots(ones(1, 3), ones(1, 3), snr=9.0, rng=rng)
+    y = aggregate_pilots(ones(1, 3), snr=9.0, rng=rng)
     assert np.array_equal(y, 3.0 + noise)
 
 
 def test_two_links_sum_coherently(rng):
     noise = next_noise(rng, (2,))
-    y = aggregate_pilots(ones(2, 2), ones(2, 2), snr=4.0, rng=rng)
+    y = aggregate_pilots(ones(2, 2), snr=4.0, rng=rng)
     assert np.array_equal(y, 4.0 + noise)  # 2 links * sqrt(4)
 
 
@@ -102,26 +101,14 @@ def test_extra_link_does_not_reduce_expected_power(rng):
     extra = rng.standard_normal((20_000, 2)) + 1j * rng.standard_normal((20_000, 2))
     p_one, p_two = 0.0, 0.0
     for i in range(20_000):
-        y1 = aggregate_pilots(base_gain, ones(1, 2), 4.0, copy.deepcopy(rng))
+        y1 = aggregate_pilots(base_gain, 4.0, copy.deepcopy(rng))
         both = np.vstack([base_gain, extra[i][None, :]])
-        y2 = aggregate_pilots(both, ones(2, 2), 4.0, rng)
+        y2 = aggregate_pilots(both, 4.0, rng)
         p_one += float((np.abs(y1) ** 2).sum())
         p_two += float((np.abs(y2) ** 2).sum())
     assert p_two >= p_one
 
 
-def test_pilot_modes(rng):
-    flat = make_pilots(3, 4, PilotMode.ONES)
-    assert np.all(flat == 1.0)
-    phased = make_pilots(3, 4, PilotMode.RANDOM_PHASE, rng)
-    assert np.allclose(np.abs(phased), 1.0)
-    assert not np.allclose(phased, 1.0)
-    with pytest.raises(ValueError):
-        make_pilots(2, 2, PilotMode.RANDOM_PHASE)
-
-
 def test_shape_mismatch_rejected(rng):
-    with pytest.raises(ValueError):
-        aggregate_pilots(ones(2, 3), ones(2, 2), 1.0, rng)
     with pytest.raises(ValueError):
         broadcast_cs(np.zeros(3, dtype=complex), ones(2, 2), 1.0, rng)

@@ -6,14 +6,15 @@ of an alarm event.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from alarmmac.config import ActivationMode, ScenarioConfig, derive_stream, validate_config, with_overrides
+from alarmmac.config import ActivationMode, ScenarioConfig, derive_stream
 from alarmmac.events import activation_probability, build_active_set, empirical_activation
 from alarmmac.geometry import place_uniform, step_mobility
 
-cfg = validate_config(ScenarioConfig(n_subnets=20, n_channels=3, rng_seed=7))
+cfg = ScenarioConfig(n_subnets=20, n_channels=3, rng_seed=7)
 
 print("=== placement ===")
 rng = derive_stream(cfg.rng_seed, "placement")
@@ -43,13 +44,13 @@ for eta in (0.2, 0.6, 1.0):
 
 print("\nactive sets for one epicenter at the cell center, increasing eta:")
 for eta in (0.05, 0.1, 0.3):
-    probe = with_overrides(cfg, eta=eta, tx_threshold=0.25,
-                           activation_mode=ActivationMode.THRESHOLD_ONLY)
+    probe = replace(cfg, eta=eta, tx_threshold=0.25,
+                    activation_mode=ActivationMode.THRESHOLD_ONLY)
     active = build_active_set((25.0, 25.0), poses, derive_stream(1, "demo"), probe)
     print(f"  eta={eta:<5} -> {len(active):2d} of {cfg.n_subnets} activated: {active}")
 
 print("\nMonte Carlo per-subnetwork activation probability (uniform epicenters):")
-probe = with_overrides(cfg, eta=0.1, tx_threshold=0.25, activation_mode=ActivationMode.THRESHOLD_ONLY)
+probe = replace(cfg, eta=0.1, tx_threshold=0.25, activation_mode=ActivationMode.THRESHOLD_ONLY)
 est = empirical_activation(poses, probe, derive_stream(2, "demo"), n_trials=50_000)
 print(f"  alpha={probe.alpha}: min {est.min():.4f}  mean {est.mean():.4f}  max {est.max():.4f}")
 print("  (interior poses see more epicenters inside their activation disk than corner poses)")

@@ -10,17 +10,17 @@ seeded run.
 
 import numpy as np
 
-from alarmmac.config import PolicyKind, ScenarioConfig, validate_config
+from alarmmac.config import PolicyKind, ScenarioConfig
 from alarmmac.engine import Simulation
 from alarmmac.learning import forward_stacked
 from alarmmac.policies import DrlPopulation
 from alarmmac.reporting import in_time_probability, mse_decile_medians
 
-cfg = validate_config(ScenarioConfig(
+cfg = ScenarioConfig(
     n_subnets=10, n_channels=3, policy_kind=PolicyKind.DRL,
     alpha=1.0, activation_mode="threshold_only", eta=0.06, tx_threshold=0.3,
     deadline_slots=2, n_slots=10**9, lr_initial=0.05, lr_decay_per_event=0.002,
-))
+)
 
 sim = Simulation(cfg, seed=314159)
 sim.run(n_slots=10**7, until_events=1500)

@@ -6,9 +6,7 @@ contention-signature signal."""
 from .config import (
     ActivationMode,
     ConfigError,
-    CsGainMode,
     PolicyKind,
-    RewardScope,
     ScenarioConfig,
     config_fingerprint,
     derive_run_seed,
@@ -16,8 +14,6 @@ from .config import (
     load_config,
     load_config_file,
     serialize_config,
-    validate_config,
-    with_overrides,
 )
 from .engine import RunTrace, Simulation, resolve_collisions, run
 from .reporting import ExperimentResult, in_time_probability, run_experiment, sweep
@@ -27,10 +23,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ActivationMode",
     "ConfigError",
-    "CsGainMode",
     "ExperimentResult",
     "PolicyKind",
-    "RewardScope",
     "RunTrace",
     "ScenarioConfig",
     "Simulation",
@@ -45,7 +39,5 @@ __all__ = [
     "run_experiment",
     "serialize_config",
     "sweep",
-    "validate_config",
-    "with_overrides",
     "__version__",
 ]

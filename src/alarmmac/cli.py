@@ -5,11 +5,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import analytics
-from .config import PolicyKind, load_config_file, with_overrides
+from .config import PolicyKind, load_config_file
 from .reporting import SWEEP_AXES, parse_axis_value, run_experiment, sweep
 
 
@@ -33,7 +34,7 @@ def _load(args: argparse.Namespace):
         overrides["n_slots"] = args.slots
     if args.policy is not None:
         overrides["policy_kind"] = PolicyKind(args.policy)
-    return with_overrides(cfg, **overrides) if overrides else cfg
+    return replace(cfg, **overrides)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -3,10 +3,16 @@
 A scenario is described by a flat JSON document whose keys carry explicit
 units in their names. Unknown keys are rejected so that typos surface as
 errors instead of silently falling back to defaults. The config object is
-a frozen dataclass and safe to share read-only across concurrent runs.
+a frozen dataclass and safe to share read-only across concurrent runs. It
+checks itself when built, from a document, in code or by
+`dataclasses.replace`: a field of the wrong type or out of range raises a
+ConfigError naming its key.
 
 The model has no knob for what the paper fixes: at most one alarm is live
-at a time (see `engine`), and every pilot symbol is 1 (see `signature`).
+at a time and each attempt takes one slot (see `engine`), every pilot
+symbol is 1 (see `signature`), link gains enter the signature normalised to
+a typical link, and one delivered copy of the alarm rewards its whole
+active set.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any
 
@@ -27,24 +33,9 @@ class PolicyKind(str, Enum):
     RCH = "rch"
 
 
-class RewardScope(str, Enum):
-    SHARED = "shared"
-    INDIVIDUAL = "individual"
-
-
 class ActivationMode(str, Enum):
     THRESHOLD_ONLY = "threshold_only"
     THRESHOLD_AND_BERNOULLI = "threshold_and_bernoulli"
-
-
-class CsGainMode(str, Enum):
-    # How link gains enter the contention-signature synthesis:
-    #   NORMALIZED: full gain divided by the snapshot median attenuation, so
-    #               snr_avg_db is the average link SNR at a typical distance.
-    #   RAW:        full gain as drawn (pathloss makes the signal vanish
-    #               against unit noise at factory distances).
-    NORMALIZED = "normalized"
-    RAW = "raw"
 
 
 class ConfigError(ValueError):
@@ -53,9 +44,7 @@ class ConfigError(ValueError):
 
 _ENUM_FIELDS = {
     "policy_kind": PolicyKind,
-    "reward_scope": RewardScope,
     "activation_mode": ActivationMode,
-    "cs_gain_mode": CsGainMode,
 }
 
 
@@ -91,8 +80,6 @@ class ScenarioConfig:
     shadow_sigma_nlos_db: float = 5.7
     shadow_corr_distance_m: float = 10.0
     los_decay_m: float = 9.0
-    cs_gain_mode: CsGainMode = CsGainMode.NORMALIZED
-    cs_overhead_slots: int = 0
 
     # Policy and learning
     policy_kind: PolicyKind = PolicyKind.DRL
@@ -110,7 +97,6 @@ class ScenarioConfig:
     clip_threshold: float = 5.0
     reward_success: float = 1.0
     reward_failure: float = -1.0
-    reward_scope: RewardScope = RewardScope.SHARED
     mapra_tau: float = 0.1
 
     # Run control
@@ -119,14 +105,11 @@ class ScenarioConfig:
     n_runs: int = 100
 
     def __post_init__(self) -> None:
-        # a plain string such as policy_kind="rch" becomes its member here, so
-        # the identity checks against members hold however the config is built
-        for name, enum_cls in _ENUM_FIELDS.items():
-            try:
-                object.__setattr__(self, name, enum_cls(getattr(self, name)))
-            except (ValueError, TypeError):
-                options = ", ".join(e.value for e in enum_cls)
-                raise ConfigError(f"{name}: must be one of {options}") from None
+        # every way of building a config passes through here: a JSON
+        # document, a config built in code and `dataclasses.replace`
+        for name in _FIELD_TYPES:
+            object.__setattr__(self, name, _typed(name, getattr(self, name)))
+        _check_ranges(self)
 
     @property
     def n_patterns(self) -> int:
@@ -154,17 +137,8 @@ def _check(cond: bool, name: str, reason: str) -> None:
         raise ConfigError(f"{name}: {reason}")
 
 
-def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """`cfg`, checked: a ConfigError naming the key unless every field has
-    the right type and range.
-
-    Every way of building a config passes through here, so the per-field
-    type check is the same for a JSON document, a config built in code and
-    `with_overrides`. The triples come back as tuples of floats, whether
-    given as lists or with integers.
-    """
-    typed = {name: _typed(name, getattr(cfg, name)) for name in _FIELD_TYPES}
-    cfg = replace(cfg, **{name: typed[name] for name in _TUPLE_FIELDS})
+def _check_ranges(cfg: ScenarioConfig) -> None:
+    """A ConfigError naming the key unless every field is in its range."""
     _check(cfg.n_subnets >= 1, "n_subnets", "must be >= 1")
     _check(cfg.n_channels >= 1, "n_channels", "n_channels >= 1")
     _check(cfg.n_channels <= 16, "n_channels", "must be <= 16 (2**n_channels action space)")
@@ -177,7 +151,6 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     _check(cfg.eta > 0, "eta", "must be > 0")
     _check(0.0 <= cfg.alpha <= 1.0, "alpha", "must be in [0, 1]")
     _check(0.0 <= cfg.tx_threshold <= 1.0, "tx_threshold", "must be in [0, 1]")
-    _check(cfg.cs_overhead_slots in (0, 1, 2), "cs_overhead_slots", "must be 0, 1, or 2")
     _check(cfg.dnn_hidden_layers >= 1, "dnn_hidden_layers", "must be >= 1")
     _check(cfg.dnn_hidden_size >= 1, "dnn_hidden_size", "must be >= 1")
     _check(cfg.minibatch >= 1, "minibatch_size", "must be >= 1")
@@ -202,9 +175,6 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     _check(cfg.shadow_sigma_nlos_db >= 0, "shadow_sigma_nlos_db", "must be >= 0")
     _check(cfg.n_slots >= 0, "n_slots", "must be >= 0")
     _check(cfg.n_runs >= 1, "n_runs", "must be >= 1")
-    for name in _TUPLE_FIELDS:
-        _check(len(getattr(cfg, name)) == 3, name, "needs exactly 3 values (a, b, g)")
-    return cfg
 
 
 def load_config(text: str) -> ScenarioConfig:
@@ -234,9 +204,18 @@ def _typed(key: str, value: Any) -> Any:
     """The value of field `key`, if its type fits the field.
 
     Counts take integers, not booleans; quantities take finite numbers;
-    triples take three finite numbers.
-    Enum fields are checked by `ScenarioConfig` itself.
+    triples take three finite numbers and come back as a tuple of floats.
+    An enum field takes a member or its string value and comes back as the
+    member, so the identity checks against members hold however the config
+    is built.
     """
+    enum_cls = _ENUM_FIELDS.get(key)
+    if enum_cls is not None:
+        try:
+            return enum_cls(value)
+        except (ValueError, TypeError):
+            options = ", ".join(e.value for e in enum_cls)
+            raise ConfigError(f"{key}: must be one of {options}") from None
     kind = _FIELD_TYPES[key]
     if kind == "int" or (kind == "int | None" and value is not None):
         _check(isinstance(value, int) and not isinstance(value, bool), key, "must be an integer")
@@ -259,7 +238,7 @@ def config_from_dict(raw: dict[str, Any]) -> ScenarioConfig:
     for key in ("n_subnets", "n_channels"):
         if key not in raw:
             raise ConfigError(f"{key}: required")
-    return validate_config(ScenarioConfig(**raw))
+    return ScenarioConfig(**raw)
 
 
 def load_config_file(path: str) -> ScenarioConfig:
@@ -286,10 +265,6 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 def config_fingerprint(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()
-
-
-def with_overrides(cfg: ScenarioConfig, **kwargs: Any) -> ScenarioConfig:
-    return validate_config(replace(cfg, **kwargs))
 
 
 def derive_stream(seed: int, stream_label: str) -> np.random.Generator:

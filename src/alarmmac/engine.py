@@ -10,10 +10,10 @@ an alarm is live, one full contention round:
 
 A channel succeeds when exactly one active agent transmits on it; the slot
 succeeds when any channel does, and delivers the alarm, which ends it for
-every member of its active set. An undelivered event fails once
-its age exceeds the deadline, after exactly D + 1 contention rounds when no
-signalling overhead is configured. Acknowledgements are error-free and
-instantaneous on a dedicated channel.
+every member of its active set. One delivered copy serves them all, so every
+member gets the same reward. Each attempt takes one slot, so an undelivered
+event fails after exactly D + 1 contention rounds. Acknowledgements are
+error-free and instantaneous on a dedicated channel.
 
 The mobility step is lazy: a slot only counts it, and the steps owed are
 advanced when the poses are next read, which is when an event spawns or a
@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from . import channel as chan
 from . import signature as sig
-from .config import CsGainMode, RewardScope, ScenarioConfig, derive_stream
+from .config import ScenarioConfig, derive_stream
 from .events import AlarmEvent, maybe_spawn_event
 from .geometry import place_uniform, step_mobility
 from .policies import Population, make_policy, pattern_table
@@ -41,7 +41,7 @@ from .policies import Population, make_policy, pattern_table
 class SlotOutcome:
     slot: int
     success: bool  # any channel with exactly one transmitter
-    age: int | None  # alarm age entering this round; None when idle
+    age: int | None  # attempts the alarm made before this round; None when idle
 
 
 @dataclass
@@ -74,36 +74,11 @@ class RunTrace:
         return len(self.events) - self.delivered_count
 
 
-def reward_of(delivered: bool, winner: int | None, lap: int, config: ScenarioConfig) -> float:
-    """Per-slot reward of one active agent under the configured scope.
-
-    Shared scope pays every member of a delivered event's active set alike;
-    individual scope pays only the winning transmitter.
-    """
-    if config.reward_scope is RewardScope.SHARED:
-        return config.reward_success if delivered else config.reward_failure
-    return config.reward_success if lap == winner else config.reward_failure
-
-
-class Collisions(NamedTuple):
-    """Collision outcome of one slot."""
-
-    success: bool  # any channel with exactly one transmitter
-    channels: tuple[int, ...]  # the successful channels, ascending
-    transmitters: tuple[int, ...]  # per successful channel, the index into the actions of its transmitter
-
-
-def resolve_collisions(action_indices: list[int] | np.ndarray, n_channels: int) -> Collisions:
-    """Collision outcome of one slot's transmission patterns."""
-    actions = np.asarray(action_indices, dtype=int)
-    if not actions.size:
-        return Collisions(False, (), ())
-    bits = pattern_table(n_channels)[actions]
-    counts = bits.sum(axis=0).astype(int)
-    channels = np.flatnonzero(counts == 1)
-    # each successful column holds a single 1: argmax finds its row
-    transmitters = bits[:, channels].argmax(axis=0)
-    return Collisions(bool(channels.size), tuple(channels.tolist()), tuple(transmitters.tolist()))
+def resolve_collisions(action_indices: list[int] | np.ndarray, n_channels: int) -> bool:
+    """Whether one slot's transmission patterns succeed: some channel
+    carries exactly one transmitter."""
+    bits = pattern_table(n_channels)[np.asarray(action_indices, dtype=int)]
+    return bool((bits.sum(axis=0) == 1).any())
 
 
 class Simulation:
@@ -163,10 +138,12 @@ class Simulation:
         self.shadow_db = chan.shadowing_db(positions, self.rng_channel, cfg, sigma_db=sigma)
         pl = np.array([chan.pathloss_db(di, bool(l), cfg) for di, l in zip(d, self.los)])
         amps = chan.attenuation(pl, self.shadow_db)
-        self._reference_amp = float(np.median(amps)) if len(amps) else 1.0
+        self._reference_amp = float(np.median(amps))
 
     def _link_gains(self, active: tuple[int, ...]) -> np.ndarray:
-        """Per-channel complex gains for the active uplinks this slot."""
+        """Per-channel complex gains for the active uplinks this slot,
+        normalised by the snapshot median attenuation, so that snr_avg_db is
+        the average link SNR at a typical distance."""
         cfg = self.config
         k = len(active)
         kappa = chan.rayleigh_fading(self.rng_fading, (k, cfg.n_channels))
@@ -174,9 +151,7 @@ class Simulation:
         for row, (n, d) in enumerate(zip(active, self._cap_distances(active))):
             pl = chan.pathloss_db(d, bool(self.los[n]), cfg)
             amps[row] = chan.attenuation(pl, self.shadow_db[n])
-        if cfg.cs_gain_mode is CsGainMode.NORMALIZED and self._reference_amp > 0:
-            amps = amps / self._reference_amp
-        return kappa * amps[:, None]
+        return kappa * (amps / self._reference_amp)[:, None]
 
     def _contexts(self, active: tuple[int, ...]) -> np.ndarray:
         gains = self._link_gains(active)
@@ -207,29 +182,21 @@ class Simulation:
 
     def _contention_round(self, event: AlarmEvent) -> SlotOutcome:
         cfg = self.config
-        active, age = event.active_set, event.age
+        active, age = event.active_set, event.attempts
         contexts = self._contexts(active)
         actions = self.policy.select_action(active, contexts, self.rng_explore)
-        collisions = resolve_collisions(actions, cfg.n_channels)
-        # every transmitter belongs to the one event; the lowest successful
-        # channel names the winner
-        delivered = collisions.success
-        winner = active[collisions.transmitters[0]] if delivered else None
+        delivered = resolve_collisions(actions, cfg.n_channels)
 
         # the update comes before the event ends: an event's end never decays
         # a learning rate before its last update
-        rewards = [reward_of(delivered, winner, n, cfg) for n in active]
-        losses = self.policy.observe(active, contexts, actions, rewards, self.rng_sample)
+        reward = cfg.reward_success if delivered else cfg.reward_failure
+        losses = self.policy.observe(active, contexts, actions, [reward] * len(active), self.rng_sample)
         if losses is not None:
             self.trace.mse.append(float(np.mean(losses)))
 
         event.attempts += 1
-        if delivered:
-            self._finish_event(event, True)
-        else:
-            event.age += 1 + cfg.cs_overhead_slots
-            if event.age > cfg.deadline_slots:
-                self._finish_event(event, False)
+        if delivered or event.attempts > cfg.deadline_slots:
+            self._finish_event(event, delivered)
         return SlotOutcome(slot=self.slot, success=delivered, age=age)
 
     def _finish_event(self, event: AlarmEvent, delivered: bool) -> None:

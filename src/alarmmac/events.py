@@ -22,7 +22,6 @@ class AlarmEvent:
     epicenter: tuple[float, float]
     birth_slot: int
     active_set: tuple[int, ...]
-    age: int = 0
     attempts: int = 0
 
 

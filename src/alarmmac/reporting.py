@@ -12,7 +12,7 @@ import math
 import os
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -23,7 +23,6 @@ from .config import (
     config_fingerprint,
     config_to_dict,
     derive_run_seed,
-    with_overrides,
 )
 from .engine import RunTrace, Simulation
 
@@ -195,11 +194,11 @@ def parse_axis_value(axis: str, raw: str) -> Any:
 def _apply_axis(config: ScenarioConfig, axis: str, value: Any) -> ScenarioConfig:
     if axis == "dnn_shape":
         layers, size = value
-        return with_overrides(config, dnn_hidden_layers=int(layers), dnn_hidden_size=int(size))
+        return replace(config, dnn_hidden_layers=int(layers), dnn_hidden_size=int(size))
     if axis in ("n_subnets", "n_channels"):
-        return with_overrides(config, **{axis: int(value)})
+        return replace(config, **{axis: int(value)})
     if axis == "eta":
-        return with_overrides(config, eta=float(value))
+        return replace(config, eta=float(value))
     raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
 
 
@@ -233,7 +232,7 @@ def sweep(
         point_cfg = _apply_axis(base_config, axis, value)
         seeds = [derive_run_seed(point_cfg.rng_seed, i) for i in range(point_cfg.n_runs)]
         for kind in kinds:
-            cfg = with_overrides(point_cfg, policy_kind=kind)
+            cfg = replace(point_cfg, policy_kind=kind)
             result = run_experiment(cfg, seeds=seeds, until_events=until_events)
             rows.append((_axis_label(axis, value), kind.value, result))
 

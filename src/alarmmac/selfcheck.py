@@ -35,7 +35,7 @@ def collision_mismatches(channel_counts: tuple[int, ...], max_agents: int) -> tu
     for m in channel_counts:
         for k in range(max_agents + 1):
             for joint in itertools.product(range(1 << m), repeat=k):
-                mismatches += resolve_collisions(list(joint), m).success != literal_success(joint, m)
+                mismatches += resolve_collisions(list(joint), m) != literal_success(joint, m)
                 checked += 1
     return mismatches, checked
 

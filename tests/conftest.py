@@ -12,7 +12,7 @@ os.environ["OMP_NUM_THREADS"] = "1"
 import numpy as np  # noqa: E402
 import pytest
 
-from alarmmac.config import ScenarioConfig, validate_config
+from alarmmac.config import ScenarioConfig
 
 
 class FixedPolicy:
@@ -43,7 +43,7 @@ class FixedPolicy:
 
 @pytest.fixture
 def base_config():
-    return validate_config(ScenarioConfig(n_subnets=4, n_channels=2))
+    return ScenarioConfig(n_subnets=4, n_channels=2)
 
 
 def pose_array(records) -> np.recarray:
@@ -54,7 +54,7 @@ def pose_array(records) -> np.recarray:
 def make_config(**kwargs) -> ScenarioConfig:
     kwargs.setdefault("n_subnets", 4)
     kwargs.setdefault("n_channels", 2)
-    return validate_config(ScenarioConfig(**kwargs))
+    return ScenarioConfig(**kwargs)
 
 
 @pytest.fixture

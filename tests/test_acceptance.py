@@ -6,17 +6,12 @@ Run with `pytest tests/test_acceptance.py -v -s`. The learning criteria
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from alarmmac import analytics, selfcheck
-from alarmmac.config import (
-    PolicyKind,
-    ScenarioConfig,
-    derive_run_seed,
-    validate_config,
-    with_overrides,
-)
+from alarmmac.config import PolicyKind, ScenarioConfig, derive_run_seed
 from alarmmac.engine import Simulation
 from alarmmac.policies import make_policy
 from alarmmac.reporting import in_time_probability, run_experiment
@@ -61,11 +56,11 @@ def test_criterion_2_dtmc_consistency():
 
 def test_criterion_3_simulation_matches_theory():
     started = time.perf_counter()
-    cfg = validate_config(ScenarioConfig(
+    cfg = ScenarioConfig(
         n_subnets=4, n_channels=2, policy_kind=PolicyKind.RCH,
         eta=1e-6, tx_threshold=0.5, activation_mode="threshold_only",
         alpha=1.0, deadline_slots=1, n_slots=100_000,
-    ))
+    )
     sim = Simulation(cfg, seed=20240)
     trace = sim.run()
     per_slot = trace.n_successful_slots / trace.n_contention_slots
@@ -93,7 +88,7 @@ def test_criterion_3_at_benchmark_scale_matches_dp():
     # contention slots at N = 20 hold up to a dozen agents, beyond any
     # enumeration; given each slot's active count k, an RCH slot succeeds
     # independently with the DP's exact P_s(k)
-    cfg = validate_config(ScenarioConfig(n_subnets=20, policy_kind=PolicyKind.RCH, **CONTENTION))
+    cfg = ScenarioConfig(n_subnets=20, policy_kind=PolicyKind.RCH, **CONTENTION)
     sim = Simulation(cfg, seed=derive_run_seed(0, 0))
     counts = []
     select = sim.policy.select_action
@@ -130,7 +125,7 @@ def test_criterion_4_gradient_correctness():
 def test_criterion_5_clipping_and_schedules():
     clip_ok = selfcheck.clip_violations(np.random.default_rng(5), 1000) == 0
 
-    cfg = validate_config(ScenarioConfig(n_subnets=2, n_channels=2, policy_kind=PolicyKind.MAP_RA))
+    cfg = ScenarioConfig(n_subnets=2, n_channels=2, policy_kind=PolicyKind.MAP_RA)
     policy = make_policy(cfg, np.random.default_rng(5))
     eps_ok = policy.epsilon(0) == 1.0
     for event in range(1, 241):
@@ -148,9 +143,9 @@ def test_criterion_5_clipping_and_schedules():
 
 def test_criterion_6_training_reduces_system_mse():
     started = time.perf_counter()
-    cfg = validate_config(ScenarioConfig(
+    cfg = ScenarioConfig(
         n_subnets=10, policy_kind=PolicyKind.DRL, **CONTENTION,
-    ))
+    )
     passing = 0
     details = []
     for s in range(10):
@@ -170,11 +165,11 @@ def test_criterion_6_training_reduces_system_mse():
 
 def test_criterion_7_policy_ordering():
     started = time.perf_counter()
-    base = validate_config(ScenarioConfig(n_subnets=20, **CONTENTION))
+    base = ScenarioConfig(n_subnets=20, **CONTENTION)
     seeds = [derive_run_seed(0, s) for s in range(20)]  # common random numbers
     means = {}
     for kind in (PolicyKind.DRL, PolicyKind.MAP_RA, PolicyKind.RCH):
-        cfg = with_overrides(base, policy_kind=kind)
+        cfg = replace(base, policy_kind=kind)
         vals = []
         for seed in seeds:
             sim = Simulation(cfg, seed=seed)
@@ -215,11 +210,11 @@ def test_criterion_8_complexity_identities():
 
 
 def test_criterion_9_byte_identical_result_files(tmp_path):
-    cfg = validate_config(ScenarioConfig(
+    cfg = ScenarioConfig(
         n_subnets=5, n_channels=2, n_slots=400, n_runs=3, rng_seed=90125,
         alpha=0.5, eta=0.05, tx_threshold=0.3, deadline_slots=3,
         policy_kind=PolicyKind.DRL,
-    ))
+    )
     dirs = [str(tmp_path / "first"), str(tmp_path / "second")]
     names = []
     payloads = []

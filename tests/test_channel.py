@@ -11,7 +11,6 @@ from alarmmac.channel import (
     rayleigh_fading,
     shadowing_db,
 )
-from alarmmac.config import CsGainMode
 from alarmmac.engine import Simulation
 
 from conftest import make_config
@@ -80,19 +79,20 @@ def test_fading_unit_mean_power(rng):
     assert abs(np.mean(np.abs(k) ** 2) - 1.0) < 0.05
 
 
-def raw_gain_world(**overrides):
-    return Simulation(make_config(cs_gain_mode=CsGainMode.RAW, **overrides), seed=9)
+def gain_world(**overrides):
+    return Simulation(make_config(**overrides), seed=9)
 
 
 def expected_attenuation(sim, n):
-    """attenuation(pathloss_db(d, los), shadow) of agent n's link to the controller."""
+    """attenuation(pathloss_db(d, los), shadow) of agent n's link to the
+    controller, over the snapshot's reference attenuation."""
     cx, cy = sim.cap_xy
     d = math.hypot(sim.poses[n].x - cx, sim.poses[n].y - cy)
-    return attenuation(pathloss_db(d, bool(sim.los[n]), sim.config), sim.shadow_db[n])
+    return attenuation(pathloss_db(d, bool(sim.los[n]), sim.config), sim.shadow_db[n]) / sim._reference_amp
 
 
 def test_link_gains_compose_exactly():
-    sim = raw_gain_world(n_subnets=6, n_channels=3)
+    sim = gain_world(n_subnets=6, n_channels=3)
     active = (0, 2, 5)
     kappa = rayleigh_fading(copy.deepcopy(sim.rng_fading), (len(active), 3))
     gains = sim._link_gains(active)
@@ -102,8 +102,8 @@ def test_link_gains_compose_exactly():
 
 
 def test_link_gains_mean_power_matches_attenuation():
-    # zero shadowing: E[|gain|^2] = attenuation(PL, 0)^2 on every link
-    sim = raw_gain_world(shadow_sigma_los_db=0.0, shadow_sigma_nlos_db=0.0)
+    # zero shadowing: E[|gain|^2] = (attenuation(PL, 0) / reference)^2 on every link
+    sim = gain_world(shadow_sigma_los_db=0.0, shadow_sigma_nlos_db=0.0)
     active = tuple(range(sim.config.n_subnets))
     expected = np.array([expected_attenuation(sim, n) for n in active]) ** 2
     assert np.all(sim.shadow_db == 0.0)

@@ -2,22 +2,19 @@ import json
 
 import numpy as np
 import pytest
-from dataclasses import fields
+from dataclasses import fields, replace
 from hypothesis import given, settings, strategies as st
 
 from alarmmac.config import (
     ActivationMode,
     ConfigError,
     PolicyKind,
-    RewardScope,
     ScenarioConfig,
     config_fingerprint,
     derive_run_seed,
     derive_stream,
     load_config,
     serialize_config,
-    validate_config,
-    with_overrides,
 )
 from alarmmac.engine import Simulation
 from alarmmac.policies import RchPopulation
@@ -39,7 +36,6 @@ def test_minimal_document_gets_documented_defaults():
     assert cfg.lr_decay_per_event == 0.015
     assert cfg.clip_threshold == 5.0
     assert cfg.reward_success == 1.0 and cfg.reward_failure == -1.0
-    assert cfg.reward_scope is RewardScope.SHARED
     assert cfg.n_slots == 1000 and cfg.n_runs == 100
 
 
@@ -65,9 +61,19 @@ def test_unknown_keys_rejected():
         load_config('{"n_subnets": 3, "n_chanels": 2}')
 
 
-@pytest.mark.parametrize("key, value", [("allow_event_overlap", "false"), ("pilot_mode", '"ones"')])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("allow_event_overlap", "false"),
+        ("pilot_mode", '"ones"'),
+        ("reward_scope", '"individual"'),
+        ("cs_gain_mode", '"raw"'),
+        ("cs_overhead_slots", "1"),
+    ],
+)
 def test_removed_keys_rejected_as_unknown(key, value):
-    # one live alarm and all-ones pilots are the model, not options
+    # one live alarm, all-ones pilots, a shared reward, normalised gains and
+    # one slot per attempt are the model, not options
     with pytest.raises(ConfigError, match=f"^unknown config keys: {key}$"):
         load_config(f'{{"n_subnets": 3, "n_channels": 2, "{key}": {value}}}')
 
@@ -99,17 +105,17 @@ def test_enum_fields_parse_and_reject():
 
 
 def test_enum_strings_become_members_on_construction():
-    cfg = validate_config(ScenarioConfig(
+    cfg = ScenarioConfig(
         n_subnets=2, n_channels=2, policy_kind="rch", activation_mode="threshold_and_bernoulli",
-    ))
+    )
     assert cfg.policy_kind is PolicyKind.RCH
     assert cfg.activation_mode is ActivationMode.THRESHOLD_AND_BERNOULLI
     assert isinstance(Simulation(cfg, seed=1).policy, RchPopulation)
-    assert with_overrides(cfg, policy_kind="mapra").policy_kind is PolicyKind.MAP_RA
+    assert replace(cfg, policy_kind="mapra").policy_kind is PolicyKind.MAP_RA
     with pytest.raises(ConfigError, match="activation_mode: must be one of"):
         ScenarioConfig(n_subnets=2, n_channels=2, activation_mode="bernoulli")
     with pytest.raises(ConfigError, match="policy_kind"):
-        with_overrides(cfg, policy_kind="smart")
+        replace(cfg, policy_kind="smart")
 
 
 @pytest.mark.parametrize(
@@ -130,7 +136,6 @@ def test_enum_strings_become_members_on_construction():
         ("pathloss_abg_los", "[2.0, 30.0]"),
         ("pathloss_abg_nlos", '[2.0, "30", 2.0]'),
         ("pathloss_abg_nlos", "[2.0, NaN, 2.0]"),
-        ("cs_gain_mode", '"fading_only"'),  # a mode that no longer exists
     ],
 )
 def test_mistyped_value_rejected_naming_the_key(key, value):
@@ -154,9 +159,25 @@ def test_mistyped_value_rejected_naming_the_key(key, value):
 def test_configs_built_in_code_are_type_checked(key, value):
     base = load_config('{"n_subnets": 3, "n_channels": 2}')
     with pytest.raises(ConfigError, match=f"^{key}: "):
-        with_overrides(base, **{key: value})
+        replace(base, **{key: value})
     with pytest.raises(ConfigError, match=f"^{key}: "):
-        validate_config(ScenarioConfig(**{"n_subnets": 3, "n_channels": 2, key: value}))
+        ScenarioConfig(**{"n_subnets": 3, "n_channels": 2, key: value})
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("deadline_slots", {"deadline_slots": -1}),
+        ("minibatch_size", {"minibatch_size": 1000, "replay_capacity": 10}),
+        ("n_subnets", {"n_subnets": "4"}),
+    ],
+)
+def test_config_built_in_code_checks_itself(key, overrides):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        ScenarioConfig(**{"n_subnets": 4, "n_channels": 2, **overrides})
+    base = ScenarioConfig(n_subnets=4, n_channels=2)
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        replace(base, **overrides)
 
 
 @pytest.mark.parametrize(
@@ -168,7 +189,7 @@ def test_out_of_range_value_rejected_naming_the_key(key):
 
 
 def test_triples_built_in_code_become_float_tuples():
-    cfg = validate_config(ScenarioConfig(n_subnets=2, n_channels=2, pathloss_abg_los=[2, 31, 1.9]))
+    cfg = ScenarioConfig(n_subnets=2, n_channels=2, pathloss_abg_los=[2, 31, 1.9])
     assert cfg.pathloss_abg_los == (2.0, 31.0, 1.9)
     assert all(type(v) is float for v in cfg.pathloss_abg_los)
 
@@ -183,7 +204,7 @@ def test_numbers_of_the_right_kind_accepted():
 
 
 def test_every_field_has_a_checked_kind():
-    enums = {"PolicyKind", "RewardScope", "ActivationMode", "CsGainMode"}
+    enums = {"PolicyKind", "ActivationMode"}
     kinds = {"int", "int | None", "float", "tuple[float, float, float]"} | enums
     assert {f.type for f in fields(ScenarioConfig)} <= kinds
 
@@ -198,7 +219,7 @@ PLAUSIBLE = st.one_of(
     JSON_VALUES,
     st.integers(-2, 40),
     st.floats(-1.0, 60.0),
-    st.sampled_from(["drl", "mapra", "rch", "individual", "threshold_only", "raw"]),
+    st.sampled_from(["drl", "mapra", "rch", "threshold_only"]),
     st.lists(st.floats(0.0, 40.0), min_size=3, max_size=3),
 )
 
@@ -231,11 +252,11 @@ def test_serialized_form_is_flat_json():
     assert all(not isinstance(v, dict) for v in doc.values())
 
 
-def test_with_overrides_validates():
+def test_replace_validates():
     cfg = load_config('{"n_subnets": 2, "n_channels": 2}')
-    assert with_overrides(cfg, eta=0.3).eta == 0.3
+    assert replace(cfg, eta=0.3).eta == 0.3
     with pytest.raises(ConfigError):
-        with_overrides(cfg, alpha=1.5)
+        replace(cfg, alpha=1.5)
 
 
 def test_derive_stream_deterministic():

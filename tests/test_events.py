@@ -142,4 +142,4 @@ def test_event_fields(rng):
     event = maybe_spawn_event(12, lambda: poses_at([(25, 25)]), rng, cfg)
     assert event.birth_slot == 12
     assert event.active_set == (0,)
-    assert event.age == 0 and event.attempts == 0
+    assert event.attempts == 0

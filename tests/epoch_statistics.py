@@ -1,0 +1,133 @@
+"""Per-seed outcome statistics, to judge a change that moves random draws.
+
+A change that reorders random draws or moves the last bit of a
+floating-point result changes every trace it touches, so the golden
+digests (tests/test_golden.py) cannot tell a faithful change from a wrong
+one. Such a change must keep these statistics in distribution instead:
+
+- per-slot success: successful over contention slots;
+- in-time probability: events delivered within the deadline over all
+  terminal events;
+- for DRL, the median MSE of the last tenth of the training updates.
+
+They are taken per seed, over the seeds derive_run_seed(0, s) for s < 20
+with one BLAS thread, for the 9 golden (scenario, policy) pairs at their
+slot counts and for the presets of acceptance criteria 6 (N = 10 DRL,
+2000 events) and 7 (N = 20, each policy, 300 events).
+
+    PYTHONPATH=src python tests/epoch_statistics.py --write
+    PYTHONPATH=src python tests/epoch_statistics.py --check
+
+--write records them in tests/data/epoch_statistics.json. --check runs the
+current code and fails if any mean differs from the recorded one by more
+than three combined standard errors, sqrt(s_rec**2 / n + s_now**2 / n). The
+file is not collected by pytest; the full run takes one to two minutes.
+"""
+
+import argparse
+import json
+import math
+import os
+import sys
+from pathlib import Path
+
+# one BLAS thread, set before numpy loads: the crowded scenarios' shadowing
+# Cholesky differs in its last bits between thread counts
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from alarmmac.config import ScenarioConfig, config_from_dict, derive_run_seed  # noqa: E402
+from alarmmac.engine import Simulation  # noqa: E402
+from alarmmac.reporting import in_time_probability  # noqa: E402
+
+from test_acceptance import CONTENTION  # noqa: E402
+from test_golden import SCENARIOS  # noqa: E402
+
+DATA = HERE / "data" / "epoch_statistics.json"
+N_SEEDS = 20
+POLICIES = ("rch", "mapra", "drl")
+
+
+def cases():
+    """name -> (config, slots, events): a run stops at `slots` slots or
+    after `events` terminal events, whichever comes first."""
+    out = {}
+    for scenario, (keys, slots) in SCENARIOS.items():
+        for policy in POLICIES:
+            out[f"golden {scenario} {policy}"] = (config_from_dict({**keys, "policy_kind": policy}), slots, None)
+    out["criterion 6 drl"] = (ScenarioConfig(n_subnets=10, policy_kind="drl", **CONTENTION), 10**7, 2000)
+    for policy in POLICIES:
+        out[f"criterion 7 {policy}"] = (ScenarioConfig(n_subnets=20, policy_kind=policy, **CONTENTION), 10**7, 300)
+    return out
+
+
+def run_statistics(config, slots, events, seed) -> dict[str, float]:
+    trace = Simulation(config, seed=seed).run(n_slots=slots, until_events=events)
+    in_time = in_time_probability(trace)
+    if in_time is None or trace.n_contention_slots == 0:
+        raise RuntimeError(f"seed {seed}: no terminal event or contention slot")
+    stats = {"per_slot_success": trace.n_successful_slots / trace.n_contention_slots, "in_time": in_time}
+    if trace.mse:
+        tail = max(1, len(trace.mse) // 10)
+        stats["mse_last_decile"] = float(np.median(trace.mse[-tail:]))
+    return stats
+
+
+def collect() -> dict[str, dict[str, list[float]]]:
+    """name -> statistic -> per-seed values."""
+    seeds = [derive_run_seed(0, s) for s in range(N_SEEDS)]
+    out = {}
+    for name, (config, slots, events) in cases().items():
+        per_seed = [run_statistics(config, slots, events, seed) for seed in seeds]
+        out[name] = {key: [stats[key] for stats in per_seed] for key in per_seed[0]}
+        print(f"ran {name}", file=sys.stderr)
+    return out
+
+
+def mean_and_se(values: list[float]) -> tuple[float, float]:
+    a = np.asarray(values, dtype=float)
+    return float(a.mean()), float(a.std(ddof=1) / math.sqrt(len(a)))
+
+
+def compare(recorded: dict, current: dict) -> list[str]:
+    """One table row per statistic; rows that fail start with FAIL."""
+    rows = []
+    for name, stats in recorded.items():
+        for key, old in stats.items():
+            (m_old, se_old), (m_new, se_new) = mean_and_se(old), mean_and_se(current[name][key])
+            bound = 3.0 * math.hypot(se_old, se_new)
+            verdict = "ok" if abs(m_new - m_old) <= bound else "FAIL"
+            rows.append(
+                f"{verdict:4} | {name} | {key} | {m_old:.4f} ± {se_old:.4f} | {m_new:.4f} ± {se_new:.4f} "
+                f"| {m_new - m_old:+.4f} (bound {bound:.4f})"
+            )
+    return rows
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", action="store_true", help=f"record the statistics in {DATA.name}")
+    mode.add_argument("--check", action="store_true", help="compare the current code with the record")
+    args = parser.parse_args()
+    current = collect()
+    if args.write:
+        DATA.parent.mkdir(exist_ok=True)
+        DATA.write_text(json.dumps(current, indent=1) + "\n")
+        print(f"wrote {DATA}")
+        return 0
+    rows = compare(json.loads(DATA.read_text()), current)
+    print("verdict | run | statistic | recorded mean ± se | current mean ± se | difference")
+    print("\n".join(rows))
+    failed = sum(row.startswith("FAIL") for row in rows)
+    print(f"{failed} of {len(rows)} means outside three combined standard errors")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,7 @@ tracks how many agents are contending.
 
 import numpy as np
 
-from alarmmac.channel import rayleigh_fading
+from alarmmac.channel import complex_gaussian
 from alarmmac.signature import aggregate_pilots, broadcast_cs, featurize
 
 rng = np.random.default_rng(42)
@@ -22,7 +22,7 @@ for k in (0, 1, 2, 4, 8, 16):
     agg_power, feat_mean = 0.0, 0.0
     trials = 2000
     for _ in range(trials):
-        gains = rayleigh_fading(rng, (k, M))
+        gains = complex_gaussian(rng, (k, M))
         y = aggregate_pilots(gains, SNR, rng)
         cs = broadcast_cs(y, gains, SNR, rng) if k else np.zeros((1, M), dtype=complex)
         agg_power += float(np.mean(np.abs(y) ** 2))
@@ -34,7 +34,7 @@ print("implicit, zero-coordination announcement of the current contention level"
 
 print("\n=== what one agent sees ===")
 k = 4
-gains = rayleigh_fading(rng, (k, M))
+gains = complex_gaussian(rng, (k, M))
 y = aggregate_pilots(gains, SNR, rng)
 cs = broadcast_cs(y, gains, SNR, rng)
 for n in range(k):

@@ -23,9 +23,7 @@ record array of poses (see `geometry`), so an array read earlier stays as it was
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -120,38 +118,36 @@ class Simulation:
             self._pending_steps = 0
         return self._poses
 
-    def _cap_distances(self, agents: Iterable[int]) -> np.ndarray:
+    def _cap_distances(self, agents: np.ndarray) -> np.ndarray:
         """Distance from each of `agents` to the central controller."""
         cx, cy = self.cap_xy
         poses = self.poses.view(np.ndarray)
-        xs, ys = poses["x"].tolist(), poses["y"].tolist()
-        return np.array([math.hypot(xs[n] - cx, ys[n] - cy) for n in agents])
+        return np.hypot(poses["x"][agents] - cx, poses["y"][agents] - cy)
+
+    def _amplitudes(self, agents: np.ndarray) -> np.ndarray:
+        """Large-scale amplitude of each of `agents`' links to the controller:
+        pathloss at the current distance under the snapshot's line-of-sight
+        state, and the snapshot's shadowing."""
+        pathloss = chan.pathloss_db(self._cap_distances(agents), self.los[agents], self.config)
+        return chan.attenuation(pathloss, self.shadow_db[agents])
 
     def _snapshot_channel_state(self) -> None:
         """Line-of-sight, shadowing, and the reference attenuation are frozen
         per snapshot; only small-scale fading is redrawn each slot."""
         cfg = self.config
-        d = self._cap_distances(range(len(self.poses)))
-        self.los = np.array([chan.draw_los(di, self.rng_channel, cfg) for di in d])
+        everyone = np.arange(cfg.n_subnets)
+        self.los = chan.draw_los(self._cap_distances(everyone), self.rng_channel, cfg)
         sigma = np.where(self.los, cfg.shadow_sigma_los_db, cfg.shadow_sigma_nlos_db)
         positions = np.column_stack((self.poses.x, self.poses.y))
-        self.shadow_db = chan.shadowing_db(positions, self.rng_channel, cfg, sigma_db=sigma)
-        pl = np.array([chan.pathloss_db(di, bool(l), cfg) for di, l in zip(d, self.los)])
-        amps = chan.attenuation(pl, self.shadow_db)
-        self._reference_amp = float(np.median(amps))
+        self.shadow_db = chan.shadowing_db(positions, self.rng_channel, cfg, sigma)
+        self._reference_amp = float(np.median(self._amplitudes(everyone)))
 
     def _link_gains(self, active: tuple[int, ...]) -> np.ndarray:
         """Per-channel complex gains for the active uplinks this slot,
         normalised by the snapshot median attenuation, so that snr_avg_db is
         the average link SNR at a typical distance."""
-        cfg = self.config
-        k = len(active)
-        kappa = chan.rayleigh_fading(self.rng_fading, (k, cfg.n_channels))
-        amps = np.empty(k)
-        for row, (n, d) in enumerate(zip(active, self._cap_distances(active))):
-            pl = chan.pathloss_db(d, bool(self.los[n]), cfg)
-            amps[row] = chan.attenuation(pl, self.shadow_db[n])
-        return kappa * (amps / self._reference_amp)[:, None]
+        kappa = chan.complex_gaussian(self.rng_fading, (len(active), self.config.n_channels))
+        return kappa * (self._amplitudes(np.asarray(active)) / self._reference_amp)[:, None]
 
     def _contexts(self, active: tuple[int, ...]) -> np.ndarray:
         gains = self._link_gains(active)

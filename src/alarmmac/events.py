@@ -8,11 +8,11 @@ Bernoulli(p(d)) detection draw. The active set is frozen at event birth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .config import ActivationMode, ScenarioConfig
 
@@ -25,20 +25,21 @@ class AlarmEvent:
     attempts: int = 0
 
 
-def activation_probability(d_m: float, eta: float) -> float:
-    """exp(-eta * d); strictly decreasing in d, 1 at the epicenter."""
-    if d_m < 0:
+def activation_probability(d_m: ArrayLike, eta: float) -> np.ndarray:
+    """exp(-eta * d) per distance; strictly decreasing in d, 1 at the epicenter."""
+    d = np.asarray(d_m, dtype=float)
+    if (d < 0).any():
         raise ValueError("distance must be >= 0")
     if eta <= 0:
         raise ValueError("eta must be > 0")
-    return math.exp(-eta * d_m)
+    return np.exp(-eta * d)
 
 
 def _activated(d: np.ndarray, rng: np.random.Generator, config: ScenarioConfig) -> np.ndarray:
     """Which of the distances `d` activate: p(d) = exp(-eta * d) passes the
     threshold gate and, in the default mode, a Bernoulli(p(d)) draw of one
     uniform per distance."""
-    p = np.exp(-config.eta * d)
+    p = activation_probability(d, config.eta)
     passed = p >= config.tx_threshold
     if config.activation_mode is ActivationMode.THRESHOLD_AND_BERNOULLI:
         passed &= rng.random(p.shape) < p
@@ -58,8 +59,8 @@ def build_active_set(
     """
     ex, ey = epicenter
     cols = poses.view(np.ndarray)
-    d = np.array([math.hypot(x - ex, y - ey) for x, y in zip(cols["x"].tolist(), cols["y"].tolist())])
-    return tuple(int(i) for i in np.nonzero(_activated(d, rng, config))[0])
+    d = np.hypot(cols["x"] - ex, cols["y"] - ey)
+    return tuple(np.flatnonzero(_activated(d, rng, config)).tolist())
 
 
 def maybe_spawn_event(

@@ -100,19 +100,9 @@ def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> np.recarr
 
 
 def _clear_of(x: float, y: float, xs: np.ndarray, ys: np.ndarray, sep2: float) -> bool:
-    """Whether ``(x - qx) ** 2 + (y - qy) ** 2 >= sep2`` for every (qx, qy).
-
-    numpy squares by multiplying while Python's ``**`` calls libm ``pow``,
-    and the two differ in the last bit for about 0.1 % of inputs. So the
-    numpy sum only settles the pairs clear of `sep2` by a relative 1e-12;
-    the rest, the few near the threshold and those inside it, are decided
-    by the Python expression itself.
-    """
-    d2 = np.square(x - xs) + np.square(y - ys)
-    for j in np.flatnonzero(d2 < sep2 * (1.0 + 1e-12)).tolist():
-        if (x - float(xs[j])) ** 2 + (y - float(ys[j])) ** 2 < sep2:
-            return False
-    return True
+    """Whether ``(x - qx) * (x - qx) + (y - qy) * (y - qy) >= sep2`` for
+    every (qx, qy)."""
+    return not (np.square(x - xs) + np.square(y - ys) < sep2).any()
 
 
 def _within_reach(xs: np.ndarray, ys: np.ndarray, reach: float) -> np.ndarray:

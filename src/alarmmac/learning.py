@@ -32,7 +32,6 @@ agrees with bit for bit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -244,25 +243,25 @@ class StackedReplay:
         """A uniform minibatch per agent, with replacement only while its
         memory holds fewer than batch_size tuples.
 
-        The draws are those of `rng.choice(size, batch_size, replace=size <
-        batch_size)` per agent, in the order given. A run of agents that
-        sample with replacement draws in one `rng.integers` call, which
-        takes the same draws from the stream as their `choice` calls.
+        The memories below batch_size draw their indices in one
+        `rng.integers` call. The others draw, in one `rng.random` call, one
+        uniform key per ring slot up to the largest of their fills, mask the
+        keys beyond each memory's own fill, and take the batch_size
+        smallest: a uniform draw without replacement.
         """
         agents = np.asarray(agents)
         sizes = self.size[agents]
         if not sizes.all():
             raise ValueError("cannot sample from empty memory")
         idx = np.empty((len(agents), batch_size), dtype=np.int64)
-        start = 0
-        for small, run in itertools.groupby((sizes < batch_size).tolist()):
-            end = start + len(list(run))
-            if small:
-                idx[start:end] = rng.integers(0, sizes[start:end, None], (end - start, batch_size))
-            else:
-                for k in range(start, end):
-                    idx[k] = rng.choice(sizes[k], size=batch_size, replace=False)
-            start = end
+        small = sizes < batch_size
+        if small.any():
+            idx[small] = rng.integers(0, sizes[small, None], (np.count_nonzero(small), batch_size))
+        if not small.all():
+            full = sizes[~small, None]
+            keys = rng.random((len(full), int(full.max())))
+            keys[np.arange(keys.shape[1]) >= full] = np.inf  # beyond the fill
+            idx[~small] = np.argpartition(keys, batch_size - 1, axis=1)[:, :batch_size]
         flat = agents[:, None] * self.capacity + idx  # position in the (N * capacity) rows
         n_channels = self._contexts.shape[2]
         return (

@@ -17,8 +17,8 @@ Its methods take the agents concerned, which must be distinct:
   do not regress;
 - `end_event(agents)`: the agents' alarm event ended.
 
-Random draws are those of one agent at a time in the order given, so a
-population draws exactly what N separate agents called in that order would.
+A population takes each kind of random draw for all the agents concerned in
+one call, in the order given; the draws are not those of N separate agents.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .config import PolicyKind, ScenarioConfig
 from . import learning
@@ -44,8 +45,8 @@ def pattern_table(n_channels: int) -> np.ndarray:
     return np.stack([pattern_bits(i, n_channels) for i in range(1 << n_channels)])
 
 
-def decayed_epsilon(start: float, floor: float, step: float, n_events: int) -> float:
-    return max(floor, start - step * n_events)
+def decayed_epsilon(start: float, floor: float, step: float, n_events: ArrayLike) -> np.ndarray:
+    return np.maximum(floor, start - step * n_events)
 
 
 class RchPopulation:
@@ -55,7 +56,7 @@ class RchPopulation:
         self.n_patterns = config.n_patterns
 
     def select_action(self, agents: Sequence[int], contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.array([rng.integers(self.n_patterns) for _ in agents], dtype=np.int64)
+        return rng.integers(self.n_patterns, size=len(agents))
 
     def observe(self, agents, contexts, actions, rewards, rng) -> None:
         return None
@@ -69,32 +70,25 @@ class _EpsilonGreedy:
 
     def __init__(self, config: ScenarioConfig):
         self.n_patterns = config.n_patterns
-        self.events = [0] * config.n_subnets
+        self.events = np.zeros(config.n_subnets, dtype=np.int64)
         self._eps_start = config.epsilon_start
         self._eps_floor = config.epsilon_floor
         self._eps_step = config.epsilon_step
 
-    def epsilon(self, agent: int) -> float:
-        return decayed_epsilon(self._eps_start, self._eps_floor, self._eps_step, self.events[agent])
+    def epsilon(self, agents: ArrayLike) -> np.ndarray:
+        return decayed_epsilon(self._eps_start, self._eps_floor, self._eps_step, self.events[agents])
 
-    def _explore(self, agents: Sequence[int], rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
-        """Actions of the exploring agents and the rows of the greedy ones.
-
-        One agent at a time, in order: a uniform draw against epsilon, then
-        the random pattern only if the agent explores.
-        """
-        actions = [0] * len(agents)
-        greedy = []
-        for row, n in enumerate(agents):
-            if rng.random() < self.epsilon(n):
-                actions[row] = int(rng.integers(self.n_patterns))
-            else:
-                greedy.append(row)
-        return np.array(actions, dtype=np.int64), greedy
+    def _explore(self, agents: Sequence[int], rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Actions of the exploring agents and the mask of the greedy ones:
+        one uniform per agent against its epsilon, then one random pattern
+        per exploring agent."""
+        explore = rng.random(len(agents)) < self.epsilon(np.asarray(agents, dtype=np.intp))
+        actions = np.zeros(len(agents), dtype=np.int64)
+        actions[explore] = rng.integers(self.n_patterns, size=np.count_nonzero(explore))
+        return actions, ~explore
 
     def end_event(self, agents: Sequence[int]) -> None:
-        for n in agents:
-            self.events[n] += 1
+        self.events[np.asarray(agents, dtype=np.intp)] += 1
 
 
 def _finite_rewards(rewards) -> np.ndarray:
@@ -115,7 +109,7 @@ class MapRaPopulation(_EpsilonGreedy):
 
     def select_action(self, agents: Sequence[int], contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         actions, greedy = self._explore(agents, rng)
-        if greedy:
+        if greedy.any():
             # first maximum, so ties break to the lowest index
             actions[greedy] = np.argmax(self.q[np.asarray(agents)[greedy]], axis=1)
         return actions
@@ -153,7 +147,7 @@ class DrlPopulation(_EpsilonGreedy):
 
     def select_action(self, agents: Sequence[int], contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         actions, greedy = self._explore(agents, rng)
-        if greedy:
+        if greedy.any():
             values = learning.forward_stacked(self.net.rows(np.asarray(agents)[greedy]), contexts[greedy])
             # first maximum, so ties break to the lowest index
             actions[greedy] = np.argmax(values, axis=1)

@@ -19,10 +19,7 @@ import math
 
 import numpy as np
 
-
-def _complex_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    z = rng.standard_normal(shape + (2,))
-    return math.sqrt(1.0 / 2.0) * (z[..., 0] + 1j * z[..., 1])
+from .channel import complex_gaussian
 
 
 def aggregate_pilots(gains: np.ndarray, snr: float, rng: np.random.Generator) -> np.ndarray:
@@ -31,7 +28,7 @@ def aggregate_pilots(gains: np.ndarray, snr: float, rng: np.random.Generator) ->
     active subnetworks."""
     gains = np.atleast_2d(np.asarray(gains, dtype=complex))
     signal = math.sqrt(snr) * gains.sum(axis=0)
-    return signal + _complex_noise(rng, signal.shape)
+    return signal + complex_gaussian(rng, signal.shape)
 
 
 def broadcast_cs(
@@ -45,7 +42,7 @@ def broadcast_cs(
     gains = np.atleast_2d(np.asarray(gains, dtype=complex))
     if gains.shape[1] != y.shape[0]:
         raise ValueError("gain width must equal signature length")
-    return math.sqrt(snr) * gains * y[None, :] + _complex_noise(rng, gains.shape)
+    return math.sqrt(snr) * gains * y[None, :] + complex_gaussian(rng, gains.shape)
 
 
 def featurize(y_n: np.ndarray) -> np.ndarray:

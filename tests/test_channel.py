@@ -5,10 +5,12 @@ import numpy as np
 
 from alarmmac.channel import (
     attenuation,
+    complex_gaussian,
     correlated_field,
+    correlation_factor,
+    draw_los,
     los_probability,
     pathloss_db,
-    rayleigh_fading,
     shadowing_db,
 )
 from alarmmac.engine import Simulation
@@ -47,26 +49,32 @@ def test_pathloss_monotone_beyond_one_meter():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-def test_shadowing_zero_mean(rng):
+def test_correlation_factor_reproduces_the_covariance():
     cfg = make_config()
-    sigma = 6.0
-    draws = shadowing_db(np.array([[5.0, 5.0]]), rng, cfg, sigma_db=sigma, n_draws=100_000)
-    assert abs(draws.mean()) < 3.0 * sigma / math.sqrt(100_000)
+    pts = np.random.default_rng(3).uniform(0.0, 3.0 * cfg.shadow_corr_distance_m, (12, 2))
+    factor = correlation_factor(pts, cfg.shadow_corr_distance_m)
+    dist = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
+    # the factorised matrix carries a 1e-12 jitter on its diagonal
+    covariance = np.exp(-dist / cfg.shadow_corr_distance_m) + 1e-12 * np.eye(len(pts))
+    assert np.allclose(factor @ factor.T, covariance, rtol=0.0, atol=1e-12)
+    assert np.array_equal(factor, np.tril(factor))
 
 
-def test_shadowing_correlation_at_decorrelation_distance(rng):
+def test_field_is_the_factor_times_the_stream_normals(rng):
     cfg = make_config()
-    pts = np.array([[0.0, 0.0], [cfg.shadow_corr_distance_m, 0.0]])
-    draws = correlated_field(pts, rng, cfg.shadow_corr_distance_m, n_draws=100_000)
-    corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
-    assert abs(corr - math.exp(-1.0)) < 0.05
+    pts = np.array([[0.0, 0.0], [cfg.shadow_corr_distance_m, 0.0], [4.0, 7.0]])
+    normals = copy.deepcopy(rng).standard_normal(3)
+    sigma = np.array([3.0, 6.0, 9.0])
+    shadow = shadowing_db(pts, rng, cfg, sigma)
+    assert np.array_equal(shadow, sigma * (correlation_factor(pts, cfg.shadow_corr_distance_m) @ normals))
 
 
 def test_shadowing_correlation_at_zero_distance(rng):
     cfg = make_config()
     pts = np.array([[3.0, 4.0], [3.0, 4.0]])
-    draws = correlated_field(pts, rng, cfg.shadow_corr_distance_m, n_draws=1_000)
-    assert np.allclose(draws[:, 0], draws[:, 1], atol=1e-5)
+    for _ in range(1_000):
+        draw = correlated_field(pts, rng, cfg.shadow_corr_distance_m)
+        assert abs(draw[0] - draw[1]) < 1e-5
 
 
 def test_attenuation_powers_of_ten():
@@ -75,7 +83,7 @@ def test_attenuation_powers_of_ten():
 
 
 def test_fading_unit_mean_power(rng):
-    k = rayleigh_fading(rng, (100_000,))
+    k = complex_gaussian(rng, (100_000,))
     assert abs(np.mean(np.abs(k) ** 2) - 1.0) < 0.05
 
 
@@ -87,14 +95,14 @@ def expected_attenuation(sim, n):
     """attenuation(pathloss_db(d, los), shadow) of agent n's link to the
     controller, over the snapshot's reference attenuation."""
     cx, cy = sim.cap_xy
-    d = math.hypot(sim.poses[n].x - cx, sim.poses[n].y - cy)
-    return attenuation(pathloss_db(d, bool(sim.los[n]), sim.config), sim.shadow_db[n]) / sim._reference_amp
+    d = np.hypot(sim.poses[n].x - cx, sim.poses[n].y - cy)
+    return attenuation(pathloss_db(d, sim.los[n], sim.config), sim.shadow_db[n]) / sim._reference_amp
 
 
 def test_link_gains_compose_exactly():
     sim = gain_world(n_subnets=6, n_channels=3)
     active = (0, 2, 5)
-    kappa = rayleigh_fading(copy.deepcopy(sim.rng_fading), (len(active), 3))
+    kappa = complex_gaussian(copy.deepcopy(sim.rng_fading), (len(active), 3))
     gains = sim._link_gains(active)
     assert gains.shape == (len(active), 3)
     for row, n in enumerate(active):
@@ -115,3 +123,10 @@ def test_los_probability_shape():
     cfg = make_config()
     assert los_probability(0.0, cfg) == 1.0
     assert 0.0 < los_probability(30.0, cfg) < los_probability(3.0, cfg) < 1.0
+
+
+def test_draw_los_takes_one_uniform_per_distance(rng):
+    cfg = make_config()
+    d = np.array([0.0, 3.0, 30.0, 300.0])
+    uniforms = copy.deepcopy(rng).random(4)
+    assert np.array_equal(draw_los(d, rng, cfg), uniforms < los_probability(d, cfg))

@@ -97,7 +97,7 @@ def _reference_place(config, rng):
         while True:
             x = rng.uniform(0.0, config.area_width_m)
             y = rng.uniform(0.0, config.area_height_m)
-            if all((x - px) ** 2 + (y - py) ** 2 >= sep * sep for px, py in placed):
+            if all((x - px) * (x - px) + (y - py) * (y - py) >= sep * sep for px, py in placed):
                 placed.append((x, y))
                 break
     headings = rng.uniform(0.0, 2.0 * math.pi, size=n)
@@ -261,13 +261,14 @@ def test_window_keeps_reach_within_twice_the_separation():
     assert _window_steps(1.5, 0.0) == _window_steps(1.5, 1e-9) == 256
 
 
-def test_clear_of_decides_as_python_floats_at_the_threshold():
-    # numpy's x * x and Python's x ** 2 (libm pow) differ in the last bit
-    # for some x, so the threshold case must follow the Python expression
+def test_clear_of_decides_exactly_at_the_threshold():
+    # a pose exactly at the separation is clear of its neighbour, one ulp
+    # inside it is not; the squared distance is dx * dx + dy * dy
     origin = np.zeros(1)
-    for x in np.random.default_rng(0).uniform(-60.0, 60.0, 5000).tolist():
-        assert _clear_of(x, 0.0, origin, origin, x**2)
-        assert not _clear_of(x, 0.0, origin, origin, math.nextafter(x**2, math.inf))
+    for x, y in np.random.default_rng(0).uniform(-60.0, 60.0, (5000, 2)).tolist():
+        d2 = x * x + y * y
+        assert _clear_of(x, y, origin, origin, d2)
+        assert not _clear_of(x, y, origin, origin, math.nextafter(d2, math.inf))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 200])

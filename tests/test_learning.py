@@ -257,19 +257,23 @@ def test_replay_sampling_uniform(rng):
     assert np.all(np.abs(counts / draws - 0.1) < 0.01)
 
 
-def test_replay_sample_draws_as_per_agent_choice():
-    # memories that hold fewer than B tuples sample with replacement, and a
-    # run of them draws in one call; the others draw without replacement
-    sizes, b_size = [2, 9, 3, 3, 12], 4
+def test_replay_sample_draws_within_fill_and_uniformly():
+    # memories below B sample with replacement, the others B distinct
+    # tuples; either way every stored tuple is drawn equally often
+    sizes, b_size, draws = [2, 9, 3, 4, 12], 4, 20_000
     mem = StackedReplay(len(sizes), 12, n_channels=1)
     for n, size in enumerate(sizes):
         for i in range(size):  # the reward is the tuple's ring index
             mem.push(np.array([n]), np.array([[0.0]]), np.array([0]), np.array([float(i)]))
-    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
-    _, _, drawn = mem.sample(np.arange(len(sizes)), b_size, rng)
-    expected = [reference.choice(size, size=b_size, replace=size < b_size) for size in sizes]
-    assert np.array_equal(drawn, np.array(expected, dtype=float))
-    assert rng.bit_generator.state == reference.bit_generator.state
+    agents = np.tile(np.arange(len(sizes)), draws)
+    drawn = mem.sample(agents, b_size, np.random.default_rng(5))[2].astype(int).reshape(draws, len(sizes), b_size)
+    for n, size in enumerate(sizes):
+        rows = drawn[:, n]
+        assert rows.max() < size
+        if size >= b_size:
+            assert all(len(set(row)) == b_size for row in rows.tolist())
+        shares = np.bincount(rows.ravel(), minlength=size) / rows.size
+        assert np.all(np.abs(shares - 1.0 / size) < 0.005), (size, shares)
 
 
 def test_replay_empty_sample_rejected(rng):

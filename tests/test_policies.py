@@ -193,15 +193,18 @@ class ReferenceAgent:
         self.pushed = 0
         self.clip_fired = 0
 
-    def observe(self, context, action, reward, rng):
+    def observe(self, context, action, reward, batch):
+        """Push the tuple, then train on `batch`, a minibatch drawn from this
+        agent's memory by the population under test."""
         if len(self.tuples) < self.cfg.replay:
             self.tuples.append((context, action, reward))
         else:  # overwrite the oldest slot
             self.tuples[self.pushed % self.cfg.replay] = (context, action, reward)
         self.pushed += 1
-        size, b_size = len(self.tuples), self.cfg.minibatch
-        idx = rng.choice(size, size=b_size, replace=size < b_size)
-        batch = tuple(np.array([self.tuples[i][part] for i in idx]) for part in range(3))
+        for drawn in zip(*batch):
+            assert any(
+                np.array_equal(drawn[0], c) and drawn[1] == a and drawn[2] == r for c, a, r in self.tuples
+            ), "the minibatch holds a tuple this agent never stored"
         grads, batch_loss = ref.backward(self.model, batch)
         self.clip_fired += ref.grad_norm(grads) > self.cfg.clip_threshold
         ref.rmsprop_step(self.model, self.opt, ref.clip_gradient(grads, self.cfg.clip_threshold))
@@ -211,23 +214,34 @@ class ReferenceAgent:
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_stacked_observe_matches_per_agent_updates(k):
     # replay 6 and minibatch 4: sampled with replacement for 3 updates, then
-    # without, then with eviction
+    # without, then with eviction. Each reference agent trains on the
+    # minibatch the population drew for it, so the kernels are compared and
+    # the draws are not.
     cfg = make_config(n_subnets=9, n_channels=3, minibatch_size=4, replay_capacity=6, dnn_hidden_size=3)
     policy = DrlPopulation(cfg, np.random.default_rng(11))
+    batches = []
+    sample = policy.replay.sample
+
+    def recording_sample(*args):
+        batches.append(sample(*args))
+        return batches[-1]
+
+    policy.replay.sample = recording_sample
     init = np.random.default_rng(11)
     reference = [ReferenceAgent(ref.init_mlp(cfg.layer_sizes, init), cfg) for _ in range(cfg.n_subnets)]
     data = np.random.default_rng(12)
     agents = [8, 3, 0, 5, 1, 6, 2][:k]
     # reward scales from 0.01 to 1e4: small ones stay under the clip threshold, large ones exceed it
     scales = np.array([0.01, 1e4, 0.1, 30.0, 0.05, 1e3, 2.0][:k])
-    rng_stacked, rng_reference = np.random.default_rng(13), np.random.default_rng(13)
+    rng = np.random.default_rng(13)
     for step in range(9):
         contexts = data.random((k, 3))
         actions = data.integers(0, 8, k)
         rewards = data.standard_normal(k) * scales
-        losses = policy.observe(agents, contexts, actions, rewards, rng_stacked)
+        losses = policy.observe(agents, contexts, actions, rewards, rng)
         for row, n in enumerate(agents):
-            expected = reference[n].observe(contexts[row], actions[row], rewards[row], rng_reference)
+            batch = tuple(part[row] for part in batches[-1])
+            expected = reference[n].observe(contexts[row], actions[row], rewards[row], batch)
             assert abs(losses[row] - expected) <= 1e-12 * max(1.0, abs(expected)), (step, row)
         if step == 4:
             policy.end_event(agents[::2])
@@ -240,7 +254,6 @@ def test_stacked_observe_matches_per_agent_updates(k):
         model = ref.model_of(policy.net, n)
         for got, want in zip(model.weights + model.biases, reference[n].model.weights + reference[n].model.biases):
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-    assert rng_stacked.bit_generator.state == rng_reference.bit_generator.state
 
 
 def test_drl_observe_draws_minibatches_agent_by_agent():

@@ -1,9 +1,9 @@
 import copy
-import math
 
 import numpy as np
 import pytest
 
+from alarmmac.channel import complex_gaussian
 from alarmmac.signature import aggregate_pilots, broadcast_cs, featurize
 
 
@@ -12,10 +12,8 @@ def ones(k, m):
 
 
 def next_noise(rng, shape):
-    """The unit-power noise the next call draws from `rng`, from a copy, with
-    the float operations of the module's expression."""
-    z = copy.deepcopy(rng).standard_normal(shape + (2,))
-    return math.sqrt(1.0 / 2.0) * (z[..., 0] + 1j * z[..., 1])
+    """The unit-power noise the next call draws from `rng`, from a copy."""
+    return complex_gaussian(copy.deepcopy(rng), shape)
 
 
 def test_empty_active_set_leaves_noise_floor(rng):

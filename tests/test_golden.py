@@ -5,7 +5,11 @@ contention slot and the MSE series, the fields that the benchmark's
 per-run fingerprint covers. A change that alters any draw, any pose or any
 floating-point result in the slot loop changes a digest. Such a change
 must say so, measure the deviation and re-pin the digests in its own
-commit.
+commit; tests/epoch_statistics.py --check judges such a change.
+
+Only contention-drl and crowded-drl guard the contention-signature path.
+bernoulli-drl held when every noise sample of the signature changed: its
+11 contention slots all explore, and its recorded MSE did not move.
 
 The digests hold with one BLAS thread, which tests/conftest.py pins. The
 crowded DRL trace reads the Cholesky factor of the N = 150 shadowing
@@ -46,14 +50,14 @@ SCENARIOS = {
 
 GOLDEN = {
     ("contention", "rch"): "19a5e1ec5503ded570f7ae73accd1dbb4582680431bf6c666e9ca1895e2466a3",
-    ("contention", "mapra"): "ff7dd43f5321dc727b8bb59fcdcd56b43c2577fa06813707480188d38527bd43",
-    ("contention", "drl"): "2d29c1da653eb88d21a6ac38b34c2ad1be7e4e4d0b9da08aacd98a9a95489576",
+    ("contention", "mapra"): "cb5d356b9ba8b3de6208fb3e41863d8f293e8efde0f5b73fedeef4ea51000ecc",
+    ("contention", "drl"): "8a6f3bff7cf094cd4213e40ffb08a7d97d2457184429a18f38b015f2100724be",
     ("bernoulli", "rch"): "08daf6182eaca35a7db577f1cc4d120e7697d8722adc11e69818597b51f4ac32",
     ("bernoulli", "mapra"): "21c2cbaf6e400cb2fe404517acebd4016e44c7f4a2a08eee498e6dea554e83bc",
     ("bernoulli", "drl"): "548148c8d210da2f161df1ef3465eac1ae36401ddeea934baea402c14b178ac5",
     ("crowded", "rch"): "c67c4be2e821b54bf86fbffb6f0fc2bdb31ac4042de99c0368c16638eb8aa85c",
-    ("crowded", "mapra"): "b3b21390ffce6f6aa8c86b2b3cc80669bc63e0aca8dec797962fe2f69bab86bd",
-    ("crowded", "drl"): "883bb534a0d14c601ad2263eadf3c2fb2671e849648da4224bfe2d630e85d88b",
+    ("crowded", "mapra"): "32d8fe0c5abde656865a2253d50b32d78a18fa537c100682673014b1113341e6",
+    ("crowded", "drl"): "3f35fa04b29efec47c77efc6e6bbae78c415a62cb511742e79d89407a6758c57",
 }
 
 

@@ -11,7 +11,7 @@ one. Such a change must keep these statistics in distribution instead:
 - for DRL, the median MSE of the last tenth of the training updates.
 
 They are taken per seed, over the seeds derive_run_seed(0, s) for s < 20
-with one BLAS thread, for the 9 golden (scenario, policy) pairs at their
+with one BLAS thread, for the golden (scenario, policy) pairs at their
 slot counts and for the presets of acceptance criteria 6 (N = 10 DRL,
 2000 events) and 7 (N = 20, each policy, 300 events).
 
@@ -46,7 +46,7 @@ from alarmmac.engine import Simulation  # noqa: E402
 from alarmmac.reporting import in_time_probability  # noqa: E402
 
 from test_acceptance import CONTENTION  # noqa: E402
-from test_golden import SCENARIOS  # noqa: E402
+from test_golden import GOLDEN, SCENARIOS  # noqa: E402
 
 DATA = HERE / "data" / "epoch_statistics.json"
 N_SEEDS = 20
@@ -57,9 +57,9 @@ def cases():
     """name -> (config, slots, events): a run stops at `slots` slots or
     after `events` terminal events, whichever comes first."""
     out = {}
-    for scenario, (keys, slots) in SCENARIOS.items():
-        for policy in POLICIES:
-            out[f"golden {scenario} {policy}"] = (config_from_dict({**keys, "policy_kind": policy}), slots, None)
+    for scenario, policy in GOLDEN:
+        keys, slots = SCENARIOS[scenario]
+        out[f"golden {scenario} {policy}"] = (config_from_dict({**keys, "policy_kind": policy}), slots, None)
     out["criterion 6 drl"] = (ScenarioConfig(n_subnets=10, policy_kind="drl", **CONTENTION), 10**7, 2000)
     for policy in POLICIES:
         out[f"criterion 7 {policy}"] = (ScenarioConfig(n_subnets=20, policy_kind=policy, **CONTENTION), 10**7, 300)

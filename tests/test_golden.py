@@ -7,9 +7,13 @@ floating-point result in the slot loop changes a digest. Such a change
 must say so, measure the deviation and re-pin the digests in its own
 commit; tests/epoch_statistics.py --check judges such a change.
 
-Only contention-drl and crowded-drl guard the contention-signature path.
-bernoulli-drl held when every noise sample of the signature changed: its
-11 contention slots all explore, and its recorded MSE did not move.
+greedy-drl guards the contention-signature path: its agents explore at
+the floor rate from the start, so most of their actions are the argmax of
+their networks over their contexts, and its networks have four hidden
+units, so few of them are flat over the contexts. A one-ulp change of
+`featurize`, up or down, moves its digest. contention-drl and crowded-drl read the contexts too, but
+bernoulli-drl held when every noise sample of the signature changed: its 11
+contention slots all explore, and its recorded MSE did not move.
 
 The digests hold with one BLAS thread, which tests/conftest.py pins. The
 crowded DRL trace reads the Cholesky factor of the N = 150 shadowing
@@ -38,6 +42,12 @@ CONTENTION = {
 SCENARIOS = {
     # the acceptance suite's contention scenario
     "contention": ({**CONTENTION, "n_subnets": 20}, 120),
+    # the same, with agents greedy on their contexts from the first slot;
+    # four hidden units, so that few networks are flat over the contexts
+    "greedy": (
+        {**CONTENTION, "n_subnets": 20, "epsilon_start": 0.1, "epsilon_floor": 0.1, "dnn_hidden_size": 4},
+        120,
+    ),
     # Bernoulli activation and long deadlines: idle slots between events
     "bernoulli": ({"n_subnets": 12, "n_channels": 2, "eta": 0.3, "alpha": 0.2}, 200),
     # crowded and fast: poses resample headings at walls and at each other;
@@ -58,6 +68,7 @@ GOLDEN = {
     ("crowded", "rch"): "c67c4be2e821b54bf86fbffb6f0fc2bdb31ac4042de99c0368c16638eb8aa85c",
     ("crowded", "mapra"): "32d8fe0c5abde656865a2253d50b32d78a18fa537c100682673014b1113341e6",
     ("crowded", "drl"): "3f35fa04b29efec47c77efc6e6bbae78c415a62cb511742e79d89407a6758c57",
+    ("greedy", "drl"): "b657c3eb486c406bb8c061752c723bd300555509a68b80d0b919b8096a394fa5",
 }
 
 

@@ -19,15 +19,21 @@ own minibatch, so one call trains all active agents:
   block. A gradient and the RMSProp averages use the same layout, so
   gathering a stack's rows, clipping and the RMSProp step are one operation
   each over the whole block.
-- The clipping norm is summed layer by layer: per layer the sum of squared
-  weight gradients plus the sum of squared bias gradients.
-- Only taken actions carry an output-layer gradient. Its bias gradient is
-  one `np.bincount` over (network, action) bins, which adds each bin's
-  terms in minibatch order.
+- The clipping norm is one sum of squares over each network's row.
+- The backward pass computes only the taken action's output of each
+  minibatch row: the hidden layers run forward, and the row's value is the
+  product of its last hidden activations with the taken action's output
+  weights, plus that action's bias. So only taken actions carry an
+  output-layer gradient. Its bias gradient, and its weight gradient for
+  each hidden unit, is one `np.bincount` over (network, action) bins,
+  which adds each bin's terms in minibatch order; an untaken action's
+  rows are exact zeros.
 
 `selfcheck` checks the gradient against finite differences and the clip
-against its bound; the tests keep a one-network reference that each kernel
-agrees with bit for bit.
+against its bound. The tests keep a one-network reference that computes
+all 2**M outputs: the forward pass and the RMSProp step agree with it bit
+for bit; the gradient, loss, norm and clip agree to a few float64 ulps,
+as they add their terms in another order.
 """
 
 from __future__ import annotations
@@ -103,17 +109,25 @@ class MlpStack:
         self.params[idx] = part.params
 
 
-def _forward_stacked_cached(stack: MlpStack, x: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer for one batch (K, B, M) per network."""
+def _hidden_stacked(stack: MlpStack, x: np.ndarray) -> list[np.ndarray]:
+    """Activations of the input and of each hidden layer for one batch
+    (K, B, M) per network."""
     acts = [x]
-    h = x
-    last = len(stack.weights) - 1
-    for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
-        h = np.matmul(h, w.transpose(0, 2, 1))
+    for w, b in zip(stack.weights[:-1], stack.biases[:-1]):
+        h = np.matmul(acts[-1], w.transpose(0, 2, 1))
         h += b[:, None, :]
-        if i < last:
-            np.maximum(h, 0.0, out=h)
+        np.maximum(h, 0.0, out=h)
         acts.append(h)
+    return acts
+
+
+def _forward_stacked_cached(stack: MlpStack, x: np.ndarray) -> list[np.ndarray]:
+    """Activations per layer for one batch (K, B, M) per network; the last
+    entry holds all 2**M outputs."""
+    acts = _hidden_stacked(stack, x)
+    out = np.matmul(acts[-1], stack.weights[-1].transpose(0, 2, 1))
+    out += stack.biases[-1][:, None, :]
+    acts.append(out)
     return acts
 
 
@@ -130,7 +144,7 @@ def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[MlpStack, np
     k; returns (grads, per-network loss).
 
     The gradient is a stack laid out like `stack`: row k is network k's
-    gradient.
+    gradient. Only the taken action's output is computed for each row.
     """
     contexts, actions, rewards = batch
     actions = np.asarray(actions, dtype=int)
@@ -138,41 +152,40 @@ def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[MlpStack, np
     n_nets, b_size = rewards.shape
     if b_size == 0:
         raise ValueError("empty minibatch")
-    acts = _forward_stacked_cached(stack, np.asarray(contexts, dtype=float))
-    values = acts[-1]
-    n_out = values.shape[2]
-    # flat position of each taken action's value in the (K, B, 2**M) block
-    taken = np.arange(n_nets * b_size).reshape(n_nets, b_size) * n_out + actions
-    residual = np.take(values, taken) - rewards
+    acts = _hidden_stacked(stack, np.asarray(contexts, dtype=float))
+    hidden = acts[-1]  # (K, B, H)
+    n_out, n_hidden = stack.layer_sizes[-1], stack.layer_sizes[-2]
+    # each row's (network, taken action) bin, the flat index of its output
+    bins = np.arange(n_nets)[:, None] * n_out + actions
+    w_taken = np.take(stack.weights[-1].reshape(n_nets * n_out, n_hidden), bins, axis=0)  # (K, B, H)
+    residual = np.einsum("kbh,kbh->kb", hidden, w_taken) + np.take(stack.biases[-1], bins) - rewards
     d_taken = 2.0 * residual / b_size
 
-    delta = np.zeros(values.shape)
-    delta.reshape(-1)[taken] = d_taken
     grads = MlpStack(np.empty_like(stack.params), stack.layer_sizes)
-    last = len(stack.weights) - 1
-    for i in range(last, -1, -1):
+
+    def per_bin(terms: np.ndarray) -> np.ndarray:
+        """Each (network, action) bin's sum of `terms`, in minibatch order."""
+        return np.bincount(bins.reshape(-1), weights=terms.reshape(-1), minlength=n_nets * n_out).reshape(
+            n_nets, n_out
+        )
+
+    grads.biases[-1][...] = per_bin(d_taken)
+    for j in range(n_hidden):
+        grads.weights[-1][:, :, j] = per_bin(d_taken * hidden[:, :, j])
+    delta = d_taken[:, :, None] * w_taken
+    delta *= hidden > 0.0
+    for i in range(len(stack.weights) - 2, -1, -1):
         np.matmul(delta.transpose(0, 2, 1), acts[i], out=grads.weights[i])
-        if i == last:
-            # the taken actions' terms per (network, action), in minibatch order
-            bins = np.arange(n_nets)[:, None] * n_out + actions
-            grads.biases[i][...] = np.bincount(
-                bins.reshape(-1), weights=d_taken.reshape(-1), minlength=n_nets * n_out
-            ).reshape(n_nets, n_out)
-        else:
-            grads.biases[i][...] = delta.sum(axis=1)
+        grads.biases[i][...] = delta.sum(axis=1)
         if i > 0:
             delta = np.matmul(delta, stack.weights[i])
             delta *= acts[i] > 0.0
-    return grads, np.mean(residual**2, axis=1)
+    return grads, (residual**2).sum(axis=1) / b_size  # np.mean's sum and division
 
 
 def grad_norm_stacked(grads: MlpStack) -> np.ndarray:
-    """Global gradient norm of each network: (K,), summed layer by layer."""
-    squares = grads.params**2
-    total = np.zeros(len(squares))
-    for _, _, at_w, at_b, end in grads.layout:
-        total = total + (squares[:, at_w:at_b].sum(axis=1) + squares[:, at_b:end].sum(axis=1))
-    return np.sqrt(total)
+    """Global gradient norm of each network: (K,), one sum over its row."""
+    return np.sqrt(np.einsum("kp,kp->k", grads.params, grads.params))
 
 
 def clip_gradient_stacked(grads: MlpStack, beta0: float) -> MlpStack:
@@ -244,10 +257,12 @@ class StackedReplay:
         memory holds fewer than batch_size tuples.
 
         The memories below batch_size draw their indices in one
-        `rng.integers` call. The others draw, in one `rng.random` call, one
-        uniform key per ring slot up to the largest of their fills, mask the
-        keys beyond each memory's own fill, and take the batch_size
-        smallest: a uniform draw without replacement.
+        `rng.random` call, each the floor of a uniform u < 1 times the
+        memory's fill; for a fill below 2**53 the product rounds below the
+        fill. The others draw, in one `rng.random` call, one uniform key per
+        ring slot up to the largest of their fills, mask the keys beyond
+        each memory's own fill, and take the batch_size smallest: a uniform
+        draw without replacement.
         """
         agents = np.asarray(agents)
         sizes = self.size[agents]
@@ -256,7 +271,8 @@ class StackedReplay:
         idx = np.empty((len(agents), batch_size), dtype=np.int64)
         small = sizes < batch_size
         if small.any():
-            idx[small] = rng.integers(0, sizes[small, None], (np.count_nonzero(small), batch_size))
+            uniforms = rng.random((np.count_nonzero(small), batch_size))
+            idx[small] = (uniforms * sizes[small, None]).astype(np.int64)  # the floor
         if not small.all():
             full = sizes[~small, None]
             keys = rng.random((len(full), int(full.max())))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from alarmmac import learning, selfcheck
+from alarmmac.config import ScenarioConfig
 from alarmmac.learning import (
     MlpStack,
     RmsPropStack,
@@ -276,6 +277,22 @@ def test_replay_sample_draws_within_fill_and_uniformly():
         assert np.all(np.abs(shares - 1.0 / size) < 0.005), (size, shares)
 
 
+def test_largest_uniform_times_fill_floors_to_the_last_slot():
+    # a memory below the minibatch draws floor(u * fill) for u = rng.random(),
+    # whose largest value is the double below 1: for every fill up to the
+    # largest default capacity (M = 16), and every power of two and its
+    # neighbours below 2**53, that index is the memory's last slot
+    u = np.nextafter(1.0, 0.0)
+    capacity = ScenarioConfig(n_subnets=1, n_channels=16).replay
+    chunk = 1 << 20
+    for start in range(1, capacity + 1, chunk):
+        fills = np.arange(start, min(start + chunk, capacity + 1))
+        assert np.array_equal((u * fills).astype(np.int64), fills - 1)
+    powers = 1 << np.arange(1, 53, dtype=np.int64)
+    fills = np.concatenate([powers - 1, powers, powers + 1])
+    assert np.array_equal((u * fills).astype(np.int64), fills - 1)
+
+
 def test_replay_empty_sample_rejected(rng):
     mem = StackedReplay(2, 4, n_channels=2)
     mem.push(np.array([0]), np.zeros((1, 2)), np.array([0]), np.array([0.0]))
@@ -283,9 +300,25 @@ def test_replay_empty_sample_rejected(rng):
         mem.sample(np.array([0, 1]), 2, rng)
 
 
+# The stacked gradient computes only the taken outputs and adds its
+# output-layer terms per (network, action) bin, and the norm is one sum over
+# a row; the reference sums all outputs' matmuls layer by layer. Each result
+# is a sum of at most a few hundred terms, so the two orders differ by at
+# most a few hundred ulps of the largest magnitude compared.
+ROUNDING = 2**10 * np.finfo(float).eps
+
+
+def close(got, want) -> bool:
+    """Equal up to ROUNDING times the largest magnitude of `want`."""
+    want = np.asarray(want)
+    return bool(np.all(np.abs(got - want) <= ROUNDING * np.abs(want).max()))
+
+
 def test_stacked_kernels_equal_single_model_kernels(rng):
     # a wide network on a short minibatch, and the default shape on the
-    # default minibatch, where numpy sums the hidden deltas pairwise
+    # default minibatch. The forward pass and the RMSProp step agree bit for
+    # bit, each side stepping on the stacked clipped gradient; the gradient,
+    # loss, norm and clip agree to ROUNDING.
     for sizes, b_size in (([3, 4, 4, 8], 9), ([3, 1, 1, 8], 240)):
         models = [ref.init_mlp(sizes, rng) for _ in range(5)]
         stack = ref.stack_of(models)
@@ -308,17 +341,42 @@ def test_stacked_kernels_equal_single_model_kernels(rng):
         for k, model in enumerate(models):
             assert np.array_equal(values[k], ref.forward(model, contexts[k]))
             single, single_loss = ref.backward(model, tuple(part[k] for part in batch))
-            assert losses[k] == single_loss and norms[k] == ref.grad_norm(single)
-            assert np.array_equal(grads.params[k], ref.grads_to_vector(single))
-            single_clipped = ref.clip_gradient(single, 5.0)
-            assert np.array_equal(clipped.params[k], ref.grads_to_vector(single_clipped))
+            assert close(losses[k], single_loss) and close(norms[k], ref.grad_norm(single))
+            assert close(grads.params[k], ref.grads_to_vector(single))
+            assert close(clipped.params[k], ref.grads_to_vector(ref.clip_gradient(single, 5.0)))
             state = ref.RmsPropState.for_model(model, decay=0.9, smoothing=1e-8, lr=opt.lr[k])
             sq = ref.model_of(MlpStack(sq_before, sizes), k)
             state.sq_weights, state.sq_biases = sq.weights, sq.biases
-            ref.rmsprop_step(model, state, single_clipped)
+            step = ref.model_of(clipped, k)
+            ref.rmsprop_step(model, state, list(zip(step.weights, step.biases)))
             assert np.array_equal(stack.params[k], ref.params_to_vector(model))
             assert np.array_equal(opt.sq[k], ref.grads_to_vector(list(zip(state.sq_weights, state.sq_biases))))
         assert np.any(norms > 5.0) and np.any(norms < 5.0)  # the clip fires for some networks only
+
+
+def test_taken_output_gradient_equals_all_outputs_gradient(rng):
+    # the reference computes all 2**M outputs and backpropagates a delta that
+    # is zero off the taken actions. Actions from `taken` up are never taken:
+    # their output weight and bias gradient rows are exact zeros.
+    never_taken = 0
+    for _ in range(60):
+        m, hidden, depth = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        sizes = [m] + [hidden] * depth + [1 << m]
+        n_nets, b_size, taken = int(rng.integers(1, 5)), int(rng.integers(1, 60)), int(rng.integers(1, (1 << m) + 1))
+        models = [ref.init_mlp(sizes, rng) for _ in range(n_nets)]
+        batch = (
+            rng.random((n_nets, b_size, m)),
+            rng.integers(0, taken, (n_nets, b_size)),
+            rng.standard_normal((n_nets, b_size)) * 10.0,
+        )
+        grads, losses = backward_stacked(ref.stack_of(models), batch)
+        for k, model in enumerate(models):
+            single, single_loss = ref.backward(model, tuple(part[k] for part in batch))
+            assert close(grads.params[k], ref.grads_to_vector(single)) and close(losses[k], single_loss)
+            untaken = np.setdiff1d(np.arange(1 << m), batch[1][k])
+            assert np.all(grads.weights[-1][k][untaken] == 0.0) and np.all(grads.biases[-1][k][untaken] == 0.0)
+            never_taken += len(untaken)
+    assert never_taken > 0
 
 
 def test_stack_is_one_parameter_block(rng):

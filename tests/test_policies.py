@@ -256,15 +256,42 @@ def test_stacked_observe_matches_per_agent_updates(k):
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
-def test_drl_observe_draws_minibatches_agent_by_agent():
-    cfg = make_config(minibatch_size=4, replay_capacity=8)
+def test_drl_observe_draws_each_minibatch_from_its_own_memory_uniformly():
+    # minibatch and replay 256 over 200 calls: every memory stays below the
+    # minibatch, so every draw is with replacement. Agent n first observes at
+    # call 2n, so the fills differ. Each reward names its tuple:
+    # 10_000 * agent + the agent's count of earlier pushes.
+    cfg = make_config(n_subnets=3, minibatch_size=256, replay_capacity=256)
     policy = DrlPopulation(cfg, np.random.default_rng(4))
+    batches = []
+    sample = policy.replay.sample
+
+    def recording_sample(*args):
+        batches.append(sample(*args))
+        return batches[-1]
+
+    policy.replay.sample = recording_sample
+    calls = 200
+    pushes = np.zeros(cfg.n_subnets, dtype=np.int64)
+    observed = np.zeros((cfg.n_subnets, calls))  # per agent, draws of its j-th tuple
+    expected = np.zeros((cfg.n_subnets, calls))
     rng = np.random.default_rng(9)
-    twin = np.random.default_rng(9)
-    policy.observe([2, 0], np.zeros((2, 2)), np.array([1, 3]), [1.0, -1.0], rng)
-    for _ in range(2):
-        twin.choice(1, size=4, replace=True)
-    assert rng.bit_generator.state == twin.bit_generator.state
+    for call in range(calls):
+        agents = np.arange(min(call // 2 + 1, cfg.n_subnets))
+        rewards = 10_000.0 * agents + pushes[agents]
+        policy.observe(agents, np.zeros((len(agents), 2)), np.zeros(len(agents), dtype=np.int64), rewards, rng)
+        pushes[agents] += 1
+        owner, tuple_of = np.divmod(batches[-1][2].astype(np.int64), 10_000)
+        assert np.all(owner == agents[:, None])
+        # every index lies below its memory's fill: a tuple already pushed
+        assert np.all(tuple_of < pushes[agents, None])
+        for row, n in enumerate(agents):
+            observed[n] += np.bincount(tuple_of[row], minlength=calls)
+            expected[n, : pushes[n]] += cfg.minibatch / pushes[n]
+    # each stored tuple is drawn as often as a uniform draw over the fill
+    # predicts, within five Poisson standard deviations
+    assert np.all(np.abs(observed - expected) <= 5 * np.sqrt(expected))
+    assert np.all(observed[expected == 0] == 0)
 
 
 def test_mapra_converges_on_stationary_bandit():

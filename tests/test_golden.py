@@ -61,14 +61,14 @@ SCENARIOS = {
 GOLDEN = {
     ("contention", "rch"): "19a5e1ec5503ded570f7ae73accd1dbb4582680431bf6c666e9ca1895e2466a3",
     ("contention", "mapra"): "cb5d356b9ba8b3de6208fb3e41863d8f293e8efde0f5b73fedeef4ea51000ecc",
-    ("contention", "drl"): "8a6f3bff7cf094cd4213e40ffb08a7d97d2457184429a18f38b015f2100724be",
+    ("contention", "drl"): "5d5bc7dbde3200e0c71055bbee5f37628aa74e2c3c59b5617f6efb3aead3a190",
     ("bernoulli", "rch"): "08daf6182eaca35a7db577f1cc4d120e7697d8722adc11e69818597b51f4ac32",
     ("bernoulli", "mapra"): "21c2cbaf6e400cb2fe404517acebd4016e44c7f4a2a08eee498e6dea554e83bc",
-    ("bernoulli", "drl"): "548148c8d210da2f161df1ef3465eac1ae36401ddeea934baea402c14b178ac5",
+    ("bernoulli", "drl"): "d8d1a06d4a16b45caf61a3a8053a5a79ddde2f7f234806fd1b33ac993791c1a6",
     ("crowded", "rch"): "c67c4be2e821b54bf86fbffb6f0fc2bdb31ac4042de99c0368c16638eb8aa85c",
     ("crowded", "mapra"): "32d8fe0c5abde656865a2253d50b32d78a18fa537c100682673014b1113341e6",
-    ("crowded", "drl"): "3f35fa04b29efec47c77efc6e6bbae78c415a62cb511742e79d89407a6758c57",
-    ("greedy", "drl"): "b657c3eb486c406bb8c061752c723bd300555509a68b80d0b919b8096a394fa5",
+    ("crowded", "drl"): "ca7d1fa4178f6af6ccae737fef32494e13e303cff8ee50fa8f9903c77d25fb23",
+    ("greedy", "drl"): "f9aa8d720a22f8380e13e0f21823e561399475c649bb10726b1615c1ec0db26f",
 }
 
 

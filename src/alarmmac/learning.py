@@ -162,12 +162,12 @@ def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[MlpStack, np
     d_taken = 2.0 * residual / b_size
 
     grads = MlpStack(np.empty_like(stack.params), stack.layer_sizes)
+    flat_bins = bins.reshape(-1)
 
     def per_bin(terms: np.ndarray) -> np.ndarray:
         """Each (network, action) bin's sum of `terms`, in minibatch order."""
-        return np.bincount(bins.reshape(-1), weights=terms.reshape(-1), minlength=n_nets * n_out).reshape(
-            n_nets, n_out
-        )
+        sums = np.bincount(flat_bins, weights=terms.reshape(-1), minlength=n_nets * n_out)
+        return sums.reshape(n_nets, n_out)
 
     grads.biases[-1][...] = per_bin(d_taken)
     for j in range(n_hidden):
@@ -180,7 +180,7 @@ def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[MlpStack, np
         if i > 0:
             delta = np.matmul(delta, stack.weights[i])
             delta *= acts[i] > 0.0
-    return grads, (residual**2).sum(axis=1) / b_size  # np.mean's sum and division
+    return grads, np.mean(residual**2, axis=1)
 
 
 def grad_norm_stacked(grads: MlpStack) -> np.ndarray:

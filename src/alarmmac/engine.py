@@ -8,6 +8,12 @@ an alarm is live, one full contention round:
     featurize -> per-agent action selection -> collision resolution ->
     reward assignment -> one training update per active agent.
 
+The signature chain (link gains, pilots, broadcast, featurize) runs only for
+a policy that reads contexts (`reads_contexts`); a context-free policy gets
+`None` instead. Likewise the set-up draws the line-of-sight and shadowing
+snapshot only for such a policy. The channel, fading and noise streams feed
+nothing else, so skipping them changes no draw that a trace reads.
+
 A channel succeeds when exactly one active agent transmits on it; the slot
 succeeds when any channel does, and delivers the alarm, which ends it for
 every member of its active set. One delivered copy serves them all, so every
@@ -96,11 +102,12 @@ class Simulation:
         rng_place = derive_stream(s, "placement")
         rng_init = derive_stream(s, "init")
 
+        self.policy: Population = make_policy(config, rng_init)
         self._poses: np.recarray = place_uniform(config, rng_place)
         self._pending_steps = 0  # mobility steps owed to the poses
         self.cap_xy = (config.area_width_m / 2.0, config.area_height_m / 2.0)
-        self._snapshot_channel_state()
-        self.policy: Population = make_policy(config, rng_init)
+        if self.policy.reads_contexts:
+            self._snapshot_channel_state()
         self.event: AlarmEvent | None = None  # the live alarm, if any
         self.slot = 0
         self.trace = RunTrace()
@@ -179,7 +186,7 @@ class Simulation:
     def _contention_round(self, event: AlarmEvent) -> SlotOutcome:
         cfg = self.config
         active, age = event.active_set, event.attempts
-        contexts = self._contexts(active)
+        contexts = self._contexts(active) if self.policy.reads_contexts else None
         actions = self.policy.select_action(active, contexts, self.rng_explore)
         delivered = resolve_collisions(actions, cfg.n_channels)
 

@@ -8,7 +8,11 @@ context-free value-table bandit, and uniform random selection. Exploration
 rate and learning rate decay once per alarm event, never per slot.
 
 Each policy is one population object that holds the state of all N agents.
-Its methods take the agents concerned, which must be distinct:
+Its class attribute `reads_contexts` says whether it reads the contention
+signature. The engine computes the signature only for a policy that does,
+and passes `None` as `contexts` to one that does not. Each policy class
+declares it in its own body, so that none inherits the answer. The methods
+take the agents concerned, which must be distinct:
 
 - `select_action(agents, contexts, rng)`: one pattern per agent, given
   each agent's context row;
@@ -52,10 +56,12 @@ def decayed_epsilon(start: float, floor: float, step: float, n_events: ArrayLike
 class RchPopulation:
     """Uniform random pattern selection for every agent."""
 
+    reads_contexts = False
+
     def __init__(self, config: ScenarioConfig):
         self.n_patterns = config.n_patterns
 
-    def select_action(self, agents: Sequence[int], contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def select_action(self, agents: Sequence[int], contexts: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(self.n_patterns, size=len(agents))
 
     def observe(self, agents, contexts, actions, rewards, rng) -> None:
@@ -102,12 +108,14 @@ class MapRaPopulation(_EpsilonGreedy):
     """Context-free epsilon-greedy bandit per agent, one row of an (N, 2**M)
     value table each: Q[n, a] <- (1 - tau) Q[n, a] + tau * r."""
 
+    reads_contexts = False
+
     def __init__(self, config: ScenarioConfig):
         super().__init__(config)
         self.q = np.zeros((config.n_subnets, config.n_patterns))
         self.tau = config.mapra_tau
 
-    def select_action(self, agents: Sequence[int], contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def select_action(self, agents: Sequence[int], contexts: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
         actions, greedy = self._explore(agents, rng)
         if greedy.any():
             # first maximum, so ties break to the lowest index
@@ -131,6 +139,8 @@ class DrlPopulation(_EpsilonGreedy):
     from it. The minibatch loss before the step is returned per agent for
     convergence tracking. An event's end decays its agents' learning rates.
     """
+
+    reads_contexts = True
 
     def __init__(self, config: ScenarioConfig, init_rng: np.random.Generator):
         super().__init__(config)

@@ -20,6 +20,8 @@ class FixedPolicy:
     agent, what it observes and how many of its events ended, and the order
     of the observe and end_event calls."""
 
+    reads_contexts = False
+
     def __init__(self, patterns):
         self.patterns = list(patterns)
         self.observed: list[list[tuple[int, float]]] = [[] for _ in self.patterns]

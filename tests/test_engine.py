@@ -11,7 +11,9 @@ from alarmmac.config import ActivationMode, PolicyKind, config_from_dict, derive
 from alarmmac.engine import Simulation, resolve_collisions, run
 from alarmmac.events import AlarmEvent, maybe_spawn_event
 from alarmmac.geometry import step_mobility
+from alarmmac.policies import DrlPopulation, MapRaPopulation, RchPopulation
 from conftest import FixedPolicy, make_config
+from test_acceptance import CONTENTION
 from test_golden import GOLDEN, SCENARIOS
 
 
@@ -59,7 +61,7 @@ def test_no_live_alarm_means_no_policy_calls():
     assert len(sim.trace.events) == 0
 
 
-def test_shared_scope_rewards_all_on_delivery():
+def test_shared_reward_rewards_all_on_delivery():
     sim = quiet_world()
     sim.policy = FixedPolicy([1, 2])  # disjoint single channels
     inject_event(sim, (0, 1))
@@ -72,7 +74,7 @@ def test_shared_scope_rewards_all_on_delivery():
     assert len(sim.trace.events) == 1 and sim.trace.events[0].delivered
 
 
-def test_shared_scope_penalizes_all_on_collision():
+def test_shared_reward_penalizes_all_on_collision():
     for reward_failure in (-1.0, 0.0):
         sim = quiet_world(reward_failure=reward_failure)
         sim.policy = FixedPolicy([1, 1])
@@ -217,6 +219,55 @@ def test_run_record_retains_little_per_contention_slot():
         tracemalloc.stop()
     assert contention > 500
     assert retained / contention < 0.5 * 1024
+
+
+# --- the signature chain runs only for a policy that reads contexts --------
+
+SIGNATURE_STREAMS = ("channel", "fading", "noise")
+
+
+def spy_contexts(monkeypatch, population) -> list:
+    """The `contexts` argument of every `select_action` call on `population`."""
+    seen = []
+    select_action = population.select_action
+
+    def spied(self, agents, contexts, rng):
+        seen.append((len(agents), contexts))
+        return select_action(self, agents, contexts, rng)
+
+    monkeypatch.setattr(population, "select_action", spied)
+    return seen
+
+
+@pytest.mark.parametrize("policy,population", [("rch", RchPopulation), ("mapra", MapRaPopulation)])
+def test_context_free_policies_skip_only_dead_work(monkeypatch, policy, population):
+    cfg = make_config(n_subnets=20, policy_kind=policy, **CONTENTION)
+    seen = spy_contexts(monkeypatch, population)
+    skipped = Simulation(cfg, seed=4)
+    skipped.run(2000)
+    assert skipped.trace.n_contention_slots > 1000
+    assert seen and all(contexts is None for _, contexts in seen)
+    for name in SIGNATURE_STREAMS:
+        stream = getattr(skipped, f"rng_{name}")
+        assert stream.bit_generator.state == derive_stream(4, name).bit_generator.state
+
+    # computing the signature anyway changes nothing the trace holds
+    monkeypatch.setattr(population, "reads_contexts", True)
+    computed = Simulation(cfg, seed=4)
+    computed.run(2000)
+    assert computed.trace.events == skipped.trace.events
+    assert computed.trace.n_successful_slots == skipped.trace.n_successful_slots
+    assert computed.trace.mse == skipped.trace.mse
+    assert computed.rng_noise.bit_generator.state != derive_stream(4, "noise").bit_generator.state
+
+
+def test_drl_reads_one_context_row_per_active_agent(monkeypatch):
+    cfg = make_config(n_subnets=20, policy_kind=PolicyKind.DRL, **CONTENTION)
+    seen = spy_contexts(monkeypatch, DrlPopulation)
+    Simulation(cfg, seed=4).run(50)
+    assert seen
+    for k, contexts in seen:
+        assert isinstance(contexts, np.ndarray) and contexts.shape == (k, cfg.n_channels)
 
 
 # --- lazy mobility ---------------------------------------------------------

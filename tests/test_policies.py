@@ -6,6 +6,7 @@ from alarmmac.config import PolicyKind
 from alarmmac.policies import (
     DrlPopulation,
     MapRaPopulation,
+    Population,
     RchPopulation,
     decayed_epsilon,
     make_policy,
@@ -316,3 +317,9 @@ def test_make_policy_dispatch():
     assert isinstance(make_policy(make_config(policy_kind=PolicyKind.RCH), rng), RchPopulation)
     assert isinstance(make_policy(make_config(policy_kind=PolicyKind.MAP_RA), rng), MapRaPopulation)
     assert isinstance(make_policy(make_config(policy_kind=PolicyKind.DRL), rng), DrlPopulation)
+
+
+@pytest.mark.parametrize("population", Population.__args__, ids=lambda cls: cls.__name__)
+def test_every_population_declares_whether_it_reads_contexts(population):
+    # in its own class body, so that a new policy cannot inherit the answer
+    assert isinstance(population.__dict__.get("reads_contexts"), bool)

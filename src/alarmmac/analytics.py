@@ -10,10 +10,13 @@ distribution, with every candidate evaluated by the dynamic programme; and
 protocol complexity counts.
 
 The enumeration oracles cost exponentially many cases and refuse instances
-beyond desk scale (N <= 6, M <= 3 for the success probability; N <= 3,
-M <= 2 for the grid search). The dynamic programme is linear in N and
-reaches benchmark scale (N = 20 and up) for M <= 8; the enumeration stays
-as its independent reference.
+beyond desk scale. The success-probability enumeration visits (2**M + 1)**N
+joint outcomes, each agent being inactive or active with one of 2**M
+patterns: 531 441 at its limit N = 6, M = 3. (Summed subset by subset,
+sum_k C(N, k) 2**(M k), the count is the same, by the binomial theorem.)
+The grid search is limited to N <= 3, M <= 2. The dynamic programme is
+linear in N and reaches benchmark scale (N = 20 and up) for M <= 8; the
+enumeration stays as its independent reference.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ from .policies import pattern_table
 _ROW_SUM_TOL = 1e-12
 
 
+def _in_unit_interval(x: np.ndarray, tol: float = 0.0) -> bool:
+    """Whether every entry lies in [-tol, 1 + tol]; NaN lies nowhere."""
+    return bool(np.all((x >= -tol) & (x <= 1.0 + tol)))
+
+
 @dataclass(frozen=True)
 class AccessDistribution:
     """Row n holds subnetwork n's choice probabilities over all 2**M patterns."""
@@ -40,7 +48,7 @@ class AccessDistribution:
         object.__setattr__(self, "psi", psi)
         if psi.ndim != 2:
             raise ValueError("psi must be a 2-D matrix")
-        if np.any(psi < -_ROW_SUM_TOL) or np.any(psi > 1 + _ROW_SUM_TOL):
+        if not _in_unit_interval(psi, _ROW_SUM_TOL):
             raise ValueError("psi entries must lie in [0, 1]")
         rows = psi.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > 1e-9):
@@ -65,7 +73,9 @@ def success_probability_bruteforce(p: np.ndarray, access: AccessDistribution) ->
     Sums over every activation subset (active members weighted by p_n,
     inactive by 1 - p_n) and every joint pattern assignment the indicator
     that some channel carries exactly one transmitter. This is the
-    independent reference for `success_probability_dp`.
+    independent reference for `success_probability_dp`. Both sums are one
+    grid of (2**M + 1)**N joint outcomes, with one axis per agent: inactive,
+    or active with one of the 2**M patterns.
     """
     p = np.asarray(p, dtype=float)
     n = len(p)
@@ -74,31 +84,26 @@ def success_probability_bruteforce(p: np.ndarray, access: AccessDistribution) ->
         raise ValueError("psi must have one row per subnetwork")
     if n > 6 or m > 3:
         raise ValueError("enumeration oracle limited to N <= 6, M <= 3")
-    if np.any(p < 0) or np.any(p > 1):
+    if not _in_unit_interval(p):
         raise ValueError("activation probabilities must lie in [0, 1]")
 
-    table = pattern_table(m)
-    width = 1 << m
-    total = 0.0
-    for mask in range(1 << n):
-        members = [i for i in range(n) if (mask >> i) & 1]
-        weight = 1.0
-        for i in range(n):
-            weight *= p[i] if (mask >> i) & 1 else 1.0 - p[i]
-        if weight == 0.0 or not members:
-            continue
-        # column j holds the members' patterns of joint choice j, in
-        # itertools.product order; uint8 counts hold at most six transmitters
-        joints = np.indices((width,) * len(members)).reshape(len(members), -1)
-        counts = table[joints[0]].copy()
-        for row in joints[1:]:
-            counts += table[row]
-        ok = (counts == 1).any(axis=1)
-        choice_prob = np.ones(joints.shape[1])
-        for row, member in enumerate(members):
-            choice_prob *= access.psi[member, joints[row]]
-        total += weight * float((choice_prob * ok).sum())
-    return total
+    # option 0 is inactive, option 1 + a is active playing pattern a; axis
+    # n of the outcome grid holds agent n's option
+    weights = np.hstack([(1.0 - p)[:, None], p[:, None] * access.psi])
+    bits = np.vstack([np.zeros((1, m), dtype=np.uint8), pattern_table(m)])
+    prob = np.ones(())
+    for row in weights:
+        prob = np.multiply.outer(prob, row)
+    ok = np.zeros(prob.shape, dtype=bool)
+    for bit in bits.T:
+        # uint8 counts hold at most six transmitters
+        count = np.zeros((), dtype=np.uint8)
+        for _ in range(n):
+            count = np.add.outer(count, bit)
+        ok |= count == 1
+    # zeroing the failures in place keeps the sum pairwise over one array
+    np.multiply(prob, ok, out=prob)
+    return float(prob.sum())
 
 
 DP_MAX_CHANNELS = 8
@@ -159,7 +164,7 @@ def success_probability_dp(p: np.ndarray, access: AccessDistribution) -> float:
         raise ValueError("psi must have one row per subnetwork")
     if m > DP_MAX_CHANNELS:
         raise ValueError(f"dynamic-programme oracle limited to M <= {DP_MAX_CHANNELS}")
-    if np.any(p < 0) or np.any(p > 1):
+    if not _in_unit_interval(p):
         raise ValueError("activation probabilities must lie in [0, 1]")
 
     state = _dp_start(m)
@@ -179,7 +184,7 @@ class DtmcSpec:
         object.__setattr__(self, "ps", ps)
         if ps.ndim != 1 or ps.size < 1:
             raise ValueError("need success probabilities for ages 0..D")
-        if np.any(ps < 0) or np.any(ps > 1):
+        if not _in_unit_interval(ps):
             raise ValueError("success probabilities must lie in [0, 1]")
 
     @property
@@ -276,10 +281,20 @@ def best_stationary_psi(
     n = len(p)
     if n > 3 or n_channels > 2:
         raise ValueError("grid search oracle limited to N <= 3, M <= 2")
+    if not _in_unit_interval(p):
+        raise ValueError(f"p entries must lie in [0, 1], got {p}")
+    if not deadline >= 0:
+        raise ValueError(f"deadline must be >= 0, got {deadline}")
+    ticks = 1.0 / grid_step if grid_step > 0 else 0.0
+    if not (1 <= ticks < math.inf and math.isclose(ticks, round(ticks))):
+        raise ValueError(f"grid_step must be 1/k for a positive integer k, got {grid_step}")
+    # the grid's rows are the compositions of k ticks into 2**M parts
+    width = 1 << n_channels
+    n_rows = math.comb(round(ticks) + width - 1, width - 1)
+    if n_rows**n * 3**n_channels > _GRID_MAX_FLOATS:
+        raise ValueError(f"grid of {n_rows} rows over {n} agents is too large; use a coarser grid_step")
     # in lexicographic order, so the flat candidate order is lexicographic too
-    rows = np.array(_grid_rows(1 << n_channels, grid_step))
-    if len(rows) ** n * 3**n_channels > _GRID_MAX_FLOATS:
-        raise ValueError(f"grid of {len(rows)} rows over {n} agents is too large; use a coarser grid_step")
+    rows = np.array(_grid_rows(width, grid_step))
 
     state = _dp_start(n_channels)
     for n_idx in range(n):

@@ -1,4 +1,5 @@
-"""Independent checks of the collision rule, the deadline chain and the learner.
+"""Independent checks of the collision rule, the success oracles, the
+deadline chain and the learner.
 
 Each check compares the code against a reference written another way and
 returns what it measured: a mismatch count or a worst error. `selftest`
@@ -38,6 +39,33 @@ def collision_mismatches(channel_counts: tuple[int, ...], max_agents: int) -> tu
                 mismatches += resolve_collisions(list(joint), m) != literal_success(joint, m)
                 checked += 1
     return mismatches, checked
+
+
+def random_instance(rng: np.random.Generator, n: int, m: int) -> tuple[np.ndarray, analytics.AccessDistribution]:
+    """Activation probabilities with exact 0s and 1s, and access rows of
+    which some are deterministic."""
+    p = rng.random(n)
+    p[rng.random(n) < 0.25] = 0.0
+    p[rng.random(n) < 0.25] = 1.0
+    psi = rng.dirichlet(np.ones(1 << m), size=n).reshape(n, 1 << m)
+    for row in np.flatnonzero(rng.random(n) < 0.3):
+        psi[row] = 0.0
+        psi[row, rng.integers(1 << m)] = 1.0
+    return p, analytics.AccessDistribution(psi)
+
+
+def success_oracle_gap(rng: np.random.Generator, per_shape: int) -> float:
+    """Worst gap between `analytics.success_probability_bruteforce` and
+    `analytics.success_probability_dp` over `per_shape` random instances
+    of each N in 0..6 and M in 1..3, the enumeration's whole range."""
+    worst = 0.0
+    for n in range(7):
+        for m in (1, 2, 3):
+            for _ in range(per_shape):
+                p, access = random_instance(rng, n, m)
+                gap = analytics.success_probability_bruteforce(p, access) - analytics.success_probability_dp(p, access)
+                worst = max(worst, abs(gap))
+    return worst
 
 
 def dtmc_disagreement(rng: np.random.Generator, n_chains: int, max_deadline: int = 10) -> tuple[float, float]:
@@ -153,6 +181,11 @@ def _collision_check() -> tuple[bool, str]:
     return mismatches == 0, f"{mismatches} of {checked} joint assignments mismatched"
 
 
+def _success_oracle_check() -> tuple[bool, str]:
+    gap = success_oracle_gap(np.random.default_rng(4), 2)
+    return gap < 1e-12, f"max gap of enumeration to DP {gap:.1e} over 42 instances up to N = 6, M = 3"
+
+
 def _dtmc_check() -> tuple[bool, str]:
     pair, closed = dtmc_disagreement(np.random.default_rng(1), 20)
     return pair < 1e-10 and closed < 1e-12, f"max pairwise gap {pair:.1e}, vs closed form {closed:.1e}"
@@ -170,6 +203,7 @@ def _clip_check() -> tuple[bool, str]:
 
 _CHECKS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
     ("collision_oracle", _collision_check),
+    ("success_oracle", _success_oracle_check),
     ("dtmc_consistency", _dtmc_check),
     ("gradient_check", _gradient_check),
     ("clip_norm", _clip_check),

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,29 +79,58 @@ class TestSuccessProbability:
         with pytest.raises(ValueError):
             AccessDistribution(np.array([[0.5, 0.2]]))
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(ValueError, match="psi entries"):
+            AccessDistribution(np.array([[np.nan, 1.0]]))
 
-def random_instance(rng, n, m):
-    """Activation probabilities with exact 0s and 1s, and access rows of
-    which some are deterministic."""
-    p = rng.random(n)
-    p[rng.random(n) < 0.25] = 0.0
-    p[rng.random(n) < 0.25] = 1.0
-    psi = rng.dirichlet(np.ones(1 << m), size=n).reshape(n, 1 << m)
-    for row in np.flatnonzero(rng.random(n) < 0.3):
-        psi[row] = 0.0
-        psi[row, rng.integers(1 << m)] = 1.0
-    return p, AccessDistribution(psi)
+    def test_nan_activation_rejected(self):
+        with pytest.raises(ValueError, match="activation probabilities"):
+            success_probability_bruteforce([0.5, np.nan], uniform_access(2, 2))
+
+    def test_matches_literal_reference(self):
+        rng = np.random.default_rng(11)
+        for n in range(5):
+            for m in (1, 2):
+                for _ in range(5):
+                    p, access = selfcheck.random_instance(rng, n, m)
+                    expected = _literal_success_probability(p, access.psi, m)
+                    assert abs(success_probability_bruteforce(p, access) - expected) < 1e-12
+
+    def test_largest_instance_allocates_under_ten_megabytes(self):
+        # the float64 outcome grid alone is 9**6 * 8 bytes = 4.25 MB
+        p, access = np.full(6, 0.5), uniform_access(6, 3)
+        success_probability_bruteforce(p, access)  # fills the pattern-table cache
+        tracemalloc.start()
+        try:
+            success_probability_bruteforce(p, access)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+
+def _literal_success_probability(p, psi, n_channels):
+    """The enumeration in plain Python: every activation subset and every
+    joint pattern choice of its members, one float product per outcome."""
+    n = len(p)
+    total = 0.0
+    for active in itertools.product((False, True), repeat=n):
+        members = [i for i in range(n) if active[i]]
+        for joint in itertools.product(range(1 << n_channels), repeat=len(members)):
+            if not selfcheck.literal_success(joint, n_channels):
+                continue
+            prob = 1.0
+            for i in range(n):
+                prob *= float(p[i]) if active[i] else 1.0 - float(p[i])
+            for member, pattern in zip(members, joint):
+                prob *= float(psi[member, pattern])
+            total += prob
+    return total
 
 
 class TestSuccessProbabilityDp:
     def test_matches_bruteforce_up_to_six_agents_three_channels(self):
-        rng = np.random.default_rng(5)
-        for n in range(7):
-            for m in (1, 2, 3):
-                for _ in range(4):
-                    p, access = random_instance(rng, n, m)
-                    dp = success_probability_dp(p, access)
-                    assert abs(dp - success_probability_bruteforce(p, access)) < 1e-12
+        assert selfcheck.success_oracle_gap(np.random.default_rng(5), 4) < 1e-12
 
     def test_uniform_rch_closed_form_beyond_enumeration(self):
         for k in (1, 7, 20, 40):
@@ -115,6 +145,10 @@ class TestSuccessProbabilityDp:
             success_probability_dp([0.5, 1.5], uniform_access(2, 2))
         with pytest.raises(ValueError):
             success_probability_dp(np.ones(2), uniform_access(2, DP_MAX_CHANNELS + 1))
+
+    def test_nan_activation_rejected(self):
+        with pytest.raises(ValueError, match="activation probabilities"):
+            success_probability_dp([0.5, np.nan], uniform_access(2, 2))
 
 
 class TestDeadlineProbability:
@@ -155,6 +189,10 @@ class TestDeadlineProbability:
             bumped[d] = min(1.0, bumped[d] + rng.random() * (1 - bumped[d]))
             better, _ = deadline_probability(DtmcSpec(bumped))
             assert better >= base - 1e-15
+
+    def test_nan_success_probability_rejected(self):
+        with pytest.raises(ValueError, match="success probabilities"):
+            DtmcSpec(np.array([np.nan, 0.5]))
 
     def test_transition_blocks_structure(self):
         spec = DtmcSpec(np.array([0.2, 0.4, 0.9]))
@@ -248,6 +286,25 @@ class TestBestStationaryPsi:
     def test_oversized_grid_rejected(self):
         with pytest.raises(ValueError, match="grid_step"):
             best_stationary_psi(np.ones(3), n_channels=2, deadline=3, grid_step=0.1)
+
+    @pytest.mark.parametrize("p", [[1.5], [-0.1], [np.nan]])
+    def test_activation_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="^p "):
+            best_stationary_psi(np.array(p), n_channels=1, deadline=3)
+
+    def test_negative_deadline_rejected(self):
+        with pytest.raises(ValueError, match="deadline"):
+            best_stationary_psi(np.array([0.5]), n_channels=1, deadline=-3)
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, np.nan, np.inf, 0.3, 2.0])
+    def test_step_not_a_unit_fraction_rejected(self, step):
+        with pytest.raises(ValueError, match="grid_step"):
+            best_stationary_psi(np.array([0.5]), n_channels=1, deadline=3, grid_step=step)
+
+    def test_unit_fraction_steps_accepted(self):
+        for step in (1.0, 0.5, 1 / 3):
+            access, _ = best_stationary_psi(np.array([1.0]), n_channels=1, deadline=3, grid_step=step)
+            assert np.array_equal(access.psi, [[0.0, 1.0]])
 
 
 class TestComplexity:

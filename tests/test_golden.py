@@ -15,6 +15,11 @@ units, so few of them are flat over the contexts. A one-ulp change of
 bernoulli-drl held when every noise sample of the signature changed: its 11
 contention slots all explore, and its recorded MSE did not move.
 
+full-replay-drl guards the minibatch draw from memories that hold at least
+a minibatch: its replay capacity is 16 and its minibatch 8, so most of its
+minibatches come from such memories, and all 20 memories reach capacity.
+In the other DRL cases no memory fills to the minibatch size.
+
 The digests hold with one BLAS thread, which tests/conftest.py pins. The
 crowded DRL trace reads the Cholesky factor of the N = 150 shadowing
 covariance, whose last bits depend on the OpenBLAS thread count.
@@ -56,6 +61,8 @@ SCENARIOS = {
         {**CONTENTION, "n_subnets": 150, "speed_mps": 25.0, "eta": 0.6, "tx_threshold": 0.1},
         40,
     ),
+    # the contention scenario with short memories, which all fill
+    "full-replay": ({**CONTENTION, "n_subnets": 20, "replay_capacity": 16, "minibatch_size": 8}, 120),
 }
 
 GOLDEN = {
@@ -69,6 +76,7 @@ GOLDEN = {
     ("crowded", "mapra"): "32d8fe0c5abde656865a2253d50b32d78a18fa537c100682673014b1113341e6",
     ("crowded", "drl"): "ca7d1fa4178f6af6ccae737fef32494e13e303cff8ee50fa8f9903c77d25fb23",
     ("greedy", "drl"): "f9aa8d720a22f8380e13e0f21823e561399475c649bb10726b1615c1ec0db26f",
+    ("full-replay", "drl"): "39ffc2f8a80ed73adb2712b9c3138207d2b27a3f392bf0b1cbfd5510cb7918f8",
 }
 
 

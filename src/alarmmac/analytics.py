@@ -192,7 +192,20 @@ class DtmcSpec:
         return self.ps.size - 1
 
 
+def _check_deadline(deadline: int) -> None:
+    """Refuse a deadline that is not a non-negative integer (a bool is not)."""
+    if isinstance(deadline, bool) or not isinstance(deadline, (int, np.integer)) or deadline < 0:
+        raise ValueError(f"deadline must be a non-negative integer, got {deadline!r}")
+
+
+def _check_stationary(ps: float, deadline: int) -> None:
+    if not _in_unit_interval(ps):
+        raise ValueError(f"ps must lie in [0, 1], got {ps!r}")
+    _check_deadline(deadline)
+
+
 def stationary_dtmc(ps: float, deadline: int) -> DtmcSpec:
+    _check_stationary(ps, deadline)
     return DtmcSpec(np.full(deadline + 1, float(ps)))
 
 
@@ -248,6 +261,7 @@ def deadline_probability_by_paths(spec: DtmcSpec) -> tuple[float, float]:
 
 def stationary_deadline_probability(ps: float, deadline: int) -> tuple[float, float]:
     """Closed geometric form 1 - (1 - P_s)**(D + 1) and its complement."""
+    _check_stationary(ps, deadline)
     miss = (1.0 - ps) ** (deadline + 1)
     return 1.0 - miss, miss
 
@@ -283,8 +297,7 @@ def best_stationary_psi(
         raise ValueError("grid search oracle limited to N <= 3, M <= 2")
     if not _in_unit_interval(p):
         raise ValueError(f"p entries must lie in [0, 1], got {p}")
-    if not deadline >= 0:
-        raise ValueError(f"deadline must be >= 0, got {deadline}")
+    _check_deadline(deadline)
     ticks = 1.0 / grid_step if grid_step > 0 else 0.0
     if not (1 <= ticks < math.inf and math.isclose(ticks, round(ticks))):
         raise ValueError(f"grid_step must be 1/k for a positive integer k, got {grid_step}")

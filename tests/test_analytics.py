@@ -151,6 +151,10 @@ class TestSuccessProbabilityDp:
             success_probability_dp([0.5, np.nan], uniform_access(2, 2))
 
 
+def grid_search_one_agent(ps, deadline):
+    return best_stationary_psi(np.array([ps]), 1, deadline)
+
+
 class TestDeadlineProbability:
     def test_stationary_half_deadline_one(self):
         p_leq, p_gt = deadline_probability(stationary_dtmc(0.5, 1))
@@ -193,6 +197,24 @@ class TestDeadlineProbability:
     def test_nan_success_probability_rejected(self):
         with pytest.raises(ValueError, match="success probabilities"):
             DtmcSpec(np.array([np.nan, 0.5]))
+
+    @pytest.mark.parametrize(
+        "form,ps,deadline,argument",
+        [
+            (stationary_deadline_probability, 0.5, -3, "deadline"),
+            (stationary_deadline_probability, 1.5, 2, "ps"),
+            (stationary_deadline_probability, np.nan, 2, "ps"),
+            (stationary_deadline_probability, 0.5, 2.5, "deadline"),
+            (stationary_deadline_probability, 0.5, True, "deadline"),
+            (stationary_dtmc, 0.5, -3, "deadline"),
+            (stationary_dtmc, 0.5, 2.5, "deadline"),
+            (stationary_dtmc, -0.1, 2, "ps"),
+            (grid_search_one_agent, 1.0, 2.5, "deadline"),
+        ],
+    )
+    def test_stationary_forms_reject_malformed_arguments(self, form, ps, deadline, argument):
+        with pytest.raises(ValueError, match=f"^{argument} "):
+            form(ps, deadline)
 
     def test_transition_blocks_structure(self):
         spec = DtmcSpec(np.array([0.2, 0.4, 0.9]))

@@ -12,7 +12,7 @@ import math
 import os
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -86,20 +86,9 @@ class ExperimentResult:
     def to_dict(self) -> dict[str, Any]:
         # wall clock is intentionally excluded: result files must be
         # byte-identical across repeated runs of the same config + seed
-        return {
-            "config_fingerprint": self.config_fingerprint,
-            "policy": self.policy,
-            "seeds": self.seeds,
-            "slots_per_run": self.slots_per_run,
-            "per_run_in_time": self.per_run_in_time,
-            "mean_in_time": self.mean_in_time,
-            "stderr_in_time": self.stderr_in_time,
-            "events_delivered": self.events_delivered,
-            "events_failed": self.events_failed,
-            "mse_first_decile_median": self.mse_first_decile_median,
-            "mse_last_decile_median": self.mse_last_decile_median,
-            "mse_series": self.mse_series,
-        }
+        out = asdict(self)
+        del out["wall_clock_s"]
+        return out
 
 
 def _atomic_write(path: str, data: str) -> None:

@@ -229,59 +229,44 @@ def rmsprop_step_stacked(stack: MlpStack, state: RmsPropStack, grads: MlpStack) 
 
 
 class StackedReplay:
-    """One bounded FIFO of (context, action, reward) tuples per agent, kept as
-    (N, capacity, M) rings with a cursor and a fill count per agent; each
-    agent's oldest tuple is evicted first."""
+    """One bounded FIFO of (context, action, reward) tuples per agent, with a
+    cursor and a fill count per agent; each agent's oldest tuple is evicted
+    first.
+
+    The rings are one (N * capacity, M + 2) float block, `tuples`: agent n's
+    ring is the capacity rows from n * capacity on, and a row holds the
+    context, then the action, then the reward. Actions are small integers,
+    so they are exact as floats.
+    """
 
     def __init__(self, n_agents: int, capacity: int, n_channels: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._contexts = np.zeros((n_agents, capacity, n_channels))
-        self._actions = np.zeros((n_agents, capacity), dtype=np.int64)
-        self._rewards = np.zeros((n_agents, capacity))
+        self.tuples = np.zeros((n_agents * capacity, n_channels + 2))
         self._next = np.zeros(n_agents, dtype=np.int64)
         self.size = np.zeros(n_agents, dtype=np.int64)
 
     def push(self, agents: np.ndarray, contexts: np.ndarray, actions: np.ndarray, rewards: np.ndarray) -> None:
         """One tuple for each of the distinct `agents`."""
         at = self._next[agents]
-        self._contexts[agents, at] = contexts
-        self._actions[agents, at] = actions
-        self._rewards[agents, at] = rewards
+        self.tuples[agents * self.capacity + at] = np.column_stack((contexts, actions, rewards))
         self._next[agents] = (at + 1) % self.capacity
         self.size[agents] = np.minimum(self.size[agents] + 1, self.capacity)
 
     def sample(self, agents: np.ndarray, batch_size: int, rng: np.random.Generator) -> StackedBatch:
-        """A uniform minibatch per agent, with replacement only while its
-        memory holds fewer than batch_size tuples.
+        """A uniform minibatch per agent, drawn with replacement from its
+        memory's fill.
 
-        The memories below batch_size draw their indices in one
-        `rng.random` call, each the floor of a uniform u < 1 times the
-        memory's fill; for a fill below 2**53 the product rounds below the
-        fill. The others draw, in one `rng.random` call, one uniform key per
-        ring slot up to the largest of their fills, mask the keys beyond
-        each memory's own fill, and take the batch_size smallest: a uniform
-        draw without replacement.
+        One `rng.random((K, batch_size))` call draws every index: each is
+        the floor of a uniform u < 1 times the memory's fill, and for a fill
+        below 2**53 the product rounds below the fill. One gather then reads
+        the rows.
         """
         agents = np.asarray(agents)
         sizes = self.size[agents]
         if not sizes.all():
             raise ValueError("cannot sample from empty memory")
-        idx = np.empty((len(agents), batch_size), dtype=np.int64)
-        small = sizes < batch_size
-        if small.any():
-            uniforms = rng.random((np.count_nonzero(small), batch_size))
-            idx[small] = (uniforms * sizes[small, None]).astype(np.int64)  # the floor
-        if not small.all():
-            full = sizes[~small, None]
-            keys = rng.random((len(full), int(full.max())))
-            keys[np.arange(keys.shape[1]) >= full] = np.inf  # beyond the fill
-            idx[~small] = np.argpartition(keys, batch_size - 1, axis=1)[:, :batch_size]
-        flat = agents[:, None] * self.capacity + idx  # position in the (N * capacity) rows
-        n_channels = self._contexts.shape[2]
-        return (
-            np.take(self._contexts.reshape(-1, n_channels), flat, axis=0),
-            np.take(self._actions, flat),
-            np.take(self._rewards, flat),
-        )
+        idx = (rng.random((len(agents), batch_size)) * sizes[:, None]).astype(np.int64)  # the floor
+        rows = np.take(self.tuples, agents[:, None] * self.capacity + idx, axis=0)  # (K, B, M + 2)
+        return rows[..., :-2], rows[..., -2].astype(np.int64), rows[..., -1]

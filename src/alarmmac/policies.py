@@ -5,7 +5,8 @@ Actions are transmission patterns: M-bit words where bit m set means
 index i maps to bits via the binary expansion of i, least significant bit
 first. Three policies are provided: the learned network policy, a
 context-free value-table bandit, and uniform random selection. Exploration
-rate and learning rate decay once per alarm event, never per slot.
+rate and learning rate decay once per alarm event that the agent takes part
+in, never per slot: each agent counts its own events.
 
 Each policy is one population object that holds the state of all N agents.
 Its class attribute `reads_contexts` says whether it reads the contention
@@ -49,6 +50,14 @@ def pattern_table(n_channels: int) -> np.ndarray:
     return np.stack([pattern_bits(i, n_channels) for i in range(1 << n_channels)])
 
 
+def _random_patterns(n_patterns: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k uniform pattern indices, each the floor of n_patterns times a
+    uniform. `rng.random` returns multiples of 2**-53 and n_patterns is a
+    power of two, so the product is exact and every pattern takes an equal
+    share of the uniforms."""
+    return (rng.random(k) * n_patterns).astype(np.int64)
+
+
 def decayed_epsilon(start: float, floor: float, step: float, n_events: ArrayLike) -> np.ndarray:
     return np.maximum(floor, start - step * n_events)
 
@@ -62,7 +71,7 @@ class RchPopulation:
         self.n_patterns = config.n_patterns
 
     def select_action(self, agents: Sequence[int], contexts: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(self.n_patterns, size=len(agents))
+        return _random_patterns(self.n_patterns, len(agents), rng)
 
     def observe(self, agents, contexts, actions, rewards, rng) -> None:
         return None
@@ -90,7 +99,7 @@ class _EpsilonGreedy:
         per exploring agent."""
         explore = rng.random(len(agents)) < self.epsilon(np.asarray(agents, dtype=np.intp))
         actions = np.zeros(len(agents), dtype=np.int64)
-        actions[explore] = rng.integers(self.n_patterns, size=np.count_nonzero(explore))
+        actions[explore] = _random_patterns(self.n_patterns, np.count_nonzero(explore), rng)
         return actions, ~explore
 
     def end_event(self, agents: Sequence[int]) -> None:

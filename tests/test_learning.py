@@ -209,36 +209,42 @@ def test_rmsprop_repeated_identical_steps_shrink():
     assert second < first
 
 
-def stored_rewards(mem, agent, rng):
-    """The agent's stored rewards, sorted: a full sample without replacement."""
-    size = int(mem.size[agent])
-    return sorted(mem.sample(np.array([agent]), size, rng)[2][0]) if size else []
+def stored_rewards(mem, agent):
+    """The agent's stored rewards, sorted, read from its ring."""
+    first = agent * mem.capacity
+    return sorted(mem.tuples[first : first + mem.size[agent], -1].tolist())
 
 
-def test_replay_fifo_eviction(rng):
+def test_replay_fifo_eviction():
     mem = StackedReplay(1, 2, n_channels=1)
     for i, tag in enumerate([10.0, 20.0, 30.0]):
         mem.push(np.array([0]), np.array([[float(i)]]), np.array([i]), np.array([tag]))
-    assert stored_rewards(mem, 0, rng) == [20.0, 30.0]
+    assert stored_rewards(mem, 0) == [20.0, 30.0]
     assert mem.size[0] == 2
 
 
-def test_replay_agents_keep_separate_rings(rng):
+def test_replay_agents_keep_separate_rings():
     mem = StackedReplay(3, 2, n_channels=1)
     mem.push(np.array([2, 0]), np.array([[1.0], [2.0]]), np.array([1, 2]), np.array([1.0, 2.0]))
     mem.push(np.array([2]), np.array([[3.0]]), np.array([3]), np.array([3.0]))
     mem.push(np.array([2]), np.array([[4.0]]), np.array([4]), np.array([4.0]))
     assert list(mem.size) == [1, 0, 2]
-    assert stored_rewards(mem, 0, rng) == [2.0]
-    assert stored_rewards(mem, 2, rng) == [3.0, 4.0]
+    assert stored_rewards(mem, 0) == [2.0]
+    assert stored_rewards(mem, 2) == [3.0, 4.0]
 
 
-def test_replay_full_sample_is_permutation(rng):
+def test_replay_full_memory_draws_uniformly_over_its_fill():
+    # a full memory that has evicted its three oldest tuples draws with
+    # replacement, uniformly over the eight tuples it holds
     mem = StackedReplay(1, 8, n_channels=1)
-    for i in range(8):
+    for i in range(11):
         mem.push(np.array([0]), np.array([[float(i)]]), np.array([i]), np.array([float(i)]))
-    _, actions, _ = mem.sample(np.array([0]), 8, rng)
-    assert sorted(actions[0]) == list(range(8))
+    draws = 20_000
+    _, actions, _ = mem.sample(np.zeros(draws, dtype=np.int64), 8, np.random.default_rng(3))
+    shares = np.bincount(actions.ravel(), minlength=11) / actions.size
+    assert np.all(shares[:3] == 0.0)
+    assert np.all(np.abs(shares[3:] - 1.0 / 8) < 0.005), shares
+    assert any(len(set(row)) < 8 for row in actions.tolist())
 
 
 def test_replay_small_memory_samples_with_replacement(rng):
@@ -259,8 +265,8 @@ def test_replay_sampling_uniform(rng):
 
 
 def test_replay_sample_draws_within_fill_and_uniformly():
-    # memories below B sample with replacement, the others B distinct
-    # tuples; either way every stored tuple is drawn equally often
+    # memories below B and at or above it alike draw with replacement,
+    # and every stored tuple is drawn equally often
     sizes, b_size, draws = [2, 9, 3, 4, 12], 4, 20_000
     mem = StackedReplay(len(sizes), 12, n_channels=1)
     for n, size in enumerate(sizes):
@@ -271,17 +277,31 @@ def test_replay_sample_draws_within_fill_and_uniformly():
     for n, size in enumerate(sizes):
         rows = drawn[:, n]
         assert rows.max() < size
-        if size >= b_size:
-            assert all(len(set(row)) == b_size for row in rows.tolist())
         shares = np.bincount(rows.ravel(), minlength=size) / rows.size
         assert np.all(np.abs(shares - 1.0 / size) < 0.005), (size, shares)
 
 
+def test_replay_mixed_batch_draws_in_one_random_call():
+    # memories below B and at or above it share one rng.random((K, B))
+    # call: each index is the floor of its uniform times its memory's fill
+    sizes, b_size = np.array([2, 9, 3, 12, 4]), 4
+    mem = StackedReplay(len(sizes), 12, n_channels=1)
+    for n, size in enumerate(sizes):
+        for i in range(size):  # the reward is the tuple's ring index
+            mem.push(np.array([n]), np.array([[0.0]]), np.array([0]), np.array([float(i)]))
+    agents = np.array([3, 0, 1, 4, 2])
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    drawn = mem.sample(agents, b_size, rng)[2]
+    uniforms = twin.random((len(agents), b_size))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert np.array_equal(drawn, np.floor(uniforms * sizes[agents, None]))
+
+
 def test_largest_uniform_times_fill_floors_to_the_last_slot():
-    # a memory below the minibatch draws floor(u * fill) for u = rng.random(),
-    # whose largest value is the double below 1: for every fill up to the
-    # largest default capacity (M = 16), and every power of two and its
-    # neighbours below 2**53, that index is the memory's last slot
+    # a memory draws floor(u * fill) for u = rng.random(), whose largest
+    # value is the double below 1: for every fill up to the largest default
+    # capacity (M = 16), and every power of two and its neighbours below
+    # 2**53, that index is the memory's last slot
     u = np.nextafter(1.0, 0.0)
     capacity = ScenarioConfig(n_subnets=1, n_channels=16).replay
     chunk = 1 << 20

@@ -214,8 +214,8 @@ class ReferenceAgent:
 
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_stacked_observe_matches_per_agent_updates(k):
-    # replay 6 and minibatch 4: sampled with replacement for 3 updates, then
-    # without, then with eviction. Each reference agent trains on the
+    # replay 6 and minibatch 4: memories below the minibatch for 3 updates,
+    # then at or above it, then evicting. Each reference agent trains on the
     # minibatch the population drew for it, so the kernels are compared and
     # the draws are not.
     cfg = make_config(n_subnets=9, n_channels=3, minibatch_size=4, replay_capacity=6, dnn_hidden_size=3)
@@ -259,7 +259,7 @@ def test_stacked_observe_matches_per_agent_updates(k):
 
 def test_drl_observe_draws_each_minibatch_from_its_own_memory_uniformly():
     # minibatch and replay 256 over 200 calls: every memory stays below the
-    # minibatch, so every draw is with replacement. Agent n first observes at
+    # minibatch, so most tuples are drawn several times. Agent n first observes at
     # call 2n, so the fills differ. Each reward names its tuple:
     # 10_000 * agent + the agent's count of earlier pushes.
     cfg = make_config(n_subnets=3, minibatch_size=256, replay_capacity=256)

@@ -66,17 +66,17 @@ SCENARIOS = {
 }
 
 GOLDEN = {
-    ("contention", "rch"): "19a5e1ec5503ded570f7ae73accd1dbb4582680431bf6c666e9ca1895e2466a3",
-    ("contention", "mapra"): "cb5d356b9ba8b3de6208fb3e41863d8f293e8efde0f5b73fedeef4ea51000ecc",
-    ("contention", "drl"): "5d5bc7dbde3200e0c71055bbee5f37628aa74e2c3c59b5617f6efb3aead3a190",
-    ("bernoulli", "rch"): "08daf6182eaca35a7db577f1cc4d120e7697d8722adc11e69818597b51f4ac32",
-    ("bernoulli", "mapra"): "21c2cbaf6e400cb2fe404517acebd4016e44c7f4a2a08eee498e6dea554e83bc",
-    ("bernoulli", "drl"): "d8d1a06d4a16b45caf61a3a8053a5a79ddde2f7f234806fd1b33ac993791c1a6",
-    ("crowded", "rch"): "c67c4be2e821b54bf86fbffb6f0fc2bdb31ac4042de99c0368c16638eb8aa85c",
-    ("crowded", "mapra"): "32d8fe0c5abde656865a2253d50b32d78a18fa537c100682673014b1113341e6",
-    ("crowded", "drl"): "ca7d1fa4178f6af6ccae737fef32494e13e303cff8ee50fa8f9903c77d25fb23",
-    ("greedy", "drl"): "f9aa8d720a22f8380e13e0f21823e561399475c649bb10726b1615c1ec0db26f",
-    ("full-replay", "drl"): "39ffc2f8a80ed73adb2712b9c3138207d2b27a3f392bf0b1cbfd5510cb7918f8",
+    ("contention", "rch"): "ddc9f6a0902f0608b06418779405d9de43100f97e6f26e7c7a21c497ffca6363",
+    ("contention", "mapra"): "61e3ca9faee26878dc0e824062007f861b6aa18152ae42e395460ff662bca339",
+    ("contention", "drl"): "e4ef53f94e3c95d0b9f623073175ff90c79db47fea6d63260e2a9ea9674f6d07",
+    ("bernoulli", "rch"): "368038aa248d30548fea6c122bd3745a933629b380422eaf8b6de5d96820ba4f",
+    ("bernoulli", "mapra"): "ab65016d8d4a3df7a31a52fa41f5e7884a5a699bdfb0d1c6a55c75fac7d96577",
+    ("bernoulli", "drl"): "594b4ae37cd8307a809d5bd1691dc2e9b8c9c6e129d2c1a67071864ad5208574",
+    ("crowded", "rch"): "63004d2bc6a030ed3833717dc554af038fed18e44a7d41b2fccd593a408b5f82",
+    ("crowded", "mapra"): "d7347760ca3164f6985db742cff4c9264effa1c6243164c4f5085f3a180cb8e4",
+    ("crowded", "drl"): "83de6738b889da0f8fd964e0c8436364690451f89af2fe04c0536b8ee57992ae",
+    ("greedy", "drl"): "067cf1495d99892b5ecf6873521d0d52eec03b7e94aea352eefff451077b2749",
+    ("full-replay", "drl"): "615f2d7efb0c78463f3aef4364e40ca94ee07b4be528b0b7752151d19a4b8dac",
 }
 
 

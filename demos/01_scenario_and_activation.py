@@ -18,7 +18,7 @@ cfg = ScenarioConfig(n_subnets=20, n_channels=3, rng_seed=7)
 
 print("=== placement ===")
 rng = derive_stream(cfg.rng_seed, "placement")
-poses = place_uniform(cfg, rng)  # a record array: one (x, y, heading) record per subnetwork
+poses = place_uniform(cfg, rng)  # a record array: one (x, y, heading, cos, sin) record per subnetwork
 xs, ys = poses.x.tolist(), poses.y.tolist()
 pairs = [
     math.hypot(xs[i] - xs[j], ys[i] - ys[j])

@@ -115,11 +115,12 @@ class Simulation:
 
     @property
     def poses(self) -> np.recarray:
-        """The poses in the current slot, a record array with fields `x`, `y`
-        and `heading` (see `geometry`). A slot only counts its mobility
-        step; the steps owed are advanced here, in one call, when the poses
-        are read. Only mobility draws from its stream, so the draws and the
-        poses are those of one step per slot."""
+        """The poses in the current slot, a record array with fields `x`, `y`,
+        `heading` and the heading's direction `cos` and `sin` (see
+        `geometry`). A slot only counts its mobility step; the steps owed
+        are advanced here, in one call, when the poses are read. Only
+        mobility draws from its stream, so the draws and the poses are those
+        of one step per slot."""
         if self._pending_steps:
             self._poses = step_mobility(self._poses, self.config, self.rng_mobility, self._pending_steps)
             self._pending_steps = 0

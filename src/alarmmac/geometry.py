@@ -1,8 +1,11 @@
 """Uniform placement and snapshot-based constant-speed mobility.
 
-The poses are one ``(N,)`` record array of float fields ``x``, ``y`` and
-``heading``, which its items expose as attributes. `place_uniform` and
-`step_mobility` return a new array and never change their input.
+The poses are one ``(N,)`` record array of float fields ``x``, ``y``,
+``heading``, ``cos`` and ``sin``, which its items expose as attributes.
+``cos`` and ``sin`` are the pose's direction, ``math.cos`` and ``math.sin``
+of its heading: they are computed once per pose at placement and again only
+when a heading is resampled. `place_uniform` and `step_mobility` return a
+new array and never change their input.
 
 Poses advance by v * slot duration along their heading each slot. A heading
 is resampled uniformly on [0, 2*pi) whenever the step would leave the
@@ -11,29 +14,37 @@ deployment rectangle or bring two poses within the minimum separation; after
 index order: pose i is checked against the new positions of the poses below
 it and the old positions of those above it.
 
-`step_mobility` advances any number of slots, in windows of K slots, where
-2 * K * step stays within max(min separation, 1 m) and K is at most 256.
-Each window screens all poses once, in one vectorised pass. A pose is at
-risk if its straight-line end point, K sequential adds of its one-slot move,
-lies outside the rectangle, or (for K > 1) its start point does, or if
-another pose's start position is closer than reach = min separation +
-2 * K * step, plus a margin of K * 1e-9 of the rectangle's longer side for
-the rounding of K sequential adds. Every pose ends each slot within one
-step of where it started, so in a window it stays within K steps of its
-start; and repeated float addition of one move is monotone in each
-coordinate, so a path whose two ends are inside stays inside. A pose that
-is not at risk is therefore certain to keep its first try in every slot of
-the window: it draws nothing from the mobility stream and ends at its
+`step_mobility` advances any number of slots, in windows of K slots. K is at
+most 256, 2 * K * step stays within max(min separation, 1 m), and the poses
+that the window adds within reach of a pose stay few: N * pi * (reach^2 -
+min separation^2) / (width * height) is at most 0.1, so a longer window does
+not put more poses at risk than it saves screens. The partition into windows
+changes no result. Each window screens all poses once, in one vectorised
+pass. A pose is at risk if its straight-line end point, K sequential adds of
+its one-slot move, lies outside the rectangle, or (for K > 1) its start
+point does, or if another pose's start position is closer than reach = min
+separation + 2 * K * step, plus a margin of K * 1e-9 of the rectangle's
+longer side for the rounding of K sequential adds. Every pose ends each slot
+within one step of where it started, so in a window it stays within K steps
+of its start; and repeated float addition of one move is monotone in each
+coordinate, so a path whose two ends are inside stays inside. A pose that is
+not at risk is therefore certain to keep its first try in every slot of the
+window: it draws nothing from the mobility stream and ends at its
 straight-line end point. Only the at-risk poses then run the exact per-pose
 check, slot by slot and in index order, with the same draws as one-slot
-calls over all poses, each against the poses whose start position is
-within reach of its own, as no other can fail the check. For K = 1 the
-screen is the one-slot test. The screen sweeps the poses in x order and
-needs O(N) memory; the neighbour lists of the at-risk poses, kept for the
-window, hold the pairs within reach, which the separation keeps few per
-pose. Below 14 poses the fixed cost of the numpy calls exceeds
-that of checking all pairs, so every pose is at risk and checked against
-all others.
+calls over all poses, each against the poses whose start position is within
+reach of its own, as no other can fail the check. For K = 1 the screen is
+the one-slot test.
+
+The screen sweeps the poses in x order and needs O(N) memory. Its sweep
+finds every pair within reach, and those pairs are the at-risk poses'
+neighbour lists, which the separation keeps short; each window does one
+neighbour search. The sweep admits a pair by comparing x against x + reach
+and then the squared distance against reach^2, so a pair right at the reach
+boundary may fall either side of it; such a pair cannot fail a check, since
+the reach carries the rounding margin beyond the 2 * K * step the two poses
+can close. Below 14 poses the fixed cost of the numpy calls exceeds that of
+checking all pairs, so every pose is at risk and checked against all others.
 """
 
 from __future__ import annotations
@@ -55,18 +66,22 @@ _SCREEN_MIN_POSES = 14
 _REACH_MARGIN = 1e-9
 # the longest window screened at once; a longer catch-up runs several
 _MAX_WINDOW_STEPS = 256
+# The most poses a window's reach may add, on average, to a pose's
+# neighbourhood: N * pi * (reach^2 - sep^2) / (width * height). Longer
+# windows put more poses at risk, and each at-risk pose is checked in Python.
+# A 200-step catch-up at 2 m/s in 50 x 50 m timed fastest in windows of 7-8
+# steps at N = 300 (19.4 ms, against 78.9 ms in windows of 125), 16-20 at
+# N = 100 and 64-82 at N = 20 (2-vCPU host; see CHANGES.md); this bound
+# gives 7, 20 and 82.
+_WINDOW_ANNULUS_POSES = 0.1
 # a record dtype, so a record-array view of a new array needs no dtype conversion
-_POSE = np.dtype((np.record, [("x", float), ("y", float), ("heading", float)]))
+_POSE = np.dtype(
+    (np.record, [("x", float), ("y", float), ("heading", float), ("cos", float), ("sin", float)])
+)
 
 
 class PlacementError(RuntimeError):
     """Deployment area cannot host the requested number of separated poses."""
-
-
-def _pose_array(xs, ys, headings) -> np.recarray:
-    poses = np.empty(len(xs), dtype=_POSE)
-    poses["x"], poses["y"], poses["heading"] = xs, ys, headings
-    return poses.view(np.recarray)
 
 
 def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> np.recarray:
@@ -96,7 +111,11 @@ def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> np.recarr
                 break
         else:
             raise PlacementError(f"placement infeasible after {_PLACEMENT_TRIES_PER_POSE} tries per pose")
-    return _pose_array(xs, ys, rng.uniform(0.0, 2.0 * math.pi, size=n))
+    headings = rng.uniform(0.0, 2.0 * math.pi, size=n).tolist()
+    poses = np.empty(n, dtype=_POSE)
+    poses["x"], poses["y"], poses["heading"] = xs, ys, headings
+    poses["cos"], poses["sin"] = list(map(math.cos, headings)), list(map(math.sin, headings))
+    return poses.view(np.recarray)
 
 
 def _clear_of(x: float, y: float, xs: np.ndarray, ys: np.ndarray, sep2: float) -> bool:
@@ -105,8 +124,9 @@ def _clear_of(x: float, y: float, xs: np.ndarray, ys: np.ndarray, sep2: float) -
     return not (np.square(x - xs) + np.square(y - ys) < sep2).any()
 
 
-def _within_reach(xs: np.ndarray, ys: np.ndarray, reach: float) -> np.ndarray:
-    """Mask of the points that have another point closer than `reach`.
+def _within_reach(xs: np.ndarray, ys: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mask of the points that have another point closer than `reach`, and
+    the close pairs as two index arrays, each pair once in either order.
 
     A sweep over the points sorted by x: the partners of the k-th are the
     later ones less than `reach` further right. Partner pairs are expanded
@@ -118,13 +138,11 @@ def _within_reach(xs: np.ndarray, ys: np.ndarray, reach: float) -> np.ndarray:
     sx, sy = xs[order], ys[order]
     counts = np.searchsorted(sx, sx + reach) - np.arange(1, n + 1)
     np.maximum(counts, 0, out=counts)
-    near = np.zeros(n, dtype=bool)
-    if not counts.any():
-        return near
+    firsts, seconds = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     ends = np.cumsum(counts)
     budget = max(n, _SWEEP_CHUNK_PAIRS)
     lo = 0
-    while lo < n:
+    while lo < n and ends[-1]:
         done = int(ends[lo - 1]) if lo else 0
         # hi > lo, as counts[lo] < n <= budget
         hi = int(np.searchsorted(ends, done + budget, side="right"))
@@ -134,19 +152,29 @@ def _within_reach(xs: np.ndarray, ys: np.ndarray, reach: float) -> np.ndarray:
             k = np.repeat(np.arange(lo, hi), c)
             j = k + 1 + np.arange(total) - np.repeat(np.cumsum(c) - c, c)
             close = np.square(sx[j] - sx[k]) + np.square(sy[j] - sy[k]) < reach * reach
-            near[order[k[close]]] = True
-            near[order[j[close]]] = True
+            firsts.append(order[k[close]])
+            seconds.append(order[j[close]])
         lo = hi
-    return near
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    near = np.zeros(n, dtype=bool)
+    near[first] = True
+    near[second] = True
+    return near, first, second
 
 
-def _window_steps(min_separation_m: float, step: float) -> int:
-    """Steps per screened window: the most that keep 2 * K * step within
-    max(min separation, 1 m), so the screen's reach stays below
-    min separation + max(min separation, 1 m); at most _MAX_WINDOW_STEPS."""
+def _window_steps(min_separation_m: float, step: float, density: float) -> int:
+    """Steps per screened window, for poses `density` per square metre: the
+    most that keep 2 * K * step within max(min separation, 1 m), so the
+    screen's reach stays below min separation + max(min separation, 1 m),
+    and keep pi * density * (reach^2 - separation^2) within
+    _WINDOW_ANNULUS_POSES; at most _MAX_WINDOW_STEPS."""
     if step <= 0.0:
         return _MAX_WINDOW_STEPS
-    return max(1, min(_MAX_WINDOW_STEPS, int(max(min_separation_m, 1.0) / (2.0 * step))))
+    travel = max(min_separation_m, 1.0)
+    if density > 0.0:
+        reach = math.sqrt(min_separation_m**2 + _WINDOW_ANNULUS_POSES / (math.pi * density))
+        travel = min(travel, reach - min_separation_m)
+    return max(1, min(_MAX_WINDOW_STEPS, int(travel / (2.0 * step))))
 
 
 def step_mobility(
@@ -154,9 +182,17 @@ def step_mobility(
 ) -> np.recarray:
     """Advance every pose by `n_steps` slots; in each slot lower-indexed
     poses move first. Gives the poses and draws of `n_steps` one-slot calls;
-    each step makes a new array, and `poses` is not changed."""
+    each step makes a new array, and `poses` is not changed. `n_steps` is a
+    non-negative int; 0 gives a copy of `poses`."""
+    if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 0:
+        raise ValueError(f"n_steps must be a non-negative int, got {n_steps!r}")
+    if n_steps == 0:
+        return poses.copy()
     step = config.speed_mps * config.slot_ms / 1000.0
-    window = _window_steps(config.min_separation_m, step) if n_steps > 1 else 1  # one step is its own window
+    window = 1  # one step is its own window
+    if n_steps > 1:
+        density = config.n_subnets / (config.area_width_m * config.area_height_m)
+        window = _window_steps(config.min_separation_m, step, density)
     for done in range(0, n_steps, window):
         poses = _advance_window(poses, config, rng, step, min(window, n_steps - done))
     return poses
@@ -170,55 +206,58 @@ def _advance_window(
     sep2 = config.min_separation_m**2
     width, height = config.area_width_m, config.area_height_m
     start = poses.view(np.ndarray)  # a plain view reads fields faster than the record array
-    xs, ys, headings = start["x"].tolist(), start["y"].tolist(), start["heading"].tolist()
+    out = start.copy()
     if n >= _SCREEN_MIN_POSES:
         reach = config.min_separation_m + 2.0 * k * step + k * _REACH_MARGIN * max(1.0, width, height)
         sx, sy = start["x"], start["y"]
         # one-slot moves, with the float operations of the exact check below
-        dx = step * np.array([math.cos(h) for h in headings])
-        dy = step * np.array([math.sin(h) for h in headings])
+        dx, dy = step * start["cos"], step * start["sin"]
         ex, ey = sx + dx, sy + dy
         for _ in range(k - 1):
             ex += dx
             ey += dy
-        risky = (ex < 0.0) | (ex > width) | (ey < 0.0) | (ey > height)
         if k > 1:  # each coordinate moves monotonically, so a path between two inside points stays inside
-            risky |= (sx < 0.0) | (sx > width) | (sy < 0.0) | (sy > height)
-        risky |= _within_reach(sx, sy, reach)
-        out = _pose_array(ex, ey, headings)
-        at_risk = risky.nonzero()[0].tolist()
-        if not at_risk:
-            return out
-        # only the poses that start within reach of pose i can fail its check
-        reach2 = reach * reach
-        others = {}
-        for i in at_risk:
-            others[i] = near = (np.square(sx - sx[i]) + np.square(sy - sy[i]) < reach2).nonzero()[0].tolist()
-            near.remove(i)
-        moving = sorted(set(at_risk).union(*others.values()))
-        # a pose that is not at risk passes its first try whoever it is checked against
-        for i in moving:
-            others.setdefault(i, [])
+            risky = (np.minimum(ex, sx) < 0.0) | (np.maximum(ex, sx) > width)
+            risky |= (np.minimum(ey, sy) < 0.0) | (np.maximum(ey, sy) > height)
+        else:
+            risky = (ex < 0.0) | (ex > width) | (ey < 0.0) | (ey > height)
+        near, first, second = _within_reach(sx, sy, reach)
+        risky |= near
+        out["x"], out["y"] = ex, ey
+        moving = risky.nonzero()[0]
+        if not moving.size:
+            return out.view(np.recarray)
+        # only the poses that start within reach of a pose can fail its check,
+        # and a pose that is not at risk passes its first try whoever it is
+        # checked against; the moving poses are numbered 0.. in index order
+        others = [[] for _ in range(moving.size)]
+        for i, j in zip(np.searchsorted(moving, first).tolist(), np.searchsorted(moving, second).tolist()):
+            others[i].append(j)
+            others[j].append(i)
     else:
-        moving = range(n)
-        others = [[j for j in moving if j != i] for i in moving]
+        moving = np.arange(n)
+        others = [[j for j in range(n) if j != i] for i in range(n)]
 
+    state = start[moving]
+    xs, ys, headings = state["x"].tolist(), state["y"].tolist(), state["heading"].tolist()
+    cos, sin = state["cos"].tolist(), state["sin"].tolist()
     for _ in range(k):
         # in index order: below i the poses stand at this slot's position, above it at the last one's
-        for i in moving:
-            x, y, heading = xs[i], ys[i], headings[i]
+        for i, neighbours in enumerate(others):
+            x, y, c, s = xs[i], ys[i], cos[i], sin[i]
             for _ in range(_MAX_HEADING_RESAMPLES):
-                nx = x + step * math.cos(heading)
-                ny = y + step * math.sin(heading)
-                if 0.0 <= nx <= width and 0.0 <= ny <= height and all(
-                    (nx - xs[j]) ** 2 + (ny - ys[j]) ** 2 >= sep2 for j in others[i]
-                ):
-                    xs[i], ys[i] = nx, ny
-                    break
-                heading = rng.uniform(0.0, 2.0 * math.pi)
-            headings[i] = heading  # after 16 failed tries the pose holds its position
-    if n < _SCREEN_MIN_POSES:
-        return _pose_array(xs, ys, headings)
-    for name, column in (("x", xs), ("y", ys), ("heading", headings)):
-        out[name][moving] = [column[i] for i in moving]
-    return out
+                nx = x + step * c
+                ny = y + step * s
+                if 0.0 <= nx <= width and 0.0 <= ny <= height:
+                    for j in neighbours:
+                        if (nx - xs[j]) ** 2 + (ny - ys[j]) ** 2 < sep2:
+                            break
+                    else:
+                        xs[i], ys[i] = nx, ny
+                        break
+                # a failed try resamples; after 16 the pose holds its position
+                headings[i] = heading = rng.uniform(0.0, 2.0 * math.pi)
+                cos[i] = c = math.cos(heading)
+                sin[i] = s = math.sin(heading)
+    out[moving] = list(zip(xs, ys, headings, cos, sin))
+    return out.view(np.recarray)

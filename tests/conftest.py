@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 
@@ -49,8 +50,10 @@ def base_config():
 
 
 def pose_array(records) -> np.recarray:
-    """Poses as `geometry` keeps them, from (x, y, heading) tuples."""
-    return np.rec.fromrecords(list(records), formats="f8,f8,f8", names="x,y,heading")
+    """Poses as `geometry` keeps them, from (x, y, heading) tuples: each
+    carries its direction, the `math.cos` and `math.sin` of its heading."""
+    rows = [(x, y, h, math.cos(h), math.sin(h)) for x, y, h in records]
+    return np.rec.fromrecords(rows, formats="f8,f8,f8,f8,f8", names="x,y,heading,cos,sin")
 
 
 def make_config(**kwargs) -> ScenarioConfig:

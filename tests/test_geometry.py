@@ -21,9 +21,10 @@ from conftest import make_config, pose_array
 def test_single_pose_inside_rectangle(rng):
     cfg = make_config(n_subnets=1)
     poses = place_uniform(cfg, rng)
-    assert poses.dtype.names == ("x", "y", "heading") and poses.shape == (1,)
+    assert poses.dtype.names == ("x", "y", "heading", "cos", "sin") and poses.shape == (1,)
     (pose,) = poses
     assert 0 <= pose.x <= cfg.area_width_m and 0 <= pose.y <= cfg.area_height_m
+    assert (pose.cos, pose.sin) == (math.cos(pose.heading), math.sin(pose.heading))
 
 
 def test_pairwise_separation_enforced():
@@ -90,6 +91,17 @@ def test_containment_and_separation_hold_over_many_slots():
 # --- scalar references: the per-pose loops the vectorised code must match ---
 
 
+def headed(poses):
+    """(x, y, heading) tuples of Python floats, the state the references keep."""
+    return [(x, y, heading) for x, y, heading, _, _ in poses.tolist()]
+
+
+def assert_same_poses(new, ref):
+    """Equal bit for bit in every field: positions, headings and directions."""
+    assert new.dtype.names == ref.dtype.names
+    assert new.tobytes() == ref.tobytes()
+
+
 def _reference_place(config, rng):
     n, sep = config.n_subnets, config.min_separation_m
     placed = []
@@ -139,11 +151,11 @@ def stepped_apart(poses, cfg, rng, n_steps=1):
 def assert_steps_match(poses, cfg, seed, n_steps=3):
     """Both steps give equal poses and leave the RNG in the same state."""
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    new, ref = poses, poses.tolist()
+    new, ref = poses, headed(poses)
     for _ in range(n_steps):
         new = stepped_apart(new, cfg, rng_new)
         ref = _reference_step(ref, cfg, rng_ref)
-        assert np.array_equal(new, pose_array(ref))
+        assert_same_poses(new, pose_array(ref))
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -152,7 +164,7 @@ def test_placement_matches_scalar_reference(n):
     cfg = make_config(n_subnets=n)
     for seed in range(4):
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert np.array_equal(place_uniform(cfg, rng_new), _reference_place(cfg, rng_ref))
+        assert_same_poses(place_uniform(cfg, rng_new), _reference_place(cfg, rng_ref))
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -217,15 +229,16 @@ def assert_multi_step_matches(poses, cfg, seed, n_steps):
     """One call of n_steps gives the poses and the RNG state of n_steps
     one-step reference calls."""
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    ref = poses.tolist()
+    ref = headed(poses)
     for _ in range(n_steps):
         ref = _reference_step(ref, cfg, rng_ref)
-    assert np.array_equal(stepped_apart(poses, cfg, rng_new, n_steps), pose_array(ref))
+    assert_same_poses(stepped_apart(poses, cfg, rng_new, n_steps), pose_array(ref))
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 def window_of(cfg):
-    return _window_steps(cfg.min_separation_m, cfg.speed_mps * cfg.slot_ms / 1000.0)
+    density = cfg.n_subnets / (cfg.area_width_m * cfg.area_height_m)
+    return _window_steps(cfg.min_separation_m, cfg.speed_mps * cfg.slot_ms / 1000.0, density)
 
 
 @settings(max_examples=30, deadline=None)
@@ -247,18 +260,56 @@ def test_multi_step_matches_scalar_reference(case, data):
 
 @pytest.mark.parametrize("speed", [2.0, 25.0])
 def test_multi_step_matches_reference_on_placed_crowd(speed):
-    # at 2 m/s a window is 125 steps, at 25 m/s 10
+    # denser than N = 300 in 50 x 50 m: at 2 m/s a window is 5 steps, at 25 m/s 1
     cfg = make_config(n_subnets=60, speed_mps=speed, area_width_m=20.0, area_height_m=20.0)
     poses = place_uniform(cfg, np.random.default_rng(3))
     assert_multi_step_matches(poses, cfg, seed=3, n_steps=2 * window_of(cfg) + 5)
 
 
+def test_multi_step_matches_reference_at_dense_rch_density():
+    # N = 300 in 50 x 50 m at 2 m/s: windows of 7 steps, cut by the density bound
+    cfg = make_config(n_subnets=300, speed_mps=2.0, area_width_m=50.0, area_height_m=50.0)
+    assert window_of(cfg) == 7
+    poses = place_uniform(cfg, np.random.default_rng(8))
+    assert_multi_step_matches(poses, cfg, seed=8, n_steps=2 * window_of(cfg) + 3)
+
+
+@pytest.mark.parametrize(
+    "n_steps,valid", [(0, True), (-3, False), (2.5, False), (2.0, False), (True, False), ("3", False), (None, False)]
+)
+def test_step_mobility_takes_a_non_negative_int_n_steps(n_steps, valid):
+    cfg = make_config(n_subnets=2)
+    poses = pose_array([(10.0, 10.0, 0.3), (40.0, 40.0, 2.0)])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    if valid:  # no step: a new array holding the same poses, and no draw
+        assert_same_poses(stepped_apart(poses, cfg, rng, n_steps), poses)
+    else:
+        with pytest.raises(ValueError, match="n_steps"):
+            step_mobility(poses, cfg, rng, n_steps)
+    assert rng.bit_generator.state == state
+
+
 def test_window_keeps_reach_within_twice_the_separation():
-    assert _window_steps(1.5, 0.006) == 125
-    assert _window_steps(1.5, 0.075) == 10
-    assert _window_steps(0.0, 0.075) == 6  # a 1 m floor under the separation
-    assert _window_steps(1.5, 10.0) == 1
-    assert _window_steps(1.5, 0.0) == _window_steps(1.5, 1e-9) == 256
+    sparse = 1e-6  # poses per square metre, too few to bound the window
+    assert _window_steps(1.5, 0.006, sparse) == 125
+    assert _window_steps(1.5, 0.075, sparse) == 10
+    assert _window_steps(0.0, 0.075, sparse) == 6  # a 1 m floor under the separation
+    assert _window_steps(1.5, 10.0, sparse) == 1
+    assert _window_steps(1.5, 0.0, sparse) == _window_steps(1.5, 1e-9, sparse) == 256
+
+
+def test_window_keeps_the_poses_its_reach_adds_few():
+    # N poses in 50 x 50 m at 2 m/s: N * pi * (reach^2 - sep^2) / area stays within 0.1
+    for n, steps in ((300, 7), (100, 20), (20, 82)):
+        density = n / 2500.0
+        assert _window_steps(1.5, 0.006, density) == steps
+        for k in (steps, steps + 1):
+            reach = 1.5 + 2.0 * k * 0.006
+            assert (math.pi * density * (reach**2 - 1.5**2) <= 0.1) == (k == steps)
+    # the density bound holds without a separation too, and a step longer than it gives 1
+    assert _window_steps(0.0, 0.006, 0.12) == 42
+    assert _window_steps(1.5, 0.1, 0.12) == 1
 
 
 def test_clear_of_decides_exactly_at_the_threshold():
@@ -281,7 +332,11 @@ def test_within_reach_matches_brute_force(n):
     d2 = (xs[:, None] - xs[None, :]) ** 2 + (ys[:, None] - ys[None, :]) ** 2
     np.fill_diagonal(d2, np.inf)
     expected = (d2 < reach * reach).any(axis=1) if n else np.zeros(0, dtype=bool)
-    assert np.array_equal(_within_reach(xs, ys, reach), expected)
+    near, first, second = _within_reach(xs, ys, reach)
+    assert np.array_equal(near, expected)
+    pairs = [tuple(sorted(pair)) for pair in zip(first.tolist(), second.tolist())]
+    assert len(pairs) == len(set(pairs))  # each pair once
+    assert set(pairs) == {(i, j) for i, j in zip(*np.nonzero(d2 < reach * reach)) if i < j}
 
 
 def test_step_memory_is_linear_in_poses():

@@ -14,37 +14,35 @@ deployment rectangle or bring two poses within the minimum separation; after
 index order: pose i is checked against the new positions of the poses below
 it and the old positions of those above it.
 
-`step_mobility` advances any number of slots, in windows of K slots. K is at
-most 256, 2 * K * step stays within max(min separation, 1 m), and the poses
-that the window adds within reach of a pose stay few: N * pi * (reach^2 -
-min separation^2) / (width * height) is at most 0.1, so a longer window does
-not put more poses at risk than it saves screens. The partition into windows
-changes no result. Each window screens all poses once, in one vectorised
-pass. A pose is at risk if its straight-line end point, K sequential adds of
-its one-slot move, lies outside the rectangle, or (for K > 1) its start
-point does, or if another pose's start position is closer than reach = min
-separation + 2 * K * step, plus a margin of K * 1e-9 of the rectangle's
-longer side for the rounding of K sequential adds. Every pose ends each slot
-within one step of where it started, so in a window it stays within K steps
-of its start; and repeated float addition of one move is monotone in each
-coordinate, so a path whose two ends are inside stays inside. A pose that is
-not at risk is therefore certain to keep its first try in every slot of the
-window: it draws nothing from the mobility stream and ends at its
+`step_mobility` advances any number of slots, in windows of K slots, where
+2 * K * step stays within max(min separation, 1 m) and K is at most 256.
+Each window screens all poses once, in one vectorised pass. A pose is at
+risk if its straight-line end point, K sequential adds of its one-slot move,
+lies outside the rectangle, or (for K > 1) its start point does, or if
+another pose's start position is closer than reach = min separation +
+2 * K * step, plus a margin of K * 1e-9 of the rectangle's longer side for
+the rounding of K sequential adds. Every pose ends each slot within one
+step of where it started, so in a window it stays within K steps of its
+start; and repeated float addition of one move is monotone in each
+coordinate, so a path whose two ends are inside stays inside. A pose that
+is not at risk is therefore certain to keep its first try in every slot of
+the window: it draws nothing from the mobility stream and ends at its
 straight-line end point. Only the at-risk poses then run the exact per-pose
 check, slot by slot and in index order, with the same draws as one-slot
 calls over all poses, each against the poses whose start position is within
 reach of its own, as no other can fail the check. For K = 1 the screen is
 the one-slot test.
 
-The screen sweeps the poses in x order and needs O(N) memory. Its sweep
-finds every pair within reach, and those pairs are the at-risk poses'
-neighbour lists, which the separation keeps short; each window does one
-neighbour search. The sweep admits a pair by comparing x against x + reach
-and then the squared distance against reach^2, so a pair right at the reach
-boundary may fall either side of it; such a pair cannot fail a check, since
-the reach carries the rounding margin beyond the 2 * K * step the two poses
-can close. Below 14 poses the fixed cost of the numpy calls exceeds that of
-checking all pairs, so every pose is at risk and checked against all others.
+The screen sweeps the poses in x order and expands its candidate pairs in
+chunks of O(N) memory. The sweep finds every pair within reach, and those
+pairs are the at-risk poses' neighbour lists, which the separation keeps
+short; each window does one neighbour search. The sweep admits a pair by
+comparing x against x + reach and then the squared distance against
+reach^2, so a pair right at the reach boundary may fall either side of it;
+such a pair cannot fail a check, since the reach carries the rounding
+margin beyond the 2 * K * step the two poses can close. Below 14 poses the
+fixed cost of the numpy calls exceeds that of checking all pairs, so every
+pose is at risk and checked against all others.
 """
 
 from __future__ import annotations
@@ -66,14 +64,6 @@ _SCREEN_MIN_POSES = 14
 _REACH_MARGIN = 1e-9
 # the longest window screened at once; a longer catch-up runs several
 _MAX_WINDOW_STEPS = 256
-# The most poses a window's reach may add, on average, to a pose's
-# neighbourhood: N * pi * (reach^2 - sep^2) / (width * height). Longer
-# windows put more poses at risk, and each at-risk pose is checked in Python.
-# A 200-step catch-up at 2 m/s in 50 x 50 m timed fastest in windows of 7-8
-# steps at N = 300 (19.4 ms, against 78.9 ms in windows of 125), 16-20 at
-# N = 100 and 64-82 at N = 20 (2-vCPU host; see CHANGES.md); this bound
-# gives 7, 20 and 82.
-_WINDOW_ANNULUS_POSES = 0.1
 # a record dtype, so a record-array view of a new array needs no dtype conversion
 _POSE = np.dtype(
     (np.record, [("x", float), ("y", float), ("heading", float), ("cos", float), ("sin", float)])
@@ -129,9 +119,10 @@ def _within_reach(xs: np.ndarray, ys: np.ndarray, reach: float) -> tuple[np.ndar
     the close pairs as two index arrays, each pair once in either order.
 
     A sweep over the points sorted by x: the partners of the k-th are the
-    later ones less than `reach` further right. Partner pairs are expanded
-    in chunks of at most max(N, _SWEEP_CHUNK_PAIRS), so memory stays O(N)
-    however the points cluster.
+    later ones less than `reach` further right. Candidate pairs are expanded
+    in chunks of at most max(N, _SWEEP_CHUNK_PAIRS), so the candidates take
+    O(N) memory however the points cluster. The returned pairs are as many
+    as the close pairs, which a minimum separation keeps few per point.
     """
     n = xs.size
     order = np.argsort(xs)
@@ -162,19 +153,13 @@ def _within_reach(xs: np.ndarray, ys: np.ndarray, reach: float) -> tuple[np.ndar
     return near, first, second
 
 
-def _window_steps(min_separation_m: float, step: float, density: float) -> int:
-    """Steps per screened window, for poses `density` per square metre: the
-    most that keep 2 * K * step within max(min separation, 1 m), so the
-    screen's reach stays below min separation + max(min separation, 1 m),
-    and keep pi * density * (reach^2 - separation^2) within
-    _WINDOW_ANNULUS_POSES; at most _MAX_WINDOW_STEPS."""
+def _window_steps(min_separation_m: float, step: float) -> int:
+    """Steps per screened window: the most that keep 2 * K * step within
+    max(min separation, 1 m), so the screen's reach stays below
+    min separation + max(min separation, 1 m); at most _MAX_WINDOW_STEPS."""
     if step <= 0.0:
         return _MAX_WINDOW_STEPS
-    travel = max(min_separation_m, 1.0)
-    if density > 0.0:
-        reach = math.sqrt(min_separation_m**2 + _WINDOW_ANNULUS_POSES / (math.pi * density))
-        travel = min(travel, reach - min_separation_m)
-    return max(1, min(_MAX_WINDOW_STEPS, int(travel / (2.0 * step))))
+    return max(1, min(_MAX_WINDOW_STEPS, int(max(min_separation_m, 1.0) / (2.0 * step))))
 
 
 def step_mobility(
@@ -189,10 +174,7 @@ def step_mobility(
     if n_steps == 0:
         return poses.copy()
     step = config.speed_mps * config.slot_ms / 1000.0
-    window = 1  # one step is its own window
-    if n_steps > 1:
-        density = config.n_subnets / (config.area_width_m * config.area_height_m)
-        window = _window_steps(config.min_separation_m, step, density)
+    window = _window_steps(config.min_separation_m, step) if n_steps > 1 else 1  # one step is its own window
     for done in range(0, n_steps, window):
         poses = _advance_window(poses, config, rng, step, min(window, n_steps - done))
     return poses

@@ -237,8 +237,7 @@ def assert_multi_step_matches(poses, cfg, seed, n_steps):
 
 
 def window_of(cfg):
-    density = cfg.n_subnets / (cfg.area_width_m * cfg.area_height_m)
-    return _window_steps(cfg.min_separation_m, cfg.speed_mps * cfg.slot_ms / 1000.0, density)
+    return _window_steps(cfg.min_separation_m, cfg.speed_mps * cfg.slot_ms / 1000.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -260,18 +259,18 @@ def test_multi_step_matches_scalar_reference(case, data):
 
 @pytest.mark.parametrize("speed", [2.0, 25.0])
 def test_multi_step_matches_reference_on_placed_crowd(speed):
-    # denser than N = 300 in 50 x 50 m: at 2 m/s a window is 5 steps, at 25 m/s 1
+    # at 2 m/s a window is 125 steps, at 25 m/s 10
     cfg = make_config(n_subnets=60, speed_mps=speed, area_width_m=20.0, area_height_m=20.0)
     poses = place_uniform(cfg, np.random.default_rng(3))
     assert_multi_step_matches(poses, cfg, seed=3, n_steps=2 * window_of(cfg) + 5)
 
 
 def test_multi_step_matches_reference_at_dense_rch_density():
-    # N = 300 in 50 x 50 m at 2 m/s: windows of 7 steps, cut by the density bound
+    # N = 300 in 50 x 50 m at 2 m/s: a window of 125 steps, then one of 3
     cfg = make_config(n_subnets=300, speed_mps=2.0, area_width_m=50.0, area_height_m=50.0)
-    assert window_of(cfg) == 7
+    assert window_of(cfg) == 125
     poses = place_uniform(cfg, np.random.default_rng(8))
-    assert_multi_step_matches(poses, cfg, seed=8, n_steps=2 * window_of(cfg) + 3)
+    assert_multi_step_matches(poses, cfg, seed=8, n_steps=window_of(cfg) + 3)
 
 
 @pytest.mark.parametrize(
@@ -291,25 +290,11 @@ def test_step_mobility_takes_a_non_negative_int_n_steps(n_steps, valid):
 
 
 def test_window_keeps_reach_within_twice_the_separation():
-    sparse = 1e-6  # poses per square metre, too few to bound the window
-    assert _window_steps(1.5, 0.006, sparse) == 125
-    assert _window_steps(1.5, 0.075, sparse) == 10
-    assert _window_steps(0.0, 0.075, sparse) == 6  # a 1 m floor under the separation
-    assert _window_steps(1.5, 10.0, sparse) == 1
-    assert _window_steps(1.5, 0.0, sparse) == _window_steps(1.5, 1e-9, sparse) == 256
-
-
-def test_window_keeps_the_poses_its_reach_adds_few():
-    # N poses in 50 x 50 m at 2 m/s: N * pi * (reach^2 - sep^2) / area stays within 0.1
-    for n, steps in ((300, 7), (100, 20), (20, 82)):
-        density = n / 2500.0
-        assert _window_steps(1.5, 0.006, density) == steps
-        for k in (steps, steps + 1):
-            reach = 1.5 + 2.0 * k * 0.006
-            assert (math.pi * density * (reach**2 - 1.5**2) <= 0.1) == (k == steps)
-    # the density bound holds without a separation too, and a step longer than it gives 1
-    assert _window_steps(0.0, 0.006, 0.12) == 42
-    assert _window_steps(1.5, 0.1, 0.12) == 1
+    assert _window_steps(1.5, 0.006) == 125
+    assert _window_steps(1.5, 0.075) == 10
+    assert _window_steps(0.0, 0.075) == 6  # a 1 m floor under the separation
+    assert _window_steps(1.5, 10.0) == 1
+    assert _window_steps(1.5, 0.0) == _window_steps(1.5, 1e-9) == 256
 
 
 def test_clear_of_decides_exactly_at_the_threshold():

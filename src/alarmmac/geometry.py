@@ -33,16 +33,35 @@ calls over all poses, each against the poses whose start position is within
 reach of its own, as no other can fail the check. For K = 1 the screen is
 the one-slot test.
 
-The screen sweeps the poses in x order and expands its candidate pairs in
-chunks of O(N) memory. The sweep finds every pair within reach, and those
-pairs are the at-risk poses' neighbour lists, which the separation keeps
-short; each window does one neighbour search. The sweep admits a pair by
-comparing x against x + reach and then the squared distance against
-reach^2, so a pair right at the reach boundary may fall either side of it;
-such a pair cannot fail a check, since the reach carries the rounding
-margin beyond the 2 * K * step the two poses can close. Below 14 poses the
-fixed cost of the numpy calls exceeds that of checking all pairs, so every
-pose is at risk and checked against all others.
+The screen takes its close pairs from a neighbour list. A sweep over the
+poses in x order finds the pairs closer than a reach, expanding its
+candidate pairs in chunks of O(N) memory. Each window keeps the listed
+pairs whose start positions are closer than its own reach, by the squared
+distance against reach^2. Those pairs mark their poses at risk, and they
+are the at-risk poses' neighbour lists, which the separation keeps short.
+
+A `NeighbourList` passed to `step_mobility` keeps one list across calls,
+as a Verlet list does in molecular dynamics; without one, a call keeps its
+own. The sweep runs at the reach R of the longest window, W =
+`_window_steps` steps, from the start poses of the window that needs it.
+Take a window of k steps that starts s slots after the build, with s + k
+<= W. A pose moves at most one step per slot, so two poses closer than the
+window's reach at its start were closer than min separation + 2 * (s + k)
+* step, plus the margin for the rounding of s + k slots, at the build:
+within R, so listed. The list is rebuilt when fewer than k of its W steps
+are left, and when it is handed any array other than the one it last
+returned, or another config; below 14 poses it is not used. Poses must not
+be changed in place between calls.
+
+The sweep admits a pair by comparing x against x + reach and then the
+squared distance against reach^2, so a pair right at a reach may fall
+either side of it. Such a pair cannot fail a check in the window or the
+list's span, since the reach carries the rounding margin beyond the
+2 * (s + k) * step the two poses can close. A pose marked at risk that
+cannot fail is still checked exactly and keeps its first try, so neither
+the list nor its span changes a pose or a draw. Below 14 poses the fixed
+cost of the numpy calls exceeds that of checking all pairs, so every pose
+is at risk and checked against all others.
 """
 
 from __future__ import annotations
@@ -55,7 +74,10 @@ from .config import ScenarioConfig
 
 _MAX_HEADING_RESAMPLES = 16
 _PLACEMENT_TRIES_PER_POSE = 10_000
-_SWEEP_CHUNK_PAIRS = 4096
+# candidate pairs per sweep chunk at most, unless N is larger: at N = 300 in
+# 50 x 50 m a sweep at the longest window's reach (3 m) has about 5200
+# candidates, so three chunks keep its temporary arrays small
+_SWEEP_CHUNK_PAIRS = 2048
 # Below this size a Python loop over the pairs costs less than numpy's fixed
 # cost per call (measured on a 2-vCPU Xeon host; see CHANGES.md).
 _SCREEN_MIN_POSES = 14
@@ -114,9 +136,9 @@ def _clear_of(x: float, y: float, xs: np.ndarray, ys: np.ndarray, sep2: float) -
     return not (np.square(x - xs) + np.square(y - ys) < sep2).any()
 
 
-def _within_reach(xs: np.ndarray, ys: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mask of the points that have another point closer than `reach`, and
-    the close pairs as two index arrays, each pair once in either order.
+def _within_reach(xs: np.ndarray, ys: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of points closer than `reach`, as two index arrays, each
+    pair once in either order.
 
     A sweep over the points sorted by x: the partners of the k-th are the
     later ones less than `reach` further right. Candidate pairs are expanded
@@ -146,11 +168,7 @@ def _within_reach(xs: np.ndarray, ys: np.ndarray, reach: float) -> tuple[np.ndar
             firsts.append(order[k[close]])
             seconds.append(order[j[close]])
         lo = hi
-    first, second = np.concatenate(firsts), np.concatenate(seconds)
-    near = np.zeros(n, dtype=bool)
-    near[first] = True
-    near[second] = True
-    return near, first, second
+    return np.concatenate(firsts), np.concatenate(seconds)
 
 
 def _window_steps(min_separation_m: float, step: float) -> int:
@@ -162,26 +180,73 @@ def _window_steps(min_separation_m: float, step: float) -> int:
     return max(1, min(_MAX_WINDOW_STEPS, int(max(min_separation_m, 1.0) / (2.0 * step))))
 
 
+def _reach(config: ScenarioConfig, step: float, k: int) -> float:
+    """The screen's reach for a window of k steps."""
+    margin = k * _REACH_MARGIN * max(1.0, config.area_width_m, config.area_height_m)
+    return config.min_separation_m + 2.0 * k * step + margin
+
+
+class NeighbourList:
+    """One neighbour list kept across `step_mobility` calls on one run's
+    poses (see the module docstring). Pass the same object with the array
+    each call returned; it holds nothing a caller reads."""
+
+    def __init__(self) -> None:
+        self._poses: np.recarray | None = None  # the array the last window returned
+        self._config: ScenarioConfig | None = None
+        self._first = self._second = np.empty(0, dtype=np.intp)
+        self._left = 0  # steps of the list's span not yet used
+
+    def _close_pairs(
+        self, poses: np.recarray, xs: np.ndarray, ys: np.ndarray, config: ScenarioConfig, step: float, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The listed pairs whose positions `xs`, `ys` at the start of a
+        k-step window from `poses` are closer than its reach; the list is
+        built first if it does not cover the window."""
+        if self._poses is not poses or self._config is not config or self._left < k:
+            span = _window_steps(config.min_separation_m, step)
+            self._first, self._second = _within_reach(xs, ys, _reach(config, step, span))
+            self._config, self._left = config, span
+        self._left -= k
+        first, second = self._first, self._second
+        reach = _reach(config, step, k)
+        close = np.square(xs[first] - xs[second]) + np.square(ys[first] - ys[second]) < reach * reach
+        return first[close], second[close]
+
+
 def step_mobility(
-    poses: np.recarray, config: ScenarioConfig, rng: np.random.Generator, n_steps: int = 1
+    poses: np.recarray,
+    config: ScenarioConfig,
+    rng: np.random.Generator,
+    n_steps: int = 1,
+    neighbours: NeighbourList | None = None,
 ) -> np.recarray:
     """Advance every pose by `n_steps` slots; in each slot lower-indexed
     poses move first. Gives the poses and draws of `n_steps` one-slot calls;
     each step makes a new array, and `poses` is not changed. `n_steps` is a
-    non-negative int; 0 gives a copy of `poses`."""
+    non-negative int; 0 gives a copy of `poses`. `neighbours`, if given,
+    carries the close pairs from one call to the next; the poses and draws
+    are the same with or without it."""
     if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 0:
         raise ValueError(f"n_steps must be a non-negative int, got {n_steps!r}")
     if n_steps == 0:
         return poses.copy()
+    if neighbours is None:
+        neighbours = NeighbourList()  # a list for this call alone
     step = config.speed_mps * config.slot_ms / 1000.0
     window = _window_steps(config.min_separation_m, step) if n_steps > 1 else 1  # one step is its own window
     for done in range(0, n_steps, window):
-        poses = _advance_window(poses, config, rng, step, min(window, n_steps - done))
+        poses = _advance_window(poses, config, rng, step, min(window, n_steps - done), neighbours)
     return poses
 
 
 def _advance_window(
-    poses: np.recarray, config: ScenarioConfig, rng: np.random.Generator, step: float, k: int
+    poses: np.recarray,
+    config: ScenarioConfig,
+    rng: np.random.Generator,
+    step: float,
+    k: int,
+    neighbours: NeighbourList,
 ) -> np.recarray:
     """Advance every pose by k slots after one screen (see the module docstring)."""
     n = len(poses)
@@ -189,8 +254,8 @@ def _advance_window(
     width, height = config.area_width_m, config.area_height_m
     start = poses.view(np.ndarray)  # a plain view reads fields faster than the record array
     out = start.copy()
+    moved = out.view(np.recarray)
     if n >= _SCREEN_MIN_POSES:
-        reach = config.min_separation_m + 2.0 * k * step + k * _REACH_MARGIN * max(1.0, width, height)
         sx, sy = start["x"], start["y"]
         # one-slot moves, with the float operations of the exact check below
         dx, dy = step * start["cos"], step * start["sin"]
@@ -203,12 +268,14 @@ def _advance_window(
             risky |= (np.minimum(ey, sy) < 0.0) | (np.maximum(ey, sy) > height)
         else:
             risky = (ex < 0.0) | (ex > width) | (ey < 0.0) | (ey > height)
-        near, first, second = _within_reach(sx, sy, reach)
-        risky |= near
+        first, second = neighbours._close_pairs(poses, sx, sy, config, step, k)
+        neighbours._poses = moved
+        risky[first] = True
+        risky[second] = True
         out["x"], out["y"] = ex, ey
         moving = risky.nonzero()[0]
         if not moving.size:
-            return out.view(np.recarray)
+            return moved
         # only the poses that start within reach of a pose can fail its check,
         # and a pose that is not at risk passes its first try whoever it is
         # checked against; the moving poses are numbered 0.. in index order
@@ -225,13 +292,13 @@ def _advance_window(
     cos, sin = state["cos"].tolist(), state["sin"].tolist()
     for _ in range(k):
         # in index order: below i the poses stand at this slot's position, above it at the last one's
-        for i, neighbours in enumerate(others):
+        for i, nearby in enumerate(others):
             x, y, c, s = xs[i], ys[i], cos[i], sin[i]
             for _ in range(_MAX_HEADING_RESAMPLES):
                 nx = x + step * c
                 ny = y + step * s
                 if 0.0 <= nx <= width and 0.0 <= ny <= height:
-                    for j in neighbours:
+                    for j in nearby:
                         if (nx - xs[j]) ** 2 + (ny - ys[j]) ** 2 < sep2:
                             break
                     else:
@@ -242,4 +309,4 @@ def _advance_window(
                 cos[i] = c = math.cos(heading)
                 sin[i] = s = math.sin(heading)
     out[moving] = list(zip(xs, ys, headings, cos, sin))
-    return out.view(np.recarray)
+    return moved

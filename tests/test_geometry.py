@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alarmmac import geometry
 from alarmmac.geometry import (
     _SCREEN_MIN_POSES,
+    NeighbourList,
     PlacementError,
     _clear_of,
+    _reach,
     _window_steps,
     _within_reach,
     place_uniform,
@@ -138,11 +141,11 @@ def _reference_step(poses, config, rng):
     return out
 
 
-def stepped_apart(poses, cfg, rng, n_steps=1):
+def stepped_apart(poses, cfg, rng, n_steps=1, neighbours=None):
     """step_mobility's result, checked to be a new array that left `poses` as
     it was: the benchmark and the golden test compare the two."""
     before = poses.copy()
-    after = step_mobility(poses, cfg, rng, n_steps)
+    after = step_mobility(poses, cfg, rng, n_steps, neighbours)
     assert after is not poses
     assert poses.tobytes() == before.tobytes()
     return after
@@ -273,6 +276,85 @@ def test_multi_step_matches_reference_at_dense_rch_density():
     assert_multi_step_matches(poses, cfg, seed=8, n_steps=window_of(cfg) + 3)
 
 
+def counted_builds(monkeypatch):
+    """A list that counts the neighbour searches `step_mobility` makes."""
+    builds = []
+
+    def counted(xs, ys, reach):
+        builds.append(reach)
+        return _within_reach(xs, ys, reach)
+
+    monkeypatch.setattr(geometry, "_within_reach", counted)
+    return builds
+
+
+def assert_reads_match(poses, cfg, seed, gaps, neighbours):
+    """Reads `gaps` steps apart through one `neighbours` list give the poses
+    and the RNG state of one-step reference calls at every read."""
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref = headed(poses)
+    for gap in gaps:
+        poses = stepped_apart(poses, cfg, rng_new, gap, neighbours)
+        for _ in range(gap):
+            ref = _reference_step(ref, cfg, rng_ref)
+        assert_same_poses(poses, pose_array(ref))
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    return poses
+
+
+@pytest.mark.parametrize(
+    "scenario,seed",
+    [
+        (dict(n_subnets=300, speed_mps=2.0, area_width_m=50.0, area_height_m=50.0), 8),  # dense_rch, W = 125
+        (dict(n_subnets=150, speed_mps=25.0), 2),  # the placed crowd, W = 10
+    ],
+)
+def test_reused_list_matches_reference_over_read_gaps(monkeypatch, scenario, seed):
+    cfg = make_config(**scenario)
+    window = window_of(cfg)
+    poses = place_uniform(cfg, np.random.default_rng(seed))
+    builds = counted_builds(monkeypatch)
+    gaps = [1, 2, 3, 7, window + 5, 2, 1, 3, 7, 1]
+    assert_reads_match(poses, cfg, seed, gaps, NeighbourList())
+    # every search is at the longest window's reach, and the list was rebuilt twice or more
+    assert len(builds) >= 3 and set(builds) == {_reach(cfg, cfg.speed_mps * cfg.slot_ms / 1000.0, window)}
+
+
+def test_pair_from_just_outside_the_build_reach_is_caught(monkeypatch):
+    # two poses just beyond the list's reach head straight at each other;
+    # they first come within the separation one slot after the span ends
+    cfg = make_config(n_subnets=_SCREEN_MIN_POSES)
+    step = cfg.speed_mps * cfg.slot_ms / 1000.0
+    window = window_of(cfg)
+    apart = math.nextafter(_reach(cfg, step, window), math.inf)
+    pair = [(20.0, 25.0, 0.0), (20.0 + apart, 25.0, math.pi)]
+    # distant poses that never come near, so the screen runs
+    padding = [(3.0 + 3.5 * i, 45.0, 0.5 * math.pi) for i in range(_SCREEN_MIN_POSES - 2)]
+    poses = pose_array(pair + padding)
+    builds = counted_builds(monkeypatch)
+    stepped = assert_reads_match(poses, cfg, 3, [1] * (window + 5), NeighbourList())
+    assert len(builds) == 2
+    assert stepped.heading[0] != 0.0 or stepped.heading[1] != math.pi  # the pair met and resampled
+
+
+def test_list_is_rebuilt_for_another_array_or_config(monkeypatch):
+    cfg = make_config(n_subnets=150, speed_mps=25.0)
+    poses = place_uniform(cfg, np.random.default_rng(2))
+    other = place_uniform(cfg, np.random.default_rng(5))
+    builds = counted_builds(monkeypatch)
+    neighbours = NeighbourList()
+    assert_reads_match(poses, cfg, 2, [1, 1], neighbours)
+    last = assert_reads_match(other, cfg, 5, [1, 1, 2], neighbours)  # not the array it returned
+    assert len(builds) == 2
+    # the array it returned, under a separation beyond the list's reach
+    wider = make_config(n_subnets=150, speed_mps=25.0, min_separation_m=5.0)
+    assert_reads_match(last, wider, 5, [1], neighbours)
+    assert len(builds) == 3
+    few = pose_array([(10.0, 10.0, 0.0), (11.6, 10.0, math.pi)])  # below the screen: no list
+    assert_reads_match(few, make_config(n_subnets=2), 2, [1, 3], neighbours)
+    assert len(builds) == 3
+
+
 @pytest.mark.parametrize(
     "n_steps,valid", [(0, True), (-3, False), (2.5, False), (2.0, False), (True, False), ("3", False), (None, False)]
 )
@@ -316,9 +398,7 @@ def test_within_reach_matches_brute_force(n):
     reach = 1.6
     d2 = (xs[:, None] - xs[None, :]) ** 2 + (ys[:, None] - ys[None, :]) ** 2
     np.fill_diagonal(d2, np.inf)
-    expected = (d2 < reach * reach).any(axis=1) if n else np.zeros(0, dtype=bool)
-    near, first, second = _within_reach(xs, ys, reach)
-    assert np.array_equal(near, expected)
+    first, second = _within_reach(xs, ys, reach)
     pairs = [tuple(sorted(pair)) for pair in zip(first.tolist(), second.tolist())]
     assert len(pairs) == len(set(pairs))  # each pair once
     assert set(pairs) == {(i, j) for i, j in zip(*np.nonzero(d2 < reach * reach)) if i < j}

@@ -109,12 +109,18 @@ class MlpStack:
         self.params[idx] = part.params
 
 
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`a @ b` per network. Over a width-1 axis the one-term sum is the
+    broadcast product, which skips matmul's fixed cost."""
+    return a * b if a.shape[-1] == 1 else np.matmul(a, b)
+
+
 def _hidden_stacked(stack: MlpStack, x: np.ndarray) -> list[np.ndarray]:
     """Activations of the input and of each hidden layer for one batch
     (K, B, M) per network."""
     acts = [x]
     for w, b in zip(stack.weights[:-1], stack.biases[:-1]):
-        h = np.matmul(acts[-1], w.transpose(0, 2, 1))
+        h = _contract(acts[-1], w.transpose(0, 2, 1))
         h += b[:, None, :]
         np.maximum(h, 0.0, out=h)
         acts.append(h)
@@ -125,7 +131,7 @@ def _forward_stacked_cached(stack: MlpStack, x: np.ndarray) -> list[np.ndarray]:
     """Activations per layer for one batch (K, B, M) per network; the last
     entry holds all 2**M outputs."""
     acts = _hidden_stacked(stack, x)
-    out = np.matmul(acts[-1], stack.weights[-1].transpose(0, 2, 1))
+    out = _contract(acts[-1], stack.weights[-1].transpose(0, 2, 1))
     out += stack.biases[-1][:, None, :]
     acts.append(out)
     return acts
@@ -178,7 +184,7 @@ def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[MlpStack, np
         np.matmul(delta.transpose(0, 2, 1), acts[i], out=grads.weights[i])
         grads.biases[i][...] = delta.sum(axis=1)
         if i > 0:
-            delta = np.matmul(delta, stack.weights[i])
+            delta = _contract(delta, stack.weights[i])
             delta *= acts[i] > 0.0
     return grads, np.mean(residual**2, axis=1)
 

@@ -48,6 +48,57 @@ def mse_decile_medians(mse: Sequence[float]) -> tuple[float, float] | None:
     return first, last
 
 
+# the 0.975 quantile of Student's t by degrees of freedom, for two-sided 95 %
+# intervals; a count between two rows takes the lower row's wider quantile
+_T975 = (
+    (1, 12.706205), (2, 4.302653), (3, 3.182446), (4, 2.776445), (5, 2.570582), (6, 2.446912),
+    (7, 2.364624), (8, 2.306004), (9, 2.262157), (10, 2.228139), (11, 2.200985), (12, 2.178813),
+    (13, 2.160369), (14, 2.144787), (15, 2.131450), (16, 2.119905), (17, 2.109816), (18, 2.100922),
+    (19, 2.093024), (20, 2.085963), (21, 2.079614), (22, 2.073873), (23, 2.068658), (24, 2.063899),
+    (25, 2.059539), (26, 2.055529), (27, 2.051831), (28, 2.048407), (29, 2.045230), (30, 2.042272),
+    (40, 2.021075), (60, 2.000298), (120, 1.979930),
+)
+
+
+def t_quantile_975(df: int) -> float:
+    """Student's t 0.975 quantile for `df` >= 1 degrees of freedom, from a
+    table: exact at 1-30, 40, 60 and 120, else the next lower row's, which
+    is wider."""
+    if df < 1:
+        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+    return [q for d, q in _T975 if d <= df][-1]
+
+
+@dataclass(frozen=True)
+class PairedDifference:
+    """The per-seed differences a - b of two paired samples: their count,
+    mean, standard deviation and standard error, the count of pairs with
+    a > b, and the 95 % Student t interval of the mean difference."""
+
+    n: int
+    mean: float
+    sd: float
+    se: float
+    wins: int
+    low: float
+    high: float
+
+
+def paired_difference(a: Sequence[float], b: Sequence[float]) -> PairedDifference:
+    """Compare two samples taken on the same seeds, pair by pair."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"paired samples must be two 1-D arrays of one length, got {a.shape} and {b.shape}")
+    n = a.size
+    if n < 2:
+        raise ValueError(f"a paired difference needs at least two pairs, got {n}")
+    d = a - b
+    mean, sd = float(d.mean()), float(d.std(ddof=1))
+    se = sd / math.sqrt(n)
+    half = t_quantile_975(n - 1) * se
+    return PairedDifference(n, mean, sd, se, int((a > b).sum()), mean - half, mean + half)
+
+
 def _decimate(values: Sequence[float], max_points: int = 400) -> list[float]:
     if len(values) <= max_points:
         return [float(v) for v in values]

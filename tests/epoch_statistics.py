@@ -13,21 +13,30 @@ one. Such a change must keep these statistics in distribution instead:
 They are taken per seed, over the seeds derive_run_seed(0, s) for s < 20
 with one BLAS thread, for the golden (scenario, policy) pairs at their
 slot counts and for the presets of acceptance criteria 6 (N = 10 DRL,
-2000 events) and 7 (N = 20, each policy, 300 events).
+2000 events) and 7 (N = 20, each policy, 300 events). Criterion 7's
+per-seed differences DRL - MAP-RA and DRL - RCH of the first two are
+statistics of their own, so a change that moves an ordering beyond its
+paired noise fails even when each policy's mean stays inside its own
+wider bound.
 
     PYTHONPATH=src python tests/epoch_statistics.py --write
     PYTHONPATH=src python tests/epoch_statistics.py --check
 
---write records them in tests/data/epoch_statistics.json. --check runs the
+--write records them in tests/data/epoch_statistics.json, with the commit
+it ran at (`git rev-parse --short HEAD`, or "unknown"). --check runs the
 current code and fails if any mean differs from the recorded one by more
-than three combined standard errors, sqrt(s_rec**2 / n + s_now**2 / n). The
-file is not collected by pytest; the full run takes one to two minutes.
+than three combined standard errors, sqrt(s_rec**2 / n + s_now**2 / n); for
+a paired row these are the standard errors of its per-seed differences.
+It also prints criterion 7's current paired differences with their 95 %
+intervals. The file is not collected by pytest; the full run takes one to
+two minutes.
 """
 
 import argparse
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,7 +52,7 @@ import numpy as np  # noqa: E402
 
 from alarmmac.config import ScenarioConfig, config_from_dict, derive_run_seed  # noqa: E402
 from alarmmac.engine import Simulation  # noqa: E402
-from alarmmac.reporting import in_time_probability  # noqa: E402
+from alarmmac.reporting import in_time_probability, paired_difference  # noqa: E402
 
 from test_acceptance import CONTENTION  # noqa: E402
 from test_golden import GOLDEN, SCENARIOS  # noqa: E402
@@ -51,6 +60,7 @@ from test_golden import GOLDEN, SCENARIOS  # noqa: E402
 DATA = HERE / "data" / "epoch_statistics.json"
 N_SEEDS = 20
 POLICIES = ("rch", "mapra", "drl")
+PAIRED = ("in_time", "per_slot_success")  # criterion 7's statistics that are also compared per seed
 
 
 def cases():
@@ -79,14 +89,31 @@ def run_statistics(config, slots, events, seed) -> dict[str, float]:
 
 
 def collect() -> dict[str, dict[str, list[float]]]:
-    """name -> statistic -> per-seed values."""
+    """name -> statistic -> per-seed values, the paired rows included."""
     seeds = [derive_run_seed(0, s) for s in range(N_SEEDS)]
     out = {}
     for name, (config, slots, events) in cases().items():
         per_seed = [run_statistics(config, slots, events, seed) for seed in seeds]
         out[name] = {key: [stats[key] for stats in per_seed] for key in per_seed[0]}
         print(f"ran {name}", file=sys.stderr)
+    drl = out["criterion 7 drl"]
+    for other in ("mapra", "rch"):
+        base = out[f"criterion 7 {other}"]
+        out[f"criterion 7 drl - {other}"] = {
+            key: [a - b for a, b in zip(drl[key], base[key])] for key in PAIRED
+        }
     return out
+
+
+def commit() -> str:
+    """The short hash of the checked-out commit, or "unknown"."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], cwd=HERE, capture_output=True, text=True, check=True
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return done.stdout.strip() or "unknown"
 
 
 def mean_and_se(values: list[float]) -> tuple[float, float]:
@@ -118,14 +145,24 @@ def main() -> int:
     current = collect()
     if args.write:
         DATA.parent.mkdir(exist_ok=True)
-        DATA.write_text(json.dumps(current, indent=1) + "\n")
+        DATA.write_text(json.dumps({"commit": commit(), "statistics": current}, indent=1) + "\n")
         print(f"wrote {DATA}")
         return 0
-    rows = compare(json.loads(DATA.read_text()), current)
+    record = json.loads(DATA.read_text())
+    rows = compare(record["statistics"], current)
+    print(f"recorded at commit {record['commit']}")
     print("verdict | run | statistic | recorded mean ± se | current mean ± se | difference")
     print("\n".join(rows))
     failed = sum(row.startswith("FAIL") for row in rows)
     print(f"{failed} of {len(rows)} means outside three combined standard errors")
+    drl = current["criterion 7 drl"]
+    for other in ("mapra", "rch"):
+        for key in PAIRED:
+            d = paired_difference(drl[key], current[f"criterion 7 {other}"][key])
+            print(
+                f"criterion 7 drl - {other} {key}: {d.mean:+.4f} (sd {d.sd:.4f}, se {d.se:.4f}, "
+                f"95 % interval [{d.low:+.4f}, {d.high:+.4f}]), drl ahead on {d.wins} of {d.n} seeds"
+            )
     return 1 if failed else 0
 
 

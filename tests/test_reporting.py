@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import threading
 
@@ -13,8 +14,10 @@ from alarmmac.reporting import (
     _atomic_write,
     in_time_probability,
     mse_decile_medians,
+    paired_difference,
     run_experiment,
     sweep,
+    t_quantile_975,
     write_result,
 )
 
@@ -231,3 +234,40 @@ def test_result_file_holds_none_and_empty_fields(tmp_path):
     path = tmp_path / "result.json"
     write_result(result, str(path))
     assert json.loads(path.read_text(encoding="utf-8")) == result.to_dict()
+
+
+def test_paired_difference_matches_a_hand_computed_case():
+    # differences 2, 3, 1, 4: mean 2.5, variance (0.25 + 0.25 + 2.25 + 2.25) / 3 = 5/3
+    d = paired_difference([3.0, 5.0, 4.0, 6.0], [1.0, 2.0, 3.0, 2.0])
+    assert (d.n, d.wins) == (4, 4)
+    assert d.mean == 2.5
+    assert d.sd == pytest.approx(math.sqrt(5.0 / 3.0), rel=1e-12)
+    assert d.se == pytest.approx(math.sqrt(5.0 / 3.0) / 2.0, rel=1e-12)
+    half = 3.182446 * math.sqrt(5.0 / 3.0) / 2.0  # t quantile at 3 degrees of freedom
+    assert (d.low, d.high) == (pytest.approx(2.5 - half, rel=1e-12), pytest.approx(2.5 + half, rel=1e-12))
+    # swapping the samples flips the sign and the count of wins
+    flipped = paired_difference([1.0, 2.0, 3.0, 2.0], [3.0, 5.0, 4.0, 6.0])
+    assert (flipped.mean, flipped.wins, flipped.low) == (-2.5, 0, -d.high)
+
+
+def test_paired_difference_of_a_constant_shift_has_no_spread():
+    b = [0.125, 0.5, 0.75, 0.25, 1.0]
+    d = paired_difference([x + 0.25 for x in b], b)
+    assert (d.n, d.mean, d.sd, d.se, d.wins, d.low, d.high) == (5, 0.25, 0.0, 0.0, 5, 0.25, 0.25)
+    tie = paired_difference(b, b)
+    assert (tie.mean, tie.se, tie.wins) == (0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("a,b", [([1.0], [2.0]), ([1.0, 2.0], [1.0]), ([[1.0, 2.0]], [[1.0, 2.0]])])
+def test_paired_difference_rejects_unpaired_or_single_samples(a, b):
+    with pytest.raises(ValueError):
+        paired_difference(a, b)
+
+
+def test_t_quantile_table_is_exact_at_its_rows_and_wider_between_them():
+    assert t_quantile_975(1) == 12.706205
+    assert t_quantile_975(19) == 2.093024
+    assert t_quantile_975(45) == t_quantile_975(40) == 2.021075
+    assert t_quantile_975(10**6) == 1.979930
+    with pytest.raises(ValueError):
+        t_quantile_975(0)

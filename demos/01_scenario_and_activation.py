@@ -16,17 +16,19 @@ from alarmmac.geometry import place_uniform, step_mobility
 
 cfg = ScenarioConfig(n_subnets=20, n_channels=3, rng_seed=7)
 
+
+def closest_pair(poses) -> float:
+    xs, ys = poses.x.tolist(), poses.y.tolist()
+    return min(
+        math.hypot(xs[i] - xs[j], ys[i] - ys[j]) for i in range(len(xs)) for j in range(i + 1, len(xs))
+    )
+
+
 print("=== placement ===")
 rng = derive_stream(cfg.rng_seed, "placement")
 poses = place_uniform(cfg, rng)  # a record array: one (x, y, heading, cos, sin) record per subnetwork
-xs, ys = poses.x.tolist(), poses.y.tolist()
-pairs = [
-    math.hypot(xs[i] - xs[j], ys[i] - ys[j])
-    for i in range(len(poses))
-    for j in range(i + 1, len(poses))
-]
 print(f"{cfg.n_subnets} subnetworks in {cfg.area_width_m:.0f} x {cfg.area_height_m:.0f} m")
-print(f"closest pair: {min(pairs):.2f} m (separation floor {cfg.min_separation_m} m)")
+print(f"closest pair: {closest_pair(poses):.2f} m (separation floor {cfg.min_separation_m} m, at placement only)")
 
 print("\n=== mobility ===")
 mob = derive_stream(cfg.rng_seed, "mobility")
@@ -35,6 +37,7 @@ poses = step_mobility(poses, cfg, mob, n_steps=1000)  # a new array: the poses a
 moved = [math.hypot(x - x0, y - y0) for x, y, x0, y0 in zip(poses.x, poses.y, start.x, start.y)]
 step = cfg.speed_mps * cfg.slot_ms / 1000.0
 print(f"per-slot step {step * 1000:.1f} mm; after 1000 slots mean displacement {np.mean(moved):.2f} m")
+print(f"closest pair after 1000 slots: {closest_pair(poses):.2f} m (only the walls turn a pose in motion)")
 
 print("\n=== activation footprint ===")
 print("attenuation rate eta -> radius where p(d) crosses the transmit threshold")

@@ -25,6 +25,8 @@ The mobility step is lazy: a slot only counts it, and the steps owed are
 advanced when the poses are next read, which is when an event spawns or a
 contention round runs (see `Simulation.poses`). Each advance makes a new
 record array of poses (see `geometry`), so an array read earlier stays as it was.
+The minimum separation holds at placement only: in motion a pose turns only
+at the walls of the deployment rectangle, independently of the others.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from . import channel as chan
 from . import signature as sig
 from .config import ScenarioConfig, derive_stream
 from .events import AlarmEvent, maybe_spawn_event
-from .geometry import NeighbourList, place_uniform, step_mobility
+from .geometry import place_uniform, step_mobility
 from .policies import Population, make_policy, pattern_table
 
 
@@ -105,7 +107,6 @@ class Simulation:
         self.policy: Population = make_policy(config, rng_init)
         self._poses: np.recarray = place_uniform(config, rng_place)
         self._pending_steps = 0  # mobility steps owed to the poses
-        self._neighbours = NeighbourList()  # close pairs kept across mobility reads
         self.cap_xy = (config.area_width_m / 2.0, config.area_height_m / 2.0)
         if self.policy.reads_contexts:
             self._snapshot_channel_state()
@@ -119,14 +120,11 @@ class Simulation:
         """The poses in the current slot, a record array with fields `x`, `y`,
         `heading` and the heading's direction `cos` and `sin` (see
         `geometry`). A slot only counts its mobility step; the steps owed
-        are advanced here, in one call, when the poses are read; one
-        neighbour list serves the reads until its span runs out. Only
+        are advanced here, in one call, when the poses are read. Only
         mobility draws from its stream, so the draws and the poses are those
-        of one step per slot."""
+        of one step per slot, whenever the poses are read."""
         if self._pending_steps:
-            self._poses = step_mobility(
-                self._poses, self.config, self.rng_mobility, self._pending_steps, self._neighbours
-            )
+            self._poses = step_mobility(self._poses, self.config, self.rng_mobility, self._pending_steps)
             self._pending_steps = 0
         return self._poses
 

@@ -304,9 +304,9 @@ def test_mobility_advances_only_when_a_slot_reads_the_poses(monkeypatch):
     calls: list[int] = []
     spawns: list[bool] = []
 
-    def counted_step(poses, config, rng, n_steps=1, neighbours=None):
+    def counted_step(poses, config, rng, n_steps=1):
         calls.append(n_steps)
-        return step_mobility(poses, config, rng, n_steps, neighbours)
+        return step_mobility(poses, config, rng, n_steps)
 
     def counted_spawn(slot, poses, rng, config):
         event = maybe_spawn_event(slot, poses, rng, config)

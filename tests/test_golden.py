@@ -55,7 +55,7 @@ SCENARIOS = {
     ),
     # Bernoulli activation and long deadlines: idle slots between events
     "bernoulli": ({"n_subnets": 12, "n_channels": 2, "eta": 0.3, "alpha": 0.2}, 200),
-    # crowded and fast: poses resample headings at walls and at each other;
+    # crowded and fast: poses often resample their headings at the walls;
     # a short activation range keeps active sets small enough to succeed
     "crowded": (
         {**CONTENTION, "n_subnets": 150, "speed_mps": 25.0, "eta": 0.6, "tx_threshold": 0.1},

@@ -72,9 +72,9 @@ GOLDEN = {
     ("bernoulli", "rch"): "368038aa248d30548fea6c122bd3745a933629b380422eaf8b6de5d96820ba4f",
     ("bernoulli", "mapra"): "ab65016d8d4a3df7a31a52fa41f5e7884a5a699bdfb0d1c6a55c75fac7d96577",
     ("bernoulli", "drl"): "594b4ae37cd8307a809d5bd1691dc2e9b8c9c6e129d2c1a67071864ad5208574",
-    ("crowded", "rch"): "63004d2bc6a030ed3833717dc554af038fed18e44a7d41b2fccd593a408b5f82",
-    ("crowded", "mapra"): "d7347760ca3164f6985db742cff4c9264effa1c6243164c4f5085f3a180cb8e4",
-    ("crowded", "drl"): "83de6738b889da0f8fd964e0c8436364690451f89af2fe04c0536b8ee57992ae",
+    ("crowded", "rch"): "bca95b12dffaf9a998a811382a55f13ef74bb60572d1b395f35f92cfa1a6a470",
+    ("crowded", "mapra"): "ca29cfcf4d04809ea5f164063025faa05316fd0fd6393877ab473ab65157ec99",
+    ("crowded", "drl"): "46863eaf9033be54a25248b655944b911aced4e9b954f7cbcd5fc3c4985d874d",
     ("greedy", "drl"): "067cf1495d99892b5ecf6873521d0d52eec03b7e94aea352eefff451077b2749",
     ("full-replay", "drl"): "615f2d7efb0c78463f3aef4364e40ca94ee07b4be528b0b7752151d19a4b8dac",
 }

@@ -60,12 +60,10 @@ _T975 = (
 )
 
 
-def t_quantile_975(df: int) -> float:
+def _t_quantile_975(df: int) -> float:
     """Student's t 0.975 quantile for `df` >= 1 degrees of freedom, from a
     table: exact at 1-30, 40, 60 and 120, else the next lower row's, which
     is wider."""
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
     return [q for d, q in _T975 if d <= df][-1]
 
 
@@ -95,7 +93,7 @@ def paired_difference(a: Sequence[float], b: Sequence[float]) -> PairedDifferenc
     d = a - b
     mean, sd = float(d.mean()), float(d.std(ddof=1))
     se = sd / math.sqrt(n)
-    half = t_quantile_975(n - 1) * se
+    half = _t_quantile_975(n - 1) * se
     return PairedDifference(n, mean, sd, se, int((a > b).sum()), mean - half, mean + half)
 
 

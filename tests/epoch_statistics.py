@@ -60,7 +60,9 @@ from test_golden import GOLDEN, SCENARIOS  # noqa: E402
 DATA = HERE / "data" / "epoch_statistics.json"
 N_SEEDS = 20
 POLICIES = ("rch", "mapra", "drl")
-PAIRED = ("in_time", "per_slot_success")  # criterion 7's statistics that are also compared per seed
+# criterion 7's DRL is compared seed by seed with these policies, on these statistics
+PAIRED_WITH = ("mapra", "rch")
+PAIRED = ("in_time", "per_slot_success")
 
 
 def cases():
@@ -97,7 +99,7 @@ def collect() -> dict[str, dict[str, list[float]]]:
         out[name] = {key: [stats[key] for stats in per_seed] for key in per_seed[0]}
         print(f"ran {name}", file=sys.stderr)
     drl = out["criterion 7 drl"]
-    for other in ("mapra", "rch"):
+    for other in PAIRED_WITH:
         base = out[f"criterion 7 {other}"]
         out[f"criterion 7 drl - {other}"] = {
             key: [a - b for a, b in zip(drl[key], base[key])] for key in PAIRED
@@ -156,7 +158,7 @@ def main() -> int:
     failed = sum(row.startswith("FAIL") for row in rows)
     print(f"{failed} of {len(rows)} means outside three combined standard errors")
     drl = current["criterion 7 drl"]
-    for other in ("mapra", "rch"):
+    for other in PAIRED_WITH:
         for key in PAIRED:
             d = paired_difference(drl[key], current[f"criterion 7 {other}"][key])
             print(

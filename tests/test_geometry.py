@@ -248,6 +248,55 @@ def test_multi_step_matches_reference_at_dense_rch_density():
 
 
 @pytest.mark.parametrize(
+    "scenario,seed",
+    [
+        (dict(n_subnets=300, speed_mps=2.0, area_width_m=50.0, area_height_m=50.0), 8),  # dense_rch
+        (dict(n_subnets=150, speed_mps=25.0), 2),  # the placed crowd
+    ],
+)
+def test_read_gaps_match_reference(scenario, seed):
+    # reads a few slots apart and one across a window boundary, as the engine makes them
+    cfg = make_config(**scenario)
+    poses = place_uniform(cfg, np.random.default_rng(seed))
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref = headed(poses)
+    for gap in [1, 2, 3, 7, _MAX_WINDOW_STEPS + 5, 2, 1, 3, 7, 1]:
+        poses = stepped_apart(poses, cfg, rng_new, gap)
+        for _ in range(gap):
+            ref = _reference_step(ref, cfg, rng_ref)
+        assert_same_poses(poses, pose_array(ref))
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [1, 2, 100])
+def test_wall_screen_is_exact_at_the_wall(k):
+    # the k-th one-slot move, in the exact check's float adds, ends exactly
+    # in the far corner: the pose keeps its first tries; with one ulp less
+    # room on either wall it turns in slot k and not before
+    heading = 0.3
+    poses = pose_array([(10.0, 10.0, heading)])
+    default = make_config(n_subnets=1)
+    step = default.speed_mps * default.slot_ms / 1000.0
+    x, y = 10.0, 10.0
+    for _ in range(k):
+        x += step * math.cos(heading)
+        y += step * math.sin(heading)
+    cfg = make_config(n_subnets=1, area_width_m=x, area_height_m=y)
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    stepped = stepped_apart(poses, cfg, rng, k)
+    assert rng.bit_generator.state == state
+    assert (stepped.x[0], stepped.y[0], stepped.heading[0]) == (x, y, heading)
+    for tight in (dict(area_width_m=math.nextafter(x, 0.0)), dict(area_height_m=math.nextafter(y, 0.0))):
+        cfg = make_config(**{"n_subnets": 1, "area_width_m": x, "area_height_m": y, **tight})
+        rng = np.random.default_rng(6)
+        stepped_apart(poses, cfg, rng, k - 1)
+        assert rng.bit_generator.state == state
+        assert stepped_apart(poses, cfg, rng, k).heading[0] != heading
+        assert_multi_step_matches(poses, cfg, seed=6, n_steps=k)
+
+
+@pytest.mark.parametrize(
     "n_steps,valid", [(0, True), (-3, False), (2.5, False), (2.0, False), (True, False), ("3", False), (None, False)]
 )
 def test_step_mobility_takes_a_non_negative_int_n_steps(n_steps, valid):

@@ -106,3 +106,16 @@ def test_golden_digest(scenario, policy):
     assert digest == GOLDEN[scenario, policy]
     if scenario == "crowded":
         assert resamples > 0  # the crowded scenario exercises the resample path
+
+
+def test_statistics_record_names_its_commit_or_unknown(monkeypatch, tmp_path):
+    import epoch_statistics
+
+    # outside any git checkout the record says "unknown"
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    monkeypatch.setattr(epoch_statistics, "HERE", tmp_path)
+    assert epoch_statistics.commit() == "unknown"
+    # and inside one, the short hash that git prints, without its newline
+    done = epoch_statistics.subprocess.CompletedProcess([], 0, stdout="5170ff9\n", stderr="")
+    monkeypatch.setattr(epoch_statistics.subprocess, "run", lambda *args, **kwargs: done)
+    assert epoch_statistics.commit() == "5170ff9"

@@ -6,7 +6,8 @@ errors instead of silently falling back to defaults. The config object is
 a frozen dataclass and safe to share read-only across concurrent runs. It
 checks itself when built, from a document, in code or by
 `dataclasses.replace`: a field of the wrong type or out of range raises a
-ConfigError naming its key.
+ConfigError naming its key, and so does a scenario whose poses cannot be
+separated in its area or whose set-up exceeds `SETUP_BUDGET_BYTES`.
 
 The model has no knob for what the paper fixes: at most one alarm is live
 at a time and each attempt takes one slot (see `engine`), every pilot
@@ -175,6 +176,62 @@ def _check_ranges(cfg: ScenarioConfig) -> None:
     _check(cfg.shadow_sigma_nlos_db >= 0, "shadow_sigma_nlos_db", "must be >= 0")
     _check(cfg.n_slots >= 0, "n_slots", "must be >= 0")
     _check(cfg.n_runs >= 1, "n_runs", "must be >= 1")
+    sep = cfg.min_separation_m
+    if sep > 0 and cfg.n_subnets > 1:
+        # disjoint disks of radius sep/2 centred in the rectangle lie inside
+        # it grown by sep/2 on every side: N pi (sep/2)**2 <= (W + sep)(H + sep),
+        # here divided by sep**2
+        _check(
+            cfg.n_subnets * math.pi / 4.0 <= (cfg.area_width_m / sep + 1.0) * (cfg.area_height_m / sep + 1.0),
+            "n_subnets",
+            f"{cfg.n_subnets} poses {sep} m apart do not fit in {cfg.area_width_m} x {cfg.area_height_m} m",
+        )
+    if cfg.policy_kind is PolicyKind.DRL:
+        _check(
+            cfg.n_subnets <= MAX_DRL_SUBNETS,
+            "n_subnets",
+            f"DRL is limited to {MAX_DRL_SUBNETS} subnetworks: its set-up factors an N x N covariance",
+        )
+    footprint = _setup_bytes(cfg)
+    total = sum(footprint.values())
+    if total > SETUP_BUDGET_BYTES:
+        raise ConfigError(
+            f"{max(footprint, key=footprint.get)}: the set-up needs about {total / 2**30:.1f} GiB, "
+            f"over the {SETUP_BUDGET_BYTES / 2**30:.0f} GiB budget"
+        )
+
+
+# the most memory a config's largest arrays may take (see `_setup_bytes`)
+SETUP_BUDGET_BYTES = 2 * 2**30
+# DRL draws its shadowing through the Cholesky factor of an N x N matrix, an
+# O(N**3) set-up (0.43 s at N = 2000 on one 2-vCPU host thread)
+MAX_DRL_SUBNETS = 2000
+
+
+def _setup_bytes(cfg: ScenarioConfig) -> dict[str, int]:
+    """Bytes of the largest arrays a run of `cfg` holds, summed by the config
+    key that drives each: for DRL the replay rings, the parameter and
+    RMSProp blocks with the copies one update makes, one update's minibatch
+    arrays with every agent active, and the N x N shadowing arrays (five at
+    their peak); for MAP-RA its value table. RCH holds none of these."""
+    n, m = cfg.n_subnets, cfg.n_channels
+    if cfg.policy_kind is PolicyKind.RCH:
+        return {}
+    if cfg.policy_kind is PolicyKind.MAP_RA:
+        return {"n_channels": 8 * n * cfg.n_patterns}
+    sizes = cfg.layer_sizes
+    n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    hidden = cfg.dnn_hidden_layers * cfg.dnn_hidden_size
+    footprint = {"n_subnets": 8 * 5 * n * n, "dnn_hidden_size": 8 * 6 * n * n_params}
+    # a key left at its default grows with 2**n_channels
+    replay_key = "replay_capacity" if cfg.replay_capacity is not None else "n_channels"
+    batch_key = "minibatch_size" if cfg.minibatch_size is not None else "n_channels"
+    # each minibatch row: the gathered tuple, about ten per-row scalars, and
+    # three activation-sized arrays per hidden unit
+    per_row = m + 12 + 3 * hidden
+    for key, value in ((replay_key, 8 * n * cfg.replay * (m + 2)), (batch_key, 8 * n * cfg.minibatch * per_row)):
+        footprint[key] = footprint.get(key, 0) + value
+    return footprint
 
 
 def load_config(text: str) -> ScenarioConfig:

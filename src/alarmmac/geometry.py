@@ -8,7 +8,16 @@ when a heading is resampled. `place_uniform` and `step_mobility` return a
 new array and never change their input.
 
 Placement keeps every pair of poses at least the minimum separation apart.
-After it, poses move independently of each other: each advances by
+It is rejection sampling that draws its candidates in blocks, one call per
+block, and gives the poses and draws of the one-candidate-at-a-time loop:
+a block holds at most one candidate per pose still to place, and every
+pose needs at least one candidate, so that loop would draw every candidate
+of the block too, in the same order and with the same
+``low + (high - low) * next_double`` doubles; each candidate is then
+accepted or rejected, in order, by that loop's own test
+``dx * dx + dy * dy < sep**2`` against every pose accepted before it.
+
+After placement, poses move independently of each other: each advances by
 v * slot duration along its heading each slot, and its heading is resampled
 uniformly on [0, 2*pi) whenever the step would leave the deployment
 rectangle; after 16 failed resamples the pose holds its position for that
@@ -39,6 +48,8 @@ from .config import ScenarioConfig
 
 _MAX_HEADING_RESAMPLES = 16
 _PLACEMENT_TRIES_PER_POSE = 10_000
+# the most placement candidates drawn in one call
+_PLACEMENT_BLOCK = 32
 # the longest window screened at once; a longer catch-up runs several
 _MAX_WINDOW_STEPS = 256
 # a record dtype, so a record-array view of a new array needs no dtype conversion
@@ -52,32 +63,47 @@ class PlacementError(RuntimeError):
 
 
 def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> np.recarray:
-    """Place N poses uniformly in the rectangle with pairwise separation.
+    """Place N poses uniformly in the rectangle with pairwise separation,
+    then draw their headings.
 
-    Uses rejection sampling after a disk-packing feasibility precheck, so an
-    over-dense configuration fails fast instead of looping.
+    Rejection sampling: pose k takes the first candidate (x, y), drawn as
+    ``rng.uniform(0, W)`` and then ``rng.uniform(0, H)``, that lies at
+    least the separation from poses 0..k-1. The candidates are drawn in
+    blocks of at most `_PLACEMENT_BLOCK`, and never more than the poses
+    still to place, each block in one ``rng.uniform(0, (W, H), (m, 2))``
+    call that returns those same doubles in that same order. So every drawn
+    candidate is one the one-at-a-time loop draws too, and each is tested
+    in order with that loop's expression, against the poses placed before
+    the block (one array test) and the ones accepted earlier in it: the
+    poses and the generator's state are those of the one-at-a-time loop.
+
+    A config that fails the packing bound is refused when it is built (see
+    `config`); below it, a pose that finds no place in 10 000 candidates
+    raises PlacementError, after which the generator may be up to one
+    block further along than the one-at-a-time loop's.
     """
-    n = config.n_subnets
-    sep = config.min_separation_m
-    area = config.area_width_m * config.area_height_m
-    if sep > 0:
-        packing_cap = area / (math.pi * (sep / 2.0) ** 2)
-        if n > packing_cap:
-            raise PlacementError(
-                f"cannot place {n} poses with separation {sep} m in "
-                f"{config.area_width_m} x {config.area_height_m} m "
-                f"(packing bound ~{packing_cap:.0f})"
-            )
+    n, sep2 = config.n_subnets, config.min_separation_m * config.min_separation_m
+    extent = (config.area_width_m, config.area_height_m)
     xs, ys = np.empty(n), np.empty(n)
-    for k in range(n):
-        for _ in range(_PLACEMENT_TRIES_PER_POSE):
-            x = rng.uniform(0.0, config.area_width_m)
-            y = rng.uniform(0.0, config.area_height_m)
-            if _clear_of(x, y, xs[:k], ys[:k], sep * sep):
-                xs[k], ys[k] = x, y
-                break
-        else:
-            raise PlacementError(f"placement infeasible after {_PLACEMENT_TRIES_PER_POSE} tries per pose")
+    placed = tries = 0  # tries: rejected candidates of the pose being placed
+    while placed < n:
+        m = min(n - placed, _PLACEMENT_BLOCK)
+        cx, cy = rng.uniform(0.0, extent, size=(m, 2)).T
+        accepted = (~_too_close(cx, cy, xs[:placed], ys[:placed], sep2).any(axis=1)).tolist()
+        # the block's pairs too close together, in candidate order (row-major):
+        # when candidate i is reached, whether each j < i was accepted is known
+        rows, cols = np.nonzero(_too_close(cx, cy, cx, cy, sep2))
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            if j < i and accepted[j]:
+                accepted[i] = False
+        for ok in accepted:
+            tries = 0 if ok else tries + 1
+            if tries == _PLACEMENT_TRIES_PER_POSE:
+                raise PlacementError(f"placement infeasible after {_PLACEMENT_TRIES_PER_POSE} tries per pose")
+        kept = np.flatnonzero(accepted)
+        end = placed + len(kept)
+        xs[placed:end], ys[placed:end] = cx[kept], cy[kept]
+        placed = end
     headings = rng.uniform(0.0, 2.0 * math.pi, size=n).tolist()
     poses = np.empty(n, dtype=_POSE)
     poses["x"], poses["y"], poses["heading"] = xs, ys, headings
@@ -85,10 +111,15 @@ def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> np.recarr
     return poses.view(np.recarray)
 
 
-def _clear_of(x: float, y: float, xs: np.ndarray, ys: np.ndarray, sep2: float) -> bool:
-    """Whether ``(x - qx) * (x - qx) + (y - qy) * (y - qy) >= sep2`` for
-    every (qx, qy)."""
-    return not (np.square(x - xs) + np.square(y - ys) < sep2).any()
+def _too_close(x: np.ndarray, y: np.ndarray, qx: np.ndarray, qy: np.ndarray, sep2: float) -> np.ndarray:
+    """(len(x), len(qx)) whether ``dx * dx + dy * dy < sep2`` for
+    ``dx = x[i] - qx[j]`` and ``dy = y[i] - qy[j]``."""
+    d2 = np.subtract.outer(x, qx)
+    d2 *= d2
+    dy = np.subtract.outer(y, qy)
+    dy *= dy
+    d2 += dy
+    return d2 < sep2
 
 
 def step_mobility(

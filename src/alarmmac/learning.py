@@ -89,16 +89,20 @@ class MlpStack:
 
     @classmethod
     def init(cls, layer_sizes: Sequence[int], n: int, rng: np.random.Generator) -> "MlpStack":
-        """n networks, each layer uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)].
-        Network by network and layer by layer, the weights are drawn as one
-        (fan_out, fan_in) array and then the biases."""
-        stack = cls(np.zeros((n, _layout(tuple(layer_sizes))[-1][-1])), layer_sizes)
-        for k in range(n):
-            for (fan_in, fan_out, *_), w, b in zip(stack.layout, stack.weights, stack.biases):
-                bound = 1.0 / np.sqrt(fan_in)
-                w[k] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-                b[k] = rng.uniform(-bound, bound, size=fan_out)
-        return stack
+        """n networks, each layer uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)],
+        drawn network by network and layer by layer, each layer's weights
+        row-major and then its biases.
+
+        That is the C order of the (n, P) parameter block, so one
+        ``rng.uniform(-bound, bound, size=(n, P))`` call, with each column's
+        bound, draws it: it makes the draws, and computes the values with
+        the expression ``low + (high - low) * next_double``, of one call per
+        layer's weights and one per its biases."""
+        layout = _layout(tuple(layer_sizes))
+        bound = np.empty(layout[-1][-1])
+        for fan_in, _, at_w, _, end in layout:
+            bound[at_w:end] = 1.0 / np.sqrt(fan_in)
+        return cls(rng.uniform(-bound, bound, size=(n, len(bound))), layer_sizes)
 
     def rows(self, idx: np.ndarray) -> "MlpStack":
         """A copy of the networks at `idx`."""

@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 from hypothesis import given, settings, strategies as st
 
 from alarmmac.config import (
+    MAX_DRL_SUBNETS,
     ActivationMode,
     ConfigError,
     PolicyKind,
@@ -178,6 +179,47 @@ def test_config_built_in_code_checks_itself(key, overrides):
     base = ScenarioConfig(n_subnets=4, n_channels=2)
     with pytest.raises(ConfigError, match=f"^{key}: "):
         replace(base, **overrides)
+
+
+@pytest.mark.parametrize(
+    "n_subnets, fits",
+    [(5, True), (6, False)],  # N pi (sep/2)**2 <= (W + sep)(H + sep): N <= 16 / pi here
+)
+def test_packing_bound_checked_when_built(n_subnets, fits):
+    doc = {"n_subnets": n_subnets, "n_channels": 2, "area_width_m": 1.0, "area_height_m": 1.0, "min_separation_m": 1.0}
+    if fits:
+        ScenarioConfig(**doc)
+    else:
+        with pytest.raises(ConfigError, match="^n_subnets: "):
+            ScenarioConfig(**doc)
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("n_channels", {"n_subnets": 20, "n_channels": 16}),  # 18.9 GB of replay rings
+        ("replay_capacity", {"n_subnets": 20, "replay_capacity": 10**8}),
+        ("minibatch_size", {"n_subnets": 20, "minibatch_size": 10**7, "replay_capacity": 10**7}),
+        ("dnn_hidden_size", {"n_subnets": 20, "dnn_hidden_size": 10**5}),
+        ("n_subnets", {"n_subnets": MAX_DRL_SUBNETS + 1, "min_separation_m": 0.0}),  # the Cholesky bound
+        ("n_channels", {"n_subnets": 5000, "n_channels": 16, "policy_kind": "mapra"}),  # the value table
+    ],
+)
+def test_config_too_large_to_build_refused_naming_the_key(key, overrides):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        ScenarioConfig(**{"n_channels": 3, "min_separation_m": 0.0, **overrides})
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"n_subnets": 1, "n_channels": 16},  # DRL, about 1.4 GiB
+        {"n_subnets": MAX_DRL_SUBNETS, "n_channels": 3, "min_separation_m": 0.0},
+        {"n_subnets": 10**6, "n_channels": 16, "policy_kind": "rch", "min_separation_m": 0.0},
+    ],
+)
+def test_large_config_within_the_budget_accepted(overrides):
+    ScenarioConfig(**overrides)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alarmmac.geometry import _MAX_WINDOW_STEPS, PlacementError, _clear_of, place_uniform, step_mobility
+from alarmmac import geometry
+from alarmmac.config import ConfigError
+from alarmmac.geometry import (
+    _MAX_WINDOW_STEPS,
+    _PLACEMENT_BLOCK,
+    PlacementError,
+    _too_close,
+    place_uniform,
+    step_mobility,
+)
 
 from conftest import make_config, pose_array
 
@@ -29,9 +38,32 @@ def test_pairwise_separation_enforced():
                 assert d >= cfg.min_separation_m
 
 
-def test_overdense_placement_infeasible(rng):
-    cfg = make_config(n_subnets=3000)
-    with pytest.raises(PlacementError):
+def test_overdense_placement_infeasible():
+    # refused when the config is built: 3000 disks of diameter 1.5 m do not
+    # fit in 51.5 x 51.5 m
+    with pytest.raises(ConfigError, match="n_subnets"):
+        make_config(n_subnets=3000)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(n_subnets=1, min_separation_m=1e9),  # one pose needs no separation
+        dict(n_subnets=2, min_separation_m=40.0),  # the corners are 70 m apart
+    ],
+)
+def test_packing_bound_accepts_what_fits(overrides):
+    cfg = make_config(**overrides)
+    poses = place_uniform(cfg, np.random.default_rng(0))
+    if len(poses) == 2:
+        assert math.hypot(poses.x[1] - poses.x[0], poses.y[1] - poses.y[0]) >= 40.0
+
+
+def test_placement_gives_up_below_the_packing_bound(rng):
+    # 45 disks of diameter 1.5 m fit in the bound's 11.5 x 11.5 m, but
+    # random sequential placement jams before it places them all
+    cfg = make_config(n_subnets=45, area_width_m=10.0, area_height_m=10.0)
+    with pytest.raises(PlacementError, match="10000 tries"):
         place_uniform(cfg, rng)
 
 
@@ -78,16 +110,22 @@ def assert_same_poses(new, ref):
     assert new.tobytes() == ref.tobytes()
 
 
-def _reference_place(config, rng):
+def _reference_place(config, rng, rejected=None):
+    """One candidate at a time; appends each pose's count of rejected
+    candidates to `rejected`, if given."""
     n, sep = config.n_subnets, config.min_separation_m
     placed = []
     for _ in range(n):
+        misses = 0
         while True:
             x = rng.uniform(0.0, config.area_width_m)
             y = rng.uniform(0.0, config.area_height_m)
             if all((x - px) * (x - px) + (y - py) * (y - py) >= sep * sep for px, py in placed):
                 placed.append((x, y))
                 break
+            misses += 1
+        if rejected is not None:
+            rejected.append(misses)
     headings = rng.uniform(0.0, 2.0 * math.pi, size=n)
     return pose_array((px, py, h) for (px, py), h in zip(placed, headings.tolist()))
 
@@ -131,13 +169,100 @@ def assert_steps_match(poses, cfg, seed, n_steps=3):
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
-@pytest.mark.parametrize("n", [1, 40, 300])
-def test_placement_matches_scalar_reference(n):
-    cfg = make_config(n_subnets=n)
+def assert_places_match(cfg, seed):
+    """Both placements give equal poses and leave the RNG in the same state."""
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_poses(place_uniform(cfg, rng_new), _reference_place(cfg, rng_ref))
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def first_block_clashes(cfg, seed):
+    """Whether two candidates of the first block lie closer than the
+    separation. No pose is placed before that block, so then some candidate
+    is rejected by one accepted earlier in the same block."""
+    m = min(cfg.n_subnets, _PLACEMENT_BLOCK)
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(0.0, (cfg.area_width_m, cfg.area_height_m), size=(m, 2))
+    return bool(np.tril(_too_close(xy[:, 0], xy[:, 1], xy[:, 0], xy[:, 1], cfg.min_separation_m**2), -1).any())
+
+
+CROWD = dict(n_subnets=100, area_width_m=20.0, area_height_m=20.0)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param(dict(n_subnets=1), id="1"),
+        pytest.param(dict(n_subnets=40), id="40"),
+        pytest.param(dict(n_subnets=300), id="300"),
+        pytest.param(dict(n_subnets=_PLACEMENT_BLOCK - 1), id="block-1"),
+        pytest.param(dict(n_subnets=_PLACEMENT_BLOCK), id="block"),
+        pytest.param(dict(n_subnets=_PLACEMENT_BLOCK + 1), id="block+1"),
+        pytest.param(dict(n_subnets=300, area_width_m=80.0, area_height_m=30.0), id="rectangle"),
+        pytest.param(dict(n_subnets=300, min_separation_m=0.0), id="no-separation"),
+        pytest.param(CROWD, id="crowd"),
+    ],
+)
+def test_placement_matches_scalar_reference(overrides):
+    cfg = make_config(**overrides)
     for seed in range(4):
-        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert_same_poses(place_uniform(cfg, rng_new), _reference_place(cfg, rng_ref))
-        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        if overrides is CROWD:
+            assert first_block_clashes(cfg, seed)
+        assert_places_match(cfg, seed)
+
+
+def test_placement_counts_tries_per_pose_across_blocks(monkeypatch):
+    # in the crowd the last poses take many blocks of few candidates each: a
+    # limit of the most rejections any pose needs fails, one more places
+    cfg = make_config(**CROWD)
+    rejected = []
+    _reference_place(cfg, np.random.default_rng(0), rejected)
+    most = max(rejected)
+    assert most > _PLACEMENT_BLOCK
+    monkeypatch.setattr(geometry, "_PLACEMENT_TRIES_PER_POSE", most)
+    with pytest.raises(PlacementError):
+        place_uniform(cfg, np.random.default_rng(0))
+    monkeypatch.setattr(geometry, "_PLACEMENT_TRIES_PER_POSE", most + 1)
+    assert_places_match(cfg, seed=0)
+
+
+def separation_exactly(d2):
+    """A separation s with s * s == d2, or None."""
+    root = math.sqrt(d2)
+    return next((s for s in (root, math.nextafter(root, 0.0), math.nextafter(root, math.inf)) if s * s == d2), None)
+
+
+@pytest.mark.parametrize("later", [1, 2])
+def test_pair_exactly_at_the_separation_is_placed(later):
+    # two poses; the first candidate is pose 0. Candidate `later` lies exactly
+    # at the separation from it: candidate 1 in the same block, or candidate
+    # 2 in the next block once candidate 1 (closer) was rejected. At that
+    # separation it is placed, and one ulp more rejects it
+    for seed in range(1000):
+        xy = np.random.default_rng(seed).uniform(0.0, 50.0, size=(3, 2)).tolist()
+        d2 = [(x - xy[0][0]) * (x - xy[0][0]) + (y - xy[0][1]) * (y - xy[0][1]) for x, y in xy]
+        sep = separation_exactly(d2[later])
+        if sep is not None and all(d < d2[later] for d in d2[1:later]):
+            break
+    wider = math.nextafter(sep, math.inf)
+    assert wider * wider > d2[later]
+    for separation, placed in ((sep, True), (wider, False)):
+        cfg = make_config(n_subnets=2, min_separation_m=separation)
+        poses = place_uniform(cfg, np.random.default_rng(seed))
+        assert ((poses.x[1], poses.y[1]) == tuple(xy[later])) == placed
+        assert_places_match(cfg, seed)
+
+
+def test_placement_memory_is_linear_in_poses():
+    # one N x N float matrix would be 32 MB here
+    cfg = make_config(n_subnets=2000, area_width_m=200.0, area_height_m=200.0)
+    tracemalloc.start()
+    try:
+        place_uniform(cfg, np.random.default_rng(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
 
 
 def test_close_pair_keeps_its_first_tries():
@@ -312,14 +437,14 @@ def test_step_mobility_takes_a_non_negative_int_n_steps(n_steps, valid):
     assert rng.bit_generator.state == state
 
 
-def test_clear_of_decides_exactly_at_the_threshold():
+def test_too_close_decides_exactly_at_the_threshold():
     # a pose exactly at the separation is clear of its neighbour, one ulp
     # inside it is not; the squared distance is dx * dx + dy * dy
     origin = np.zeros(1)
     for x, y in np.random.default_rng(0).uniform(-60.0, 60.0, (5000, 2)).tolist():
         d2 = x * x + y * y
-        assert _clear_of(x, y, origin, origin, d2)
-        assert not _clear_of(x, y, origin, origin, math.nextafter(d2, math.inf))
+        assert not _too_close(np.array([x]), np.array([y]), origin, origin, d2).any()
+        assert _too_close(np.array([x]), np.array([y]), origin, origin, math.nextafter(d2, math.inf)).all()
 
 
 def test_step_memory_is_linear_in_poses():

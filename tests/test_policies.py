@@ -170,8 +170,11 @@ def test_drl_lr_decays_per_event():
     assert policy.opt.lr[1] == 0.01 and policy.opt.lr[3] == 0.01
 
 
-def test_drl_initial_weights_are_per_agent_draws():
-    cfg = make_config(n_channels=3)
+@pytest.mark.parametrize("n_channels", [1, 2, 3, 4])
+@pytest.mark.parametrize("hidden_layers", [1, 2, 3])
+@pytest.mark.parametrize("hidden_size", [1, 4])
+def test_drl_initial_weights_are_per_agent_draws(hidden_size, hidden_layers, n_channels):
+    cfg = make_config(n_channels=n_channels, dnn_hidden_layers=hidden_layers, dnn_hidden_size=hidden_size)
     init, twin = np.random.default_rng(7), np.random.default_rng(7)
     policy = DrlPopulation(cfg, init)
     # drawn in agent order, as N separate networks would be

@@ -9,7 +9,7 @@ tracks how many agents are contending.
 import numpy as np
 
 from alarmmac.channel import complex_gaussian
-from alarmmac.signature import aggregate_pilots, broadcast_cs, featurize
+from alarmmac.signature import aggregate_pilots, broadcast_cs, contention_signatures, featurize
 
 rng = np.random.default_rng(42)
 M = 3
@@ -23,8 +23,9 @@ for k in (0, 1, 2, 4, 8, 16):
     trials = 2000
     for _ in range(trials):
         gains = complex_gaussian(rng, (k, M))
-        y = aggregate_pilots(gains, SNR, rng)
-        cs = broadcast_cs(y, gains, SNR, rng) if k else np.zeros((1, M), dtype=complex)
+        noise = complex_gaussian(rng, (k + 1, M))  # the controller's, then each receiver's
+        y = aggregate_pilots(gains, SNR, noise[0])
+        cs = broadcast_cs(y, gains, SNR, noise[1:]) if k else np.zeros((1, M), dtype=complex)
         agg_power += float(np.mean(np.abs(y) ** 2))
         feat_mean += float(np.mean(featurize(cs)))
     print(f"{k:13d} | {agg_power / trials:31.2f} | {feat_mean / trials:.3f}")
@@ -35,8 +36,7 @@ print("implicit, zero-coordination announcement of the current contention level"
 print("\n=== what one agent sees ===")
 k = 4
 gains = complex_gaussian(rng, (k, M))
-y = aggregate_pilots(gains, SNR, rng)
-cs = broadcast_cs(y, gains, SNR, rng)
+cs = contention_signatures(gains, SNR, rng)
 for n in range(k):
     feats = featurize(cs[n])
     print(f"agent {n}: |cs| = {np.round(np.abs(cs[n]), 2)}  context = {np.round(feats, 3)}")

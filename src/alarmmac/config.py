@@ -211,9 +211,11 @@ MAX_DRL_SUBNETS = 2000
 def _setup_bytes(cfg: ScenarioConfig) -> dict[str, int]:
     """Bytes of the largest arrays a run of `cfg` holds, summed by the config
     key that drives each: for DRL the replay rings, the parameter and
-    RMSProp blocks with the copies one update makes, one update's minibatch
-    arrays with every agent active, and the N x N shadowing arrays (five at
-    their peak); for MAP-RA its value table. RCH holds none of these."""
+    RMSProp blocks with the five copies one update makes (the gathered
+    parameter and RMSProp rows, the gradient and two RMSProp temporaries),
+    one update's minibatch arrays with every agent active, and the N x N
+    shadowing arrays (seven at their peak); for MAP-RA its value table. RCH
+    holds none of these."""
     n, m = cfg.n_subnets, cfg.n_channels
     if cfg.policy_kind is PolicyKind.RCH:
         return {}
@@ -222,7 +224,7 @@ def _setup_bytes(cfg: ScenarioConfig) -> dict[str, int]:
     sizes = cfg.layer_sizes
     n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
     hidden = cfg.dnn_hidden_layers * cfg.dnn_hidden_size
-    footprint = {"n_subnets": 8 * 5 * n * n, "dnn_hidden_size": 8 * 6 * n * n_params}
+    footprint = {"n_subnets": 8 * 7 * n * n, "dnn_hidden_size": 8 * 7 * n * n_params}
     # a key left at its default grows with 2**n_channels
     replay_key = "replay_capacity" if cfg.replay_capacity is not None else "n_channels"
     batch_key = "minibatch_size" if cfg.minibatch_size is not None else "n_channels"

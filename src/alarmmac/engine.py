@@ -160,11 +160,7 @@ class Simulation:
         return kappa * (self._amplitudes(np.asarray(active)) / self._reference_amp)[:, None]
 
     def _contexts(self, active: tuple[int, ...]) -> np.ndarray:
-        gains = self._link_gains(active)
-        y = sig.aggregate_pilots(gains, self.snr_linear, self.rng_noise)
-        # reciprocity: the downlink reuses this slot's uplink gains
-        cs = sig.broadcast_cs(y, gains, self.snr_linear, self.rng_noise)
-        return sig.featurize(cs)
+        return sig.featurize(sig.contention_signatures(self._link_gains(active), self.snr_linear, self.rng_noise))
 
     def run_slot(self) -> SlotOutcome:
         cfg = self.config
@@ -198,7 +194,7 @@ class Simulation:
         reward = cfg.reward_success if delivered else cfg.reward_failure
         losses = self.policy.observe(active, contexts, actions, [reward] * len(active), self.rng_sample)
         if losses is not None:
-            self.trace.mse.append(float(np.mean(losses)))
+            self.trace.mse.append(float(np.add.reduce(losses) / len(losses)))
 
         event.attempts += 1
         if delivered or event.attempts > cfg.deadline_slots:

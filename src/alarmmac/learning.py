@@ -16,9 +16,8 @@ own minibatch, so one call trains all active agents:
 - A stack keeps its networks as one (K, P) float64 block. Row k holds
   network k's parameters layer by layer, each layer's weights row-major and
   then its biases. The per-layer weight and bias arrays are views into the
-  block. A gradient and the RMSProp averages use the same layout, so
-  gathering a stack's rows, clipping and the RMSProp step are one operation
-  each over the whole block.
+  block. A gradient and the RMSProp averages are (K, P) blocks of the same
+  layout, and the clip and the RMSProp step change theirs in place.
 - The clipping norm is one sum of squares over each network's row.
 - The backward pass computes only the taken action's output of each
   minibatch row: the hidden layers run forward, and the row's value is the
@@ -104,14 +103,6 @@ class MlpStack:
             bound[at_w:end] = 1.0 / np.sqrt(fan_in)
         return cls(rng.uniform(-bound, bound, size=(n, len(bound))), layer_sizes)
 
-    def rows(self, idx: np.ndarray) -> "MlpStack":
-        """A copy of the networks at `idx`."""
-        return MlpStack(self.params[idx], self.layer_sizes)
-
-    def put(self, idx: np.ndarray, part: "MlpStack") -> None:
-        """Write `part` back over the networks at `idx`."""
-        self.params[idx] = part.params
-
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`a @ b` per network. Over a width-1 axis the one-term sum is the
@@ -144,17 +135,17 @@ def _forward_stacked_cached(stack: MlpStack, x: np.ndarray) -> list[np.ndarray]:
 def forward_stacked(stack: MlpStack, contexts: np.ndarray) -> np.ndarray:
     """Action values of network k for context k: (K, M) -> (K, 2**M)."""
     x = np.asarray(contexts, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("context must be finite")
     return _forward_stacked_cached(stack, x[:, None, :])[-1][:, 0]
 
 
-def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[MlpStack, np.ndarray]:
+def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient of network k's taken-action squared loss on minibatch
     k; returns (grads, per-network loss).
 
-    The gradient is a stack laid out like `stack`: row k is network k's
-    gradient. Only the taken action's output is computed for each row.
+    The gradient is a (K, P) block laid out like `stack.params`. Only the
+    taken action's output is computed for each row.
     """
     contexts, actions, rewards = batch
     actions = np.asarray(actions, dtype=int)
@@ -164,47 +155,47 @@ def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[MlpStack, np
         raise ValueError("empty minibatch")
     acts = _hidden_stacked(stack, np.asarray(contexts, dtype=float))
     hidden = acts[-1]  # (K, B, H)
-    n_out, n_hidden = stack.layer_sizes[-1], stack.layer_sizes[-2]
+    n_hidden, n_out, at_w, at_b, end = stack.layout[-1]
     # each row's (network, taken action) bin, the flat index of its output
     bins = np.arange(n_nets)[:, None] * n_out + actions
-    w_taken = np.take(stack.weights[-1].reshape(n_nets * n_out, n_hidden), bins, axis=0)  # (K, B, H)
-    residual = np.einsum("kbh,kbh->kb", hidden, w_taken) + np.take(stack.biases[-1], bins) - rewards
+    w_taken = stack.weights[-1].reshape(n_nets * n_out, n_hidden).take(bins, axis=0)  # (K, B, H)
+    residual = np.einsum("kbh,kbh->kb", hidden, w_taken) + stack.biases[-1].take(bins) - rewards
     d_taken = 2.0 * residual / b_size
 
-    grads = MlpStack(np.empty_like(stack.params), stack.layer_sizes)
+    grads = np.empty(stack.params.shape)
     flat_bins = bins.reshape(-1)
 
     def per_bin(terms: np.ndarray) -> np.ndarray:
         """Each (network, action) bin's sum of `terms`, in minibatch order."""
-        sums = np.bincount(flat_bins, weights=terms.reshape(-1), minlength=n_nets * n_out)
-        return sums.reshape(n_nets, n_out)
+        return np.bincount(flat_bins, weights=terms.reshape(-1), minlength=n_nets * n_out).reshape(n_nets, n_out)
 
-    grads.biases[-1][...] = per_bin(d_taken)
+    grads[:, at_b:end] = per_bin(d_taken)
+    out_weights = grads[:, at_w:at_b].reshape(n_nets, n_out, n_hidden)
     for j in range(n_hidden):
-        grads.weights[-1][:, :, j] = per_bin(d_taken * hidden[:, :, j])
+        out_weights[:, :, j] = per_bin(d_taken * hidden[:, :, j])
     delta = d_taken[:, :, None] * w_taken
     delta *= hidden > 0.0
-    for i in range(len(stack.weights) - 2, -1, -1):
-        np.matmul(delta.transpose(0, 2, 1), acts[i], out=grads.weights[i])
-        grads.biases[i][...] = delta.sum(axis=1)
+    for i in range(len(stack.layout) - 2, -1, -1):
+        fan_in, fan_out, at_w, at_b, end = stack.layout[i]
+        np.matmul(delta.transpose(0, 2, 1), acts[i], out=grads[:, at_w:at_b].reshape(n_nets, fan_out, fan_in))
+        np.add.reduce(delta, 1, out=grads[:, at_b:end])
         if i > 0:
             delta = _contract(delta, stack.weights[i])
             delta *= acts[i] > 0.0
-    return grads, np.mean(residual**2, axis=1)
+    return grads, np.add.reduce(np.square(residual), 1) / b_size
 
 
-def grad_norm_stacked(grads: MlpStack) -> np.ndarray:
+def grad_norm_stacked(grads: np.ndarray) -> np.ndarray:
     """Global gradient norm of each network: (K,), one sum over its row."""
-    return np.sqrt(np.einsum("kp,kp->k", grads.params, grads.params))
+    return np.sqrt(np.einsum("kp,kp->k", grads, grads))
 
 
-def clip_gradient_stacked(grads: MlpStack, beta0: float) -> MlpStack:
-    """Global norm clipping of each network's gradient on its own:
-    g * beta0 / max(||g||, beta0)."""
+def clip_gradient_stacked(grads: np.ndarray, beta0: float) -> None:
+    """Global norm clipping of each network's gradient on its own, in place:
+    g <- g * beta0 / max(||g||, beta0)."""
     if beta0 <= 0:
         raise ValueError("beta0 must be > 0")
-    scale = beta0 / np.maximum(grad_norm_stacked(grads), beta0)
-    return MlpStack(grads.params * scale[:, None], grads.layer_sizes)
+    grads *= (beta0 / np.maximum(grad_norm_stacked(grads), beta0))[:, None]
 
 
 @dataclass
@@ -218,35 +209,32 @@ class RmsPropStack:
 
     @classmethod
     def for_stack(cls, stack: MlpStack, decay: float, smoothing: float, lr: float) -> "RmsPropStack":
-        lrs = np.full(len(stack.params), lr)
-        return cls(sq=np.zeros_like(stack.params), lr=lrs, decay=decay, smoothing=smoothing)
-
-    def rows(self, idx: np.ndarray) -> "RmsPropStack":
-        """A copy of the state of the networks at `idx`."""
-        return RmsPropStack(sq=self.sq[idx], lr=self.lr[idx], decay=self.decay, smoothing=self.smoothing)
-
-    def put(self, idx: np.ndarray, part: "RmsPropStack") -> None:
-        """Write the squared-gradient averages of `part` back at `idx`."""
-        self.sq[idx] = part.sq
+        return cls(np.zeros_like(stack.params), np.full(len(stack.params), lr), decay, smoothing)
 
 
-def rmsprop_step_stacked(stack: MlpStack, state: RmsPropStack, grads: MlpStack) -> None:
+def rmsprop_step_stacked(params: np.ndarray, state: RmsPropStack, grads: np.ndarray) -> None:
     """s <- decay*s + (1-decay)*g^2; w <- w - lr * g / (sqrt(s) + eps), for
-    every network of the stack with its own lr. In place."""
-    g = grads.params
-    state.sq = state.decay * state.sq + (1.0 - state.decay) * g**2
-    stack.params -= state.lr[:, None] * g / (np.sqrt(state.sq) + state.smoothing)
+    every row of the (K, P) blocks with its own lr. In place on `params` and
+    `state.sq`; `grads` is left as it was."""
+    step = np.square(grads)
+    step *= 1.0 - state.decay
+    state.sq *= state.decay
+    state.sq += step
+    np.sqrt(state.sq, out=step)
+    step += state.smoothing
+    np.divide(state.lr[:, None] * grads, step, out=step)
+    params -= step
 
 
 class StackedReplay:
-    """One bounded FIFO of (context, action, reward) tuples per agent, with a
-    cursor and a fill count per agent; each agent's oldest tuple is evicted
-    first.
+    """One bounded FIFO of (context, action, reward) tuples per agent; each
+    agent's oldest tuple is evicted first.
 
     The rings are one (N * capacity, M + 2) float block, `tuples`: agent n's
     ring is the capacity rows from n * capacity on, and a row holds the
     context, then the action, then the reward. Actions are small integers,
-    so they are exact as floats.
+    so they are exact as floats. `pushes` counts each agent's tuples: its
+    next one goes to ring row pushes % capacity.
     """
 
     def __init__(self, n_agents: int, capacity: int, n_channels: int):
@@ -254,15 +242,25 @@ class StackedReplay:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.tuples = np.zeros((n_agents * capacity, n_channels + 2))
-        self._next = np.zeros(n_agents, dtype=np.int64)
-        self.size = np.zeros(n_agents, dtype=np.int64)
+        self.pushes = np.zeros(n_agents, dtype=np.int64)
+
+    @property
+    def size(self) -> np.ndarray:
+        """Each agent's fill: the tuples its memory holds."""
+        return np.minimum(self.pushes, self.capacity)
 
     def push(self, agents: np.ndarray, contexts: np.ndarray, actions: np.ndarray, rewards: np.ndarray) -> None:
-        """One tuple for each of the distinct `agents`."""
-        at = self._next[agents]
-        self.tuples[agents * self.capacity + at] = np.column_stack((contexts, actions, rewards))
-        self._next[agents] = (at + 1) % self.capacity
-        self.size[agents] = np.minimum(self.size[agents] + 1, self.capacity)
+        """One tuple for each of the distinct `agents`. A context or reward
+        that is not finite raises ValueError, and nothing is stored."""
+        new = np.empty((len(agents), self.tuples.shape[1]))
+        new[:, :-2] = contexts
+        new[:, -2] = actions
+        new[:, -1] = rewards
+        if not np.isfinite(new).all():
+            raise ValueError("contexts and rewards must be finite")
+        pushes = self.pushes[agents]
+        self.tuples[agents * self.capacity + pushes % self.capacity] = new
+        self.pushes[agents] = pushes + 1
 
     def sample(self, agents: np.ndarray, batch_size: int, rng: np.random.Generator) -> StackedBatch:
         """A uniform minibatch per agent, drawn with replacement from its
@@ -270,13 +268,12 @@ class StackedReplay:
 
         One `rng.random((K, batch_size))` call draws every index: each is
         the floor of a uniform u < 1 times the memory's fill, and for a fill
-        below 2**53 the product rounds below the fill. One gather then reads
-        the rows.
+        below 2**53 the product rounds below the fill. One gather reads them.
         """
         agents = np.asarray(agents)
         sizes = self.size[agents]
         if not sizes.all():
             raise ValueError("cannot sample from empty memory")
         idx = (rng.random((len(agents), batch_size)) * sizes[:, None]).astype(np.int64)  # the floor
-        rows = np.take(self.tuples, agents[:, None] * self.capacity + idx, axis=0)  # (K, B, M + 2)
+        rows = self.tuples.take(agents[:, None] * self.capacity + idx, axis=0)  # (K, B, M + 2)
         return rows[..., :-2], rows[..., -2].astype(np.int64), rows[..., -1]

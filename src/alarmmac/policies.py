@@ -155,9 +155,7 @@ class DrlPopulation(_EpsilonGreedy):
         super().__init__(config)
         # per agent, in agent order, so the initial weights are those of N separate draws
         self.net = learning.MlpStack.init(config.layer_sizes, config.n_subnets, init_rng)
-        self.opt = learning.RmsPropStack.for_stack(
-            self.net, decay=config.rms_decay, smoothing=config.rms_smoothing, lr=config.lr_initial
-        )
+        self.opt = learning.RmsPropStack.for_stack(self.net, config.rms_decay, config.rms_smoothing, config.lr_initial)
         self.replay = learning.StackedReplay(config.n_subnets, config.replay, config.n_channels)
         self.batch_size = config.minibatch
         self.clip_threshold = config.clip_threshold
@@ -167,21 +165,27 @@ class DrlPopulation(_EpsilonGreedy):
     def select_action(self, agents: Sequence[int], contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         actions, greedy = self._explore(agents, rng)
         if greedy.any():
-            values = learning.forward_stacked(self.net.rows(np.asarray(agents)[greedy]), contexts[greedy])
+            net = learning.MlpStack(self.net.params[np.asarray(agents)[greedy]], self.net.layer_sizes)
+            values = learning.forward_stacked(net, contexts[greedy])
             # first maximum, so ties break to the lowest index
-            actions[greedy] = np.argmax(values, axis=1)
+            actions[greedy] = values.argmax(axis=1)
         return actions
 
     def observe(self, agents, contexts, actions, rewards, rng) -> np.ndarray:
-        rewards = _finite_rewards(rewards)
-        agents = np.asarray(agents, dtype=np.intp)
-        self.replay.push(agents, contexts, actions, rewards)
+        agents, actions = np.asarray(agents, dtype=np.intp), np.asarray(actions)
+        # an action outside [0, 2**M) would index another agent's output row
+        if actions.min(initial=0) < 0 or actions.max(initial=0) >= self.n_patterns:
+            raise ValueError(f"actions must be pattern indices below {self.n_patterns}")
+        self.replay.push(agents, contexts, actions, rewards)  # checks that contexts and rewards are finite
         batch = self.replay.sample(agents, self.batch_size, rng)
-        net, opt = self.net.rows(agents), self.opt.rows(agents)
-        grads, losses = learning.backward_stacked(net, batch)
-        learning.rmsprop_step_stacked(net, opt, learning.clip_gradient_stacked(grads, self.clip_threshold))
-        self.net.put(agents, net)
-        self.opt.put(agents, opt)
+        # the agents' rows, gathered once, stepped in place and written back
+        params, opt = self.net.params[agents], self.opt
+        state = learning.RmsPropStack(opt.sq[agents], opt.lr[agents], opt.decay, opt.smoothing)
+        grads, losses = learning.backward_stacked(learning.MlpStack(params, self.net.layer_sizes), batch)
+        learning.clip_gradient_stacked(grads, self.clip_threshold)
+        learning.rmsprop_step_stacked(params, state, grads)
+        self.net.params[agents] = params
+        opt.sq[agents] = state.sq
         self.update_count[agents] += 1
         return losses
 

@@ -22,27 +22,31 @@ import numpy as np
 from .channel import complex_gaussian
 
 
-def aggregate_pilots(gains: np.ndarray, snr: float, rng: np.random.Generator) -> np.ndarray:
-    """Uplink aggregate received by the controller; `snr` is linear. Every
-    pilot symbol is 1, so the aggregate sums the gains (k, M) over the
-    active subnetworks."""
+def aggregate_pilots(gains: np.ndarray, snr: float, noise: np.ndarray) -> np.ndarray:
+    """Uplink aggregate received by the controller; `snr` is linear and
+    `noise` (M,) is the controller's receiver noise. Every pilot symbol is 1,
+    so the aggregate sums the gains (k, M) over the active subnetworks."""
     gains = np.atleast_2d(np.asarray(gains, dtype=complex))
-    signal = math.sqrt(snr) * gains.sum(axis=0)
-    return signal + complex_gaussian(rng, signal.shape)
+    return math.sqrt(snr) * gains.sum(axis=0) + noise
 
 
-def broadcast_cs(
-    y: np.ndarray,
-    gains: np.ndarray,
-    snr: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-subnetwork received contention signature, fresh noise per receiver."""
+def broadcast_cs(y: np.ndarray, gains: np.ndarray, snr: float, noise: np.ndarray) -> np.ndarray:
+    """Per-subnetwork received contention signature; `noise` (k, M) holds
+    each receiver's own."""
     y = np.asarray(y, dtype=complex)
     gains = np.atleast_2d(np.asarray(gains, dtype=complex))
     if gains.shape[1] != y.shape[0]:
         raise ValueError("gain width must equal signature length")
-    return math.sqrt(snr) * gains * y[None, :] + complex_gaussian(rng, gains.shape)
+    return math.sqrt(snr) * gains * y[None, :] + noise
+
+
+def contention_signatures(gains: np.ndarray, snr: float, rng: np.random.Generator) -> np.ndarray:
+    """The signature (k, M) each active subnetwork receives; the downlink
+    reuses the uplink gains (reciprocity). One draw gives both directions'
+    noise, the controller's row first: the generator fills its normals in
+    order, so they are those of an (M,) and then a (k, M) draw."""
+    noise = complex_gaussian(rng, (len(gains) + 1, gains.shape[1]))
+    return broadcast_cs(aggregate_pilots(gains, snr, noise[0]), gains, snr, noise[1:])
 
 
 def featurize(y_n: np.ndarray) -> np.ndarray:

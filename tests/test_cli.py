@@ -147,7 +147,7 @@ def test_selftest_catches_a_wrong_stacked_gradient(monkeypatch):
 
     def doubled_output_bias(stack, batch):
         grads, losses = backward(stack, batch)
-        grads.biases[-1][...] *= 2.0
+        learning.MlpStack(grads, stack.layer_sizes).biases[-1][...] *= 2.0
         return grads, losses
 
     monkeypatch.setattr(learning, "backward_stacked", doubled_output_bias)

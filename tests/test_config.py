@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from dataclasses import fields, replace
 from hypothesis import given, settings, strategies as st
 
+from alarmmac import config
 from alarmmac.config import (
     MAX_DRL_SUBNETS,
     ActivationMode,
@@ -18,6 +20,7 @@ from alarmmac.config import (
     serialize_config,
 )
 from alarmmac.engine import Simulation
+from alarmmac.events import AlarmEvent
 from alarmmac.policies import RchPopulation
 
 
@@ -220,6 +223,31 @@ def test_config_too_large_to_build_refused_naming_the_key(key, overrides):
 )
 def test_large_config_within_the_budget_accepted(overrides):
     ScenarioConfig(**overrides)
+
+
+@pytest.mark.parametrize("minibatch, replay", [(None, None), (32, 64), (1, 1)])
+def test_setup_estimate_bounds_the_allocation_peak(minibatch, replay):
+    # a DRL set-up at N = 100, then contention rounds with every agent
+    # active; at the default sizes the replay rings and minibatch arrays
+    # dominate the peak, at sizes 1 the set-up's N x N shadowing arrays do
+    def contend(n_subnets):
+        cfg = ScenarioConfig(
+            n_subnets=n_subnets, n_channels=3, policy_kind=PolicyKind.DRL,
+            minibatch_size=minibatch, replay_capacity=replay,
+        )
+        sim = Simulation(cfg, seed=1)
+        for _ in range(3):
+            sim._contention_round(AlarmEvent((25.0, 25.0), 0, tuple(range(n_subnets))))
+        return cfg
+
+    contend(4)  # what numpy loads on first use is no array of the run
+    tracemalloc.start()
+    try:
+        cfg = contend(100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(config._setup_bytes(cfg).values())
 
 
 @pytest.mark.parametrize(

@@ -25,8 +25,15 @@ def zero_stack(layer_sizes, k=1):
 
 
 def one_layer(gw, gb):
-    """A one-network stack holding one layer's weight and bias gradients."""
-    return MlpStack(np.concatenate([gw.ravel(), gb])[None], [gw.shape[1], gw.shape[0]])
+    """The gradient block of one network of one layer: its weights, then its biases."""
+    return np.concatenate([gw.ravel(), gb])[None]
+
+
+def clipped_copy(g, beta0):
+    """A copy of the gradient block `g`, clipped in place; `g` stays as it was."""
+    out = g.copy()
+    assert clip_gradient_stacked(out, beta0) is None
+    return out
 
 
 def fitted_values(stack, contexts, actions):
@@ -112,7 +119,7 @@ def test_backward_masks_untaken_actions():
     rng = np.random.default_rng(2)
     stack = MlpStack.init([2, 3, 4], 1, rng)
     batch = (rng.random((1, 1, 2)), np.array([[2]]), np.array([[0.7]]))
-    grads, _ = backward_stacked(stack, batch)
+    grads = MlpStack(backward_stacked(stack, batch)[0], stack.layer_sizes)
     gw_out, gb_out = grads.weights[-1][0], grads.biases[-1][0]
     untaken = [0, 1, 3]
     assert np.all(gw_out[untaken] == 0.0) and np.all(gb_out[untaken] == 0.0)
@@ -141,46 +148,51 @@ def test_kink_distance_is_the_smallest_hidden_pre_activation():
 def test_clip_below_threshold_unchanged():
     g = one_layer(np.array([[1.2, -0.9]]), np.array([2.0]))
     assert grad_norm_stacked(g)[0] < 5.0
-    clipped = clip_gradient_stacked(g, 5.0)
-    assert np.array_equal(clipped.weights[0], g.weights[0]) and np.array_equal(clipped.biases[0], g.biases[0])
+    assert np.array_equal(clipped_copy(g, 5.0), g)
 
 
 def test_clip_above_threshold_rescales_to_norm():
     g = one_layer(np.array([[6.0, 8.0]]), np.array([0.0]))  # norm 10
-    clipped = clip_gradient_stacked(g, 5.0)
-    assert abs(grad_norm_stacked(clipped)[0] - 5.0) < 1e-12
-    assert np.allclose(clipped.weights[0][0], [[3.0, 4.0]])
+    clip_gradient_stacked(g, 5.0)
+    assert abs(grad_norm_stacked(g)[0] - 5.0) < 1e-12
+    assert np.allclose(g[0], [3.0, 4.0, 0.0])
+
+
+def test_clip_scales_each_row_on_its_own():
+    g = np.concatenate([one_layer(np.array([[6.0, 8.0]]), np.array([0.0])), one_layer(np.array([[0.3, 0.4]]), [0.0])])
+    before = g.copy()
+    clip_gradient_stacked(g, 5.0)
+    assert np.allclose(g[0], before[0] / 2.0) and np.array_equal(g[1], before[1])
 
 
 def test_clip_zero_gradient():
     g = one_layer(np.zeros((2, 2)), np.zeros(2))
-    clipped = clip_gradient_stacked(g, 5.0)
-    assert grad_norm_stacked(clipped)[0] == 0.0
+    assert grad_norm_stacked(clipped_copy(g, 5.0))[0] == 0.0
 
 
 def test_clip_preserves_direction(rng):
     for _ in range(50):
         raw = rng.standard_normal(6) * rng.uniform(0.1, 40.0)
         g = one_layer(raw[:4].reshape(2, 2), raw[4:])
-        clipped = clip_gradient_stacked(g, 5.0)
-        flat = g.params[0]
-        flat_clipped = clipped.params[0]
+        clipped = clipped_copy(g, 5.0)
+        flat = g[0]
+        flat_clipped = clipped[0]
         assert grad_norm_stacked(clipped)[0] <= 5.0 + 1e-9
         cos = flat @ flat_clipped / (np.linalg.norm(flat) * np.linalg.norm(flat_clipped))
         assert cos > 1.0 - 1e-12
 
 
 def first_layer_grads(value):
-    """Gradient of a [1, 1, 2] network: `value` on the first weight, zero elsewhere."""
+    """Gradient block of a [1, 1, 2] network: `value` on the first weight, zero elsewhere."""
     grads = zero_stack([1, 1, 2])
     grads.weights[0][0, 0, 0] = value
-    return grads
+    return grads.params
 
 
 def test_rmsprop_single_step_closed_form():
     stack = zero_stack([1, 1, 2])
     state = RmsPropStack.for_stack(stack, decay=0.9, smoothing=1e-8, lr=0.01)
-    rmsprop_step_stacked(stack, state, first_layer_grads(1.0))
+    rmsprop_step_stacked(stack.params, state, first_layer_grads(1.0))
     assert abs(MlpStack(state.sq, [1, 1, 2]).weights[0][0, 0, 0] - 0.1) < 1e-15
     expected_dw = -0.01 / (math.sqrt(0.1) + 1e-8)
     assert abs(stack.weights[0][0, 0, 0] - expected_dw) < 1e-6
@@ -192,7 +204,7 @@ def test_rmsprop_zero_gradient_decays_state_only():
     state = RmsPropStack.for_stack(stack, decay=0.9, smoothing=1e-8, lr=0.01)
     MlpStack(state.sq, [1, 1, 2]).weights[0][:] = 1.0
     before = stack.params.copy()
-    rmsprop_step_stacked(stack, state, first_layer_grads(0.0))
+    rmsprop_step_stacked(stack.params, state, first_layer_grads(0.0))
     assert np.array_equal(stack.params, before)
     assert MlpStack(state.sq, [1, 1, 2]).weights[0][0, 0, 0] == 0.9
 
@@ -201,10 +213,11 @@ def test_rmsprop_repeated_identical_steps_shrink():
     stack = zero_stack([1, 1, 2])
     state = RmsPropStack.for_stack(stack, decay=0.9, smoothing=1e-8, lr=0.01)
     grads = first_layer_grads(1.0)
-    rmsprop_step_stacked(stack, state, grads)
+    rmsprop_step_stacked(stack.params, state, grads)
+    assert np.array_equal(grads, first_layer_grads(1.0))  # the step leaves the gradient as it was
     first = abs(stack.weights[0][0, 0, 0])
     w_before = stack.weights[0][0, 0, 0]
-    rmsprop_step_stacked(stack, state, grads)
+    rmsprop_step_stacked(stack.params, state, grads)
     second = abs(stack.weights[0][0, 0, 0] - w_before)
     assert second < first
 
@@ -352,22 +365,22 @@ def test_stacked_kernels_equal_single_model_kernels(rng):
         )
         grads, losses = learning.backward_stacked(stack, batch)
         norms = learning.grad_norm_stacked(grads)
-        clipped = learning.clip_gradient_stacked(grads, 5.0)
+        clipped = clipped_copy(grads, 5.0)
         opt = learning.RmsPropStack.for_stack(stack, decay=0.9, smoothing=1e-8, lr=0.01)
         opt.lr[:] = [0.01, 0.02, 0.005, 0.01, 0.03]
         opt.sq[:] = rng.random(opt.sq.shape)
         sq_before = opt.sq.copy()
-        learning.rmsprop_step_stacked(stack, opt, clipped)
+        learning.rmsprop_step_stacked(stack.params, opt, clipped)
         for k, model in enumerate(models):
             assert np.array_equal(values[k], ref.forward(model, contexts[k]))
             single, single_loss = ref.backward(model, tuple(part[k] for part in batch))
             assert close(losses[k], single_loss) and close(norms[k], ref.grad_norm(single))
-            assert close(grads.params[k], ref.grads_to_vector(single))
-            assert close(clipped.params[k], ref.grads_to_vector(ref.clip_gradient(single, 5.0)))
+            assert close(grads[k], ref.grads_to_vector(single))
+            assert close(clipped[k], ref.grads_to_vector(ref.clip_gradient(single, 5.0)))
             state = ref.RmsPropState.for_model(model, decay=0.9, smoothing=1e-8, lr=opt.lr[k])
             sq = ref.model_of(MlpStack(sq_before, sizes), k)
             state.sq_weights, state.sq_biases = sq.weights, sq.biases
-            step = ref.model_of(clipped, k)
+            step = ref.model_of(MlpStack(clipped, sizes), k)
             ref.rmsprop_step(model, state, list(zip(step.weights, step.biases)))
             assert np.array_equal(stack.params[k], ref.params_to_vector(model))
             assert np.array_equal(opt.sq[k], ref.grads_to_vector(list(zip(state.sq_weights, state.sq_biases))))
@@ -389,12 +402,14 @@ def test_taken_output_gradient_equals_all_outputs_gradient(rng):
             rng.integers(0, taken, (n_nets, b_size)),
             rng.standard_normal((n_nets, b_size)) * 10.0,
         )
-        grads, losses = backward_stacked(ref.stack_of(models), batch)
+        stack = ref.stack_of(models)
+        grads, losses = backward_stacked(stack, batch)
         for k, model in enumerate(models):
             single, single_loss = ref.backward(model, tuple(part[k] for part in batch))
-            assert close(grads.params[k], ref.grads_to_vector(single)) and close(losses[k], single_loss)
+            assert close(grads[k], ref.grads_to_vector(single)) and close(losses[k], single_loss)
             untaken = np.setdiff1d(np.arange(1 << m), batch[1][k])
-            assert np.all(grads.weights[-1][k][untaken] == 0.0) and np.all(grads.biases[-1][k][untaken] == 0.0)
+            out_w, out_b = MlpStack(grads, sizes).weights[-1][k], MlpStack(grads, sizes).biases[-1][k]
+            assert np.all(out_w[untaken] == 0.0) and np.all(out_b[untaken] == 0.0)
             never_taken += len(untaken)
     assert never_taken > 0
 
@@ -417,13 +432,11 @@ def test_stack_is_one_parameter_block(rng):
     assert np.array_equal(ref.model_of(stack, 3).biases[0], [-1.0, -1.0])
 
     idx = np.array([3, 0])
-    part = stack.rows(idx)
-    assert np.array_equal(part.params, stack.params[idx])
-    part.weights[0][:] = 0.25  # a copy: the stack does not see it yet
+    part = MlpStack(stack.params[idx], sizes)  # a gather copies the rows
+    part.weights[0][:] = 0.25
     assert not np.any(stack.weights[0][idx] == 0.25)
     before = stack.params.copy()
-    stack.put(idx, part)
-    assert np.array_equal(stack.params[idx], part.params)
+    stack.params[idx] = part.params
     assert np.all(stack.weights[0][idx] == 0.25)
     assert np.array_equal(stack.params[[1, 2]], before[[1, 2]])
 
@@ -441,7 +454,7 @@ def test_output_bias_gradient_equals_delta_sum(rng):
         stack = MlpStack.init(sizes, n_nets, rng)
         actions = rng.integers(0, max(1, (1 << m) - 1), (n_nets, b_size))  # the last action is never taken
         batch = (rng.random((n_nets, b_size, m)), actions, rng.standard_normal((n_nets, b_size)) * 10.0)
-        grads, _ = learning.backward_stacked(stack, batch)
+        grads = MlpStack(learning.backward_stacked(stack, batch)[0], sizes)
 
         values = learning._forward_stacked_cached(stack, batch[0])[-1]
         nets, rows = np.meshgrid(np.arange(n_nets), np.arange(b_size), indexing="ij")
@@ -460,9 +473,9 @@ def test_stacked_backward_matches_finite_differences():
         batch = (rng.random((3, 5, 2)), rng.integers(0, 4, (3, 5)), rng.standard_normal((3, 5)))
         grads, _ = learning.backward_stacked(stack, batch)
         for k in range(3):
-            alone = stack.rows(np.array([k]))
+            alone = MlpStack(stack.params[k : k + 1].copy(), sizes)
             numeric = selfcheck.finite_difference_gradient(alone, tuple(part[k : k + 1] for part in batch))
-            assert selfcheck.relative_error(grads.params[k : k + 1], numeric)[0] < 1e-4
+            assert selfcheck.relative_error(grads[k : k + 1], numeric)[0] < 1e-4
 
 
 def test_training_reduces_loss_on_fixed_batch():
@@ -473,5 +486,6 @@ def test_training_reduces_loss_on_fixed_batch():
     initial = backward_stacked(stack, batch)[1][0]
     for _ in range(200):
         grads, _ = backward_stacked(stack, batch)
-        rmsprop_step_stacked(stack, state, clip_gradient_stacked(grads, 5.0))
+        clip_gradient_stacked(grads, 5.0)
+        rmsprop_step_stacked(stack.params, state, grads)
     assert backward_stacked(stack, batch)[1][0] < initial

@@ -258,6 +258,71 @@ def test_stacked_observe_matches_per_agent_updates(k):
         model = ref.model_of(policy.net, n)
         for got, want in zip(model.weights + model.biases, reference[n].model.weights + reference[n].model.biases):
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        # the RMSProp averages, which only the agents' own updates move
+        sq = ref.grads_to_vector(list(zip(reference[n].opt.sq_weights, reference[n].opt.sq_biases)))
+        assert np.allclose(policy.opt.sq[n], sq, rtol=1e-12, atol=1e-15)
+        assert np.any(sq != 0.0) == (n in agents)
+
+
+def learner_state(policy):
+    """Copies of every array an update may write, per agent in its first axis."""
+    rings = policy.replay.tuples.reshape(len(policy.net.params), policy.replay.capacity, -1)
+    return {
+        "params": policy.net.params.copy(),
+        "sq": policy.opt.sq.copy(),
+        "lr": policy.opt.lr.copy(),
+        "rings": rings.copy(),
+        "pushes": policy.replay.pushes.copy(),
+        "updates": policy.update_count.copy(),
+    }
+
+
+def test_observe_leaves_every_other_agents_learner_state_unchanged():
+    cfg = make_config(n_subnets=9, n_channels=3, minibatch_size=4, replay_capacity=6, dnn_hidden_size=3)
+    policy = DrlPopulation(cfg, np.random.default_rng(11))
+    data, rng = np.random.default_rng(12), np.random.default_rng(13)
+    for step in range(40):
+        agents = data.permutation(cfg.n_subnets)[: data.integers(1, cfg.n_subnets)]
+        others = np.setdiff1d(np.arange(cfg.n_subnets), agents)
+        before = learner_state(policy)
+        rewards = data.standard_normal(len(agents)) * 10.0 ** data.integers(-2, 4, len(agents))
+        policy.observe(agents, data.random((len(agents), 3)), data.integers(0, 8, len(agents)), rewards, rng)
+        after = learner_state(policy)
+        assert np.array_equal(after["lr"], before["lr"])  # only an event's end decays a learning rate
+        for name in ("params", "sq", "rings", "pushes", "updates"):
+            assert np.array_equal(after[name][others], before[name][others]), (step, name)
+        assert np.all(after["updates"][agents] == before["updates"][agents] + 1)
+        assert not np.any(np.all(after["params"][agents] == before["params"][agents], axis=1))
+        policy.end_event(agents[::2])
+
+
+@pytest.mark.parametrize("actions", [[5, 1], [-1, 1], [4, 0]])
+def test_drl_observe_rejects_an_action_outside_the_patterns(actions):
+    # 4 patterns: agent 2's action 5 is bin 2 * 4 + 5 = 13, agent 3's action
+    # 1, so an unchecked update would move agent 3's output row for action 1
+    # and leave agent 2's output layer as it was
+    policy = DrlPopulation(make_config(minibatch_size=4, replay_capacity=16), np.random.default_rng(4))
+    before = learner_state(policy)
+    with pytest.raises(ValueError, match="pattern indices"):
+        policy.observe([2, 3], np.full((2, 2), 0.5), np.array(actions), [1.0, 1.0], np.random.default_rng(0))
+    after = learner_state(policy)
+    assert all(np.array_equal(after[name], before[name]) for name in before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["context", "reward"])
+def test_drl_observe_rejects_a_nonfinite_context_or_reward(where, bad):
+    policy = DrlPopulation(make_config(minibatch_size=4, replay_capacity=16), np.random.default_rng(4))
+    contexts, rewards = np.full((2, 2), 0.5), [1.0, 1.0]
+    if where == "context":
+        contexts[1, 0] = bad
+    else:
+        rewards[1] = bad
+    before = learner_state(policy)
+    with pytest.raises(ValueError, match="must be finite"):
+        policy.observe([2, 3], contexts, np.array([1, 2]), rewards, np.random.default_rng(0))
+    after = learner_state(policy)
+    assert all(np.array_equal(after[name], before[name]) for name in before)
 
 
 def test_drl_observe_draws_each_minibatch_from_its_own_memory_uniformly():

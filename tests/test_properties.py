@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from alarmmac.analytics import DtmcSpec, deadline_probability, deadline_probability_via_absorption
-from alarmmac.learning import MlpStack, clip_gradient_stacked, grad_norm_stacked
+from alarmmac.learning import clip_gradient_stacked, grad_norm_stacked
 from alarmmac.signature import featurize
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -26,13 +26,13 @@ def test_deadline_probabilities_partition_unity(ps):
     st.floats(min_value=1e-3, max_value=100.0, allow_nan=False),
 )
 def test_clip_bounds_norm_and_preserves_direction(values, beta0):
-    flat = np.array(values)
-    grads = MlpStack(flat[None], [len(flat) - 1, 1])  # one layer: weights (1, len - 1), one bias
-    clipped = clip_gradient_stacked(grads, beta0)
+    grads = np.array(values)[None]  # one network's gradient block
+    clipped = grads.copy()
+    clip_gradient_stacked(clipped, beta0)  # in place
     norm = grad_norm_stacked(clipped)[0]
     assert norm <= beta0 * (1.0 + 1e-9) + 1e-12
-    raw = grads.params[0]
-    out = clipped.params[0]
+    raw = grads[0]
+    out = clipped[0]
     if grad_norm_stacked(grads)[0] <= beta0:
         assert np.array_equal(raw, out)
     elif np.linalg.norm(out) > 0:

@@ -1,53 +1,55 @@
-import copy
-
 import numpy as np
 import pytest
 
 from alarmmac.channel import complex_gaussian
-from alarmmac.signature import aggregate_pilots, broadcast_cs, featurize
+from alarmmac.signature import aggregate_pilots, broadcast_cs, contention_signatures, featurize
 
 
 def ones(k, m):
     return np.ones((k, m), dtype=complex)
 
 
-def next_noise(rng, shape):
-    """The unit-power noise the next call draws from `rng`, from a copy."""
-    return complex_gaussian(copy.deepcopy(rng), shape)
-
-
 def test_empty_active_set_leaves_noise_floor(rng):
-    powers = []
-    for _ in range(50_000):
-        y = aggregate_pilots(np.zeros((0, 2)), snr=4.0, rng=rng)
-        powers.append(np.abs(y) ** 2)
-    assert abs(np.mean(powers) - 1.0) < 0.02
+    noise = complex_gaussian(rng, (2,))
+    assert np.array_equal(aggregate_pilots(np.zeros((0, 2)), snr=4.0, noise=noise), noise)
 
 
 def test_single_unit_link_no_noise(rng):
-    # the noiseless aggregate is y minus the noise drawn
-    noise = next_noise(rng, (3,))
-    y = aggregate_pilots(ones(1, 3), snr=9.0, rng=rng)
+    # the noiseless aggregate is y minus the noise
+    noise = complex_gaussian(rng, (3,))
+    y = aggregate_pilots(ones(1, 3), snr=9.0, noise=noise)
     assert np.array_equal(y, 3.0 + noise)
 
 
 def test_two_links_sum_coherently(rng):
-    noise = next_noise(rng, (2,))
-    y = aggregate_pilots(ones(2, 2), snr=4.0, rng=rng)
+    noise = complex_gaussian(rng, (2,))
+    y = aggregate_pilots(ones(2, 2), snr=4.0, noise=noise)
     assert np.array_equal(y, 4.0 + noise)  # 2 links * sqrt(4)
 
 
 def test_broadcast_of_zero_is_zero(rng):
-    noise = next_noise(rng, (3, 2))
-    out = broadcast_cs(np.zeros(2, dtype=complex), ones(3, 2), snr=5.0, rng=rng)
+    noise = complex_gaussian(rng, (3, 2))
+    out = broadcast_cs(np.zeros(2, dtype=complex), ones(3, 2), snr=5.0, noise=noise)
     assert np.array_equal(out, noise)
 
 
 def test_broadcast_identity_gain(rng):
     y = np.array([1.0 + 2.0j, -0.5j])
-    noise = next_noise(rng, (2, 2))
-    out = broadcast_cs(y, ones(2, 2), snr=1.0, rng=rng)
+    noise = complex_gaussian(rng, (2, 2))
+    out = broadcast_cs(y, ones(2, 2), snr=1.0, noise=noise)
     assert np.array_equal(out, np.stack([y, y]) + noise)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_one_noise_draw_gives_both_directions_draws(k):
+    # the (k + 1, M) draw holds the values of an uplink (M,) draw followed
+    # by a downlink (k, M) draw, and leaves the generator where they leave it
+    gains = complex_gaussian(np.random.default_rng(0), (k, 3))
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    cs = contention_signatures(gains, 4.0, rng)
+    y = aggregate_pilots(gains, 4.0, complex_gaussian(twin, (3,)))
+    assert np.array_equal(cs, broadcast_cs(y, gains, 4.0, complex_gaussian(twin, (k, 3))))
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_broadcast_received_power(rng):
@@ -57,7 +59,7 @@ def test_broadcast_received_power(rng):
     powers = np.zeros(2)
     trials = 100_000
     for _ in range(trials):
-        out = broadcast_cs(y, h, snr=snr, rng=rng)
+        out = broadcast_cs(y, h, snr=snr, noise=complex_gaussian(rng, h.shape))
         powers += np.abs(out[0]) ** 2
     expected = snr * np.abs(h[0]) ** 2 * np.abs(y) ** 2 + 1.0
     assert np.all(np.abs(powers / trials - expected) / expected < 0.02)
@@ -99,9 +101,10 @@ def test_extra_link_does_not_reduce_expected_power(rng):
     extra = rng.standard_normal((20_000, 2)) + 1j * rng.standard_normal((20_000, 2))
     p_one, p_two = 0.0, 0.0
     for i in range(20_000):
-        y1 = aggregate_pilots(base_gain, 4.0, copy.deepcopy(rng))
+        noise = complex_gaussian(rng, (2,))
+        y1 = aggregate_pilots(base_gain, 4.0, noise)
         both = np.vstack([base_gain, extra[i][None, :]])
-        y2 = aggregate_pilots(both, 4.0, rng)
+        y2 = aggregate_pilots(both, 4.0, noise)
         p_one += float((np.abs(y1) ** 2).sum())
         p_two += float((np.abs(y2) ** 2).sum())
     assert p_two >= p_one
@@ -109,4 +112,4 @@ def test_extra_link_does_not_reduce_expected_power(rng):
 
 def test_shape_mismatch_rejected(rng):
     with pytest.raises(ValueError):
-        broadcast_cs(np.zeros(3, dtype=complex), ones(2, 2), 1.0, rng)
+        broadcast_cs(np.zeros(3, dtype=complex), ones(2, 2), 1.0, complex_gaussian(rng, (2, 2)))

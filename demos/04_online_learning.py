@@ -44,9 +44,9 @@ fleet = sim.policy
 assert isinstance(fleet, DrlPopulation)
 agent = 0
 print(f"epsilon: start {cfg.epsilon_start} -> now {fleet.epsilon(agent)} (floor {cfg.epsilon_floor})")
-print(f"learning rate: start {cfg.lr_initial} -> now {fleet.opt.lr[agent]:.5f}")
+print(f"learning rate: start {cfg.lr_initial} -> now {fleet.lr[agent]:.5f}")
 print(f"replay memory: {fleet.replay.size[agent]}/{fleet.replay.capacity} tuples, "
-      f"{fleet.update_count[agent]} updates")
+      f"{fleet.replay.pushes[agent]} updates")
 
 print("\n=== what the fleet learned ===")
 print("greedy pattern of every agent at a typical signature level:")

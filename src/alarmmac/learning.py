@@ -37,7 +37,6 @@ as they add their terms in another order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -122,14 +121,11 @@ def _hidden_stacked(stack: MlpStack, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _forward_stacked_cached(stack: MlpStack, x: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer for one batch (K, B, M) per network; the last
-    entry holds all 2**M outputs."""
-    acts = _hidden_stacked(stack, x)
-    out = _contract(acts[-1], stack.weights[-1].transpose(0, 2, 1))
+def _outputs_stacked(stack: MlpStack, x: np.ndarray) -> np.ndarray:
+    """All 2**M outputs for one batch (K, B, M) per network: (K, B, 2**M)."""
+    out = _contract(_hidden_stacked(stack, x)[-1], stack.weights[-1].transpose(0, 2, 1))
     out += stack.biases[-1][:, None, :]
-    acts.append(out)
-    return acts
+    return out
 
 
 def forward_stacked(stack: MlpStack, contexts: np.ndarray) -> np.ndarray:
@@ -137,7 +133,7 @@ def forward_stacked(stack: MlpStack, contexts: np.ndarray) -> np.ndarray:
     x = np.asarray(contexts, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("context must be finite")
-    return _forward_stacked_cached(stack, x[:, None, :])[-1][:, 0]
+    return _outputs_stacked(stack, x[:, None, :])[:, 0]
 
 
 def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -198,31 +194,19 @@ def clip_gradient_stacked(grads: np.ndarray, beta0: float) -> None:
     grads *= (beta0 / np.maximum(grad_norm_stacked(grads), beta0))[:, None]
 
 
-@dataclass
-class RmsPropStack:
-    """RMSProp state of a stack; each network has its own learning rate."""
-
-    sq: np.ndarray  # (K, P) squared-gradient averages, laid out like MlpStack.params
-    lr: np.ndarray  # (K,)
-    decay: float = 0.9
-    smoothing: float = 1e-8
-
-    @classmethod
-    def for_stack(cls, stack: MlpStack, decay: float, smoothing: float, lr: float) -> "RmsPropStack":
-        return cls(np.zeros_like(stack.params), np.full(len(stack.params), lr), decay, smoothing)
-
-
-def rmsprop_step_stacked(params: np.ndarray, state: RmsPropStack, grads: np.ndarray) -> None:
+def rmsprop_step_stacked(
+    params: np.ndarray, sq: np.ndarray, lr: np.ndarray, grads: np.ndarray, decay: float, smoothing: float
+) -> None:
     """s <- decay*s + (1-decay)*g^2; w <- w - lr * g / (sqrt(s) + eps), for
-    every row of the (K, P) blocks with its own lr. In place on `params` and
-    `state.sq`; `grads` is left as it was."""
+    every row of the (K, P) blocks `params` and `sq` with its own lr (K,).
+    In place on `params` and `sq`; `grads` is left as it was."""
     step = np.square(grads)
-    step *= 1.0 - state.decay
-    state.sq *= state.decay
-    state.sq += step
-    np.sqrt(state.sq, out=step)
-    step += state.smoothing
-    np.divide(state.lr[:, None] * grads, step, out=step)
+    step *= 1.0 - decay
+    sq *= decay
+    sq += step
+    np.sqrt(sq, out=step)
+    step += smoothing
+    np.divide(lr[:, None] * grads, step, out=step)
     params -= step
 
 

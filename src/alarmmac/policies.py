@@ -68,10 +68,10 @@ class RchPopulation:
     reads_contexts = False
 
     def __init__(self, config: ScenarioConfig):
-        self.n_patterns = config.n_patterns
+        self.config = config
 
     def select_action(self, agents: Sequence[int], contexts: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
-        return _random_patterns(self.n_patterns, len(agents), rng)
+        return _random_patterns(self.config.n_patterns, len(agents), rng)
 
     def observe(self, agents, contexts, actions, rewards, rng) -> None:
         return None
@@ -84,14 +84,12 @@ class _EpsilonGreedy:
     """Per-agent event counters and the exploration schedule they drive."""
 
     def __init__(self, config: ScenarioConfig):
-        self.n_patterns = config.n_patterns
+        self.config = config
         self.events = np.zeros(config.n_subnets, dtype=np.int64)
-        self._eps_start = config.epsilon_start
-        self._eps_floor = config.epsilon_floor
-        self._eps_step = config.epsilon_step
 
     def epsilon(self, agents: ArrayLike) -> np.ndarray:
-        return decayed_epsilon(self._eps_start, self._eps_floor, self._eps_step, self.events[agents])
+        cfg = self.config
+        return decayed_epsilon(cfg.epsilon_start, cfg.epsilon_floor, cfg.epsilon_step, self.events[agents])
 
     def _explore(self, agents: Sequence[int], rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Actions of the exploring agents and the mask of the greedy ones:
@@ -99,8 +97,16 @@ class _EpsilonGreedy:
         per exploring agent."""
         explore = rng.random(len(agents)) < self.epsilon(np.asarray(agents, dtype=np.intp))
         actions = np.zeros(len(agents), dtype=np.int64)
-        actions[explore] = _random_patterns(self.n_patterns, np.count_nonzero(explore), rng)
+        actions[explore] = _random_patterns(self.config.n_patterns, np.count_nonzero(explore), rng)
         return actions, ~explore
+
+    def _pattern_indices(self, actions: ArrayLike) -> np.ndarray:
+        # an action outside [0, 2**M) would wrap to another pattern or index another agent's row
+        actions = np.asarray(actions)
+        values = actions.tolist()  # on a few values the builtins cost less than numpy's min and max
+        if min(values, default=0) < 0 or max(values, default=0) >= self.config.n_patterns:
+            raise ValueError(f"actions must be pattern indices below {self.config.n_patterns}")
+        return actions
 
     def end_event(self, agents: Sequence[int]) -> None:
         self.events[np.asarray(agents, dtype=np.intp)] += 1
@@ -122,7 +128,6 @@ class MapRaPopulation(_EpsilonGreedy):
     def __init__(self, config: ScenarioConfig):
         super().__init__(config)
         self.q = np.zeros((config.n_subnets, config.n_patterns))
-        self.tau = config.mapra_tau
 
     def select_action(self, agents: Sequence[int], contexts: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
         actions, greedy = self._explore(agents, rng)
@@ -132,21 +137,23 @@ class MapRaPopulation(_EpsilonGreedy):
         return actions
 
     def observe(self, agents, contexts, actions, rewards, rng) -> None:
-        taken = (np.asarray(agents), actions)
-        self.q[taken] = (1.0 - self.tau) * self.q[taken] + self.tau * _finite_rewards(rewards)
+        taken = (np.asarray(agents), self._pattern_indices(actions))
+        tau = self.config.mapra_tau
+        self.q[taken] = (1.0 - tau) * self.q[taken] + tau * _finite_rewards(rewards)
         return None
 
 
 class DrlPopulation(_EpsilonGreedy):
     """Network policy: each agent is epsilon-greedy over its own learned
-    action values. The networks and their RMSProp state are one parameter
-    block each and the replay memories one set of rings, so a slot's
-    arithmetic runs once over all active agents.
+    action values. The networks and their RMSProp averages `sq` are one block
+    each, the learning rates one array `lr` and the replay memories one set
+    of rings, so a slot's arithmetic runs once over all active agents.
 
-    Each observed (context, action, reward) tuple is pushed to its agent's
-    replay, then one clipped RMSProp step is taken on a minibatch sampled
-    from it. The minibatch loss before the step is returned per agent for
-    convergence tracking. An event's end decays its agents' learning rates.
+    Each observed tuple is pushed to its agent's replay, then one clipped
+    RMSProp step is taken on a minibatch from it: `replay.pushes` also
+    counts updates. The minibatch loss before the step is returned per
+    agent for convergence tracking. An event's end decays its agents'
+    learning rates.
     """
 
     reads_contexts = True
@@ -155,12 +162,9 @@ class DrlPopulation(_EpsilonGreedy):
         super().__init__(config)
         # per agent, in agent order, so the initial weights are those of N separate draws
         self.net = learning.MlpStack.init(config.layer_sizes, config.n_subnets, init_rng)
-        self.opt = learning.RmsPropStack.for_stack(self.net, config.rms_decay, config.rms_smoothing, config.lr_initial)
+        self.sq = np.zeros_like(self.net.params)  # (N, P)
+        self.lr = np.full(config.n_subnets, config.lr_initial)  # (N,)
         self.replay = learning.StackedReplay(config.n_subnets, config.replay, config.n_channels)
-        self.batch_size = config.minibatch
-        self.clip_threshold = config.clip_threshold
-        self.lr_decay = config.lr_decay_per_event
-        self.update_count = np.zeros(config.n_subnets, dtype=np.int64)
 
     def select_action(self, agents: Sequence[int], contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         actions, greedy = self._explore(agents, rng)
@@ -172,26 +176,23 @@ class DrlPopulation(_EpsilonGreedy):
         return actions
 
     def observe(self, agents, contexts, actions, rewards, rng) -> np.ndarray:
-        agents, actions = np.asarray(agents, dtype=np.intp), np.asarray(actions)
-        # an action outside [0, 2**M) would index another agent's output row
-        if actions.min(initial=0) < 0 or actions.max(initial=0) >= self.n_patterns:
-            raise ValueError(f"actions must be pattern indices below {self.n_patterns}")
+        cfg = self.config
+        agents, actions = np.asarray(agents, dtype=np.intp), self._pattern_indices(actions)
         self.replay.push(agents, contexts, actions, rewards)  # checks that contexts and rewards are finite
-        batch = self.replay.sample(agents, self.batch_size, rng)
+        batch = self.replay.sample(agents, cfg.minibatch, rng)
         # the agents' rows, gathered once, stepped in place and written back
-        params, opt = self.net.params[agents], self.opt
-        state = learning.RmsPropStack(opt.sq[agents], opt.lr[agents], opt.decay, opt.smoothing)
+        params, sq = self.net.params[agents], self.sq[agents]
         grads, losses = learning.backward_stacked(learning.MlpStack(params, self.net.layer_sizes), batch)
-        learning.clip_gradient_stacked(grads, self.clip_threshold)
-        learning.rmsprop_step_stacked(params, state, grads)
+        learning.clip_gradient_stacked(grads, cfg.clip_threshold)
+        learning.rmsprop_step_stacked(params, sq, self.lr[agents], grads, cfg.rms_decay, cfg.rms_smoothing)
         self.net.params[agents] = params
-        opt.sq[agents] = state.sq
-        self.update_count[agents] += 1
+        self.sq[agents] = sq
         return losses
 
     def end_event(self, agents: Sequence[int]) -> None:
+        agents = np.asarray(agents, dtype=np.intp)
         super().end_event(agents)
-        self.opt.lr[list(agents)] *= 1.0 - self.lr_decay
+        self.lr[agents] *= 1.0 - self.config.lr_decay_per_event
 
 
 Population = RchPopulation | MapRaPopulation | DrlPopulation

@@ -57,7 +57,7 @@ def test_no_live_alarm_means_no_policy_calls():
         outcome = sim.run_slot()
         assert outcome.age is None and not outcome.success
     assert sim.trace.n_contention_slots == 0
-    assert not sim.policy.update_count.any()
+    assert not sim.policy.replay.pushes.any()
     assert len(sim.trace.events) == 0
 
 

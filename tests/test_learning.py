@@ -7,7 +7,6 @@ from alarmmac import learning, selfcheck
 from alarmmac.config import ScenarioConfig
 from alarmmac.learning import (
     MlpStack,
-    RmsPropStack,
     StackedReplay,
     backward_stacked,
     clip_gradient_stacked,
@@ -38,7 +37,7 @@ def clipped_copy(g, beta0):
 
 def fitted_values(stack, contexts, actions):
     """Each network's taken-action values on its own contexts (K, B, M)."""
-    values = learning._forward_stacked_cached(stack, contexts)[-1]
+    values = learning._outputs_stacked(stack, contexts)
     return np.take_along_axis(values, actions[..., None], axis=2)[..., 0]
 
 
@@ -189,11 +188,16 @@ def first_layer_grads(value):
     return grads.params
 
 
+def rmsprop_state(stack, lr=0.01):
+    """Zero squared-gradient averages laid out like `stack.params`, and one learning rate per network."""
+    return np.zeros_like(stack.params), np.full(len(stack.params), lr)
+
+
 def test_rmsprop_single_step_closed_form():
     stack = zero_stack([1, 1, 2])
-    state = RmsPropStack.for_stack(stack, decay=0.9, smoothing=1e-8, lr=0.01)
-    rmsprop_step_stacked(stack.params, state, first_layer_grads(1.0))
-    assert abs(MlpStack(state.sq, [1, 1, 2]).weights[0][0, 0, 0] - 0.1) < 1e-15
+    sq, lr = rmsprop_state(stack)
+    rmsprop_step_stacked(stack.params, sq, lr, first_layer_grads(1.0), 0.9, 1e-8)
+    assert abs(MlpStack(sq, [1, 1, 2]).weights[0][0, 0, 0] - 0.1) < 1e-15
     expected_dw = -0.01 / (math.sqrt(0.1) + 1e-8)
     assert abs(stack.weights[0][0, 0, 0] - expected_dw) < 1e-6
     assert abs(expected_dw + 0.0316228) < 1e-6
@@ -201,23 +205,23 @@ def test_rmsprop_single_step_closed_form():
 
 def test_rmsprop_zero_gradient_decays_state_only():
     stack = zero_stack([1, 1, 2])
-    state = RmsPropStack.for_stack(stack, decay=0.9, smoothing=1e-8, lr=0.01)
-    MlpStack(state.sq, [1, 1, 2]).weights[0][:] = 1.0
+    sq, lr = rmsprop_state(stack)
+    MlpStack(sq, [1, 1, 2]).weights[0][:] = 1.0
     before = stack.params.copy()
-    rmsprop_step_stacked(stack.params, state, first_layer_grads(0.0))
+    rmsprop_step_stacked(stack.params, sq, lr, first_layer_grads(0.0), 0.9, 1e-8)
     assert np.array_equal(stack.params, before)
-    assert MlpStack(state.sq, [1, 1, 2]).weights[0][0, 0, 0] == 0.9
+    assert MlpStack(sq, [1, 1, 2]).weights[0][0, 0, 0] == 0.9
 
 
 def test_rmsprop_repeated_identical_steps_shrink():
     stack = zero_stack([1, 1, 2])
-    state = RmsPropStack.for_stack(stack, decay=0.9, smoothing=1e-8, lr=0.01)
+    sq, lr = rmsprop_state(stack)
     grads = first_layer_grads(1.0)
-    rmsprop_step_stacked(stack.params, state, grads)
+    rmsprop_step_stacked(stack.params, sq, lr, grads, 0.9, 1e-8)
     assert np.array_equal(grads, first_layer_grads(1.0))  # the step leaves the gradient as it was
     first = abs(stack.weights[0][0, 0, 0])
     w_before = stack.weights[0][0, 0, 0]
-    rmsprop_step_stacked(stack.params, state, grads)
+    rmsprop_step_stacked(stack.params, sq, lr, grads, 0.9, 1e-8)
     second = abs(stack.weights[0][0, 0, 0] - w_before)
     assert second < first
 
@@ -366,24 +370,23 @@ def test_stacked_kernels_equal_single_model_kernels(rng):
         grads, losses = learning.backward_stacked(stack, batch)
         norms = learning.grad_norm_stacked(grads)
         clipped = clipped_copy(grads, 5.0)
-        opt = learning.RmsPropStack.for_stack(stack, decay=0.9, smoothing=1e-8, lr=0.01)
-        opt.lr[:] = [0.01, 0.02, 0.005, 0.01, 0.03]
-        opt.sq[:] = rng.random(opt.sq.shape)
-        sq_before = opt.sq.copy()
-        learning.rmsprop_step_stacked(stack.params, opt, clipped)
+        lr = np.array([0.01, 0.02, 0.005, 0.01, 0.03])
+        sq = rng.random(stack.params.shape)
+        sq_before = sq.copy()
+        learning.rmsprop_step_stacked(stack.params, sq, lr, clipped, 0.9, 1e-8)
         for k, model in enumerate(models):
             assert np.array_equal(values[k], ref.forward(model, contexts[k]))
             single, single_loss = ref.backward(model, tuple(part[k] for part in batch))
             assert close(losses[k], single_loss) and close(norms[k], ref.grad_norm(single))
             assert close(grads[k], ref.grads_to_vector(single))
             assert close(clipped[k], ref.grads_to_vector(ref.clip_gradient(single, 5.0)))
-            state = ref.RmsPropState.for_model(model, decay=0.9, smoothing=1e-8, lr=opt.lr[k])
-            sq = ref.model_of(MlpStack(sq_before, sizes), k)
-            state.sq_weights, state.sq_biases = sq.weights, sq.biases
+            state = ref.RmsPropState.for_model(model, decay=0.9, smoothing=1e-8, lr=lr[k])
+            sq_k = ref.model_of(MlpStack(sq_before, sizes), k)
+            state.sq_weights, state.sq_biases = sq_k.weights, sq_k.biases
             step = ref.model_of(MlpStack(clipped, sizes), k)
             ref.rmsprop_step(model, state, list(zip(step.weights, step.biases)))
             assert np.array_equal(stack.params[k], ref.params_to_vector(model))
-            assert np.array_equal(opt.sq[k], ref.grads_to_vector(list(zip(state.sq_weights, state.sq_biases))))
+            assert np.array_equal(sq[k], ref.grads_to_vector(list(zip(state.sq_weights, state.sq_biases))))
         assert np.any(norms > 5.0) and np.any(norms < 5.0)  # the clip fires for some networks only
 
 
@@ -456,7 +459,7 @@ def test_output_bias_gradient_equals_delta_sum(rng):
         batch = (rng.random((n_nets, b_size, m)), actions, rng.standard_normal((n_nets, b_size)) * 10.0)
         grads = MlpStack(learning.backward_stacked(stack, batch)[0], sizes)
 
-        values = learning._forward_stacked_cached(stack, batch[0])[-1]
+        values = learning._outputs_stacked(stack, batch[0])
         nets, rows = np.meshgrid(np.arange(n_nets), np.arange(b_size), indexing="ij")
         delta = np.zeros_like(values)
         delta[nets, rows, actions] = 2.0 * (values[nets, rows, actions] - batch[2]) / b_size
@@ -481,11 +484,11 @@ def test_stacked_backward_matches_finite_differences():
 def test_training_reduces_loss_on_fixed_batch():
     rng = np.random.default_rng(5)
     stack = MlpStack.init([2, 4, 4], 1, rng)
-    state = RmsPropStack.for_stack(stack, decay=0.9, smoothing=1e-8, lr=0.01)
+    sq, lr = rmsprop_state(stack)
     batch = (rng.random((1, 16, 2)), rng.integers(0, 4, (1, 16)), rng.uniform(-1, 1, (1, 16)))
     initial = backward_stacked(stack, batch)[1][0]
     for _ in range(200):
         grads, _ = backward_stacked(stack, batch)
         clip_gradient_stacked(grads, 5.0)
-        rmsprop_step_stacked(stack.params, state, grads)
+        rmsprop_step_stacked(stack.params, sq, lr, grads, 0.9, 1e-8)
     assert backward_stacked(stack, batch)[1][0] < initial

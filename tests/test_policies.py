@@ -152,7 +152,7 @@ def test_drl_observe_updates_weights_and_returns_loss(rng):
     before = [w.copy() for w in policy.net.weights]
     value = policy.observe([1], np.array([[0.2, 0.4]]), np.array([3]), [1.0], rng)
     assert value.shape == (1,) and value[0] >= 0.0
-    assert list(policy.update_count) == [0, 1, 0, 0]
+    assert list(policy.replay.pushes) == [0, 1, 0, 0]
     changed = [not np.array_equal(w[1], b[1]) for w, b in zip(policy.net.weights, before)]
     assert any(changed)
     for n in (0, 2, 3):  # only the observing agent's network moves
@@ -163,11 +163,11 @@ def test_drl_lr_decays_per_event():
     cfg = make_config(lr_initial=0.01, lr_decay_per_event=0.015)
     policy = DrlPopulation(cfg, np.random.default_rng(5))
     policy.end_event([0, 2])
-    assert abs(policy.opt.lr[0] - 0.01 * 0.985) < 1e-15
+    assert abs(policy.lr[0] - 0.01 * 0.985) < 1e-15
     policy.end_event([0])
-    assert abs(policy.opt.lr[0] - 0.01 * 0.985**2) < 1e-15
-    assert abs(policy.opt.lr[2] - 0.01 * 0.985) < 1e-15
-    assert policy.opt.lr[1] == 0.01 and policy.opt.lr[3] == 0.01
+    assert abs(policy.lr[0] - 0.01 * 0.985**2) < 1e-15
+    assert abs(policy.lr[2] - 0.01 * 0.985) < 1e-15
+    assert policy.lr[1] == 0.01 and policy.lr[3] == 0.01
 
 
 @pytest.mark.parametrize("n_channels", [1, 2, 3, 4])
@@ -260,7 +260,7 @@ def test_stacked_observe_matches_per_agent_updates(k):
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
         # the RMSProp averages, which only the agents' own updates move
         sq = ref.grads_to_vector(list(zip(reference[n].opt.sq_weights, reference[n].opt.sq_biases)))
-        assert np.allclose(policy.opt.sq[n], sq, rtol=1e-12, atol=1e-15)
+        assert np.allclose(policy.sq[n], sq, rtol=1e-12, atol=1e-15)
         assert np.any(sq != 0.0) == (n in agents)
 
 
@@ -269,11 +269,10 @@ def learner_state(policy):
     rings = policy.replay.tuples.reshape(len(policy.net.params), policy.replay.capacity, -1)
     return {
         "params": policy.net.params.copy(),
-        "sq": policy.opt.sq.copy(),
-        "lr": policy.opt.lr.copy(),
+        "sq": policy.sq.copy(),
+        "lr": policy.lr.copy(),
         "rings": rings.copy(),
         "pushes": policy.replay.pushes.copy(),
-        "updates": policy.update_count.copy(),
     }
 
 
@@ -289,23 +288,27 @@ def test_observe_leaves_every_other_agents_learner_state_unchanged():
         policy.observe(agents, data.random((len(agents), 3)), data.integers(0, 8, len(agents)), rewards, rng)
         after = learner_state(policy)
         assert np.array_equal(after["lr"], before["lr"])  # only an event's end decays a learning rate
-        for name in ("params", "sq", "rings", "pushes", "updates"):
+        for name in ("params", "sq", "rings", "pushes"):
             assert np.array_equal(after[name][others], before[name][others]), (step, name)
-        assert np.all(after["updates"][agents] == before["updates"][agents] + 1)
+        assert np.all(after["pushes"][agents] == before["pushes"][agents] + 1)
         assert not np.any(np.all(after["params"][agents] == before["params"][agents], axis=1))
         policy.end_event(agents[::2])
 
 
 @pytest.mark.parametrize("actions", [[5, 1], [-1, 1], [4, 0]])
-def test_drl_observe_rejects_an_action_outside_the_patterns(actions):
-    # 4 patterns: agent 2's action 5 is bin 2 * 4 + 5 = 13, agent 3's action
-    # 1, so an unchecked update would move agent 3's output row for action 1
-    # and leave agent 2's output layer as it was
-    policy = DrlPopulation(make_config(minibatch_size=4, replay_capacity=16), np.random.default_rng(4))
-    before = learner_state(policy)
+@pytest.mark.parametrize("kind", ["drl", "mapra"])
+def test_drl_observe_rejects_an_action_outside_the_patterns(kind, actions):
+    # 4 patterns. DRL: agent 2's action 5 is bin 2 * 4 + 5 = 13, agent 3's
+    # action 1, so an unchecked update would move agent 3's output row for
+    # action 1 and leave agent 2's output layer as it was. MAP-RA: action -1
+    # would write agent 2's value of pattern 3, and action 4 raise IndexError
+    cfg = make_config(policy_kind=kind, minibatch_size=4, replay_capacity=16)
+    policy = make_policy(cfg, np.random.default_rng(4))
+    state = learner_state if kind == "drl" else lambda p: {"q": p.q.copy(), "events": p.events.copy()}
+    before = state(policy)
     with pytest.raises(ValueError, match="pattern indices"):
         policy.observe([2, 3], np.full((2, 2), 0.5), np.array(actions), [1.0, 1.0], np.random.default_rng(0))
-    after = learner_state(policy)
+    after = state(policy)
     assert all(np.array_equal(after[name], before[name]) for name in before)
 
 

@@ -7,7 +7,9 @@ a frozen dataclass and safe to share read-only across concurrent runs. It
 checks itself when built, from a document, in code or by
 `dataclasses.replace`: a field of the wrong type or out of range raises a
 ConfigError naming its key, and so does a scenario whose poses cannot be
-separated in its area or whose set-up exceeds `SETUP_BUDGET_BYTES`.
+separated in its area or whose set-up exceeds `SETUP_BUDGET_BYTES`. Counts
+are stored as int and quantities as float, so equal configs serialize
+alike and share one fingerprint.
 
 The model has no knob for what the paper fixes: at most one alarm is live
 at a time and each attempt takes one slot (see `engine`), every pilot
@@ -21,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any
@@ -251,7 +254,7 @@ def load_config(text: str) -> ScenarioConfig:
 
 
 def _finite_number(value: Any) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     try:
         return math.isfinite(value)
@@ -262,11 +265,12 @@ def _finite_number(value: Any) -> bool:
 def _typed(key: str, value: Any) -> Any:
     """The value of field `key`, if its type fits the field.
 
-    Counts take integers, not booleans; quantities take finite numbers;
-    triples take three finite numbers and come back as a tuple of floats.
-    An enum field takes a member or its string value and comes back as the
-    member, so the identity checks against members hold however the config
-    is built.
+    Counts take integers, numpy's too, but not booleans, and come back as
+    int; quantities take finite numbers and come back as float; triples take
+    three finite numbers and come back as a tuple of floats. So equal
+    configs serialize alike and share one fingerprint. An enum field takes a
+    member or its string value and comes back as the member, so the identity
+    checks against members hold however the config is built.
     """
     enum_cls = _ENUM_FIELDS.get(key)
     if enum_cls is not None:
@@ -277,9 +281,11 @@ def _typed(key: str, value: Any) -> Any:
             raise ConfigError(f"{key}: must be one of {options}") from None
     kind = _FIELD_TYPES[key]
     if kind == "int" or (kind == "int | None" and value is not None):
-        _check(isinstance(value, int) and not isinstance(value, bool), key, "must be an integer")
+        _check(isinstance(value, numbers.Integral) and not isinstance(value, bool), key, "must be an integer")
+        value = int(value)
     elif kind == "float":
         _check(_finite_number(value), key, "must be a finite number")
+        value = float(value)
     elif key in _TUPLE_FIELDS:
         _check(
             isinstance(value, (list, tuple)) and len(value) == 3 and all(_finite_number(v) for v in value),

@@ -230,13 +230,13 @@ def parse_axis_value(axis: str, raw: str) -> Any:
 
 
 def _apply_axis(config: ScenarioConfig, axis: str, value: Any) -> ScenarioConfig:
+    """`config` at one sweep value; a value its field does not take raises
+    ConfigError naming the key."""
     if axis == "dnn_shape":
         layers, size = value
-        return replace(config, dnn_hidden_layers=int(layers), dnn_hidden_size=int(size))
-    if axis in ("n_subnets", "n_channels"):
-        return replace(config, **{axis: int(value)})
-    if axis == "eta":
-        return replace(config, eta=float(value))
+        return replace(config, dnn_hidden_layers=layers, dnn_hidden_size=size)
+    if axis in ("n_subnets", "n_channels", "eta"):
+        return replace(config, **{axis: value})
     raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
 
 
@@ -263,11 +263,13 @@ def sweep(
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    kinds = [PolicyKind(p) for p in (policies or [base_config.policy_kind])]
+    kinds = [PolicyKind(p) for p in (policies if policies is not None else [base_config.policy_kind])]
+    if not kinds:
+        raise ValueError("sweep needs at least one policy")
 
+    points = [(value, _apply_axis(base_config, axis, value)) for value in values]  # every value checked first
     rows: list[tuple[str, str, ExperimentResult]] = []
-    for value in values:
-        point_cfg = _apply_axis(base_config, axis, value)
+    for value, point_cfg in points:
         seeds = [derive_run_seed(point_cfg.rng_seed, i) for i in range(point_cfg.n_runs)]
         for kind in kinds:
             cfg = replace(point_cfg, policy_kind=kind)

@@ -158,6 +158,8 @@ def test_mistyped_value_rejected_naming_the_key(key, value):
         ("eta", None),
         ("speed_mps", float("inf")),
         ("pathloss_abg_los", (2.0, 30.0)),
+        ("n_runs", np.True_),
+        ("n_subnets", np.float64(3.0)),
     ],
 )
 def test_configs_built_in_code_are_type_checked(key, value):
@@ -313,6 +315,24 @@ def test_serialize_round_trip():
     again = load_config(serialize_config(cfg))
     assert again == cfg
     assert config_fingerprint(again) == config_fingerprint(cfg)
+
+
+@pytest.mark.parametrize(
+    "key, value, equal",
+    [
+        ("eta", 1, 1.0),
+        ("area_width_m", np.float32(40.0), 40.0),
+        ("n_subnets", np.int64(3), 3),
+        ("minibatch_size", np.int32(4), 4),
+    ],
+)
+def test_equal_configs_share_one_fingerprint(key, value, equal):
+    # counts are stored as int and quantities as float, so a config
+    # serializes the same however its numbers were written
+    a, b = (ScenarioConfig(**{"n_subnets": 3, "n_channels": 2, key: v}) for v in (value, equal))
+    assert a == b and type(getattr(a, key)) is type(getattr(b, key))
+    assert serialize_config(a) == serialize_config(b)
+    assert config_fingerprint(a) == config_fingerprint(b)
 
 
 def test_serialized_form_is_flat_json():

@@ -6,7 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from alarmmac.config import PolicyKind
+from alarmmac import reporting
+from alarmmac.config import ConfigError, PolicyKind
 from alarmmac.engine import Simulation
 from alarmmac.events import AlarmEvent
 from alarmmac.reporting import (
@@ -214,6 +215,22 @@ def test_sweep_invalid_axis_rejected():
         sweep(cfg, "speed", [1, 2])
     with pytest.raises(ValueError):
         sweep(cfg, "eta", [])
+    with pytest.raises(ValueError, match="at least one policy"):
+        sweep(cfg, "eta", [0.1], policies=[])
+
+
+@pytest.mark.parametrize(
+    "axis, good, bad, key",
+    [
+        ("n_subnets", 4, 20.7, "n_subnets"),
+        ("eta", 0.1, True, "eta"),
+        ("dnn_shape", (1, 1), (1.9, 2.5), "dnn_hidden_layers"),
+    ],
+)
+def test_sweep_refuses_a_value_its_field_does_not_take_before_any_run(monkeypatch, axis, good, bad, key):
+    monkeypatch.setattr(reporting, "run_experiment", lambda *args, **kwargs: pytest.fail("a sweep point ran"))
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        sweep(make_config(**DENSE), axis, [good, bad])
 
 
 def test_result_file_holds_none_and_empty_fields(tmp_path):

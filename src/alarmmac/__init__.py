@@ -15,7 +15,7 @@ from .config import (
     load_config_file,
     serialize_config,
 )
-from .engine import RunTrace, Simulation, resolve_collisions, run
+from .engine import RunTrace, Simulation, resolve_collisions
 from .reporting import ExperimentResult, in_time_probability, run_experiment, sweep
 
 __version__ = "0.1.0"
@@ -35,7 +35,6 @@ __all__ = [
     "load_config",
     "load_config_file",
     "resolve_collisions",
-    "run",
     "run_experiment",
     "serialize_config",
     "sweep",

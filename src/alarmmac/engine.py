@@ -224,8 +224,3 @@ class Simulation:
             if until_events is not None and len(self.trace.events) >= until_events:
                 break
         return self.trace
-
-
-def run(config: ScenarioConfig, seed: int | None = None) -> RunTrace:
-    """One complete seeded run over the configured horizon."""
-    return Simulation(config, seed=seed).run()

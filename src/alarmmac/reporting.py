@@ -108,21 +108,25 @@ def _decimate(values: Sequence[float], max_points: int = 400) -> list[float]:
 class ExperimentResult:
     """Aggregates of one experiment's runs.
 
-    `slots_per_run` is the number of slots each run actually ran: one
-    number if every run ran as many, else one per run (`until_events` can
-    stop runs at different slots). `mse_first_decile_median` and
-    `mse_last_decile_median` are medians over runs of each run's own
-    first- and last-decile MSE median (`mse_decile_medians`); runs with
-    fewer than 10 MSE points are left out, and both are None if no run has
-    10. `mse_series` is the runs' MSE series joined in seed order, decimated
-    to at most 400 points.
+    `slots_per_run` and the `per_run_*` lists hold one entry per seed, in
+    the order of `seeds`: the slots the run actually ran (`until_events`
+    can stop runs at different slots); its `in_time_probability`, None with
+    no terminal event; its successful over contention slots, None with no
+    contention slot; and its `mse_decile_medians` as `[first, last]`, None
+    below 10 MSE points. `mean_in_time` and `stderr_in_time` are taken over
+    the in-time values that are not None, and `mse_first_decile_median` and
+    `mse_last_decile_median` are medians over the `per_run_mse_deciles` that
+    are not None; both are None if all are. `mse_series` is the runs' MSE
+    series joined in seed order, decimated to at most 400 points.
     """
 
     config_fingerprint: str
     policy: str
     seeds: list[int]
-    slots_per_run: int | list[int]
+    slots_per_run: list[int]
     per_run_in_time: list[float | None]
+    per_run_success: list[float | None]
+    per_run_mse_deciles: list[list[float] | None]
     mean_in_time: float | None
     stderr_in_time: float | None
     events_delivered: int
@@ -173,20 +177,21 @@ def run_experiment(
     seeds = [int(s) for s in seeds]
 
     per_run: list[float | None] = []
+    success: list[float | None] = []
+    deciles: list[list[float] | None] = []
     slots: list[int] = []
     delivered = failed = 0
     mse_all: list[float] = []
-    run_deciles: list[tuple[float, float]] = []
     for seed in seeds:
         trace = Simulation(config, seed=seed).run(until_events=until_events)
         per_run.append(in_time_probability(trace))
+        success.append(trace.n_successful_slots / trace.n_contention_slots if trace.n_contention_slots else None)
+        medians = mse_decile_medians(trace.mse)
+        deciles.append(None if medians is None else list(medians))
         slots.append(trace.n_slots)
         delivered += trace.delivered_count
         failed += trace.failed_count
         mse_all.extend(trace.mse)
-        deciles = mse_decile_medians(trace.mse)
-        if deciles is not None:
-            run_deciles.append(deciles)
 
     defined = [v for v in per_run if v is not None]
     mean = sum(defined) / len(defined) if defined else None
@@ -196,13 +201,16 @@ def run_experiment(
             stderr = 0.0  # repeated seeds are bit-identical runs
         else:
             stderr = float(np.std(defined, ddof=1) / math.sqrt(len(defined)))
+    run_deciles = [d for d in deciles if d is not None]
 
     result = ExperimentResult(
         config_fingerprint=config_fingerprint(config),
         policy=config.policy_kind.value,
         seeds=seeds,
-        slots_per_run=slots[0] if len(set(slots)) == 1 else slots,
+        slots_per_run=slots,
         per_run_in_time=per_run,
+        per_run_success=success,
+        per_run_mse_deciles=deciles,
         mean_in_time=mean,
         stderr_in_time=stderr,
         events_delivered=delivered,
@@ -219,14 +227,21 @@ def run_experiment(
     return result
 
 
+def _number(text: str) -> int | float:
+    """Integer text as an int, other numeric text as a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def parse_axis_value(axis: str, raw: str) -> Any:
-    """A sweep value from its command-line text: `LxS` for dnn_shape."""
+    """A sweep value from its command-line text, `LxS` for dnn_shape; the
+    config refuses a number its field does not take."""
     if axis == "dnn_shape":
         layers, size = raw.lower().split("x")
-        return (int(layers), int(size))
-    if axis == "eta":
-        return float(raw)
-    return int(raw)
+        return (_number(layers), _number(size))
+    return _number(raw)
 
 
 def _apply_axis(config: ScenarioConfig, axis: str, value: Any) -> ScenarioConfig:

@@ -8,16 +8,17 @@ one. Such a change must keep these statistics in distribution instead:
 - per-slot success: successful over contention slots;
 - in-time probability: events delivered within the deadline over all
   terminal events;
-- for DRL, the median MSE of the last tenth of the training updates.
+- for DRL, the last-decile MSE median of `reporting.mse_decile_medians`,
+  None for a run with fewer than 10 training updates.
 
-They are taken per seed, over the seeds derive_run_seed(0, s) for s < 20
-with one BLAS thread, for the golden (scenario, policy) pairs at their
-slot counts and for the presets of acceptance criteria 6 (N = 10 DRL,
-2000 events) and 7 (N = 20, each policy, 300 events). Criterion 7's
-per-seed differences DRL - MAP-RA and DRL - RCH of the first two are
-statistics of their own, so a change that moves an ordering beyond its
-paired noise fails even when each policy's mean stays inside its own
-wider bound.
+They are taken per seed by `reporting.run_experiment`, over the seeds
+derive_run_seed(0, s) for s < 20 with one BLAS thread, for the golden
+(scenario, policy) pairs at their slot counts and for the presets of
+acceptance criteria 6 (N = 10 DRL, 2000 events) and 7 (N = 20, each
+policy, 300 events). Criterion 7's per-seed differences DRL - MAP-RA and
+DRL - RCH of the first two are statistics of their own, so a change that
+moves an ordering beyond its paired noise fails even when each policy's
+mean stays inside its own wider bound.
 
     PYTHONPATH=src python tests/epoch_statistics.py --write
     PYTHONPATH=src python tests/epoch_statistics.py --check
@@ -26,7 +27,8 @@ wider bound.
 it ran at (`git rev-parse --short HEAD`, or "unknown"). --check runs the
 current code and fails if any mean differs from the recorded one by more
 than three combined standard errors, sqrt(s_rec**2 / n + s_now**2 / n); for
-a paired row these are the standard errors of its per-seed differences.
+a paired row these are the standard errors of its per-seed differences. A
+seed whose value is None on either side is left out of that row.
 It also prints criterion 7's current paired differences with their 95 %
 intervals. The file is not collected by pytest; the full run takes one to
 two minutes.
@@ -39,6 +41,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Sequence
 
 # one BLAS thread, set before numpy loads: the crowded scenarios' shadowing
 # Cholesky differs in its last bits between thread counts
@@ -50,9 +53,8 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from alarmmac.config import ScenarioConfig, config_from_dict, derive_run_seed  # noqa: E402
-from alarmmac.engine import Simulation  # noqa: E402
-from alarmmac.reporting import in_time_probability, paired_difference  # noqa: E402
+from alarmmac.config import PolicyKind, ScenarioConfig, config_from_dict  # noqa: E402
+from alarmmac.reporting import paired_difference, run_experiment  # noqa: E402
 
 from test_acceptance import CONTENTION  # noqa: E402
 from test_golden import GOLDEN, SCENARIOS  # noqa: E402
@@ -66,37 +68,33 @@ PAIRED = ("in_time", "per_slot_success")
 
 
 def cases():
-    """name -> (config, slots, events): a run stops at `slots` slots or
-    after `events` terminal events, whichever comes first."""
+    """name -> (config, events): each of the config's runs stops at its
+    n_slots slots or after `events` terminal events, whichever comes
+    first."""
+    runs = {"n_runs": N_SEEDS, "rng_seed": 0}
     out = {}
     for scenario, policy in GOLDEN:
         keys, slots = SCENARIOS[scenario]
-        out[f"golden {scenario} {policy}"] = (config_from_dict({**keys, "policy_kind": policy}), slots, None)
-    out["criterion 6 drl"] = (ScenarioConfig(n_subnets=10, policy_kind="drl", **CONTENTION), 10**7, 2000)
+        config = config_from_dict({**keys, **runs, "policy_kind": policy, "n_slots": slots})
+        out[f"golden {scenario} {policy}"] = (config, None)
+    out["criterion 6 drl"] = (ScenarioConfig(n_subnets=10, policy_kind="drl", **CONTENTION, **runs), 2000)
     for policy in POLICIES:
-        out[f"criterion 7 {policy}"] = (ScenarioConfig(n_subnets=20, policy_kind=policy, **CONTENTION), 10**7, 300)
+        config = ScenarioConfig(n_subnets=20, policy_kind=policy, **CONTENTION, **runs)
+        out[f"criterion 7 {policy}"] = (config, 300)
     return out
 
 
-def run_statistics(config, slots, events, seed) -> dict[str, float]:
-    trace = Simulation(config, seed=seed).run(n_slots=slots, until_events=events)
-    in_time = in_time_probability(trace)
-    if in_time is None or trace.n_contention_slots == 0:
-        raise RuntimeError(f"seed {seed}: no terminal event or contention slot")
-    stats = {"per_slot_success": trace.n_successful_slots / trace.n_contention_slots, "in_time": in_time}
-    if trace.mse:
-        tail = max(1, len(trace.mse) // 10)
-        stats["mse_last_decile"] = float(np.median(trace.mse[-tail:]))
-    return stats
-
-
-def collect() -> dict[str, dict[str, list[float]]]:
-    """name -> statistic -> per-seed values, the paired rows included."""
-    seeds = [derive_run_seed(0, s) for s in range(N_SEEDS)]
+def collect() -> dict[str, dict[str, list[float | None]]]:
+    """name -> statistic -> per-seed values in seed order, the paired rows
+    included."""
     out = {}
-    for name, (config, slots, events) in cases().items():
-        per_seed = [run_statistics(config, slots, events, seed) for seed in seeds]
-        out[name] = {key: [stats[key] for stats in per_seed] for key in per_seed[0]}
+    for name, (config, events) in cases().items():
+        result = run_experiment(config, until_events=events)
+        if None in result.per_run_in_time or None in result.per_run_success:
+            raise RuntimeError(f"{name}: a run with no terminal event or contention slot")
+        out[name] = {"per_slot_success": result.per_run_success, "in_time": result.per_run_in_time}
+        if config.policy_kind is PolicyKind.DRL:
+            out[name]["mse_last_decile"] = [None if d is None else d[1] for d in result.per_run_mse_deciles]
         print(f"ran {name}", file=sys.stderr)
     drl = out["criterion 7 drl"]
     for other in PAIRED_WITH:
@@ -118,17 +116,19 @@ def commit() -> str:
     return done.stdout.strip() or "unknown"
 
 
-def mean_and_se(values: list[float]) -> tuple[float, float]:
+def mean_and_se(values: Sequence[float]) -> tuple[float, float]:
     a = np.asarray(values, dtype=float)
     return float(a.mean()), float(a.std(ddof=1) / math.sqrt(len(a)))
 
 
 def compare(recorded: dict, current: dict) -> list[str]:
-    """One table row per statistic; rows that fail start with FAIL."""
+    """One table row per statistic, over the seeds where neither side's
+    value is None; rows that fail start with FAIL."""
     rows = []
     for name, stats in recorded.items():
         for key, old in stats.items():
-            (m_old, se_old), (m_new, se_new) = mean_and_se(old), mean_and_se(current[name][key])
+            pairs = [(a, b) for a, b in zip(old, current[name][key]) if a is not None and b is not None]
+            (m_old, se_old), (m_new, se_new) = (mean_and_se(side) for side in zip(*pairs))
             bound = 3.0 * math.hypot(se_old, se_new)
             verdict = "ok" if abs(m_new - m_old) <= bound else "FAIL"
             rows.append(

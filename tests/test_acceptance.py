@@ -146,17 +146,9 @@ def test_criterion_6_training_reduces_system_mse():
     cfg = ScenarioConfig(
         n_subnets=10, policy_kind=PolicyKind.DRL, **CONTENTION,
     )
-    passing = 0
-    details = []
-    for s in range(10):
-        sim = Simulation(cfg, seed=derive_run_seed(0, s))
-        sim.run(n_slots=10**7, until_events=2000)
-        mse = sim.trace.mse
-        decile = max(1, len(mse) // 10)
-        first = float(np.median(mse[:decile]))
-        last = float(np.median(mse[-decile:]))
-        passing += last < first
-        details.append(f"{first:.3f}->{last:.3f}")
+    deciles = run_experiment(replace(cfg, n_runs=10), until_events=2000).per_run_mse_deciles
+    passing = sum(d is not None and d[1] < d[0] for d in deciles)
+    details = [f"{d[0]:.3f}->{d[1]:.3f}" if d else "none" for d in deciles]
     elapsed = time.perf_counter() - started
     report(6, "system MSE median falls from first to last decile for >= 9/10 seeds",
            passing >= 9 and elapsed < 300.0,
@@ -169,13 +161,8 @@ def test_criterion_7_policy_ordering():
     seeds = [derive_run_seed(0, s) for s in range(20)]  # common random numbers
     in_time = {}
     for kind in (PolicyKind.DRL, PolicyKind.MAP_RA, PolicyKind.RCH):
-        cfg = replace(base, policy_kind=kind)
-        vals = []
-        for seed in seeds:
-            sim = Simulation(cfg, seed=seed)
-            sim.run(n_slots=10**7, until_events=300)
-            vals.append(in_time_probability(sim.trace))
-        in_time[kind.value] = vals
+        result = run_experiment(replace(base, policy_kind=kind), seeds=seeds, until_events=300)
+        in_time[kind.value] = result.per_run_in_time
     means = {kind: float(np.mean(vals)) for kind, vals in in_time.items()}
     elapsed = time.perf_counter() - started
     ok = (

@@ -1,6 +1,8 @@
 import json
 
-from alarmmac import engine, learning, policies, selfcheck
+import pytest
+
+from alarmmac import engine, learning, policies, reporting, selfcheck
 from alarmmac.cli import main
 
 
@@ -34,7 +36,7 @@ def test_simulate_overrides_policy_and_runs(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["policy"] == "mapra"
-    assert payload["slots_per_run"] == 50
+    assert payload["slots_per_run"] == [50]
     assert len(payload["seeds"]) == 1
 
 
@@ -57,6 +59,17 @@ def test_sweep_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("rch") == 2 and out.count("mapra") == 2
     assert (out_dir / "sweep_n_subnets.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "axis, values, key",
+    [("n_subnets", ["4", "20.7"], "n_subnets"), ("dnn_shape", ["1x2", "1.5x2"], "dnn_hidden_layers")],
+)
+def test_sweep_refuses_a_fractional_count_before_any_run(tmp_path, capsys, monkeypatch, axis, values, key):
+    monkeypatch.setattr(reporting, "run_experiment", lambda *args, **kwargs: pytest.fail("a sweep point ran"))
+    code = main(["sweep", "--config", write_config(tmp_path), "--axis", axis, "--values", *values])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {key}: must be an integer\n"
 
 
 def test_analyze_stationary_table(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from alarmmac import engine, selfcheck
 from alarmmac.config import ActivationMode, PolicyKind, config_from_dict, derive_stream
-from alarmmac.engine import Simulation, resolve_collisions, run
+from alarmmac.engine import Simulation, resolve_collisions
 from alarmmac.events import AlarmEvent, maybe_spawn_event
 from alarmmac.geometry import step_mobility
 from alarmmac.policies import DrlPopulation, MapRaPopulation, RchPopulation
@@ -140,13 +140,13 @@ def test_training_tuples_only_for_active_agents():
 
 def test_run_zero_slots_empty_trace():
     cfg = make_config(n_slots=0)
-    trace = run(cfg, seed=3)
+    trace = Simulation(cfg, seed=3).run()
     assert trace.n_slots == 0 and trace.n_contention_slots == 0 and trace.events == []
 
 
 def test_run_alpha_zero_no_events():
     cfg = make_config(alpha=0.0, n_slots=300)
-    trace = run(cfg, seed=3)
+    trace = Simulation(cfg, seed=3).run()
     assert len(trace.events) == 0 and trace.n_contention_slots == 0
 
 
@@ -178,7 +178,7 @@ def test_every_event_reaches_exactly_one_terminal_state():
         n_subnets=6, n_slots=1500, alpha=0.5, eta=0.05, tx_threshold=0.3, deadline_slots=3,
         policy_kind=PolicyKind.RCH,
     )
-    trace = run(cfg, seed=21)
+    trace = Simulation(cfg, seed=21).run()
     assert len(trace.events) > 30
     assert trace.delivered_count + trace.failed_count == len(trace.events)
     for e in trace.events:
@@ -208,7 +208,7 @@ def test_run_record_retains_little_per_contention_slot():
     )
     tracemalloc.start()
     try:
-        trace = run(cfg, seed=2)
+        trace = Simulation(cfg, seed=2).run()
         contention = trace.n_contention_slots
         gc.collect()
         with_trace = tracemalloc.get_traced_memory()[0]

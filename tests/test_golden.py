@@ -119,3 +119,14 @@ def test_statistics_record_names_its_commit_or_unknown(monkeypatch, tmp_path):
     done = epoch_statistics.subprocess.CompletedProcess([], 0, stdout="5170ff9\n", stderr="")
     monkeypatch.setattr(epoch_statistics.subprocess, "run", lambda *args, **kwargs: done)
     assert epoch_statistics.commit() == "5170ff9"
+
+
+def test_statistics_compare_pairs_the_seeds_defined_on_both_sides():
+    import epoch_statistics
+
+    # seed 1 is None now and seed 3 was None: the row compares seeds 0 and 2
+    recorded = {"run": {"mse": [1.0, 2.0, 5.0, None], "success": [0.5, 0.5, 0.6, 0.6]}}
+    current = {"run": {"mse": [1.0, None, 5.0, 9.0], "success": [0.9, 0.9, 1.0, 1.0]}}
+    kept, shifted = epoch_statistics.compare(recorded, current)
+    assert kept == "ok   | run | mse | 3.0000 ± 2.0000 | 3.0000 ± 2.0000 | +0.0000 (bound 8.4853)"
+    assert shifted.startswith("FAIL | run | success | 0.5500 ± 0.0289 | 0.9500 ± 0.0289 | +0.4000")

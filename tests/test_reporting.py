@@ -96,13 +96,18 @@ def test_run_experiment_mean_is_arithmetic_mean():
 
 def test_slots_per_run_counts_the_slots_actually_run():
     cfg = make_config(**{**DENSE, "n_runs": 3, "n_slots": 5000})
-    assert run_experiment(cfg, seeds=[1]).slots_per_run == 5000
+    assert run_experiment(cfg, seeds=[1]).slots_per_run == [5000]
     result = run_experiment(cfg, until_events=3)
-    ran = [Simulation(cfg, seed=s).run(until_events=3).n_slots for s in result.seeds]
+    traces = [Simulation(cfg, seed=s).run(until_events=3) for s in result.seeds]
+    ran = [trace.n_slots for trace in traces]
     assert max(ran) < 5000 and len(set(ran)) > 1  # every run stops early, at its own slot
     assert result.slots_per_run == ran
+    assert result.per_run_success == [t.n_successful_slots / t.n_contention_slots for t in traces]
     same = run_experiment(cfg, seeds=[result.seeds[0]] * 2, until_events=3)
-    assert same.slots_per_run == ran[0]
+    assert same.slots_per_run == [ran[0]] * 2
+    # a run with no contention slot has no per-slot success
+    idle = run_experiment(make_config(**{**DENSE, "n_slots": 0}), seeds=[1])
+    assert (idle.slots_per_run, idle.per_run_success, idle.per_run_in_time) == ([0], [None], [None])
 
 
 def test_mse_decile_medians_are_taken_per_run_then_aggregated():
@@ -110,10 +115,20 @@ def test_mse_decile_medians_are_taken_per_run_then_aggregated():
     result = run_experiment(cfg)
     per_run = [mse_decile_medians(Simulation(cfg, seed=s).run().mse) for s in result.seeds]
     assert None not in per_run
+    assert result.per_run_mse_deciles == [list(d) for d in per_run]
     assert result.mse_first_decile_median == float(np.median([d[0] for d in per_run]))
     assert result.mse_last_decile_median == float(np.median([d[1] for d in per_run]))
-    # a run too short for deciles is left out; with none left, both are None
+    # at 20 slots the first seed has 13 MSE points and the second 5: the
+    # second has no deciles and is left out of the medians
+    mixed_cfg = make_config(**{**DENSE, "n_runs": 2, "n_slots": 20, "policy_kind": PolicyKind.DRL})
+    mixed = run_experiment(mixed_cfg)
+    first, second = (Simulation(mixed_cfg, seed=s).run().mse for s in mixed.seeds)
+    assert len(first) >= 10 > len(second)
+    assert mixed.per_run_mse_deciles == [list(mse_decile_medians(first)), None]
+    assert [mixed.mse_first_decile_median, mixed.mse_last_decile_median] == mixed.per_run_mse_deciles[0]
+    # with none left, both are None
     short = run_experiment(make_config(**{**DENSE, "n_runs": 2, "n_slots": 3, "policy_kind": PolicyKind.DRL}))
+    assert short.per_run_mse_deciles == [None, None]
     assert short.mse_first_decile_median is None and short.mse_last_decile_median is None
 
 
@@ -238,8 +253,10 @@ def test_result_file_holds_none_and_empty_fields(tmp_path):
         config_fingerprint="ab" * 32,
         policy="rch",
         seeds=[1, 2],
-        slots_per_run=10,
+        slots_per_run=[10, 10],
         per_run_in_time=[0.5, None],
+        per_run_success=[0.25, None],
+        per_run_mse_deciles=[None, None],
         mean_in_time=0.5,
         stderr_in_time=None,
         events_delivered=1,

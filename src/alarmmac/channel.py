@@ -5,9 +5,10 @@ The complex per-channel gain composes as
     gain = fading * 10 ** (-(PL_dB + shadow_dB) / 10)
 
 with unit-variance circular complex fading redrawn i.i.d. per slot and per
-channel, while line-of-sight state and shadowing are snapshot quantities and
-pathloss follows the current distance. Every function takes arrays, so one
-call serves all the links concerned. Gains only shape the
+channel. Line of sight, the pathloss coefficients it selects and shadowing
+are snapshot quantities; pathloss follows the current distance. Every
+function takes arrays, so one call serves all the links concerned; only
+the set-up's `correlation_factor` converts its input. Gains only shape the
 contention-signature signal; collisions are decided purely by the
 transmission patterns.
 """
@@ -22,15 +23,20 @@ from numpy.typing import ArrayLike
 from .config import ScenarioConfig
 
 
-def pathloss_db(d_m: ArrayLike, los: ArrayLike, config: ScenarioConfig) -> np.ndarray:
-    """ABG pathloss 10*a*log10(d) + b + 10*g*log10(f_GHz) per distance, with
-    the LOS coefficients where `los` is set and the NLOS ones elsewhere; d
-    clamped at 1 m."""
+def pathloss_coefficients(los: ArrayLike, config: ScenarioConfig) -> np.ndarray:
+    """ABG slope 10*a (row 0) and offset b + 10*g*log10(f_GHz) (row 1) per
+    link, LOS where `los` is set and NLOS elsewhere: (2, N) for N links."""
     (a_los, b_los, g_los), (a_nlos, b_nlos, g_nlos) = config.pathloss_abg_los, config.pathloss_abg_nlos
     log_f = math.log10(config.carrier_ghz)
-    slope = np.where(los, 10.0 * a_los, 10.0 * a_nlos)
-    offset = np.where(los, b_los + 10.0 * g_los * log_f, b_nlos + 10.0 * g_nlos * log_f)
-    return slope * np.log10(np.maximum(d_m, 1.0)) + offset
+    los_column = [[10.0 * a_los], [b_los + 10.0 * g_los * log_f]]
+    nlos_column = [[10.0 * a_nlos], [b_nlos + 10.0 * g_nlos * log_f]]
+    return np.where(los, los_column, nlos_column)
+
+
+def pathloss_db(d_m: ArrayLike, coefficients: np.ndarray) -> np.ndarray:
+    """ABG pathloss slope*log10(d) + offset of links at distances d (N,),
+    from their (2, N) `pathloss_coefficients`; d clamped at 1 m."""
+    return coefficients[0] * np.log10(np.maximum(d_m, 1.0)) + coefficients[1]
 
 
 def los_probability(d_m: ArrayLike, config: ScenarioConfig) -> np.ndarray:
@@ -61,10 +67,10 @@ def correlated_field(positions: np.ndarray, rng: np.random.Generator, corr_dista
 
 
 def shadowing_db(
-    positions: np.ndarray, rng: np.random.Generator, config: ScenarioConfig, sigma_db: ArrayLike
+    positions: np.ndarray, rng: np.random.Generator, config: ScenarioConfig, sigma_db: np.ndarray
 ) -> np.ndarray:
     """Zero-mean correlated shadowing with standard deviation `sigma_db`."""
-    return np.asarray(sigma_db, dtype=float) * correlated_field(positions, rng, config.shadow_corr_distance_m)
+    return sigma_db * correlated_field(positions, rng, config.shadow_corr_distance_m)
 
 
 def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -74,5 +80,5 @@ def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     return rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0] / math.sqrt(2.0)
 
 
-def attenuation(pathloss: ArrayLike, shadow: ArrayLike) -> np.ndarray:
-    return 10.0 ** (-(np.asarray(pathloss, dtype=float) + np.asarray(shadow, dtype=float)) / 10.0)
+def attenuation(pathloss: np.ndarray, shadow: np.ndarray) -> np.ndarray:
+    return 10.0 ** (-(pathloss + shadow) / 10.0)

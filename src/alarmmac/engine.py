@@ -8,11 +8,15 @@ an alarm is live, one full contention round:
     featurize -> per-agent action selection -> collision resolution ->
     reward assignment -> one training update per active agent.
 
+Each round builds its active set once, as a distinct `np.intp` agent array,
+and hands that array to the link gains and to every population call.
+
 The signature chain (link gains, pilots, broadcast, featurize) runs only for
 a policy that reads contexts (`reads_contexts`); a context-free policy gets
-`None` instead. Likewise the set-up draws the line-of-sight and shadowing
-snapshot only for such a policy. The channel, fading and noise streams feed
-nothing else, so skipping them changes no draw that a trace reads.
+`None` instead. Likewise the set-up draws the snapshot only for such a
+policy: line of sight, the pathloss coefficients it selects, and shadowing.
+The channel, fading and noise streams feed nothing else, so skipping them
+changes no draw that a trace reads.
 
 A channel succeeds when exactly one active agent transmits on it; the slot
 succeeds when any channel does, and delivers the alarm, which ends it for
@@ -136,30 +140,32 @@ class Simulation:
 
     def _amplitudes(self, agents: np.ndarray) -> np.ndarray:
         """Large-scale amplitude of each of `agents`' links to the controller:
-        pathloss at the current distance under the snapshot's line-of-sight
-        state, and the snapshot's shadowing."""
-        pathloss = chan.pathloss_db(self._cap_distances(agents), self.los[agents], self.config)
+        pathloss at the current distance with the snapshot's coefficients,
+        and the snapshot's shadowing."""
+        pathloss = chan.pathloss_db(self._cap_distances(agents), self._pathloss[:, agents])
         return chan.attenuation(pathloss, self.shadow_db[agents])
 
     def _snapshot_channel_state(self) -> None:
-        """Line-of-sight, shadowing, and the reference attenuation are frozen
-        per snapshot; only small-scale fading is redrawn each slot."""
+        """Line of sight, the pathloss coefficients it selects, shadowing and
+        the reference attenuation are frozen per snapshot; only small-scale
+        fading is redrawn each slot."""
         cfg = self.config
         everyone = np.arange(cfg.n_subnets)
         self.los = chan.draw_los(self._cap_distances(everyone), self.rng_channel, cfg)
+        self._pathloss = chan.pathloss_coefficients(self.los, cfg)
         sigma = np.where(self.los, cfg.shadow_sigma_los_db, cfg.shadow_sigma_nlos_db)
         positions = np.column_stack((self.poses.x, self.poses.y))
         self.shadow_db = chan.shadowing_db(positions, self.rng_channel, cfg, sigma)
         self._reference_amp = float(np.median(self._amplitudes(everyone)))
 
-    def _link_gains(self, active: tuple[int, ...]) -> np.ndarray:
+    def _link_gains(self, active: np.ndarray) -> np.ndarray:
         """Per-channel complex gains for the active uplinks this slot,
         normalised by the snapshot median attenuation, so that snr_avg_db is
         the average link SNR at a typical distance."""
         kappa = chan.complex_gaussian(self.rng_fading, (len(active), self.config.n_channels))
-        return kappa * (self._amplitudes(np.asarray(active)) / self._reference_amp)[:, None]
+        return kappa * (self._amplitudes(active) / self._reference_amp)[:, None]
 
-    def _contexts(self, active: tuple[int, ...]) -> np.ndarray:
+    def _contexts(self, active: np.ndarray) -> np.ndarray:
         return sig.featurize(sig.contention_signatures(self._link_gains(active), self.snr_linear, self.rng_noise))
 
     def run_slot(self) -> SlotOutcome:
@@ -184,7 +190,7 @@ class Simulation:
 
     def _contention_round(self, event: AlarmEvent) -> SlotOutcome:
         cfg = self.config
-        active, age = event.active_set, event.attempts
+        active, age = np.array(event.active_set, dtype=np.intp), event.attempts
         contexts = self._contexts(active) if self.policy.reads_contexts else None
         actions = self.policy.select_action(active, contexts, self.rng_explore)
         delivered = resolve_collisions(actions, cfg.n_channels)
@@ -197,23 +203,13 @@ class Simulation:
             self.trace.mse.append(float(np.add.reduce(losses) / len(losses)))
 
         event.attempts += 1
-        if delivered or event.attempts > cfg.deadline_slots:
-            self._finish_event(event, delivered)
+        if delivered or event.attempts > cfg.deadline_slots:  # the event ends in this slot
+            record = EventRecord(birth_slot=event.birth_slot, end_slot=self.slot, delivered=delivered,
+                                 attempts=event.attempts, active_size=len(active))
+            self.trace.events.append(record)
+            self.policy.end_event(active)
+            self.event = None
         return SlotOutcome(slot=self.slot, success=delivered, age=age)
-
-    def _finish_event(self, event: AlarmEvent, delivered: bool) -> None:
-        """Record the event's outcome; it ends in this slot."""
-        self.trace.events.append(
-            EventRecord(
-                birth_slot=event.birth_slot,
-                end_slot=self.slot,
-                delivered=delivered,
-                attempts=event.attempts,
-                active_size=len(event.active_set),
-            )
-        )
-        self.policy.end_event(event.active_set)
-        self.event = None
 
     def run(self, n_slots: int | None = None, until_events: int | None = None) -> RunTrace:
         """Advance the world; stops at n_slots, or earlier once until_events

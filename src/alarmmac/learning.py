@@ -53,7 +53,8 @@ def grad_norm(grads: Grads) -> float:
     return float(np.sqrt(total))
 
 
-StackedBatch = tuple[np.ndarray, np.ndarray, np.ndarray]  # contexts (K, B, M), actions (K, B), rewards (K, B)
+# float contexts (K, B, M), int actions (K, B) and float rewards (K, B)
+StackedBatch = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=None)
@@ -144,12 +145,10 @@ def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[np.ndarray, 
     taken action's output is computed for each row.
     """
     contexts, actions, rewards = batch
-    actions = np.asarray(actions, dtype=int)
-    rewards = np.asarray(rewards, dtype=float)
     n_nets, b_size = rewards.shape
     if b_size == 0:
         raise ValueError("empty minibatch")
-    acts = _hidden_stacked(stack, np.asarray(contexts, dtype=float))
+    acts = _hidden_stacked(stack, contexts)
     hidden = acts[-1]  # (K, B, H)
     n_hidden, n_out, at_w, at_b, end = stack.layout[-1]
     # each row's (network, taken action) bin, the flat index of its output
@@ -254,7 +253,6 @@ class StackedReplay:
         the floor of a uniform u < 1 times the memory's fill, and for a fill
         below 2**53 the product rounds below the fill. One gather reads them.
         """
-        agents = np.asarray(agents)
         sizes = self.size[agents]
         if not sizes.all():
             raise ValueError("cannot sample from empty memory")

@@ -13,7 +13,8 @@ Its class attribute `reads_contexts` says whether it reads the contention
 signature. The engine computes the signature only for a policy that does,
 and passes `None` as `contexts` to one that does not. Each policy class
 declares it in its own body, so that none inherits the answer. The methods
-take the agents concerned, which must be distinct:
+take the agents concerned as one `np.intp` array of distinct agents, which
+the engine builds once per contention round:
 
 - `select_action(agents, contexts, rng)`: one pattern per agent, given
   each agent's context row;
@@ -29,7 +30,6 @@ one call, in the order given; the draws are not those of N separate agents.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -70,13 +70,13 @@ class RchPopulation:
     def __init__(self, config: ScenarioConfig):
         self.config = config
 
-    def select_action(self, agents: Sequence[int], contexts: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
+    def select_action(self, agents: np.ndarray, contexts: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
         return _random_patterns(self.config.n_patterns, len(agents), rng)
 
     def observe(self, agents, contexts, actions, rewards, rng) -> None:
         return None
 
-    def end_event(self, agents: Sequence[int]) -> None:
+    def end_event(self, agents: np.ndarray) -> None:
         return None
 
 
@@ -91,11 +91,11 @@ class _EpsilonGreedy:
         cfg = self.config
         return decayed_epsilon(cfg.epsilon_start, cfg.epsilon_floor, cfg.epsilon_step, self.events[agents])
 
-    def _explore(self, agents: Sequence[int], rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    def _explore(self, agents: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Actions of the exploring agents and the mask of the greedy ones:
         one uniform per agent against its epsilon, then one random pattern
         per exploring agent."""
-        explore = rng.random(len(agents)) < self.epsilon(np.asarray(agents, dtype=np.intp))
+        explore = rng.random(len(agents)) < self.epsilon(agents)
         actions = np.zeros(len(agents), dtype=np.int64)
         actions[explore] = _random_patterns(self.config.n_patterns, np.count_nonzero(explore), rng)
         return actions, ~explore
@@ -108,13 +108,13 @@ class _EpsilonGreedy:
             raise ValueError(f"actions must be pattern indices below {self.config.n_patterns}")
         return actions
 
-    def end_event(self, agents: Sequence[int]) -> None:
-        self.events[np.asarray(agents, dtype=np.intp)] += 1
+    def end_event(self, agents: np.ndarray) -> None:
+        self.events[agents] += 1
 
 
 def _finite_rewards(rewards) -> np.ndarray:
     rewards = np.asarray(rewards, dtype=float)
-    if not np.all(np.isfinite(rewards)):
+    if not np.isfinite(rewards).all():
         raise ValueError("reward must be finite")
     return rewards
 
@@ -129,15 +129,15 @@ class MapRaPopulation(_EpsilonGreedy):
         super().__init__(config)
         self.q = np.zeros((config.n_subnets, config.n_patterns))
 
-    def select_action(self, agents: Sequence[int], contexts: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
+    def select_action(self, agents: np.ndarray, contexts: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
         actions, greedy = self._explore(agents, rng)
         if greedy.any():
             # first maximum, so ties break to the lowest index
-            actions[greedy] = np.argmax(self.q[np.asarray(agents)[greedy]], axis=1)
+            actions[greedy] = self.q[agents[greedy]].argmax(axis=1)
         return actions
 
     def observe(self, agents, contexts, actions, rewards, rng) -> None:
-        taken = (np.asarray(agents), self._pattern_indices(actions))
+        taken = (agents, self._pattern_indices(actions))
         tau = self.config.mapra_tau
         self.q[taken] = (1.0 - tau) * self.q[taken] + tau * _finite_rewards(rewards)
         return None
@@ -166,10 +166,10 @@ class DrlPopulation(_EpsilonGreedy):
         self.lr = np.full(config.n_subnets, config.lr_initial)  # (N,)
         self.replay = learning.StackedReplay(config.n_subnets, config.replay, config.n_channels)
 
-    def select_action(self, agents: Sequence[int], contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def select_action(self, agents: np.ndarray, contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         actions, greedy = self._explore(agents, rng)
         if greedy.any():
-            net = learning.MlpStack(self.net.params[np.asarray(agents)[greedy]], self.net.layer_sizes)
+            net = learning.MlpStack(self.net.params[agents[greedy]], self.net.layer_sizes)
             values = learning.forward_stacked(net, contexts[greedy])
             # first maximum, so ties break to the lowest index
             actions[greedy] = values.argmax(axis=1)
@@ -177,7 +177,7 @@ class DrlPopulation(_EpsilonGreedy):
 
     def observe(self, agents, contexts, actions, rewards, rng) -> np.ndarray:
         cfg = self.config
-        agents, actions = np.asarray(agents, dtype=np.intp), self._pattern_indices(actions)
+        actions = self._pattern_indices(actions)
         self.replay.push(agents, contexts, actions, rewards)  # checks that contexts and rewards are finite
         batch = self.replay.sample(agents, cfg.minibatch, rng)
         # the agents' rows, gathered once, stepped in place and written back
@@ -189,8 +189,7 @@ class DrlPopulation(_EpsilonGreedy):
         self.sq[agents] = sq
         return losses
 
-    def end_event(self, agents: Sequence[int]) -> None:
-        agents = np.asarray(agents, dtype=np.intp)
+    def end_event(self, agents: np.ndarray) -> None:
         super().end_event(agents)
         self.lr[agents] *= 1.0 - self.config.lr_decay_per_event
 

@@ -10,7 +10,9 @@ and broadcasts it back; subnetwork n receives
     y_n = sqrt(snr) * h_n * y + noise'
 
 with fresh unit-power circular complex noise in both directions. The learning
-context is the per-channel magnitude of y_n, normalized to [0, 1).
+context is the per-channel magnitude of y_n, normalized to [0, 1). The
+functions take complex arrays: gains (k, M) with one row per active
+subnetwork, signatures (M,) or (k, M).
 """
 
 from __future__ import annotations
@@ -26,15 +28,12 @@ def aggregate_pilots(gains: np.ndarray, snr: float, noise: np.ndarray) -> np.nda
     """Uplink aggregate received by the controller; `snr` is linear and
     `noise` (M,) is the controller's receiver noise. Every pilot symbol is 1,
     so the aggregate sums the gains (k, M) over the active subnetworks."""
-    gains = np.atleast_2d(np.asarray(gains, dtype=complex))
     return math.sqrt(snr) * gains.sum(axis=0) + noise
 
 
 def broadcast_cs(y: np.ndarray, gains: np.ndarray, snr: float, noise: np.ndarray) -> np.ndarray:
     """Per-subnetwork received contention signature; `noise` (k, M) holds
     each receiver's own."""
-    y = np.asarray(y, dtype=complex)
-    gains = np.atleast_2d(np.asarray(gains, dtype=complex))
     if gains.shape[1] != y.shape[0]:
         raise ValueError("gain width must equal signature length")
     return math.sqrt(snr) * gains * y[None, :] + noise
@@ -54,6 +53,6 @@ def featurize(y_n: np.ndarray) -> np.ndarray:
 
     Accepts a single signature (M,) or a batch (k, M).
     """
-    mags = np.abs(np.asarray(y_n))
+    mags = np.abs(y_n)
     peak = mags.max(axis=-1, keepdims=True) if mags.size else 0.0
     return mags / (1.0 + peak)

@@ -62,6 +62,11 @@ def make_config(**kwargs) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
+def agent_array(*agents: int) -> np.ndarray:
+    """Distinct agents as a population takes them: one `np.intp` array."""
+    return np.array(agents, dtype=np.intp)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -28,7 +28,8 @@ it ran at (`git rev-parse --short HEAD`, or "unknown"). --check runs the
 current code and fails if any mean differs from the recorded one by more
 than three combined standard errors, sqrt(s_rec**2 / n + s_now**2 / n); for
 a paired row these are the standard errors of its per-seed differences. A
-seed whose value is None on either side is left out of that row.
+seed whose value is None on either side is left out of that row, and a row
+with fewer than two seeds left has no standard error and fails.
 It also prints criterion 7's current paired differences with their 95 %
 intervals. The file is not collected by pytest; the full run takes one to
 two minutes.
@@ -128,6 +129,9 @@ def compare(recorded: dict, current: dict) -> list[str]:
     for name, stats in recorded.items():
         for key, old in stats.items():
             pairs = [(a, b) for a, b in zip(old, current[name][key]) if a is not None and b is not None]
+            if len(pairs) < 2:
+                rows.append(f"FAIL | {name} | {key} | {len(pairs)} paired seeds, too few for a standard error")
+                continue
             (m_old, se_old), (m_new, se_new) = (mean_and_se(side) for side in zip(*pairs))
             bound = 3.0 * math.hypot(se_old, se_new)
             verdict = "ok" if abs(m_new - m_old) <= bound else "FAIL"

@@ -129,7 +129,7 @@ def test_criterion_5_clipping_and_schedules():
     policy = make_policy(cfg, np.random.default_rng(5))
     eps_ok = policy.epsilon(0) == 1.0
     for event in range(1, 241):
-        policy.end_event([0])
+        policy.end_event(np.array([0], dtype=np.intp))
         if event == 179:
             eps_ok &= policy.epsilon(0) > 0.1
         if event == 180:

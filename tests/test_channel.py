@@ -10,6 +10,7 @@ from alarmmac.channel import (
     correlation_factor,
     draw_los,
     los_probability,
+    pathloss_coefficients,
     pathloss_db,
     shadowing_db,
 )
@@ -18,19 +19,32 @@ from alarmmac.engine import Simulation
 from conftest import make_config
 
 
+def one_link_pathloss(d, los, cfg):
+    """pathloss_db of one link at distance d under line-of-sight state los."""
+    return pathloss_db(np.array([d]), pathloss_coefficients(np.array([los]), cfg))[0]
+
+
 def test_pathloss_at_one_meter_is_offset_only():
     cfg = make_config()
     for los, (a, b, g) in ((True, cfg.pathloss_abg_los), (False, cfg.pathloss_abg_nlos)):
         expected = b + 10.0 * g * math.log10(cfg.carrier_ghz)
-        assert abs(pathloss_db(1.0, los, cfg) - expected) < 1e-12
+        assert abs(one_link_pathloss(1.0, los, cfg) - expected) < 1e-12
         # distances below 1 m clamp to the 1 m value
-        assert pathloss_db(0.2, los, cfg) == pathloss_db(1.0, los, cfg)
+        assert one_link_pathloss(0.2, los, cfg) == one_link_pathloss(1.0, los, cfg)
+
+
+def test_pathloss_coefficients_select_per_link():
+    cfg = make_config(carrier_ghz=6.0)
+    coefficients = pathloss_coefficients(np.array([True, False, True]), cfg)
+    abg = (cfg.pathloss_abg_los, cfg.pathloss_abg_nlos)
+    los, nlos = ([10.0 * a, b + 10.0 * g * math.log10(6.0)] for a, b, g in abg)
+    assert np.array_equal(coefficients, np.column_stack((los, nlos, los)))
 
 
 def test_pathloss_decade_step_is_ten_a():
     cfg = make_config()
     a_nlos = cfg.pathloss_abg_nlos[0]
-    delta = pathloss_db(100.0, False, cfg) - pathloss_db(10.0, False, cfg)
+    delta = one_link_pathloss(100.0, False, cfg) - one_link_pathloss(10.0, False, cfg)
     assert abs(delta - 10.0 * a_nlos) < 1e-12
 
 
@@ -39,14 +53,14 @@ def test_pathloss_default_nlos_spreadsheet_value():
     cfg = make_config(carrier_ghz=6.0)
     expected = 10.0 * 2.55 * math.log10(25.0) + 33.0 + 10.0 * 2.0 * math.log10(6.0)
     assert abs(expected - 84.21049522880984) < 1e-10
-    assert abs(pathloss_db(25.0, False, cfg) - expected) < 1e-12
+    assert abs(one_link_pathloss(25.0, False, cfg) - expected) < 1e-12
 
 
 def test_pathloss_monotone_beyond_one_meter():
     cfg = make_config()
     grid = np.linspace(1.0, 80.0, 200)
-    vals = [pathloss_db(d, False, cfg) for d in grid]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    vals = pathloss_db(grid, pathloss_coefficients(np.zeros(len(grid), dtype=bool), cfg))
+    assert np.all(np.diff(vals) >= 0.0)
 
 
 def test_correlation_factor_reproduces_the_covariance():
@@ -78,8 +92,7 @@ def test_shadowing_correlation_at_zero_distance(rng):
 
 
 def test_attenuation_powers_of_ten():
-    assert attenuation(20.0, 0.0) == 0.01
-    assert attenuation(0.0, 0.0) == 1.0
+    assert np.array_equal(attenuation(np.array([20.0, 0.0]), np.zeros(2)), [0.01, 1.0])
 
 
 def test_fading_unit_mean_power(rng):
@@ -92,16 +105,18 @@ def gain_world(**overrides):
 
 
 def expected_attenuation(sim, n):
-    """attenuation(pathloss_db(d, los), shadow) of agent n's link to the
-    controller, over the snapshot's reference attenuation."""
+    """attenuation(pathloss_db(d, coefficients), shadow) of agent n's link to
+    the controller, over the snapshot's reference attenuation; the
+    coefficients are derived here from the snapshot's line of sight."""
     cx, cy = sim.cap_xy
     d = np.hypot(sim.poses[n].x - cx, sim.poses[n].y - cy)
-    return attenuation(pathloss_db(d, sim.los[n], sim.config), sim.shadow_db[n]) / sim._reference_amp
+    coefficients = pathloss_coefficients(sim.los[[n]], sim.config)
+    return attenuation(pathloss_db(d, coefficients), sim.shadow_db[[n]])[0] / sim._reference_amp
 
 
 def test_link_gains_compose_exactly():
     sim = gain_world(n_subnets=6, n_channels=3)
-    active = (0, 2, 5)
+    active = np.array([0, 2, 5], dtype=np.intp)
     kappa = complex_gaussian(copy.deepcopy(sim.rng_fading), (len(active), 3))
     gains = sim._link_gains(active)
     assert gains.shape == (len(active), 3)
@@ -112,7 +127,7 @@ def test_link_gains_compose_exactly():
 def test_link_gains_mean_power_matches_attenuation():
     # zero shadowing: E[|gain|^2] = (attenuation(PL, 0) / reference)^2 on every link
     sim = gain_world(shadow_sigma_los_db=0.0, shadow_sigma_nlos_db=0.0)
-    active = tuple(range(sim.config.n_subnets))
+    active = np.arange(sim.config.n_subnets)
     expected = np.array([expected_attenuation(sim, n) for n in active]) ** 2
     assert np.all(sim.shadow_db == 0.0)
     powers = [np.abs(sim._link_gains(active)) ** 2 / expected[:, None] for _ in range(5_000)]

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from alarmmac import engine, selfcheck
+from alarmmac import channel, engine, selfcheck
 from alarmmac.config import ActivationMode, PolicyKind, config_from_dict, derive_stream
 from alarmmac.engine import Simulation, resolve_collisions
 from alarmmac.events import AlarmEvent, maybe_spawn_event
@@ -268,6 +268,53 @@ def test_drl_reads_one_context_row_per_active_agent(monkeypatch):
     assert seen
     for k, contexts in seen:
         assert isinstance(contexts, np.ndarray) and contexts.shape == (k, cfg.n_channels)
+
+
+def counting(calls: list, fn):
+    """`fn`, appending its positional arguments to `calls` at every call."""
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_a_round_hands_one_agent_array_to_the_gains_and_every_population_call(monkeypatch):
+    seen = []
+    for name in ("select_action", "observe", "end_event"):
+        monkeypatch.setattr(DrlPopulation, name, counting(seen, getattr(DrlPopulation, name)))
+    sim = Simulation(make_config(n_subnets=20, policy_kind=PolicyKind.DRL, **CONTENTION), seed=4)
+    gains = []
+    sim._link_gains = counting(gains, sim._link_gains)
+    ended = 0
+    for _ in range(30):
+        seen.clear()
+        gains.clear()
+        sim.run_slot()
+        if not gains:
+            continue
+        (active,) = gains[0]
+        # the population methods are patched on the class: their first argument is the population
+        handed = [args[1] for args in seen]
+        assert all(agents is active for agents in handed) and active.dtype == np.intp
+        assert len(handed) == (3 if sim.event is None else 2)
+        ended += sim.event is None
+    assert ended > 1
+
+
+@pytest.mark.parametrize("policy", ["drl", "mapra", "rch"])
+def test_pathloss_coefficients_are_snapshot_quantities(monkeypatch, policy):
+    # computed once per DRL set-up and never in a contention round, which
+    # runs no np.where; a context-free policy draws no snapshot at all
+    coefficients, wheres = [], []
+    monkeypatch.setattr(channel, "pathloss_coefficients", counting(coefficients, channel.pathloss_coefficients))
+    sim = Simulation(make_config(n_subnets=20, policy_kind=policy, **CONTENTION), seed=4)
+    assert len(coefficients) == (policy == "drl")
+    monkeypatch.setattr(np, "where", counting(wheres, np.where))
+    sim.run(50)
+    assert sim.trace.n_contention_slots > 25
+    assert len(coefficients) == (policy == "drl") and not wheres
 
 
 # --- lazy mobility ---------------------------------------------------------

@@ -130,3 +130,24 @@ def test_statistics_compare_pairs_the_seeds_defined_on_both_sides():
     kept, shifted = epoch_statistics.compare(recorded, current)
     assert kept == "ok   | run | mse | 3.0000 ± 2.0000 | 3.0000 ± 2.0000 | +0.0000 (bound 8.4853)"
     assert shifted.startswith("FAIL | run | success | 0.5500 ± 0.0289 | 0.9500 ± 0.0289 | +0.4000")
+
+
+def test_statistics_compare_fails_a_row_with_fewer_than_two_paired_seeds():
+    import epoch_statistics
+
+    # rows with no, one and two seeds defined on both sides
+    recorded = {"run": {"none": [None, 1.0], "one": [1.0, None], "two": [1.0, 3.0]}}
+    current = {"run": {"none": [2.0, None], "one": [1.0, 2.0], "two": [1.0, 3.0]}}
+    assert epoch_statistics.compare(recorded, current) == [
+        "FAIL | run | none | 0 paired seeds, too few for a standard error",
+        "FAIL | run | one | 1 paired seeds, too few for a standard error",
+        "ok   | run | two | 2.0000 ± 1.0000 | 2.0000 ± 1.0000 | +0.0000 (bound 4.2426)",
+    ]
+
+
+def test_call_counts_repeat_exactly():
+    import call_counts
+
+    first, second = (call_counts.count("drl", 6, slots=10) for _ in range(2))
+    assert first.contention_slots > 0 and first.python_calls > 0 and first.c_calls
+    assert first == second

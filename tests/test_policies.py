@@ -14,7 +14,7 @@ from alarmmac.policies import (
     pattern_table,
 )
 
-from conftest import make_config
+from conftest import agent_array, make_config
 import reference_mlp as ref
 
 
@@ -48,7 +48,7 @@ def test_full_exploration_is_uniform():
     cfg = make_config(epsilon_start=1.0, epsilon_floor=1.0)
     policy = MapRaPopulation(cfg)
     rng = np.random.default_rng(0)
-    agents = list(range(cfg.n_subnets))
+    agents = np.arange(cfg.n_subnets)
     rounds = 25_000
     counts = np.zeros(4)
     ctx = np.zeros((cfg.n_subnets, 2))
@@ -67,7 +67,7 @@ def test_greedy_zero_network_tie_breaks_to_lowest_index():
         w[:] = 0.0
     rng = np.random.default_rng(2)
     ctx = np.tile([0.4, 0.2], (4, 1))
-    assert all(list(policy.select_action([0, 1, 2, 3], ctx, rng)) == [0, 0, 0, 0] for _ in range(50))
+    assert all(list(policy.select_action(agent_array(0, 1, 2, 3), ctx, rng)) == [0, 0, 0, 0] for _ in range(50))
 
 
 def test_greedy_mapra_argmax():
@@ -75,13 +75,13 @@ def test_greedy_mapra_argmax():
     policy.q[0] = [0.1, 0.9, 0.3, 0.2]
     policy.q[2] = [0.5, 0.1, 0.3, 0.8]
     rng = np.random.default_rng(3)
-    assert all(list(policy.select_action([2, 0], np.zeros((2, 2)), rng)) == [3, 1] for _ in range(50))
+    assert all(list(policy.select_action(agent_array(2, 0), np.zeros((2, 2)), rng)) == [3, 1] for _ in range(50))
 
 
 def test_mapra_update_rule():
     cfg = make_config(mapra_tau=0.1)
     policy = MapRaPopulation(cfg)
-    policy.observe([1], np.zeros((1, 2)), np.array([2]), [1.0], None)
+    policy.observe(agent_array(1), np.zeros((1, 2)), np.array([2]), [1.0], None)
     assert abs(policy.q[1, 2] - 0.1) < 1e-15
     policy.q[1, 2] = 0.0
     assert np.all(policy.q == 0.0)  # only the taken action of the observing agent moves
@@ -92,7 +92,7 @@ def test_mapra_table_update_equals_scalar_rule(rng):
     policy = MapRaPopulation(cfg)
     policy.q[:] = rng.standard_normal(policy.q.shape)
     expected = policy.q.copy()
-    agents = [7, 2, 5, 0]
+    agents = agent_array(7, 2, 5, 0)
     actions = rng.integers(0, 8, len(agents))
     rewards = rng.standard_normal(len(agents))
     for n, a, r in zip(agents, actions, rewards):
@@ -104,7 +104,7 @@ def test_mapra_table_update_equals_scalar_rule(rng):
 def test_mapra_rejects_nonfinite_reward():
     policy = MapRaPopulation(make_config())
     with pytest.raises(ValueError):
-        policy.observe([0], np.zeros((1, 2)), np.array([1]), [np.nan], None)
+        policy.observe(agent_array(0), np.zeros((1, 2)), np.array([1]), [np.nan], None)
 
 
 def test_epsilon_schedule_reaches_floor_after_180_events():
@@ -112,7 +112,7 @@ def test_epsilon_schedule_reaches_floor_after_180_events():
     policy = MapRaPopulation(cfg)
     trajectory = []
     for _ in range(200):
-        policy.end_event([0])
+        policy.end_event(agent_array(0))
         trajectory.append(policy.epsilon(0))
     assert trajectory[178] > 0.1
     assert trajectory[179] == 0.1
@@ -128,18 +128,18 @@ def test_decayed_epsilon_never_below_floor():
 
 def test_rch_observe_is_noop(rng):
     policy = RchPopulation(make_config())
-    assert policy.observe([0], np.zeros((1, 2)), np.array([1]), [-1.0], rng) is None
-    policy.end_event([0])
+    assert policy.observe(agent_array(0), np.zeros((1, 2)), np.array([1]), [-1.0], rng) is None
+    policy.end_event(agent_array(0))
     counts = np.zeros(4)
     for _ in range(5_000):
-        counts += np.bincount(policy.select_action([0, 1, 2, 3], np.zeros((4, 2)), rng), minlength=4)
+        counts += np.bincount(policy.select_action(agent_array(0, 1, 2, 3), np.zeros((4, 2)), rng), minlength=4)
     assert np.all(counts > 0)
 
 
 def test_argmax_invariant_to_constant_shift(rng):
     policy = MapRaPopulation(make_config(**GREEDY))
     policy.q[:] = rng.standard_normal(policy.q.shape)
-    agents, ctx = [0, 1, 2, 3], np.zeros((4, 2))
+    agents, ctx = agent_array(0, 1, 2, 3), np.zeros((4, 2))
     before = policy.select_action(agents, ctx, np.random.default_rng(0))
     policy.q += 123.456
     after = policy.select_action(agents, ctx, np.random.default_rng(0))
@@ -150,7 +150,7 @@ def test_drl_observe_updates_weights_and_returns_loss(rng):
     cfg = make_config(minibatch_size=4, replay_capacity=16)
     policy = DrlPopulation(cfg, np.random.default_rng(4))
     before = [w.copy() for w in policy.net.weights]
-    value = policy.observe([1], np.array([[0.2, 0.4]]), np.array([3]), [1.0], rng)
+    value = policy.observe(agent_array(1), np.array([[0.2, 0.4]]), np.array([3]), [1.0], rng)
     assert value.shape == (1,) and value[0] >= 0.0
     assert list(policy.replay.pushes) == [0, 1, 0, 0]
     changed = [not np.array_equal(w[1], b[1]) for w, b in zip(policy.net.weights, before)]
@@ -162,9 +162,9 @@ def test_drl_observe_updates_weights_and_returns_loss(rng):
 def test_drl_lr_decays_per_event():
     cfg = make_config(lr_initial=0.01, lr_decay_per_event=0.015)
     policy = DrlPopulation(cfg, np.random.default_rng(5))
-    policy.end_event([0, 2])
+    policy.end_event(agent_array(0, 2))
     assert abs(policy.lr[0] - 0.01 * 0.985) < 1e-15
-    policy.end_event([0])
+    policy.end_event(agent_array(0))
     assert abs(policy.lr[0] - 0.01 * 0.985**2) < 1e-15
     assert abs(policy.lr[2] - 0.01 * 0.985) < 1e-15
     assert policy.lr[1] == 0.01 and policy.lr[3] == 0.01
@@ -234,7 +234,7 @@ def test_stacked_observe_matches_per_agent_updates(k):
     init = np.random.default_rng(11)
     reference = [ReferenceAgent(ref.init_mlp(cfg.layer_sizes, init), cfg) for _ in range(cfg.n_subnets)]
     data = np.random.default_rng(12)
-    agents = [8, 3, 0, 5, 1, 6, 2][:k]
+    agents = agent_array(8, 3, 0, 5, 1, 6, 2)[:k]
     # reward scales from 0.01 to 1e4: small ones stay under the clip threshold, large ones exceed it
     scales = np.array([0.01, 1e4, 0.1, 30.0, 0.05, 1e3, 2.0][:k])
     rng = np.random.default_rng(13)
@@ -307,7 +307,7 @@ def test_drl_observe_rejects_an_action_outside_the_patterns(kind, actions):
     state = learner_state if kind == "drl" else lambda p: {"q": p.q.copy(), "events": p.events.copy()}
     before = state(policy)
     with pytest.raises(ValueError, match="pattern indices"):
-        policy.observe([2, 3], np.full((2, 2), 0.5), np.array(actions), [1.0, 1.0], np.random.default_rng(0))
+        policy.observe(agent_array(2, 3), np.full((2, 2), 0.5), np.array(actions), [1.0, 1.0], np.random.default_rng(0))
     after = state(policy)
     assert all(np.array_equal(after[name], before[name]) for name in before)
 
@@ -323,7 +323,7 @@ def test_drl_observe_rejects_a_nonfinite_context_or_reward(where, bad):
         rewards[1] = bad
     before = learner_state(policy)
     with pytest.raises(ValueError, match="must be finite"):
-        policy.observe([2, 3], contexts, np.array([1, 2]), rewards, np.random.default_rng(0))
+        policy.observe(agent_array(2, 3), contexts, np.array([1, 2]), rewards, np.random.default_rng(0))
     after = learner_state(policy)
     assert all(np.array_equal(after[name], before[name]) for name in before)
 
@@ -372,7 +372,7 @@ def test_mapra_converges_on_stationary_bandit():
     rewards = np.array([0.1, 0.9, 0.3, 0.2])
     cfg = make_config(n_subnets=100, mapra_tau=0.1)
     policy = MapRaPopulation(cfg)
-    agents = list(range(cfg.n_subnets))
+    agents = np.arange(cfg.n_subnets)
     ctx = np.zeros((cfg.n_subnets, 2))
     rng = np.random.default_rng(0)
     for _ in range(2000):

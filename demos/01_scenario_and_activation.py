@@ -18,7 +18,7 @@ cfg = ScenarioConfig(n_subnets=20, n_channels=3, rng_seed=7)
 
 
 def closest_pair(poses) -> float:
-    xs, ys = poses.x.tolist(), poses.y.tolist()
+    xs, ys = poses["x"].tolist(), poses["y"].tolist()
     return min(
         math.hypot(xs[i] - xs[j], ys[i] - ys[j]) for i in range(len(xs)) for j in range(i + 1, len(xs))
     )
@@ -26,7 +26,7 @@ def closest_pair(poses) -> float:
 
 print("=== placement ===")
 rng = derive_stream(cfg.rng_seed, "placement")
-poses = place_uniform(cfg, rng)  # a record array: one (x, y, heading, cos, sin) record per subnetwork
+poses = place_uniform(cfg, rng)  # a structured array: one (x, y, heading, cos, sin) row per subnetwork
 print(f"{cfg.n_subnets} subnetworks in {cfg.area_width_m:.0f} x {cfg.area_height_m:.0f} m")
 print(f"closest pair: {closest_pair(poses):.2f} m (separation floor {cfg.min_separation_m} m, at placement only)")
 
@@ -34,7 +34,7 @@ print("\n=== mobility ===")
 mob = derive_stream(cfg.rng_seed, "mobility")
 start = poses
 poses = step_mobility(poses, cfg, mob, n_steps=1000)  # a new array: the poses and draws of 1000 one-slot steps
-moved = [math.hypot(x - x0, y - y0) for x, y, x0, y0 in zip(poses.x, poses.y, start.x, start.y)]
+moved = [math.hypot(x - x0, y - y0) for x, y, x0, y0 in zip(poses["x"], poses["y"], start["x"], start["y"])]
 step = cfg.speed_mps * cfg.slot_ms / 1000.0
 print(f"per-slot step {step * 1000:.1f} mm; after 1000 slots mean displacement {np.mean(moved):.2f} m")
 print(f"closest pair after 1000 slots: {closest_pair(poses):.2f} m (only the walls turn a pose in motion)")

@@ -13,7 +13,7 @@ import numpy as np
 from alarmmac.config import PolicyKind, ScenarioConfig
 from alarmmac.engine import Simulation
 from alarmmac.learning import forward_stacked
-from alarmmac.policies import DrlPopulation
+from alarmmac.policies import DrlPopulation, pattern_bits
 from alarmmac.reporting import in_time_probability, mse_decile_medians
 
 cfg = ScenarioConfig(
@@ -56,7 +56,7 @@ preferred = {}
 for n, best in enumerate(np.argmax(values, axis=1).tolist()):
     preferred.setdefault(best, []).append(n)
 for pattern in sorted(preferred):
-    bits = bin(pattern)[2:].zfill(cfg.n_channels)[::-1]  # channel 0 first
+    bits = "".join(map(str, pattern_bits(pattern, cfg.n_channels).tolist()))  # channel 0 first
     agents = preferred[pattern]
     print(f"  pattern {pattern} (channels {bits}): agents {agents}")
 print("agents spread over different patterns instead of piling onto one channel,")

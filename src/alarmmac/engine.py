@@ -28,7 +28,7 @@ error-free and instantaneous on a dedicated channel.
 The mobility step is lazy: a slot only counts it, and the steps owed are
 advanced when the poses are next read, which is when an event spawns or a
 contention round runs (see `Simulation.poses`). Each advance makes a new
-record array of poses (see `geometry`), so an array read earlier stays as it was.
+pose array (see `geometry`), so an array read earlier stays as it was.
 The minimum separation holds at placement only: in motion a pose turns only
 at the walls of the deployment rectangle, independently of the others.
 """
@@ -109,7 +109,7 @@ class Simulation:
         rng_init = derive_stream(s, "init")
 
         self.policy: Population = make_policy(config, rng_init)
-        self._poses: np.recarray = place_uniform(config, rng_place)
+        self._poses = place_uniform(config, rng_place)
         self._pending_steps = 0  # mobility steps owed to the poses
         self.cap_xy = (config.area_width_m / 2.0, config.area_height_m / 2.0)
         if self.policy.reads_contexts:
@@ -120,9 +120,9 @@ class Simulation:
         self.snr_linear = 10.0 ** (config.snr_avg_db / 10.0)
 
     @property
-    def poses(self) -> np.recarray:
-        """The poses in the current slot, a record array with fields `x`, `y`,
-        `heading` and the heading's direction `cos` and `sin` (see
+    def poses(self) -> np.ndarray:
+        """The poses in the current slot, a structured array with fields `x`,
+        `y`, `heading` and the heading's direction `cos` and `sin` (see
         `geometry`). A slot only counts its mobility step; the steps owed
         are advanced here, in one call, when the poses are read. Only
         mobility draws from its stream, so the draws and the poses are those
@@ -135,7 +135,7 @@ class Simulation:
     def _cap_distances(self, agents: np.ndarray) -> np.ndarray:
         """Distance from each of `agents` to the central controller."""
         cx, cy = self.cap_xy
-        poses = self.poses.view(np.ndarray)
+        poses = self.poses
         return np.hypot(poses["x"][agents] - cx, poses["y"][agents] - cy)
 
     def _amplitudes(self, agents: np.ndarray) -> np.ndarray:
@@ -154,7 +154,7 @@ class Simulation:
         self.los = chan.draw_los(self._cap_distances(everyone), self.rng_channel, cfg)
         self._pathloss = chan.pathloss_coefficients(self.los, cfg)
         sigma = np.where(self.los, cfg.shadow_sigma_los_db, cfg.shadow_sigma_nlos_db)
-        positions = np.column_stack((self.poses.x, self.poses.y))
+        positions = np.column_stack((self.poses["x"], self.poses["y"]))
         self.shadow_db = chan.shadowing_db(positions, self.rng_channel, cfg, sigma)
         self._reference_amp = float(np.median(self._amplitudes(everyone)))
 

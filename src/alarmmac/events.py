@@ -48,7 +48,7 @@ def _activated(d: np.ndarray, rng: np.random.Generator, config: ScenarioConfig) 
 
 def build_active_set(
     epicenter: tuple[float, float],
-    poses: np.recarray,
+    poses: np.ndarray,
     rng: np.random.Generator,
     config: ScenarioConfig,
 ) -> tuple[int, ...]:
@@ -58,14 +58,13 @@ def build_active_set(
     with different eta but equal seeds see coupled randomness.
     """
     ex, ey = epicenter
-    cols = poses.view(np.ndarray)
-    d = np.hypot(cols["x"] - ex, cols["y"] - ey)
+    d = np.hypot(poses["x"] - ex, poses["y"] - ey)
     return tuple(np.flatnonzero(_activated(d, rng, config)).tolist())
 
 
 def maybe_spawn_event(
     slot: int,
-    poses: Callable[[], np.recarray],
+    poses: Callable[[], np.ndarray],
     rng: np.random.Generator,
     config: ScenarioConfig,
 ) -> AlarmEvent | None:
@@ -85,7 +84,7 @@ def maybe_spawn_event(
 
 
 def empirical_activation(
-    poses: np.recarray,
+    poses: np.ndarray,
     config: ScenarioConfig,
     rng: np.random.Generator,
     n_trials: int = 100_000,
@@ -99,7 +98,7 @@ def empirical_activation(
         raise ValueError("n_trials must be >= 10000")
     ex = rng.uniform(0.0, config.area_width_m, size=n_trials)
     ey = rng.uniform(0.0, config.area_height_m, size=n_trials)
-    xs, ys = poses.x, poses.y
+    xs, ys = poses["x"], poses["y"]
     out = np.empty(len(poses))
     for n in range(len(poses)):
         d = np.hypot(xs[n] - ex, ys[n] - ey)

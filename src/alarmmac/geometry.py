@@ -1,11 +1,11 @@
 """Uniform placement and snapshot-based constant-speed mobility.
 
-The poses are one ``(N,)`` record array of float fields ``x``, ``y``,
-``heading``, ``cos`` and ``sin``, which its items expose as attributes.
-``cos`` and ``sin`` are the pose's direction, ``math.cos`` and ``math.sin``
-of its heading: they are computed once per pose at placement and again only
-when a heading is resampled. `place_uniform` and `step_mobility` return a
-new array and never change their input.
+The poses are one plain ``(N,)`` array of record dtype `_POSE`: float fields
+``x``, ``y``, ``heading``, ``cos`` and ``sin``, read by name or as attributes
+of an item. ``cos`` and ``sin`` are the pose's direction, ``math.cos`` and
+``math.sin`` of its heading: they are computed once per pose at placement
+and again only when a heading is resampled. `place_uniform` and
+`step_mobility` return a new array and never change their input.
 
 Placement keeps every pair of poses at least the minimum separation apart.
 It is rejection sampling that draws its candidates in blocks, one call per
@@ -52,7 +52,7 @@ _PLACEMENT_TRIES_PER_POSE = 10_000
 _PLACEMENT_BLOCK = 32
 # the longest window screened at once; a longer catch-up runs several
 _MAX_WINDOW_STEPS = 256
-# a record dtype, so a record-array view of a new array needs no dtype conversion
+# the one pose format; a record dtype, so an item exposes its fields as attributes
 _POSE = np.dtype(
     (np.record, [("x", float), ("y", float), ("heading", float), ("cos", float), ("sin", float)])
 )
@@ -62,7 +62,7 @@ class PlacementError(RuntimeError):
     """Deployment area cannot host the requested number of separated poses."""
 
 
-def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> np.recarray:
+def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     """Place N poses uniformly in the rectangle with pairwise separation,
     then draw their headings.
 
@@ -108,7 +108,7 @@ def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> np.recarr
     poses = np.empty(n, dtype=_POSE)
     poses["x"], poses["y"], poses["heading"] = xs, ys, headings
     poses["cos"], poses["sin"] = list(map(math.cos, headings)), list(map(math.sin, headings))
-    return poses.view(np.recarray)
+    return poses
 
 
 def _too_close(x: np.ndarray, y: np.ndarray, qx: np.ndarray, qy: np.ndarray, sep2: float) -> np.ndarray:
@@ -123,8 +123,8 @@ def _too_close(x: np.ndarray, y: np.ndarray, qx: np.ndarray, qy: np.ndarray, sep
 
 
 def step_mobility(
-    poses: np.recarray, config: ScenarioConfig, rng: np.random.Generator, n_steps: int = 1
-) -> np.recarray:
+    poses: np.ndarray, config: ScenarioConfig, rng: np.random.Generator, n_steps: int = 1
+) -> np.ndarray:
     """Advance every pose by `n_steps` slots; in each slot lower-indexed
     poses draw first. Gives the poses and draws of `n_steps` one-slot calls;
     each step makes a new array, and `poses` is not changed. `n_steps` is a
@@ -140,11 +140,10 @@ def step_mobility(
 
 
 def _advance_window(
-    poses: np.recarray, config: ScenarioConfig, rng: np.random.Generator, step: float, k: int
-) -> np.recarray:
+    start: np.ndarray, config: ScenarioConfig, rng: np.random.Generator, step: float, k: int
+) -> np.ndarray:
     """Advance every pose by k slots after one screen (see the module docstring)."""
     width, height = config.area_width_m, config.area_height_m
-    start = poses.view(np.ndarray)  # a plain view reads fields faster than the record array
     sx, sy = start["x"], start["y"]
     # one-slot moves, with the float operations of the exact check below
     dx, dy = step * start["cos"], step * start["sin"]
@@ -161,11 +160,9 @@ def _advance_window(
     out["x"], out["y"] = ex, ey
     moving = risky.nonzero()[0]
     if not moving.size:
-        return out.view(np.recarray)
+        return out
 
-    state = start[moving]
-    xs, ys, headings = state["x"].tolist(), state["y"].tolist(), state["heading"].tolist()
-    cos, sin = state["cos"].tolist(), state["sin"].tolist()
+    xs, ys, headings, cos, sin = map(list, zip(*start[moving].tolist()))  # the moving rows, one list per field
     for _ in range(k):
         for i in range(moving.size):  # in index order
             x, y, c, s = xs[i], ys[i], cos[i], sin[i]
@@ -179,6 +176,5 @@ def _advance_window(
                 headings[i] = heading = rng.uniform(0.0, 2.0 * math.pi)
                 cos[i] = c = math.cos(heading)
                 sin[i] = s = math.sin(heading)
-    for name, column in zip(_POSE.names, (xs, ys, headings, cos, sin)):
-        out[name][moving] = column
-    return out.view(np.recarray)
+    out[moving] = list(zip(xs, ys, headings, cos, sin))
+    return out

@@ -101,10 +101,11 @@ class _EpsilonGreedy:
         return actions, ~explore
 
     def _pattern_indices(self, actions: ArrayLike) -> np.ndarray:
-        # an action outside [0, 2**M) would wrap to another pattern or index another agent's row
+        # an action that is no integer in [0, 2**M) would be misread or index another agent's row
         actions = np.asarray(actions)
         values = actions.tolist()  # on a few values the builtins cost less than numpy's min and max
-        if min(values, default=0) < 0 or max(values, default=0) >= self.config.n_patterns:
+        bad = actions.dtype.kind not in "iu" or min(values, default=0) < 0
+        if bad or max(values, default=0) >= self.config.n_patterns:
             raise ValueError(f"actions must be pattern indices below {self.config.n_patterns}")
         return actions
 

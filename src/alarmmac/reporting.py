@@ -236,12 +236,16 @@ def _number(text: str) -> int | float:
 
 
 def parse_axis_value(axis: str, raw: str) -> Any:
-    """A sweep value from its command-line text, `LxS` for dnn_shape; the
-    config refuses a number its field does not take."""
-    if axis == "dnn_shape":
-        layers, size = raw.lower().split("x")
-        return (_number(layers), _number(size))
-    return _number(raw)
+    """A sweep value from its command-line text, `LxS` for dnn_shape. Other
+    text raises ValueError; the config refuses a number its field does not take."""
+    try:
+        if axis == "dnn_shape":
+            layers, size = raw.lower().split("x")
+            return (_number(layers), _number(size))
+        return _number(raw)
+    except ValueError:
+        expected = "LxS" if axis == "dnn_shape" else "a number"
+        raise ValueError(f"sweep axis {axis}: cannot read {raw!r} as {expected}") from None
 
 
 def _apply_axis(config: ScenarioConfig, axis: str, value: Any) -> ScenarioConfig:

@@ -14,6 +14,7 @@ import numpy as np  # noqa: E402
 import pytest
 
 from alarmmac.config import ScenarioConfig
+from alarmmac.geometry import _POSE
 
 
 class FixedPolicy:
@@ -49,11 +50,11 @@ def base_config():
     return ScenarioConfig(n_subnets=4, n_channels=2)
 
 
-def pose_array(records) -> np.recarray:
+def pose_array(records) -> np.ndarray:
     """Poses as `geometry` keeps them, from (x, y, heading) tuples: each
     carries its direction, the `math.cos` and `math.sin` of its heading."""
     rows = [(x, y, h, math.cos(h), math.sin(h)) for x, y, h in records]
-    return np.rec.fromrecords(rows, formats="f8,f8,f8,f8,f8", names="x,y,heading,cos,sin")
+    return np.array(rows, dtype=_POSE)
 
 
 def make_config(**kwargs) -> ScenarioConfig:

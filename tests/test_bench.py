@@ -1,19 +1,30 @@
 """The benchmark harness under bench/ imports and binds names of the
-library's layer modules; a change that removes one fails here, not only in
-every benchmark run."""
+library's layer modules and reads the poses and events they return; a change
+that removes a name, or a pose or event format the harness cannot read,
+fails here, not only in the benchmark's traced runs."""
 
 from pathlib import Path
 
-from alarmmac import learning
+import numpy as np
+import pytest
+
+from alarmmac import events, geometry, learning
+from conftest import make_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_benchmark_harness_imports_and_wraps_the_layer_modules(monkeypatch):
+@pytest.fixture
+def harness(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import tracer
     import workloads
 
+    return tracer, workloads
+
+
+def test_benchmark_harness_imports_and_wraps_the_layer_modules(harness):
+    tracer, workloads = harness
     original = learning.backward_stacked
     patch = tracer.install(tracer.Tracer(), workloads.HOOKS)
     try:
@@ -21,3 +32,35 @@ def test_benchmark_harness_imports_and_wraps_the_layer_modules(monkeypatch):
     finally:
         patch.apply(False)
     assert learning.backward_stacked is original
+
+
+def test_mobility_hook_counts_the_resampled_headings(harness):
+    tracer, workloads = harness
+    # 0.5 m per slot in a 6 m square: many poses reach a wall within 5 slots
+    cfg = make_config(n_subnets=8, area_width_m=6.0, area_height_m=6.0, speed_mps=100.0, slot_ms=5.0)
+    rng = np.random.default_rng(3)
+    before = geometry.place_uniform(cfg, rng)
+    after = geometry.step_mobility(before, cfg, rng, 5)
+    resampled = int(np.count_nonzero(before["heading"] != after["heading"]))
+    assert resampled > 0
+    phase = tracer.Phase()
+    workloads.HOOKS["geometry.step_mobility"](phase, (before, cfg, rng, 5), after)
+    assert phase.counters == {"resampled": resampled}
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_spawn_hook_counts_the_event_and_its_active_set(harness, threshold):
+    tracer, workloads = harness
+    # every pose activates at threshold 0; at threshold 1 only one at the epicenter
+    cfg = make_config(n_subnets=6, alpha=1.0, tx_threshold=threshold, activation_mode="threshold_only")
+    rng = np.random.default_rng(5)
+    poses = geometry.place_uniform(cfg, rng)
+    event = events.maybe_spawn_event(0, lambda: poses, rng, cfg)
+    assert len(event.active_set) == (6 if threshold == 0.0 else 0)
+    phase = tracer.Phase()
+    hook = workloads.HOOKS["events.maybe_spawn_event"]
+    hook(phase, (0, lambda: poses, rng, cfg), None)  # a slot without an event counts nothing
+    assert phase.counters == {}
+    hook(phase, (0, lambda: poses, rng, cfg), event)
+    expected = {"spawned": 1, "active_total": 6} if threshold == 0.0 else {"spawned": 1, "coverage_miss": 1}
+    assert phase.counters == expected

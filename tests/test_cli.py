@@ -72,6 +72,19 @@ def test_sweep_refuses_a_fractional_count_before_any_run(tmp_path, capsys, monke
     assert capsys.readouterr().err == f"error: {key}: must be an integer\n"
 
 
+@pytest.mark.parametrize(
+    "axis, text",
+    [("dnn_shape", "2x3x4"), ("dnn_shape", "23"), ("dnn_shape", "x3"), ("dnn_shape", "ax3"), ("eta", "abc")],
+)
+def test_sweep_refuses_unreadable_text_naming_the_axis_before_any_run(tmp_path, capsys, monkeypatch, axis, text):
+    monkeypatch.setattr(reporting, "run_experiment", lambda *args, **kwargs: pytest.fail("a sweep point ran"))
+    code = main(["sweep", "--config", write_config(tmp_path), "--axis", axis, "--values", text])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert axis in err and repr(text) in err
+    assert ("LxS" in err) == (axis == "dnn_shape")
+
+
 def test_analyze_stationary_table(capsys):
     code = main(["analyze", "--ps", "0.5", "--deadline", "3"])
     assert code == 0

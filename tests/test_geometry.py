@@ -23,6 +23,8 @@ def test_single_pose_inside_rectangle(rng):
     cfg = make_config(n_subnets=1)
     poses = place_uniform(cfg, rng)
     assert poses.dtype.names == ("x", "y", "heading", "cos", "sin") and poses.shape == (1,)
+    # a plain array, whose record dtype still gives its items attribute access
+    assert type(poses) is np.ndarray and poses.dtype.type is np.record
     (pose,) = poses
     assert 0 <= pose.x <= cfg.area_width_m and 0 <= pose.y <= cfg.area_height_m
     assert (pose.cos, pose.sin) == (math.cos(pose.heading), math.sin(pose.heading))
@@ -56,7 +58,7 @@ def test_packing_bound_accepts_what_fits(overrides):
     cfg = make_config(**overrides)
     poses = place_uniform(cfg, np.random.default_rng(0))
     if len(poses) == 2:
-        assert math.hypot(poses.x[1] - poses.x[0], poses.y[1] - poses.y[0]) >= 40.0
+        assert math.hypot(poses["x"][1] - poses["x"][0], poses["y"][1] - poses["y"][0]) >= 40.0
 
 
 def test_placement_gives_up_below_the_packing_bound(rng):
@@ -92,7 +94,7 @@ def test_containment_holds_over_many_slots():
     poses = place_uniform(cfg, rng)
     for _ in range(200):
         poses = step_mobility(poses, cfg, rng)
-        for x, y in zip(poses.x.tolist(), poses.y.tolist()):
+        for x, y in zip(poses["x"].tolist(), poses["y"].tolist()):
             assert 0 <= x <= cfg.area_width_m and 0 <= y <= cfg.area_height_m
 
 
@@ -249,7 +251,7 @@ def test_pair_exactly_at_the_separation_is_placed(later):
     for separation, placed in ((sep, True), (wider, False)):
         cfg = make_config(n_subnets=2, min_separation_m=separation)
         poses = place_uniform(cfg, np.random.default_rng(seed))
-        assert ((poses.x[1], poses.y[1]) == tuple(xy[later])) == placed
+        assert ((poses["x"][1], poses["y"][1]) == tuple(xy[later])) == placed
         assert_places_match(cfg, seed)
 
 
@@ -273,8 +275,8 @@ def test_close_pair_keeps_its_first_tries():
     state = rng.bit_generator.state
     stepped = stepped_apart(poses, cfg, rng, n_steps=3)
     assert rng.bit_generator.state == state  # nothing drawn
-    assert stepped.heading.tolist() == poses.heading.tolist()
-    assert stepped.x[0] > stepped.x[1]  # they passed through each other
+    assert stepped["heading"].tolist() == poses["heading"].tolist()
+    assert stepped["x"][0] > stepped["x"][1]  # they passed through each other
     assert_steps_match(poses, cfg, seed=5)
 
 
@@ -411,13 +413,13 @@ def test_wall_screen_is_exact_at_the_wall(k):
     state = rng.bit_generator.state
     stepped = stepped_apart(poses, cfg, rng, k)
     assert rng.bit_generator.state == state
-    assert (stepped.x[0], stepped.y[0], stepped.heading[0]) == (x, y, heading)
+    assert (stepped["x"][0], stepped["y"][0], stepped["heading"][0]) == (x, y, heading)
     for tight in (dict(area_width_m=math.nextafter(x, 0.0)), dict(area_height_m=math.nextafter(y, 0.0))):
         cfg = make_config(**{"n_subnets": 1, "area_width_m": x, "area_height_m": y, **tight})
         rng = np.random.default_rng(6)
         stepped_apart(poses, cfg, rng, k - 1)
         assert rng.bit_generator.state == state
-        assert stepped_apart(poses, cfg, rng, k).heading[0] != heading
+        assert stepped_apart(poses, cfg, rng, k)["heading"][0] != heading
         assert_multi_step_matches(poses, cfg, seed=6, n_steps=k)
 
 

@@ -295,13 +295,15 @@ def test_observe_leaves_every_other_agents_learner_state_unchanged():
         policy.end_event(agents[::2])
 
 
-@pytest.mark.parametrize("actions", [[5, 1], [-1, 1], [4, 0]])
+@pytest.mark.parametrize("actions", [[5, 1], [-1, 1], [4, 0], [1.5, 2.0], [True, False]])
 @pytest.mark.parametrize("kind", ["drl", "mapra"])
 def test_drl_observe_rejects_an_action_outside_the_patterns(kind, actions):
     # 4 patterns. DRL: agent 2's action 5 is bin 2 * 4 + 5 = 13, agent 3's
     # action 1, so an unchecked update would move agent 3's output row for
     # action 1 and leave agent 2's output layer as it was. MAP-RA: action -1
-    # would write agent 2's value of pattern 3, and action 4 raise IndexError
+    # would write agent 2's value of pattern 3, and action 4 raise IndexError.
+    # A float or bool action is no pattern index: DRL would store 1.5 and
+    # later sample it as pattern 1, and MAP-RA would raise IndexError
     cfg = make_config(policy_kind=kind, minibatch_size=4, replay_capacity=16)
     policy = make_policy(cfg, np.random.default_rng(4))
     state = learner_state if kind == "drl" else lambda p: {"q": p.q.copy(), "events": p.events.copy()}

@@ -3,9 +3,9 @@
 Each active agent trains its own tiny value network from replayed
 (context, action, reward) tuples, one clipped RMSProp step per contention
 slot; the population object `sim.policy` holds every agent's state, all
-its networks in one stack. This script watches the exploration schedule,
-the learning-rate decay, and the system training error over a single
-seeded run.
+its networks in one parameter block. This script watches the exploration
+schedule, the learning-rate decay, and the system training error over a
+single seeded run.
 """
 
 import numpy as np
@@ -51,7 +51,7 @@ print(f"replay memory: {fleet.replay.size[agent]}/{fleet.replay.capacity} tuples
 print("\n=== what the fleet learned ===")
 print("greedy pattern of every agent at a typical signature level:")
 context = np.full(cfg.n_channels, 0.25)
-values = forward_stacked(fleet.net, np.tile(context, (cfg.n_subnets, 1)))
+values = forward_stacked(fleet.params, cfg.layer_sizes, np.tile(context, (cfg.n_subnets, 1)))
 preferred = {}
 for n, best in enumerate(np.argmax(values, axis=1).tolist()):
     preferred.setdefault(best, []).append(n)

@@ -48,6 +48,8 @@ class AccessDistribution:
         object.__setattr__(self, "psi", psi)
         if psi.ndim != 2:
             raise ValueError("psi must be a 2-D matrix")
+        if psi.shape[1] < 2 or psi.shape[1] & (psi.shape[1] - 1):
+            raise ValueError(f"psi width must be a power of two of at least 2, got {psi.shape[1]}")
         if not _in_unit_interval(psi, _ROW_SUM_TOL):
             raise ValueError("psi entries must lie in [0, 1]")
         rows = psi.sum(axis=1)
@@ -56,10 +58,7 @@ class AccessDistribution:
 
     @property
     def n_channels(self) -> int:
-        m = int(round(math.log2(self.psi.shape[1])))
-        if (1 << m) != self.psi.shape[1]:
-            raise ValueError("psi width must be a power of two")
-        return m
+        return self.psi.shape[1].bit_length() - 1
 
 
 def uniform_access(n: int, n_channels: int) -> AccessDistribution:
@@ -293,6 +292,8 @@ def best_stationary_psi(
     """
     p = np.asarray(p, dtype=float)
     n = len(p)
+    if n_channels < 1:
+        raise ValueError(f"n_channels must be >= 1, got {n_channels}")
     if n > 3 or n_channels > 2:
         raise ValueError("grid search oracle limited to N <= 3, M <= 2")
     if not _in_unit_interval(p):

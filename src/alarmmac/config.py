@@ -26,6 +26,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -115,21 +116,21 @@ class ScenarioConfig:
             object.__setattr__(self, name, _typed(name, getattr(self, name)))
         _check_ranges(self)
 
-    @property
+    @cached_property
     def n_patterns(self) -> int:
         return 1 << self.n_channels
 
-    @property
+    @cached_property
     def minibatch(self) -> int:
         return self.minibatch_size if self.minibatch_size is not None else 30 * self.n_patterns
 
-    @property
+    @cached_property
     def replay(self) -> int:
         return self.replay_capacity if self.replay_capacity is not None else 100 * self.n_patterns
 
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.n_channels] + [self.dnn_hidden_size] * self.dnn_hidden_layers + [self.n_patterns]
+    @cached_property
+    def layer_sizes(self) -> tuple[int, ...]:
+        return (self.n_channels,) + (self.dnn_hidden_size,) * self.dnn_hidden_layers + (self.n_patterns,)
 
 
 _TUPLE_FIELDS = ("pathloss_abg_los", "pathloss_abg_nlos")
@@ -224,8 +225,7 @@ def _setup_bytes(cfg: ScenarioConfig) -> dict[str, int]:
         return {}
     if cfg.policy_kind is PolicyKind.MAP_RA:
         return {"n_channels": 8 * n * cfg.n_patterns}
-    sizes = cfg.layer_sizes
-    n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(cfg.layer_sizes, cfg.layer_sizes[1:]))
     hidden = cfg.dnn_hidden_layers * cfg.dnn_hidden_size
     footprint = {"n_subnets": 8 * 7 * n * n, "dnn_hidden_size": 8 * 7 * n * n_params}
     # a key left at its default grows with 2**n_channels

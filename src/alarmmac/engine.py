@@ -8,8 +8,8 @@ an alarm is live, one full contention round:
     featurize -> per-agent action selection -> collision resolution ->
     reward assignment -> one training update per active agent.
 
-Each round builds its active set once, as a distinct `np.intp` agent array,
-and hands that array to the link gains and to every population call.
+A live alarm's agents are one distinct `np.intp` array, built as it goes
+live; each of its rounds hands it to the link gains and every population call.
 
 The signature chain (link gains, pilots, broadcast, featurize) runs only for
 a policy that reads contexts (`reads_contexts`); a context-free policy gets
@@ -115,6 +115,7 @@ class Simulation:
         if self.policy.reads_contexts:
             self._snapshot_channel_state()
         self.event: AlarmEvent | None = None  # the live alarm, if any
+        self.event_agents = np.empty(0, dtype=np.intp)  # the live alarm's active set
         self.slot = 0
         self.trace = RunTrace()
         self.snr_linear = 10.0 ** (config.snr_avg_db / 10.0)
@@ -176,10 +177,10 @@ class Simulation:
             event = maybe_spawn_event(self.slot, lambda: self.poses, self.rng_events, cfg)
             # an event nobody detects is a coverage miss, not a delivery failure
             if event is not None and event.active_set:
-                self.event = event
+                self.event, self.event_agents = event, np.array(event.active_set, dtype=np.intp)
 
         if self.event is not None:
-            outcome = self._contention_round(self.event)
+            outcome = self._contention_round(self.event, self.event_agents)
             self.trace.n_contention_slots += 1
             self.trace.n_successful_slots += outcome.success
         else:
@@ -188,9 +189,8 @@ class Simulation:
         self.trace.n_slots = self.slot
         return outcome
 
-    def _contention_round(self, event: AlarmEvent) -> SlotOutcome:
-        cfg = self.config
-        active, age = np.array(event.active_set, dtype=np.intp), event.attempts
+    def _contention_round(self, event: AlarmEvent, active: np.ndarray) -> SlotOutcome:
+        cfg, age = self.config, event.attempts
         contexts = self._contexts(active) if self.policy.reads_contexts else None
         actions = self.policy.select_action(active, contexts, self.rng_explore)
         delivered = resolve_collisions(actions, cfg.n_channels)

@@ -13,11 +13,12 @@ steps on the globally norm-clipped gradient.
 Every kernel works on a stack of K networks of one shape, network k on its
 own minibatch, so one call trains all active agents:
 
-- A stack keeps its networks as one (K, P) float64 block. Row k holds
-  network k's parameters layer by layer, each layer's weights row-major and
-  then its biases. The per-layer weight and bias arrays are views into the
-  block. A gradient and the RMSProp averages are (K, P) blocks of the same
-  layout, and the clip and the RMSProp step change theirs in place.
+- A stack is one (K, P) float64 block, taken with its layer sizes. Row k
+  holds network k's parameters layer by layer, each layer's weights
+  row-major and then its biases; `layer_views` gives any such block's
+  per-layer weight and bias views. A gradient and the RMSProp averages are
+  blocks of the same layout, and the clip and the RMSProp step change
+  theirs in place.
 - The clipping norm is one sum of squares over each network's row.
 - The backward pass computes only the taken action's output of each
   minibatch row: the hidden layers run forward, and the row's value is the
@@ -38,11 +39,10 @@ as they add their terms in another order.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-# only bench/workloads.py calls grad_norm; it goes with ROADMAP direction 1
+# per layer, (weights, biases); only bench/workloads.py calls grad_norm, which goes with ROADMAP direction 1
 Grads = list[tuple[np.ndarray, np.ndarray]]
 
 
@@ -69,39 +69,33 @@ def _layout(layer_sizes: tuple[int, ...]) -> tuple[tuple[int, int, int, int, int
     return tuple(layers)
 
 
-class MlpStack:
-    """K networks of one shape as one (K, P) parameter block; the per-layer
-    arrays are views into it."""
+def layer_views(block: np.ndarray, layer_sizes: tuple[int, ...]) -> Grads:
+    """Per layer, the weight view (K, fan_out, fan_in) and the bias view
+    (K, fan_out) of a (K, P) block laid out for `layer_sizes`: parameters, a
+    gradient or RMSProp averages alike."""
+    layout = _layout(layer_sizes)
+    if block.shape[1] != layout[-1][-1]:
+        raise ValueError("parameter block width does not match layer sizes")
+    k = block.shape[0]
+    return [
+        (block[:, at_w:at_b].reshape(k, fan_out, fan_in), block[:, at_b:end])
+        for fan_in, fan_out, at_w, at_b, end in layout
+    ]
 
-    def __init__(self, params: np.ndarray, layer_sizes: Sequence[int]):
-        self.params = params
-        self.layer_sizes = tuple(layer_sizes)
-        self.layout = _layout(self.layer_sizes)
-        if params.shape[1] != self.layout[-1][-1]:
-            raise ValueError("parameter block width does not match layer sizes")
-        k = len(params)
-        # per layer, views of shape (K, fan_out, fan_in) and (K, fan_out)
-        self.weights = [
-            params[:, at_w:at_b].reshape(k, fan_out, fan_in) for fan_in, fan_out, at_w, at_b, _ in self.layout
-        ]
-        self.biases = [params[:, at_b:end] for _, _, _, at_b, end in self.layout]
 
-    @classmethod
-    def init(cls, layer_sizes: Sequence[int], n: int, rng: np.random.Generator) -> "MlpStack":
-        """n networks, each layer uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)],
-        drawn network by network and layer by layer, each layer's weights
-        row-major and then its biases.
-
-        That is the C order of the (n, P) parameter block, so one
-        ``rng.uniform(-bound, bound, size=(n, P))`` call, with each column's
-        bound, draws it: it makes the draws, and computes the values with
-        the expression ``low + (high - low) * next_double``, of one call per
-        layer's weights and one per its biases."""
-        layout = _layout(tuple(layer_sizes))
-        bound = np.empty(layout[-1][-1])
-        for fan_in, _, at_w, _, end in layout:
-            bound[at_w:end] = 1.0 / np.sqrt(fan_in)
-        return cls(rng.uniform(-bound, bound, size=(n, len(bound))), layer_sizes)
+def init_params(layer_sizes: tuple[int, ...], n: int, rng: np.random.Generator) -> np.ndarray:
+    """The (n, P) block of n networks, each layer uniform in
+    [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn network by network and layer by
+    layer, each layer's weights row-major and then its biases: the block's C
+    order. So one ``rng.uniform(-bound, bound, size=(n, P))`` call, with each
+    column's bound, makes the draws, and computes the values with the
+    expression ``low + (high - low) * next_double``, of one call per layer's
+    weights and one per its biases."""
+    layout = _layout(layer_sizes)
+    bound = np.empty(layout[-1][-1])
+    for fan_in, _, at_w, _, end in layout:
+        bound[at_w:end] = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-bound, bound, size=(n, len(bound)))
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,11 +104,11 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.shape[-1] == 1 else np.matmul(a, b)
 
 
-def _hidden_stacked(stack: MlpStack, x: np.ndarray) -> list[np.ndarray]:
+def _hidden_stacked(layers: Grads, x: np.ndarray) -> list[np.ndarray]:
     """Activations of the input and of each hidden layer for one batch
     (K, B, M) per network."""
     acts = [x]
-    for w, b in zip(stack.weights[:-1], stack.biases[:-1]):
+    for w, b in layers[:-1]:
         h = _contract(acts[-1], w.transpose(0, 2, 1))
         h += b[:, None, :]
         np.maximum(h, 0.0, out=h)
@@ -122,60 +116,65 @@ def _hidden_stacked(stack: MlpStack, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _outputs_stacked(stack: MlpStack, x: np.ndarray) -> np.ndarray:
+def _outputs_stacked(layers: Grads, x: np.ndarray) -> np.ndarray:
     """All 2**M outputs for one batch (K, B, M) per network: (K, B, 2**M)."""
-    out = _contract(_hidden_stacked(stack, x)[-1], stack.weights[-1].transpose(0, 2, 1))
-    out += stack.biases[-1][:, None, :]
+    w, b = layers[-1]
+    out = _contract(_hidden_stacked(layers, x)[-1], w.transpose(0, 2, 1))
+    out += b[:, None, :]
     return out
 
 
-def forward_stacked(stack: MlpStack, contexts: np.ndarray) -> np.ndarray:
+def forward_stacked(params: np.ndarray, layer_sizes: tuple[int, ...], contexts: np.ndarray) -> np.ndarray:
     """Action values of network k for context k: (K, M) -> (K, 2**M)."""
     x = np.asarray(contexts, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("context must be finite")
-    return _outputs_stacked(stack, x[:, None, :])[:, 0]
+    return _outputs_stacked(layer_views(params, layer_sizes), x[:, None, :])[:, 0]
 
 
-def backward_stacked(stack: MlpStack, batch: StackedBatch) -> tuple[np.ndarray, np.ndarray]:
+def backward_stacked(
+    params: np.ndarray, layer_sizes: tuple[int, ...], batch: StackedBatch
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient of network k's taken-action squared loss on minibatch
     k; returns (grads, per-network loss).
 
-    The gradient is a (K, P) block laid out like `stack.params`. Only the
-    taken action's output is computed for each row.
+    The gradient is a (K, P) block laid out like `params`. Only the taken
+    action's output is computed for each row.
     """
     contexts, actions, rewards = batch
     n_nets, b_size = rewards.shape
     if b_size == 0:
         raise ValueError("empty minibatch")
-    acts = _hidden_stacked(stack, contexts)
+    layers = layer_views(params, layer_sizes)
+    acts = _hidden_stacked(layers, contexts)
     hidden = acts[-1]  # (K, B, H)
-    n_hidden, n_out, at_w, at_b, end = stack.layout[-1]
+    n_hidden, n_out = layer_sizes[-2:]
+    w_out, b_out = layers[-1]
     # each row's (network, taken action) bin, the flat index of its output
     bins = np.arange(n_nets)[:, None] * n_out + actions
-    w_taken = stack.weights[-1].reshape(n_nets * n_out, n_hidden).take(bins, axis=0)  # (K, B, H)
-    residual = np.einsum("kbh,kbh->kb", hidden, w_taken) + stack.biases[-1].take(bins) - rewards
+    w_taken = w_out.reshape(n_nets * n_out, n_hidden).take(bins, axis=0)  # (K, B, H)
+    residual = np.einsum("kbh,kbh->kb", hidden, w_taken) + b_out.take(bins) - rewards
     d_taken = 2.0 * residual / b_size
 
-    grads = np.empty(stack.params.shape)
+    grads = np.empty(params.shape)
+    g_layers = layer_views(grads, layer_sizes)
     flat_bins = bins.reshape(-1)
 
     def per_bin(terms: np.ndarray) -> np.ndarray:
         """Each (network, action) bin's sum of `terms`, in minibatch order."""
         return np.bincount(flat_bins, weights=terms.reshape(-1), minlength=n_nets * n_out).reshape(n_nets, n_out)
 
-    grads[:, at_b:end] = per_bin(d_taken)
-    out_weights = grads[:, at_w:at_b].reshape(n_nets, n_out, n_hidden)
+    gw_out, gb_out = g_layers[-1]
+    gb_out[...] = per_bin(d_taken)
     for j in range(n_hidden):
-        out_weights[:, :, j] = per_bin(d_taken * hidden[:, :, j])
+        gw_out[:, :, j] = per_bin(d_taken * hidden[:, :, j])
     delta = d_taken[:, :, None] * w_taken
     delta *= hidden > 0.0
-    for i in range(len(stack.layout) - 2, -1, -1):
-        fan_in, fan_out, at_w, at_b, end = stack.layout[i]
-        np.matmul(delta.transpose(0, 2, 1), acts[i], out=grads[:, at_w:at_b].reshape(n_nets, fan_out, fan_in))
-        np.add.reduce(delta, 1, out=grads[:, at_b:end])
+    for i in range(len(layers) - 2, -1, -1):
+        np.matmul(delta.transpose(0, 2, 1), acts[i], out=g_layers[i][0])
+        np.add.reduce(delta, 1, out=g_layers[i][1])
         if i > 0:
-            delta = _contract(delta, stack.weights[i])
+            delta = _contract(delta, layers[i][0])
             delta *= acts[i] > 0.0
     return grads, np.add.reduce(np.square(residual), 1) / b_size
 

@@ -146,9 +146,10 @@ class MapRaPopulation(_EpsilonGreedy):
 
 class DrlPopulation(_EpsilonGreedy):
     """Network policy: each agent is epsilon-greedy over its own learned
-    action values. The networks and their RMSProp averages `sq` are one block
-    each, the learning rates one array `lr` and the replay memories one set
-    of rings, so a slot's arithmetic runs once over all active agents.
+    action values. The networks `params` and their RMSProp averages `sq` are
+    one (N, P) block each, the learning rates one array `lr` and the replay
+    memories one set of rings, so a slot's arithmetic runs once over all
+    active agents.
 
     Each observed tuple is pushed to its agent's replay, then one clipped
     RMSProp step is taken on a minibatch from it: `replay.pushes` also
@@ -162,16 +163,15 @@ class DrlPopulation(_EpsilonGreedy):
     def __init__(self, config: ScenarioConfig, init_rng: np.random.Generator):
         super().__init__(config)
         # per agent, in agent order, so the initial weights are those of N separate draws
-        self.net = learning.MlpStack.init(config.layer_sizes, config.n_subnets, init_rng)
-        self.sq = np.zeros_like(self.net.params)  # (N, P)
+        self.params = learning.init_params(config.layer_sizes, config.n_subnets, init_rng)
+        self.sq = np.zeros_like(self.params)
         self.lr = np.full(config.n_subnets, config.lr_initial)  # (N,)
         self.replay = learning.StackedReplay(config.n_subnets, config.replay, config.n_channels)
 
     def select_action(self, agents: np.ndarray, contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         actions, greedy = self._explore(agents, rng)
         if greedy.any():
-            net = learning.MlpStack(self.net.params[agents[greedy]], self.net.layer_sizes)
-            values = learning.forward_stacked(net, contexts[greedy])
+            values = learning.forward_stacked(self.params[agents[greedy]], self.config.layer_sizes, contexts[greedy])
             # first maximum, so ties break to the lowest index
             actions[greedy] = values.argmax(axis=1)
         return actions
@@ -182,11 +182,11 @@ class DrlPopulation(_EpsilonGreedy):
         self.replay.push(agents, contexts, actions, rewards)  # checks that contexts and rewards are finite
         batch = self.replay.sample(agents, cfg.minibatch, rng)
         # the agents' rows, gathered once, stepped in place and written back
-        params, sq = self.net.params[agents], self.sq[agents]
-        grads, losses = learning.backward_stacked(learning.MlpStack(params, self.net.layer_sizes), batch)
+        params, sq = self.params[agents], self.sq[agents]
+        grads, losses = learning.backward_stacked(params, cfg.layer_sizes, batch)
         learning.clip_gradient_stacked(grads, cfg.clip_threshold)
         learning.rmsprop_step_stacked(params, sq, self.lr[agents], grads, cfg.rms_decay, cfg.rms_smoothing)
-        self.net.params[agents] = params
+        self.params[agents] = params
         self.sq[agents] = sq
         return losses
 

@@ -249,14 +249,12 @@ def parse_axis_value(axis: str, raw: str) -> Any:
 
 
 def _apply_axis(config: ScenarioConfig, axis: str, value: Any) -> ScenarioConfig:
-    """`config` at one sweep value; a value its field does not take raises
-    ConfigError naming the key."""
+    """`config` at one value of an axis that `sweep` has checked; a value its
+    field does not take raises ConfigError naming the key."""
     if axis == "dnn_shape":
         layers, size = value
         return replace(config, dnn_hidden_layers=layers, dnn_hidden_size=size)
-    if axis in ("n_subnets", "n_channels", "eta"):
-        return replace(config, **{axis: value})
-    raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    return replace(config, **{axis: value})
 
 
 def _axis_label(axis: str, value: Any) -> str:
@@ -276,7 +274,9 @@ def sweep(
     """One experiment per (axis value, policy), with common random numbers.
 
     Every policy at a given sweep point runs the same seed list, so policy
-    comparisons see identical placement, mobility, and event draws.
+    comparisons see identical placement, mobility, and event draws:
+    `run_experiment` derives it from `rng_seed` and `n_runs`, which neither
+    the axis nor the policy changes.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
@@ -289,10 +289,8 @@ def sweep(
     points = [(value, _apply_axis(base_config, axis, value)) for value in values]  # every value checked first
     rows: list[tuple[str, str, ExperimentResult]] = []
     for value, point_cfg in points:
-        seeds = [derive_run_seed(point_cfg.rng_seed, i) for i in range(point_cfg.n_runs)]
         for kind in kinds:
-            cfg = replace(point_cfg, policy_kind=kind)
-            result = run_experiment(cfg, seeds=seeds, until_events=until_events)
+            result = run_experiment(replace(point_cfg, policy_kind=kind), until_events=until_events)
             rows.append((_axis_label(axis, value), kind.value, result))
 
     if out_dir is not None:

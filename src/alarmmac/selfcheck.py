@@ -94,19 +94,19 @@ KINK_MARGIN = 1e-4  # ten times the finite-difference step
 
 
 def finite_difference_gradient(
-    stack: learning.MlpStack, batch: learning.StackedBatch, step: float = 1e-5
+    params: np.ndarray, layer_sizes: tuple[int, ...], batch: learning.StackedBatch, step: float = 1e-5
 ) -> np.ndarray:
     """Central finite differences of each network's loss, laid out like the
-    stack's (K, P) block. Network k's loss reads only row k, so one bump of
-    column j of the whole block serves all K networks. The stack is restored."""
-    theta = stack.params.copy()
+    (K, P) block `params`. Network k's loss reads only row k, so one bump of
+    column j of the whole block serves all K networks. The block is restored."""
+    theta = params.copy()
     numeric = np.zeros_like(theta)
     for j in range(theta.shape[1]):
-        stack.params[:, j] = theta[:, j] + step
-        _, up = learning.backward_stacked(stack, batch)
-        stack.params[:, j] = theta[:, j] - step
-        _, down = learning.backward_stacked(stack, batch)
-        stack.params[:, j] = theta[:, j]
+        params[:, j] = theta[:, j] + step
+        _, up = learning.backward_stacked(params, layer_sizes, batch)
+        params[:, j] = theta[:, j] - step
+        _, down = learning.backward_stacked(params, layer_sizes, batch)
+        params[:, j] = theta[:, j]
         numeric[:, j] = (up - down) / (2 * step)
     return numeric
 
@@ -117,30 +117,31 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     return np.max(np.abs(analytic - numeric) / denom, axis=1)
 
 
-def gradient_error(stack: learning.MlpStack, batch: learning.StackedBatch) -> np.ndarray:
+def gradient_error(params: np.ndarray, layer_sizes: tuple[int, ...], batch: learning.StackedBatch) -> np.ndarray:
     """Relative error of each network's `learning.backward_stacked` gradient
     against finite differences: (K,)."""
-    grads, _ = learning.backward_stacked(stack, batch)
-    return relative_error(grads, finite_difference_gradient(stack, batch))
+    grads, _ = learning.backward_stacked(params, layer_sizes, batch)
+    return relative_error(grads, finite_difference_gradient(params, layer_sizes, batch))
 
 
-def random_model_batch(rng: np.random.Generator, max_batch: int) -> tuple[learning.MlpStack, learning.StackedBatch]:
-    """A stack of three networks of 1-3 channels with 1-2 hidden layers of
-    1-4 units, and a minibatch of 1 to `max_batch` tuples for each."""
-    m = int(rng.integers(1, 4))
-    hidden = int(rng.integers(1, 5))
-    depth = int(rng.integers(1, 3))
-    stack = learning.MlpStack.init([m] + [hidden] * depth + [1 << m], 3, rng)
+def random_model_batch(
+    rng: np.random.Generator, max_batch: int
+) -> tuple[np.ndarray, tuple[int, ...], learning.StackedBatch]:
+    """Three networks of 1-3 channels with 1-2 hidden layers of 1-4 units, as
+    a block and its layer sizes, and a minibatch of 1 to `max_batch` each."""
+    m, hidden, depth = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 3))
+    sizes = (m,) + (hidden,) * depth + (1 << m,)
+    params = learning.init_params(sizes, 3, rng)
     b = int(rng.integers(1, max_batch + 1))
     batch = (rng.random((3, b, m)), rng.integers(0, 1 << m, (3, b)), rng.standard_normal((3, b)))
-    return stack, batch
+    return params, sizes, batch
 
 
-def kink_distance(stack: learning.MlpStack, contexts: np.ndarray) -> np.ndarray:
+def kink_distance(params: np.ndarray, layer_sizes: tuple[int, ...], contexts: np.ndarray) -> np.ndarray:
     """Smallest |pre-activation| of a rectifier unit over each network's
     contexts (K, B, M): (K,)."""
     h, nearest = contexts, np.full(len(contexts), np.inf)
-    for w, b in zip(stack.weights[:-1], stack.biases[:-1]):
+    for w, b in learning.layer_views(params, layer_sizes)[:-1]:
         z = np.matmul(h, w.transpose(0, 2, 1)) + b[:, None, :]
         nearest = np.minimum(nearest, np.abs(z).min(axis=(1, 2)))
         h = np.maximum(z, 0.0)
@@ -154,9 +155,9 @@ def worst_gradient_error(rng: np.random.Generator, n_stacks: int, max_batch: int
     estimate the gradient."""
     worst, skipped = 0.0, 0
     for _ in range(n_stacks):
-        stack, batch = random_model_batch(rng, max_batch)
-        errors = gradient_error(stack, batch)
-        near = kink_distance(stack, batch[0]) < KINK_MARGIN
+        params, sizes, batch = random_model_batch(rng, max_batch)
+        errors = gradient_error(params, sizes, batch)
+        near = kink_distance(params, sizes, batch[0]) < KINK_MARGIN
         skipped += int(near.sum())
         worst = max(worst, float(errors[~near].max(initial=0.0)))
     return worst, skipped

@@ -14,6 +14,7 @@ import numpy as np  # noqa: E402
 import pytest
 
 from alarmmac.config import ScenarioConfig
+from alarmmac.events import AlarmEvent
 from alarmmac.geometry import _POSE
 
 
@@ -45,6 +46,18 @@ class FixedPolicy:
             self.events_ended[n] += 1
 
 
+# the contention scenario: several agents per alarm, each detecting it
+# (alpha = 1, threshold activation), and D = 2
+CONTENTION = {
+    "n_channels": 3,
+    "alpha": 1.0,
+    "eta": 0.06,
+    "tx_threshold": 0.3,
+    "activation_mode": "threshold_only",
+    "deadline_slots": 2,
+}
+
+
 @pytest.fixture
 def base_config():
     return ScenarioConfig(n_subnets=4, n_channels=2)
@@ -66,6 +79,14 @@ def make_config(**kwargs) -> ScenarioConfig:
 def agent_array(*agents: int) -> np.ndarray:
     """Distinct agents as a population takes them: one `np.intp` array."""
     return np.array(agents, dtype=np.intp)
+
+
+def inject_event(sim, active) -> AlarmEvent:
+    """Make an alarm with active set `active` live in `sim`, as its slot
+    loop does on a spawn: the event and its agents as one array."""
+    sim.event = AlarmEvent(epicenter=(25.0, 25.0), birth_slot=sim.slot, active_set=tuple(active))
+    sim.event_agents = agent_array(*active)
+    return sim.event
 
 
 @pytest.fixture

@@ -38,26 +38,24 @@ two minutes.
 import argparse
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
 from typing import Sequence
 
-# one BLAS thread, set before numpy loads: the crowded scenarios' shadowing
-# Cholesky differs in its last bits between thread counts
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
-os.environ["OMP_NUM_THREADS"] = "1"
-
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
+# before numpy, as under pytest: conftest pins one BLAS thread, and the
+# crowded scenarios' shadowing Cholesky differs in its last bits between
+# thread counts
+import conftest  # noqa: E402, F401
 import numpy as np  # noqa: E402
 
 from alarmmac.config import PolicyKind, ScenarioConfig, config_from_dict  # noqa: E402
 from alarmmac.reporting import paired_difference, run_experiment  # noqa: E402
 
-from test_acceptance import CONTENTION  # noqa: E402
+from test_acceptance import CRITERIA_PRESET  # noqa: E402
 from test_golden import GOLDEN, SCENARIOS  # noqa: E402
 
 DATA = HERE / "data" / "epoch_statistics.json"
@@ -78,9 +76,9 @@ def cases():
         keys, slots = SCENARIOS[scenario]
         config = config_from_dict({**keys, **runs, "policy_kind": policy, "n_slots": slots})
         out[f"golden {scenario} {policy}"] = (config, None)
-    out["criterion 6 drl"] = (ScenarioConfig(n_subnets=10, policy_kind="drl", **CONTENTION, **runs), 2000)
+    out["criterion 6 drl"] = (ScenarioConfig(n_subnets=10, policy_kind="drl", **CRITERIA_PRESET, **runs), 2000)
     for policy in POLICIES:
-        config = ScenarioConfig(n_subnets=20, policy_kind=policy, **CONTENTION, **runs)
+        config = ScenarioConfig(n_subnets=20, policy_kind=policy, **CRITERIA_PRESET, **runs)
         out[f"criterion 7 {policy}"] = (config, 300)
     return out
 

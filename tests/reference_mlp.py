@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from alarmmac.learning import MlpStack
+from alarmmac.learning import layer_views
 
 Batch = tuple[np.ndarray, np.ndarray, np.ndarray]  # contexts (B, M), actions (B,), rewards (B,)
 Grads = list[tuple[np.ndarray, np.ndarray]]
@@ -138,12 +138,12 @@ def grads_to_vector(grads: Grads) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def stack_of(models: list[Mlp]) -> MlpStack:
-    """The networks as one stack, row k a copy of network k."""
-    sizes = [models[0].weights[0].shape[1]] + [w.shape[0] for w in models[0].weights]
-    return MlpStack(np.stack([params_to_vector(m) for m in models]), sizes)
+def stack_of(models: list[Mlp]) -> np.ndarray:
+    """The networks as one (K, P) block, row k a copy of network k."""
+    return np.stack([params_to_vector(m) for m in models])
 
 
-def model_of(stack: MlpStack, k: int) -> Mlp:
-    """Network k of the stack, its arrays views into the stack."""
-    return Mlp(weights=[w[k] for w in stack.weights], biases=[b[k] for b in stack.biases])
+def model_of(block: np.ndarray, layer_sizes: tuple[int, ...], k: int) -> Mlp:
+    """Network k of the block, its arrays views into the block."""
+    layers = layer_views(block, layer_sizes)
+    return Mlp(weights=[w[k] for w, _ in layers], biases=[b[k] for _, b in layers])

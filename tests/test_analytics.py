@@ -83,6 +83,17 @@ class TestSuccessProbability:
         with pytest.raises(ValueError, match="psi entries"):
             AccessDistribution(np.array([[np.nan, 1.0]]))
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_access_matrix_of_no_whole_channel_count_rejected(self, width):
+        # width 1 would be M = 0 channels, on which the enumeration returned
+        # 0.0 and the dynamic programme failed on a raw reshape
+        with pytest.raises(ValueError, match="psi width must be a power of two of at least 2"):
+            AccessDistribution(np.full((2, width), 1.0 / width))
+
+    def test_grid_search_refuses_zero_channels_naming_them(self):
+        with pytest.raises(ValueError, match="n_channels must be >= 1"):
+            best_stationary_psi(np.array([0.5]), 0, 2)
+
     def test_nan_activation_rejected(self):
         with pytest.raises(ValueError, match="activation probabilities"):
             success_probability_bruteforce([0.5, np.nan], uniform_access(2, 2))

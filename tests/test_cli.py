@@ -171,9 +171,9 @@ def failed_checks():
 def test_selftest_catches_a_wrong_stacked_gradient(monkeypatch):
     backward = learning.backward_stacked
 
-    def doubled_output_bias(stack, batch):
-        grads, losses = backward(stack, batch)
-        learning.MlpStack(grads, stack.layer_sizes).biases[-1][...] *= 2.0
+    def doubled_output_bias(params, layer_sizes, batch):
+        grads, losses = backward(params, layer_sizes, batch)
+        learning.layer_views(grads, layer_sizes)[-1][1][...] *= 2.0
         return grads, losses
 
     monkeypatch.setattr(learning, "backward_stacked", doubled_output_bias)

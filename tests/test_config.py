@@ -239,7 +239,7 @@ def test_setup_estimate_bounds_the_allocation_peak(minibatch, replay):
         )
         sim = Simulation(cfg, seed=1)
         for _ in range(3):
-            sim._contention_round(AlarmEvent((25.0, 25.0), 0, tuple(range(n_subnets))))
+            sim._contention_round(AlarmEvent((25.0, 25.0), 0, tuple(range(n_subnets))), np.arange(n_subnets))
         return cfg
 
     contend(4)  # what numpy loads on first use is no array of the run
@@ -347,6 +347,23 @@ def test_replace_validates():
     assert replace(cfg, eta=0.3).eta == 0.3
     with pytest.raises(ConfigError):
         replace(cfg, alpha=1.5)
+
+
+def test_derived_sizes_computed_once_and_anew_by_replace():
+    cfg = ScenarioConfig(n_subnets=2, n_channels=2, dnn_hidden_size=3)
+    serialized, fingerprint = serialize_config(cfg), config_fingerprint(cfg)
+    assert cfg.layer_sizes == (2, 3, 3, 4) and type(cfg.layer_sizes) is tuple
+    assert (cfg.n_patterns, cfg.minibatch, cfg.replay) == (4, 120, 400)
+    # each is computed on its first read and kept with the config
+    assert {"n_patterns", "minibatch", "replay", "layer_sizes"} <= vars(cfg).keys()
+    assert cfg.layer_sizes is cfg.layer_sizes
+    wider = replace(cfg, n_channels=3)
+    assert wider.layer_sizes == (3, 3, 3, 8)
+    assert (wider.n_patterns, wider.minibatch, wider.replay) == (8, 240, 800)
+    # the kept sizes are no fields: the serialized form, the fingerprint and equality ignore them
+    assert serialize_config(cfg) == serialized and config_fingerprint(cfg) == fingerprint
+    back = replace(wider, n_channels=2)
+    assert back == cfg and config_fingerprint(back) == fingerprint and back.layer_sizes == cfg.layer_sizes
 
 
 def test_derive_stream_deterministic():

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from alarmmac import channel, engine, selfcheck
-from alarmmac.config import ActivationMode, PolicyKind, config_from_dict, derive_stream
+from alarmmac.config import PolicyKind, config_from_dict, derive_stream
 from alarmmac.engine import Simulation, resolve_collisions
-from alarmmac.events import AlarmEvent, maybe_spawn_event
+from alarmmac.events import maybe_spawn_event
 from alarmmac.geometry import step_mobility
 from alarmmac.policies import DrlPopulation, MapRaPopulation, RchPopulation
-from conftest import FixedPolicy, make_config
-from test_acceptance import CONTENTION
+from conftest import CONTENTION, FixedPolicy, inject_event, make_config
 from test_golden import GOLDEN, SCENARIOS
 
 
@@ -44,11 +43,6 @@ def quiet_world(**overrides):
     overrides.setdefault("policy_kind", PolicyKind.RCH)
     sim = Simulation(make_config(**overrides), seed=1)
     return sim
-
-
-def inject_event(sim, active):
-    sim.event = AlarmEvent(epicenter=(25.0, 25.0), birth_slot=sim.slot, active_set=tuple(active))
-    return sim.event
 
 
 def test_no_live_alarm_means_no_policy_calls():
@@ -201,11 +195,7 @@ def test_delivered_event_has_successful_outcome_in_window():
 
 def test_run_record_retains_little_per_contention_slot():
     # the contention scenario: every slot contends
-    cfg = make_config(
-        n_subnets=20, n_channels=3, n_slots=1000, alpha=1.0, eta=0.06, tx_threshold=0.3,
-        activation_mode=ActivationMode.THRESHOLD_ONLY, deadline_slots=2,
-        policy_kind=PolicyKind.RCH,
-    )
+    cfg = make_config(n_subnets=20, n_slots=1000, policy_kind=PolicyKind.RCH, **CONTENTION)
     tracemalloc.start()
     try:
         trace = Simulation(cfg, seed=2).run()
@@ -287,7 +277,8 @@ def test_a_round_hands_one_agent_array_to_the_gains_and_every_population_call(mo
     sim = Simulation(make_config(n_subnets=20, policy_kind=PolicyKind.DRL, **CONTENTION), seed=4)
     gains = []
     sim._link_gains = counting(gains, sim._link_gains)
-    ended = 0
+    ended = repeated = 0
+    live = None  # the agent array of the event still live after the last round
     for _ in range(30):
         seen.clear()
         gains.clear()
@@ -299,8 +290,13 @@ def test_a_round_hands_one_agent_array_to_the_gains_and_every_population_call(mo
         handed = [args[1] for args in seen]
         assert all(agents is active for agents in handed) and active.dtype == np.intp
         assert len(handed) == (3 if sim.event is None else 2)
+        # every round of one event is handed the array built when it went live
+        if live is not None:
+            assert active is live
+            repeated += 1
+        live = None if sim.event is None else active
         ended += sim.event is None
-    assert ended > 1
+    assert ended > 1 and repeated > 1
 
 
 @pytest.mark.parametrize("policy", ["drl", "mapra", "rch"])

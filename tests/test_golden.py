@@ -34,14 +34,7 @@ import pytest
 from alarmmac.config import config_from_dict
 from alarmmac.engine import Simulation
 
-CONTENTION = {
-    "n_channels": 3,
-    "alpha": 1.0,
-    "eta": 0.06,
-    "tx_threshold": 0.3,
-    "activation_mode": "threshold_only",
-    "deadline_slots": 2,
-}
+from conftest import CONTENTION
 
 # name -> (config keys, slots)
 SCENARIOS = {

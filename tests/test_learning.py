@@ -6,21 +6,24 @@ import pytest
 from alarmmac import learning, selfcheck
 from alarmmac.config import ScenarioConfig
 from alarmmac.learning import (
-    MlpStack,
     StackedReplay,
     backward_stacked,
     clip_gradient_stacked,
     forward_stacked,
     grad_norm_stacked,
+    init_params,
+    layer_views,
     rmsprop_step_stacked,
 )
 
 import reference_mlp as ref
 
 
-def zero_stack(layer_sizes, k=1):
+def zero_block(layer_sizes, k=1):
+    """A (K, P) block of zeros for `layer_sizes`, and its per-layer (weight, bias) views."""
     width = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
-    return MlpStack(np.zeros((k, width)), layer_sizes)
+    block = np.zeros((k, width))
+    return block, layer_views(block, layer_sizes)
 
 
 def one_layer(gw, gb):
@@ -35,91 +38,94 @@ def clipped_copy(g, beta0):
     return out
 
 
-def fitted_values(stack, contexts, actions):
+def fitted_values(params, sizes, contexts, actions):
     """Each network's taken-action values on its own contexts (K, B, M)."""
-    values = learning._outputs_stacked(stack, contexts)
+    values = learning._outputs_stacked(layer_views(params, sizes), contexts)
     return np.take_along_axis(values, actions[..., None], axis=2)[..., 0]
 
 
 def test_forward_all_zero_parameters():
-    stack = zero_stack([2, 1, 1, 4])
-    assert np.array_equal(forward_stacked(stack, np.array([[0.3, 0.7]])), np.zeros((1, 4)))
+    params, _ = zero_block((2, 1, 1, 4))
+    assert np.array_equal(forward_stacked(params, (2, 1, 1, 4), np.array([[0.3, 0.7]])), np.zeros((1, 4)))
 
 
 def test_forward_dead_unit_leaves_output_biases():
-    stack = zero_stack([1, 1, 2])
-    stack.weights[0][0, 0, 0] = 1.0
-    stack.biases[0][0, 0] = -1.0  # pre-activation is -1 for zero input: rectifier emits 0
-    stack.biases[1][0] = [0.25, -0.75]
-    assert np.array_equal(forward_stacked(stack, np.array([[0.0]]))[0], [0.25, -0.75])
+    params, ((w0, b0), (_, b1)) = zero_block((1, 1, 2))
+    w0[0, 0, 0] = 1.0
+    b0[0, 0] = -1.0  # pre-activation is -1 for zero input: rectifier emits 0
+    b1[0] = [0.25, -0.75]
+    assert np.array_equal(forward_stacked(params, (1, 1, 2), np.array([[0.0]]))[0], [0.25, -0.75])
 
 
 def test_forward_matches_hand_evaluation():
     # one input, two hidden units, two outputs, worked by hand
-    stack = zero_stack([1, 2, 2])
-    stack.weights[0][0, :, 0] = [2.0, -1.0]
-    stack.biases[0][0] = [0.5, 0.25]
-    stack.weights[1][0] = [[1.0, 3.0], [-2.0, 0.5]]
-    stack.biases[1][0] = [0.1, -0.2]
+    params, ((w0, b0), (w1, b1)) = zero_block((1, 2, 2))
+    w0[0, :, 0] = [2.0, -1.0]
+    b0[0] = [0.5, 0.25]
+    w1[0] = [[1.0, 3.0], [-2.0, 0.5]]
+    b1[0] = [0.1, -0.2]
     x = 0.4
     h1 = max(2.0 * x + 0.5, 0.0)  # 1.3
     h2 = max(-1.0 * x + 0.25, 0.0)  # 0.0 (dead)
     out0 = 1.0 * h1 + 3.0 * h2 + 0.1
     out1 = -2.0 * h1 + 0.5 * h2 - 0.2
-    got = forward_stacked(stack, np.array([[x]]))[0]
+    got = forward_stacked(params, (1, 2, 2), np.array([[x]]))[0]
     assert abs(got[0] - out0) < 1e-12 and abs(got[1] - out1) < 1e-12
 
 
 def test_forward_rejects_nonfinite_input():
-    stack = zero_stack([2, 1, 4], k=2)
+    params, _ = zero_block((2, 1, 4), k=2)
     with pytest.raises(ValueError):
-        forward_stacked(stack, np.array([[0.5, 0.0], [np.nan, 0.0]]))
+        forward_stacked(params, (2, 1, 4), np.array([[0.5, 0.0], [np.nan, 0.0]]))
 
 
 def test_stacked_forward_rejects_nonfinite_input():
-    stack = zero_stack([2, 1, 4])
+    params, _ = zero_block((2, 1, 4))
     with pytest.raises(ValueError):
-        forward_stacked(stack, np.array([[np.nan, 0.0]]))
+        forward_stacked(params, (2, 1, 4), np.array([[np.nan, 0.0]]))
 
 
 def test_loss_cases():
     rng = np.random.default_rng(0)
-    stack = MlpStack.init([1, 2, 2], 1, rng)
+    sizes = (1, 2, 2)
+    params = init_params(sizes, 1, rng)
     ctx = rng.random((1, 3, 1))
     actions = np.array([[0, 1, 0]])
-    fitted = fitted_values(stack, ctx, actions)
-    assert backward_stacked(stack, (ctx, actions, fitted))[1][0] == 0.0
+    fitted = fitted_values(params, sizes, ctx, actions)
+    assert backward_stacked(params, sizes, (ctx, actions, fitted))[1][0] == 0.0
 
-    zs = zero_stack([1, 1, 2])
-    assert backward_stacked(zs, (np.zeros((1, 1, 1)), np.array([[0]]), np.array([[1.0]])))[1][0] == 1.0
+    zeros, _ = zero_block((1, 1, 2))
+    batch = (np.zeros((1, 1, 1)), np.array([[0]]), np.array([[1.0]]))
+    assert backward_stacked(zeros, (1, 1, 2), batch)[1][0] == 1.0
     # residuals +1 and -1 average to 1
     batch = (np.zeros((1, 2, 1)), np.array([[0, 1]]), np.array([[1.0, -1.0]]))
-    assert backward_stacked(zs, batch)[1][0] == 1.0
+    assert backward_stacked(zeros, (1, 1, 2), batch)[1][0] == 1.0
 
 
 def test_loss_rejects_empty_batch():
-    stack = zero_stack([1, 1, 2])
+    zeros, _ = zero_block((1, 1, 2))
     with pytest.raises(ValueError):
-        backward_stacked(stack, (np.zeros((1, 0, 1)), np.zeros((1, 0), dtype=int), np.zeros((1, 0))))
+        backward_stacked(zeros, (1, 1, 2), (np.zeros((1, 0, 1)), np.zeros((1, 0), dtype=int), np.zeros((1, 0))))
 
 
 def test_backward_zero_residuals_zero_gradient():
     rng = np.random.default_rng(1)
-    stack = MlpStack.init([2, 2, 4], 1, rng)
+    sizes = (2, 2, 4)
+    params = init_params(sizes, 1, rng)
     ctx = rng.random((1, 4, 2))
     actions = np.array([[0, 1, 2, 3]])
-    rewards = fitted_values(stack, ctx, actions)
-    grads, value = backward_stacked(stack, (ctx, actions, rewards))
+    rewards = fitted_values(params, sizes, ctx, actions)
+    grads, value = backward_stacked(params, sizes, (ctx, actions, rewards))
     assert value[0] == 0.0
     assert grad_norm_stacked(grads)[0] == 0.0
 
 
 def test_backward_masks_untaken_actions():
     rng = np.random.default_rng(2)
-    stack = MlpStack.init([2, 3, 4], 1, rng)
+    sizes = (2, 3, 4)
+    params = init_params(sizes, 1, rng)
     batch = (rng.random((1, 1, 2)), np.array([[2]]), np.array([[0.7]]))
-    grads = MlpStack(backward_stacked(stack, batch)[0], stack.layer_sizes)
-    gw_out, gb_out = grads.weights[-1][0], grads.biases[-1][0]
+    gw_out, gb_out = (g[0] for g in layer_views(backward_stacked(params, sizes, batch)[0], sizes)[-1])
     untaken = [0, 1, 3]
     assert np.all(gw_out[untaken] == 0.0) and np.all(gb_out[untaken] == 0.0)
     assert gb_out[2] != 0.0
@@ -139,9 +145,9 @@ def test_gradient_check_skips_networks_near_a_kink(seed):
 
 def test_kink_distance_is_the_smallest_hidden_pre_activation():
     # one hidden unit with weight 1 and bias -0.5: pre-activations x - 0.5
-    stack = MlpStack(np.array([[1.0, -0.5, 1.0, 0.0]]), [1, 1, 1])
+    params = np.array([[1.0, -0.5, 1.0, 0.0]])
     contexts = np.array([[[0.9], [0.3], [0.7]]])
-    assert selfcheck.kink_distance(stack, contexts)[0] == pytest.approx(0.2)
+    assert selfcheck.kink_distance(params, (1, 1, 1), contexts)[0] == pytest.approx(0.2)
 
 
 def test_clip_below_threshold_unchanged():
@@ -182,47 +188,52 @@ def test_clip_preserves_direction(rng):
 
 
 def first_layer_grads(value):
-    """Gradient block of a [1, 1, 2] network: `value` on the first weight, zero elsewhere."""
-    grads = zero_stack([1, 1, 2])
-    grads.weights[0][0, 0, 0] = value
-    return grads.params
+    """Gradient block of a (1, 1, 2) network: `value` on the first weight, zero elsewhere."""
+    grads, layers = zero_block((1, 1, 2))
+    layers[0][0][0, 0, 0] = value
+    return grads
 
 
-def rmsprop_state(stack, lr=0.01):
-    """Zero squared-gradient averages laid out like `stack.params`, and one learning rate per network."""
-    return np.zeros_like(stack.params), np.full(len(stack.params), lr)
+def rmsprop_state(params, lr=0.01):
+    """Zero squared-gradient averages laid out like `params`, and one learning rate per network."""
+    return np.zeros_like(params), np.full(len(params), lr)
+
+
+def first_weight(block):
+    """The first weight of network 0 in a (1, 1, 2) block."""
+    return layer_views(block, (1, 1, 2))[0][0][0, 0, 0]
 
 
 def test_rmsprop_single_step_closed_form():
-    stack = zero_stack([1, 1, 2])
-    sq, lr = rmsprop_state(stack)
-    rmsprop_step_stacked(stack.params, sq, lr, first_layer_grads(1.0), 0.9, 1e-8)
-    assert abs(MlpStack(sq, [1, 1, 2]).weights[0][0, 0, 0] - 0.1) < 1e-15
+    params, _ = zero_block((1, 1, 2))
+    sq, lr = rmsprop_state(params)
+    rmsprop_step_stacked(params, sq, lr, first_layer_grads(1.0), 0.9, 1e-8)
+    assert abs(first_weight(sq) - 0.1) < 1e-15
     expected_dw = -0.01 / (math.sqrt(0.1) + 1e-8)
-    assert abs(stack.weights[0][0, 0, 0] - expected_dw) < 1e-6
+    assert abs(first_weight(params) - expected_dw) < 1e-6
     assert abs(expected_dw + 0.0316228) < 1e-6
 
 
 def test_rmsprop_zero_gradient_decays_state_only():
-    stack = zero_stack([1, 1, 2])
-    sq, lr = rmsprop_state(stack)
-    MlpStack(sq, [1, 1, 2]).weights[0][:] = 1.0
-    before = stack.params.copy()
-    rmsprop_step_stacked(stack.params, sq, lr, first_layer_grads(0.0), 0.9, 1e-8)
-    assert np.array_equal(stack.params, before)
-    assert MlpStack(sq, [1, 1, 2]).weights[0][0, 0, 0] == 0.9
+    params, _ = zero_block((1, 1, 2))
+    sq, lr = rmsprop_state(params)
+    layer_views(sq, (1, 1, 2))[0][0][:] = 1.0
+    before = params.copy()
+    rmsprop_step_stacked(params, sq, lr, first_layer_grads(0.0), 0.9, 1e-8)
+    assert np.array_equal(params, before)
+    assert first_weight(sq) == 0.9
 
 
 def test_rmsprop_repeated_identical_steps_shrink():
-    stack = zero_stack([1, 1, 2])
-    sq, lr = rmsprop_state(stack)
+    params, _ = zero_block((1, 1, 2))
+    sq, lr = rmsprop_state(params)
     grads = first_layer_grads(1.0)
-    rmsprop_step_stacked(stack.params, sq, lr, grads, 0.9, 1e-8)
+    rmsprop_step_stacked(params, sq, lr, grads, 0.9, 1e-8)
     assert np.array_equal(grads, first_layer_grads(1.0))  # the step leaves the gradient as it was
-    first = abs(stack.weights[0][0, 0, 0])
-    w_before = stack.weights[0][0, 0, 0]
-    rmsprop_step_stacked(stack.params, sq, lr, grads, 0.9, 1e-8)
-    second = abs(stack.weights[0][0, 0, 0] - w_before)
+    first = abs(first_weight(params))
+    w_before = first_weight(params)
+    rmsprop_step_stacked(params, sq, lr, grads, 0.9, 1e-8)
+    second = abs(first_weight(params) - w_before)
     assert second < first
 
 
@@ -356,24 +367,24 @@ def test_stacked_kernels_equal_single_model_kernels(rng):
     # default minibatch. The forward pass and the RMSProp step agree bit for
     # bit, each side stepping on the stacked clipped gradient; the gradient,
     # loss, norm and clip agree to ROUNDING.
-    for sizes, b_size in (([3, 4, 4, 8], 9), ([3, 1, 1, 8], 240)):
+    for sizes, b_size in (((3, 4, 4, 8), 9), ((3, 1, 1, 8), 240)):
         models = [ref.init_mlp(sizes, rng) for _ in range(5)]
-        stack = ref.stack_of(models)
+        params = ref.stack_of(models)
         contexts = rng.random((5, 3))
-        values = learning.forward_stacked(stack, contexts)
+        values = learning.forward_stacked(params, sizes, contexts)
         scales = np.array([[0.1], [50.0], [1.0], [500.0], [0.0]])  # some networks' gradients exceed the clip
         batch = (
             rng.random((5, b_size, 3)),
             rng.integers(0, 8, (5, b_size)),
             rng.standard_normal((5, b_size)) * scales,
         )
-        grads, losses = learning.backward_stacked(stack, batch)
+        grads, losses = learning.backward_stacked(params, sizes, batch)
         norms = learning.grad_norm_stacked(grads)
         clipped = clipped_copy(grads, 5.0)
         lr = np.array([0.01, 0.02, 0.005, 0.01, 0.03])
-        sq = rng.random(stack.params.shape)
+        sq = rng.random(params.shape)
         sq_before = sq.copy()
-        learning.rmsprop_step_stacked(stack.params, sq, lr, clipped, 0.9, 1e-8)
+        learning.rmsprop_step_stacked(params, sq, lr, clipped, 0.9, 1e-8)
         for k, model in enumerate(models):
             assert np.array_equal(values[k], ref.forward(model, contexts[k]))
             single, single_loss = ref.backward(model, tuple(part[k] for part in batch))
@@ -381,11 +392,11 @@ def test_stacked_kernels_equal_single_model_kernels(rng):
             assert close(grads[k], ref.grads_to_vector(single))
             assert close(clipped[k], ref.grads_to_vector(ref.clip_gradient(single, 5.0)))
             state = ref.RmsPropState.for_model(model, decay=0.9, smoothing=1e-8, lr=lr[k])
-            sq_k = ref.model_of(MlpStack(sq_before, sizes), k)
+            sq_k = ref.model_of(sq_before, sizes, k)
             state.sq_weights, state.sq_biases = sq_k.weights, sq_k.biases
-            step = ref.model_of(MlpStack(clipped, sizes), k)
+            step = ref.model_of(clipped, sizes, k)
             ref.rmsprop_step(model, state, list(zip(step.weights, step.biases)))
-            assert np.array_equal(stack.params[k], ref.params_to_vector(model))
+            assert np.array_equal(params[k], ref.params_to_vector(model))
             assert np.array_equal(sq[k], ref.grads_to_vector(list(zip(state.sq_weights, state.sq_biases))))
         assert np.any(norms > 5.0) and np.any(norms < 5.0)  # the clip fires for some networks only
 
@@ -397,7 +408,7 @@ def test_taken_output_gradient_equals_all_outputs_gradient(rng):
     never_taken = 0
     for _ in range(60):
         m, hidden, depth = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        sizes = [m] + [hidden] * depth + [1 << m]
+        sizes = (m,) + (hidden,) * depth + (1 << m,)
         n_nets, b_size, taken = int(rng.integers(1, 5)), int(rng.integers(1, 60)), int(rng.integers(1, (1 << m) + 1))
         models = [ref.init_mlp(sizes, rng) for _ in range(n_nets)]
         batch = (
@@ -405,46 +416,48 @@ def test_taken_output_gradient_equals_all_outputs_gradient(rng):
             rng.integers(0, taken, (n_nets, b_size)),
             rng.standard_normal((n_nets, b_size)) * 10.0,
         )
-        stack = ref.stack_of(models)
-        grads, losses = backward_stacked(stack, batch)
+        grads, losses = backward_stacked(ref.stack_of(models), sizes, batch)
         for k, model in enumerate(models):
             single, single_loss = ref.backward(model, tuple(part[k] for part in batch))
             assert close(grads[k], ref.grads_to_vector(single)) and close(losses[k], single_loss)
             untaken = np.setdiff1d(np.arange(1 << m), batch[1][k])
-            out_w, out_b = MlpStack(grads, sizes).weights[-1][k], MlpStack(grads, sizes).biases[-1][k]
+            out_w, out_b = (g[k] for g in layer_views(grads, sizes)[-1])
             assert np.all(out_w[untaken] == 0.0) and np.all(out_b[untaken] == 0.0)
             never_taken += len(untaken)
     assert never_taken > 0
 
 
 def test_stack_is_one_parameter_block(rng):
-    sizes = [3, 2, 1, 8]
+    sizes = (3, 2, 1, 8)
     models = [ref.init_mlp(sizes, rng) for _ in range(4)]
-    stack = ref.stack_of(models)
-    assert stack.params.shape == (4, (3 * 2 + 2) + (2 * 1 + 1) + (1 * 8 + 8))
+    params = ref.stack_of(models)
+    assert params.shape == (4, (3 * 2 + 2) + (2 * 1 + 1) + (1 * 8 + 8))
     for k, model in enumerate(models):
-        assert np.array_equal(stack.params[k], ref.params_to_vector(model))
+        assert np.array_equal(params[k], ref.params_to_vector(model))
 
     # writes through a network's view and through the layer views land in the block
-    ref.model_of(stack, 2).weights[1][:] = 7.0
-    stack.biases[0][3] = -1.0
-    stack.weights[2][1, 4, 0] = 5.0
-    assert np.all(stack.params[2, 8:10] == 7.0)  # layer 1's weights follow layer 0's 3*2 + 2
-    assert np.all(stack.params[3, 6:8] == -1.0)
-    assert stack.params[1, 11 + 4] == 5.0
-    assert np.array_equal(ref.model_of(stack, 3).biases[0], [-1.0, -1.0])
+    layers = layer_views(params, sizes)
+    ref.model_of(params, sizes, 2).weights[1][:] = 7.0
+    layers[0][1][3] = -1.0
+    layers[2][0][1, 4, 0] = 5.0
+    assert np.all(params[2, 8:10] == 7.0)  # layer 1's weights follow layer 0's 3*2 + 2
+    assert np.all(params[3, 6:8] == -1.0)
+    assert params[1, 11 + 4] == 5.0
+    assert np.array_equal(ref.model_of(params, sizes, 3).biases[0], [-1.0, -1.0])
 
     idx = np.array([3, 0])
-    part = MlpStack(stack.params[idx], sizes)  # a gather copies the rows
-    part.weights[0][:] = 0.25
-    assert not np.any(stack.weights[0][idx] == 0.25)
-    before = stack.params.copy()
-    stack.params[idx] = part.params
-    assert np.all(stack.weights[0][idx] == 0.25)
-    assert np.array_equal(stack.params[[1, 2]], before[[1, 2]])
+    part = params[idx]  # a gather copies the rows
+    layer_views(part, sizes)[0][0][:] = 0.25
+    assert not np.any(layers[0][0][idx] == 0.25)
+    before = params.copy()
+    params[idx] = part
+    assert np.all(layers[0][0][idx] == 0.25)
+    assert np.array_equal(params[[1, 2]], before[[1, 2]])
 
     with pytest.raises(ValueError):
-        MlpStack(np.zeros((2, 5)), sizes)
+        layer_views(np.zeros((2, 5)), sizes)
+    with pytest.raises(ValueError):
+        forward_stacked(np.zeros((2, 5)), sizes, np.zeros((2, 3)))
 
 
 def test_output_bias_gradient_equals_delta_sum(rng):
@@ -453,42 +466,43 @@ def test_output_bias_gradient_equals_delta_sum(rng):
     # compares every bit but the sign of a zero
     for _ in range(40):
         n_nets, b_size, m = int(rng.integers(1, 7)), int(rng.integers(1, 300)), int(rng.integers(1, 4))
-        sizes = [m, int(rng.integers(1, 4)), 1 << m]
-        stack = MlpStack.init(sizes, n_nets, rng)
+        sizes = (m, int(rng.integers(1, 4)), 1 << m)
+        params = init_params(sizes, n_nets, rng)
         actions = rng.integers(0, max(1, (1 << m) - 1), (n_nets, b_size))  # the last action is never taken
         batch = (rng.random((n_nets, b_size, m)), actions, rng.standard_normal((n_nets, b_size)) * 10.0)
-        grads = MlpStack(learning.backward_stacked(stack, batch)[0], sizes)
+        _, out_bias_grads = layer_views(learning.backward_stacked(params, sizes, batch)[0], sizes)[-1]
 
-        values = learning._outputs_stacked(stack, batch[0])
+        values = learning._outputs_stacked(layer_views(params, sizes), batch[0])
         nets, rows = np.meshgrid(np.arange(n_nets), np.arange(b_size), indexing="ij")
         delta = np.zeros_like(values)
         delta[nets, rows, actions] = 2.0 * (values[nets, rows, actions] - batch[2]) / b_size
-        assert np.array_equal(grads.biases[-1], delta.sum(axis=1))
-        assert np.all(grads.biases[-1][:, -1] == 0.0)
+        assert np.array_equal(out_bias_grads, delta.sum(axis=1))
+        assert np.all(out_bias_grads[:, -1] == 0.0)
 
 
 def test_stacked_backward_matches_finite_differences():
     # network k's gradient in the stack against finite differences of network k alone
     rng = np.random.default_rng(8)
     for _ in range(10):
-        sizes = [2, int(rng.integers(1, 5)), 4]
-        stack = MlpStack.init(sizes, 3, rng)
+        sizes = (2, int(rng.integers(1, 5)), 4)
+        params = init_params(sizes, 3, rng)
         batch = (rng.random((3, 5, 2)), rng.integers(0, 4, (3, 5)), rng.standard_normal((3, 5)))
-        grads, _ = learning.backward_stacked(stack, batch)
+        grads, _ = learning.backward_stacked(params, sizes, batch)
         for k in range(3):
-            alone = MlpStack(stack.params[k : k + 1].copy(), sizes)
-            numeric = selfcheck.finite_difference_gradient(alone, tuple(part[k : k + 1] for part in batch))
+            alone = params[k : k + 1].copy()
+            numeric = selfcheck.finite_difference_gradient(alone, sizes, tuple(part[k : k + 1] for part in batch))
             assert selfcheck.relative_error(grads[k : k + 1], numeric)[0] < 1e-4
 
 
 def test_training_reduces_loss_on_fixed_batch():
     rng = np.random.default_rng(5)
-    stack = MlpStack.init([2, 4, 4], 1, rng)
-    sq, lr = rmsprop_state(stack)
+    sizes = (2, 4, 4)
+    params = init_params(sizes, 1, rng)
+    sq, lr = rmsprop_state(params)
     batch = (rng.random((1, 16, 2)), rng.integers(0, 4, (1, 16)), rng.uniform(-1, 1, (1, 16)))
-    initial = backward_stacked(stack, batch)[1][0]
+    initial = backward_stacked(params, sizes, batch)[1][0]
     for _ in range(200):
-        grads, _ = backward_stacked(stack, batch)
+        grads, _ = backward_stacked(params, sizes, batch)
         clip_gradient_stacked(grads, 5.0)
-        rmsprop_step_stacked(stack.params, sq, lr, grads, 0.9, 1e-8)
-    assert backward_stacked(stack, batch)[1][0] < initial
+        rmsprop_step_stacked(params, sq, lr, grads, 0.9, 1e-8)
+    assert backward_stacked(params, sizes, batch)[1][0] < initial

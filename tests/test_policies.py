@@ -63,8 +63,7 @@ GREEDY = dict(epsilon_start=1e-12, epsilon_floor=1e-12)  # exploration effective
 
 def test_greedy_zero_network_tie_breaks_to_lowest_index():
     policy = DrlPopulation(make_config(**GREEDY), np.random.default_rng(1))
-    for w in policy.net.weights + policy.net.biases:
-        w[:] = 0.0
+    policy.params[:] = 0.0
     rng = np.random.default_rng(2)
     ctx = np.tile([0.4, 0.2], (4, 1))
     assert all(list(policy.select_action(agent_array(0, 1, 2, 3), ctx, rng)) == [0, 0, 0, 0] for _ in range(50))
@@ -149,14 +148,13 @@ def test_argmax_invariant_to_constant_shift(rng):
 def test_drl_observe_updates_weights_and_returns_loss(rng):
     cfg = make_config(minibatch_size=4, replay_capacity=16)
     policy = DrlPopulation(cfg, np.random.default_rng(4))
-    before = [w.copy() for w in policy.net.weights]
+    before = policy.params.copy()
     value = policy.observe(agent_array(1), np.array([[0.2, 0.4]]), np.array([3]), [1.0], rng)
     assert value.shape == (1,) and value[0] >= 0.0
     assert list(policy.replay.pushes) == [0, 1, 0, 0]
-    changed = [not np.array_equal(w[1], b[1]) for w, b in zip(policy.net.weights, before)]
-    assert any(changed)
-    for n in (0, 2, 3):  # only the observing agent's network moves
-        assert all(np.array_equal(w[n], b[n]) for w, b in zip(policy.net.weights, before))
+    assert not np.array_equal(policy.params[1], before[1])
+    others = [0, 2, 3]  # only the observing agent's network moves
+    assert np.array_equal(policy.params[others], before[others])
 
 
 def test_drl_lr_decays_per_event():
@@ -179,7 +177,9 @@ def test_drl_initial_weights_are_per_agent_draws(hidden_size, hidden_layers, n_c
     policy = DrlPopulation(cfg, init)
     # drawn in agent order, as N separate networks would be
     separate = ref.stack_of([ref.init_mlp(cfg.layer_sizes, twin) for _ in range(cfg.n_subnets)])
-    assert np.array_equal(policy.net.params, separate.params)
+    assert np.array_equal(policy.params, separate)
+    # the learner's state is three plain arrays
+    assert all(type(a) is np.ndarray for a in (policy.params, policy.sq, policy.lr))
     assert init.bit_generator.state == twin.bit_generator.state
 
 
@@ -255,7 +255,7 @@ def test_stacked_observe_matches_per_agent_updates(k):
     if k > 1:
         assert max(fired) > 0 and min(fired) < 9  # the clip fires for some updates, not for all
     for n in range(cfg.n_subnets):
-        model = ref.model_of(policy.net, n)
+        model = ref.model_of(policy.params, cfg.layer_sizes, n)
         for got, want in zip(model.weights + model.biases, reference[n].model.weights + reference[n].model.biases):
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
         # the RMSProp averages, which only the agents' own updates move
@@ -266,9 +266,9 @@ def test_stacked_observe_matches_per_agent_updates(k):
 
 def learner_state(policy):
     """Copies of every array an update may write, per agent in its first axis."""
-    rings = policy.replay.tuples.reshape(len(policy.net.params), policy.replay.capacity, -1)
+    rings = policy.replay.tuples.reshape(len(policy.params), policy.replay.capacity, -1)
     return {
-        "params": policy.net.params.copy(),
+        "params": policy.params.copy(),
         "sq": policy.sq.copy(),
         "lr": policy.lr.copy(),
         "rings": rings.copy(),

@@ -9,7 +9,6 @@ import pytest
 from alarmmac import reporting
 from alarmmac.config import ConfigError, PolicyKind
 from alarmmac.engine import Simulation
-from alarmmac.events import AlarmEvent
 from alarmmac.reporting import (
     ExperimentResult,
     _atomic_write,
@@ -22,7 +21,7 @@ from alarmmac.reporting import (
     write_result,
 )
 
-from conftest import FixedPolicy, make_config
+from conftest import FixedPolicy, inject_event, make_config
 
 
 def collision_trace(deadline=4):
@@ -31,7 +30,7 @@ def collision_trace(deadline=4):
     sim = Simulation(cfg, seed=1)
     sim.policy = FixedPolicy([1, 1])
     for birth in range(3):
-        sim.event = AlarmEvent(epicenter=(25.0, 25.0), birth_slot=sim.slot, active_set=(0, 1))
+        inject_event(sim, (0, 1))
         while sim.event is not None:
             sim.run_slot()
     return sim.trace
@@ -42,7 +41,7 @@ def test_in_time_probability_trivial_cases():
     sim = Simulation(cfg, seed=1)
     sim.policy = FixedPolicy([1, 2])
     for _ in range(3):
-        sim.event = AlarmEvent(epicenter=(25.0, 25.0), birth_slot=sim.slot, active_set=(0, 1))
+        inject_event(sim, (0, 1))
         sim.run_slot()
     assert in_time_probability(sim.trace) == 1.0
 

@@ -5,12 +5,12 @@ The complex per-channel gain composes as
     gain = fading * 10 ** (-(PL_dB + shadow_dB) / 10)
 
 with unit-variance circular complex fading redrawn i.i.d. per slot and per
-channel. Line of sight, the pathloss coefficients it selects and shadowing
-are snapshot quantities; pathloss follows the current distance. Every
-function takes arrays, so one call serves all the links concerned; only
-the set-up's `correlation_factor` converts its input. Gains only shape the
-contention-signature signal; collisions are decided purely by the
-transmission patterns.
+channel. Line of sight, the link parameters it selects (the pathloss
+coefficients and the shadowing sigma) and shadowing are snapshot
+quantities; pathloss follows the current distance. Every function takes
+arrays, so one call serves all the links concerned; only the set-up's
+`correlation_factor` converts its input. Gains only shape the
+contention-signature signal; collisions follow from the patterns alone.
 """
 
 from __future__ import annotations
@@ -59,18 +59,13 @@ def correlation_factor(positions: np.ndarray, corr_distance_m: float) -> np.ndar
     return np.linalg.cholesky(np.exp(-dist / corr_distance_m) + 1e-12 * np.eye(len(pts)))
 
 
-def correlated_field(positions: np.ndarray, rng: np.random.Generator, corr_distance_m: float) -> np.ndarray:
-    """Unit-variance Gaussians (k,) with pairwise correlation exp(-d/d_corr):
-    the correlation factor times k standard normals."""
-    factor = correlation_factor(positions, corr_distance_m)
-    return factor @ rng.standard_normal(len(factor))
-
-
-def shadowing_db(
-    positions: np.ndarray, rng: np.random.Generator, config: ScenarioConfig, sigma_db: np.ndarray
-) -> np.ndarray:
-    """Zero-mean correlated shadowing with standard deviation `sigma_db`."""
-    return sigma_db * correlated_field(positions, rng, config.shadow_corr_distance_m)
+def shadowing_db(positions: np.ndarray, los: ArrayLike, rng: np.random.Generator, config: ScenarioConfig) -> np.ndarray:
+    """Zero-mean shadowing (k,) of the links at the (k, 2) `positions`: each
+    link's sigma, LOS where `los` is set and NLOS elsewhere, times the
+    correlation factor times k standard normals."""
+    sigma = np.where(los, config.shadow_sigma_los_db, config.shadow_sigma_nlos_db)
+    factor = correlation_factor(positions, config.shadow_corr_distance_m)
+    return sigma * (factor @ rng.standard_normal(len(factor)))
 
 
 def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

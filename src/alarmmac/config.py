@@ -31,6 +31,8 @@ from typing import Any
 
 import numpy as np
 
+from . import learning
+
 
 class PolicyKind(str, Enum):
     DRL = "drl"
@@ -225,7 +227,7 @@ def _setup_bytes(cfg: ScenarioConfig) -> dict[str, int]:
         return {}
     if cfg.policy_kind is PolicyKind.MAP_RA:
         return {"n_channels": 8 * n * cfg.n_patterns}
-    n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(cfg.layer_sizes, cfg.layer_sizes[1:]))
+    n_params = learning.n_params(cfg.layer_sizes)
     hidden = cfg.dnn_hidden_layers * cfg.dnn_hidden_size
     footprint = {"n_subnets": 8 * 7 * n * n, "dnn_hidden_size": 8 * 7 * n * n_params}
     # a key left at its default grows with 2**n_channels

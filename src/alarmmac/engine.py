@@ -14,7 +14,8 @@ live; each of its rounds hands it to the link gains and every population call.
 The signature chain (link gains, pilots, broadcast, featurize) runs only for
 a policy that reads contexts (`reads_contexts`); a context-free policy gets
 `None` instead. Likewise the set-up draws the snapshot only for such a
-policy: line of sight, the pathloss coefficients it selects, and shadowing.
+policy: line of sight, then the pathloss coefficients and the shadowing,
+whose per-link parameters `channel` selects from it.
 The channel, fading and noise streams feed nothing else, so skipping them
 changes no draw that a trace reads.
 
@@ -92,21 +93,21 @@ def resolve_collisions(action_indices: list[int] | np.ndarray, n_channels: int) 
 
 
 class Simulation:
-    """World state for one seeded run; strictly single threaded."""
+    """World state for one run, whose random streams all derive from
+    `seed`; strictly single threaded. The config's `rng_seed` is no run's
+    seed: `reporting.run_experiment` derives its runs' seeds from it."""
 
-    def __init__(self, config: ScenarioConfig, seed: int | None = None):
+    def __init__(self, config: ScenarioConfig, seed: int):
         self.config = config
-        self.seed = config.rng_seed if seed is None else seed
-        s = self.seed
-        self.rng_mobility = derive_stream(s, "mobility")
-        self.rng_events = derive_stream(s, "events")
-        self.rng_channel = derive_stream(s, "channel")
-        self.rng_fading = derive_stream(s, "fading")
-        self.rng_noise = derive_stream(s, "noise")
-        self.rng_explore = derive_stream(s, "explore")
-        self.rng_sample = derive_stream(s, "sample")
-        rng_place = derive_stream(s, "placement")
-        rng_init = derive_stream(s, "init")
+        self.rng_mobility = derive_stream(seed, "mobility")
+        self.rng_events = derive_stream(seed, "events")
+        self.rng_channel = derive_stream(seed, "channel")
+        self.rng_fading = derive_stream(seed, "fading")
+        self.rng_noise = derive_stream(seed, "noise")
+        self.rng_explore = derive_stream(seed, "explore")
+        self.rng_sample = derive_stream(seed, "sample")
+        rng_place = derive_stream(seed, "placement")
+        rng_init = derive_stream(seed, "init")
 
         self.policy: Population = make_policy(config, rng_init)
         self._poses = place_uniform(config, rng_place)
@@ -147,16 +148,15 @@ class Simulation:
         return chan.attenuation(pathloss, self.shadow_db[agents])
 
     def _snapshot_channel_state(self) -> None:
-        """Line of sight, the pathloss coefficients it selects, shadowing and
-        the reference attenuation are frozen per snapshot; only small-scale
-        fading is redrawn each slot."""
+        """Line of sight, the pathloss coefficients and shadowing that
+        `channel` derives from it, and the reference attenuation are frozen
+        per snapshot; only small-scale fading is redrawn each slot."""
         cfg = self.config
         everyone = np.arange(cfg.n_subnets)
         self.los = chan.draw_los(self._cap_distances(everyone), self.rng_channel, cfg)
         self._pathloss = chan.pathloss_coefficients(self.los, cfg)
-        sigma = np.where(self.los, cfg.shadow_sigma_los_db, cfg.shadow_sigma_nlos_db)
         positions = np.column_stack((self.poses["x"], self.poses["y"]))
-        self.shadow_db = chan.shadowing_db(positions, self.rng_channel, cfg, sigma)
+        self.shadow_db = chan.shadowing_db(positions, self.los, self.rng_channel, cfg)
         self._reference_amp = float(np.median(self._amplitudes(everyone)))
 
     def _link_gains(self, active: np.ndarray) -> np.ndarray:

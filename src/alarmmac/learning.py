@@ -15,10 +15,10 @@ own minibatch, so one call trains all active agents:
 
 - A stack is one (K, P) float64 block, taken with its layer sizes. Row k
   holds network k's parameters layer by layer, each layer's weights
-  row-major and then its biases; `layer_views` gives any such block's
-  per-layer weight and bias views. A gradient and the RMSProp averages are
-  blocks of the same layout, and the clip and the RMSProp step change
-  theirs in place.
+  row-major and then its biases: `n_params` gives P, and `layer_views` any
+  block's per-layer weight and bias views. A gradient and the RMSProp
+  averages are blocks of the same layout, and the clip and the RMSProp step
+  change theirs in place.
 - The clipping norm is one sum of squares over each network's row.
 - The backward pass computes only the taken action's output of each
   minibatch row: the hidden layers run forward, and the row's value is the
@@ -38,6 +38,7 @@ as they add their terms in another order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -69,11 +70,11 @@ def _layout(layer_sizes: tuple[int, ...]) -> tuple[tuple[int, int, int, int, int
     return tuple(layers)
 
 
-def layer_views(block: np.ndarray, layer_sizes: tuple[int, ...]) -> Grads:
+def layer_views(block: np.ndarray, layer_sizes: Sequence[int]) -> Grads:
     """Per layer, the weight view (K, fan_out, fan_in) and the bias view
     (K, fan_out) of a (K, P) block laid out for `layer_sizes`: parameters, a
     gradient or RMSProp averages alike."""
-    layout = _layout(layer_sizes)
+    layout = _layout(tuple(layer_sizes))  # a list cannot key the cache; a tuple passes as itself
     if block.shape[1] != layout[-1][-1]:
         raise ValueError("parameter block width does not match layer sizes")
     k = block.shape[0]
@@ -83,7 +84,12 @@ def layer_views(block: np.ndarray, layer_sizes: tuple[int, ...]) -> Grads:
     ]
 
 
-def init_params(layer_sizes: tuple[int, ...], n: int, rng: np.random.Generator) -> np.ndarray:
+def n_params(layer_sizes: Sequence[int]) -> int:
+    """P, the width of a network's row: each layer's weights and biases."""
+    return _layout(tuple(layer_sizes))[-1][-1]
+
+
+def init_params(layer_sizes: Sequence[int], n: int, rng: np.random.Generator) -> np.ndarray:
     """The (n, P) block of n networks, each layer uniform in
     [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn network by network and layer by
     layer, each layer's weights row-major and then its biases: the block's C
@@ -91,11 +97,10 @@ def init_params(layer_sizes: tuple[int, ...], n: int, rng: np.random.Generator) 
     column's bound, makes the draws, and computes the values with the
     expression ``low + (high - low) * next_double``, of one call per layer's
     weights and one per its biases."""
-    layout = _layout(layer_sizes)
-    bound = np.empty(layout[-1][-1])
-    for fan_in, _, at_w, _, end in layout:
-        bound[at_w:end] = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=(n, len(bound)))
+    bound = np.empty((1, n_params(layer_sizes)))
+    for w, b in layer_views(bound, layer_sizes):
+        w[...] = b[...] = 1.0 / np.sqrt(w.shape[2])
+    return rng.uniform(-bound[0], bound[0], size=(n, bound.shape[1]))
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,7 +129,7 @@ def _outputs_stacked(layers: Grads, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward_stacked(params: np.ndarray, layer_sizes: tuple[int, ...], contexts: np.ndarray) -> np.ndarray:
+def forward_stacked(params: np.ndarray, layer_sizes: Sequence[int], contexts: np.ndarray) -> np.ndarray:
     """Action values of network k for context k: (K, M) -> (K, 2**M)."""
     x = np.asarray(contexts, dtype=float)
     if not np.isfinite(x).all():
@@ -133,7 +138,7 @@ def forward_stacked(params: np.ndarray, layer_sizes: tuple[int, ...], contexts: 
 
 
 def backward_stacked(
-    params: np.ndarray, layer_sizes: tuple[int, ...], batch: StackedBatch
+    params: np.ndarray, layer_sizes: Sequence[int], batch: StackedBatch
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient of network k's taken-action squared loss on minibatch
     k; returns (grads, per-network loss).

@@ -4,7 +4,8 @@ Actions are transmission patterns: M-bit words where bit m set means
 "transmit on channel m" and the all-zeros word is legal silence. Pattern
 index i maps to bits via the binary expansion of i, least significant bit
 first. Three policies are provided: the learned network policy, a
-context-free value-table bandit, and uniform random selection. Exploration
+context-free value-table bandit, and uniform random selection; the first
+two share `EpsilonGreedy`'s selection over their own values. Exploration
 rate and learning rate decay once per alarm event that the agent takes part
 in, never per slot: each agent counts its own events.
 
@@ -80,8 +81,10 @@ class RchPopulation:
         return None
 
 
-class _EpsilonGreedy:
-    """Per-agent event counters and the exploration schedule they drive."""
+class EpsilonGreedy:
+    """Per-agent event counters, the exploration schedule they drive, and
+    the epsilon-greedy selection over each agent's pattern values, which a
+    subclass gives as `_values(agents, contexts)`: (K, 2**M) for K agents."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -91,14 +94,18 @@ class _EpsilonGreedy:
         cfg = self.config
         return decayed_epsilon(cfg.epsilon_start, cfg.epsilon_floor, cfg.epsilon_step, self.events[agents])
 
-    def _explore(self, agents: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Actions of the exploring agents and the mask of the greedy ones:
-        one uniform per agent against its epsilon, then one random pattern
-        per exploring agent."""
+    def select_action(self, agents: np.ndarray, contexts: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
+        """One uniform per agent against its epsilon, then one random pattern
+        per exploring agent, then each greedy agent's first maximum of its
+        values, so ties break to the lowest index."""
         explore = rng.random(len(agents)) < self.epsilon(agents)
         actions = np.zeros(len(agents), dtype=np.int64)
         actions[explore] = _random_patterns(self.config.n_patterns, np.count_nonzero(explore), rng)
-        return actions, ~explore
+        greedy = ~explore
+        if greedy.any():
+            greedy_contexts = None if contexts is None else contexts[greedy]
+            actions[greedy] = self._values(agents[greedy], greedy_contexts).argmax(axis=1)
+        return actions
 
     def _pattern_indices(self, actions: ArrayLike) -> np.ndarray:
         # an action that is no integer in [0, 2**M) would be misread or index another agent's row
@@ -120,7 +127,7 @@ def _finite_rewards(rewards) -> np.ndarray:
     return rewards
 
 
-class MapRaPopulation(_EpsilonGreedy):
+class MapRaPopulation(EpsilonGreedy):
     """Context-free epsilon-greedy bandit per agent, one row of an (N, 2**M)
     value table each: Q[n, a] <- (1 - tau) Q[n, a] + tau * r."""
 
@@ -130,12 +137,8 @@ class MapRaPopulation(_EpsilonGreedy):
         super().__init__(config)
         self.q = np.zeros((config.n_subnets, config.n_patterns))
 
-    def select_action(self, agents: np.ndarray, contexts: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
-        actions, greedy = self._explore(agents, rng)
-        if greedy.any():
-            # first maximum, so ties break to the lowest index
-            actions[greedy] = self.q[agents[greedy]].argmax(axis=1)
-        return actions
+    def _values(self, agents: np.ndarray, contexts: np.ndarray | None) -> np.ndarray:
+        return self.q[agents]
 
     def observe(self, agents, contexts, actions, rewards, rng) -> None:
         taken = (agents, self._pattern_indices(actions))
@@ -144,7 +147,7 @@ class MapRaPopulation(_EpsilonGreedy):
         return None
 
 
-class DrlPopulation(_EpsilonGreedy):
+class DrlPopulation(EpsilonGreedy):
     """Network policy: each agent is epsilon-greedy over its own learned
     action values. The networks `params` and their RMSProp averages `sq` are
     one (N, P) block each, the learning rates one array `lr` and the replay
@@ -168,13 +171,8 @@ class DrlPopulation(_EpsilonGreedy):
         self.lr = np.full(config.n_subnets, config.lr_initial)  # (N,)
         self.replay = learning.StackedReplay(config.n_subnets, config.replay, config.n_channels)
 
-    def select_action(self, agents: np.ndarray, contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        actions, greedy = self._explore(agents, rng)
-        if greedy.any():
-            values = learning.forward_stacked(self.params[agents[greedy]], self.config.layer_sizes, contexts[greedy])
-            # first maximum, so ties break to the lowest index
-            actions[greedy] = values.argmax(axis=1)
-        return actions
+    def _values(self, agents: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+        return learning.forward_stacked(self.params[agents], self.config.layer_sizes, contexts)
 
     def observe(self, agents, contexts, actions, rewards, rng) -> np.ndarray:
         cfg = self.config

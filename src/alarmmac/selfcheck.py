@@ -166,11 +166,10 @@ def worst_gradient_error(rng: np.random.Generator, n_stacks: int, max_batch: int
 def clip_violations(rng: np.random.Generator, n_draws: int, threshold: float = 5.0) -> int:
     """Random gradients whose clipped norm exceeds `threshold`, or that
     `learning.clip_gradient_stacked` changed although their norm was within
-    it. The draws are one stack of two-layer gradients, each at its own
-    scale between 1e-3 and 1e3."""
+    it. The draws are one stack of gradients of 4 -> 3 -> 2 networks, each
+    at its own scale between 1e-3 and 1e3."""
     scale = 10.0 ** rng.uniform(-3, 3, n_draws)
-    # layers 4 -> 3 -> 2: (4*3 + 3) + (3*2 + 2) = 23 entries per network
-    grads = rng.standard_normal((n_draws, 23)) * scale[:, None]
+    grads = rng.standard_normal((n_draws, learning.n_params((4, 3, 2)))) * scale[:, None]
     clipped = grads.copy()
     learning.clip_gradient_stacked(clipped, threshold)
     over = learning.grad_norm_stacked(clipped) > threshold + 1e-9

@@ -6,7 +6,6 @@ import numpy as np
 from alarmmac.channel import (
     attenuation,
     complex_gaussian,
-    correlated_field,
     correlation_factor,
     draw_los,
     los_probability,
@@ -78,17 +77,19 @@ def test_field_is_the_factor_times_the_stream_normals(rng):
     cfg = make_config()
     pts = np.array([[0.0, 0.0], [cfg.shadow_corr_distance_m, 0.0], [4.0, 7.0]])
     normals = copy.deepcopy(rng).standard_normal(3)
-    sigma = np.array([3.0, 6.0, 9.0])
-    shadow = shadowing_db(pts, rng, cfg, sigma)
+    # each link's standard deviation follows its line of sight
+    shadow = shadowing_db(pts, np.array([True, False, True]), rng, cfg)
+    sigma = np.array([cfg.shadow_sigma_los_db, cfg.shadow_sigma_nlos_db, cfg.shadow_sigma_los_db])
+    assert cfg.shadow_sigma_los_db != cfg.shadow_sigma_nlos_db
     assert np.array_equal(shadow, sigma * (correlation_factor(pts, cfg.shadow_corr_distance_m) @ normals))
 
 
 def test_shadowing_correlation_at_zero_distance(rng):
     cfg = make_config()
-    pts = np.array([[3.0, 4.0], [3.0, 4.0]])
+    pts, los = np.array([[3.0, 4.0], [3.0, 4.0]]), np.array([True, True])
     for _ in range(1_000):
-        draw = correlated_field(pts, rng, cfg.shadow_corr_distance_m)
-        assert abs(draw[0] - draw[1]) < 1e-5
+        draw = shadowing_db(pts, los, rng, cfg)
+        assert abs(draw[0] - draw[1]) < 1e-5 * cfg.shadow_sigma_los_db
 
 
 def test_attenuation_powers_of_ten():

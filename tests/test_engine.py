@@ -1,19 +1,17 @@
 import gc
-import hashlib
-import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from alarmmac import channel, engine, selfcheck
-from alarmmac.config import PolicyKind, config_from_dict, derive_stream
+from alarmmac.config import PolicyKind, derive_stream
 from alarmmac.engine import Simulation, resolve_collisions
 from alarmmac.events import maybe_spawn_event
 from alarmmac.geometry import step_mobility
 from alarmmac.policies import DrlPopulation, MapRaPopulation, RchPopulation
 from conftest import CONTENTION, FixedPolicy, inject_event, make_config
-from test_golden import GOLDEN, SCENARIOS
+from test_golden import GOLDEN, SCENARIOS, run_digest
 
 
 def test_worked_five_agent_example():
@@ -316,31 +314,12 @@ def test_pathloss_coefficients_are_snapshot_quantities(monkeypatch, policy):
 # --- lazy mobility ---------------------------------------------------------
 
 
-def golden_digest_reading_poses(scenario: str, policy: str, read_share: float) -> str:
-    """The golden digest of test_golden, from a run that reads `sim.poses`
-    before a random `read_share` of its slots (seed 3, as pinned)."""
-    keys, slots = SCENARIOS[scenario]
-    sim = Simulation(config_from_dict({**keys, "policy_kind": policy}), seed=3)
-    reads = np.random.default_rng(11).random(slots) < read_share
-    flags = []
-    for read in reads:
-        if read:
-            sim.poses
-        outcome = sim.run_slot()
-        if outcome.age is not None:
-            flags.append(outcome.success)
-    h = hashlib.sha256()
-    for e in sim.trace.events:
-        h.update(struct.pack("<qq?qq", e.birth_slot, e.end_slot, e.delivered, e.attempts, e.active_size))
-    h.update(bytes(flags))
-    h.update(np.asarray(sim.trace.mse, dtype="<f8").tobytes())
-    return h.hexdigest()
-
-
 @pytest.mark.parametrize("read_share", [0.0, 0.3])
 @pytest.mark.parametrize("scenario,policy", sorted(GOLDEN))
 def test_golden_digest_whenever_poses_are_read(scenario, policy, read_share):
-    assert golden_digest_reading_poses(scenario, policy, read_share) == GOLDEN[scenario, policy]
+    # the poses are read before a random `read_share` of the slots
+    reads = np.random.default_rng(11).random(SCENARIOS[scenario][1]) < read_share
+    assert run_digest(scenario, policy, reads)[0] == GOLDEN[scenario, policy]
 
 
 def test_mobility_advances_only_when_a_slot_reads_the_poses(monkeypatch):

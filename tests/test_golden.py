@@ -73,18 +73,22 @@ GOLDEN = {
 }
 
 
-def run_digest(scenario: str, policy: str, seed: int = 3) -> tuple[str, int]:
-    """(digest, heading resamples) of one seeded run."""
+def run_digest(scenario: str, policy: str, reads: np.ndarray | None = None, seed: int = 3) -> tuple[str, int]:
+    """(digest, heading resamples) of one seeded run. The run reads
+    `sim.poses` before each slot that `reads` flags, by default before every
+    slot, and once after its last; the resamples are the poses whose
+    heading changed from one read to the next."""
     keys, slots = SCENARIOS[scenario]
     sim = Simulation(config_from_dict({**keys, "policy_kind": policy}), seed=seed)
-    flags = []
-    resamples = 0
-    for _ in range(slots):
-        before = sim.poses
+    flags, headings = [], [sim.poses["heading"]]  # a read before the first slot advances nothing
+    for read in np.ones(slots, dtype=bool) if reads is None else reads:
+        if read:
+            headings.append(sim.poses["heading"])
         outcome = sim.run_slot()
-        resamples += sum(a.heading != b.heading for a, b in zip(before, sim.poses))
         if outcome.age is not None:
             flags.append(outcome.success)
+    headings.append(sim.poses["heading"])
+    resamples = sum(np.count_nonzero(a != b) for a, b in zip(headings, headings[1:]))
     h = hashlib.sha256()
     for e in sim.trace.events:
         h.update(struct.pack("<qq?qq", e.birth_slot, e.end_slot, e.delivered, e.attempts, e.active_size))

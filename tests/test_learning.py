@@ -13,6 +13,7 @@ from alarmmac.learning import (
     grad_norm_stacked,
     init_params,
     layer_views,
+    n_params,
     rmsprop_step_stacked,
 )
 
@@ -458,6 +459,37 @@ def test_stack_is_one_parameter_block(rng):
         layer_views(np.zeros((2, 5)), sizes)
     with pytest.raises(ValueError):
         forward_stacked(np.zeros((2, 5)), sizes, np.zeros((2, 3)))
+
+
+def arrays_of(result):
+    """The arrays of a kernel's result, nested in tuples and lists, in order."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    return [a for part in result for a in arrays_of(part)]
+
+
+@pytest.mark.parametrize("kernel", ["layer_views", "init_params", "forward_stacked", "backward_stacked"])
+def test_layer_sizes_given_as_a_list_act_as_the_equal_tuple(kernel):
+    sizes = (2, 1, 4)
+    data = np.random.default_rng(8)
+    params = init_params(sizes, 3, data)
+    contexts = data.random((3, 2))
+    batch = (data.random((3, 5, 2)), data.integers(0, 4, (3, 5)), data.standard_normal((3, 5)))
+    call = {
+        "layer_views": lambda s: layer_views(params, s),
+        "init_params": lambda s: init_params(s, 3, np.random.default_rng(9)),
+        "forward_stacked": lambda s: forward_stacked(params, s, contexts),
+        "backward_stacked": lambda s: backward_stacked(params, s, batch),
+    }[kernel]
+    got, want = arrays_of(call(list(sizes))), arrays_of(call(sizes))
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("sizes", [(4, 3, 2), (2, 1, 4), (3, 2, 1, 8), [4, 3, 2]])
+def test_n_params_counts_each_layers_weights_and_biases(sizes):
+    width = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    assert n_params(sizes) == width == init_params(sizes, 1, np.random.default_rng(0)).shape[1]
 
 
 def test_output_bias_gradient_equals_delta_sum(rng):

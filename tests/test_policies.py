@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -75,6 +77,45 @@ def test_greedy_mapra_argmax():
     policy.q[2] = [0.5, 0.1, 0.3, 0.8]
     rng = np.random.default_rng(3)
     assert all(list(policy.select_action(agent_array(2, 0), np.zeros((2, 2)), rng)) == [3, 1] for _ in range(50))
+
+
+MIXED = dict(n_subnets=6, epsilon_start=1.0, epsilon_floor=1e-12, epsilon_step=1.0, dnn_hidden_size=4)
+
+
+@pytest.mark.parametrize("kind", ["mapra", "drl"])
+def test_a_batch_of_exploring_and_greedy_agents(kind):
+    # agents with one ended event are greedy (epsilon 1e-12), the others
+    # explore (epsilon 1); the greedy rows 0, 2, 4 are no prefix of the batch
+    cfg = make_config(policy_kind=kind, **MIXED)
+    policy = make_policy(cfg, np.random.default_rng(128))
+    policy.end_event(agent_array(3, 5, 0))
+    agents = agent_array(3, 1, 5, 4, 0)
+    contexts = np.random.default_rng(228).uniform(-4.0, 4.0, (5, 2))
+    if kind == "mapra":
+        policy.q[:] = np.eye(4)[[3, 0, 2, 2, 0, 1]]  # agent n's best pattern is the nth of these
+
+    def value_of(n, context):
+        if kind == "mapra":
+            return policy.q[n]
+        return ref.forward(ref.model_of(policy.params, cfg.layer_sizes, n), context)
+
+    explore = np.array([False, True, False, True, False])
+    rng = np.random.default_rng(7)
+    twin = copy.deepcopy(rng)
+    # the documented draws: one uniform per agent, then one per exploring agent
+    assert np.array_equal(twin.random(5) < policy.epsilon(agents), explore)
+    patterns = (twin.random(2) * cfg.n_patterns).astype(np.int64)
+
+    actions = policy.select_action(agents, contexts, rng)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert np.array_equal(actions[explore], patterns)
+    greedy = [int(value_of(agents[row], contexts[row]).argmax()) for row in (0, 2, 4)]
+    assert list(actions[~explore]) == greedy
+    # the greedy agents' choices differ, so one agent given another's row fails
+    assert len(set(greedy)) == 3
+    if kind == "drl":  # and so does an agent given another's context
+        swapped = [int(value_of(agents[row], contexts[other]).argmax()) for row, other in ((0, 2), (2, 4), (4, 0))]
+        assert swapped != greedy
 
 
 def test_mapra_update_rule():

@@ -14,9 +14,11 @@ beyond desk scale. The success-probability enumeration visits (2**M + 1)**N
 joint outcomes, each agent being inactive or active with one of 2**M
 patterns: 531 441 at its limit N = 6, M = 3. (Summed subset by subset,
 sum_k C(N, k) 2**(M k), the count is the same, by the binomial theorem.)
-The grid search is limited to N <= 3, M <= 2. The dynamic programme is
-linear in N and reaches benchmark scale (N = 20 and up) for M <= 8; the
-enumeration stays as its independent reference.
+The grid search is limited to N <= 3, M <= 2. The dynamic programme runs
+backwards over agents, one gather of a cached (2**M, 3**M) shift map per
+agent: O(N * 2**M * 3**M) time and O(2**M * 3**M) memory, so it reaches
+benchmark scale (N = 20 and up) for M <= 8; the enumeration stays as its
+independent reference.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,53 +111,60 @@ def success_probability_bruteforce(p: np.ndarray, access: AccessDistribution) ->
 DP_MAX_CHANNELS = 8
 
 
-def _dp_step(state: np.ndarray, rows: np.ndarray, p_n: float, n_channels: int) -> np.ndarray:
-    """One more agent joins the capped-count chain.
+@lru_cache(maxsize=None)
+def _dp_tables(n_channels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(shift, success) of the capped-count chain over M channels.
 
-    `state` holds masses of shape (..., 3**M); index s = sum_c k_c 3**c,
-    where k_c in {0, 1, 2} is channel c's transmitter count capped at two.
-    `rows` holds R candidate access rows, shape (R, 2**M). Returns the
-    masses of shape (..., R, 3**M) after the agent joins with each row: it
-    stays inactive with 1 - p_n, else plays pattern a with rows[r, a].
+    State s = sum_c k_c 3**c, where k_c in {0, 1, 2} is channel c's
+    transmitter count capped at two; state 0 is nobody transmitting.
+    shift[a, s] is the state after pattern a is played from state s: pattern
+    bit c raises k_c unless it is already capped. success[s] is 1.0 where
+    some channel holds exactly one transmitter. Both are read-only. shift is
+    built in place, one channel at a time, in the platform integer type that
+    the gather reads without a cast: 13 MB at M = 8.
     """
-    lead = state.shape[:-1]
-    # moved[..., a, :] is the mass moved by pattern a. Pattern bit c adds a
-    # transmitter to channel c, which is axis -(c + 1) of the (3,)*M view.
-    moved = state[..., None, :]
+    n_states = 3**n_channels
+    states = np.arange(n_states)
+    shift = np.empty((1 << n_channels, n_states), dtype=np.intp)
+    shift[:] = states
+    # pattern bit c is axis -(c + 2) of the (2,)*M view of the pattern axis
+    by_bits = shift.reshape((2,) * n_channels + (n_states,))
+    success = np.zeros(n_states, dtype=bool)
     for c in range(n_channels):
-        grid = moved.reshape(moved.shape[:-1] + (3,) * n_channels)
-        counts = np.moveaxis(grid, -(c + 1), 0)
-        added = np.empty_like(counts)
-        added[0] = 0.0
-        added[1] = counts[0]
-        added[2] = counts[1] + counts[2]
-        added = np.moveaxis(added, 0, -(c + 1))
-        moved = np.concatenate([grid, added], axis=len(lead)).reshape(lead + (-1, state.shape[-1]))
-    return (1.0 - p_n) * state[..., None, :] + p_n * (rows @ moved)
+        count = states // 3**c % 3
+        by_bits[(slice(None),) * (n_channels - 1 - c) + (1,)] += (count < 2) * 3**c
+        success |= count == 1
+    success = success.astype(float)
+    shift.flags.writeable = False
+    success.flags.writeable = False
+    return shift, success
 
 
-def _dp_success_mask(n_channels: int) -> np.ndarray:
-    """Per capped-count state, whether some channel holds exactly one transmitter."""
-    counts = np.indices((3,) * n_channels).reshape(n_channels, -1)
-    return (counts == 1).any(axis=0).astype(float)
+def _dp_weights(p: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Row n: agent n's chance of playing each pattern, shape (N, 2**M).
 
-
-def _dp_start(n_channels: int) -> np.ndarray:
-    state = np.zeros(3**n_channels)
-    state[0] = 1.0  # nobody has transmitted yet
-    return state
+    An inactive agent, with chance 1 - p_n, moves no count, as pattern 0
+    does, so its chance is folded into column 0.
+    """
+    weights = p[:, None] * psi
+    weights[:, 0] += 1.0 - p
+    return weights
 
 
 def success_probability_dp(p: np.ndarray, access: AccessDistribution) -> float:
     """Exact per-slot success probability by a dynamic programme over agents.
 
     The same quantity as `success_probability_bruteforce`, from the same
-    inputs. Agents join one at a time; the state is the per-channel
-    transmitter count capped at {0, 1, >=2}, which is all the success
-    indicator needs. The cost is O(N * 3**M * 2**M * M) time and
-    O(3**M * 2**M) memory, with no limit on N. M is limited to
-    DP_MAX_CHANNELS = 8, where one agent's step holds 6**8 = 1.7 M floats
-    (13 MB).
+    inputs. The state is the per-channel transmitter count capped at
+    {0, 1, >=2}, which is all the success indicator needs. The programme
+    runs backwards, as a value recursion: v starts as the success indicator
+    per state, and agent n, from last to first, turns it into
+    v <- (1 - p_n) v + p_n psi_n @ v[shift], the chance of success given the
+    state the agents before n leave. The answer is v at state 0, where
+    nobody has transmitted. One gather and one product per agent cost
+    O(N * 2**M * 3**M) time and O(2**M * 3**M) memory, with no limit on N.
+    M is limited to DP_MAX_CHANNELS = 8, where the shift map and one
+    agent's gather each hold 6**8 = 1.7 M entries (13 MB each).
     """
     p = np.asarray(p, dtype=float)
     n = len(p)
@@ -166,10 +176,10 @@ def success_probability_dp(p: np.ndarray, access: AccessDistribution) -> float:
     if not _in_unit_interval(p):
         raise ValueError("activation probabilities must lie in [0, 1]")
 
-    state = _dp_start(m)
-    for n_idx in range(n):
-        state = _dp_step(state, access.psi[n_idx : n_idx + 1], p[n_idx], m)[0]
-    return float(state @ _dp_success_mask(m))
+    shift, value = _dp_tables(m)
+    for weights in _dp_weights(p, access.psi)[::-1]:
+        value = weights @ value[shift]
+    return float(value[0])
 
 
 @dataclass(frozen=True)
@@ -228,14 +238,14 @@ def transition_blocks(spec: DtmcSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def deadline_probability(spec: DtmcSpec) -> tuple[float, float]:
     """(P_delivered_within_D, P_deadline_missed) via the product form."""
-    ps = spec.ps
     survive = 1.0
     p_leq = 0.0
-    for d in range(ps.size):
-        p_leq += ps[d] * survive
-        survive *= 1.0 - ps[d]
+    # Python floats: the same IEEE products as numpy scalars, at a third the cost
+    for ps in spec.ps.tolist():
+        p_leq += ps * survive
+        survive *= 1.0 - ps
     # the accumulated sum can exceed 1 by a couple of ulp
-    return float(min(max(p_leq, 0.0), 1.0)), float(survive)
+    return min(max(p_leq, 0.0), 1.0), survive
 
 
 def deadline_probability_via_absorption(spec: DtmcSpec) -> tuple[float, float]:
@@ -247,10 +257,10 @@ def deadline_probability_via_absorption(spec: DtmcSpec) -> tuple[float, float]:
 
 def deadline_probability_by_paths(spec: DtmcSpec) -> tuple[float, float]:
     """Literal walk over every outcome path of the chain; validation oracle."""
-    ps = spec.ps
+    ps = spec.ps.tolist()
 
     def walk(age: int, prob: float) -> tuple[float, float]:
-        if age >= ps.size:
+        if age >= len(ps):
             return 0.0, prob
         succ, fail = walk(age + 1, prob * (1.0 - ps[age]))
         return succ + prob * ps[age], fail
@@ -274,7 +284,7 @@ def _grid_rows(width: int, grid_step: float) -> list[tuple[float, ...]]:
     return rows
 
 
-_GRID_MAX_FLOATS = 1 << 22  # candidates times states in the last step, 32 MB per array
+_GRID_MAX_FLOATS = 1 << 22  # candidates times states; bounds every array of the search, 32 MB each
 
 
 def best_stationary_psi(
@@ -284,8 +294,10 @@ def best_stationary_psi(
     probability under a stationary contention process.
 
     Rows are restricted to the probability grid. Every candidate matrix is
-    evaluated at once: the dynamic programme of `success_probability_dp`
-    runs over a tensor with one axis of grid rows per agent. Of the
+    evaluated at once: the backward recursion of `success_probability_dp`
+    runs over a tensor with one axis of grid rows per agent, and at the
+    first agent it evaluates state 0 only, so the largest array holds
+    R**(N-1) * 2**M * 3**M floats for R grid rows. Of the
     candidates whose success lies within 1e-12 of the maximum, the
     lexicographically smallest matrix is returned. Returns (argmin, miss
     probability).
@@ -310,10 +322,14 @@ def best_stationary_psi(
     # in lexicographic order, so the flat candidate order is lexicographic too
     rows = np.array(_grid_rows(width, grid_step))
 
-    state = _dp_start(n_channels)
-    for n_idx in range(n):
-        state = _dp_step(state, rows, p[n_idx], n_channels)
-    success = (state @ _dp_success_mask(n_channels)).ravel()
+    shift, value = _dp_tables(n_channels)
+    for n_idx in range(n - 1, -1, -1):
+        # each agent adds one candidate axis before the state axis; the first
+        # agent is evaluated at state 0 only, where nobody has transmitted
+        states = shift if n_idx else shift[:, :1]
+        value = _dp_weights(np.full(len(rows), p[n_idx]), rows) @ value[..., states]
+    # the candidate axes run from the last agent to the first
+    success = value[..., 0].T.ravel()
     best = int(np.flatnonzero(success >= success.max() - 1e-12)[0])
     picked = np.unravel_index(best, (len(rows),) * n)
     _, miss = stationary_deadline_probability(float(success[best]), deadline)

@@ -198,6 +198,14 @@ def _check_ranges(cfg: ScenarioConfig) -> None:
             "n_subnets",
             f"DRL is limited to {MAX_DRL_SUBNETS} subnetworks: its set-up factors an N x N covariance",
         )
+        # every hidden layer holds at least two parameters, each kept in seven
+        # float copies per agent (see `_setup_bytes`); checked before the
+        # layer sizes, one entry per layer, are built
+        _check(
+            112 * cfg.n_subnets * cfg.dnn_hidden_layers <= SETUP_BUDGET_BYTES,
+            "dnn_hidden_layers",
+            f"{cfg.dnn_hidden_layers} hidden layers exceed the {SETUP_BUDGET_BYTES / 2**30:.0f} GiB set-up budget",
+        )
     footprint = _setup_bytes(cfg)
     total = sum(footprint.values())
     if total > SETUP_BUDGET_BYTES:

@@ -87,9 +87,25 @@ class RunTrace:
 
 def resolve_collisions(action_indices: list[int] | np.ndarray, n_channels: int) -> bool:
     """Whether one slot's transmission patterns succeed: some channel
-    carries exactly one transmitter."""
-    bits = pattern_table(n_channels)[np.asarray(action_indices, dtype=int)]
-    return bool((bits.sum(axis=0) == 1).any())
+    carries exactly one transmitter. Each pattern index must be an integer
+    in [0, 2**M); anything else raises ValueError rather than wrapping or
+    truncating to some pattern."""
+    n_patterns = 1 << n_channels
+    actions = np.asarray(action_indices)
+    if actions.size == 0:
+        return False  # nobody transmits (numpy reads an empty list as floats)
+    counts = None
+    if actions.dtype.kind in "iu":
+        try:
+            counts = np.bincount(actions, minlength=n_patterns)
+        except ValueError:  # a negative index
+            pass
+    if counts is None or counts.size > n_patterns:
+        raise ValueError(
+            f"pattern indices must be integers in [0, {n_patterns}) for {n_channels} channels, got {action_indices!r}"
+        )
+    # transmitters per channel: how often each pattern is played, times its bits
+    return bool((counts @ pattern_table(n_channels) == 1).any())
 
 
 class Simulation:

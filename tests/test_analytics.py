@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from alarmmac import selfcheck
+from alarmmac import analytics, selfcheck
 from alarmmac.analytics import (
     AccessDistribution,
     DP_MAX_CHANNELS,
@@ -139,9 +139,95 @@ def _literal_success_probability(p, psi, n_channels):
     return total
 
 
+def _forward_dp_step(state, rows, p_n, n_channels):
+    """One more agent joins the capped-count chain, run forwards over state
+    masses: the independent reference for the backward value recursion.
+
+    `state` holds masses of shape (..., 3**M); index s = sum_c k_c 3**c,
+    where k_c in {0, 1, 2} is channel c's transmitter count capped at two.
+    `rows` holds R candidate access rows, shape (R, 2**M). Returns the
+    masses of shape (..., R, 3**M) after the agent joins with each row: it
+    stays inactive with 1 - p_n, else plays pattern a with rows[r, a].
+    """
+    lead = state.shape[:-1]
+    # moved[..., a, :] is the mass moved by pattern a. Pattern bit c adds a
+    # transmitter to channel c, which is axis -(c + 1) of the (3,)*M view.
+    moved = state[..., None, :]
+    for c in range(n_channels):
+        grid = moved.reshape(moved.shape[:-1] + (3,) * n_channels)
+        counts = np.moveaxis(grid, -(c + 1), 0)
+        added = np.empty_like(counts)
+        added[0] = 0.0
+        added[1] = counts[0]
+        added[2] = counts[1] + counts[2]
+        added = np.moveaxis(added, 0, -(c + 1))
+        moved = np.concatenate([grid, added], axis=len(lead)).reshape(lead + (-1, state.shape[-1]))
+    return (1.0 - p_n) * state[..., None, :] + p_n * (rows @ moved)
+
+
+def _forward_success(state, n_channels):
+    """Success mass of the forward states: some channel counts exactly one."""
+    counts = np.indices((3,) * n_channels).reshape(n_channels, -1)
+    return state @ (counts == 1).any(axis=0).astype(float)
+
+
+def _forward_start(n_channels):
+    state = np.zeros(3**n_channels)
+    state[0] = 1.0  # nobody has transmitted yet
+    return state
+
+
+def _forward_success_probability(p, psi, n_channels):
+    state = _forward_start(n_channels)
+    for n in range(len(p)):
+        state = _forward_dp_step(state, psi[n : n + 1], p[n], n_channels)[0]
+    return float(_forward_success(state, n_channels))
+
+
+def _grid_rows(n_channels, grid_step):
+    """Every access row on the grid, in lexicographic order."""
+    ticks = int(round(1.0 / grid_step))
+    return [tuple(c * grid_step for c in combo)
+            for combo in itertools.product(range(ticks + 1), repeat=1 << n_channels) if sum(combo) == ticks]
+
+
+def _forward_best_stationary_psi(p, n_channels, grid_step):
+    """The grid search by the forward programme over every candidate at
+    once; the lexicographically smallest of those within 1e-12 of the best."""
+    rows = np.array(_grid_rows(n_channels, grid_step))
+    state = _forward_start(n_channels)
+    for n in range(len(p)):
+        state = _forward_dp_step(state, rows, p[n], n_channels)
+    success = _forward_success(state, n_channels).ravel()
+    best = int(np.flatnonzero(success >= success.max() - 1e-12)[0])
+    return rows[np.array(np.unravel_index(best, (len(rows),) * len(p)), dtype=int)]
+
+
 class TestSuccessProbabilityDp:
     def test_matches_bruteforce_up_to_six_agents_three_channels(self):
         assert selfcheck.success_oracle_gap(np.random.default_rng(5), 4) < 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_backward_recursion_matches_the_forward_programme(self, m):
+        rng = np.random.default_rng(20 + m)
+        for _ in range(20):
+            p, access = selfcheck.random_instance(rng, 20, m)
+            expected = _forward_success_probability(p, access.psi, m)
+            assert abs(success_probability_dp(p, access) - expected) <= 1e-14
+
+    def test_first_call_at_the_largest_channel_count_stays_under_the_forward_peak(self):
+        # the forward programme peaked at 27.1 MB here, at k = 4; the shift
+        # map (13.4 MB of platform integers) is built inside the traced call
+        p, access = np.ones(4), uniform_access(4, DP_MAX_CHANNELS)
+        analytics._dp_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            got = success_probability_dp(p, access)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(got - (1.0 - (1.0 - 4 / 2.0**4) ** DP_MAX_CHANNELS)) < 1e-12
+        assert peak <= 27.1e6
 
     def test_uniform_rch_closed_form_beyond_enumeration(self):
         for k in (1, 7, 20, 40):
@@ -245,9 +331,7 @@ def _reference_best_stationary_psi(p, n_channels, deadline, grid_step=0.25):
     1e-12 of the best success, the lexicographically smallest wins."""
     n = len(p)
     width = 1 << n_channels
-    ticks = int(round(1.0 / grid_step))
-    rows = [tuple(c * grid_step for c in combo)
-            for combo in itertools.product(range(ticks + 1), repeat=width) if sum(combo) == ticks]
+    rows = _grid_rows(n_channels, grid_step)
     table = pattern_table(n_channels)
     subsets = []
     for mask in range(1 << n):
@@ -278,6 +362,21 @@ def _reference_best_stationary_psi(p, n_channels, deadline, grid_step=0.25):
     return np.array(candidates[best]), miss
 
 
+def _grid_instances():
+    """(p, M, grid step, deadline) of random, all-ones and all-equal
+    activation over N <= 3, M <= 2."""
+    rng = np.random.default_rng(9)
+    instances = []
+    for i in range(54):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        kind = i % 3  # random, all ones, all equal
+        p = rng.random(n) if kind == 0 else np.ones(n) if kind == 1 else np.full(n, rng.random())
+        # the full 0.25 grid at N = 3, M = 2 takes the enumeration about 2 s
+        instances.append((p, m, 0.5 if (n, m) == (3, 2) else 0.25))
+    instances.append((rng.random(3), 2, 0.25))  # the benchmark's shape
+    return [(p, m, step, int(rng.integers(0, 5))) for p, m, step in instances]
+
+
 class TestBestStationaryPsi:
     def test_single_agent_always_transmits(self):
         access, miss = best_stationary_psi(np.array([1.0]), n_channels=1, deadline=3)
@@ -300,21 +399,21 @@ class TestBestStationaryPsi:
             best_stationary_psi(np.ones(4), n_channels=2, deadline=3)
 
     def test_matches_enumeration_reference(self):
-        rng = np.random.default_rng(9)
-        instances = []
-        for i in range(54):
-            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-            kind = i % 3  # random, all ones, all equal
-            p = rng.random(n) if kind == 0 else np.ones(n) if kind == 1 else np.full(n, rng.random())
-            # the full 0.25 grid at N = 3, M = 2 takes the reference about 2 s
-            instances.append((p, m, 0.5 if (n, m) == (3, 2) else 0.25))
-        instances.append((rng.random(3), 2, 0.25))  # the benchmark's shape
-        for p, m, step in instances:
-            deadline = int(rng.integers(0, 5))
+        for p, m, step, deadline in _grid_instances():
             access, miss = best_stationary_psi(p, m, deadline, step)
             ref_psi, ref_miss = _reference_best_stationary_psi(p, m, deadline, step)
             assert np.array_equal(access.psi, ref_psi)
             assert abs(miss - ref_miss) < 1e-12
+
+    def test_matches_the_forward_programme(self):
+        for p, m, step, deadline in _grid_instances():
+            access, _ = best_stationary_psi(p, m, deadline, step)
+            assert np.array_equal(access.psi, _forward_best_stationary_psi(p, m, step))
+        # the full 0.25 grid at N = 3, M = 2, out of the enumeration's reach
+        rng = np.random.default_rng(4)
+        for p in (np.ones(3), rng.random(3), np.full(3, 0.5)):
+            access, _ = best_stationary_psi(p, 2, 3, 0.25)
+            assert np.array_equal(access.psi, _forward_best_stationary_psi(p, 2, 0.25))
 
     def test_oversized_grid_rejected(self):
         with pytest.raises(ValueError, match="grid_step"):

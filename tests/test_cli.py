@@ -151,13 +151,13 @@ def test_selftest_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys)
     table = policies.pattern_table
 
     def truncated(n_channels):
-        return table(n_channels)[:-1]  # one pattern short: the last pattern index is out of bounds
+        return table(n_channels)[:-1]  # one pattern short: the pattern counts no longer match its rows
 
     monkeypatch.setattr(engine, "pattern_table", truncated)
     monkeypatch.setattr(policies, "pattern_table", truncated)
     assert main(["selftest"]) == 1
     captured = capsys.readouterr()
-    assert "FAIL collision_oracle: raised IndexError: " in captured.out
+    assert "FAIL collision_oracle: raised ValueError: " in captured.out
     assert "collision_oracle" in captured.err
     assert "error:" not in captured.err
     for name in ("dtmc_consistency", "gradient_check", "clip_norm"):

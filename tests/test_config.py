@@ -208,6 +208,11 @@ def test_packing_bound_checked_when_built(n_subnets, fits):
         ("dnn_hidden_size", {"n_subnets": 20, "dnn_hidden_size": 10**5}),
         ("n_subnets", {"n_subnets": MAX_DRL_SUBNETS + 1, "min_separation_m": 0.0}),  # the Cholesky bound
         ("n_channels", {"n_subnets": 5000, "n_channels": 16, "policy_kind": "mapra"}),  # the value table
+        # refused before the layer sizes, one per layer, are built (at 2**63
+        # building them raised OverflowError); one layer over the bound is
+        # refused under this key, not under dnn_hidden_size
+        ("dnn_hidden_layers", {"n_subnets": 20, "dnn_hidden_layers": 2**63}),
+        ("dnn_hidden_layers", {"n_subnets": 20, "dnn_hidden_layers": config.SETUP_BUDGET_BYTES // (112 * 20) + 1}),
     ],
 )
 def test_config_too_large_to_build_refused_naming_the_key(key, overrides):

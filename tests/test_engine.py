@@ -29,6 +29,23 @@ def test_single_silent_agent_fails():
     assert resolve_collisions([0], 2) is False
 
 
+@pytest.mark.parametrize(
+    "actions",
+    [
+        [-1],  # used to wrap to the last pattern, which uses every channel
+        [2, -3],
+        [4],  # one past the last of the 2**2 patterns
+        np.array([0, 7]),
+        [1.5],  # used to truncate to pattern 1
+        [1.0, 2.0],  # a float index is refused even when it is whole
+        np.array([True]),
+    ],
+)
+def test_pattern_index_outside_the_patterns_refused_naming_the_range(actions):
+    with pytest.raises(ValueError, match=r"integers in \[0, 4\) for 2 channels"):
+        resolve_collisions(actions, 2)
+
+
 def test_resolve_matches_brute_force_exhaustively():
     mismatches, _ = selfcheck.collision_mismatches((1, 2), 3)
     assert mismatches == 0

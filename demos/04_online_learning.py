@@ -8,19 +8,20 @@ schedule, the learning-rate decay, and the system training error over a
 single seeded run.
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 
-from alarmmac.config import PolicyKind, ScenarioConfig
+from alarmmac.config import PolicyKind, load_config_file
 from alarmmac.engine import Simulation
 from alarmmac.learning import forward_stacked
 from alarmmac.policies import DrlPopulation, pattern_bits
 from alarmmac.reporting import in_time_probability, mse_decile_medians
 
-cfg = ScenarioConfig(
-    n_subnets=10, n_channels=3, policy_kind=PolicyKind.DRL,
-    alpha=1.0, activation_mode="threshold_only", eta=0.06, tx_threshold=0.3,
-    deadline_slots=2, n_slots=10**9, lr_initial=0.05, lr_decay_per_event=0.002,
-)
+# the acceptance criteria's preset: the contention scenario with faster learning
+criteria = load_config_file(str(Path(__file__).resolve().parent.parent / "configs" / "criteria.json"))
+cfg = replace(criteria, n_subnets=10, policy_kind=PolicyKind.DRL)
 
 sim = Simulation(cfg, seed=314159)
 sim.run(n_slots=10**7, until_events=1500)

@@ -6,17 +6,15 @@ in-time delivery table the sweep CSVs are built from.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
-from alarmmac.config import ScenarioConfig
+from alarmmac.config import load_config_file
 from alarmmac.reporting import sweep
 
-base = ScenarioConfig(
-    n_subnets=12, n_channels=3, alpha=1.0, activation_mode="threshold_only",
-    eta=0.06, tx_threshold=0.3, deadline_slots=2,
-    lr_initial=0.05, lr_decay_per_event=0.002,
-    n_slots=10**7, n_runs=6, rng_seed=2718,
-)
+# the acceptance criteria's preset: the contention scenario with faster learning
+criteria = load_config_file(str(Path(__file__).resolve().parent.parent / "configs" / "criteria.json"))
+base = replace(criteria, n_subnets=12, n_runs=6, rng_seed=2718)
 
 with tempfile.TemporaryDirectory(prefix="alarmmac_sweep_") as tmp:
     rows = sweep(

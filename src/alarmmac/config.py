@@ -147,7 +147,7 @@ def _check(cond: bool, name: str, reason: str) -> None:
 def _check_ranges(cfg: ScenarioConfig) -> None:
     """A ConfigError naming the key unless every field is in its range."""
     _check(cfg.n_subnets >= 1, "n_subnets", "must be >= 1")
-    _check(cfg.n_channels >= 1, "n_channels", "n_channels >= 1")
+    _check(cfg.n_channels >= 1, "n_channels", "must be >= 1")
     _check(cfg.n_channels <= 16, "n_channels", "must be <= 16 (2**n_channels action space)")
     _check(cfg.area_width_m > 0, "area_width_m", "must be > 0")
     _check(cfg.area_height_m > 0, "area_height_m", "must be > 0")

@@ -36,7 +36,9 @@ at the walls of the deployment rectangle, independently of the others.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -108,12 +110,22 @@ def resolve_collisions(action_indices: list[int] | np.ndarray, n_channels: int) 
     return bool((counts @ pattern_table(n_channels) == 1).any())
 
 
+def checked_seed(seed: Any) -> int:
+    """`seed` as an int, numpy's integers included; a ValueError naming it
+    for anything else, a float or a bool among them, which `int` would
+    truncate or take as 0 or 1."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed: must be an integer, got {seed!r}")
+    return int(seed)
+
+
 class Simulation:
     """World state for one run, whose random streams all derive from
     `seed`; strictly single threaded. The config's `rng_seed` is no run's
     seed: `reporting.run_experiment` derives its runs' seeds from it."""
 
     def __init__(self, config: ScenarioConfig, seed: int):
+        seed = checked_seed(seed)
         self.config = config
         self.rng_mobility = derive_stream(seed, "mobility")
         self.rng_events = derive_stream(seed, "events")
@@ -229,10 +241,13 @@ class Simulation:
 
     def run(self, n_slots: int | None = None, until_events: int | None = None) -> RunTrace:
         """Advance the world; stops at n_slots, or earlier once until_events
-        terminal events have been recorded."""
+        terminal events have been recorded, which with until_events = 0 is
+        before the first slot. A negative until_events is a ValueError."""
+        if until_events is not None and until_events < 0:
+            raise ValueError(f"until_events: must be >= 0, got {until_events}")
         horizon = self.config.n_slots if n_slots is None else n_slots
         for _ in range(horizon):
-            self.run_slot()
             if until_events is not None and len(self.trace.events) >= until_events:
                 break
+            self.run_slot()
         return self.trace

@@ -12,8 +12,8 @@ as one `reduce`) and array operators (`a * b`, `a[i]`), which the profiler
 does not report. numpy's own functions make Python and C calls that differ
 between numpy versions, so counts compare only within one numpy version.
 
-The runs use the benchmark's contention scenario (`CONTENTION` in
-bench/workloads.py), seed 7: DRL and MAP-RA at N = 20 and RCH at N = 300.
+The runs use the contention scenario of configs/contention.json, seed 7:
+DRL and MAP-RA at N = 20 and RCH at N = 300.
 Each runs 5 warm-up slots, which fill the first-call caches, and then
 counts 250 slots.
 
@@ -26,18 +26,16 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
-sys.path.insert(0, str(HERE.parent / "bench"))
 
-from alarmmac.config import ScenarioConfig  # noqa: E402
+from alarmmac.config import load_config_file  # noqa: E402
 from alarmmac.engine import Simulation  # noqa: E402
 
-from workloads import CONTENTION  # noqa: E402
-
+CONTENTION = load_config_file(str(HERE.parent / "configs" / "contention.json"))
 SEED = 7
 WARM_SLOTS = 5
 COUNTED_SLOTS = 250
@@ -57,7 +55,7 @@ class Counts:
 
 def count(policy: str, n_subnets: int, warm: int = WARM_SLOTS, slots: int = COUNTED_SLOTS, seed: int = SEED) -> Counts:
     """The calls of `slots` slots of one run, after `warm` uncounted ones."""
-    sim = Simulation(ScenarioConfig(**CONTENTION, n_subnets=n_subnets, policy_kind=policy), seed=seed)
+    sim = Simulation(replace(CONTENTION, n_subnets=n_subnets, policy_kind=policy), seed=seed)
     for _ in range(warm):
         sim.run_slot()
     python_calls, c_calls = 0, Counter()

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+from pathlib import Path
 
 # One BLAS thread, set before numpy loads BLAS. Above about N = 120 the
 # Cholesky factor of the shadowing covariance differs in its last bits
@@ -13,7 +14,7 @@ os.environ["OMP_NUM_THREADS"] = "1"
 import numpy as np  # noqa: E402
 import pytest
 
-from alarmmac.config import ScenarioConfig
+from alarmmac.config import ScenarioConfig, load_config_file
 from alarmmac.events import AlarmEvent
 from alarmmac.geometry import _POSE
 
@@ -46,16 +47,13 @@ class FixedPolicy:
             self.events_ended[n] += 1
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # the contention scenario: several agents per alarm, each detecting it
-# (alpha = 1, threshold activation), and D = 2
-CONTENTION = {
-    "n_channels": 3,
-    "alpha": 1.0,
-    "eta": 0.06,
-    "tx_threshold": 0.3,
-    "activation_mode": "threshold_only",
-    "deadline_slots": 2,
-}
+# (alpha = 1, threshold activation), and D = 2, at N = 20
+CONTENTION = load_config_file(str(CONFIGS / "contention.json"))
+# the preset of acceptance criteria 3, 6 and 7: the contention scenario,
+# run until its events are counted, with faster learning than the defaults
+CRITERIA = load_config_file(str(CONFIGS / "criteria.json"))
 
 
 @pytest.fixture

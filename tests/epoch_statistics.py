@@ -13,12 +13,13 @@ one. Such a change must keep these statistics in distribution instead:
 
 They are taken per seed by `reporting.run_experiment`, over the seeds
 derive_run_seed(0, s) for s < 20 with one BLAS thread, for the golden
-(scenario, policy) pairs at their slot counts and for the presets of
-acceptance criteria 6 (N = 10 DRL, 2000 events) and 7 (N = 20, each
-policy, 300 events). Criterion 7's per-seed differences DRL - MAP-RA and
-DRL - RCH of the first two are statistics of their own, so a change that
-moves an ordering beyond its paired noise fails even when each policy's
-mean stays inside its own wider bound.
+(scenario, policy) pairs at their slot counts and for the criteria preset
+(configs/criteria.json) as acceptance criteria 6 (N = 10 DRL, 2000
+events) and 7 (N = 20, each policy, 300 events) run it. Criterion 7's
+per-seed differences DRL - MAP-RA and DRL - RCH of the first two are
+statistics of their own, so a change that moves an ordering beyond its
+paired noise fails even when each policy's mean stays inside its own wider
+bound.
 
     PYTHONPATH=src python tests/epoch_statistics.py --write
     PYTHONPATH=src python tests/epoch_statistics.py --check
@@ -40,6 +41,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -49,13 +51,12 @@ sys.path.insert(0, str(HERE.parent / "src"))
 # before numpy, as under pytest: conftest pins one BLAS thread, and the
 # crowded scenarios' shadowing Cholesky differs in its last bits between
 # thread counts
-import conftest  # noqa: E402, F401
+from conftest import CRITERIA  # noqa: E402
 import numpy as np  # noqa: E402
 
-from alarmmac.config import PolicyKind, ScenarioConfig, config_from_dict  # noqa: E402
+from alarmmac.config import PolicyKind  # noqa: E402
 from alarmmac.reporting import paired_difference, run_experiment  # noqa: E402
 
-from test_acceptance import CRITERIA_PRESET  # noqa: E402
 from test_golden import GOLDEN, SCENARIOS  # noqa: E402
 
 DATA = HERE / "data" / "epoch_statistics.json"
@@ -73,13 +74,11 @@ def cases():
     runs = {"n_runs": N_SEEDS, "rng_seed": 0}
     out = {}
     for scenario, policy in GOLDEN:
-        keys, slots = SCENARIOS[scenario]
-        config = config_from_dict({**keys, **runs, "policy_kind": policy, "n_slots": slots})
-        out[f"golden {scenario} {policy}"] = (config, None)
-    out["criterion 6 drl"] = (ScenarioConfig(n_subnets=10, policy_kind="drl", **CRITERIA_PRESET, **runs), 2000)
+        config, slots = SCENARIOS[scenario]
+        out[f"golden {scenario} {policy}"] = (replace(config, **runs, policy_kind=policy, n_slots=slots), None)
+    out["criterion 6 drl"] = (replace(CRITERIA, n_subnets=10, policy_kind="drl", **runs), 2000)
     for policy in POLICIES:
-        config = ScenarioConfig(n_subnets=20, policy_kind=policy, **CRITERIA_PRESET, **runs)
-        out[f"criterion 7 {policy}"] = (config, 300)
+        out[f"criterion 7 {policy}"] = (replace(CRITERIA, policy_kind=policy, **runs), 300)
     return out
 
 

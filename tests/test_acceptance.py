@@ -16,12 +16,7 @@ from alarmmac.engine import Simulation
 from alarmmac.policies import make_policy
 from alarmmac.reporting import in_time_probability, paired_difference, run_experiment
 
-from conftest import CONTENTION
-
-
-# the preset of criteria 3, 6 and 7: the contention scenario, run until its
-# events are counted, with faster learning than the defaults
-CRITERIA_PRESET = {**CONTENTION, "n_slots": 10**9, "lr_initial": 0.05, "lr_decay_per_event": 0.002}
+from conftest import CRITERIA
 
 
 def report(num: int, title: str, passed: bool, detail: str = "") -> None:
@@ -87,7 +82,7 @@ def test_criterion_3_at_benchmark_scale_matches_dp():
     # contention slots at N = 20 hold up to a dozen agents, beyond any
     # enumeration; given each slot's active count k, an RCH slot succeeds
     # independently with the DP's exact P_s(k)
-    cfg = ScenarioConfig(n_subnets=20, policy_kind=PolicyKind.RCH, **CRITERIA_PRESET)
+    cfg = replace(CRITERIA, policy_kind=PolicyKind.RCH)
     sim = Simulation(cfg, seed=derive_run_seed(0, 0))
     counts = []
     select = sim.policy.select_action
@@ -142,10 +137,8 @@ def test_criterion_5_clipping_and_schedules():
 
 def test_criterion_6_training_reduces_system_mse():
     started = time.perf_counter()
-    cfg = ScenarioConfig(
-        n_subnets=10, policy_kind=PolicyKind.DRL, **CRITERIA_PRESET,
-    )
-    deciles = run_experiment(replace(cfg, n_runs=10), until_events=2000).per_run_mse_deciles
+    cfg = replace(CRITERIA, n_subnets=10, policy_kind=PolicyKind.DRL, n_runs=10)
+    deciles = run_experiment(cfg, until_events=2000).per_run_mse_deciles
     passing = sum(d is not None and d[1] < d[0] for d in deciles)
     details = [f"{d[0]:.3f}->{d[1]:.3f}" if d else "none" for d in deciles]
     elapsed = time.perf_counter() - started
@@ -156,11 +149,10 @@ def test_criterion_6_training_reduces_system_mse():
 
 def test_criterion_7_policy_ordering():
     started = time.perf_counter()
-    base = ScenarioConfig(n_subnets=20, **CRITERIA_PRESET)
     seeds = [derive_run_seed(0, s) for s in range(20)]  # common random numbers
     in_time = {}
     for kind in (PolicyKind.DRL, PolicyKind.MAP_RA, PolicyKind.RCH):
-        result = run_experiment(replace(base, policy_kind=kind), seeds=seeds, until_events=300)
+        result = run_experiment(replace(CRITERIA, policy_kind=kind), seeds=seeds, until_events=300)
         in_time[kind.value] = result.per_run_in_time
     means = {kind: float(np.mean(vals)) for kind, vals in in_time.items()}
     elapsed = time.perf_counter() - started

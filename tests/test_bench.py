@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from alarmmac import events, geometry, learning
-from conftest import make_config
+from alarmmac.config import config_to_dict
+from conftest import CONTENTION, make_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -32,6 +33,14 @@ def test_benchmark_harness_imports_and_wraps_the_layer_modules(harness):
     finally:
         patch.apply(False)
     assert learning.backward_stacked is original
+
+
+def test_benchmark_contention_keys_keep_the_committed_preset(harness):
+    # bench/workloads.py keeps its own copy of configs/contention.json until
+    # the benchmark reads the file; each key it sets must keep the preset's value
+    _, workloads = harness
+    preset = config_to_dict(CONTENTION)
+    assert {key: preset[key] for key in workloads.CONTENTION} == workloads.CONTENTION
 
 
 def test_mobility_hook_counts_the_resampled_headings(harness):

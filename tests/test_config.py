@@ -22,6 +22,7 @@ from alarmmac.config import (
 from alarmmac.engine import Simulation
 from alarmmac.events import AlarmEvent
 from alarmmac.policies import RchPopulation
+from conftest import CONFIGS, CONTENTION, CRITERIA
 
 
 def test_minimal_document_gets_documented_defaults():
@@ -51,7 +52,7 @@ def test_n_and_m_are_required():
 
 
 def test_zero_channels_rejected():
-    with pytest.raises(ConfigError, match="n_channels >= 1"):
+    with pytest.raises(ConfigError, match="n_channels: must be >= 1"):
         load_config('{"n_subnets": 3, "n_channels": 0}')
 
 
@@ -338,6 +339,15 @@ def test_equal_configs_share_one_fingerprint(key, value, equal):
     assert a == b and type(getattr(a, key)) is type(getattr(b, key))
     assert serialize_config(a) == serialize_config(b)
     assert config_fingerprint(a) == config_fingerprint(b)
+
+
+def test_presets_are_pinned_and_criteria_extends_contention():
+    # a preset holds only the keys that differ from the defaults, so a
+    # changed default changes its scenario: the pinned fingerprints show it
+    assert config_fingerprint(CONTENTION) == "5df14c1589ef6de86f69c5e9906e1947965efe545618268726838b289590b58e"
+    assert config_fingerprint(CRITERIA) == "9ae89019f7197afe0b33349266a515af297fbfd0937b58eee10590ba6564f0a0"
+    contention, criteria = (json.loads((CONFIGS / f"{name}.json").read_text()) for name in ("contention", "criteria"))
+    assert {key: criteria.get(key) for key in contention} == contention
 
 
 def test_serialized_form_is_flat_json():

@@ -1,11 +1,13 @@
 import gc
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from alarmmac import channel, engine, selfcheck
-from alarmmac.config import PolicyKind, derive_stream
+from alarmmac.config import ActivationMode, PolicyKind, derive_stream
 from alarmmac.engine import Simulation, resolve_collisions
 from alarmmac.events import maybe_spawn_event
 from alarmmac.geometry import step_mobility
@@ -159,6 +161,31 @@ def test_run_alpha_zero_no_events():
     assert len(trace.events) == 0 and trace.n_contention_slots == 0
 
 
+def test_run_until_events_checks_the_count_before_each_slot():
+    cfg = replace(CONTENTION, policy_kind=PolicyKind.RCH, n_slots=500)
+    assert Simulation(cfg, seed=3).run(until_events=0).n_slots == 0
+    # a positive count stops after the slot that ends its last event
+    trace = Simulation(cfg, seed=3).run(until_events=2)
+    stepped = Simulation(cfg, seed=3)
+    while len(stepped.trace.events) < 2:
+        stepped.run_slot()
+    assert len(trace.events) == 2 and trace.n_slots == stepped.trace.n_slots > 0
+    with pytest.raises(ValueError, match="until_events: must be >= 0, got -1"):
+        Simulation(cfg, seed=3).run(until_events=-1)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
+def test_a_seed_that_is_not_an_integer_is_refused_naming_it(seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed: must be an integer, got {seed!r}")):
+        Simulation(make_config(), seed=seed)
+
+
+def test_a_numpy_integer_seed_runs_as_its_int():
+    cfg = make_config(n_slots=300, alpha=0.5, eta=0.05, tx_threshold=0.3, policy_kind=PolicyKind.RCH)
+    a, b = (Simulation(cfg, seed=seed).run() for seed in (np.int64(7), 7))
+    assert a.events and a.events == b.events and a.n_successful_slots == b.n_successful_slots
+
+
 def run_collecting(cfg, seed):
     """(trace, outcome of every contention slot) of one seeded run."""
     sim = Simulation(cfg, seed=seed)
@@ -210,7 +237,7 @@ def test_delivered_event_has_successful_outcome_in_window():
 
 def test_run_record_retains_little_per_contention_slot():
     # the contention scenario: every slot contends
-    cfg = make_config(n_subnets=20, n_slots=1000, policy_kind=PolicyKind.RCH, **CONTENTION)
+    cfg = replace(CONTENTION, n_slots=1000, policy_kind=PolicyKind.RCH)
     tracemalloc.start()
     try:
         trace = Simulation(cfg, seed=2).run()
@@ -246,7 +273,7 @@ def spy_contexts(monkeypatch, population) -> list:
 
 @pytest.mark.parametrize("policy,population", [("rch", RchPopulation), ("mapra", MapRaPopulation)])
 def test_context_free_policies_skip_only_dead_work(monkeypatch, policy, population):
-    cfg = make_config(n_subnets=20, policy_kind=policy, **CONTENTION)
+    cfg = replace(CONTENTION, policy_kind=policy)
     seen = spy_contexts(monkeypatch, population)
     skipped = Simulation(cfg, seed=4)
     skipped.run(2000)
@@ -267,7 +294,7 @@ def test_context_free_policies_skip_only_dead_work(monkeypatch, policy, populati
 
 
 def test_drl_reads_one_context_row_per_active_agent(monkeypatch):
-    cfg = make_config(n_subnets=20, policy_kind=PolicyKind.DRL, **CONTENTION)
+    cfg = replace(CONTENTION, policy_kind=PolicyKind.DRL)
     seen = spy_contexts(monkeypatch, DrlPopulation)
     Simulation(cfg, seed=4).run(50)
     assert seen
@@ -289,7 +316,7 @@ def test_a_round_hands_one_agent_array_to_the_gains_and_every_population_call(mo
     seen = []
     for name in ("select_action", "observe", "end_event"):
         monkeypatch.setattr(DrlPopulation, name, counting(seen, getattr(DrlPopulation, name)))
-    sim = Simulation(make_config(n_subnets=20, policy_kind=PolicyKind.DRL, **CONTENTION), seed=4)
+    sim = Simulation(replace(CONTENTION, policy_kind=PolicyKind.DRL), seed=4)
     gains = []
     sim._link_gains = counting(gains, sim._link_gains)
     ended = repeated = 0
@@ -320,7 +347,7 @@ def test_pathloss_coefficients_are_snapshot_quantities(monkeypatch, policy):
     # runs no np.where; a context-free policy draws no snapshot at all
     coefficients, wheres = [], []
     monkeypatch.setattr(channel, "pathloss_coefficients", counting(coefficients, channel.pathloss_coefficients))
-    sim = Simulation(make_config(n_subnets=20, policy_kind=policy, **CONTENTION), seed=4)
+    sim = Simulation(replace(CONTENTION, policy_kind=policy), seed=4)
     assert len(coefficients) == (policy == "drl")
     monkeypatch.setattr(np, "where", counting(wheres, np.where))
     sim.run(50)
@@ -355,8 +382,10 @@ def test_mobility_advances_only_when_a_slot_reads_the_poses(monkeypatch):
     monkeypatch.setattr(engine, "step_mobility", counted_step)
     monkeypatch.setattr(engine, "maybe_spawn_event", counted_spawn)
     # the sparse benchmark scenario: most slots are idle
-    cfg = make_config(n_subnets=20, n_channels=3, policy_kind=PolicyKind.MAP_RA, alpha=0.05, eta=0.06,
-                      tx_threshold=0.3, deadline_slots=15)
+    cfg = replace(
+        CONTENTION, policy_kind=PolicyKind.MAP_RA, alpha=0.05,
+        activation_mode=ActivationMode.THRESHOLD_AND_BERNOULLI, deadline_slots=15,
+    )
     slots = 2000
     sim = Simulation(cfg, seed=1)
     sim.run(slots)

@@ -27,35 +27,30 @@ covariance, whose last bits depend on the OpenBLAS thread count.
 
 import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from alarmmac.config import config_from_dict
+from alarmmac.config import ScenarioConfig
 from alarmmac.engine import Simulation
 
 from conftest import CONTENTION
 
-# name -> (config keys, slots)
+# name -> (config, slots); each run sets its own policy
 SCENARIOS = {
     # the acceptance suite's contention scenario
-    "contention": ({**CONTENTION, "n_subnets": 20}, 120),
+    "contention": (CONTENTION, 120),
     # the same, with agents greedy on their contexts from the first slot;
     # four hidden units, so that few networks are flat over the contexts
-    "greedy": (
-        {**CONTENTION, "n_subnets": 20, "epsilon_start": 0.1, "epsilon_floor": 0.1, "dnn_hidden_size": 4},
-        120,
-    ),
+    "greedy": (replace(CONTENTION, epsilon_start=0.1, epsilon_floor=0.1, dnn_hidden_size=4), 120),
     # Bernoulli activation and long deadlines: idle slots between events
-    "bernoulli": ({"n_subnets": 12, "n_channels": 2, "eta": 0.3, "alpha": 0.2}, 200),
+    "bernoulli": (ScenarioConfig(n_subnets=12, n_channels=2, eta=0.3, alpha=0.2), 200),
     # crowded and fast: poses often resample their headings at the walls;
     # a short activation range keeps active sets small enough to succeed
-    "crowded": (
-        {**CONTENTION, "n_subnets": 150, "speed_mps": 25.0, "eta": 0.6, "tx_threshold": 0.1},
-        40,
-    ),
+    "crowded": (replace(CONTENTION, n_subnets=150, speed_mps=25.0, eta=0.6, tx_threshold=0.1), 40),
     # the contention scenario with short memories, which all fill
-    "full-replay": ({**CONTENTION, "n_subnets": 20, "replay_capacity": 16, "minibatch_size": 8}, 120),
+    "full-replay": (replace(CONTENTION, replay_capacity=16, minibatch_size=8), 120),
 }
 
 GOLDEN = {
@@ -78,8 +73,8 @@ def run_digest(scenario: str, policy: str, reads: np.ndarray | None = None, seed
     `sim.poses` before each slot that `reads` flags, by default before every
     slot, and once after its last; the resamples are the poses whose
     heading changed from one read to the next."""
-    keys, slots = SCENARIOS[scenario]
-    sim = Simulation(config_from_dict({**keys, "policy_kind": policy}), seed=seed)
+    config, slots = SCENARIOS[scenario]
+    sim = Simulation(replace(config, policy_kind=policy), seed=seed)
     flags, headings = [], [sim.poses["heading"]]  # a read before the first slot advances nothing
     for read in np.ones(slots, dtype=bool) if reads is None else reads:
         if read:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import threading
 
 import numpy as np
@@ -107,6 +108,30 @@ def test_slots_per_run_counts_the_slots_actually_run():
     # a run with no contention slot has no per-slot success
     idle = run_experiment(make_config(**{**DENSE, "n_slots": 0}), seeds=[1])
     assert (idle.slots_per_run, idle.per_run_success, idle.per_run_in_time) == ([0], [None], [None])
+
+
+def test_run_experiment_until_zero_events_runs_no_slot_and_refuses_a_negative_count():
+    cfg = make_config(**DENSE)
+    result = run_experiment(cfg, seeds=[1, 2], until_events=0)
+    assert result.slots_per_run == [0, 0] and result.per_run_in_time == [None, None]
+    with pytest.raises(ValueError, match="until_events: must be >= 0, got -1"):
+        run_experiment(cfg, seeds=[1], until_events=-1)
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, True])
+def test_run_experiment_refuses_a_seed_that_is_not_an_integer_before_any_run(monkeypatch, bad):
+    built = []
+    monkeypatch.setattr(reporting, "Simulation", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ValueError, match=re.escape(f"seed: must be an integer, got {bad!r}")):
+        run_experiment(make_config(**DENSE), seeds=[7, bad])
+    assert built == []
+
+
+def test_run_experiment_records_numpy_integer_seeds_as_int():
+    cfg = make_config(**DENSE)
+    result = run_experiment(cfg, seeds=[np.int64(7), np.uint32(8)])
+    assert result.seeds == [7, 8] and all(type(s) is int for s in result.seeds)
+    assert result.per_run_in_time == run_experiment(cfg, seeds=[7, 8]).per_run_in_time
 
 
 def test_mse_decile_medians_are_taken_per_run_then_aggregated():

@@ -14,11 +14,14 @@ beyond desk scale. The success-probability enumeration visits (2**M + 1)**N
 joint outcomes, each agent being inactive or active with one of 2**M
 patterns: 531 441 at its limit N = 6, M = 3. (Summed subset by subset,
 sum_k C(N, k) 2**(M k), the count is the same, by the binomial theorem.)
-The grid search is limited to N <= 3, M <= 2. The dynamic programme runs
-backwards over agents, one gather of a cached (2**M, 3**M) shift map per
-agent: O(N * 2**M * 3**M) time and O(2**M * 3**M) memory, so it reaches
-benchmark scale (N = 20 and up) for M <= 8; the enumeration stays as its
-independent reference.
+Its success indicator over that grid depends on (N, M) only, so it is built
+once per pair and kept read-only: at most 21 grids, 0.62 MB in all. It is
+the enumeration's own table, not derived from the dynamic programme's, so
+the enumeration stays independent of it. The grid search is limited to
+N <= 3, M <= 2. The dynamic programme runs backwards over agents, one
+gather of a cached (2**M, 3**M) shift map per agent: O(N * 2**M * 3**M)
+time and O(2**M * 3**M) memory, so it reaches benchmark scale (N = 20 and
+up) for M <= 8; the enumeration stays as its independent reference.
 """
 
 from __future__ import annotations
@@ -92,20 +95,34 @@ def success_probability_bruteforce(p: np.ndarray, access: AccessDistribution) ->
     # option 0 is inactive, option 1 + a is active playing pattern a; axis
     # n of the outcome grid holds agent n's option
     weights = np.hstack([(1.0 - p)[:, None], p[:, None] * access.psi])
-    bits = np.vstack([np.zeros((1, m), dtype=np.uint8), pattern_table(m)])
     prob = np.ones(())
     for row in weights:
         prob = np.multiply.outer(prob, row)
-    ok = np.zeros(prob.shape, dtype=bool)
+    # zeroing the failures in place keeps the sum pairwise over one array
+    np.multiply(prob, _enumeration_success(n, m), out=prob)
+    return float(prob.sum())
+
+
+@lru_cache(maxsize=None)
+def _enumeration_success(n: int, n_channels: int) -> np.ndarray:
+    """Read-only bool indicator over the (2**M + 1)**N outcome grid of
+    `success_probability_bruteforce`: some channel carries exactly one
+    transmitter. It depends on N and M only, not on p or psi. It is the
+    enumeration's own table, counted per channel over the outcome grid, so
+    the enumeration stays independent of the capped-count `_dp_tables`.
+    Callers refuse N > 6 and M > 3 first, so at most 21 grids exist,
+    0.62 MB in all; the largest, N = 6, M = 3, is 0.53 MB.
+    """
+    bits = np.vstack([np.zeros((1, n_channels), dtype=np.uint8), pattern_table(n_channels)])
+    ok = np.zeros((len(bits),) * n, dtype=bool)
     for bit in bits.T:
         # uint8 counts hold at most six transmitters
         count = np.zeros((), dtype=np.uint8)
         for _ in range(n):
             count = np.add.outer(count, bit)
         ok |= count == 1
-    # zeroing the failures in place keeps the sum pairwise over one array
-    np.multiply(prob, ok, out=prob)
-    return float(prob.sum())
+    ok.flags.writeable = False
+    return ok
 
 
 DP_MAX_CHANNELS = 8
@@ -226,11 +243,8 @@ def transition_blocks(spec: DtmcSpec) -> tuple[np.ndarray, np.ndarray]:
     age and the deadline miss absorbs from age D only.
     """
     ps = spec.ps
-    d1 = ps.size
-    q = np.zeros((d1, d1))
-    for d in range(d1 - 1):
-        q[d, d + 1] = 1.0 - ps[d]
-    r = np.zeros((d1, 2))
+    q = np.diag(1.0 - ps[:-1], 1)
+    r = np.zeros((ps.size, 2))
     r[:, 0] = ps
     r[-1, 1] = 1.0 - ps[-1]
     return q, r

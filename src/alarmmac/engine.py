@@ -110,13 +110,15 @@ def resolve_collisions(action_indices: list[int] | np.ndarray, n_channels: int) 
     return bool((counts @ pattern_table(n_channels) == 1).any())
 
 
-def checked_seed(seed: Any) -> int:
-    """`seed` as an int, numpy's integers included; a ValueError naming it
-    for anything else, a float or a bool among them, which `int` would
-    truncate or take as 0 or 1."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed: must be an integer, got {seed!r}")
-    return int(seed)
+def checked_int(value: Any, name: str, minimum: int | None = None) -> int:
+    """`value` as an int, numpy's integers included; a ValueError naming
+    `name` for anything else, a float or a bool among them, which `int`
+    would truncate or take as 0 or 1, and for an integer below `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name}: must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class Simulation:
@@ -125,7 +127,7 @@ class Simulation:
     seed: `reporting.run_experiment` derives its runs' seeds from it."""
 
     def __init__(self, config: ScenarioConfig, seed: int):
-        seed = checked_seed(seed)
+        seed = checked_int(seed, "seed")
         self.config = config
         self.rng_mobility = derive_stream(seed, "mobility")
         self.rng_events = derive_stream(seed, "events")
@@ -242,10 +244,11 @@ class Simulation:
     def run(self, n_slots: int | None = None, until_events: int | None = None) -> RunTrace:
         """Advance the world; stops at n_slots, or earlier once until_events
         terminal events have been recorded, which with until_events = 0 is
-        before the first slot. A negative until_events is a ValueError."""
-        if until_events is not None and until_events < 0:
-            raise ValueError(f"until_events: must be >= 0, got {until_events}")
-        horizon = self.config.n_slots if n_slots is None else n_slots
+        before the first slot. Either count, when given, must be an integer
+        >= 0, or it is a ValueError naming it."""
+        if until_events is not None:
+            checked_int(until_events, "until_events", minimum=0)
+        horizon = self.config.n_slots if n_slots is None else checked_int(n_slots, "n_slots", minimum=0)
         for _ in range(horizon):
             if until_events is not None and len(self.trace.events) >= until_events:
                 break

@@ -24,7 +24,7 @@ from .config import (
     config_to_dict,
     derive_run_seed,
 )
-from .engine import RunTrace, Simulation, checked_seed
+from .engine import RunTrace, Simulation, checked_int
 
 SWEEP_AXES = ("n_subnets", "n_channels", "eta", "dnn_shape")
 
@@ -174,7 +174,10 @@ def run_experiment(
     started = time.perf_counter()
     if seeds is None:
         seeds = [derive_run_seed(config.rng_seed, i) for i in range(config.n_runs)]
-    seeds = [checked_seed(s) for s in seeds]  # a bad seed is refused before any run
+    # a bad seed or event count is refused before any run
+    seeds = [checked_int(s, "seed") for s in seeds]
+    if until_events is not None:
+        checked_int(until_events, "until_events", minimum=0)
 
     per_run: list[float | None] = []
     success: list[float | None] = []

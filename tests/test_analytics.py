@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +119,86 @@ class TestSuccessProbability:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+    def test_a_warm_call_builds_no_count_grids(self):
+        # the probability grid is 4.25 MB; rebuilding the success indicator
+        # and its uint8 counts in every call peaked at 5.85 MB
+        p, access = np.full(6, 0.5), uniform_access(6, 3)
+        success_probability_bruteforce(p, access)
+        tracemalloc.start()
+        try:
+            success_probability_bruteforce(p, access)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.3e6
+
+    def test_cached_success_grid_matches_the_in_call_counts(self):
+        for n in range(7):
+            for m in (1, 2, 3):
+                grid = analytics._enumeration_success(n, m)
+                reference = _reference_success_grid(n, m)
+                assert grid.dtype == bool and grid.shape == reference.shape
+                assert np.array_equal(grid, reference)
+
+    def test_cached_success_grid_is_read_only(self):
+        grid = analytics._enumeration_success(2, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = True
+        assert analytics._enumeration_success(2, 1) is grid
+
+    def test_equals_the_in_call_grid_bit_for_bit_at_the_largest_instance(self):
+        rng = np.random.default_rng(34)
+        got = []
+        for _ in range(5):
+            p, access = selfcheck.random_instance(rng, 6, 3)
+            got.append(success_probability_bruteforce(p, access))
+            assert got[-1] == _in_call_success_probability(p, access)
+        # the values of the enumeration that built the grid in every call
+        assert [repr(v) for v in got] == [
+            "0.44053076765886096", "0.7634717182121008", "0.7574344411131798",
+            "0.8916861658004767", "0.5643366821684892",
+        ]
+
+    def test_equals_the_in_call_grid_bit_for_bit_on_the_benchmark_inputs(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import workloads
+
+        cfg = workloads.oracle_config()
+        _, setup_seed, input_seed = workloads.run_seeds(1, 2)
+        inp = workloads.oracle_inputs(cfg, workloads.oracle_setup(cfg, setup_seed), input_seed)
+        cases = {
+            "0.7465937165239963": (inp.p, uniform_access(6, 3)),
+            "0.7182373880193296": (inp.p, AccessDistribution(inp.psi)),
+            "0.5250367203939807": (inp.p[:3], uniform_access(3, 2)),
+        }
+        for expected, (p, access) in cases.items():
+            got = success_probability_bruteforce(p, access)
+            assert repr(got) == expected and got == _in_call_success_probability(p, access)
+
+
+def _reference_success_grid(n, n_channels):
+    """The success indicator built in the call, as the enumeration once did:
+    per channel, the transmitter count over the outcome grid by outer sums."""
+    bits = np.vstack([np.zeros((1, n_channels), dtype=np.uint8), pattern_table(n_channels)])
+    ok = np.zeros((len(bits),) * n, dtype=bool)
+    for bit in bits.T:
+        count = np.zeros((), dtype=np.uint8)
+        for _ in range(n):
+            count = np.add.outer(count, bit)
+        ok |= count == 1
+    return ok
+
+
+def _in_call_success_probability(p, access):
+    """The enumeration with its success indicator built in the call."""
+    p = np.asarray(p, dtype=float)
+    weights = np.hstack([(1.0 - p)[:, None], p[:, None] * access.psi])
+    prob = np.ones(())
+    for row in weights:
+        prob = np.multiply.outer(prob, row)
+    np.multiply(prob, _reference_success_grid(len(p), access.n_channels), out=prob)
+    return float(prob.sum())
 
 
 def _literal_success_probability(p, psi, n_channels):
@@ -323,6 +404,16 @@ class TestDeadlineProbability:
         assert np.all(np.tril(q) == 0.0)  # survival mass sits strictly above the diagonal
         assert np.allclose(r[:, 0], spec.ps)
         assert r[2, 1] == pytest.approx(0.1)
+
+    def test_transition_blocks_match_the_literal_superdiagonal(self):
+        rng = np.random.default_rng(9)
+        for deadline in range(16):
+            spec = DtmcSpec(rng.uniform(0.0, 1.0, deadline + 1))
+            q, _ = transition_blocks(spec)
+            literal = np.zeros((deadline + 1, deadline + 1))
+            for d in range(deadline):
+                literal[d, d + 1] = 1.0 - spec.ps[d]
+            assert q.dtype == literal.dtype and np.array_equal(q, literal)
 
 
 def _reference_best_stationary_psi(p, n_channels, deadline, grid_step=0.25):

@@ -174,6 +174,30 @@ def test_run_until_events_checks_the_count_before_each_slot():
         Simulation(cfg, seed=3).run(until_events=-1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_slots": -5}, "n_slots: must be >= 0, got -5"),
+        ({"n_slots": 2.5}, "n_slots: must be an integer, got 2.5"),
+        ({"n_slots": True}, "n_slots: must be an integer, got True"),
+        ({"n_slots": 5, "until_events": 0.5}, "until_events: must be an integer, got 0.5"),
+        ({"n_slots": 5, "until_events": False}, "until_events: must be an integer, got False"),
+    ],
+)
+def test_run_refuses_a_slot_or_event_count_that_is_not_a_non_negative_integer(kwargs, message):
+    sim = Simulation(make_config(), seed=3)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sim.run(**kwargs)
+    assert sim.slot == 0
+
+
+def test_run_takes_numpy_integer_counts_as_their_int():
+    cfg = replace(CONTENTION, policy_kind=PolicyKind.RCH)
+    a = Simulation(cfg, seed=3).run(n_slots=np.int64(400), until_events=np.uint8(2))
+    b = Simulation(cfg, seed=3).run(n_slots=400, until_events=2)
+    assert a.n_slots == b.n_slots > 0 and a.events == b.events
+
+
 @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
 def test_a_seed_that_is_not_an_integer_is_refused_naming_it(seed):
     with pytest.raises(ValueError, match=re.escape(f"seed: must be an integer, got {seed!r}")):

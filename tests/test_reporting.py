@@ -127,6 +127,18 @@ def test_run_experiment_refuses_a_seed_that_is_not_an_integer_before_any_run(mon
     assert built == []
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [(-1, "must be >= 0, got -1"), (0.5, "must be an integer, got 0.5"), (True, "must be an integer, got True")],
+)
+def test_run_experiment_refuses_a_bad_event_count_before_any_run(monkeypatch, bad, message):
+    built = []
+    monkeypatch.setattr(reporting, "Simulation", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ValueError, match=re.escape(f"until_events: {message}")):
+        run_experiment(make_config(**DENSE), seeds=[7, 8], until_events=bad)
+    assert built == []
+
+
 def test_run_experiment_records_numpy_integer_seeds_as_int():
     cfg = make_config(**DENSE)
     result = run_experiment(cfg, seeds=[np.int64(7), np.uint32(8)])

@@ -33,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import checked_int
 from .policies import pattern_table
 
 _ROW_SUM_TOL = 1e-12
@@ -72,6 +73,17 @@ def uniform_access(n: int, n_channels: int) -> AccessDistribution:
     return AccessDistribution(np.full((n, width), 1.0 / width))
 
 
+def _checked_p(p: np.ndarray, access: AccessDistribution | None = None) -> np.ndarray:
+    """`p` as a float array of activation probabilities in [0, 1]; a
+    ValueError otherwise, or if `access` has not one psi row per entry."""
+    p = np.asarray(p, dtype=float)
+    if access is not None and access.psi.shape[0] != len(p):
+        raise ValueError("psi must have one row per subnetwork")
+    if not _in_unit_interval(p):
+        raise ValueError(f"p: activation probabilities must lie in [0, 1], got {p}")
+    return p
+
+
 def success_probability_bruteforce(p: np.ndarray, access: AccessDistribution) -> float:
     """Exact per-slot success probability by full enumeration.
 
@@ -82,15 +94,11 @@ def success_probability_bruteforce(p: np.ndarray, access: AccessDistribution) ->
     grid of (2**M + 1)**N joint outcomes, with one axis per agent: inactive,
     or active with one of the 2**M patterns.
     """
-    p = np.asarray(p, dtype=float)
+    p = _checked_p(p, access)
     n = len(p)
     m = access.n_channels
-    if access.psi.shape[0] != n:
-        raise ValueError("psi must have one row per subnetwork")
     if n > 6 or m > 3:
         raise ValueError("enumeration oracle limited to N <= 6, M <= 3")
-    if not _in_unit_interval(p):
-        raise ValueError("activation probabilities must lie in [0, 1]")
 
     # option 0 is inactive, option 1 + a is active playing pattern a; axis
     # n of the outcome grid holds agent n's option
@@ -183,15 +191,10 @@ def success_probability_dp(p: np.ndarray, access: AccessDistribution) -> float:
     M is limited to DP_MAX_CHANNELS = 8, where the shift map and one
     agent's gather each hold 6**8 = 1.7 M entries (13 MB each).
     """
-    p = np.asarray(p, dtype=float)
-    n = len(p)
+    p = _checked_p(p, access)
     m = access.n_channels
-    if access.psi.shape[0] != n:
-        raise ValueError("psi must have one row per subnetwork")
     if m > DP_MAX_CHANNELS:
         raise ValueError(f"dynamic-programme oracle limited to M <= {DP_MAX_CHANNELS}")
-    if not _in_unit_interval(p):
-        raise ValueError("activation probabilities must lie in [0, 1]")
 
     shift, value = _dp_tables(m)
     for weights in _dp_weights(p, access.psi)[::-1]:
@@ -218,20 +221,15 @@ class DtmcSpec:
         return self.ps.size - 1
 
 
-def _check_deadline(deadline: int) -> None:
-    """Refuse a deadline that is not a non-negative integer (a bool is not)."""
-    if isinstance(deadline, bool) or not isinstance(deadline, (int, np.integer)) or deadline < 0:
-        raise ValueError(f"deadline must be a non-negative integer, got {deadline!r}")
-
-
-def _check_stationary(ps: float, deadline: int) -> None:
+def _checked_stationary(ps: float, deadline: int) -> int:
+    """`deadline` as an int; a ValueError naming `ps` or `deadline` if either is out of range."""
     if not _in_unit_interval(ps):
-        raise ValueError(f"ps must lie in [0, 1], got {ps!r}")
-    _check_deadline(deadline)
+        raise ValueError(f"ps: must lie in [0, 1], got {ps!r}")
+    return checked_int(deadline, "deadline", minimum=0)
 
 
 def stationary_dtmc(ps: float, deadline: int) -> DtmcSpec:
-    _check_stationary(ps, deadline)
+    deadline = _checked_stationary(ps, deadline)
     return DtmcSpec(np.full(deadline + 1, float(ps)))
 
 
@@ -270,21 +268,23 @@ def deadline_probability_via_absorption(spec: DtmcSpec) -> tuple[float, float]:
 
 
 def deadline_probability_by_paths(spec: DtmcSpec) -> tuple[float, float]:
-    """Literal walk over every outcome path of the chain; validation oracle."""
+    """Walk over every outcome path of the chain; validation oracle. Path d
+    fails at ages 0..d-1 and succeeds at age d; one more fails at every age.
+    A loop, so any deadline fits, sums the successes from the deepest age up,
+    as a recursive walk returns them, not in the product form's order."""
     ps = spec.ps.tolist()
-
-    def walk(age: int, prob: float) -> tuple[float, float]:
-        if age >= len(ps):
-            return 0.0, prob
-        succ, fail = walk(age + 1, prob * (1.0 - ps[age]))
-        return succ + prob * ps[age], fail
-
-    return walk(0, 1.0)
+    probs = [1.0]
+    for p in ps:
+        probs.append(probs[-1] * (1.0 - p))
+    succ = 0.0
+    for prob, p in zip(probs[-2::-1], ps[::-1]):
+        succ += prob * p
+    return succ, probs[-1]
 
 
 def stationary_deadline_probability(ps: float, deadline: int) -> tuple[float, float]:
     """Closed geometric form 1 - (1 - P_s)**(D + 1) and its complement."""
-    _check_stationary(ps, deadline)
+    deadline = _checked_stationary(ps, deadline)
     miss = (1.0 - ps) ** (deadline + 1)
     return 1.0 - miss, miss
 
@@ -316,15 +316,12 @@ def best_stationary_psi(
     lexicographically smallest matrix is returned. Returns (argmin, miss
     probability).
     """
-    p = np.asarray(p, dtype=float)
+    p = _checked_p(p)
     n = len(p)
-    if n_channels < 1:
-        raise ValueError(f"n_channels must be >= 1, got {n_channels}")
+    n_channels = checked_int(n_channels, "n_channels", minimum=1)
     if n > 3 or n_channels > 2:
         raise ValueError("grid search oracle limited to N <= 3, M <= 2")
-    if not _in_unit_interval(p):
-        raise ValueError(f"p entries must lie in [0, 1], got {p}")
-    _check_deadline(deadline)
+    deadline = checked_int(deadline, "deadline", minimum=0)
     ticks = 1.0 / grid_step if grid_step > 0 else 0.0
     if not (1 <= ticks < math.inf and math.isclose(ticks, round(ticks))):
         raise ValueError(f"grid_step must be 1/k for a positive integer k, got {grid_step}")

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import analytics
-from .config import PolicyKind, load_config_file
+from .config import PolicyKind, checked_int, load_config_file
 from .reporting import SWEEP_AXES, parse_axis_value, run_experiment, sweep
 
 
@@ -58,23 +58,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    ps = [float(v) for v in args.ps]
-    deadline = args.deadline
-    if any(not 0.0 <= v <= 1.0 for v in ps):
-        print("error: success probabilities must lie in [0, 1]", file=sys.stderr)
+    # every refusal comes before the first row
+    try:
+        ps = analytics.DtmcSpec(np.array([float(v) for v in args.ps])).ps
+        deadline = checked_int(args.deadline, "deadline", minimum=0)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if deadline < 0:
-        print("error: deadline must be >= 0", file=sys.stderr)
-        return 2
-    if len(ps) != 1 and len(ps) < deadline + 1:
+    if ps.size != 1 and ps.size < deadline + 1:
         print(f"error: need 1 or >= {deadline + 1} success probabilities", file=sys.stderr)
         return 2
     print("D  P_within_deadline  P_missed")
     for d in range(deadline + 1):
-        if len(ps) == 1:
-            spec = analytics.stationary_dtmc(ps[0], d)
-        else:
-            spec = analytics.DtmcSpec(np.array(ps[: d + 1]))
+        spec = analytics.stationary_dtmc(ps[0], d) if ps.size == 1 else analytics.DtmcSpec(ps[: d + 1])
         p_leq, p_gt = analytics.deadline_probability(spec)
         print(f"{d:<3}{p_leq:<19.12f}{p_gt:.12f}")
     return 0

@@ -11,6 +11,10 @@ separated in its area or whose set-up exceeds `SETUP_BUDGET_BYTES`. Counts
 are stored as int and quantities as float, so equal configs serialize
 alike and share one fingerprint.
 
+`checked_int` is the one integer rule of the public entry points (counts,
+seeds, deadlines): a ValueError naming the argument for a float, a bool or
+an integer below its minimum; numpy's integers come back as int.
+
 The model has no knob for what the paper fixes: at most one alarm is live
 at a time and each attempt takes one slot (see `engine`), every pilot
 symbol is 1 (see `signature`), link gains enter the signature normalised to
@@ -47,6 +51,18 @@ class ActivationMode(str, Enum):
 
 class ConfigError(ValueError):
     """Raised when a config document fails to parse or violates an invariant."""
+
+
+def checked_int(value: Any, name: str, minimum: int | None = None) -> int:
+    """`value` as an int, numpy's integers included; a ValueError naming
+    `name` for anything else, a float or a bool among them, which `int`
+    would truncate or take as 0 or 1, and for an integer below `minimum`."""
+    # a plain int skips the abstract-class check, 0.3 us of every mobility read
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name}: must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 _ENUM_FIELDS = {

@@ -36,15 +36,13 @@ at the walls of the deployment rectangle, independently of the others.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
 from . import channel as chan
 from . import signature as sig
-from .config import ScenarioConfig, derive_stream
+from .config import ScenarioConfig, checked_int, derive_stream
 from .events import AlarmEvent, maybe_spawn_event
 from .geometry import place_uniform, step_mobility
 from .policies import Population, make_policy, pattern_table
@@ -108,17 +106,6 @@ def resolve_collisions(action_indices: list[int] | np.ndarray, n_channels: int) 
         )
     # transmitters per channel: how often each pattern is played, times its bits
     return bool((counts @ pattern_table(n_channels) == 1).any())
-
-
-def checked_int(value: Any, name: str, minimum: int | None = None) -> int:
-    """`value` as an int, numpy's integers included; a ValueError naming
-    `name` for anything else, a float or a bool among them, which `int`
-    would truncate or take as 0 or 1, and for an integer below `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name}: must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name}: must be >= {minimum}, got {value!r}")
-    return int(value)
 
 
 class Simulation:
@@ -247,7 +234,7 @@ class Simulation:
         before the first slot. Either count, when given, must be an integer
         >= 0, or it is a ValueError naming it."""
         if until_events is not None:
-            checked_int(until_events, "until_events", minimum=0)
+            until_events = checked_int(until_events, "until_events", minimum=0)
         horizon = self.config.n_slots if n_slots is None else checked_int(n_slots, "n_slots", minimum=0)
         for _ in range(horizon):
             if until_events is not None and len(self.trace.events) >= until_events:

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .config import ActivationMode, ScenarioConfig
+from .config import ActivationMode, ScenarioConfig, checked_int
 
 
 @dataclass
@@ -93,9 +93,10 @@ def empirical_activation(
 
     Estimates alpha * Pr(activated | event) for each pose, honoring the
     configured activation mode. Feeds the exact success-probability oracle.
+    `n_trials` is an integer, numpy's included, >= 10 000; anything else is
+    a ValueError naming it, raised before any draw.
     """
-    if n_trials < 10_000:
-        raise ValueError("n_trials must be >= 10000")
+    n_trials = checked_int(n_trials, "n_trials", minimum=10_000)
     ex = rng.uniform(0.0, config.area_width_m, size=n_trials)
     ey = rng.uniform(0.0, config.area_height_m, size=n_trials)
     xs, ys = poses["x"], poses["y"]

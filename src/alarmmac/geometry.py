@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, checked_int
 
 _MAX_HEADING_RESAMPLES = 16
 _PLACEMENT_TRIES_PER_POSE = 10_000
@@ -127,10 +127,9 @@ def step_mobility(
 ) -> np.ndarray:
     """Advance every pose by `n_steps` slots; in each slot lower-indexed
     poses draw first. Gives the poses and draws of `n_steps` one-slot calls;
-    each step makes a new array, and `poses` is not changed. `n_steps` is a
-    non-negative int; 0 gives a copy of `poses`."""
-    if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 0:
-        raise ValueError(f"n_steps must be a non-negative int, got {n_steps!r}")
+    each step makes a new array, and `poses` is not changed. `n_steps` is
+    an integer, numpy's included, >= 0; 0 gives a copy of `poses`."""
+    n_steps = checked_int(n_steps, "n_steps", minimum=0)
     if n_steps == 0:
         return poses.copy()
     step = config.speed_mps * config.slot_ms / 1000.0

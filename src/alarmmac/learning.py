@@ -43,7 +43,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# per layer, (weights, biases); only bench/workloads.py calls grad_norm, which goes with ROADMAP direction 1
+# per layer, (weights, biases). Nothing calls grad_norm: bench/workloads.py binds it at import for a
+# clipping hook keyed on `learning.clip_gradient`, a name that no longer exists (ROADMAP direction 1b)
 Grads = list[tuple[np.ndarray, np.ndarray]]
 
 

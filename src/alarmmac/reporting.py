@@ -20,11 +20,12 @@ import numpy as np
 from .config import (
     PolicyKind,
     ScenarioConfig,
+    checked_int,
     config_fingerprint,
     config_to_dict,
     derive_run_seed,
 )
-from .engine import RunTrace, Simulation, checked_int
+from .engine import RunTrace, Simulation
 
 SWEEP_AXES = ("n_subnets", "n_channels", "eta", "dnn_shape")
 
@@ -177,7 +178,7 @@ def run_experiment(
     # a bad seed or event count is refused before any run
     seeds = [checked_int(s, "seed") for s in seeds]
     if until_events is not None:
-        checked_int(until_events, "until_events", minimum=0)
+        until_events = checked_int(until_events, "until_events", minimum=0)
 
     per_run: list[float | None] = []
     success: list[float | None] = []

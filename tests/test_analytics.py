@@ -14,6 +14,7 @@ from alarmmac.analytics import (
     compact_lower_bound_closed_form,
     complexity_bounds,
     deadline_probability,
+    deadline_probability_by_paths,
     deadline_probability_via_absorption,
     forward_madds,
     stationary_deadline_probability,
@@ -92,8 +93,18 @@ class TestSuccessProbability:
             AccessDistribution(np.full((2, width), 1.0 / width))
 
     def test_grid_search_refuses_zero_channels_naming_them(self):
-        with pytest.raises(ValueError, match="n_channels must be >= 1"):
+        with pytest.raises(ValueError, match="n_channels: must be >= 1"):
             best_stationary_psi(np.array([0.5]), 0, 2)
+
+    @pytest.mark.parametrize("n_channels", [1.5, True, 1.0])
+    def test_grid_search_refuses_a_channel_count_that_is_no_integer(self, n_channels):
+        with pytest.raises(ValueError, match="^n_channels: must be an integer"):
+            best_stationary_psi(np.array([0.5]), n_channels, 2)
+
+    def test_grid_search_takes_a_numpy_integer_channel_count(self):
+        access, miss = best_stationary_psi(np.array([0.5]), np.int64(1), np.int64(2))
+        ref_access, ref_miss = best_stationary_psi(np.array([0.5]), 1, 2)
+        assert np.array_equal(access.psi, ref_access.psi) and miss == ref_miss
 
     def test_nan_activation_rejected(self):
         with pytest.raises(ValueError, match="activation probabilities"):
@@ -333,6 +344,20 @@ def grid_search_one_agent(ps, deadline):
     return best_stationary_psi(np.array([ps]), 1, deadline)
 
 
+def _recursive_paths(spec):
+    """The path oracle as a recursive walk, one level per age: the reference
+    for its loop, which sums in the order this returns."""
+    ps = spec.ps.tolist()
+
+    def walk(age, prob):
+        if age >= len(ps):
+            return 0.0, prob
+        succ, fail = walk(age + 1, prob * (1.0 - ps[age]))
+        return succ + prob * ps[age], fail
+
+    return walk(0, 1.0)
+
+
 class TestDeadlineProbability:
     def test_stationary_half_deadline_one(self):
         p_leq, p_gt = deadline_probability(stationary_dtmc(0.5, 1))
@@ -372,6 +397,21 @@ class TestDeadlineProbability:
             better, _ = deadline_probability(DtmcSpec(bumped))
             assert better >= base - 1e-15
 
+    def test_path_walk_matches_the_recursive_walk(self):
+        rng = np.random.default_rng(12)
+        for _ in range(3000):
+            spec = DtmcSpec(rng.uniform(0.0, 1.0, int(rng.integers(1, 402))))
+            assert deadline_probability_by_paths(spec) == _recursive_paths(spec)
+        for spec in (DtmcSpec(np.zeros(5)), DtmcSpec(np.ones(5)), DtmcSpec(np.array([0.0, 1.0, 0.5]))):
+            assert deadline_probability_by_paths(spec) == _recursive_paths(spec)
+
+    def test_path_walk_takes_a_deadline_beyond_the_recursion_limit(self):
+        # the recursive walk overflowed the stack from about D = 990
+        spec = stationary_dtmc(0.001, 5000)
+        p_leq, p_gt = deadline_probability_by_paths(spec)
+        ref_leq, ref_gt = deadline_probability(spec)
+        assert abs(p_leq - ref_leq) < 1e-12 and abs(p_gt - ref_gt) < 1e-12
+
     def test_nan_success_probability_rejected(self):
         with pytest.raises(ValueError, match="success probabilities"):
             DtmcSpec(np.array([np.nan, 0.5]))
@@ -391,7 +431,7 @@ class TestDeadlineProbability:
         ],
     )
     def test_stationary_forms_reject_malformed_arguments(self, form, ps, deadline, argument):
-        with pytest.raises(ValueError, match=f"^{argument} "):
+        with pytest.raises(ValueError, match=f"^{argument}: "):
             form(ps, deadline)
 
     def test_transition_blocks_structure(self):
@@ -512,7 +552,7 @@ class TestBestStationaryPsi:
 
     @pytest.mark.parametrize("p", [[1.5], [-0.1], [np.nan]])
     def test_activation_outside_unit_interval_rejected(self, p):
-        with pytest.raises(ValueError, match="^p "):
+        with pytest.raises(ValueError, match="^p: "):
             best_stationary_psi(np.array(p), n_channels=1, deadline=3)
 
     def test_negative_deadline_rejected(self):

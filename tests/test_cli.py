@@ -113,6 +113,14 @@ def test_analyze_too_few_probabilities_prints_no_rows(capsys):
     assert "need 1 or >= 6 success probabilities" in captured.err
 
 
+def test_analyze_checks_every_probability_before_any_row(capsys):
+    # the D = 0 row reads only the first probability; the second is refused too
+    assert main(["analyze", "--ps", "0.1", "2", "--deadline", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "success probabilities must lie in [0, 1]" in captured.err
+
+
 def test_analyze_rejects_negative_deadline(capsys):
     assert main(["analyze", "--ps", "0.3", "--deadline", "-1"]) == 2
     captured = capsys.readouterr()

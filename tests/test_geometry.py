@@ -439,6 +439,17 @@ def test_step_mobility_takes_a_non_negative_int_n_steps(n_steps, valid):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("n_steps", [np.int64(3), np.uint8(3)])
+def test_step_mobility_takes_numpy_integer_steps(n_steps):
+    # the first pose walks into the wall, so the steps draw resamples
+    cfg = make_config(n_subnets=2)
+    poses = pose_array([(0.001, 10.0, math.pi), (40.0, 40.0, 2.0)])
+    rng, rng_ref = np.random.default_rng(0), np.random.default_rng(0)
+    assert_same_poses(stepped_apart(poses, cfg, rng, n_steps), step_mobility(poses, cfg, rng_ref, 3))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert rng.bit_generator.state != np.random.default_rng(0).bit_generator.state
+
+
 def test_too_close_decides_exactly_at_the_threshold():
     # a pose exactly at the separation is clear of its neighbour, one ulp
     # inside it is not; the squared distance is dx * dx + dy * dy

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,7 +70,9 @@ class AccessDistribution:
 
 
 def uniform_access(n: int, n_channels: int) -> AccessDistribution:
-    width = 1 << n_channels
+    """Every one of `n` subnetworks picks each of the 2**M patterns alike."""
+    n = checked_int(n, "n", minimum=0)
+    width = 1 << checked_int(n_channels, "n_channels", minimum=1)
     return AccessDistribution(np.full((n, width), 1.0 / width))
 
 
@@ -248,16 +251,32 @@ def transition_blocks(spec: DtmcSpec) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
+def _product_form(ps: Iterable[float], p_leq: float = 0.0, survive: float = 1.0) -> tuple[float, float]:
+    """The product form's running sums (P_delivered, P_survived) after the
+    ages `ps`, continued from the sums before them. Python floats: the same
+    IEEE products as numpy scalars, at a third the cost."""
+    for ps_d in ps:
+        p_leq += ps_d * survive
+        survive *= 1.0 - ps_d
+    return p_leq, survive
+
+
 def deadline_probability(spec: DtmcSpec) -> tuple[float, float]:
     """(P_delivered_within_D, P_deadline_missed) via the product form."""
-    survive = 1.0
-    p_leq = 0.0
-    # Python floats: the same IEEE products as numpy scalars, at a third the cost
-    for ps in spec.ps.tolist():
-        p_leq += ps * survive
-        survive *= 1.0 - ps
-    # the accumulated sum can exceed 1 by a couple of ulp
-    return min(max(p_leq, 0.0), 1.0), survive
+    p_leq, survive = _product_form(spec.ps.tolist())
+    # a sum of non-negative terms, which can exceed 1 by a couple of ulp
+    return (p_leq if p_leq < 1.0 else 1.0), survive
+
+
+def deadline_probability_table(ps: Iterable[float]) -> Iterator[tuple[float, float]]:
+    """Row d is `deadline_probability` of the chain with ages 0..d of the
+    success probabilities `ps`, each in [0, 1] as a `DtmcSpec` checks them,
+    bit for bit. One running pass of the product form gives every row, so
+    D rows cost O(D), and a lazy `ps` (say `itertools.repeat`) O(1) memory."""
+    p_leq, survive = 0.0, 1.0
+    for ps_d in ps:
+        p_leq, survive = _product_form((ps_d,), p_leq, survive)
+        yield (p_leq if p_leq < 1.0 else 1.0), survive
 
 
 def deadline_probability_via_absorption(spec: DtmcSpec) -> tuple[float, float]:
@@ -378,5 +397,5 @@ def compact_lower_bound_closed_form(n_channels: int) -> int:
     (B + 1) * z1 + 3 gives 2*M + 7; the two agree only at M = 2. Both are
     reported so the discrepancy stays visible.
     """
-    m = n_channels
+    m = checked_int(n_channels, "n_channels", minimum=1)
     return 90 * 4**m + (123 + 60 * m) * 2**m + 2**m + 7

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -68,10 +69,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if ps.size != 1 and ps.size < deadline + 1:
         print(f"error: need 1 or >= {deadline + 1} success probabilities", file=sys.stderr)
         return 2
+    ages = itertools.repeat(float(ps[0]), deadline + 1) if ps.size == 1 else ps[: deadline + 1].tolist()
     print("D  P_within_deadline  P_missed")
-    for d in range(deadline + 1):
-        spec = analytics.stationary_dtmc(ps[0], d) if ps.size == 1 else analytics.DtmcSpec(ps[: d + 1])
-        p_leq, p_gt = analytics.deadline_probability(spec)
+    for d, (p_leq, p_gt) in enumerate(analytics.deadline_probability_table(ages)):
         print(f"{d:<3}{p_leq:<19.12f}{p_gt:.12f}")
     return 0
 

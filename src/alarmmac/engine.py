@@ -89,7 +89,9 @@ def resolve_collisions(action_indices: list[int] | np.ndarray, n_channels: int) 
     """Whether one slot's transmission patterns succeed: some channel
     carries exactly one transmitter. Each pattern index must be an integer
     in [0, 2**M); anything else raises ValueError rather than wrapping or
-    truncating to some pattern."""
+    truncating to some pattern; so does an `n_channels` that is not an
+    integer >= 1."""
+    n_channels = checked_int(n_channels, "n_channels", minimum=1)
     n_patterns = 1 << n_channels
     actions = np.asarray(action_indices)
     if actions.size == 0:

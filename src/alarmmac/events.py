@@ -4,11 +4,28 @@ An event at epicenter e activates subnetwork n according to the probability
 p(d) = exp(-eta * d) of detecting an event at distance d. Activation applies
 a hard threshold p(d) >= tx_threshold and, in the default mode, an additional
 Bernoulli(p(d)) detection draw. The active set is frozen at event birth.
+
+Under `threshold_only` activation the gate is decided from the squared
+offset q = dx*dx + dy*dy, without `hypot` or `exp`, against two squared
+radii computed once per (eta, threshold, area): q up to the sure-pass
+radius means p >= threshold * (1 + 1e-9), q beyond the sure-fail radius
+means p < threshold * (1 - 1e-9). Only offsets in the band between them,
+practically none, take the exact test `exp(-eta * hypot(dx, dy)) >=
+threshold`. Near the threshold eta * d < 691, where the squares, their
+sum, `hypot`, the product and `exp` together err by less than 1e-12
+relative: far inside the band, so every decision is the exact test's. The
+screen is off, and every offset takes the exact test, for a threshold of
+at most 1e-300 (near which `exp` turns subnormal) and for an area whose
+squared diagonal could overflow. The Bernoulli mode draws with p itself,
+so it computes p exactly for every offset.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -35,14 +52,55 @@ def activation_probability(d_m: ArrayLike, eta: float) -> np.ndarray:
     return np.exp(-eta * d)
 
 
-def _activated(d: np.ndarray, rng: np.random.Generator, config: ScenarioConfig) -> np.ndarray:
-    """Which of the distances `d` activate: p(d) = exp(-eta * d) passes the
-    threshold gate and, in the default mode, a Bernoulli(p(d)) draw of one
-    uniform per distance."""
-    p = activation_probability(d, config.eta)
+_BAND = 1e-9  # relative half-width, in probability, of the exactly tested band
+_TINY = 1e-300  # no threshold or squared radius at or below this is screened
+
+
+@lru_cache(maxsize=64)
+def _screen_radii(eta: float, threshold: float, width: float, height: float) -> tuple[float, float] | None:
+    """Squared offsets (sure_pass, sure_fail) of the threshold screen: q <=
+    sure_pass passes and q > sure_fail fails for certain; -1 and inf leave
+    that side to the exact test, and None the whole gate. Past the finite
+    floats nothing passes for certain, so an overflowed q is tested exactly."""
+    if threshold <= _TINY or math.hypot(width, height) > 1e150:
+        return None
+    pass_level = threshold * (1.0 + _BAND)
+    pass_radius = -math.log(pass_level) / eta if pass_level < 1.0 else 0.0
+    fail_radius = -math.log(threshold * (1.0 - _BAND)) / eta
+    sure_pass, sure_fail = pass_radius * pass_radius, fail_radius * fail_radius
+    sure_pass = min(sure_pass, sys.float_info.max) if sure_pass > _TINY else -1.0
+    sure_fail = sure_fail if sure_fail > _TINY else math.inf
+    return None if sure_pass < 0.0 and sure_fail == math.inf else (sure_pass, sure_fail)
+
+
+def _exact_activated(dx: np.ndarray, dy: np.ndarray, rng: np.random.Generator, config: ScenarioConfig) -> np.ndarray:
+    """Which of the offsets (dx, dy) from the epicenter activate: p(d) =
+    exp(-eta * d) at d = hypot(dx, dy) passes the threshold gate and, in the
+    default mode, a Bernoulli(p(d)) draw of one uniform per offset."""
+    p = activation_probability(np.hypot(dx, dy), config.eta)
     passed = p >= config.tx_threshold
     if config.activation_mode is ActivationMode.THRESHOLD_AND_BERNOULLI:
         passed &= rng.random(p.shape) < p
+    return passed
+
+
+def _activated(dx: np.ndarray, dy: np.ndarray, rng: np.random.Generator, config: ScenarioConfig) -> np.ndarray:
+    """`_exact_activated`, with the threshold-only gate screened on the
+    squared offsets and tested exactly only in the band (see the module
+    notes). Offsets lie within the area's diagonal."""
+    screen = None
+    if config.activation_mode is ActivationMode.THRESHOLD_ONLY:
+        screen = _screen_radii(config.eta, config.tx_threshold, config.area_width_m, config.area_height_m)
+    if screen is None:
+        return _exact_activated(dx, dy, rng, config)
+    sure_pass, sure_fail = screen
+    q = dx * dx
+    q += dy * dy
+    passed = q <= sure_pass
+    band = q <= sure_fail
+    band ^= passed  # sure_pass < sure_fail, so this leaves the band only
+    if band.any():
+        passed[band] = _exact_activated(dx[band], dy[band], rng, config)
     return passed
 
 
@@ -58,8 +116,7 @@ def build_active_set(
     with different eta but equal seeds see coupled randomness.
     """
     ex, ey = epicenter
-    d = np.hypot(poses["x"] - ex, poses["y"] - ey)
-    return tuple(np.flatnonzero(_activated(d, rng, config)).tolist())
+    return tuple(np.flatnonzero(_activated(poses["x"] - ex, poses["y"] - ey, rng, config)).tolist())
 
 
 def maybe_spawn_event(
@@ -102,6 +159,5 @@ def empirical_activation(
     xs, ys = poses["x"], poses["y"]
     out = np.empty(len(poses))
     for n in range(len(poses)):
-        d = np.hypot(xs[n] - ex, ys[n] - ey)
-        out[n] = config.alpha * _activated(d, rng, config).mean()
+        out[n] = config.alpha * _activated(xs[n] - ex, ys[n] - ey, rng, config).mean()
     return out

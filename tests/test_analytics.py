@@ -15,6 +15,7 @@ from alarmmac.analytics import (
     complexity_bounds,
     deadline_probability,
     deadline_probability_by_paths,
+    deadline_probability_table,
     deadline_probability_via_absorption,
     forward_madds,
     stationary_deadline_probability,
@@ -91,6 +92,18 @@ class TestSuccessProbability:
         # 0.0 and the dynamic programme failed on a raw reshape
         with pytest.raises(ValueError, match="psi width must be a power of two of at least 2"):
             AccessDistribution(np.full((2, width), 1.0 / width))
+
+    @pytest.mark.parametrize(
+        "args,argument",
+        [((2, 1.5), "n_channels"), ((2, True), "n_channels"), ((2, 0), "n_channels"), ((2.0, 2), "n"), ((-1, 2), "n")],
+    )
+    def test_uniform_access_refuses_a_count_that_is_no_integer_in_range(self, args, argument):
+        # (2, 1.5) was a raw TypeError and (2, True) a one-channel matrix
+        with pytest.raises(ValueError, match=f"^{argument}: "):
+            uniform_access(*args)
+
+    def test_uniform_access_takes_numpy_integers(self):
+        assert np.array_equal(uniform_access(np.int64(3), np.uint8(2)).psi, uniform_access(3, 2).psi)
 
     def test_grid_search_refuses_zero_channels_naming_them(self):
         with pytest.raises(ValueError, match="n_channels: must be >= 1"):
@@ -405,6 +418,18 @@ class TestDeadlineProbability:
         for spec in (DtmcSpec(np.zeros(5)), DtmcSpec(np.ones(5)), DtmcSpec(np.array([0.0, 1.0, 0.5]))):
             assert deadline_probability_by_paths(spec) == _recursive_paths(spec)
 
+    def test_table_row_d_is_the_deadline_d_chain_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        chains = [rng.uniform(0.0, 1.0, int(rng.integers(1, 60))) for _ in range(200)]
+        chains += [np.zeros(4), np.ones(4), np.array([-0.0, 0.5]), 1.0 - rng.uniform(0.0, 1e-12, 40)]
+        for ps in chains:
+            rows = list(deadline_probability_table(ps.tolist()))
+            assert rows == [deadline_probability(DtmcSpec(ps[: d + 1])) for d in range(ps.size)]
+        stationary = itertools.repeat(0.3, 401)
+        assert list(deadline_probability_table(stationary)) == [
+            deadline_probability(stationary_dtmc(0.3, d)) for d in range(401)
+        ]
+
     def test_path_walk_takes_a_deadline_beyond_the_recursion_limit(self):
         # the recursive walk overflowed the stack from about D = 990
         spec = stationary_dtmc(0.001, 5000)
@@ -583,11 +608,17 @@ class TestComplexity:
             _, z_lb, z_ub = complexity_bounds(m, 30 * (1 << m), layers)
             assert z_ub - z_lb == (1 << m) - 1
 
+    @pytest.mark.parametrize("n_channels", [2.5, True, 0, 2.0])
+    def test_closed_form_refuses_a_channel_count_that_is_no_integer_of_at_least_one(self, n_channels):
+        # 2.5 used to return 4436.98
+        with pytest.raises(ValueError, match="^n_channels: "):
+            compact_lower_bound_closed_form(n_channels)
+
     def test_closed_form_agrees_only_at_m2(self):
         compact_lb = {m: complexity_bounds(m, 30 * (1 << m), [m, 1, 1, 1 << m])[1] for m in (2, 3)}
         assert compact_lb[2] == compact_lower_bound_closed_form(2) == 2423
         assert compact_lb[3] == 8197
-        assert compact_lower_bound_closed_form(3) == 8199
+        assert compact_lower_bound_closed_form(3) == compact_lower_bound_closed_form(np.int64(3)) == 8199
 
     def test_inconsistent_layer_vector_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from alarmmac import engine, learning, policies, reporting, selfcheck
+from alarmmac import analytics, engine, learning, policies, reporting, selfcheck
 from alarmmac.cli import main
 
 
@@ -100,6 +101,22 @@ def test_analyze_age_dependent(capsys):
     assert code == 0
     last = capsys.readouterr().out.strip().splitlines()[-1].split()
     assert abs(float(last[1]) - 0.6) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "ps,deadline",
+    [(["0.3"], 2000), (["-0.0"], 3), (["1"], 3), ([repr(v) for v in np.random.default_rng(4).random(40).tolist()], 39)],
+)
+def test_analyze_rows_are_the_deadline_d_chains(capsys, ps, deadline):
+    # one running pass prints what each row's own chain gives
+    assert main(["analyze", "--ps", *ps, "--deadline", str(deadline)]) == 0
+    values = np.array([float(v) for v in ps])
+    expected = ["D  P_within_deadline  P_missed"]
+    for d in range(deadline + 1):
+        chain = analytics.stationary_dtmc(values[0], d) if values.size == 1 else analytics.DtmcSpec(values[: d + 1])
+        p_leq, p_gt = analytics.deadline_probability(chain)
+        expected.append(f"{d:<3}{p_leq:<19.12f}{p_gt:.12f}")
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_analyze_rejects_bad_probability(capsys):

@@ -48,6 +48,18 @@ def test_pattern_index_outside_the_patterns_refused_naming_the_range(actions):
         resolve_collisions(actions, 2)
 
 
+@pytest.mark.parametrize("n_channels", [1.5, True, 0, 2.0])
+def test_channel_count_that_is_no_integer_of_at_least_one_refused_naming_it(n_channels):
+    # 1.5 was a raw TypeError from the shift
+    with pytest.raises(ValueError, match="^n_channels: "):
+        resolve_collisions([1], n_channels)
+
+
+def test_numpy_integer_channel_count_taken():
+    assert resolve_collisions([1, 2], np.int64(2)) is True
+    assert resolve_collisions([1, 1], np.uint8(2)) is False
+
+
 def test_resolve_matches_brute_force_exhaustively():
     mismatches, _ = selfcheck.collision_mismatches((1, 2), 3)
     assert mismatches == 0

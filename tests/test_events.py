@@ -1,8 +1,12 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from alarmmac import events, geometry
 from alarmmac.config import ActivationMode
 from alarmmac.events import (
     activation_probability,
@@ -11,7 +15,8 @@ from alarmmac.events import (
     maybe_spawn_event,
 )
 
-from conftest import make_config, pose_array
+from conftest import CONTENTION, make_config, pose_array
+from reference_activation import exact_activated
 
 
 def poses_at(points):
@@ -158,3 +163,153 @@ def test_event_fields(rng):
     assert event.birth_slot == 12
     assert event.active_set == (0,)
     assert event.attempts == 0
+
+
+# --- the threshold screen against the exact gate ---------------------------
+
+THRESHOLD_ONLY = ActivationMode.THRESHOLD_ONLY
+
+
+def screen_config(eta, threshold, extent=50.0):
+    """A threshold-only config whose area holds offsets up to `extent`."""
+    side = max(50.0, extent)
+    return make_config(eta=eta, tx_threshold=threshold, activation_mode=THRESHOLD_ONLY,
+                       area_width_m=side, area_height_m=side)
+
+
+def threshold_radius(eta, threshold):
+    """The distance at which exp(-eta * d) equals the threshold, 0 at
+    threshold 1 and none at threshold 0."""
+    return -math.log(threshold) / eta if threshold > 0.0 else None
+
+
+def offsets_around(radius, rng, n):
+    """n offsets uniform in the square of half-side 2 * radius (1 m if there
+    is no radius), and n at distances within 1e-16 to 1e-3 of the radius,
+    relative, on either side; every fourth of those lies on an axis."""
+    half = 2.0 * radius if radius else 1.0
+    dx, dy = rng.uniform(-half, half, (2, n))
+    if radius is not None:
+        d = radius * (1.0 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16.0, -3.0, n))
+        angle = rng.uniform(0.0, 2.0 * math.pi, n)
+        angle[::4] = 0.0
+        dx = np.concatenate([dx, d * np.cos(angle)])
+        dy = np.concatenate([dy, d * np.sin(angle)])
+    return dx, dy
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    eta=st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e),
+    threshold=st.sampled_from([0.0, 1.0, 1e-300, 5e-324]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screened_gate_decides_every_offset_as_the_exact_one(eta, threshold, seed):
+    rng = np.random.default_rng(seed)
+    radius = threshold_radius(eta, threshold)
+    dx, dy = offsets_around(radius, rng, 64)
+    cfg = screen_config(eta, threshold, extent=float(np.max(np.abs([dx, dy]))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing square would warn
+        got = events._activated(dx, dy, rng, cfg)
+    assert np.array_equal(got, exact_activated(np.hypot(dx, dy), rng, cfg))
+
+
+@pytest.mark.parametrize("mode", list(ActivationMode))
+def test_kernel_matches_the_reference_and_its_draws_in_both_modes(mode):
+    cfg = make_config(eta=0.06, tx_threshold=0.3, activation_mode=mode)
+    dx, dy = np.random.default_rng(5).uniform(-50.0, 50.0, (2, 10_000))
+    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    assert np.array_equal(events._activated(dx, dy, rng, cfg), exact_activated(np.hypot(dx, dy), ref_rng, cfg))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_offsets_at_the_threshold_radius_take_the_exact_test(monkeypatch):
+    calls = []
+
+    def counted(d_m, eta):
+        calls.append(np.array(d_m, copy=True))
+        return activation_probability(d_m, eta)
+
+    monkeypatch.setattr(events, "activation_probability", counted)
+    eta, radius = 0.06, 20.0
+    threshold = math.exp(-eta * radius)
+    cfg = screen_config(eta, threshold)
+    sure_pass, sure_fail = events._screen_radii(eta, threshold, 50.0, 50.0)
+    # on the radius, a hair inside and outside it, on both axes
+    d = radius * (1.0 + np.array([0.0, 1e-15, -1e-15, 1e-13, -1e-13]))
+    dx, dy = np.concatenate([d, np.zeros(5)]), np.concatenate([np.zeros(5), -d])
+    assert np.all((sure_pass < dx * dx + dy * dy) & (dx * dx + dy * dy <= sure_fail))
+    # two offsets the screen decides, one far inside and one far outside
+    dx, dy = np.append(dx, [1.0, 40.0]), np.append(dy, [0.0, 0.0])
+    got = events._activated(dx, dy, np.random.default_rng(0), cfg)
+    assert len(calls) == 1 and np.array_equal(calls[0], np.hypot(dx[:10], dy[:10]))
+    assert np.array_equal(got, exact_activated(np.hypot(dx, dy), None, cfg))
+    assert got[-2] and not got[-1]
+
+
+def test_screen_decides_the_contention_preset_without_the_exact_test(monkeypatch):
+    monkeypatch.setattr(events, "activation_probability", lambda *args: pytest.fail("the exact test ran"))
+    poses = geometry.place_uniform(CONTENTION, np.random.default_rng(2))
+    for seed in range(50):
+        build_active_set((float(seed), 25.0), poses, np.random.default_rng(seed), CONTENTION)
+
+
+def test_screen_radii_edge_cases():
+    # the band is everything at a threshold of at most 1e-300, and for an
+    # area whose squared diagonal could overflow
+    assert events._screen_radii(0.6, 0.0, 50.0, 50.0) is None
+    assert events._screen_radii(0.6, 1e-300, 50.0, 50.0) is None
+    assert events._screen_radii(0.6, 0.3, 1e200, 50.0) is None
+    # no sure-pass radius once threshold * (1 + 1e-9) reaches 1
+    sure_pass, sure_fail = events._screen_radii(0.6, 1.0, 50.0, 50.0)
+    assert sure_pass == -1.0 and 0.0 < sure_fail < math.inf
+    # a squared radius past the floats passes only finite squares for certain
+    sure_pass, sure_fail = events._screen_radii(1e-160, 0.5, 50.0, 50.0)
+    assert sure_pass == np.finfo(float).max and sure_fail == math.inf
+    # a squared radius below 1e-300 is left to the exact test
+    assert events._screen_radii(1e160, 0.5, 50.0, 50.0) is None
+    # both radii bracket the threshold radius
+    sure_pass, sure_fail = events._screen_radii(0.06, 0.3, 50.0, 50.0)
+    assert sure_pass < threshold_radius(0.06, 0.3) ** 2 < sure_fail
+
+
+def test_huge_area_takes_the_exact_test_without_overflow():
+    cfg = screen_config(1e-300, 0.5, extent=1e200)
+    dx = np.array([1e200, -3e199, 1e-200, 0.0])
+    dy = np.array([1e200, 5e199, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = events._activated(dx, dy, None, cfg)
+    assert np.array_equal(got, exact_activated(np.hypot(dx, dy), None, cfg))
+
+
+# empirical_activation at seed 11: 20 000 uniform epicenters over the poses
+# placed from the same generator, as computed by the exact gate
+PINNED_CONTENTION = [
+    0.3601, 0.27605, 0.22615, 0.21605, 0.28935, 0.5018, 0.43595, 0.29455, 0.47795, 0.39025,
+    0.2134, 0.4994, 0.49595, 0.33915, 0.24535, 0.461, 0.21415, 0.3701, 0.38555, 0.2673,
+]
+PINNED_BERNOULLI = [
+    0.08755, 0.065925, 0.0593, 0.053775, 0.069575, 0.1162, 0.106725, 0.07675, 0.114525, 0.09575,
+    0.0524, 0.1153, 0.11765, 0.087125, 0.063625, 0.11245, 0.054675, 0.09125, 0.096325, 0.0684,
+]
+
+
+@pytest.mark.parametrize(
+    "cfg,pinned,final_state",
+    [
+        (CONTENTION, PINNED_CONTENTION, 329181697986283592794964617179305909338),
+        (
+            replace(CONTENTION, activation_mode=ActivationMode.THRESHOLD_AND_BERNOULLI, alpha=0.5),
+            PINNED_BERNOULLI,
+            189634518212540464982052395177003226330,
+        ),
+    ],
+    ids=["contention", "bernoulli"],
+)
+def test_empirical_activation_pinned(cfg, pinned, final_state):
+    rng = np.random.default_rng(11)
+    poses = geometry.place_uniform(cfg, rng)
+    assert empirical_activation(poses, cfg, rng, n_trials=20_000).tolist() == pinned
+    assert rng.bit_generator.state["state"]["state"] == final_state

@@ -3,7 +3,12 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from alarmmac.analytics import DtmcSpec, deadline_probability, deadline_probability_via_absorption
+from alarmmac.analytics import (
+    DtmcSpec,
+    deadline_probability,
+    deadline_probability_table,
+    deadline_probability_via_absorption,
+)
 from alarmmac.learning import clip_gradient_stacked, grad_norm_stacked
 from alarmmac.signature import featurize
 
@@ -19,6 +24,22 @@ def test_deadline_probabilities_partition_unity(ps):
     assert abs(p_leq + p_gt - 1.0) < 1e-12
     a_leq, a_gt = deadline_probability_via_absorption(spec)
     assert abs(a_leq - p_leq) < 1e-10 and abs(a_gt - p_gt) < 1e-10
+
+
+def product_form_loop(ps):
+    """The product form with its clamp to [0, 1], as one loop."""
+    survive, p_leq = 1.0, 0.0
+    for p in ps:
+        p_leq += p * survive
+        survive *= 1.0 - p
+    return min(max(p_leq, 0.0), 1.0), survive
+
+
+@given(st.lists(probabilities | st.just(-0.0) | st.floats(1.0 - 1e-12, 1.0), min_size=1, max_size=40))
+def test_deadline_table_rows_are_the_prefix_chains(ps):
+    rows = list(deadline_probability_table(ps))
+    assert rows == [deadline_probability(DtmcSpec(np.array(ps[: d + 1]))) for d in range(len(ps))]
+    assert rows == [product_form_loop(ps[: d + 1]) for d in range(len(ps))]
 
 
 @given(

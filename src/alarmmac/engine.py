@@ -16,8 +16,9 @@ a policy that reads contexts (`reads_contexts`); a context-free policy gets
 `None` instead. Likewise the set-up draws the snapshot only for such a
 policy: line of sight, then the pathloss coefficients and the shadowing,
 whose per-link parameters `channel` selects from it.
-The channel, fading and noise streams feed nothing else, so skipping them
-changes no draw that a trace reads.
+The channel, fading and noise streams feed nothing else, so a context-free
+run does not derive them (its `rng_channel`, `rng_fading` and `rng_noise`
+are `None`), which changes no draw that a trace reads.
 
 A channel succeeds when exactly one active agent transmits on it; the slot
 succeeds when any channel does, and delivers the alarm, which ends it for
@@ -120,9 +121,6 @@ class Simulation:
         self.config = config
         self.rng_mobility = derive_stream(seed, "mobility")
         self.rng_events = derive_stream(seed, "events")
-        self.rng_channel = derive_stream(seed, "channel")
-        self.rng_fading = derive_stream(seed, "fading")
-        self.rng_noise = derive_stream(seed, "noise")
         self.rng_explore = derive_stream(seed, "explore")
         self.rng_sample = derive_stream(seed, "sample")
         rng_place = derive_stream(seed, "placement")
@@ -132,7 +130,12 @@ class Simulation:
         self._poses = place_uniform(config, rng_place)
         self._pending_steps = 0  # mobility steps owed to the poses
         self.cap_xy = (config.area_width_m / 2.0, config.area_height_m / 2.0)
+        # the signature streams, derived only for a policy that reads contexts
+        self.rng_channel = self.rng_fading = self.rng_noise = None
         if self.policy.reads_contexts:
+            self.rng_channel = derive_stream(seed, "channel")
+            self.rng_fading = derive_stream(seed, "fading")
+            self.rng_noise = derive_stream(seed, "noise")
             self._snapshot_channel_state()
         self.event: AlarmEvent | None = None  # the live alarm, if any
         self.event_agents = np.empty(0, dtype=np.intp)  # the live alarm's active set

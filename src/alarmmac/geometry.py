@@ -70,8 +70,10 @@ def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarra
     ``rng.uniform(0, W)`` and then ``rng.uniform(0, H)``, that lies at
     least the separation from poses 0..k-1. The candidates are drawn in
     blocks of at most `_PLACEMENT_BLOCK`, and never more than the poses
-    still to place, each block in one ``rng.uniform(0, (W, H), (m, 2))``
-    call that returns those same doubles in that same order. So every drawn
+    still to place, each block as one ``rng.random((m, 2))`` scaled by
+    ``(W, H)``: ``uniform(0, W)`` is ``0.0 + W * next_double``, which is
+    ``W * next_double``, so a block holds those same doubles in that same
+    order, at a fifth of an array-bounded ``uniform``'s cost. So every drawn
     candidate is one the one-at-a-time loop draws too, and each is tested
     in order with that loop's expression, against the poses placed before
     the block (one array test) and the ones accepted earlier in it: the
@@ -83,12 +85,14 @@ def place_uniform(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarra
     block further along than the one-at-a-time loop's.
     """
     n, sep2 = config.n_subnets, config.min_separation_m * config.min_separation_m
-    extent = (config.area_width_m, config.area_height_m)
+    extent = np.array((config.area_width_m, config.area_height_m))
     xs, ys = np.empty(n), np.empty(n)
     placed = tries = 0  # tries: rejected candidates of the pose being placed
     while placed < n:
         m = min(n - placed, _PLACEMENT_BLOCK)
-        cx, cy = rng.uniform(0.0, extent, size=(m, 2)).T
+        block = rng.random((m, 2))
+        block *= extent  # the doubles of `rng.uniform(0.0, extent, (m, 2))`
+        cx, cy = block.T
         accepted = (~_too_close(cx, cy, xs[:placed], ys[:placed], sep2).any(axis=1)).tolist()
         # the block's pairs too close together, in candidate order (row-major):
         # when candidate i is reached, whether each j < i was accepted is known

@@ -10,7 +10,8 @@ shows in them even where a timing could not resolve it.
 The counter misses ufunc calls (`np.maximum(...)`, `np.add.reduce` counts
 as one `reduce`) and array operators (`a * b`, `a[i]`), which the profiler
 does not report. numpy's own functions make Python and C calls that differ
-between numpy versions, so counts compare only within one numpy version.
+between numpy versions, so counts compare only within one numpy version;
+the header line names the Python and numpy versions of the run.
 
 The runs use the contention scenario of configs/contention.json, seed 7:
 DRL and MAP-RA at N = 20 and RCH at N = 300.
@@ -24,10 +25,13 @@ The file is not collected by pytest.
 
 from __future__ import annotations
 
+import platform
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
@@ -82,7 +86,11 @@ def count(policy: str, n_subnets: int, warm: int = WARM_SLOTS, slots: int = COUN
 
 
 def main() -> int:
-    print(f"calls per contention slot; seed {SEED}, {WARM_SLOTS} warm-up slots, {COUNTED_SLOTS} counted slots")
+    # the C counts compare only within one numpy build, so the header names it
+    print(
+        f"calls per contention slot; seed {SEED}, {WARM_SLOTS} warm-up slots, {COUNTED_SLOTS} counted slots; "
+        f"Python {platform.python_version()}, numpy {np.__version__}"
+    )
     for policy, n in RUNS:
         counts = count(policy, n)
         c_total = sum(counts.c_calls.values())

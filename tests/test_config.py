@@ -404,3 +404,72 @@ def test_derive_run_seed_stable_and_distinct():
     assert s0 == derive_run_seed(7, 0)
     assert s0 != derive_run_seed(7, 1)
     assert s0 != derive_run_seed(8, 0)
+
+
+# --- the streams equal numpy's from the list of entropy entries ------------
+
+MASK64 = 2**64 - 1
+STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 2**70)
+STREAM_LABELS = ("", "placement", "détection→阈值")
+
+
+def list_form_stream(seed: int, label: str) -> np.random.Generator:
+    """The stream of (seed, label) seeded, as numpy coerces it, from the list
+    ``[seed & (2**64 - 1), *label bytes]``."""
+    return np.random.default_rng(np.random.SeedSequence([seed & MASK64, *label.encode("utf-8")]))
+
+
+def list_form_run_seed(base_seed: int, run_index: int) -> int:
+    return int(np.random.SeedSequence([base_seed & MASK64, run_index]).generate_state(1, np.uint64)[0])
+
+
+def assert_same_stream(got: np.random.Generator, want: np.random.Generator) -> None:
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.random(100), want.random(100))
+
+
+@pytest.mark.parametrize("label", STREAM_LABELS)
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_derive_stream_is_the_list_form_stream(seed, label):
+    assert_same_stream(derive_stream(seed, label), list_form_stream(seed, label))
+
+
+@pytest.mark.parametrize("run_index", (0, 1, 2**32 - 1, 2**32, 2**64, 2**70))
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_derive_run_seed_is_the_list_form_seed(seed, run_index):
+    assert derive_run_seed(seed, run_index) == list_form_run_seed(seed, run_index)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(-(2**70), 2**70),
+    label=st.text(max_size=12),
+    run_index=st.integers(0, 2**70),
+)
+def test_stream_words_equal_the_list_form_for_any_seed(seed, label, run_index):
+    assert_same_stream(derive_stream(seed, label), list_form_stream(seed, label))
+    assert derive_run_seed(seed, run_index) == list_form_run_seed(seed, run_index)
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: derive_stream(True, "x"), "seed"),
+        (lambda: derive_stream(1.5, "x"), "seed"),
+        (lambda: derive_stream(np.float64(2.0), "x"), "seed"),
+        (lambda: derive_run_seed(1.0, 0), "base_seed"),
+        (lambda: derive_run_seed(False, 0), "base_seed"),
+        (lambda: derive_run_seed(0, -1), "run_index"),
+        (lambda: derive_run_seed(0, 1.5), "run_index"),
+        (lambda: derive_run_seed(0, True), "run_index"),
+    ],
+)
+def test_stream_functions_refuse_a_non_integer_naming_it(call, name):
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        call()
+
+
+def test_stream_functions_take_numpy_integers():
+    assert_same_stream(derive_stream(np.int64(-5), "x"), derive_stream(-5, "x"))
+    assert_same_stream(derive_stream(np.uint64(MASK64), "x"), derive_stream(-1, "x"))
+    assert derive_run_seed(np.uint32(7), np.int8(3)) == derive_run_seed(7, 3)

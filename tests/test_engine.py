@@ -315,9 +315,8 @@ def test_context_free_policies_skip_only_dead_work(monkeypatch, policy, populati
     skipped.run(2000)
     assert skipped.trace.n_contention_slots > 1000
     assert seen and all(contexts is None for _, contexts in seen)
-    for name in SIGNATURE_STREAMS:
-        stream = getattr(skipped, f"rng_{name}")
-        assert stream.bit_generator.state == derive_stream(4, name).bit_generator.state
+    # the signature streams are not even derived
+    assert all(getattr(skipped, f"rng_{name}") is None for name in SIGNATURE_STREAMS)
 
     # computing the signature anyway changes nothing the trace holds
     monkeypatch.setattr(population, "reads_contexts", True)

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 from dataclasses import replace
@@ -16,7 +17,7 @@ from alarmmac.events import (
 )
 
 from conftest import CONTENTION, make_config, pose_array
-from reference_activation import exact_activated
+from reference_activation import exact_activated, one_pass_activation
 
 
 def poses_at(points):
@@ -313,3 +314,23 @@ def test_empirical_activation_pinned(cfg, pinned, final_state):
     poses = geometry.place_uniform(cfg, rng)
     assert empirical_activation(poses, cfg, rng, n_trials=20_000).tolist() == pinned
     assert rng.bit_generator.state["state"]["state"] == final_state
+
+
+@pytest.mark.parametrize("mode", list(ActivationMode))
+@pytest.mark.parametrize("chunk", [events._ACTIVATION_CHUNK, 10_001])
+@pytest.mark.parametrize("chunks,extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+def test_empirical_activation_in_chunks_equals_one_pass(monkeypatch, mode, chunk, chunks, extra):
+    # n_trials = chunks * chunk + extra; the smallest trial count is 10 000,
+    # so the module's chunk is checked one chunk further on, and a chunk of
+    # 10 001 checks the counts themselves
+    monkeypatch.setattr(events, "_ACTIVATION_CHUNK", chunk)
+    n_trials = chunks * chunk + extra
+    if n_trials < 10_000:
+        n_trials += chunk
+    cfg = replace(CONTENTION, n_subnets=6, activation_mode=mode, alpha=0.5)
+    rng = np.random.default_rng(23)
+    poses = geometry.place_uniform(cfg, rng)
+    reference_rng = copy.deepcopy(rng)
+    got = empirical_activation(poses, cfg, rng, n_trials=n_trials)
+    assert got.tolist() == one_pass_activation(poses, cfg, reference_rng, n_trials).tolist()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state

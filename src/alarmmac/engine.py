@@ -16,9 +16,13 @@ a policy that reads contexts (`reads_contexts`); a context-free policy gets
 `None` instead. Likewise the set-up draws the snapshot only for such a
 policy: line of sight, then the pathloss coefficients and the shadowing,
 whose per-link parameters `channel` selects from it.
-The channel, fading and noise streams feed nothing else, so a context-free
-run does not derive them (its `rng_channel`, `rng_fading` and `rng_noise`
-are `None`), which changes no draw that a trace reads.
+
+The engine derives only the world's streams from the run seed: `placement`,
+`mobility` and `events`, and, for a policy that reads contexts, `channel`,
+`fading` and `noise`, which feed nothing else (a context-free run holds
+`None` in `rng_channel`, `rng_fading` and `rng_noise`). The population
+derives the streams it draws from itself (see `policies`). Every stream is
+a pure function of the seed and its label, so who derives it moves no draw.
 
 A channel succeeds when exactly one active agent transmits on it; the slot
 succeeds when any channel does, and delivers the alarm, which ends it for
@@ -121,13 +125,9 @@ class Simulation:
         self.config = config
         self.rng_mobility = derive_stream(seed, "mobility")
         self.rng_events = derive_stream(seed, "events")
-        self.rng_explore = derive_stream(seed, "explore")
-        self.rng_sample = derive_stream(seed, "sample")
-        rng_place = derive_stream(seed, "placement")
-        rng_init = derive_stream(seed, "init")
 
-        self.policy: Population = make_policy(config, rng_init)
-        self._poses = place_uniform(config, rng_place)
+        self.policy: Population = make_policy(config, seed)
+        self._poses = place_uniform(config, derive_stream(seed, "placement"))
         self._pending_steps = 0  # mobility steps owed to the poses
         self.cap_xy = (config.area_width_m / 2.0, config.area_height_m / 2.0)
         # the signature streams, derived only for a policy that reads contexts
@@ -214,13 +214,13 @@ class Simulation:
     def _contention_round(self, event: AlarmEvent, active: np.ndarray) -> SlotOutcome:
         cfg, age = self.config, event.attempts
         contexts = self._contexts(active) if self.policy.reads_contexts else None
-        actions = self.policy.select_action(active, contexts, self.rng_explore)
+        actions = self.policy.select_action(active, contexts)
         delivered = resolve_collisions(actions, cfg.n_channels)
 
         # the update comes before the event ends: an event's end never decays
         # a learning rate before its last update
         reward = cfg.reward_success if delivered else cfg.reward_failure
-        losses = self.policy.observe(active, contexts, actions, [reward] * len(active), self.rng_sample)
+        losses = self.policy.observe(active, contexts, actions, [reward] * len(active))
         if losses is not None:
             self.trace.mse.append(float(np.add.reduce(losses) / len(losses)))
 

@@ -10,6 +10,12 @@ rate and learning rate decay once per alarm event that the agent takes part
 in, never per slot: each agent counts its own events.
 
 Each policy is one population object that holds the state of all N agents.
+It is built from the config and the run seed (`make_policy(config, seed)`)
+and derives the random streams it draws from itself: every population
+derives `explore` (exploration and random patterns), and the network
+population also `init` (its initial weights, drawn once) and `sample` (its
+minibatches). No other component draws from them.
+
 Its class attribute `reads_contexts` says whether it reads the contention
 signature. The engine computes the signature only for a policy that does,
 and passes `None` as `contexts` to one that does not. Each policy class
@@ -17,11 +23,11 @@ declares it in its own body, so that none inherits the answer. The methods
 take the agents concerned as one `np.intp` array of distinct agents, which
 the engine builds once per contention round:
 
-- `select_action(agents, contexts, rng)`: one pattern per agent, given
-  each agent's context row;
-- `observe(agents, contexts, actions, rewards, rng)`: one training tuple
-  per agent; returns each agent's minibatch loss, or None for policies that
-  do not regress;
+- `select_action(agents, contexts)`: one pattern per agent, given each
+  agent's context row;
+- `observe(agents, contexts, actions, rewards)`: one training tuple per
+  agent; returns each agent's minibatch loss, or None for policies that do
+  not regress;
 - `end_event(agents)`: the agents' alarm event ended.
 
 A population takes each kind of random draw for all the agents concerned in
@@ -35,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .config import PolicyKind, ScenarioConfig
+from .config import PolicyKind, ScenarioConfig, derive_stream
 from . import learning
 
 
@@ -47,8 +53,11 @@ def pattern_bits(index: int, n_channels: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def pattern_table(n_channels: int) -> np.ndarray:
-    """(2**M, M) lookup of all patterns; row i is pattern_bits(i)."""
-    return np.stack([pattern_bits(i, n_channels) for i in range(1 << n_channels)])
+    """(2**M, M) lookup of all patterns; row i is pattern_bits(i). Read-only:
+    every caller shares the cached array."""
+    table = np.stack([pattern_bits(i, n_channels) for i in range(1 << n_channels)])
+    table.flags.writeable = False
+    return table
 
 
 def _random_patterns(n_patterns: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -68,13 +77,14 @@ class RchPopulation:
 
     reads_contexts = False
 
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config: ScenarioConfig, seed: int):
         self.config = config
+        self.rng_explore = derive_stream(seed, "explore")
 
-    def select_action(self, agents: np.ndarray, contexts: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
-        return _random_patterns(self.config.n_patterns, len(agents), rng)
+    def select_action(self, agents: np.ndarray, contexts: np.ndarray | None) -> np.ndarray:
+        return _random_patterns(self.config.n_patterns, len(agents), self.rng_explore)
 
-    def observe(self, agents, contexts, actions, rewards, rng) -> None:
+    def observe(self, agents, contexts, actions, rewards) -> None:
         return None
 
     def end_event(self, agents: np.ndarray) -> None:
@@ -86,18 +96,20 @@ class EpsilonGreedy:
     the epsilon-greedy selection over each agent's pattern values, which a
     subclass gives as `_values(agents, contexts)`: (K, 2**M) for K agents."""
 
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config: ScenarioConfig, seed: int):
         self.config = config
+        self.rng_explore = derive_stream(seed, "explore")
         self.events = np.zeros(config.n_subnets, dtype=np.int64)
 
     def epsilon(self, agents: ArrayLike) -> np.ndarray:
         cfg = self.config
         return decayed_epsilon(cfg.epsilon_start, cfg.epsilon_floor, cfg.epsilon_step, self.events[agents])
 
-    def select_action(self, agents: np.ndarray, contexts: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
+    def select_action(self, agents: np.ndarray, contexts: np.ndarray | None) -> np.ndarray:
         """One uniform per agent against its epsilon, then one random pattern
         per exploring agent, then each greedy agent's first maximum of its
         values, so ties break to the lowest index."""
+        rng = self.rng_explore
         explore = rng.random(len(agents)) < self.epsilon(agents)
         actions = np.zeros(len(agents), dtype=np.int64)
         actions[explore] = _random_patterns(self.config.n_patterns, np.count_nonzero(explore), rng)
@@ -133,14 +145,14 @@ class MapRaPopulation(EpsilonGreedy):
 
     reads_contexts = False
 
-    def __init__(self, config: ScenarioConfig):
-        super().__init__(config)
+    def __init__(self, config: ScenarioConfig, seed: int):
+        super().__init__(config, seed)
         self.q = np.zeros((config.n_subnets, config.n_patterns))
 
     def _values(self, agents: np.ndarray, contexts: np.ndarray | None) -> np.ndarray:
         return self.q[agents]
 
-    def observe(self, agents, contexts, actions, rewards, rng) -> None:
+    def observe(self, agents, contexts, actions, rewards) -> None:
         taken = (agents, self._pattern_indices(actions))
         tau = self.config.mapra_tau
         self.q[taken] = (1.0 - tau) * self.q[taken] + tau * _finite_rewards(rewards)
@@ -163,10 +175,11 @@ class DrlPopulation(EpsilonGreedy):
 
     reads_contexts = True
 
-    def __init__(self, config: ScenarioConfig, init_rng: np.random.Generator):
-        super().__init__(config)
+    def __init__(self, config: ScenarioConfig, seed: int):
+        super().__init__(config, seed)
+        self.rng_sample = derive_stream(seed, "sample")
         # per agent, in agent order, so the initial weights are those of N separate draws
-        self.params = learning.init_params(config.layer_sizes, config.n_subnets, init_rng)
+        self.params = learning.init_params(config.layer_sizes, config.n_subnets, derive_stream(seed, "init"))
         self.sq = np.zeros_like(self.params)
         self.lr = np.full(config.n_subnets, config.lr_initial)  # (N,)
         self.replay = learning.StackedReplay(config.n_subnets, config.replay, config.n_channels)
@@ -174,11 +187,11 @@ class DrlPopulation(EpsilonGreedy):
     def _values(self, agents: np.ndarray, contexts: np.ndarray) -> np.ndarray:
         return learning.forward_stacked(self.params[agents], self.config.layer_sizes, contexts)
 
-    def observe(self, agents, contexts, actions, rewards, rng) -> np.ndarray:
+    def observe(self, agents, contexts, actions, rewards) -> np.ndarray:
         cfg = self.config
         actions = self._pattern_indices(actions)
         self.replay.push(agents, contexts, actions, rewards)  # checks that contexts and rewards are finite
-        batch = self.replay.sample(agents, cfg.minibatch, rng)
+        batch = self.replay.sample(agents, cfg.minibatch, self.rng_sample)
         # the agents' rows, gathered once, stepped in place and written back
         params, sq = self.params[agents], self.sq[agents]
         grads, losses = learning.backward_stacked(params, cfg.layer_sizes, batch)
@@ -196,10 +209,11 @@ class DrlPopulation(EpsilonGreedy):
 Population = RchPopulation | MapRaPopulation | DrlPopulation
 
 
-def make_policy(config: ScenarioConfig, init_rng: np.random.Generator) -> Population:
-    """The population of all N agents under the configured policy."""
+def make_policy(config: ScenarioConfig, seed: int) -> Population:
+    """The population of all N agents under the configured policy, drawing
+    from the streams it derives from the run seed `seed`."""
     if config.policy_kind is PolicyKind.RCH:
-        return RchPopulation(config)
+        return RchPopulation(config, seed)
     if config.policy_kind is PolicyKind.MAP_RA:
-        return MapRaPopulation(config)
-    return DrlPopulation(config, init_rng)
+        return MapRaPopulation(config, seed)
+    return DrlPopulation(config, seed)

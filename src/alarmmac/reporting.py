@@ -84,10 +84,14 @@ class PairedDifference:
 
 
 def paired_difference(a: Sequence[float], b: Sequence[float]) -> PairedDifference:
-    """Compare two samples taken on the same seeds, pair by pair."""
+    """Compare two samples taken on the same seeds, pair by pair. Every
+    value must be finite: a run's undefined statistic (None, as NaN here)
+    has no difference to pair."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"paired samples must be two 1-D arrays of one length, got {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError(f"paired samples must be finite, got {a.tolist()} and {b.tolist()}")
     n = a.size
     if n < 2:
         raise ValueError(f"a paired difference needs at least two pairs, got {n}")
@@ -175,8 +179,10 @@ def run_experiment(
     started = time.perf_counter()
     if seeds is None:
         seeds = [derive_run_seed(config.rng_seed, i) for i in range(config.n_runs)]
-    # a bad seed or event count is refused before any run
+    # a bad seed or event count, or no seed at all, is refused before any run
     seeds = [checked_int(s, "seed") for s in seeds]
+    if not seeds:
+        raise ValueError("seeds: must hold at least one seed, got none")
     if until_events is not None:
         until_events = checked_int(until_events, "until_events", minimum=0)
 

@@ -32,10 +32,10 @@ class FixedPolicy:
         self.events_ended = [0] * len(self.patterns)
         self.calls: list[tuple[str, tuple[int, ...]]] = []
 
-    def select_action(self, agents, contexts, rng):
+    def select_action(self, agents, contexts):
         return np.array([self.patterns[n] for n in agents], dtype=np.int64)
 
-    def observe(self, agents, contexts, actions, rewards, rng):
+    def observe(self, agents, contexts, actions, rewards):
         self.calls.append(("observe", tuple(agents)))
         for n, action, reward in zip(agents, actions, rewards):
             self.observed[n].append((int(action), float(reward)))

@@ -87,9 +87,9 @@ def test_criterion_3_at_benchmark_scale_matches_dp():
     counts = []
     select = sim.policy.select_action
 
-    def recording(agents, contexts, rng):
+    def recording(agents, contexts):
         counts.append(len(agents))
-        return select(agents, contexts, rng)
+        return select(agents, contexts)
 
     sim.policy.select_action = recording
     trace = sim.run(n_slots=5000)
@@ -120,7 +120,7 @@ def test_criterion_5_clipping_and_schedules():
     clip_ok = selfcheck.clip_violations(np.random.default_rng(5), 1000) == 0
 
     cfg = ScenarioConfig(n_subnets=2, n_channels=2, policy_kind=PolicyKind.MAP_RA)
-    policy = make_policy(cfg, np.random.default_rng(5))
+    policy = make_policy(cfg, seed=5)
     eps_ok = policy.epsilon(0) == 1.0
     for event in range(1, 241):
         policy.end_event(np.array([0], dtype=np.intp))

@@ -1,5 +1,6 @@
 import gc
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -291,7 +292,37 @@ def test_run_record_retains_little_per_contention_slot():
 
 # --- the signature chain runs only for a policy that reads contexts --------
 
-SIGNATURE_STREAMS = ("channel", "fading", "noise")
+WORLD_STREAMS = {"placement", "mobility", "events"}
+SIGNATURE_STREAMS = {"channel", "fading", "noise"}
+
+
+def derived_labels(monkeypatch) -> list:
+    """The label of every `derive_stream` call that any module of the
+    package makes from here on."""
+    labels = []
+
+    def recording(seed, label):
+        labels.append(label)
+        return derive_stream(seed, label)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "alarmmac" and getattr(module, "derive_stream", None) is derive_stream:
+            monkeypatch.setattr(module, "derive_stream", recording)
+    return labels
+
+
+@pytest.mark.parametrize("policy,expected", [
+    ("rch", WORLD_STREAMS | {"explore"}),
+    ("mapra", WORLD_STREAMS | {"explore"}),
+    ("drl", WORLD_STREAMS | SIGNATURE_STREAMS | {"explore", "init", "sample"}),
+])
+def test_a_run_derives_exactly_the_streams_it_draws_from(monkeypatch, policy, expected):
+    # the world's streams in the engine, the agents' in the population, each once
+    labels = derived_labels(monkeypatch)
+    sim = Simulation(replace(CONTENTION, policy_kind=policy), seed=4)
+    sim.run(200)
+    assert sim.trace.n_contention_slots > 0
+    assert sorted(labels) == sorted(expected)
 
 
 def spy_contexts(monkeypatch, population) -> list:
@@ -299,9 +330,9 @@ def spy_contexts(monkeypatch, population) -> list:
     seen = []
     select_action = population.select_action
 
-    def spied(self, agents, contexts, rng):
+    def spied(self, agents, contexts):
         seen.append((len(agents), contexts))
-        return select_action(self, agents, contexts, rng)
+        return select_action(self, agents, contexts)
 
     monkeypatch.setattr(population, "select_action", spied)
     return seen
@@ -315,8 +346,6 @@ def test_context_free_policies_skip_only_dead_work(monkeypatch, policy, populati
     skipped.run(2000)
     assert skipped.trace.n_contention_slots > 1000
     assert seen and all(contexts is None for _, contexts in seen)
-    # the signature streams are not even derived
-    assert all(getattr(skipped, f"rng_{name}") is None for name in SIGNATURE_STREAMS)
 
     # computing the signature anyway changes nothing the trace holds
     monkeypatch.setattr(population, "reads_contexts", True)

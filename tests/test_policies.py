@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from alarmmac.config import PolicyKind
+from alarmmac import learning, policies
+from alarmmac.config import PolicyKind, derive_stream
 from alarmmac.policies import (
     DrlPopulation,
     MapRaPopulation,
@@ -46,16 +47,23 @@ def test_pattern_table_bijection():
     assert len({tuple(row) for row in table}) == 8
 
 
+def test_pattern_table_is_read_only():
+    # every caller shares the cached table: a write through one would make
+    # silence "succeed" for the collision rule and the oracles alike
+    with pytest.raises(ValueError, match="read-only"):
+        pattern_table(2)[0, 0] = 1
+    assert list(pattern_table(2)[0]) == [0, 0]
+
+
 def test_full_exploration_is_uniform():
     cfg = make_config(epsilon_start=1.0, epsilon_floor=1.0)
-    policy = MapRaPopulation(cfg)
-    rng = np.random.default_rng(0)
+    policy = MapRaPopulation(cfg, seed=0)
     agents = np.arange(cfg.n_subnets)
     rounds = 25_000
     counts = np.zeros(4)
     ctx = np.zeros((cfg.n_subnets, 2))
     for _ in range(rounds):
-        counts += np.bincount(policy.select_action(agents, ctx, rng), minlength=4)
+        counts += np.bincount(policy.select_action(agents, ctx), minlength=4)
     draws = rounds * cfg.n_subnets
     assert np.all(np.abs(counts / draws - 0.25) < 0.01)
 
@@ -64,19 +72,17 @@ GREEDY = dict(epsilon_start=1e-12, epsilon_floor=1e-12)  # exploration effective
 
 
 def test_greedy_zero_network_tie_breaks_to_lowest_index():
-    policy = DrlPopulation(make_config(**GREEDY), np.random.default_rng(1))
+    policy = DrlPopulation(make_config(**GREEDY), seed=1)
     policy.params[:] = 0.0
-    rng = np.random.default_rng(2)
     ctx = np.tile([0.4, 0.2], (4, 1))
-    assert all(list(policy.select_action(agent_array(0, 1, 2, 3), ctx, rng)) == [0, 0, 0, 0] for _ in range(50))
+    assert all(list(policy.select_action(agent_array(0, 1, 2, 3), ctx)) == [0, 0, 0, 0] for _ in range(50))
 
 
 def test_greedy_mapra_argmax():
-    policy = MapRaPopulation(make_config(**GREEDY))
+    policy = MapRaPopulation(make_config(**GREEDY), seed=3)
     policy.q[0] = [0.1, 0.9, 0.3, 0.2]
     policy.q[2] = [0.5, 0.1, 0.3, 0.8]
-    rng = np.random.default_rng(3)
-    assert all(list(policy.select_action(agent_array(2, 0), np.zeros((2, 2)), rng)) == [3, 1] for _ in range(50))
+    assert all(list(policy.select_action(agent_array(2, 0), np.zeros((2, 2)))) == [3, 1] for _ in range(50))
 
 
 MIXED = dict(n_subnets=6, epsilon_start=1.0, epsilon_floor=1e-12, epsilon_step=1.0, dnn_hidden_size=4)
@@ -87,7 +93,9 @@ def test_a_batch_of_exploring_and_greedy_agents(kind):
     # agents with one ended event are greedy (epsilon 1e-12), the others
     # explore (epsilon 1); the greedy rows 0, 2, 4 are no prefix of the batch
     cfg = make_config(policy_kind=kind, **MIXED)
-    policy = make_policy(cfg, np.random.default_rng(128))
+    policy = make_policy(cfg, seed=128)
+    if kind == "drl":  # the weights of a default_rng(128) draw, for which the contexts below were chosen
+        policy.params[:] = learning.init_params(cfg.layer_sizes, cfg.n_subnets, np.random.default_rng(128))
     policy.end_event(agent_array(3, 5, 0))
     agents = agent_array(3, 1, 5, 4, 0)
     contexts = np.random.default_rng(228).uniform(-4.0, 4.0, (5, 2))
@@ -100,14 +108,13 @@ def test_a_batch_of_exploring_and_greedy_agents(kind):
         return ref.forward(ref.model_of(policy.params, cfg.layer_sizes, n), context)
 
     explore = np.array([False, True, False, True, False])
-    rng = np.random.default_rng(7)
-    twin = copy.deepcopy(rng)
+    twin = copy.deepcopy(policy.rng_explore)
     # the documented draws: one uniform per agent, then one per exploring agent
     assert np.array_equal(twin.random(5) < policy.epsilon(agents), explore)
     patterns = (twin.random(2) * cfg.n_patterns).astype(np.int64)
 
-    actions = policy.select_action(agents, contexts, rng)
-    assert rng.bit_generator.state == twin.bit_generator.state
+    actions = policy.select_action(agents, contexts)
+    assert policy.rng_explore.bit_generator.state == twin.bit_generator.state
     assert np.array_equal(actions[explore], patterns)
     greedy = [int(value_of(agents[row], contexts[row]).argmax()) for row in (0, 2, 4)]
     assert list(actions[~explore]) == greedy
@@ -120,8 +127,8 @@ def test_a_batch_of_exploring_and_greedy_agents(kind):
 
 def test_mapra_update_rule():
     cfg = make_config(mapra_tau=0.1)
-    policy = MapRaPopulation(cfg)
-    policy.observe(agent_array(1), np.zeros((1, 2)), np.array([2]), [1.0], None)
+    policy = MapRaPopulation(cfg, seed=0)
+    policy.observe(agent_array(1), np.zeros((1, 2)), np.array([2]), [1.0])
     assert abs(policy.q[1, 2] - 0.1) < 1e-15
     policy.q[1, 2] = 0.0
     assert np.all(policy.q == 0.0)  # only the taken action of the observing agent moves
@@ -129,7 +136,7 @@ def test_mapra_update_rule():
 
 def test_mapra_table_update_equals_scalar_rule(rng):
     cfg = make_config(n_subnets=9, n_channels=3, mapra_tau=0.3)
-    policy = MapRaPopulation(cfg)
+    policy = MapRaPopulation(cfg, seed=0)
     policy.q[:] = rng.standard_normal(policy.q.shape)
     expected = policy.q.copy()
     agents = agent_array(7, 2, 5, 0)
@@ -137,19 +144,19 @@ def test_mapra_table_update_equals_scalar_rule(rng):
     rewards = rng.standard_normal(len(agents))
     for n, a, r in zip(agents, actions, rewards):
         expected[n, a] = (1.0 - cfg.mapra_tau) * expected[n, a] + cfg.mapra_tau * r
-    policy.observe(agents, np.zeros((4, 3)), actions, rewards, None)
+    policy.observe(agents, np.zeros((4, 3)), actions, rewards)
     assert np.array_equal(policy.q, expected)
 
 
 def test_mapra_rejects_nonfinite_reward():
-    policy = MapRaPopulation(make_config())
+    policy = MapRaPopulation(make_config(), seed=0)
     with pytest.raises(ValueError):
-        policy.observe(agent_array(0), np.zeros((1, 2)), np.array([1]), [np.nan], None)
+        policy.observe(agent_array(0), np.zeros((1, 2)), np.array([1]), [np.nan])
 
 
 def test_epsilon_schedule_reaches_floor_after_180_events():
     cfg = make_config()
-    policy = MapRaPopulation(cfg)
+    policy = MapRaPopulation(cfg, seed=0)
     trajectory = []
     for _ in range(200):
         policy.end_event(agent_array(0))
@@ -166,31 +173,32 @@ def test_decayed_epsilon_never_below_floor():
         assert 0.1 <= eps <= 1.0
 
 
-def test_rch_observe_is_noop(rng):
-    policy = RchPopulation(make_config())
-    assert policy.observe(agent_array(0), np.zeros((1, 2)), np.array([1]), [-1.0], rng) is None
+def test_rch_observe_is_noop():
+    policy = RchPopulation(make_config(), seed=0)
+    assert policy.observe(agent_array(0), np.zeros((1, 2)), np.array([1]), [-1.0]) is None
     policy.end_event(agent_array(0))
     counts = np.zeros(4)
     for _ in range(5_000):
-        counts += np.bincount(policy.select_action(agent_array(0, 1, 2, 3), np.zeros((4, 2)), rng), minlength=4)
+        counts += np.bincount(policy.select_action(agent_array(0, 1, 2, 3), np.zeros((4, 2))), minlength=4)
     assert np.all(counts > 0)
 
 
 def test_argmax_invariant_to_constant_shift(rng):
-    policy = MapRaPopulation(make_config(**GREEDY))
+    policy = MapRaPopulation(make_config(**GREEDY), seed=0)
     policy.q[:] = rng.standard_normal(policy.q.shape)
     agents, ctx = agent_array(0, 1, 2, 3), np.zeros((4, 2))
-    before = policy.select_action(agents, ctx, np.random.default_rng(0))
-    policy.q += 123.456
-    after = policy.select_action(agents, ctx, np.random.default_rng(0))
+    shifted = copy.deepcopy(policy)  # the same exploration draws as `policy`
+    before = policy.select_action(agents, ctx)
+    shifted.q += 123.456
+    after = shifted.select_action(agents, ctx)
     assert np.array_equal(before, after)
 
 
-def test_drl_observe_updates_weights_and_returns_loss(rng):
+def test_drl_observe_updates_weights_and_returns_loss():
     cfg = make_config(minibatch_size=4, replay_capacity=16)
-    policy = DrlPopulation(cfg, np.random.default_rng(4))
+    policy = DrlPopulation(cfg, seed=4)
     before = policy.params.copy()
-    value = policy.observe(agent_array(1), np.array([[0.2, 0.4]]), np.array([3]), [1.0], rng)
+    value = policy.observe(agent_array(1), np.array([[0.2, 0.4]]), np.array([3]), [1.0])
     assert value.shape == (1,) and value[0] >= 0.0
     assert list(policy.replay.pushes) == [0, 1, 0, 0]
     assert not np.array_equal(policy.params[1], before[1])
@@ -200,7 +208,7 @@ def test_drl_observe_updates_weights_and_returns_loss(rng):
 
 def test_drl_lr_decays_per_event():
     cfg = make_config(lr_initial=0.01, lr_decay_per_event=0.015)
-    policy = DrlPopulation(cfg, np.random.default_rng(5))
+    policy = DrlPopulation(cfg, seed=5)
     policy.end_event(agent_array(0, 2))
     assert abs(policy.lr[0] - 0.01 * 0.985) < 1e-15
     policy.end_event(agent_array(0))
@@ -209,14 +217,27 @@ def test_drl_lr_decays_per_event():
     assert policy.lr[1] == 0.01 and policy.lr[3] == 0.01
 
 
+def derived_streams(monkeypatch) -> dict:
+    """The streams the populations derive from here on, by label."""
+    derived = {}
+
+    def recording(seed, label):
+        derived[label] = derive_stream(seed, label)
+        return derived[label]
+
+    monkeypatch.setattr(policies, "derive_stream", recording)
+    return derived
+
+
 @pytest.mark.parametrize("n_channels", [1, 2, 3, 4])
 @pytest.mark.parametrize("hidden_layers", [1, 2, 3])
 @pytest.mark.parametrize("hidden_size", [1, 4])
-def test_drl_initial_weights_are_per_agent_draws(hidden_size, hidden_layers, n_channels):
+def test_drl_initial_weights_are_per_agent_draws(monkeypatch, hidden_size, hidden_layers, n_channels):
     cfg = make_config(n_channels=n_channels, dnn_hidden_layers=hidden_layers, dnn_hidden_size=hidden_size)
-    init, twin = np.random.default_rng(7), np.random.default_rng(7)
-    policy = DrlPopulation(cfg, init)
-    # drawn in agent order, as N separate networks would be
+    derived = derived_streams(monkeypatch)
+    policy = DrlPopulation(cfg, seed=7)
+    init, twin = derived["init"], derive_stream(7, "init")
+    # drawn from the init stream in agent order, as N separate networks would be
     separate = ref.stack_of([ref.init_mlp(cfg.layer_sizes, twin) for _ in range(cfg.n_subnets)])
     assert np.array_equal(policy.params, separate)
     # the learner's state is three plain arrays
@@ -263,7 +284,7 @@ def test_stacked_observe_matches_per_agent_updates(k):
     # minibatch the population drew for it, so the kernels are compared and
     # the draws are not.
     cfg = make_config(n_subnets=9, n_channels=3, minibatch_size=4, replay_capacity=6, dnn_hidden_size=3)
-    policy = DrlPopulation(cfg, np.random.default_rng(11))
+    policy = DrlPopulation(cfg, seed=11)
     batches = []
     sample = policy.replay.sample
 
@@ -272,18 +293,17 @@ def test_stacked_observe_matches_per_agent_updates(k):
         return batches[-1]
 
     policy.replay.sample = recording_sample
-    init = np.random.default_rng(11)
+    init = derive_stream(11, "init")
     reference = [ReferenceAgent(ref.init_mlp(cfg.layer_sizes, init), cfg) for _ in range(cfg.n_subnets)]
     data = np.random.default_rng(12)
     agents = agent_array(8, 3, 0, 5, 1, 6, 2)[:k]
     # reward scales from 0.01 to 1e4: small ones stay under the clip threshold, large ones exceed it
     scales = np.array([0.01, 1e4, 0.1, 30.0, 0.05, 1e3, 2.0][:k])
-    rng = np.random.default_rng(13)
     for step in range(9):
         contexts = data.random((k, 3))
         actions = data.integers(0, 8, k)
         rewards = data.standard_normal(k) * scales
-        losses = policy.observe(agents, contexts, actions, rewards, rng)
+        losses = policy.observe(agents, contexts, actions, rewards)
         for row, n in enumerate(agents):
             batch = tuple(part[row] for part in batches[-1])
             expected = reference[n].observe(contexts[row], actions[row], rewards[row], batch)
@@ -319,14 +339,14 @@ def learner_state(policy):
 
 def test_observe_leaves_every_other_agents_learner_state_unchanged():
     cfg = make_config(n_subnets=9, n_channels=3, minibatch_size=4, replay_capacity=6, dnn_hidden_size=3)
-    policy = DrlPopulation(cfg, np.random.default_rng(11))
-    data, rng = np.random.default_rng(12), np.random.default_rng(13)
+    policy = DrlPopulation(cfg, seed=11)
+    data = np.random.default_rng(12)
     for step in range(40):
         agents = data.permutation(cfg.n_subnets)[: data.integers(1, cfg.n_subnets)]
         others = np.setdiff1d(np.arange(cfg.n_subnets), agents)
         before = learner_state(policy)
         rewards = data.standard_normal(len(agents)) * 10.0 ** data.integers(-2, 4, len(agents))
-        policy.observe(agents, data.random((len(agents), 3)), data.integers(0, 8, len(agents)), rewards, rng)
+        policy.observe(agents, data.random((len(agents), 3)), data.integers(0, 8, len(agents)), rewards)
         after = learner_state(policy)
         assert np.array_equal(after["lr"], before["lr"])  # only an event's end decays a learning rate
         for name in ("params", "sq", "rings", "pushes"):
@@ -346,11 +366,11 @@ def test_drl_observe_rejects_an_action_outside_the_patterns(kind, actions):
     # A float or bool action is no pattern index: DRL would store 1.5 and
     # later sample it as pattern 1, and MAP-RA would raise IndexError
     cfg = make_config(policy_kind=kind, minibatch_size=4, replay_capacity=16)
-    policy = make_policy(cfg, np.random.default_rng(4))
+    policy = make_policy(cfg, seed=4)
     state = learner_state if kind == "drl" else lambda p: {"q": p.q.copy(), "events": p.events.copy()}
     before = state(policy)
     with pytest.raises(ValueError, match="pattern indices"):
-        policy.observe(agent_array(2, 3), np.full((2, 2), 0.5), np.array(actions), [1.0, 1.0], np.random.default_rng(0))
+        policy.observe(agent_array(2, 3), np.full((2, 2), 0.5), np.array(actions), [1.0, 1.0])
     after = state(policy)
     assert all(np.array_equal(after[name], before[name]) for name in before)
 
@@ -358,7 +378,7 @@ def test_drl_observe_rejects_an_action_outside_the_patterns(kind, actions):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["context", "reward"])
 def test_drl_observe_rejects_a_nonfinite_context_or_reward(where, bad):
-    policy = DrlPopulation(make_config(minibatch_size=4, replay_capacity=16), np.random.default_rng(4))
+    policy = DrlPopulation(make_config(minibatch_size=4, replay_capacity=16), seed=4)
     contexts, rewards = np.full((2, 2), 0.5), [1.0, 1.0]
     if where == "context":
         contexts[1, 0] = bad
@@ -366,7 +386,7 @@ def test_drl_observe_rejects_a_nonfinite_context_or_reward(where, bad):
         rewards[1] = bad
     before = learner_state(policy)
     with pytest.raises(ValueError, match="must be finite"):
-        policy.observe(agent_array(2, 3), contexts, np.array([1, 2]), rewards, np.random.default_rng(0))
+        policy.observe(agent_array(2, 3), contexts, np.array([1, 2]), rewards)
     after = learner_state(policy)
     assert all(np.array_equal(after[name], before[name]) for name in before)
 
@@ -377,7 +397,7 @@ def test_drl_observe_draws_each_minibatch_from_its_own_memory_uniformly():
     # call 2n, so the fills differ. Each reward names its tuple:
     # 10_000 * agent + the agent's count of earlier pushes.
     cfg = make_config(n_subnets=3, minibatch_size=256, replay_capacity=256)
-    policy = DrlPopulation(cfg, np.random.default_rng(4))
+    policy = DrlPopulation(cfg, seed=4)
     batches = []
     sample = policy.replay.sample
 
@@ -390,11 +410,10 @@ def test_drl_observe_draws_each_minibatch_from_its_own_memory_uniformly():
     pushes = np.zeros(cfg.n_subnets, dtype=np.int64)
     observed = np.zeros((cfg.n_subnets, calls))  # per agent, draws of its j-th tuple
     expected = np.zeros((cfg.n_subnets, calls))
-    rng = np.random.default_rng(9)
     for call in range(calls):
         agents = np.arange(min(call // 2 + 1, cfg.n_subnets))
         rewards = 10_000.0 * agents + pushes[agents]
-        policy.observe(agents, np.zeros((len(agents), 2)), np.zeros(len(agents), dtype=np.int64), rewards, rng)
+        policy.observe(agents, np.zeros((len(agents), 2)), np.zeros(len(agents), dtype=np.int64), rewards)
         pushes[agents] += 1
         owner, tuple_of = np.divmod(batches[-1][2].astype(np.int64), 10_000)
         assert np.all(owner == agents[:, None])
@@ -414,23 +433,21 @@ def test_mapra_converges_on_stationary_bandit():
     # the 100 agents is its own bandit, one row of the value table.
     rewards = np.array([0.1, 0.9, 0.3, 0.2])
     cfg = make_config(n_subnets=100, mapra_tau=0.1)
-    policy = MapRaPopulation(cfg)
+    policy = MapRaPopulation(cfg, seed=0)
     agents = np.arange(cfg.n_subnets)
     ctx = np.zeros((cfg.n_subnets, 2))
-    rng = np.random.default_rng(0)
     for _ in range(2000):
-        actions = policy.select_action(agents, ctx, rng)
-        policy.observe(agents, ctx, actions, rewards[actions], None)
+        actions = policy.select_action(agents, ctx)
+        policy.observe(agents, ctx, actions, rewards[actions])
         policy.end_event(agents)
     wins = int(np.sum(np.argmax(policy.q, axis=1) == 1))
     assert wins >= 95
 
 
 def test_make_policy_dispatch():
-    rng = np.random.default_rng(6)
-    assert isinstance(make_policy(make_config(policy_kind=PolicyKind.RCH), rng), RchPopulation)
-    assert isinstance(make_policy(make_config(policy_kind=PolicyKind.MAP_RA), rng), MapRaPopulation)
-    assert isinstance(make_policy(make_config(policy_kind=PolicyKind.DRL), rng), DrlPopulation)
+    assert isinstance(make_policy(make_config(policy_kind=PolicyKind.RCH), seed=6), RchPopulation)
+    assert isinstance(make_policy(make_config(policy_kind=PolicyKind.MAP_RA), seed=6), MapRaPopulation)
+    assert isinstance(make_policy(make_config(policy_kind=PolicyKind.DRL), seed=6), DrlPopulation)
 
 
 @pytest.mark.parametrize("population", Population.__args__, ids=lambda cls: cls.__name__)

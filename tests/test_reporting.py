@@ -127,6 +127,14 @@ def test_run_experiment_refuses_a_seed_that_is_not_an_integer_before_any_run(mon
     assert built == []
 
 
+def test_run_experiment_refuses_an_empty_seed_list_before_any_run(monkeypatch, tmp_path):
+    built = []
+    monkeypatch.setattr(reporting, "Simulation", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ValueError, match="seeds"):
+        run_experiment(make_config(**DENSE), seeds=[], out_dir=str(tmp_path))
+    assert built == [] and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [(-1, "must be >= 0, got -1"), (0.5, "must be an integer, got 0.5"), (True, "must be an integer, got True")],
@@ -328,7 +336,14 @@ def test_paired_difference_of_a_constant_shift_has_no_spread():
     assert (tie.mean, tie.se, tie.wins) == (0.0, 0.0, 0)
 
 
-@pytest.mark.parametrize("a,b", [([1.0], [2.0]), ([1.0, 2.0], [1.0]), ([[1.0, 2.0]], [[1.0, 2.0]])])
+@pytest.mark.parametrize("a,b", [
+    ([1.0], [2.0]),
+    ([1.0, 2.0], [1.0]),
+    ([[1.0, 2.0]], [[1.0, 2.0]]),
+    ([1.0, np.nan], [0.0, 0.0]),
+    ([1.0, 0.5], [None, 0.0]),  # a run with no terminal event has no in-time probability
+    ([1.0, 0.5], [0.0, np.inf]),
+])
 def test_paired_difference_rejects_unpaired_or_single_samples(a, b):
     with pytest.raises(ValueError):
         paired_difference(a, b)

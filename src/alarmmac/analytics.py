@@ -147,22 +147,17 @@ def _dp_tables(n_channels: int) -> tuple[np.ndarray, np.ndarray]:
     transmitter count capped at two; state 0 is nobody transmitting.
     shift[a, s] is the state after pattern a is played from state s: pattern
     bit c raises k_c unless it is already capped. success[s] is 1.0 where
-    some channel holds exactly one transmitter. Both are read-only. shift is
-    built in place, one channel at a time, in the platform integer type that
-    the gather reads without a cast: 13 MB at M = 8.
+    some channel holds exactly one transmitter. Both are read-only. The
+    pattern bits are read from `pattern_table`, and shift is held in the
+    platform integer type that the gather reads without a cast: 13 MB at
+    M = 8.
     """
-    n_states = 3**n_channels
-    states = np.arange(n_states)
-    shift = np.empty((1 << n_channels, n_states), dtype=np.intp)
-    shift[:] = states
-    # pattern bit c is axis -(c + 2) of the (2,)*M view of the pattern axis
-    by_bits = shift.reshape((2,) * n_channels + (n_states,))
-    success = np.zeros(n_states, dtype=bool)
-    for c in range(n_channels):
-        count = states // 3**c % 3
-        by_bits[(slice(None),) * (n_channels - 1 - c) + (1,)] += (count < 2) * 3**c
-        success |= count == 1
-    success = success.astype(float)
+    states = np.arange(3**n_channels, dtype=np.intp)
+    powers = 3 ** np.arange(n_channels, dtype=np.intp)
+    counts = states // powers[:, None] % 3  # (M, 3**M): each channel's count in each state
+    shift = pattern_table(n_channels).astype(np.intp) @ ((counts < 2) * powers[:, None])
+    shift += states
+    success = (counts == 1).any(axis=0).astype(float)
     shift.flags.writeable = False
     success.flags.writeable = False
     return shift, success
@@ -367,8 +362,10 @@ def best_stationary_psi(
 
 
 def forward_madds(layer_sizes: list[int]) -> int:
-    """Multiply-add count of one forward pass: sum of l_{i+1} * (2 l_i + 1)."""
-    return sum(o * (2 * i + 1) for i, o in zip(layer_sizes[:-1], layer_sizes[1:]))
+    """Multiply-add count of one forward pass: sum of l_{i+1} * (2 l_i + 1).
+    Each layer size is an integer >= 1, or a ValueError names it."""
+    sizes = [checked_int(size, f"layer_sizes[{i}]", minimum=1) for i, size in enumerate(layer_sizes)]
+    return sum(o * (2 * i + 1) for i, o in zip(sizes[:-1], sizes[1:]))
 
 
 def complexity_bounds(
@@ -379,10 +376,14 @@ def complexity_bounds(
     The lower bound adds one training pass over the minibatch and the
     constant cost of greedy selection: (B + 1) * z1 + 3. The upper bound
     adds the full scan of the action list: upper = lower + 2**M - 1.
+    `n_channels`, `minibatch` and each layer size are integers >= 1, or a
+    ValueError names the argument.
     """
+    n_channels = checked_int(n_channels, "n_channels", minimum=1)
+    minibatch = checked_int(minibatch, "minibatch", minimum=1)
+    z1 = forward_madds(layer_sizes)
     if layer_sizes[0] != n_channels or layer_sizes[-1] != (1 << n_channels):
         raise ValueError("layer sizes must run from M inputs to 2**M outputs")
-    z1 = forward_madds(layer_sizes)
     z_lb = (minibatch + 1) * z1 + 3
     z_ub = z_lb + (1 << n_channels) - 1
     return z1, z_lb, z_ub

@@ -11,6 +11,8 @@ quantities; pathloss follows the current distance. Every function takes
 arrays, so one call serves all the links concerned; only the set-up's
 `correlation_factor` converts its input. Gains only shape the
 contention-signature signal; collisions follow from the patterns alone.
+The functions hold no state: `signature.Contexts` draws the snapshot
+through them and composes each round's gains.
 """
 
 from __future__ import annotations

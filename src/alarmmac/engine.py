@@ -9,20 +9,21 @@ an alarm is live, one full contention round:
     reward assignment -> one training update per active agent.
 
 A live alarm's agents are one distinct `np.intp` array, built as it goes
-live; each of its rounds hands it to the link gains and every population call.
+live; each of its rounds hands it to the signature owner and every
+population call.
 
-The signature chain (link gains, pilots, broadcast, featurize) runs only for
-a policy that reads contexts (`reads_contexts`); a context-free policy gets
-`None` instead. Likewise the set-up draws the snapshot only for such a
-policy: line of sight, then the pathloss coefficients and the shadowing,
-whose per-link parameters `channel` selects from it.
+The signature chain (link gains, pilots, broadcast, featurize) has one
+owner, `signature.Contexts`, which draws the link snapshot at set-up and
+derives the streams it draws from. The engine builds it, and hands it the
+poses and the agents of each round, only for a policy that reads contexts
+(`reads_contexts`); a context-free run holds `None` in `contexts`, and its
+policy gets `None` as its contexts.
 
 The engine derives only the world's streams from the run seed: `placement`,
-`mobility` and `events`, and, for a policy that reads contexts, `channel`,
-`fading` and `noise`, which feed nothing else (a context-free run holds
-`None` in `rng_channel`, `rng_fading` and `rng_noise`). The population
-derives the streams it draws from itself (see `policies`). Every stream is
-a pure function of the seed and its label, so who derives it moves no draw.
+`mobility` and `events`. The population and the signature owner derive the
+streams they draw from themselves (see `policies` and `signature`). Every
+stream is a pure function of the seed and its label, so who derives it
+moves no draw.
 
 A channel succeeds when exactly one active agent transmits on it; the slot
 succeeds when any channel does, and delivers the alarm, which ends it for
@@ -45,7 +46,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import channel as chan
 from . import signature as sig
 from .config import ScenarioConfig, checked_int, derive_stream
 from .events import AlarmEvent, maybe_spawn_event
@@ -129,19 +129,12 @@ class Simulation:
         self.policy: Population = make_policy(config, seed)
         self._poses = place_uniform(config, derive_stream(seed, "placement"))
         self._pending_steps = 0  # mobility steps owed to the poses
-        self.cap_xy = (config.area_width_m / 2.0, config.area_height_m / 2.0)
-        # the signature streams, derived only for a policy that reads contexts
-        self.rng_channel = self.rng_fading = self.rng_noise = None
-        if self.policy.reads_contexts:
-            self.rng_channel = derive_stream(seed, "channel")
-            self.rng_fading = derive_stream(seed, "fading")
-            self.rng_noise = derive_stream(seed, "noise")
-            self._snapshot_channel_state()
+        # the signature chain and its snapshot, only for a policy that reads contexts
+        self.contexts = sig.Contexts(config, seed, self._poses) if self.policy.reads_contexts else None
         self.event: AlarmEvent | None = None  # the live alarm, if any
         self.event_agents = np.empty(0, dtype=np.intp)  # the live alarm's active set
         self.slot = 0
         self.trace = RunTrace()
-        self.snr_linear = 10.0 ** (config.snr_avg_db / 10.0)
 
     @property
     def poses(self) -> np.ndarray:
@@ -155,41 +148,6 @@ class Simulation:
             self._poses = step_mobility(self._poses, self.config, self.rng_mobility, self._pending_steps)
             self._pending_steps = 0
         return self._poses
-
-    def _cap_distances(self, agents: np.ndarray) -> np.ndarray:
-        """Distance from each of `agents` to the central controller."""
-        cx, cy = self.cap_xy
-        poses = self.poses
-        return np.hypot(poses["x"][agents] - cx, poses["y"][agents] - cy)
-
-    def _amplitudes(self, agents: np.ndarray) -> np.ndarray:
-        """Large-scale amplitude of each of `agents`' links to the controller:
-        pathloss at the current distance with the snapshot's coefficients,
-        and the snapshot's shadowing."""
-        pathloss = chan.pathloss_db(self._cap_distances(agents), self._pathloss[:, agents])
-        return chan.attenuation(pathloss, self.shadow_db[agents])
-
-    def _snapshot_channel_state(self) -> None:
-        """Line of sight, the pathloss coefficients and shadowing that
-        `channel` derives from it, and the reference attenuation are frozen
-        per snapshot; only small-scale fading is redrawn each slot."""
-        cfg = self.config
-        everyone = np.arange(cfg.n_subnets)
-        self.los = chan.draw_los(self._cap_distances(everyone), self.rng_channel, cfg)
-        self._pathloss = chan.pathloss_coefficients(self.los, cfg)
-        positions = np.column_stack((self.poses["x"], self.poses["y"]))
-        self.shadow_db = chan.shadowing_db(positions, self.los, self.rng_channel, cfg)
-        self._reference_amp = float(np.median(self._amplitudes(everyone)))
-
-    def _link_gains(self, active: np.ndarray) -> np.ndarray:
-        """Per-channel complex gains for the active uplinks this slot,
-        normalised by the snapshot median attenuation, so that snr_avg_db is
-        the average link SNR at a typical distance."""
-        kappa = chan.complex_gaussian(self.rng_fading, (len(active), self.config.n_channels))
-        return kappa * (self._amplitudes(active) / self._reference_amp)[:, None]
-
-    def _contexts(self, active: np.ndarray) -> np.ndarray:
-        return sig.featurize(sig.contention_signatures(self._link_gains(active), self.snr_linear, self.rng_noise))
 
     def run_slot(self) -> SlotOutcome:
         cfg = self.config
@@ -213,7 +171,7 @@ class Simulation:
 
     def _contention_round(self, event: AlarmEvent, active: np.ndarray) -> SlotOutcome:
         cfg, age = self.config, event.attempts
-        contexts = self._contexts(active) if self.policy.reads_contexts else None
+        contexts = None if self.contexts is None else self.contexts(self.poses, active)
         actions = self.policy.select_action(active, contexts)
         delivered = resolve_collisions(actions, cfg.n_channels)
 

@@ -17,11 +17,11 @@ population also `init` (its initial weights, drawn once) and `sample` (its
 minibatches). No other component draws from them.
 
 Its class attribute `reads_contexts` says whether it reads the contention
-signature. The engine computes the signature only for a policy that does,
-and passes `None` as `contexts` to one that does not. Each policy class
-declares it in its own body, so that none inherits the answer. The methods
-take the agents concerned as one `np.intp` array of distinct agents, which
-the engine builds once per contention round:
+signature. The engine builds the signature's owner (`signature.Contexts`)
+only for a policy that does, and passes `None` as `contexts` to one that
+does not. Each policy class declares it in its own body, so that none
+inherits the answer. The methods take the agents concerned as one `np.intp`
+array of distinct agents, which the engine builds once per contention round:
 
 - `select_action(agents, contexts)`: one pattern per agent, given each
   agent's context row;
@@ -41,12 +41,16 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .config import PolicyKind, ScenarioConfig, derive_stream
+from .config import PolicyKind, ScenarioConfig, checked_int, derive_stream
 from . import learning
 
 
 def pattern_bits(index: int, n_channels: int) -> np.ndarray:
-    if not 0 <= index < (1 << n_channels):
+    """Bit m of pattern `index` is channel m's; `index` is an integer in
+    [0, 2**M) and `n_channels` one >= 1, or a ValueError names it."""
+    index = checked_int(index, "index", minimum=0)
+    n_channels = checked_int(n_channels, "n_channels", minimum=1)
+    if index >= 1 << n_channels:
         raise ValueError(f"pattern index {index} out of range for {n_channels} channels")
     return np.array([(index >> m) & 1 for m in range(n_channels)], dtype=np.uint8)
 

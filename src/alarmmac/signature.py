@@ -13,6 +13,11 @@ with fresh unit-power circular complex noise in both directions. The learning
 context is the per-channel magnitude of y_n, normalized to [0, 1). The
 functions take complex arrays: gains (k, M) with one row per active
 subnetwork, signatures (M,) or (k, M).
+
+`Contexts` owns the whole chain of one run, from the link gains (see
+`channel`) to the features: the snapshot it draws at set-up, the streams it
+draws from and, called once per contention round, the active agents'
+contexts. Only a policy that reads contexts needs one.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import math
 
 import numpy as np
 
-from .channel import complex_gaussian
+from . import channel as chan
+from .config import ScenarioConfig, derive_stream
 
 
 def aggregate_pilots(gains: np.ndarray, snr: float, noise: np.ndarray) -> np.ndarray:
@@ -44,7 +50,7 @@ def contention_signatures(gains: np.ndarray, snr: float, rng: np.random.Generato
     reuses the uplink gains (reciprocity). One draw gives both directions'
     noise, the controller's row first: the generator fills its normals in
     order, so they are those of an (M,) and then a (k, M) draw."""
-    noise = complex_gaussian(rng, (len(gains) + 1, gains.shape[1]))
+    noise = chan.complex_gaussian(rng, (len(gains) + 1, gains.shape[1]))
     return broadcast_cs(aggregate_pilots(gains, snr, noise[0]), gains, snr, noise[1:])
 
 
@@ -56,3 +62,52 @@ def featurize(y_n: np.ndarray) -> np.ndarray:
     mags = np.abs(y_n)
     peak = mags.max(axis=-1, keepdims=True) if mags.size else 0.0
     return mags / (1.0 + peak)
+
+
+class Contexts:
+    """The contention-signature chain of one run. It derives the streams it
+    draws from: `channel`, read at set-up for line of sight and then the
+    shadowing, `fading` and `noise`. Line of sight, the pathloss
+    coefficients and shadowing that `channel` derives from it, and the
+    reference attenuation are frozen per snapshot; only the small-scale
+    fading and the noise are redrawn each round.
+
+    Called with the current poses and a round's agents, it returns their
+    (k, M) contexts. The call and its helpers are private, so a traced run
+    times only the `channel` and signature functions they call."""
+
+    def __init__(self, config: ScenarioConfig, seed: int, poses: np.ndarray):
+        self.config = config
+        self.cap_xy = (config.area_width_m / 2.0, config.area_height_m / 2.0)
+        self.snr_linear = 10.0 ** (config.snr_avg_db / 10.0)
+        self.rng_fading = derive_stream(seed, "fading")
+        self.rng_noise = derive_stream(seed, "noise")
+        rng_channel = derive_stream(seed, "channel")
+        everyone = np.arange(config.n_subnets)
+        self.los = chan.draw_los(self._cap_distances(poses, everyone), rng_channel, config)
+        self.pathloss = chan.pathloss_coefficients(self.los, config)
+        positions = np.column_stack((poses["x"], poses["y"]))
+        self.shadow_db = chan.shadowing_db(positions, self.los, rng_channel, config)
+        self.reference_amp = float(np.median(self._amplitudes(poses, everyone)))
+
+    def _cap_distances(self, poses: np.ndarray, agents: np.ndarray) -> np.ndarray:
+        """Distance from each of `agents` to the central controller."""
+        cx, cy = self.cap_xy
+        return np.hypot(poses["x"][agents] - cx, poses["y"][agents] - cy)
+
+    def _amplitudes(self, poses: np.ndarray, agents: np.ndarray) -> np.ndarray:
+        """Large-scale amplitude of each of `agents`' links to the controller:
+        pathloss at the current distance with the snapshot's coefficients,
+        and the snapshot's shadowing."""
+        pathloss = chan.pathloss_db(self._cap_distances(poses, agents), self.pathloss[:, agents])
+        return chan.attenuation(pathloss, self.shadow_db[agents])
+
+    def _link_gains(self, poses: np.ndarray, agents: np.ndarray) -> np.ndarray:
+        """Per-channel complex gains of `agents`' uplinks this round,
+        normalised by the snapshot median attenuation, so that snr_avg_db is
+        the average link SNR at a typical distance."""
+        kappa = chan.complex_gaussian(self.rng_fading, (len(agents), self.config.n_channels))
+        return kappa * (self._amplitudes(poses, agents) / self.reference_amp)[:, None]
+
+    def __call__(self, poses: np.ndarray, agents: np.ndarray) -> np.ndarray:
+        return featurize(contention_signatures(self._link_gains(poses, agents), self.snr_linear, self.rng_noise))

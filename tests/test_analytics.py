@@ -320,6 +320,23 @@ class TestSuccessProbabilityDp:
             expected = _forward_success_probability(p, access.psi, m)
             assert abs(success_probability_dp(p, access) - expected) <= 1e-14
 
+    @pytest.mark.parametrize("m", range(1, DP_MAX_CHANNELS + 1))
+    def test_dp_tables_read_the_bit_order_of_the_pattern_table(self, m):
+        # the reference reads pattern bit c as axis -(c + 2) of a (2,)*M view of the pattern axis
+        n_states = 3**m
+        states = np.arange(n_states)
+        shift = np.empty((1 << m, n_states), dtype=np.intp)
+        shift[:] = states
+        by_bits = shift.reshape((2,) * m + (n_states,))
+        success = np.zeros(n_states, dtype=bool)
+        for c in range(m):
+            count = states // 3**c % 3
+            by_bits[(slice(None),) * (m - 1 - c) + (1,)] += (count < 2) * 3**c
+            success |= count == 1
+        got_shift, got_success = analytics._dp_tables(m)
+        assert got_shift.dtype == np.intp and np.array_equal(got_shift, shift)
+        assert np.array_equal(got_success, success.astype(float))
+
     def test_first_call_at_the_largest_channel_count_stays_under_the_forward_peak(self):
         # the forward programme peaked at 27.1 MB here, at k = 4; the shift
         # map (13.4 MB of platform integers) is built inside the traced call
@@ -630,3 +647,23 @@ class TestComplexity:
         assert forward_madds([2, 1, 1, 4]) == 1 * 5 + 1 * 3 + 4 * 3
         assert forward_madds([3, 4, 8]) == 4 * 7 + 8 * 9
         assert forward_madds([1, 1, 2]) == 1 * 3 + 2 * 3
+
+    @pytest.mark.parametrize("args,name", [
+        ((2.5, 120, [2, 1, 1, 4]), "n_channels"),  # returned (20, 73.0, 76.0) with a minibatch of 2.5
+        ((0, 120, [0, 1, 1, 1]), "n_channels"),
+        ((2, True, [2, 1, 1, 4]), "minibatch"),  # was taken as 1
+        ((2, -5, [2, 1, 1, 4]), "minibatch"),  # bounds of -77 and -74
+        ((2, 0, [2, 1, 1, 4]), "minibatch"),
+        ((2, 120, [2, 1.5, 1, 4]), r"layer_sizes\[1\]"),  # z1 was 23.5
+        ((2, 120, [2, 0, 1, 4]), r"layer_sizes\[1\]"),
+        ((2, 120, [2, 1, 1, 4.0]), r"layer_sizes\[3\]"),
+    ], ids=["channels-2.5", "channels-0", "minibatch-True", "minibatch-negative", "minibatch-0",
+            "layer-1.5", "layer-0", "layer-float"])
+    def test_bounds_refuse_a_count_that_is_no_integer_of_at_least_one(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            complexity_bounds(*args)
+
+    @pytest.mark.parametrize("layers", [[2, 1.5, 4], [2, 0, 4], [2, True, 4], [-1, 1, 2]])
+    def test_forward_madds_refuses_a_layer_size_that_is_no_integer_of_at_least_one(self, layers):
+        with pytest.raises(ValueError, match=r"^layer_sizes\[\d\]: "):
+            forward_madds(layers)

@@ -1,8 +1,10 @@
 """The benchmark harness under bench/ imports and binds names of the
 library's layer modules and reads the poses and events they return; a change
 that removes a name, or a pose or event format the harness cannot read,
-fails here, not only in the benchmark's traced runs."""
+fails here, not only in the benchmark's traced runs. So does a change that
+moves the link or signature work of a traced run out of its layer."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from alarmmac import events, geometry, learning
 from alarmmac.config import config_to_dict
+from alarmmac.engine import Simulation
 from conftest import CONTENTION, make_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -73,3 +76,42 @@ def test_spawn_hook_counts_the_event_and_its_active_set(harness, threshold):
     hook(phase, (0, lambda: poses, rng, cfg), event)
     expected = {"spawned": 1, "active_total": 6} if threshold == 0.0 else {"spawned": 1, "coverage_miss": 1}
     assert phase.counters == expected
+
+
+LINK_ROUND_CALLS = {  # per contention slot of a policy that reads contexts
+    "channel.attenuation": 1,
+    "channel.complex_gaussian": 2,
+    "channel.pathloss_db": 1,
+    "signature.aggregate_pilots": 1,
+    "signature.broadcast_cs": 1,
+    "signature.contention_signatures": 1,
+    "signature.featurize": 1,
+}
+LINK_SETUP_CALLS = ("attenuation", "correlation_factor", "draw_los", "los_probability",
+                    "pathloss_coefficients", "pathloss_db", "shadowing_db")
+
+
+@pytest.mark.parametrize("policy", ["drl", "mapra", "rch"])
+def test_traced_runs_time_each_link_and_signature_function_in_its_layer(harness, policy):
+    # a wrapped method around the chain would put one layer's time inside another's
+    tracer, workloads = harness
+    tr = tracer.Tracer()
+    patch = tracer.install(tr, workloads.HOOKS)
+    setup, rounds = tr.phase, tracer.Phase()
+    try:
+        sim = Simulation(replace(CONTENTION, policy_kind=policy), seed=5)
+        tr.phase = rounds
+        sim.run(50)
+    finally:
+        patch.apply(False)
+
+    def link_calls(phase):
+        return {name: n for name, n in phase.calls.items() if name.startswith(("channel.", "signature."))}
+
+    if policy != "drl":
+        assert link_calls(setup) == {} and link_calls(rounds) == {}
+        return
+    contention = sim.trace.n_contention_slots
+    assert contention > 0
+    assert link_calls(setup) == {f"channel.{name}": 1 for name in LINK_SETUP_CALLS}
+    assert link_calls(rounds) == {name: n * contention for name, n in LINK_ROUND_CALLS.items()}

@@ -109,17 +109,18 @@ def expected_attenuation(sim, n):
     """attenuation(pathloss_db(d, coefficients), shadow) of agent n's link to
     the controller, over the snapshot's reference attenuation; the
     coefficients are derived here from the snapshot's line of sight."""
-    cx, cy = sim.cap_xy
+    contexts = sim.contexts
+    cx, cy = contexts.cap_xy
     d = np.hypot(sim.poses[n].x - cx, sim.poses[n].y - cy)
-    coefficients = pathloss_coefficients(sim.los[[n]], sim.config)
-    return attenuation(pathloss_db(d, coefficients), sim.shadow_db[[n]])[0] / sim._reference_amp
+    coefficients = pathloss_coefficients(contexts.los[[n]], sim.config)
+    return attenuation(pathloss_db(d, coefficients), contexts.shadow_db[[n]])[0] / contexts.reference_amp
 
 
 def test_link_gains_compose_exactly():
     sim = gain_world(n_subnets=6, n_channels=3)
     active = np.array([0, 2, 5], dtype=np.intp)
-    kappa = complex_gaussian(copy.deepcopy(sim.rng_fading), (len(active), 3))
-    gains = sim._link_gains(active)
+    kappa = complex_gaussian(copy.deepcopy(sim.contexts.rng_fading), (len(active), 3))
+    gains = sim.contexts._link_gains(sim.poses, active)
     assert gains.shape == (len(active), 3)
     for row, n in enumerate(active):
         assert np.array_equal(gains[row], kappa[row] * expected_attenuation(sim, n))
@@ -130,8 +131,8 @@ def test_link_gains_mean_power_matches_attenuation():
     sim = gain_world(shadow_sigma_los_db=0.0, shadow_sigma_nlos_db=0.0)
     active = np.arange(sim.config.n_subnets)
     expected = np.array([expected_attenuation(sim, n) for n in active]) ** 2
-    assert np.all(sim.shadow_db == 0.0)
-    powers = [np.abs(sim._link_gains(active)) ** 2 / expected[:, None] for _ in range(5_000)]
+    assert np.all(sim.contexts.shadow_db == 0.0)
+    powers = [np.abs(sim.contexts._link_gains(sim.poses, active)) ** 2 / expected[:, None] for _ in range(5_000)]
     assert abs(np.mean(powers) - 1.0) < 0.02
 
 

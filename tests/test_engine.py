@@ -317,7 +317,8 @@ def derived_labels(monkeypatch) -> list:
     ("drl", WORLD_STREAMS | SIGNATURE_STREAMS | {"explore", "init", "sample"}),
 ])
 def test_a_run_derives_exactly_the_streams_it_draws_from(monkeypatch, policy, expected):
-    # the world's streams in the engine, the agents' in the population, each once
+    # the world's streams in the engine, the agents' in the population and the
+    # signature's in its owner, each once
     labels = derived_labels(monkeypatch)
     sim = Simulation(replace(CONTENTION, policy_kind=policy), seed=4)
     sim.run(200)
@@ -354,7 +355,7 @@ def test_context_free_policies_skip_only_dead_work(monkeypatch, policy, populati
     assert computed.trace.events == skipped.trace.events
     assert computed.trace.n_successful_slots == skipped.trace.n_successful_slots
     assert computed.trace.mse == skipped.trace.mse
-    assert computed.rng_noise.bit_generator.state != derive_stream(4, "noise").bit_generator.state
+    assert computed.contexts.rng_noise.bit_generator.state != derive_stream(4, "noise").bit_generator.state
 
 
 def test_drl_reads_one_context_row_per_active_agent(monkeypatch):
@@ -382,7 +383,7 @@ def test_a_round_hands_one_agent_array_to_the_gains_and_every_population_call(mo
         monkeypatch.setattr(DrlPopulation, name, counting(seen, getattr(DrlPopulation, name)))
     sim = Simulation(replace(CONTENTION, policy_kind=PolicyKind.DRL), seed=4)
     gains = []
-    sim._link_gains = counting(gains, sim._link_gains)
+    sim.contexts._link_gains = counting(gains, sim.contexts._link_gains)
     ended = repeated = 0
     live = None  # the agent array of the event still live after the last round
     for _ in range(30):
@@ -391,7 +392,7 @@ def test_a_round_hands_one_agent_array_to_the_gains_and_every_population_call(mo
         sim.run_slot()
         if not gains:
             continue
-        (active,) = gains[0]
+        (_, active) = gains[0]
         # the population methods are patched on the class: their first argument is the population
         handed = [args[1] for args in seen]
         assert all(agents is active for agents in handed) and active.dtype == np.intp

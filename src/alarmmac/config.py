@@ -35,8 +35,6 @@ from typing import Any
 
 import numpy as np
 
-from . import learning
-
 
 class PolicyKind(str, Enum):
     DRL = "drl"
@@ -251,6 +249,8 @@ def _setup_bytes(cfg: ScenarioConfig) -> dict[str, int]:
         return {}
     if cfg.policy_kind is PolicyKind.MAP_RA:
         return {"n_channels": 8 * n * cfg.n_patterns}
+    from . import learning  # imported here: learning reads `checked_int` from this module
+
     n_params = learning.n_params(cfg.layer_sizes)
     hidden = cfg.dnn_hidden_layers * cfg.dnn_hidden_size
     footprint = {"n_subnets": 8 * 7 * n * n, "dnn_hidden_size": 8 * 7 * n * n_params}

@@ -138,15 +138,16 @@ def maybe_spawn_event(
 ) -> AlarmEvent | None:
     """With probability alpha, spawn an event with a uniform epicenter.
 
+    The epicenter is one ``rng.random(2)`` scaled by (W, H): the doubles
+    ``0.0 + W * next_double`` and ``0.0 + H * next_double`` of
+    ``rng.uniform(0, W)`` and then ``rng.uniform(0, H)``, in one call.
     `poses` returns the current poses; it is called only when an event
     spawns, so a slot without one never needs them.
     """
     if rng.random() >= config.alpha:
         return None
-    epicenter = (
-        float(rng.uniform(0.0, config.area_width_m)),
-        float(rng.uniform(0.0, config.area_height_m)),
-    )
+    u, v = rng.random(2).tolist()
+    epicenter = (config.area_width_m * u, config.area_height_m * v)
     active = build_active_set(epicenter, poses(), rng, config)
     return AlarmEvent(epicenter=epicenter, birth_slot=slot, active_set=active)
 

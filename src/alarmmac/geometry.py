@@ -26,16 +26,19 @@ a slot in index order.
 
 `step_mobility` advances any number of slots, in windows of at most 256
 slots. Each window screens all poses once, in one vectorised pass. A pose
-is at risk if its straight-line end point, K sequential adds of its
-one-slot move, lies outside the rectangle, or (for K > 1) its start point
-does. Repeated float addition of one move is monotone in each coordinate,
-so a path whose two ends are inside stays inside: a pose that is not at
-risk keeps its first try in every slot of the window, draws nothing from
-the mobility stream and ends at its straight-line end point, which the
-screen computes with the exact check's own float adds. Only the at-risk
-poses then run the exact check, slot by slot and in index order, so the
-draws are those of one-slot calls over all poses. For K = 1 the screen is
-the one-slot test.
+is at risk if its straight-line end point lies outside the rectangle, or
+(for K > 1) its start point does. For K > 1 the end points are one
+``np.add.reduce`` along the leading axis of a C-contiguous (K + 1, 2, N)
+block: the start row, then K copies of the one-slot move. Such a reduction
+adds row by row, so it gives the floats of K sequential adds of the move,
+at a cost that hardly grows with K. Repeated float addition of one move is
+monotone in each coordinate, so a path whose two ends are inside stays
+inside: a pose that is not at risk keeps its first try in every slot of
+the window, draws nothing from the mobility stream and ends at its
+straight-line end point, which the screen computes with the exact check's
+own float adds. Only the at-risk poses then run the exact check, slot by
+slot and in index order, so the draws are those of one-slot calls over all
+poses. For K = 1 the screen is the one-slot test.
 """
 
 from __future__ import annotations
@@ -150,14 +153,18 @@ def _advance_window(
     sx, sy = start["x"], start["y"]
     # one-slot moves, with the float operations of the exact check below
     dx, dy = step * start["cos"], step * start["sin"]
-    ex, ey = sx + dx, sy + dy
-    for _ in range(k - 1):
-        ex += dx
-        ey += dy
-    if k > 1:  # each coordinate moves monotonically, so a path between two inside points stays inside
+    if k > 1:
+        # the start row, then k one-slot moves: a reduction along the leading
+        # axis adds row by row, the float adds of ``x += dx`` k times over
+        path = np.empty((k + 1, 2, len(start)))
+        path[0, 0], path[0, 1] = sx, sy
+        path[1:, 0], path[1:, 1] = dx, dy
+        ex, ey = np.add.reduce(path, axis=0)
+        # each coordinate moves monotonically, so a path between two inside points stays inside
         risky = (np.minimum(ex, sx) < 0.0) | (np.maximum(ex, sx) > width)
         risky |= (np.minimum(ey, sy) < 0.0) | (np.maximum(ey, sy) > height)
     else:
+        ex, ey = sx + dx, sy + dy
         risky = (ex < 0.0) | (ex > width) | (ey < 0.0) | (ey > height)
     out = start.copy()
     out["x"], out["y"] = ex, ey

@@ -43,6 +43,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import checked_int
+
 # per layer, (weights, biases). Nothing calls grad_norm: bench/workloads.py binds it at import for a
 # clipping hook keyed on `learning.clip_gradient`, a name that no longer exists (ROADMAP direction 1b)
 Grads = list[tuple[np.ndarray, np.ndarray]]
@@ -59,12 +61,16 @@ def grad_norm(grads: Grads) -> float:
 StackedBatch = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@lru_cache(maxsize=None)
-def _layout(layer_sizes: tuple[int, ...]) -> tuple[tuple[int, int, int, int, int], ...]:
+@lru_cache(maxsize=None, typed=True)
+def _layout(*layer_sizes: int) -> tuple[tuple[int, int, int, int, int], ...]:
     """Per layer: (fan_in, fan_out, first weight column, first bias column,
-    end column) in a network's row of a parameter block."""
+    end column) in a network's row of a parameter block. Each layer size is
+    an integer >= 1, numpy's included, or a ValueError names it. The cache
+    keys each size with its type, so a size that equals an integer without
+    being one (2.0, True) misses an integer's entry and is refused here."""
+    sizes = [checked_int(size, f"layer_sizes[{i}]", minimum=1) for i, size in enumerate(layer_sizes)]
     layers, pos = [], 0
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         at_bias = pos + fan_out * fan_in
         layers.append((fan_in, fan_out, pos, at_bias, at_bias + fan_out))
         pos = at_bias + fan_out
@@ -75,7 +81,7 @@ def layer_views(block: np.ndarray, layer_sizes: Sequence[int]) -> Grads:
     """Per layer, the weight view (K, fan_out, fan_in) and the bias view
     (K, fan_out) of a (K, P) block laid out for `layer_sizes`: parameters, a
     gradient or RMSProp averages alike."""
-    layout = _layout(tuple(layer_sizes))  # a list cannot key the cache; a tuple passes as itself
+    layout = _layout(*layer_sizes)
     if block.shape[1] != layout[-1][-1]:
         raise ValueError("parameter block width does not match layer sizes")
     k = block.shape[0]
@@ -87,7 +93,7 @@ def layer_views(block: np.ndarray, layer_sizes: Sequence[int]) -> Grads:
 
 def n_params(layer_sizes: Sequence[int]) -> int:
     """P, the width of a network's row: each layer's weights and biases."""
-    return _layout(tuple(layer_sizes))[-1][-1]
+    return _layout(*layer_sizes)[-1][-1]
 
 
 def init_params(layer_sizes: Sequence[int], n: int, rng: np.random.Generator) -> np.ndarray:
@@ -97,7 +103,9 @@ def init_params(layer_sizes: Sequence[int], n: int, rng: np.random.Generator) ->
     order. So one ``rng.uniform(-bound, bound, size=(n, P))`` call, with each
     column's bound, makes the draws, and computes the values with the
     expression ``low + (high - low) * next_double``, of one call per layer's
-    weights and one per its biases."""
+    weights and one per its biases. `n` is an integer >= 1, or a ValueError
+    names it."""
+    n = checked_int(n, "n", minimum=1)
     bound = np.empty((1, n_params(layer_sizes)))
     for w, b in layer_views(bound, layer_sizes):
         w[...] = b[...] = 1.0 / np.sqrt(w.shape[2])
@@ -222,12 +230,14 @@ class StackedReplay:
     ring is the capacity rows from n * capacity on, and a row holds the
     context, then the action, then the reward. Actions are small integers,
     so they are exact as floats. `pushes` counts each agent's tuples: its
-    next one goes to ring row pushes % capacity.
+    next one goes to ring row pushes % capacity. Each argument is an
+    integer >= 1, numpy's included, or a ValueError names it.
     """
 
     def __init__(self, n_agents: int, capacity: int, n_channels: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        n_agents = checked_int(n_agents, "n_agents", minimum=1)
+        capacity = checked_int(capacity, "capacity", minimum=1)
+        n_channels = checked_int(n_channels, "n_channels", minimum=1)
         self.capacity = capacity
         self.tuples = np.zeros((n_agents * capacity, n_channels + 2))
         self.pushes = np.zeros(n_agents, dtype=np.int64)

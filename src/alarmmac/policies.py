@@ -7,7 +7,9 @@ first. Three policies are provided: the learned network policy, a
 context-free value-table bandit, and uniform random selection; the first
 two share `EpsilonGreedy`'s selection over their own values. Exploration
 rate and learning rate decay once per alarm event that the agent takes part
-in, never per slot: each agent counts its own events.
+in, never per slot: each agent counts its own events. Each agent's
+exploration rate is held in one (N,) array, refreshed for an event's agents
+when the event ends, so a round's selection only gathers it.
 
 Each policy is one population object that holds the state of all N agents.
 It is built from the config and the run seed (`make_policy(config, seed)`)
@@ -55,10 +57,15 @@ def pattern_bits(index: int, n_channels: int) -> np.ndarray:
     return np.array([(index >> m) & 1 for m in range(n_channels)], dtype=np.uint8)
 
 
-@lru_cache(maxsize=None)
 def pattern_table(n_channels: int) -> np.ndarray:
     """(2**M, M) lookup of all patterns; row i is pattern_bits(i). Read-only:
-    every caller shares the cached array."""
+    every caller shares the cached array. `n_channels` is an integer >= 1,
+    numpy's included, or a ValueError names it."""
+    return _pattern_table(checked_int(n_channels, "n_channels", minimum=1))
+
+
+@lru_cache(maxsize=None)
+def _pattern_table(n_channels: int) -> np.ndarray:
     table = np.stack([pattern_bits(i, n_channels) for i in range(1 << n_channels)])
     table.flags.writeable = False
     return table
@@ -96,25 +103,30 @@ class RchPopulation:
 
 
 class EpsilonGreedy:
-    """Per-agent event counters, the exploration schedule they drive, and
-    the epsilon-greedy selection over each agent's pattern values, which a
-    subclass gives as `_values(agents, contexts)`: (K, 2**M) for K agents."""
+    """Per-agent event counters, the exploration rates they drive, and the
+    epsilon-greedy selection over each agent's pattern values, which a
+    subclass gives as `_values(agents, contexts)`: (K, 2**M) for K agents.
+    `eps` holds each agent's rate, `decayed_epsilon` of its event count."""
 
     def __init__(self, config: ScenarioConfig, seed: int):
         self.config = config
         self.rng_explore = derive_stream(seed, "explore")
         self.events = np.zeros(config.n_subnets, dtype=np.int64)
+        self.eps = self._decayed(self.events)
+
+    def _decayed(self, n_events: np.ndarray) -> np.ndarray:
+        cfg = self.config
+        return decayed_epsilon(cfg.epsilon_start, cfg.epsilon_floor, cfg.epsilon_step, n_events)
 
     def epsilon(self, agents: ArrayLike) -> np.ndarray:
-        cfg = self.config
-        return decayed_epsilon(cfg.epsilon_start, cfg.epsilon_floor, cfg.epsilon_step, self.events[agents])
+        return self.eps[agents]
 
     def select_action(self, agents: np.ndarray, contexts: np.ndarray | None) -> np.ndarray:
         """One uniform per agent against its epsilon, then one random pattern
         per exploring agent, then each greedy agent's first maximum of its
         values, so ties break to the lowest index."""
         rng = self.rng_explore
-        explore = rng.random(len(agents)) < self.epsilon(agents)
+        explore = rng.random(len(agents)) < self.eps[agents]
         actions = np.zeros(len(agents), dtype=np.int64)
         actions[explore] = _random_patterns(self.config.n_patterns, np.count_nonzero(explore), rng)
         greedy = ~explore
@@ -133,7 +145,9 @@ class EpsilonGreedy:
         return actions
 
     def end_event(self, agents: np.ndarray) -> None:
-        self.events[agents] += 1
+        events = self.events[agents] + 1
+        self.events[agents] = events
+        self.eps[agents] = self._decayed(events)
 
 
 def _finite_rewards(rewards) -> np.ndarray:
@@ -157,9 +171,10 @@ class MapRaPopulation(EpsilonGreedy):
         return self.q[agents]
 
     def observe(self, agents, contexts, actions, rewards) -> None:
-        taken = (agents, self._pattern_indices(actions))
+        # take and put read the table in C order: (agent, action) is at agent * 2**M + action
+        taken = agents * self.config.n_patterns + self._pattern_indices(actions)
         tau = self.config.mapra_tau
-        self.q[taken] = (1.0 - tau) * self.q[taken] + tau * _finite_rewards(rewards)
+        self.q.put(taken, (1.0 - tau) * self.q.take(taken) + tau * _finite_rewards(rewards))
         return None
 
 

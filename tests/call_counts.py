@@ -1,11 +1,12 @@
-"""Python and C calls per contention slot of the slot loop, counted exactly.
+"""Python and C calls per contention slot and per slot of the slot loop,
+counted exactly.
 
 `sys.setprofile` reports every call of a Python function ("call") and of
 a builtin function or method ("c_call"). This script counts both over the
-slots of one seeded run and prints them per contention slot, with the most
-common C callables. The counts do not depend on the host, so two runs of
-one tree print the same numbers, and a change to the calls a slot makes
-shows in them even where a timing could not resolve it.
+slots of one seeded run and prints them per contention slot and per slot,
+with the most common C callables. The counts do not depend on the host, so
+two runs of one tree print the same numbers, and a change to the calls a
+slot makes shows in them even where a timing could not resolve it.
 
 The counter misses ufunc calls (`np.maximum(...)`, `np.add.reduce` counts
 as one `reduce`) and array operators (`a * b`, `a[i]`), which the profiler
@@ -14,9 +15,12 @@ between numpy versions, so counts compare only within one numpy version;
 the header line names the Python and numpy versions of the run.
 
 The runs use the contention scenario of configs/contention.json, seed 7:
-DRL and MAP-RA at N = 20 and RCH at N = 300.
-Each runs 5 warm-up slots, which fill the first-call caches, and then
-counts 250 slots.
+DRL and MAP-RA at N = 20 and RCH at N = 300, where every slot contends,
+and the sparse MAP-RA scenario of the benchmark's sparse_mapra workload
+(N = 20, alpha 0.05, Bernoulli activation, a 15-slot deadline), where about
+one slot in fourteen contends, so its calls per slot show the path between
+alarms. Each runs 5 warm-up slots, which fill the first-call caches, and
+then counts 250 slots, the sparse run 1000.
 
     PYTHONPATH=src python tests/call_counts.py
 
@@ -43,23 +47,37 @@ CONTENTION = load_config_file(str(HERE.parent / "configs" / "contention.json"))
 SEED = 7
 WARM_SLOTS = 5
 COUNTED_SLOTS = 250
-RUNS = (("drl", 20), ("mapra", 20), ("rch", 300))
+# name: config keys over CONTENTION, and the slots counted
+RUNS = {
+    "drl": (dict(n_subnets=20, policy_kind="drl"), COUNTED_SLOTS),
+    "mapra": (dict(n_subnets=20, policy_kind="mapra"), COUNTED_SLOTS),
+    "rch": (dict(n_subnets=300, policy_kind="rch"), COUNTED_SLOTS),
+    "sparse_mapra": (
+        dict(n_subnets=20, policy_kind="mapra", alpha=0.05, activation_mode="threshold_and_bernoulli", deadline_slots=15),
+        1000,
+    ),
+}
 TOP_C = 8
 
 
 @dataclass
 class Counts:
+    slots: int
     contention_slots: int
     python_calls: int
     c_calls: Counter
 
-    def per_slot(self, n: int) -> float:
+    def per_contention_slot(self, n: int) -> float:
         return n / self.contention_slots
 
+    def per_slot(self, n: int) -> float:
+        return n / self.slots
 
-def count(policy: str, n_subnets: int, warm: int = WARM_SLOTS, slots: int = COUNTED_SLOTS, seed: int = SEED) -> Counts:
-    """The calls of `slots` slots of one run, after `warm` uncounted ones."""
-    sim = Simulation(replace(CONTENTION, n_subnets=n_subnets, policy_kind=policy), seed=seed)
+
+def count(scenario: dict, warm: int = WARM_SLOTS, slots: int = COUNTED_SLOTS, seed: int = SEED) -> Counts:
+    """The calls of `slots` slots of one run of the config keys `scenario`
+    over CONTENTION, after `warm` uncounted ones."""
+    sim = Simulation(replace(CONTENTION, **scenario), seed=seed)
     for _ in range(warm):
         sim.run_slot()
     python_calls, c_calls = 0, Counter()
@@ -81,24 +99,28 @@ def count(policy: str, n_subnets: int, warm: int = WARM_SLOTS, slots: int = COUN
         sys.setprofile(previous)
     contended = sim.trace.n_contention_slots - contended
     if not contended:
-        raise RuntimeError(f"{policy} N={n_subnets}: no contention slot in {slots} slots")
-    return Counts(contended, python_calls, c_calls)
+        raise RuntimeError(f"{scenario}: no contention slot in {slots} slots")
+    return Counts(slots, contended, python_calls, c_calls)
 
 
 def main() -> int:
     # the C counts compare only within one numpy build, so the header names it
     print(
-        f"calls per contention slot; seed {SEED}, {WARM_SLOTS} warm-up slots, {COUNTED_SLOTS} counted slots; "
+        f"calls per contention slot and per slot; seed {SEED}, {WARM_SLOTS} warm-up slots; "
         f"Python {platform.python_version()}, numpy {np.__version__}"
     )
-    for policy, n in RUNS:
-        counts = count(policy, n)
+    for name, (scenario, slots) in RUNS.items():
+        counts = count(scenario, slots=slots)
         c_total = sum(counts.c_calls.values())
         print(
-            f"{policy} N={n}: {counts.contention_slots} contention slots, "
-            f"{counts.per_slot(counts.python_calls):.2f} Python calls, {counts.per_slot(c_total):.2f} C calls"
+            f"{name} N={scenario['n_subnets']}: {counts.contention_slots} contention slots of {counts.slots}; "
+            f"per contention slot {counts.per_contention_slot(counts.python_calls):.2f} Python calls, "
+            f"{counts.per_contention_slot(c_total):.2f} C calls; "
+            f"per slot {counts.per_slot(counts.python_calls):.2f} Python calls, {counts.per_slot(c_total):.2f} C calls"
         )
-        top = ", ".join(f"{name} {counts.per_slot(k):.1f}" for name, k in counts.c_calls.most_common(TOP_C))
+        top = ", ".join(
+            f"{c_name} {counts.per_contention_slot(k):.1f}" for c_name, k in counts.c_calls.most_common(TOP_C)
+        )
         print(f"  most common C calls: {top}")
     return 0
 

@@ -158,6 +158,29 @@ def test_active_set_permutation_covariant(rng):
     assert sorted(perm[i] for i in permuted) == sorted(base)
 
 
+@pytest.mark.parametrize("mode", list(ActivationMode))
+def test_epicenter_is_two_uniform_draws(mode):
+    # one `random(2)` scaled by (W, H) gives the doubles and the state of
+    # `uniform(0, W)` then `uniform(0, H)`, on sides that are no power of two
+    cfg = make_config(
+        n_subnets=3, alpha=0.5, eta=0.05, area_width_m=37.3, area_height_m=50.9, activation_mode=mode
+    )
+    poses = poses_at([(3.0, 4.0), (20.0, 30.0), (36.0, 50.0)])
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    spawned = 0
+    for t in range(200):
+        event = maybe_spawn_event(t, lambda: poses, rng, cfg)
+        if twin.random() >= cfg.alpha:
+            assert event is None
+        else:
+            epicenter = (float(twin.uniform(0.0, cfg.area_width_m)), float(twin.uniform(0.0, cfg.area_height_m)))
+            assert event.epicenter == epicenter and type(event.epicenter[0]) is float
+            assert event.active_set == build_active_set(epicenter, poses, twin, cfg)
+            spawned += 1
+        assert rng.bit_generator.state == twin.bit_generator.state
+    assert 50 < spawned < 150
+
+
 def test_event_fields(rng):
     cfg = make_config(alpha=1.0, tx_threshold=0.0, eta=1e-6, activation_mode=ActivationMode.THRESHOLD_ONLY)
     event = maybe_spawn_event(12, lambda: poses_at([(25, 25)]), rng, cfg)

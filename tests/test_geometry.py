@@ -374,6 +374,20 @@ def test_multi_step_matches_reference_at_dense_rch_density():
     assert_multi_step_matches(poses, cfg, seed=8, n_steps=_MAX_WINDOW_STEPS + 3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 300])
+@pytest.mark.parametrize("gap", [2, 3, 19, 124, 255, _MAX_WINDOW_STEPS, _MAX_WINDOW_STEPS + 1])
+def test_catch_up_over_a_long_gap_matches_one_slot_calls(gap, n):
+    # the end points of one window are a reduction over its gap; the
+    # property tests draw at most 30 poses, so pin one and two poses and
+    # dense_rch's 300, over gaps of a few slots up to one window and one more
+    cfg = make_config(n_subnets=n)
+    if n == 300:
+        poses = place_uniform(cfg, np.random.default_rng(8))
+    else:  # a free pose, and one that meets the left wall after about 80 slots
+        poses = pose_array([(25.0, 25.0, 0.7), (0.5, 10.0, math.pi)][:n])
+    assert_multi_step_matches(poses, cfg, seed=gap, n_steps=gap)
+
+
 @pytest.mark.parametrize(
     "scenario,seed",
     [

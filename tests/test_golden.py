@@ -140,6 +140,9 @@ def test_statistics_compare_fails_a_row_with_fewer_than_two_paired_seeds():
 def test_call_counts_repeat_exactly():
     import call_counts
 
-    first, second = (call_counts.count("drl", 6, slots=10) for _ in range(2))
-    assert first.contention_slots > 0 and first.python_calls > 0 and first.c_calls
-    assert first == second
+    drl = dict(call_counts.RUNS["drl"][0], n_subnets=6)
+    sparse = call_counts.RUNS["sparse_mapra"][0]
+    for scenario, slots in ((drl, 10), (sparse, 200)):
+        first, second = (call_counts.count(scenario, slots=slots) for _ in range(2))
+        assert 0 < first.contention_slots <= first.slots == slots and first.python_calls > 0 and first.c_calls
+        assert first == second

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from alarmmac import learning, policies
 from alarmmac.config import PolicyKind, derive_stream
+from alarmmac.engine import Simulation
 from alarmmac.policies import (
     DrlPopulation,
     MapRaPopulation,
@@ -17,7 +19,7 @@ from alarmmac.policies import (
     pattern_table,
 )
 
-from conftest import agent_array, make_config
+from conftest import CONTENTION, agent_array, make_config
 import reference_mlp as ref
 
 
@@ -67,6 +69,16 @@ def test_pattern_table_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         pattern_table(2)[0, 0] = 1
     assert list(pattern_table(2)[0]) == [0, 0]
+
+
+@pytest.mark.parametrize("n_channels", [1.5, 2.0, True, 0, -1, "3", None])
+def test_pattern_table_refuses_a_count_that_is_no_integer_of_at_least_one(n_channels):
+    with pytest.raises(ValueError, match="^n_channels: "):
+        pattern_table(n_channels)
+
+
+def test_pattern_table_shares_one_table_among_equal_integers():
+    assert pattern_table(np.int64(3)) is pattern_table(3) is pattern_table(np.uint8(3))
 
 
 def test_full_exploration_is_uniform():
@@ -148,18 +160,24 @@ def test_mapra_update_rule():
     assert np.all(policy.q == 0.0)  # only the taken action of the observing agent moves
 
 
-def test_mapra_table_update_equals_scalar_rule(rng):
-    cfg = make_config(n_subnets=9, n_channels=3, mapra_tau=0.3)
+@pytest.mark.parametrize("n_channels", [1, 3, 5])
+def test_mapra_table_update_equals_scalar_rule(rng, n_channels):
+    # the flat update against the per-agent scalar rule and the rule indexed by (agents, actions)
+    cfg = make_config(n_subnets=9, n_channels=n_channels, mapra_tau=0.3)
+    tau = cfg.mapra_tau
     policy = MapRaPopulation(cfg, seed=0)
     policy.q[:] = rng.standard_normal(policy.q.shape)
-    expected = policy.q.copy()
-    agents = agent_array(7, 2, 5, 0)
-    actions = rng.integers(0, 8, len(agents))
+    expected, tupled = policy.q.copy(), policy.q.copy()
+    agents = agent_array(7, 2, 8, 5, 0)
+    actions = rng.integers(0, cfg.n_patterns, len(agents))
+    actions[2] = cfg.n_patterns - 1  # the last agent's last pattern, the table's last entry
     rewards = rng.standard_normal(len(agents))
     for n, a, r in zip(agents, actions, rewards):
-        expected[n, a] = (1.0 - cfg.mapra_tau) * expected[n, a] + cfg.mapra_tau * r
-    policy.observe(agents, np.zeros((4, 3)), actions, rewards)
-    assert np.array_equal(policy.q, expected)
+        expected[n, a] = (1.0 - tau) * expected[n, a] + tau * r
+    taken = (agents, actions)
+    tupled[taken] = (1.0 - tau) * tupled[taken] + tau * rewards
+    policy.observe(agents, np.zeros((len(agents), n_channels)), actions, rewards)
+    assert np.array_equal(policy.q, expected) and np.array_equal(policy.q, tupled)
 
 
 def test_mapra_rejects_nonfinite_reward():
@@ -179,6 +197,20 @@ def test_epsilon_schedule_reaches_floor_after_180_events():
     assert trajectory[179] == 0.1
     assert all(v == 0.1 for v in trajectory[179:])
     assert policy.epsilon(1) == cfg.epsilon_start  # counted per agent
+
+
+@pytest.mark.parametrize("kind", ["mapra", "drl"])
+def test_held_epsilon_is_the_decayed_epsilon_of_the_event_counts(kind):
+    # a step that no binary fraction holds, and a floor that some agents reach
+    cfg = replace(CONTENTION, n_subnets=8, policy_kind=kind, epsilon_start=0.97, epsilon_step=0.037)
+    sim = Simulation(cfg, seed=3)
+    for _ in range(120):
+        sim.run_slot()
+    policy = sim.policy
+    assert len(set(policy.events.tolist())) > 2 and (policy.eps == cfg.epsilon_floor).any()
+    held = decayed_epsilon(cfg.epsilon_start, cfg.epsilon_floor, cfg.epsilon_step, policy.events)
+    assert np.array_equal(policy.eps, held)
+    assert np.array_equal(policy.epsilon(np.arange(cfg.n_subnets)), held)
 
 
 def test_decayed_epsilon_never_below_floor():

@@ -11,9 +11,9 @@ separated in its area or whose set-up exceeds `SETUP_BUDGET_BYTES`. Counts
 are stored as int and quantities as float, so equal configs serialize
 alike and share one fingerprint.
 
-`checked_int` is the one integer rule of the public entry points (counts,
-seeds, deadlines): a ValueError naming the argument for a float, a bool or
-an integer below its minimum; numpy's integers come back as int.
+`checked_int` is the one integer rule of the entry points and, in `_typed`,
+of the config's counts: it refuses a float, a bool or an integer below its
+minimum, naming the argument or key; numpy's integers come back as int.
 
 The model has no knob for what the paper fixes: at most one alarm is live
 at a time and each attempt takes one slot (see `engine`), every pilot
@@ -291,12 +291,12 @@ def _finite_number(value: Any) -> bool:
 def _typed(key: str, value: Any) -> Any:
     """The value of field `key`, if its type fits the field.
 
-    Counts take integers, numpy's too, but not booleans, and come back as
-    int; quantities take finite numbers and come back as float; triples take
-    three finite numbers and come back as a tuple of floats. So equal
-    configs serialize alike and share one fingerprint. An enum field takes a
-    member or its string value and comes back as the member, so the identity
-    checks against members hold however the config is built.
+    Counts take what `checked_int` takes and come back as int; quantities
+    take finite numbers and come back as float; triples take three finite
+    numbers and come back as a tuple of floats. So equal configs serialize
+    alike and share one fingerprint. An enum field takes a member or its
+    string value and comes back as the member, so the identity checks
+    against members hold however the config is built.
     """
     enum_cls = _ENUM_FIELDS.get(key)
     if enum_cls is not None:
@@ -307,8 +307,10 @@ def _typed(key: str, value: Any) -> Any:
             raise ConfigError(f"{key}: must be one of {options}") from None
     kind = _FIELD_TYPES[key]
     if kind == "int" or (kind == "int | None" and value is not None):
-        _check(isinstance(value, numbers.Integral) and not isinstance(value, bool), key, "must be an integer")
-        value = int(value)
+        try:
+            value = checked_int(value, key)
+        except ValueError:
+            raise ConfigError(f"{key}: must be an integer") from None
     elif kind == "float":
         _check(_finite_number(value), key, "must be a finite number")
         value = float(value)

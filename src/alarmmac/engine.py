@@ -50,7 +50,7 @@ from . import signature as sig
 from .config import ScenarioConfig, checked_int, derive_stream
 from .events import AlarmEvent, maybe_spawn_event
 from .geometry import place_uniform, step_mobility
-from .policies import Population, make_policy, pattern_table
+from .policies import Population, _pattern_table, make_policy
 
 
 @dataclass
@@ -112,7 +112,7 @@ def resolve_collisions(action_indices: list[int] | np.ndarray, n_channels: int) 
             f"pattern indices must be integers in [0, {n_patterns}) for {n_channels} channels, got {action_indices!r}"
         )
     # transmitters per channel: how often each pattern is played, times its bits
-    return bool((counts @ pattern_table(n_channels) == 1).any())
+    return bool((counts @ _pattern_table(n_channels) == 1).any())
 
 
 class Simulation:

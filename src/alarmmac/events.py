@@ -141,11 +141,12 @@ def maybe_spawn_event(
     The epicenter is one ``rng.random(2)`` scaled by (W, H): the doubles
     ``0.0 + W * next_double`` and ``0.0 + H * next_double`` of
     ``rng.uniform(0, W)`` and then ``rng.uniform(0, H)``, in one call.
-    `poses` returns the current poses; it is called only when an event
-    spawns, so a slot without one never needs them.
+    `poses` returns the current poses, called only when an event spawns; a
+    spawning `slot` is an integer >= 0, or a ValueError names it.
     """
     if rng.random() >= config.alpha:
         return None
+    slot = checked_int(slot, "slot", minimum=0)  # after the alpha draw: an idle slot pays nothing
     u, v = rng.random(2).tolist()
     epicenter = (config.area_width_m * u, config.area_height_m * v)
     active = build_active_set(epicenter, poses(), rng, config)

@@ -230,8 +230,8 @@ class StackedReplay:
     ring is the capacity rows from n * capacity on, and a row holds the
     context, then the action, then the reward. Actions are small integers,
     so they are exact as floats. `pushes` counts each agent's tuples: its
-    next one goes to ring row pushes % capacity. Each argument is an
-    integer >= 1, numpy's included, or a ValueError names it.
+    next one goes to ring row pushes % capacity. Each count, `sample`'s
+    `batch_size` too, is an integer >= 1, or a ValueError names it.
     """
 
     def __init__(self, n_agents: int, capacity: int, n_channels: int):
@@ -268,6 +268,7 @@ class StackedReplay:
         the floor of a uniform u < 1 times the memory's fill, and for a fill
         below 2**53 the product rounds below the fill. One gather reads them.
         """
+        batch_size = checked_int(batch_size, "batch_size", minimum=1)
         sizes = self.size[agents]
         if not sizes.all():
             raise ValueError("cannot sample from empty memory")

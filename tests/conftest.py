@@ -56,11 +56,6 @@ CONTENTION = load_config_file(str(CONFIGS / "contention.json"))
 CRITERIA = load_config_file(str(CONFIGS / "criteria.json"))
 
 
-@pytest.fixture
-def base_config():
-    return ScenarioConfig(n_subnets=4, n_channels=2)
-
-
 def pose_array(records) -> np.ndarray:
     """Poses as `geometry` keeps them, from (x, y, heading) tuples: each
     carries its direction, the `math.cos` and `math.sin` of its heading."""

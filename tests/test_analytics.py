@@ -93,32 +93,6 @@ class TestSuccessProbability:
         with pytest.raises(ValueError, match="psi width must be a power of two of at least 2"):
             AccessDistribution(np.full((2, width), 1.0 / width))
 
-    @pytest.mark.parametrize(
-        "args,argument",
-        [((2, 1.5), "n_channels"), ((2, True), "n_channels"), ((2, 0), "n_channels"), ((2.0, 2), "n"), ((-1, 2), "n")],
-    )
-    def test_uniform_access_refuses_a_count_that_is_no_integer_in_range(self, args, argument):
-        # (2, 1.5) was a raw TypeError and (2, True) a one-channel matrix
-        with pytest.raises(ValueError, match=f"^{argument}: "):
-            uniform_access(*args)
-
-    def test_uniform_access_takes_numpy_integers(self):
-        assert np.array_equal(uniform_access(np.int64(3), np.uint8(2)).psi, uniform_access(3, 2).psi)
-
-    def test_grid_search_refuses_zero_channels_naming_them(self):
-        with pytest.raises(ValueError, match="n_channels: must be >= 1"):
-            best_stationary_psi(np.array([0.5]), 0, 2)
-
-    @pytest.mark.parametrize("n_channels", [1.5, True, 1.0])
-    def test_grid_search_refuses_a_channel_count_that_is_no_integer(self, n_channels):
-        with pytest.raises(ValueError, match="^n_channels: must be an integer"):
-            best_stationary_psi(np.array([0.5]), n_channels, 2)
-
-    def test_grid_search_takes_a_numpy_integer_channel_count(self):
-        access, miss = best_stationary_psi(np.array([0.5]), np.int64(1), np.int64(2))
-        ref_access, ref_miss = best_stationary_psi(np.array([0.5]), 1, 2)
-        assert np.array_equal(access.psi, ref_access.psi) and miss == ref_miss
-
     def test_nan_activation_rejected(self):
         with pytest.raises(ValueError, match="activation probabilities"):
             success_probability_bruteforce([0.5, np.nan], uniform_access(2, 2))
@@ -370,10 +344,6 @@ class TestSuccessProbabilityDp:
             success_probability_dp([0.5, np.nan], uniform_access(2, 2))
 
 
-def grid_search_one_agent(ps, deadline):
-    return best_stationary_psi(np.array([ps]), 1, deadline)
-
-
 def _recursive_paths(spec):
     """The path oracle as a recursive walk, one level per age: the reference
     for its loop, which sums in the order this returns."""
@@ -459,22 +429,12 @@ class TestDeadlineProbability:
             DtmcSpec(np.array([np.nan, 0.5]))
 
     @pytest.mark.parametrize(
-        "form,ps,deadline,argument",
-        [
-            (stationary_deadline_probability, 0.5, -3, "deadline"),
-            (stationary_deadline_probability, 1.5, 2, "ps"),
-            (stationary_deadline_probability, np.nan, 2, "ps"),
-            (stationary_deadline_probability, 0.5, 2.5, "deadline"),
-            (stationary_deadline_probability, 0.5, True, "deadline"),
-            (stationary_dtmc, 0.5, -3, "deadline"),
-            (stationary_dtmc, 0.5, 2.5, "deadline"),
-            (stationary_dtmc, -0.1, 2, "ps"),
-            (grid_search_one_agent, 1.0, 2.5, "deadline"),
-        ],
+        "form,ps",
+        [(stationary_deadline_probability, 1.5), (stationary_deadline_probability, np.nan), (stationary_dtmc, -0.1)],
     )
-    def test_stationary_forms_reject_malformed_arguments(self, form, ps, deadline, argument):
-        with pytest.raises(ValueError, match=f"^{argument}: "):
-            form(ps, deadline)
+    def test_stationary_forms_reject_malformed_arguments(self, form, ps):
+        with pytest.raises(ValueError, match="^ps: "):
+            form(ps, 2)
 
     def test_transition_blocks_structure(self):
         spec = DtmcSpec(np.array([0.2, 0.4, 0.9]))
@@ -597,10 +557,6 @@ class TestBestStationaryPsi:
         with pytest.raises(ValueError, match="^p: "):
             best_stationary_psi(np.array(p), n_channels=1, deadline=3)
 
-    def test_negative_deadline_rejected(self):
-        with pytest.raises(ValueError, match="deadline"):
-            best_stationary_psi(np.array([0.5]), n_channels=1, deadline=-3)
-
     @pytest.mark.parametrize("step", [0.0, -0.5, np.nan, np.inf, 0.3, 2.0])
     def test_step_not_a_unit_fraction_rejected(self, step):
         with pytest.raises(ValueError, match="grid_step"):
@@ -625,12 +581,6 @@ class TestComplexity:
             _, z_lb, z_ub = complexity_bounds(m, 30 * (1 << m), layers)
             assert z_ub - z_lb == (1 << m) - 1
 
-    @pytest.mark.parametrize("n_channels", [2.5, True, 0, 2.0])
-    def test_closed_form_refuses_a_channel_count_that_is_no_integer_of_at_least_one(self, n_channels):
-        # 2.5 used to return 4436.98
-        with pytest.raises(ValueError, match="^n_channels: "):
-            compact_lower_bound_closed_form(n_channels)
-
     def test_closed_form_agrees_only_at_m2(self):
         compact_lb = {m: complexity_bounds(m, 30 * (1 << m), [m, 1, 1, 1 << m])[1] for m in (2, 3)}
         assert compact_lb[2] == compact_lower_bound_closed_form(2) == 2423
@@ -647,23 +597,3 @@ class TestComplexity:
         assert forward_madds([2, 1, 1, 4]) == 1 * 5 + 1 * 3 + 4 * 3
         assert forward_madds([3, 4, 8]) == 4 * 7 + 8 * 9
         assert forward_madds([1, 1, 2]) == 1 * 3 + 2 * 3
-
-    @pytest.mark.parametrize("args,name", [
-        ((2.5, 120, [2, 1, 1, 4]), "n_channels"),  # returned (20, 73.0, 76.0) with a minibatch of 2.5
-        ((0, 120, [0, 1, 1, 1]), "n_channels"),
-        ((2, True, [2, 1, 1, 4]), "minibatch"),  # was taken as 1
-        ((2, -5, [2, 1, 1, 4]), "minibatch"),  # bounds of -77 and -74
-        ((2, 0, [2, 1, 1, 4]), "minibatch"),
-        ((2, 120, [2, 1.5, 1, 4]), r"layer_sizes\[1\]"),  # z1 was 23.5
-        ((2, 120, [2, 0, 1, 4]), r"layer_sizes\[1\]"),
-        ((2, 120, [2, 1, 1, 4.0]), r"layer_sizes\[3\]"),
-    ], ids=["channels-2.5", "channels-0", "minibatch-True", "minibatch-negative", "minibatch-0",
-            "layer-1.5", "layer-0", "layer-float"])
-    def test_bounds_refuse_a_count_that_is_no_integer_of_at_least_one(self, args, name):
-        with pytest.raises(ValueError, match=f"^{name}: "):
-            complexity_bounds(*args)
-
-    @pytest.mark.parametrize("layers", [[2, 1.5, 4], [2, 0, 4], [2, True, 4], [-1, 1, 2]])
-    def test_forward_madds_refuses_a_layer_size_that_is_no_integer_of_at_least_one(self, layers):
-        with pytest.raises(ValueError, match=r"^layer_sizes\[\d\]: "):
-            forward_madds(layers)

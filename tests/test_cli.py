@@ -161,9 +161,8 @@ def test_selftest_catches_a_wrong_pattern_table(monkeypatch, capsys):
         wrong[[0, 1]] = wrong[[1, 0]]  # silence and pattern 1 trade bits
         return wrong
 
-    # the collision rule reads the table through both modules' names
-    monkeypatch.setattr(engine, "pattern_table", swapped)
-    monkeypatch.setattr(policies, "pattern_table", swapped)
+    # the collision rule reads the table through the engine's name
+    monkeypatch.setattr(engine, "_pattern_table", swapped)
     assert main(["selftest"]) == 1
     captured = capsys.readouterr()
     assert "FAIL collision_oracle" in captured.out
@@ -178,8 +177,7 @@ def test_selftest_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys)
     def truncated(n_channels):
         return table(n_channels)[:-1]  # one pattern short: the pattern counts no longer match its rows
 
-    monkeypatch.setattr(engine, "pattern_table", truncated)
-    monkeypatch.setattr(policies, "pattern_table", truncated)
+    monkeypatch.setattr(engine, "_pattern_table", truncated)
     assert main(["selftest"]) == 1
     captured = capsys.readouterr()
     assert "FAIL collision_oracle: raised ValueError: " in captured.out

@@ -1,5 +1,4 @@
 import gc
-import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -47,18 +46,6 @@ def test_single_silent_agent_fails():
 def test_pattern_index_outside_the_patterns_refused_naming_the_range(actions):
     with pytest.raises(ValueError, match=r"integers in \[0, 4\) for 2 channels"):
         resolve_collisions(actions, 2)
-
-
-@pytest.mark.parametrize("n_channels", [1.5, True, 0, 2.0])
-def test_channel_count_that_is_no_integer_of_at_least_one_refused_naming_it(n_channels):
-    # 1.5 was a raw TypeError from the shift
-    with pytest.raises(ValueError, match="^n_channels: "):
-        resolve_collisions([1], n_channels)
-
-
-def test_numpy_integer_channel_count_taken():
-    assert resolve_collisions([1, 2], np.int64(2)) is True
-    assert resolve_collisions([1, 1], np.uint8(2)) is False
 
 
 def test_resolve_matches_brute_force_exhaustively():
@@ -183,44 +170,6 @@ def test_run_until_events_checks_the_count_before_each_slot():
     while len(stepped.trace.events) < 2:
         stepped.run_slot()
     assert len(trace.events) == 2 and trace.n_slots == stepped.trace.n_slots > 0
-    with pytest.raises(ValueError, match="until_events: must be >= 0, got -1"):
-        Simulation(cfg, seed=3).run(until_events=-1)
-
-
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({"n_slots": -5}, "n_slots: must be >= 0, got -5"),
-        ({"n_slots": 2.5}, "n_slots: must be an integer, got 2.5"),
-        ({"n_slots": True}, "n_slots: must be an integer, got True"),
-        ({"n_slots": 5, "until_events": 0.5}, "until_events: must be an integer, got 0.5"),
-        ({"n_slots": 5, "until_events": False}, "until_events: must be an integer, got False"),
-    ],
-)
-def test_run_refuses_a_slot_or_event_count_that_is_not_a_non_negative_integer(kwargs, message):
-    sim = Simulation(make_config(), seed=3)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        sim.run(**kwargs)
-    assert sim.slot == 0
-
-
-def test_run_takes_numpy_integer_counts_as_their_int():
-    cfg = replace(CONTENTION, policy_kind=PolicyKind.RCH)
-    a = Simulation(cfg, seed=3).run(n_slots=np.int64(400), until_events=np.uint8(2))
-    b = Simulation(cfg, seed=3).run(n_slots=400, until_events=2)
-    assert a.n_slots == b.n_slots > 0 and a.events == b.events
-
-
-@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
-def test_a_seed_that_is_not_an_integer_is_refused_naming_it(seed):
-    with pytest.raises(ValueError, match=re.escape(f"seed: must be an integer, got {seed!r}")):
-        Simulation(make_config(), seed=seed)
-
-
-def test_a_numpy_integer_seed_runs_as_its_int():
-    cfg = make_config(n_slots=300, alpha=0.5, eta=0.05, tx_threshold=0.3, policy_kind=PolicyKind.RCH)
-    a, b = (Simulation(cfg, seed=seed).run() for seed in (np.int64(7), 7))
-    assert a.events and a.events == b.events and a.n_successful_slots == b.n_successful_slots
 
 
 def run_collecting(cfg, seed):

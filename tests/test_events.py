@@ -108,21 +108,6 @@ def test_empirical_activation_threshold_zero_gives_alpha():
     assert np.allclose(est, 0.1)
 
 
-@pytest.mark.parametrize("n_trials", [20000.0, True, 9_999])
-def test_empirical_activation_refuses_a_bad_trial_count_before_any_draw(n_trials):
-    rng = np.random.default_rng(1)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="^n_trials: "):
-        empirical_activation(poses_at([(10, 10)]), make_config(), rng, n_trials=n_trials)
-    assert rng.bit_generator.state == state
-
-
-def test_empirical_activation_takes_a_numpy_integer_trial_count():
-    poses, cfg = poses_at([(10, 10), (40, 40)]), make_config()
-    est = empirical_activation(poses, cfg, np.random.default_rng(1), n_trials=np.int64(10_000))
-    assert np.array_equal(est, empirical_activation(poses, cfg, np.random.default_rng(1), n_trials=10_000))
-
-
 def test_empirical_activation_matches_disk_area_fraction():
     # single pose at the center: activation region is the disk of radius
     # ln(1/threshold)/eta, so the estimate must match its area fraction

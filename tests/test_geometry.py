@@ -437,31 +437,12 @@ def test_wall_screen_is_exact_at_the_wall(k):
         assert_multi_step_matches(poses, cfg, seed=6, n_steps=k)
 
 
-@pytest.mark.parametrize(
-    "n_steps,valid", [(0, True), (-3, False), (2.5, False), (2.0, False), (True, False), ("3", False), (None, False)]
-)
-def test_step_mobility_takes_a_non_negative_int_n_steps(n_steps, valid):
-    cfg = make_config(n_subnets=2)
+def test_step_mobility_of_zero_steps_copies_the_poses_without_a_draw():
     poses = pose_array([(10.0, 10.0, 0.3), (40.0, 40.0, 2.0)])
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    if valid:  # no step: a new array holding the same poses, and no draw
-        assert_same_poses(stepped_apart(poses, cfg, rng, n_steps), poses)
-    else:
-        with pytest.raises(ValueError, match="n_steps"):
-            step_mobility(poses, cfg, rng, n_steps)
+    assert_same_poses(stepped_apart(poses, make_config(n_subnets=2), rng, 0), poses)
     assert rng.bit_generator.state == state
-
-
-@pytest.mark.parametrize("n_steps", [np.int64(3), np.uint8(3)])
-def test_step_mobility_takes_numpy_integer_steps(n_steps):
-    # the first pose walks into the wall, so the steps draw resamples
-    cfg = make_config(n_subnets=2)
-    poses = pose_array([(0.001, 10.0, math.pi), (40.0, 40.0, 2.0)])
-    rng, rng_ref = np.random.default_rng(0), np.random.default_rng(0)
-    assert_same_poses(stepped_apart(poses, cfg, rng, n_steps), step_mobility(poses, cfg, rng_ref, 3))
-    assert rng.bit_generator.state == rng_ref.bit_generator.state
-    assert rng.bit_generator.state != np.random.default_rng(0).bit_generator.state
 
 
 def test_too_close_decides_exactly_at_the_threshold():

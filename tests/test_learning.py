@@ -492,44 +492,6 @@ def test_n_params_counts_each_layers_weights_and_biases(sizes):
     assert n_params(sizes) == width == init_params(sizes, 1, np.random.default_rng(0)).shape[1]
 
 
-@pytest.mark.parametrize("bad", [1.5, 2.0, True, 0, -1, "2", None])
-def test_layer_sizes_refuse_a_size_that_is_no_integer_of_at_least_one(bad):
-    sizes = (3, 2, 8)
-    n_params(sizes)  # an equal integer's layout is cached first: 2.0 and True must still miss it
-    calls = (n_params, lambda s: init_params(s, 2, np.random.default_rng(0)), lambda s: layer_views(np.zeros((1, 1)), s))
-    for call in calls:
-        with pytest.raises(ValueError, match=r"^layer_sizes\[1\]: "):
-            call([3, bad, 8])
-
-
-def test_layer_sizes_take_numpy_integers():
-    assert n_params([np.int64(3), np.uint8(2), 8]) == n_params((3, 2, 8)) == 32
-
-
-@pytest.mark.parametrize("n", [1.5, True, 0, -2, None])
-def test_init_params_refuses_a_network_count_that_is_no_integer_of_at_least_one(n):
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="^n: "):
-        init_params((3, 1, 8), n, rng)
-    assert rng.bit_generator.state == state
-
-
-@pytest.mark.parametrize("arg", [0, 1, 2])
-@pytest.mark.parametrize("bad", [1.5, True, 0, -1])
-def test_replay_refuses_a_size_that_is_no_integer_of_at_least_one(arg, bad):
-    args = [2, 4, 3]
-    args[arg] = bad
-    name = ("n_agents", "capacity", "n_channels")[arg]
-    with pytest.raises(ValueError, match=f"^{name}: "):
-        StackedReplay(*args)
-
-
-def test_replay_takes_numpy_integers():
-    mem = StackedReplay(np.int64(2), np.int32(4), np.uint8(3))
-    assert mem.tuples.shape == (8, 5) and type(mem.capacity) is int
-
-
 def test_output_bias_gradient_equals_delta_sum(rng):
     # bincount adds each (network, action) bin in minibatch order, as the
     # sum over the minibatch axis of the zero-filled delta does; array_equal

@@ -14,6 +14,8 @@ alike and share one fingerprint.
 `checked_int` is the one integer rule of the entry points and, in `_typed`,
 of the config's counts: it refuses a float, a bool or an integer below its
 minimum, naming the argument or key; numpy's integers come back as int.
+`_median` is the one median of a run, numpy's to the bit without the
+`numpy.ma` import that numpy's own first median call makes.
 
 The model has no knob for what the paper fixes: at most one alarm is live
 at a time and each attempt takes one slot (see `engine`), every pilot
@@ -61,6 +63,24 @@ def checked_int(value: Any, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name}: must be >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _median(values: Any) -> float:
+    """numpy's median of one or more numbers, bit for bit: the middle value of
+    a sorted float copy, or the mean of the two middle values for an even
+    count, summed from 0.0 as numpy's mean sums (so -0.0 comes back 0.0);
+    nan if any value is nan. No values raise a ValueError. numpy's first
+    median call imports `numpy.ma`, about 1.3 MB resident and 8 ms, which
+    nothing here uses."""
+    ordered = np.sort(np.asarray(values, dtype=float), axis=None)
+    n = ordered.size
+    if n == 0:
+        raise ValueError("median of no values")
+    if math.isnan(ordered[-1]):  # a sort puts every nan last
+        return math.nan
+    if n % 2:
+        return 0.0 + float(ordered[n // 2])
+    return (0.0 + float(ordered[n // 2 - 1]) + float(ordered[n // 2])) / 2.0
 
 
 _ENUM_FIELDS = {
@@ -309,8 +329,8 @@ def _typed(key: str, value: Any) -> Any:
     if kind == "int" or (kind == "int | None" and value is not None):
         try:
             value = checked_int(value, key)
-        except ValueError:
-            raise ConfigError(f"{key}: must be an integer") from None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     elif kind == "float":
         _check(_finite_number(value), key, "must be a finite number")
         value = float(value)

@@ -20,6 +20,7 @@ import numpy as np
 from .config import (
     PolicyKind,
     ScenarioConfig,
+    _median,
     checked_int,
     config_fingerprint,
     config_to_dict,
@@ -44,8 +45,8 @@ def mse_decile_medians(mse: Sequence[float]) -> tuple[float, float] | None:
     if n < 10:
         return None
     decile = max(1, n // 10)
-    first = float(np.median(mse[:decile]))
-    last = float(np.median(mse[-decile:]))
+    first = _median(mse[:decile])
+    last = _median(mse[-decile:])
     return first, last
 
 
@@ -225,8 +226,8 @@ def run_experiment(
         stderr_in_time=stderr,
         events_delivered=delivered,
         events_failed=failed,
-        mse_first_decile_median=float(np.median([d[0] for d in run_deciles])) if run_deciles else None,
-        mse_last_decile_median=float(np.median([d[1] for d in run_deciles])) if run_deciles else None,
+        mse_first_decile_median=_median([d[0] for d in run_deciles]) if run_deciles else None,
+        mse_last_decile_median=_median([d[1] for d in run_deciles]) if run_deciles else None,
         mse_series=_decimate(mse_all),
         wall_clock_s=time.perf_counter() - started,
     )

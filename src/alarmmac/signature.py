@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import channel as chan
-from .config import ScenarioConfig, derive_stream
+from .config import ScenarioConfig, _median, derive_stream
 
 
 def aggregate_pilots(gains: np.ndarray, snr: float, noise: np.ndarray) -> np.ndarray:
@@ -70,7 +70,9 @@ class Contexts:
     shadowing, `fading` and `noise`. Line of sight, the pathloss
     coefficients and shadowing that `channel` derives from it, and the
     reference attenuation are frozen per snapshot; only the small-scale
-    fading and the noise are redrawn each round.
+    fading and the noise are redrawn each round. The reference is the median
+    of the N set-up attenuations: the middle one, or the mean of the two
+    middle ones for even N.
 
     Called with the current poses and a round's agents, it returns their
     (k, M) contexts. The call and its helpers are private, so a traced run
@@ -88,7 +90,7 @@ class Contexts:
         self.pathloss = chan.pathloss_coefficients(self.los, config)
         positions = np.column_stack((poses["x"], poses["y"]))
         self.shadow_db = chan.shadowing_db(positions, self.los, rng_channel, config)
-        self.reference_amp = float(np.median(self._amplitudes(poses, everyone)))
+        self.reference_amp = _median(self._amplitudes(poses, everyone))
 
     def _cap_distances(self, poses: np.ndarray, agents: np.ndarray) -> np.ndarray:
         """Distance from each of `agents` to the central controller."""

@@ -1,12 +1,14 @@
-"""Python and C calls per contention slot and per slot of the slot loop,
-counted exactly.
+"""Python and C calls of one run's set-up, and per contention slot and per
+slot of the slot loop, counted exactly.
 
 `sys.setprofile` reports every call of a Python function ("call") and of
-a builtin function or method ("c_call"). This script counts both over the
-slots of one seeded run and prints them per contention slot and per slot,
-with the most common C callables. The counts do not depend on the host, so
-two runs of one tree print the same numbers, and a change to the calls a
-slot makes shows in them even where a timing could not resolve it.
+a builtin function or method ("c_call"). This script counts both over one
+`Simulation(config, seed)` construction and over the slots of that seeded
+run, and prints them for the set-up, per contention slot and per slot, with
+the most common C callables of the slots. The counts do not depend on the
+host, so two runs of one tree print the same numbers, and a change to the
+calls a set-up or a slot makes shows in them even where a timing could not
+resolve it.
 
 The counter misses ufunc calls (`np.maximum(...)`, `np.add.reduce` counts
 as one `reduce`) and array operators (`a * b`, `a[i]`), which the profiler
@@ -19,8 +21,10 @@ DRL and MAP-RA at N = 20 and RCH at N = 300, where every slot contends,
 and the sparse MAP-RA scenario of the benchmark's sparse_mapra workload
 (N = 20, alpha 0.05, Bernoulli activation, a 15-slot deadline), where about
 one slot in fourteen contends, so its calls per slot show the path between
-alarms. Each runs 5 warm-up slots, which fill the first-call caches, and
-then counts 250 slots, the sparse run 1000.
+alarms. Each builds one uncounted simulation first, which fills the
+first-call caches and imports of set-up, and counts the second; it then
+runs 5 warm-up slots, which fill those of the slot loop, and counts 250
+slots, the sparse run 1000.
 
     PYTHONPATH=src python tests/call_counts.py
 
@@ -34,6 +38,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -62,6 +67,8 @@ TOP_C = 8
 
 @dataclass
 class Counts:
+    setup_python_calls: int
+    setup_c_calls: int
     slots: int
     contention_slots: int
     python_calls: int
@@ -74,12 +81,9 @@ class Counts:
         return n / self.slots
 
 
-def count(scenario: dict, warm: int = WARM_SLOTS, slots: int = COUNTED_SLOTS, seed: int = SEED) -> Counts:
-    """The calls of `slots` slots of one run of the config keys `scenario`
-    over CONTENTION, after `warm` uncounted ones."""
-    sim = Simulation(replace(CONTENTION, **scenario), seed=seed)
-    for _ in range(warm):
-        sim.run_slot()
+def profiled(call: Callable[[], Any]) -> tuple[Any, int, Counter]:
+    """What `call()` returns, and the Python calls and the C calls, by
+    callable, that it makes."""
     python_calls, c_calls = 0, Counter()
 
     def profile(frame, event, arg):
@@ -89,24 +93,41 @@ def count(scenario: dict, warm: int = WARM_SLOTS, slots: int = COUNTED_SLOTS, se
         elif event == "c_call" and arg is not sys.setprofile:  # not the call that ends the count
             c_calls[getattr(arg, "__qualname__", repr(arg))] += 1
 
-    contended = sim.trace.n_contention_slots
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        for _ in range(slots):
-            sim.run_slot()
+        result = call()
     finally:
         sys.setprofile(previous)
+    return result, python_calls, c_calls
+
+
+def count(scenario: dict, warm: int = WARM_SLOTS, slots: int = COUNTED_SLOTS, seed: int = SEED) -> Counts:
+    """The calls of the second `Simulation` construction of the config keys
+    `scenario` over CONTENTION, and of `slots` slots of its run after `warm`
+    uncounted ones."""
+    config = replace(CONTENTION, **scenario)
+    Simulation(config, seed=seed)
+    sim, setup_python, setup_c = profiled(lambda: Simulation(config, seed=seed))
+    for _ in range(warm):
+        sim.run_slot()
+    contended = sim.trace.n_contention_slots
+
+    def run():
+        for _ in range(slots):
+            sim.run_slot()
+
+    _, python_calls, c_calls = profiled(run)
     contended = sim.trace.n_contention_slots - contended
     if not contended:
         raise RuntimeError(f"{scenario}: no contention slot in {slots} slots")
-    return Counts(slots, contended, python_calls, c_calls)
+    return Counts(setup_python, sum(setup_c.values()), slots, contended, python_calls, c_calls)
 
 
 def main() -> int:
     # the C counts compare only within one numpy build, so the header names it
     print(
-        f"calls per contention slot and per slot; seed {SEED}, {WARM_SLOTS} warm-up slots; "
+        f"calls of one set-up, per contention slot and per slot; seed {SEED}, {WARM_SLOTS} warm-up slots; "
         f"Python {platform.python_version()}, numpy {np.__version__}"
     )
     for name, (scenario, slots) in RUNS.items():
@@ -114,6 +135,7 @@ def main() -> int:
         c_total = sum(counts.c_calls.values())
         print(
             f"{name} N={scenario['n_subnets']}: {counts.contention_slots} contention slots of {counts.slots}; "
+            f"set-up {counts.setup_python_calls} Python calls, {counts.setup_c_calls} C calls; "
             f"per contention slot {counts.per_contention_slot(counts.python_calls):.2f} Python calls, "
             f"{counts.per_contention_slot(c_total):.2f} C calls; "
             f"per slot {counts.per_slot(counts.python_calls):.2f} Python calls, {counts.per_slot(c_total):.2f} C calls"

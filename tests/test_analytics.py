@@ -1,5 +1,7 @@
 import itertools
+import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from alarmmac.analytics import (
     AccessDistribution,
     DP_MAX_CHANNELS,
     DtmcSpec,
+    active_size_pmf,
     best_stationary_psi,
     compact_lower_bound_closed_form,
     complexity_bounds,
@@ -25,7 +28,12 @@ from alarmmac.analytics import (
     transition_blocks,
     uniform_access,
 )
+from alarmmac.config import derive_stream
+from alarmmac.engine import Simulation
+from alarmmac.events import empirical_activation
+from alarmmac.geometry import place_uniform
 from alarmmac.policies import pattern_table
+from conftest import CONTENTION
 
 
 def deterministic_access(rows, width):
@@ -597,3 +605,43 @@ class TestComplexity:
         assert forward_madds([2, 1, 1, 4]) == 1 * 5 + 1 * 3 + 4 * 3
         assert forward_madds([3, 4, 8]) == 4 * 7 + 8 * 9
         assert forward_madds([1, 1, 2]) == 1 * 3 + 2 * 3
+
+
+class TestActiveSizePmf:
+    @pytest.mark.parametrize("threshold", [0.3, 0.7])
+    def test_one_pose_is_active_with_the_rectangles_distance_cdf(self, threshold):
+        # one epicentre per placement: the alarms are independent draws of
+        # the distance between two uniform points of the W x H rectangle
+        width, height, eta = 50.0, 30.0, 0.06
+        r = -math.log(threshold) / eta
+        assert r <= min(width, height)
+        cdf = (math.pi * width * height * r**2 - 4.0 / 3.0 * (width + height) * r**3 + r**4 / 2.0) / (width * height) ** 2
+        config = replace(CONTENTION, n_subnets=1, area_width_m=width, area_height_m=height, eta=eta,
+                         tx_threshold=threshold)
+        trials = 10_000
+        pmf = active_size_pmf(config, trials, 1, seed=11)
+        assert pmf.shape == (2,)
+        assert abs(pmf[1] - cdf) <= 4.0 * math.sqrt(cdf * (1.0 - cdf) / trials)
+
+    @pytest.mark.parametrize("mode", ["threshold_only", "threshold_and_bernoulli"])
+    def test_summed_sizes_are_the_activation_hits_of_the_same_draws(self, mode):
+        # 10 000 epicentres end in a partial chunk of the kernel
+        config = replace(CONTENTION, activation_mode=mode)
+        placements, epicentres, seed = 2, 10_000, 5
+        pmf = active_size_pmf(config, placements, epicentres, seed)
+        counts = np.rint(pmf * placements * epicentres).astype(np.int64)
+        assert counts.sum() == placements * epicentres
+        rng_placement, rng = derive_stream(seed, "placement"), derive_stream(seed, "epicentres")
+        hits = 0
+        for _ in range(placements):
+            share = empirical_activation(place_uniform(config, rng_placement), config, rng, epicentres)
+            hits += int(np.rint(share / config.alpha * epicentres).sum())
+        assert int(np.arange(config.n_subnets + 1) @ counts) == hits
+
+    def test_first_placement_is_the_runs_and_bernoulli_detection_only_shrinks_the_sets(self):
+        gate = active_size_pmf(CONTENTION, 1, 20_000, seed=3)
+        detected = active_size_pmf(replace(CONTENTION, activation_mode="threshold_and_bernoulli"), 1, 20_000, seed=3)
+        sizes = np.arange(CONTENTION.n_subnets + 1)
+        assert sizes @ detected < sizes @ gate
+        poses = Simulation(CONTENTION, seed=3).poses
+        assert np.array_equal(place_uniform(CONTENTION, derive_stream(3, "placement")), poses)

@@ -63,14 +63,16 @@ def test_sweep_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "axis, values, key",
-    [("n_subnets", ["4", "20.7"], "n_subnets"), ("dnn_shape", ["1x2", "1.5x2"], "dnn_hidden_layers")],
+    "axis, values, refusal",
+    [("n_subnets", ["4", "20.7"], "n_subnets: must be an integer, got 20.7"),
+     ("dnn_shape", ["1x2", "1.5x2"], "dnn_hidden_layers: must be an integer, got 1.5")],
+    ids=["n_subnets", "dnn_shape"],
 )
-def test_sweep_refuses_a_fractional_count_before_any_run(tmp_path, capsys, monkeypatch, axis, values, key):
+def test_sweep_refuses_a_fractional_count_before_any_run(tmp_path, capsys, monkeypatch, axis, values, refusal):
     monkeypatch.setattr(reporting, "run_experiment", lambda *args, **kwargs: pytest.fail("a sweep point ran"))
     code = main(["sweep", "--config", write_config(tmp_path), "--axis", axis, "--values", *values])
     assert code == 1
-    assert capsys.readouterr().err == f"error: {key}: must be an integer\n"
+    assert capsys.readouterr().err == f"error: {refusal}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import json
+import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -454,3 +456,34 @@ def test_stream_words_equal_the_list_form_for_any_seed(seed, label, run_index):
 def test_stream_functions_take_numpy_integers():
     # the other integer arguments are in test_surface.py's table
     assert_same_stream(derive_stream(np.uint64(MASK64), "x"), derive_stream(-1, "x"))
+
+
+def float_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def test_median_is_numpys_to_the_bit_for_every_length_up_to_64():
+    rng = np.random.default_rng(5)
+    for n in range(1, 65):
+        mixed = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+        cases = [mixed]
+        for scale in (1e-300, 1e-150, 1e-10, 1.0, 1e10, 1e150, 1e300):
+            normal = rng.standard_normal(n) * scale
+            ties = rng.integers(-3, 4, n) * scale  # repeated values, negatives and zeros
+            cases += [normal, ties, np.abs(normal), -np.abs(normal)]
+        for values in cases:
+            expected = float_bits(float(np.median(values)))
+            assert float_bits(config._median(values)) == expected, values
+            # a list of floats, as reporting passes its decile medians
+            assert float_bits(config._median(values.tolist())) == expected, values
+
+
+def test_median_of_signed_zeros_and_nan_follows_numpy_and_of_nothing_is_refused():
+    for values in ([-0.0], [-0.0, -0.0], [0.0, -0.0, -0.0], [-0.0, -5e-324]):
+        assert float_bits(config._median(values)) == float_bits(float(np.median(values))), values
+    for position in range(5):
+        values = [1.0, 2.0, 3.0, 4.0]
+        values.insert(position, math.nan)
+        assert math.isnan(config._median(values)) and math.isnan(np.median(values))
+    with pytest.raises(ValueError, match="^median of no values$"):
+        config._median([])

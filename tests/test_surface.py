@@ -169,6 +169,9 @@ ROWS = [
     Row("analytics.complexity_bounds", "layer_sizes[3]", lambda s: an.complexity_bounds(2, 120, [2, 1, 1, s]),
         4, 1, (4.0,)),
     Row("analytics.compact_lower_bound_closed_form", "n_channels", an.compact_lower_bound_closed_form, 3, 1, (2.5,)),
+    Row("analytics.active_size_pmf", "placements", lambda p: an.active_size_pmf(CFG, p, 50, 3), 2, 1, (-1,)),
+    Row("analytics.active_size_pmf", "epicentres", lambda e: an.active_size_pmf(CFG, 2, e, 3), 50, 1, (-1, 50.0)),
+    Row("analytics.active_size_pmf", "seed", lambda seed: an.active_size_pmf(CFG, 2, 50, seed), -5, None, (2.5,)),
     Row("config.derive_stream", "seed", lambda seed: config.derive_stream(seed, "x"), -5, None, (np.float64(2.0),)),
     Row("config.derive_run_seed", "base_seed", lambda seed: config.derive_run_seed(seed, 0), 7, None, (1.0, False)),
     Row("config.derive_run_seed", "run_index", lambda i: config.derive_run_seed(0, i), 3, 0),

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import time
-import uuid
+from array import array
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Sequence
 
@@ -103,11 +103,11 @@ def paired_difference(a: Sequence[float], b: Sequence[float]) -> PairedDifferenc
     return PairedDifference(n, mean, sd, se, int((a > b).sum()), mean - half, mean + half)
 
 
-def _decimate(values: Sequence[float], max_points: int = 400) -> list[float]:
+def _decimate(values: array, max_points: int = 400) -> list[float]:
     if len(values) <= max_points:
-        return [float(v) for v in values]
+        return values.tolist()
     idx = np.linspace(0, len(values) - 1, max_points).round().astype(int)
-    return [float(values[i]) for i in idx]
+    return [values[i] for i in idx.tolist()]
 
 
 @dataclass
@@ -154,7 +154,7 @@ def _atomic_write(path: str, data: str) -> None:
     """Write through a temporary file of its own in the target directory,
     then rename it over `path`, so concurrent writers never share one."""
     directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
+    tmp = os.path.join(directory, f".{name}.{os.urandom(16).hex()}.tmp")
     # mode 0o666 less the umask, as open() would give
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -192,7 +192,7 @@ def run_experiment(
     deciles: list[list[float] | None] = []
     slots: list[int] = []
     delivered = failed = 0
-    mse_all: list[float] = []
+    mse_all = array("d")  # every run's MSE series, joined
     for seed in seeds:
         trace = Simulation(config, seed=seed).run(until_events=until_events)
         per_run.append(in_time_probability(trace))

@@ -26,6 +26,12 @@ first-call caches and imports of set-up, and counts the second; it then
 runs 5 warm-up slots, which fill those of the slot loop, and counts 250
 slots, the sparse run 1000.
 
+For each scenario it also prints the bytes that dropping the run record
+(`RunTrace`) of a fresh run of the same warm-up and counted slots frees,
+per contention slot, from `tracemalloc`: the memory a run retains per slot
+beyond its fixed state. Like the call counts, they do not depend on the
+host, only on the Python build.
+
     PYTHONPATH=src python tests/call_counts.py
 
 The file is not collected by pytest.
@@ -33,8 +39,10 @@ The file is not collected by pytest.
 
 from __future__ import annotations
 
+import gc
 import platform
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -124,6 +132,23 @@ def count(scenario: dict, warm: int = WARM_SLOTS, slots: int = COUNTED_SLOTS, se
     return Counts(setup_python, sum(setup_c.values()), slots, contended, python_calls, c_calls)
 
 
+def retained_record(scenario: dict, slots: int, seed: int = SEED) -> tuple[int, int]:
+    """(bytes freed by dropping the run record of `slots` slots of the
+    config keys `scenario` over CONTENTION, its contention slots)."""
+    config = replace(CONTENTION, **scenario)
+    tracemalloc.start()
+    try:
+        trace = Simulation(config, seed=seed).run(slots)
+        contended = trace.n_contention_slots
+        gc.collect()
+        with_trace = tracemalloc.get_traced_memory()[0]
+        del trace
+        gc.collect()
+        return with_trace - tracemalloc.get_traced_memory()[0], contended
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     # the C counts compare only within one numpy build, so the header names it
     print(
@@ -144,6 +169,11 @@ def main() -> int:
             f"{c_name} {counts.per_contention_slot(k):.1f}" for c_name, k in counts.c_calls.most_common(TOP_C)
         )
         print(f"  most common C calls: {top}")
+        retained, contended = retained_record(scenario, WARM_SLOTS + slots)
+        print(
+            f"  run record: {retained / contended:.1f} bytes retained per contention slot "
+            f"({retained} bytes over {contended} contention slots)"
+        )
     return 0
 
 

@@ -221,22 +221,78 @@ def test_delivered_event_has_successful_outcome_in_window():
             assert e.end_slot in success_slots
 
 
-def test_run_record_retains_little_per_contention_slot():
-    # the contention scenario: every slot contends
-    cfg = replace(CONTENTION, n_slots=1000, policy_kind=PolicyKind.RCH)
+def record_size(cfg, n_slots: int) -> tuple[int, int, int, int]:
+    """(bytes freed by dropping the run record of `n_slots` slots of `cfg`
+    at seed 2, from tracemalloc; its events, MSE entries and contention slots)."""
     tracemalloc.start()
     try:
-        trace = Simulation(cfg, seed=2).run()
-        contention = trace.n_contention_slots
+        trace = Simulation(cfg, seed=2).run(n_slots)
+        counts = len(trace.events), len(trace.mse), trace.n_contention_slots
         gc.collect()
         with_trace = tracemalloc.get_traced_memory()[0]
         del trace
         gc.collect()
-        retained = with_trace - tracemalloc.get_traced_memory()[0]
+        return with_trace - tracemalloc.get_traced_memory()[0], *counts
     finally:
         tracemalloc.stop()
+
+
+def test_run_record_retains_little_per_contention_slot():
+    # the contention scenario: every slot contends
+    retained, _, _, contention = record_size(replace(CONTENTION, policy_kind=PolicyKind.RCH), 1000)
     assert contention > 500
     assert retained / contention < 0.5 * 1024
+
+
+def test_run_record_keeps_its_events_and_mse_as_typed_columns():
+    # an event's five fields take 33 bytes and an MSE entry 8; the bounds
+    # leave room for the columns' over-allocation, and an object per event
+    # or per MSE entry exceeds them
+    retained, events, mse, contention = record_size(replace(CONTENTION, policy_kind=PolicyKind.DRL), 300)
+    assert events > 100 and mse == contention > 250
+    assert retained < 40 * events + 10 * mse + 1024
+
+
+def event_columns(*records) -> engine._EventColumns:
+    """A run record's event columns holding `records`, each (birth slot,
+    end slot, delivered, attempts, active size)."""
+    columns = engine._EventColumns()
+    for record in records:
+        columns._append(*record)
+    return columns
+
+
+RECORDS = [(0, 2, False, 3, 4), (5, 5, True, 1, 2), (700, 701, True, 2, 6)]
+
+
+def test_event_columns_read_as_a_list_of_event_records():
+    events, expected = event_columns(*RECORDS), [engine.EventRecord(*r) for r in RECORDS]
+    assert len(events) == 3 and list(events) == expected
+    assert (events[0], events[2], events[-1], events[-3]) == (expected[0], expected[2], expected[2], expected[0])
+    assert events[1].delivered is True and events[0].delivered is False
+    assert all(type(e.delivered) is bool for e in events)
+    for index in (3, -4):
+        with pytest.raises(IndexError):
+            events[index]
+    assert events == expected and events == tuple(expected) and expected == events
+    assert events == event_columns(*RECORDS) and event_columns() == []
+    assert events != expected[:2] and events != expected[::-1] and events != event_columns(*RECORDS[:2])
+    assert events != event_columns(*RECORDS[:2], (700, 701, False, 2, 6)) and event_columns() != expected
+
+
+def test_delivered_and_failed_counts_read_the_delivered_column():
+    trace = engine.RunTrace()
+    assert trace.delivered_count == trace.failed_count == 0
+    trace.events = event_columns(*RECORDS)
+    assert trace.delivered_count == 2 and trace.failed_count == 1
+
+
+def test_the_mse_series_is_a_float64_array_over_the_records_memory():
+    trace = Simulation(replace(CONTENTION, policy_kind=PolicyKind.DRL), seed=2).run(50)
+    mse = np.asarray(trace.mse)
+    assert mse.dtype == np.float64 and mse.shape == (len(trace.mse),) and mse.size > 0
+    assert mse.ctypes.data == trace.mse.buffer_info()[0]
+    assert mse.tolist() == list(trace.mse)
 
 
 # --- the signature chain runs only for a policy that reads contexts --------

@@ -1,9 +1,11 @@
-"""The run path loads no numpy module beyond those that loading alarmmac loads.
+"""The run path loads no numpy module beyond those that loading alarmmac loads,
+and no process that runs alarmmac loads `uuid`.
 
 numpy imports some modules on first use: its first median call imports
 `numpy.ma`, about 1.3 MB resident and 8 ms, in every process that makes one.
-The guard runs each entry point in a fresh interpreter, so nothing another
-test imported hides a lazy import.
+`uuid` (with `_uuid`) holds about 128 kB resident for a temporary file name
+that `os.urandom` gives as well. The guard runs each entry point in a fresh
+interpreter, so nothing another test imported hides a lazy import.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringI
         main(["analyze", "--ps", "0.5", "--deadline", "3"]),
         main(["selftest"]),
     ]
-print(json.dumps({"codes": codes, "new": sorted(set(sys.modules) - baseline)}))
+print(json.dumps({"codes": codes, "new": sorted(set(sys.modules) - baseline), "uuid": "uuid" in sys.modules}))
 """
 
 
@@ -62,3 +64,4 @@ def test_no_entry_point_imports_a_numpy_module_that_loading_alarmmac_does_not():
     new = report["new"]
     numpy_modules = [name for name in new if name == "numpy" or name.startswith("numpy.")]
     assert not numpy_modules, f"numpy modules imported on the run path: {numpy_modules}; all new modules: {new}"
+    assert not report["uuid"], "uuid is loaded after alarmmac's modules and entry points"

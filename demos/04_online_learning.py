@@ -44,7 +44,7 @@ print("\n=== per-agent schedules after the run ===")
 fleet = sim.policy
 assert isinstance(fleet, DrlPopulation)
 agent = 0
-print(f"epsilon: start {cfg.epsilon_start} -> now {fleet.epsilon(agent)} (floor {cfg.epsilon_floor})")
+print(f"epsilon: start {cfg.epsilon_start} -> now {fleet.eps[agent]} (floor {cfg.epsilon_floor})")
 print(f"learning rate: start {cfg.lr_initial} -> now {fleet.lr[agent]:.5f}")
 print(f"replay memory: {fleet.replay.size[agent]}/{fleet.replay.capacity} tuples, "
       f"{fleet.replay.pushes[agent]} updates")

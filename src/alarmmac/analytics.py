@@ -7,8 +7,7 @@ deadline probabilities for the absorbing age chain, computed three
 independent ways (product form, absorbing-matrix form, literal path
 enumeration); exhaustive grid search for the best stationary access
 distribution, with every candidate evaluated by the dynamic programme;
-protocol complexity counts; and, by Monte Carlo over the activation kernel,
-the pmf of an alarm's active size.
+and protocol complexity counts.
 
 The enumeration oracles cost exponentially many cases and refuse instances
 beyond desk scale. The success-probability enumeration visits (2**M + 1)**N
@@ -35,9 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import ScenarioConfig, checked_int, derive_stream
-from .events import _ACTIVATION_CHUNK, _activated
-from .geometry import place_uniform
+from .config import checked_int
 from .policies import pattern_table
 
 _ROW_SUM_TOL = 1e-12
@@ -362,40 +359,6 @@ def best_stationary_psi(
     picked = np.unravel_index(best, (len(rows),) * n)
     _, miss = stationary_deadline_probability(float(success[best]), deadline)
     return AccessDistribution(rows[np.array(picked, dtype=int)]), float(miss)
-
-
-def active_size_pmf(config: ScenarioConfig, placements: int, epicentres: int, seed: int) -> np.ndarray:
-    """Pmf of an alarm's active size k = 0..N under `config`: entry k is the
-    share of alarms that activate exactly k poses, over `placements`
-    placements of the N poses, each with `epicentres` uniform epicentres,
-    honouring the activation mode. k = 0 is a coverage miss.
-
-    The placements are drawn one after another from the stream `placement`
-    of `seed`, so the first is the one `Simulation(config, seed)` starts
-    from; the epicentres and any detection draws come from its stream
-    `epicentres`. Each placement draws there exactly what
-    `events.empirical_activation` draws with `n_trials = epicentres`: the
-    epicentres' x, then their y, then the kernel's draws pose by pose in
-    chunks of `_ACTIVATION_CHUNK` epicentres. `placements` and `epicentres`
-    are integers >= 1, or a ValueError names the argument before any draw.
-    """
-    placements = checked_int(placements, "placements", minimum=1)
-    epicentres = checked_int(epicentres, "epicentres", minimum=1)
-    rng_placement = derive_stream(seed, "placement")
-    rng = derive_stream(seed, "epicentres")
-    counts = np.zeros(config.n_subnets + 1, dtype=np.int64)
-    sizes = np.empty(epicentres, dtype=np.int64)
-    for _ in range(placements):
-        poses = place_uniform(config, rng_placement)
-        ex = rng.uniform(0.0, config.area_width_m, size=epicentres)
-        ey = rng.uniform(0.0, config.area_height_m, size=epicentres)
-        sizes[:] = 0
-        for x, y in zip(poses["x"].tolist(), poses["y"].tolist()):
-            for start in range(0, epicentres, _ACTIVATION_CHUNK):
-                stop = start + _ACTIVATION_CHUNK
-                sizes[start:stop] += _activated(x - ex[start:stop], y - ey[start:stop], rng, config)
-        counts += np.bincount(sizes, minlength=config.n_subnets + 1)
-    return counts / (placements * epicentres)
 
 
 def forward_madds(layer_sizes: list[int]) -> int:

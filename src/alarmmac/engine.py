@@ -43,7 +43,7 @@ A run keeps its history in `RunTrace` as typed columns, not objects: each
 terminal event's five fields go straight to an `array('q')` each of birth
 slot, end slot, attempts and active-set size and to one byte column of
 delivered, and each training slot's MSE to an `array('d')`. `trace.events`
-reads the columns as a sequence of `EventRecord`, built on access. At N = 20
+iterates the columns as `EventRecord`s, built on access. At N = 20
 with contention in every slot a run retains about 0.03 kB per contention
 slot.
 """
@@ -51,7 +51,6 @@ slot.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +81,8 @@ class EventRecord:
 class _EventColumns:
     """A run's terminal events as typed columns: an `array('q')` each of
     birth slot, end slot, attempts and active-set size, and one byte each
-    of delivered. Read as a sequence of `EventRecord`, built on access; it
-    equals any sequence of equal records."""
+    of delivered. It has a length and iterates as `EventRecord`s, built on
+    access; it takes no subscript, so `list(trace.events)` is what indexes."""
 
     __slots__ = ("_birth", "_end", "_delivered", "_attempts", "_active")
 
@@ -101,22 +100,15 @@ class _EventColumns:
     def __len__(self) -> int:
         return len(self._birth)
 
-    def __getitem__(self, index):
-        return EventRecord(self._birth[index], self._end[index], bool(self._delivered[index]),
-                           self._attempts[index], self._active[index])
-
     def __iter__(self):
         return map(EventRecord, self._birth, self._end, map(bool, self._delivered), self._attempts, self._active)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, (Sequence, _EventColumns)) and list(self) == list(other)
 
-
-@dataclass
+@dataclass(eq=False)
 class RunTrace:
     """What a run keeps: its terminal events, the MSE of every training
-    slot, and slot counts. The events are typed columns, read as a sequence
-    of `EventRecord`, and the MSE is an `array('d')`. Per-slot outcomes are
+    slot, and slot counts. The events are typed columns, iterated as
+    `EventRecord`s, and the MSE is an `array('d')`. Per-slot outcomes are
     returned by `Simulation.run_slot` and not kept."""
 
     events: _EventColumns = field(default_factory=_EventColumns)

@@ -19,11 +19,15 @@ at most 1e-300 (near which `exp` turns subnormal) and for an area whose
 squared diagonal could overflow. The Bernoulli mode draws with p itself,
 so it computes p exactly for every offset.
 
-`empirical_activation` runs the kernel over each pose's epicentres in
-chunks of `_ACTIVATION_CHUNK` and sums the integer counts of activations.
-A chunk draws its Bernoulli uniforms in the order of one pass over all
-epicentres, and the count over n_trials equals that pass's mean, so the
-estimates and the generator's state are those of the one pass.
+Two Monte Carlo estimators run the kernel outside a run, over uniform
+epicentres: `empirical_activation`, each pose's activation probability,
+and `active_size_pmf`, the pmf of an alarm's active size. Both read one
+sweep, `_activation_sweep`, the only place that draws epicentres for them:
+the epicentres' x, then their y, then, pose by pose, the kernel's draws in
+chunks of `_ACTIVATION_CHUNK` epicentres. A chunk draws its Bernoulli
+uniforms in the order of one pass over all epicentres, and integer counts
+of activations over the chunks equal that pass's, so the estimates and the
+generator's state are those of the one pass.
 """
 
 from __future__ import annotations
@@ -32,12 +36,13 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .config import ActivationMode, ScenarioConfig, checked_int
+from .config import ActivationMode, ScenarioConfig, checked_int, derive_stream
+from .geometry import place_uniform
 
 
 @dataclass
@@ -58,7 +63,7 @@ def activation_probability(d_m: ArrayLike, eta: float) -> np.ndarray:
     return np.exp(-eta * d)
 
 
-# epicentres per kernel call of `empirical_activation`: its temporaries, 64 kB
+# epicentres per kernel call of `_activation_sweep`: its temporaries, 64 kB
 # each, are reused from the heap and stay in cache, where those of a whole
 # pose (0.8 MB each at 100 000 trials) go back to the system when freed and
 # page-fault in again at the next pose, twice the time of the work itself
@@ -153,6 +158,21 @@ def maybe_spawn_event(
     return AlarmEvent(epicenter=epicenter, birth_slot=slot, active_set=active)
 
 
+def _activation_sweep(
+    poses: np.ndarray, config: ScenarioConfig, rng: np.random.Generator, n_epicentres: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The kernel over `n_epicentres` uniform epicentres: draws their x, then
+    their y, then, for each pose in turn, the kernel's draws in chunks of
+    `_ACTIVATION_CHUNK` epicentres. Yields (pose index, first epicentre of
+    the chunk, which of the chunk's epicentres activate the pose)."""
+    ex = rng.uniform(0.0, config.area_width_m, size=n_epicentres)
+    ey = rng.uniform(0.0, config.area_height_m, size=n_epicentres)
+    for n, (x, y) in enumerate(zip(poses["x"].tolist(), poses["y"].tolist())):
+        for start in range(0, n_epicentres, _ACTIVATION_CHUNK):
+            stop = start + _ACTIVATION_CHUNK
+            yield n, start, _activated(x - ex[start:stop], y - ey[start:stop], rng, config)
+
+
 def empirical_activation(
     poses: np.ndarray,
     config: ScenarioConfig,
@@ -167,14 +187,34 @@ def empirical_activation(
     a ValueError naming it, raised before any draw.
     """
     n_trials = checked_int(n_trials, "n_trials", minimum=10_000)
-    ex = rng.uniform(0.0, config.area_width_m, size=n_trials)
-    ey = rng.uniform(0.0, config.area_height_m, size=n_trials)
-    xs, ys = poses["x"], poses["y"]
-    out = np.empty(len(poses))
-    for n in range(len(poses)):
-        hits = 0
-        for start in range(0, n_trials, _ACTIVATION_CHUNK):
-            stop = start + _ACTIVATION_CHUNK
-            hits += np.count_nonzero(_activated(xs[n] - ex[start:stop], ys[n] - ey[start:stop], rng, config))
-        out[n] = config.alpha * (hits / n_trials)
-    return out
+    hits = np.zeros(len(poses), dtype=np.int64)
+    for n, _, passed in _activation_sweep(poses, config, rng, n_trials):
+        hits[n] += np.count_nonzero(passed)
+    return config.alpha * (hits / n_trials)
+
+
+def active_size_pmf(config: ScenarioConfig, placements: int, epicentres: int, seed: int) -> np.ndarray:
+    """Pmf of an alarm's active size k = 0..N under `config`: entry k is the
+    share of alarms that activate exactly k poses, over `placements`
+    placements of the N poses, each with `epicentres` uniform epicentres,
+    honouring the activation mode. k = 0 is a coverage miss.
+
+    The placements are drawn one after another from the stream `placement`
+    of `seed`, so the first is the one `Simulation(config, seed)` starts
+    from; the epicentres and any detection draws come from its stream
+    `epicentres`, each placement's through the sweep that
+    `empirical_activation` reads with `n_trials = epicentres`. `placements`
+    and `epicentres` are integers >= 1, or a ValueError names the argument
+    before any draw.
+    """
+    placements = checked_int(placements, "placements", minimum=1)
+    epicentres = checked_int(epicentres, "epicentres", minimum=1)
+    rng_placement = derive_stream(seed, "placement")
+    rng = derive_stream(seed, "epicentres")
+    counts = np.zeros(config.n_subnets + 1, dtype=np.int64)
+    for _ in range(placements):
+        sizes = np.zeros(epicentres, dtype=np.int64)
+        for _, start, passed in _activation_sweep(place_uniform(config, rng_placement), config, rng, epicentres):
+            sizes[start:start + len(passed)] += passed
+        counts += np.bincount(sizes, minlength=config.n_subnets + 1)
+    return counts / (placements * epicentres)

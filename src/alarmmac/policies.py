@@ -118,9 +118,6 @@ class EpsilonGreedy:
         cfg = self.config
         return decayed_epsilon(cfg.epsilon_start, cfg.epsilon_floor, cfg.epsilon_step, n_events)
 
-    def epsilon(self, agents: ArrayLike) -> np.ndarray:
-        return self.eps[agents]
-
     def select_action(self, agents: np.ndarray, contexts: np.ndarray | None) -> np.ndarray:
         """One uniform per agent against its epsilon, then one random pattern
         per exploring agent, then each greedy agent's first maximum of its

@@ -291,6 +291,7 @@ def sweep(
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    values = list(values)  # an array has no truth value
     if not values:
         raise ValueError("sweep needs at least one value")
     kinds = [PolicyKind(p) for p in (policies if policies is not None else [base_config.policy_kind])]

@@ -121,16 +121,16 @@ def test_criterion_5_clipping_and_schedules():
 
     cfg = ScenarioConfig(n_subnets=2, n_channels=2, policy_kind=PolicyKind.MAP_RA)
     policy = make_policy(cfg, seed=5)
-    eps_ok = policy.epsilon(0) == 1.0
+    eps_ok = policy.eps[0] == 1.0
     for event in range(1, 241):
         policy.end_event(np.array([0], dtype=np.intp))
         if event == 179:
-            eps_ok &= policy.epsilon(0) > 0.1
+            eps_ok &= policy.eps[0] > 0.1
         if event == 180:
-            eps_ok &= policy.epsilon(0) == 0.1
+            eps_ok &= policy.eps[0] == 0.1
         if event > 180:
-            eps_ok &= policy.epsilon(0) == 0.1
-    eps_ok &= policy.epsilon(1) == 1.0  # another agent's events do not count
+            eps_ok &= policy.eps[0] == 0.1
+    eps_ok &= policy.eps[1] == 1.0  # another agent's events do not count
     report(5, "post-clip norm bounded by 5; exploration floor 0.1 hit at event 180",
            clip_ok and eps_ok)
 

@@ -77,12 +77,12 @@ def test_shared_reward_rewards_all_on_delivery():
     sim.policy = FixedPolicy([1, 2])  # disjoint single channels
     inject_event(sim, (0, 1))
     outcome = sim.run_slot()
-    assert outcome.success and sim.trace.events[0].end_slot == 0
+    assert outcome.success and list(sim.trace.events)[0].end_slot == 0
     assert sim.event is None
     assert sim.policy.observed[0] == [(1, 1.0)]
     assert sim.policy.observed[1] == [(2, 1.0)]
     assert sim.policy.events_ended[0] == 1 and sim.policy.events_ended[1] == 1
-    assert len(sim.trace.events) == 1 and sim.trace.events[0].delivered
+    assert len(sim.trace.events) == 1 and list(sim.trace.events)[0].delivered
 
 
 def test_shared_reward_penalizes_all_on_collision():
@@ -91,7 +91,7 @@ def test_shared_reward_penalizes_all_on_collision():
         sim.policy = FixedPolicy([1, 1])
         event = inject_event(sim, (0, 1))
         outcome = sim.run_slot()
-        assert not outcome.success and sim.event is event and sim.trace.events == []
+        assert not outcome.success and sim.event is event and list(sim.trace.events) == []
         assert sim.policy.observed[0] == [(1, reward_failure)]
         assert sim.policy.observed[1] == [(1, reward_failure)]
         assert event.attempts == 1
@@ -152,7 +152,7 @@ def test_training_tuples_only_for_active_agents():
 def test_run_zero_slots_empty_trace():
     cfg = make_config(n_slots=0)
     trace = Simulation(cfg, seed=3).run()
-    assert trace.n_slots == 0 and trace.n_contention_slots == 0 and trace.events == []
+    assert trace.n_slots == 0 and trace.n_contention_slots == 0 and list(trace.events) == []
 
 
 def test_run_alpha_zero_no_events():
@@ -265,19 +265,18 @@ def event_columns(*records) -> engine._EventColumns:
 RECORDS = [(0, 2, False, 3, 4), (5, 5, True, 1, 2), (700, 701, True, 2, 6)]
 
 
-def test_event_columns_read_as_a_list_of_event_records():
-    events, expected = event_columns(*RECORDS), [engine.EventRecord(*r) for r in RECORDS]
-    assert len(events) == 3 and list(events) == expected
-    assert (events[0], events[2], events[-1], events[-3]) == (expected[0], expected[2], expected[2], expected[0])
-    assert events[1].delivered is True and events[0].delivered is False
-    assert all(type(e.delivered) is bool for e in events)
-    for index in (3, -4):
-        with pytest.raises(IndexError):
-            events[index]
-    assert events == expected and events == tuple(expected) and expected == events
-    assert events == event_columns(*RECORDS) and event_columns() == []
-    assert events != expected[:2] and events != expected[::-1] and events != event_columns(*RECORDS[:2])
-    assert events != event_columns(*RECORDS[:2], (700, 701, False, 2, 6)) and event_columns() != expected
+def test_event_columns_iterate_as_event_records_and_take_no_subscript():
+    events = event_columns(*RECORDS)
+    assert len(events) == 3 and len(event_columns()) == 0 and list(event_columns()) == []
+    records = list(events)
+    assert records == [engine.EventRecord(*r) for r in RECORDS] and list(events) == records
+    assert [(e.birth_slot, e.end_slot, e.delivered, e.attempts, e.active_size) for e in records] == RECORDS
+    assert all(type(e.delivered) is bool for e in records)
+    # indexing goes through list(trace.events): a subscript of the columns,
+    # index or slice, is refused rather than misread
+    for key in (0, slice(1, None)):
+        with pytest.raises(TypeError):
+            events[key]
 
 
 def test_delivered_and_failed_counts_read_the_delivered_column():
@@ -357,7 +356,7 @@ def test_context_free_policies_skip_only_dead_work(monkeypatch, policy, populati
     monkeypatch.setattr(population, "reads_contexts", True)
     computed = Simulation(cfg, seed=4)
     computed.run(2000)
-    assert computed.trace.events == skipped.trace.events
+    assert list(computed.trace.events) == list(skipped.trace.events)
     assert computed.trace.n_successful_slots == skipped.trace.n_successful_slots
     assert computed.trace.mse == skipped.trace.mse
     assert computed.contexts.rng_noise.bit_generator.state != derive_stream(4, "noise").bit_generator.state

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alarmmac import events, geometry
-from alarmmac.config import ActivationMode
+from alarmmac.config import ActivationMode, derive_stream
+from alarmmac.engine import Simulation
 from alarmmac.events import (
     activation_probability,
+    active_size_pmf,
     build_active_set,
     empirical_activation,
     maybe_spawn_event,
@@ -342,3 +345,59 @@ def test_empirical_activation_in_chunks_equals_one_pass(monkeypatch, mode, chunk
     got = empirical_activation(poses, cfg, rng, n_trials=n_trials)
     assert got.tolist() == one_pass_activation(poses, cfg, reference_rng, n_trials).tolist()
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+class TestActiveSizePmf:
+    @pytest.mark.parametrize("threshold", [0.3, 0.7])
+    def test_one_pose_is_active_with_the_rectangles_distance_cdf(self, threshold):
+        # one epicentre per placement: the alarms are independent draws of
+        # the distance between two uniform points of the W x H rectangle
+        width, height, eta = 50.0, 30.0, 0.06
+        r = -math.log(threshold) / eta
+        assert r <= min(width, height)
+        cdf = (math.pi * width * height * r**2 - 4.0 / 3.0 * (width + height) * r**3 + r**4 / 2.0) / (width * height) ** 2
+        config = replace(CONTENTION, n_subnets=1, area_width_m=width, area_height_m=height, eta=eta,
+                         tx_threshold=threshold)
+        trials = 10_000
+        pmf = active_size_pmf(config, trials, 1, seed=11)
+        assert pmf.shape == (2,)
+        assert abs(pmf[1] - cdf) <= 4.0 * math.sqrt(cdf * (1.0 - cdf) / trials)
+
+    @pytest.mark.parametrize("mode", ["threshold_only", "threshold_and_bernoulli"])
+    def test_summed_sizes_are_the_activation_hits_of_the_same_draws(self, mode):
+        # 10 000 epicentres end in a partial chunk of the kernel
+        config = replace(CONTENTION, activation_mode=mode)
+        placements, epicentres, seed = 2, 10_000, 5
+        pmf = active_size_pmf(config, placements, epicentres, seed)
+        counts = np.rint(pmf * placements * epicentres).astype(np.int64)
+        assert counts.sum() == placements * epicentres
+        rng_placement, rng = derive_stream(seed, "placement"), derive_stream(seed, "epicentres")
+        hits = 0
+        for _ in range(placements):
+            share = empirical_activation(geometry.place_uniform(config, rng_placement), config, rng, epicentres)
+            hits += int(np.rint(share / config.alpha * epicentres).sum())
+        assert int(np.arange(config.n_subnets + 1) @ counts) == hits
+
+    def test_first_placement_is_the_runs_and_bernoulli_detection_only_shrinks_the_sets(self):
+        gate = active_size_pmf(CONTENTION, 1, 20_000, seed=3)
+        detected = active_size_pmf(replace(CONTENTION, activation_mode="threshold_and_bernoulli"), 1, 20_000, seed=3)
+        sizes = np.arange(CONTENTION.n_subnets + 1)
+        assert sizes @ detected < sizes @ gate
+        poses = Simulation(CONTENTION, seed=3).poses
+        assert np.array_equal(geometry.place_uniform(CONTENTION, derive_stream(3, "placement")), poses)
+
+
+# sha256 of `active_size_pmf(CONTENTION, 2, 10_000, 3).tobytes()` in each
+# activation mode, pinned before the estimator and `empirical_activation`
+# came to share one sweep of the epicentres
+PINNED_PMF_SHA256 = {
+    ActivationMode.THRESHOLD_ONLY: "9eca171f4118f2693667ca6c39ccfd1f22510b0b098f751ba866a21a59163264",
+    ActivationMode.THRESHOLD_AND_BERNOULLI: "1ccd6801881a35f443046a83a1a67c3e86700712d4cb0bd7b093f7542acb8f66",
+}
+
+
+@pytest.mark.parametrize("mode", list(ActivationMode))
+def test_active_size_pmf_pinned(mode):
+    pmf = active_size_pmf(replace(CONTENTION, activation_mode=mode), 2, 10_000, 3)
+    assert pmf.shape == (CONTENTION.n_subnets + 1,)
+    assert hashlib.sha256(pmf.tobytes()).hexdigest() == PINNED_PMF_SHA256[mode]

@@ -114,7 +114,7 @@ def test_a_batch_of_exploring_and_greedy_agents(kind):
     explore = np.array([False, True, False, True, False])
     twin = copy.deepcopy(policy.rng_explore)
     # the documented draws: one uniform per agent, then one per exploring agent
-    assert np.array_equal(twin.random(5) < policy.epsilon(agents), explore)
+    assert np.array_equal(twin.random(5) < policy.eps[agents], explore)
     patterns = (twin.random(2) * cfg.n_patterns).astype(np.int64)
 
     actions = policy.select_action(agents, contexts)
@@ -170,11 +170,11 @@ def test_epsilon_schedule_reaches_floor_after_180_events():
     trajectory = []
     for _ in range(200):
         policy.end_event(agent_array(0))
-        trajectory.append(policy.epsilon(0))
+        trajectory.append(policy.eps[0])
     assert trajectory[178] > 0.1
     assert trajectory[179] == 0.1
     assert all(v == 0.1 for v in trajectory[179:])
-    assert policy.epsilon(1) == cfg.epsilon_start  # counted per agent
+    assert policy.eps[1] == cfg.epsilon_start  # counted per agent
 
 
 @pytest.mark.parametrize("kind", ["mapra", "drl"])
@@ -188,7 +188,6 @@ def test_held_epsilon_is_the_decayed_epsilon_of_the_event_counts(kind):
     assert len(set(policy.events.tolist())) > 2 and (policy.eps == cfg.epsilon_floor).any()
     held = decayed_epsilon(cfg.epsilon_start, cfg.epsilon_floor, cfg.epsilon_step, policy.events)
     assert np.array_equal(policy.eps, held)
-    assert np.array_equal(policy.epsilon(np.arange(cfg.n_subnets)), held)
 
 
 def test_decayed_epsilon_never_below_floor():

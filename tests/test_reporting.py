@@ -239,6 +239,14 @@ def test_sweep_eta_axis_and_dnn_shape():
     assert [label for label, _, _ in rows] == ["2x1", "1x4"]
 
 
+def test_sweep_takes_an_array_of_values_as_the_equal_list():
+    cfg = make_config(**{**DENSE, "n_runs": 1, "n_slots": 60})
+    values = [0.3, 0.6]
+    assert sweep(cfg, "eta", np.array(values)) == sweep(cfg, "eta", values)
+    with pytest.raises(ValueError, match="at least one value"):
+        sweep(cfg, "eta", np.array([]))
+
+
 def test_sweep_invalid_axis_rejected():
     cfg = make_config(**DENSE)
     with pytest.raises(ValueError):

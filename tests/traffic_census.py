@@ -1,0 +1,142 @@
+"""Functions of src/alarmmac that nothing outside the tests calls.
+
+The census runs, in one process under `sys.setprofile`, the traffic that
+uses the package outside its tests: demos 01-05, the command-line runs of
+the CI workflow (the self-test, `simulate` of every preset under configs/,
+the two `analyze` tables and the refused `analyze`, and the two-value
+`sweep`), the README's `simulate --out`, which writes a result file, and
+one short untraced and one traced run of each benchmark
+workload through `bench/workloads.run`. It then lists each function or
+method defined in src/alarmmac (class bodies excluded, nested functions
+included) that none of them called, as `module.qualified.name`.
+
+Code that only the tests reach is a candidate for deletion: the tests then
+pin code that no user runs. A listed name outside `ALLOWLIST` exits 1, and
+so does an allowlist entry that names no unreached function (a function
+that is gone or now reached), so that the list stays exact. Traffic that
+fails (a benchmark run with a failed operation, a command with an exit code
+other than CI's) exits 1 too, since its calls would be missing.
+
+    PYTHONPATH=src python tests/traffic_census.py
+
+It takes about 10 s. The file is not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import os
+import runpy
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "alarmmac"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from alarmmac import cli  # noqa: E402
+import workloads  # noqa: E402
+
+ALLOWLIST = {
+    "learning.grad_norm": "bench/workloads.py binds it for a clipping hook on a name that no longer "
+    "exists; ROADMAP direction 1b deletes both",
+    "analytics.DtmcSpec.deadline": "read only by the benchmark's failure message when the DTMC forms disagree",
+    "reporting.paired_difference": "reached through tests/epoch_statistics.py, which CI runs as its own step",
+    "reporting._t_quantile_975": "called only by reporting.paired_difference",
+    "events.active_size_pmf": "the active-size pmf that ROADMAP directions 3a, 11 and 26 build on",
+}
+
+PRESETS = sorted((ROOT / "configs").glob("*.json"))
+CONTENTION = str(ROOT / "configs" / "contention.json")
+# (argv, exit code) of each command-line run of the CI workflow
+CLI_RUNS = [
+    (["selftest"], 0),
+    *((["simulate", "--config", str(p), "--runs", "1", "--slots", "100"], 0) for p in PRESETS),
+    (["analyze", "--ps", "0.3", "--deadline", "15"], 0),
+    (["analyze", "--ps", "0.1", "2", "--deadline", "0"], 2),
+    (["sweep", "--config", CONTENTION, "--runs", "1", "--slots", "100",
+      "--axis", "eta", "--values", "0.3", "0.6"], 0),
+    (["analyze", "--ps", "0.3", "--deadline", "200000"], 0),
+]
+BENCH_SECONDS = 0.01  # every workload runs its minimum of rounds
+
+
+def defined() -> dict[tuple[str, int], str]:
+    """(source file, first line) -> `module.qualified.name` of every
+    function and method in src/alarmmac. The first line is that of the
+    first decorator, as the function's code object records it."""
+    names: dict[tuple[str, int], str] = {}
+
+    def visit(node: ast.AST, path: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                names[(path, min([child.lineno, *(d.lineno for d in child.decorator_list)]))] = name
+                visit(child, path, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}.{child.name}")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), str(path), path.stem)
+    return names
+
+
+def run_traffic() -> tuple[set, list[str]]:
+    """The code objects the traffic called, and what in it failed."""
+    called: set = set()
+    failures: list[str] = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sink = io.StringIO()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), tempfile.TemporaryDirectory() as tmp:
+            for demo in sorted((ROOT / "demos").glob("0[1-5]_*.py")):
+                runpy.run_path(str(demo), run_name="__main__")
+            write = (["simulate", "--config", CONTENTION, "--runs", "1", "--slots", "100", "--out", tmp], 0)
+            for argv, expected in [*CLI_RUNS, write]:
+                try:
+                    status = cli.main(argv)
+                except SystemExit as exc:
+                    status = exc.code
+                if status != expected:
+                    failures.append(f"alarmmac {' '.join(argv)}: exit {status}, not {expected}")
+            for name in workloads.SIM_WORKLOADS.keys() | {"oracles"}:
+                for traced in (False, True):
+                    out = workloads.run(name, 1, BENCH_SECONDS, traced)
+                    if out.failed:
+                        failures.append(f"bench {name} traced={traced}: {out.failed} failed")
+    finally:
+        sys.setprofile(None)
+    return called, failures
+
+
+def main() -> int:
+    names = defined()
+    called, failures = run_traffic()
+    reached = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in called}
+    unreached = sorted(name for (path, line), name in names.items() if (os.path.realpath(path), line) not in reached)
+
+    print(f"{len(names)} functions and methods in src/alarmmac, {len(names) - len(unreached)} reached, "
+          f"{len(unreached)} unreached")
+    bad = list(failures)
+    for name in unreached:
+        reason = ALLOWLIST.get(name)
+        print(f"  {name}: {reason or 'NOT ALLOWED: only the tests call it'}")
+        if reason is None:
+            bad.append(f"{name} is reached by no caller outside the tests")
+    bad += [f"allowlist entry {name} names no unreached function" for name in sorted(ALLOWLIST.keys() - set(unreached))]
+    print("\n".join(bad) or "every unreached function is on the allowlist, and every allowlist entry is unreached")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,9 +28,11 @@ moves no draw.
 A channel succeeds when exactly one active agent transmits on it; the slot
 succeeds when any channel does, and delivers the alarm, which ends it for
 every member of its active set. One delivered copy serves them all, so every
-member gets the same reward. Each attempt takes one slot, so an undelivered
-event fails after exactly D + 1 contention rounds. Acknowledgements are
-error-free and instantaneous on a dedicated channel.
+member gets the same reward. An alarm contends in every slot from its birth
+on, one attempt a slot, so its age on the run's clock, `trace.n_slots -
+birth_slot`, counts its attempts before the current round; undelivered, it
+fails at age D, after exactly D + 1 rounds. Acknowledgements are error-free
+and instantaneous on a dedicated channel.
 
 The mobility step is lazy: a slot only counts it, and the steps owed are
 advanced when the poses are next read, which is when an event spawns or a
@@ -40,12 +42,11 @@ The minimum separation holds at placement only: in motion a pose turns only
 at the walls of the deployment rectangle, independently of the others.
 
 A run keeps its history in `RunTrace` as typed columns, not objects: each
-terminal event's five fields go straight to an `array('q')` each of birth
-slot, end slot, attempts and active-set size and to one byte column of
-delivered, and each training slot's MSE to an `array('d')`. `trace.events`
-iterates the columns as `EventRecord`s, built on access. At N = 20
-with contention in every slot a run retains about 0.03 kB per contention
-slot.
+terminal event's birth slot, end slot and active-set size go straight to an
+`array('q')` each and its delivered flag to a byte column, and each
+training slot's MSE to an `array('d')`. `trace.events` iterates the columns
+as `EventRecord`s, built on access. At N = 20 with contention in every slot
+a run retains about 0.02 kB per contention slot.
 """
 
 from __future__ import annotations
@@ -64,9 +65,8 @@ from .policies import Population, _pattern_table, make_policy
 
 @dataclass(slots=True)
 class SlotOutcome:
-    slot: int
     success: bool  # any channel with exactly one transmitter
-    age: int | None  # attempts the alarm made before this round; None when idle
+    age: int | None  # slots since the live alarm's birth; None when idle
 
 
 @dataclass(slots=True)
@@ -74,42 +74,44 @@ class EventRecord:
     birth_slot: int
     end_slot: int
     delivered: bool
-    attempts: int
     active_size: int
+
+    @property
+    def attempts(self) -> int:  # one contention round per slot from birth to end
+        return self.end_slot - self.birth_slot + 1
 
 
 class _EventColumns:
     """A run's terminal events as typed columns: an `array('q')` each of
-    birth slot, end slot, attempts and active-set size, and one byte each
-    of delivered. It has a length and iterates as `EventRecord`s, built on
+    birth slot, end slot and active-set size, and one byte each of
+    delivered. It has a length and iterates as `EventRecord`s, built on
     access; it takes no subscript, so `list(trace.events)` is what indexes."""
 
-    __slots__ = ("_birth", "_end", "_delivered", "_attempts", "_active")
+    __slots__ = ("_birth", "_end", "_delivered", "_active")
 
     def __init__(self) -> None:
-        self._birth, self._end, self._attempts, self._active = array("q"), array("q"), array("q"), array("q")
+        self._birth, self._end, self._active = array("q"), array("q"), array("q")
         self._delivered = bytearray()
 
-    def _append(self, birth_slot: int, end_slot: int, delivered: bool, attempts: int, active_size: int) -> None:
+    def _append(self, birth_slot: int, end_slot: int, delivered: bool, active_size: int) -> None:
         self._birth.append(birth_slot)
         self._end.append(end_slot)
         self._delivered.append(delivered)
-        self._attempts.append(attempts)
         self._active.append(active_size)
 
     def __len__(self) -> int:
         return len(self._birth)
 
     def __iter__(self):
-        return map(EventRecord, self._birth, self._end, map(bool, self._delivered), self._attempts, self._active)
+        return map(EventRecord, self._birth, self._end, map(bool, self._delivered), self._active)
 
 
 @dataclass(eq=False)
 class RunTrace:
     """What a run keeps: its terminal events, the MSE of every training
-    slot, and slot counts. The events are typed columns, iterated as
-    `EventRecord`s, and the MSE is an `array('d')`. Per-slot outcomes are
-    returned by `Simulation.run_slot` and not kept."""
+    slot, and slot counts, `n_slots` being the run's one clock. Events are
+    typed columns, iterated as `EventRecord`s, and the MSE an `array('d')`.
+    Per-slot outcomes are returned by `Simulation.run_slot` and not kept."""
 
     events: _EventColumns = field(default_factory=_EventColumns)
     mse: array = field(default_factory=lambda: array("d"))
@@ -169,7 +171,6 @@ class Simulation:
         self.contexts = sig.Contexts(config, seed, self._poses) if self.policy.reads_contexts else None
         self.event: AlarmEvent | None = None  # the live alarm, if any
         self.event_agents = np.empty(0, dtype=np.intp)  # the live alarm's active set
-        self.slot = 0
         self.trace = RunTrace()
 
     @property
@@ -190,7 +191,7 @@ class Simulation:
         self._pending_steps += 1
 
         if self.event is None:
-            event = maybe_spawn_event(self.slot, lambda: self.poses, self.rng_events, cfg)
+            event = maybe_spawn_event(self.trace.n_slots, lambda: self.poses, self.rng_events, cfg)
             # an event nobody detects is a coverage miss, not a delivery failure
             if event is not None and event.active_set:
                 self.event, self.event_agents = event, np.array(event.active_set, dtype=np.intp)
@@ -200,13 +201,12 @@ class Simulation:
             self.trace.n_contention_slots += 1
             self.trace.n_successful_slots += outcome.success
         else:
-            outcome = SlotOutcome(slot=self.slot, success=False, age=None)
-        self.slot += 1
-        self.trace.n_slots = self.slot
+            outcome = SlotOutcome(success=False, age=None)
+        self.trace.n_slots += 1
         return outcome
 
     def _contention_round(self, event: AlarmEvent, active: np.ndarray) -> SlotOutcome:
-        cfg, age = self.config, event.attempts
+        cfg, age = self.config, self.trace.n_slots - event.birth_slot
         contexts = None if self.contexts is None else self.contexts(self.poses, active)
         actions = self.policy.select_action(active, contexts)
         delivered = resolve_collisions(actions, cfg.n_channels)
@@ -218,12 +218,11 @@ class Simulation:
         if losses is not None:
             self.trace.mse.append(np.add.reduce(losses) / len(losses))
 
-        event.attempts += 1
-        if delivered or event.attempts > cfg.deadline_slots:  # the event ends in this slot
-            self.trace.events._append(event.birth_slot, self.slot, delivered, event.attempts, len(active))
+        if delivered or age >= cfg.deadline_slots:  # the event ends in this slot
+            self.trace.events._append(event.birth_slot, self.trace.n_slots, delivered, len(active))
             self.policy.end_event(active)
             self.event = None
-        return SlotOutcome(slot=self.slot, success=delivered, age=age)
+        return SlotOutcome(success=delivered, age=age)
 
     def run(self, n_slots: int | None = None, until_events: int | None = None) -> RunTrace:
         """Advance the world; stops at n_slots, or earlier once until_events

@@ -50,7 +50,6 @@ class AlarmEvent:
     epicenter: tuple[float, float]
     birth_slot: int
     active_set: tuple[int, ...]
-    attempts: int = 0
 
 
 def activation_probability(d_m: ArrayLike, eta: float) -> np.ndarray:

@@ -75,9 +75,10 @@ def agent_array(*agents: int) -> np.ndarray:
 
 
 def inject_event(sim, active) -> AlarmEvent:
-    """Make an alarm with active set `active` live in `sim`, as its slot
-    loop does on a spawn: the event and its agents as one array."""
-    sim.event = AlarmEvent(epicenter=(25.0, 25.0), birth_slot=sim.slot, active_set=tuple(active))
+    """Make an alarm with active set `active` live in `sim`, born in its
+    next slot, as its slot loop does on a spawn: the event and its agents
+    as one array."""
+    sim.event = AlarmEvent(epicenter=(25.0, 25.0), birth_slot=sim.trace.n_slots, active_set=tuple(active))
     sim.event_agents = agent_array(*active)
     return sim.event
 

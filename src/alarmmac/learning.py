@@ -13,27 +13,24 @@ steps on the globally norm-clipped gradient.
 Every kernel works on a stack of K networks of one shape, network k on its
 own minibatch, so one call trains all active agents:
 
-- A stack is one (K, P) float64 block, taken with its layer sizes. Row k
-  holds network k's parameters layer by layer, each layer's weights
-  row-major and then its biases: `n_params` gives P, and `layer_views` any
-  block's per-layer weight and bias views. A gradient and the RMSProp
-  averages are blocks of the same layout, and the clip and the RMSProp step
-  change theirs in place.
-- The clipping norm is one sum of squares over each network's row.
+- A stack is one (K, P) float64 block: row k holds network k's parameters
+  layer by layer, each layer's weights row-major and then its biases, at
+  the columns `_layout` gives. Gradients and RMSProp averages share it.
 - The backward pass computes only the taken action's output of each
-  minibatch row: the hidden layers run forward, and the row's value is the
-  product of its last hidden activations with the taken action's output
-  weights, plus that action's bias. So only taken actions carry an
-  output-layer gradient. Its bias gradient, and its weight gradient for
-  each hidden unit, is one `np.bincount` over (network, action) bins,
-  which adds each bin's terms in minibatch order; an untaken action's
-  rows are exact zeros.
+  minibatch row: its last hidden activations times the taken action's
+  output weights, plus that action's bias. Each output-layer gradient
+  column is one `np.bincount` over (network, action) bins, which adds a
+  bin's terms in minibatch order; an untaken action's are exact zeros.
+- The width-1 rule: a sum over a width-1 axis, in a layer (`_contract`) or
+  in the taken value over a width-1 last hidden layer, is the broadcast
+  product. It skips `np.matmul`'s or `np.einsum`'s fixed cost, and once the
+  bias is added the bits agree (einsum sums a -0.0 product to +0.0).
 
 `selfcheck` checks the gradient against finite differences and the clip
-against its bound. The tests keep a one-network reference that computes
-all 2**M outputs: the forward pass and the RMSProp step agree with it bit
-for bit; the gradient, loss, norm and clip agree to a few float64 ulps,
-as they add their terms in another order.
+against its bound. A one-network reference in the tests computes all 2**M
+outputs: the forward pass and the RMSProp step agree with it bit for bit;
+the gradient, loss, norm and clip, which add their terms in another order,
+to a few float64 ulps.
 """
 
 from __future__ import annotations
@@ -64,10 +61,10 @@ StackedBatch = tuple[np.ndarray, np.ndarray, np.ndarray]
 @lru_cache(maxsize=None, typed=True)
 def _layout(*layer_sizes: int) -> tuple[tuple[int, int, int, int, int], ...]:
     """Per layer: (fan_in, fan_out, first weight column, first bias column,
-    end column) in a network's row of a parameter block. Each layer size is
-    an integer >= 1, numpy's included, or a ValueError names it. The cache
-    keys each size with its type, so a size that equals an integer without
-    being one (2.0, True) misses an integer's entry and is refused here."""
+    end column) of a network's row. Each layer size is an integer >= 1,
+    numpy's included, or a ValueError names it. The cache keys each size
+    with its type, so 2.0 or True misses an integer's entry and is refused
+    here."""
     sizes = [checked_int(size, f"layer_sizes[{i}]", minimum=1) for i, size in enumerate(layer_sizes)]
     layers, pos = [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -77,17 +74,19 @@ def _layout(*layer_sizes: int) -> tuple[tuple[int, int, int, int, int], ...]:
     return tuple(layers)
 
 
-def layer_views(block: np.ndarray, layer_sizes: Sequence[int]) -> Grads:
-    """Per layer, the weight view (K, fan_out, fan_in) and the bias view
-    (K, fan_out) of a (K, P) block laid out for `layer_sizes`: parameters, a
-    gradient or RMSProp averages alike."""
+def _columns(block: np.ndarray, layer_sizes: Sequence[int]) -> tuple:
     layout = _layout(*layer_sizes)
     if block.shape[1] != layout[-1][-1]:
         raise ValueError("parameter block width does not match layer sizes")
-    k = block.shape[0]
+    return layout
+
+
+def layer_views(block: np.ndarray, layer_sizes: Sequence[int]) -> Grads:
+    """Per layer, the weight (K, fan_out, fan_in) and bias (K, fan_out)
+    views of a (K, P) block laid out for `layer_sizes`."""
     return [
-        (block[:, at_w:at_b].reshape(k, fan_out, fan_in), block[:, at_b:end])
-        for fan_in, fan_out, at_w, at_b, end in layout
+        (block[:, at_w:at_b].reshape(-1, fan_out, fan_in), block[:, at_b:end])
+        for fan_in, fan_out, at_w, at_b, end in _columns(block, layer_sizes)
     ]
 
 
@@ -99,12 +98,11 @@ def n_params(layer_sizes: Sequence[int]) -> int:
 def init_params(layer_sizes: Sequence[int], n: int, rng: np.random.Generator) -> np.ndarray:
     """The (n, P) block of n networks, each layer uniform in
     [-1/sqrt(fan_in), 1/sqrt(fan_in)], drawn network by network and layer by
-    layer, each layer's weights row-major and then its biases: the block's C
-    order. So one ``rng.uniform(-bound, bound, size=(n, P))`` call, with each
-    column's bound, makes the draws, and computes the values with the
-    expression ``low + (high - low) * next_double``, of one call per layer's
-    weights and one per its biases. `n` is an integer >= 1, or a ValueError
-    names it."""
+    layer in the block's C order. So one ``rng.uniform`` call with each
+    column's bound makes the draws, and computes the values
+    (``low + (high - low) * next_double``), of one call per layer's weights
+    and one per its biases. `n` is an integer >= 1, or a ValueError names
+    it."""
     n = checked_int(n, "n", minimum=1)
     bound = np.empty((1, n_params(layer_sizes)))
     for w, b in layer_views(bound, layer_sizes):
@@ -113,28 +111,27 @@ def init_params(layer_sizes: Sequence[int], n: int, rng: np.random.Generator) ->
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`a @ b` per network. Over a width-1 axis the one-term sum is the
-    broadcast product, which skips matmul's fixed cost."""
+    """`a @ b` per network, by the width-1 rule."""
     return a * b if a.shape[-1] == 1 else np.matmul(a, b)
 
 
-def _hidden_stacked(layers: Grads, x: np.ndarray) -> list[np.ndarray]:
+def _hidden_stacked(params: np.ndarray, layout: tuple, x: np.ndarray) -> list[np.ndarray]:
     """Activations of the input and of each hidden layer for one batch
     (K, B, M) per network."""
     acts = [x]
-    for w, b in layers[:-1]:
-        h = _contract(acts[-1], w.transpose(0, 2, 1))
-        h += b[:, None, :]
-        np.maximum(h, 0.0, out=h)
-        acts.append(h)
+    for fan_in, fan_out, at_w, at_b, end in layout[:-1]:
+        h = _contract(acts[-1], params[:, at_w:at_b].reshape(-1, fan_out, fan_in).transpose(0, 2, 1))
+        h += params[:, None, at_b:end]
+        acts.append(np.maximum(h, 0.0, out=h))
     return acts
 
 
-def _outputs_stacked(layers: Grads, x: np.ndarray) -> np.ndarray:
+def _outputs_stacked(params: np.ndarray, layout: tuple, x: np.ndarray) -> np.ndarray:
     """All 2**M outputs for one batch (K, B, M) per network: (K, B, 2**M)."""
-    w, b = layers[-1]
-    out = _contract(_hidden_stacked(layers, x)[-1], w.transpose(0, 2, 1))
-    out += b[:, None, :]
+    fan_in, fan_out, at_w, at_b, end = layout[-1]
+    w = params[:, at_w:at_b].reshape(-1, fan_out, fan_in)
+    out = _contract(_hidden_stacked(params, layout, x)[-1], w.transpose(0, 2, 1))
+    out += params[:, None, at_b:end]
     return out
 
 
@@ -143,54 +140,47 @@ def forward_stacked(params: np.ndarray, layer_sizes: Sequence[int], contexts: np
     x = np.asarray(contexts, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("context must be finite")
-    return _outputs_stacked(layer_views(params, layer_sizes), x[:, None, :])[:, 0]
+    return _outputs_stacked(params, _columns(params, layer_sizes), x[:, None, :])[:, 0]
 
 
 def backward_stacked(
     params: np.ndarray, layer_sizes: Sequence[int], batch: StackedBatch
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient of network k's taken-action squared loss on minibatch
-    k; returns (grads, per-network loss).
-
-    The gradient is a (K, P) block laid out like `params`. Only the taken
-    action's output is computed for each row.
-    """
+    k; returns (grads laid out like `params`, per-network loss)."""
     contexts, actions, rewards = batch
     n_nets, b_size = rewards.shape
     if b_size == 0:
         raise ValueError("empty minibatch")
-    layers = layer_views(params, layer_sizes)
-    acts = _hidden_stacked(layers, contexts)
+    layout = _columns(params, layer_sizes)
+    acts = _hidden_stacked(params, layout, contexts)
     hidden = acts[-1]  # (K, B, H)
-    n_hidden, n_out = layer_sizes[-2:]
-    w_out, b_out = layers[-1]
+    n_hidden, n_out, at_w, at_b, end = layout[-1]
+    n_bins = n_nets * n_out
     # each row's (network, taken action) bin, the flat index of its output
-    bins = np.arange(n_nets)[:, None] * n_out + actions
-    w_taken = w_out.reshape(n_nets * n_out, n_hidden).take(bins, axis=0)  # (K, B, H)
-    residual = np.einsum("kbh,kbh->kb", hidden, w_taken) + b_out.take(bins) - rewards
-    d_taken = 2.0 * residual / b_size
-
+    bins = np.arange(0, n_bins, n_out)[:, None] + actions
+    w_taken = params[:, at_w:at_b].reshape(n_bins, n_hidden).take(bins, axis=0)
+    residual = hidden[..., 0] * w_taken[..., 0] if n_hidden == 1 else np.einsum("kbh,kbh->kb", hidden, w_taken)
+    residual += params[:, at_b:end].take(bins)
+    residual -= rewards
+    d_taken = 2.0 * residual
+    d_taken /= b_size
     grads = np.empty(params.shape)
-    g_layers = layer_views(grads, layer_sizes)
-    flat_bins = bins.reshape(-1)
-
-    def per_bin(terms: np.ndarray) -> np.ndarray:
-        """Each (network, action) bin's sum of `terms`, in minibatch order."""
-        return np.bincount(flat_bins, weights=terms.reshape(-1), minlength=n_nets * n_out).reshape(n_nets, n_out)
-
-    gw_out, gb_out = g_layers[-1]
-    gb_out[...] = per_bin(d_taken)
+    flat_bins = bins.ravel()
+    grads[:, at_b:end] = np.bincount(flat_bins, d_taken.ravel(), n_bins).reshape(n_nets, n_out)
     for j in range(n_hidden):
-        gw_out[:, :, j] = per_bin(d_taken * hidden[:, :, j])
+        sums = np.bincount(flat_bins, (d_taken * hidden[:, :, j]).ravel(), n_bins)
+        grads[:, at_w + j : at_b : n_hidden] = sums.reshape(n_nets, n_out)
     delta = d_taken[:, :, None] * w_taken
     delta *= hidden > 0.0
-    for i in range(len(layers) - 2, -1, -1):
-        np.matmul(delta.transpose(0, 2, 1), acts[i], out=g_layers[i][0])
-        np.add.reduce(delta, 1, out=g_layers[i][1])
+    for i in range(len(layout) - 2, -1, -1):
+        fan_in, fan_out, at_w, at_b, end = layout[i]
+        np.matmul(delta.transpose(0, 2, 1), acts[i], out=grads[:, at_w:at_b].reshape(n_nets, fan_out, fan_in))
+        np.add.reduce(delta, 1, out=grads[:, at_b:end])
         if i > 0:
-            delta = _contract(delta, layers[i][0])
+            delta = _contract(delta, params[:, at_w:at_b].reshape(n_nets, fan_out, fan_in))
             delta *= acts[i] > 0.0
-    return grads, np.add.reduce(np.square(residual), 1) / b_size
+    return grads, np.add.reduce(np.square(residual, out=residual), 1) / b_size
 
 
 def grad_norm_stacked(grads: np.ndarray) -> np.ndarray:
@@ -200,10 +190,13 @@ def grad_norm_stacked(grads: np.ndarray) -> np.ndarray:
 
 def clip_gradient_stacked(grads: np.ndarray, beta0: float) -> None:
     """Global norm clipping of each network's gradient on its own, in place:
-    g <- g * beta0 / max(||g||, beta0)."""
+    g <- g * beta0 / max(||g||, beta0). A row at or below the bound has
+    factor exactly 1.0, so when every row is, the step is skipped."""
     if beta0 <= 0:
         raise ValueError("beta0 must be > 0")
-    grads *= (beta0 / np.maximum(grad_norm_stacked(grads), beta0))[:, None]
+    norms = grad_norm_stacked(grads)
+    if not (norms <= beta0).all():
+        grads *= (beta0 / np.maximum(norms, beta0))[:, None]
 
 
 def rmsprop_step_stacked(
@@ -223,15 +216,15 @@ def rmsprop_step_stacked(
 
 
 class StackedReplay:
-    """One bounded FIFO of (context, action, reward) tuples per agent; each
-    agent's oldest tuple is evicted first.
+    """One bounded FIFO of (context, action, reward) tuples per agent,
+    oldest out first.
 
     The rings are one (N * capacity, M + 2) float block, `tuples`: agent n's
     ring is the capacity rows from n * capacity on, and a row holds the
-    context, then the action, then the reward. Actions are small integers,
-    so they are exact as floats. `pushes` counts each agent's tuples: its
-    next one goes to ring row pushes % capacity. Each count, `sample`'s
-    `batch_size` too, is an integer >= 1, or a ValueError names it.
+    context, the action (a small integer, exact as a float) and the reward.
+    `pushes` counts each agent's tuples: the next goes to ring row
+    pushes % capacity. Each count, `sample`'s `batch_size` too, is an
+    integer >= 1, or a ValueError names it.
     """
 
     def __init__(self, n_agents: int, capacity: int, n_channels: int):
@@ -256,7 +249,7 @@ class StackedReplay:
         new[:, -1] = rewards
         if not np.isfinite(new).all():
             raise ValueError("contexts and rewards must be finite")
-        pushes = self.pushes[agents]
+        pushes = self.pushes.take(agents)
         self.tuples[agents * self.capacity + pushes % self.capacity] = new
         self.pushes[agents] = pushes + 1
 
@@ -264,14 +257,17 @@ class StackedReplay:
         """A uniform minibatch per agent, drawn with replacement from its
         memory's fill.
 
-        One `rng.random((K, batch_size))` call draws every index: each is
-        the floor of a uniform u < 1 times the memory's fill, and for a fill
-        below 2**53 the product rounds below the fill. One gather reads them.
+        One `rng.random((K, batch_size))` call draws every index: the floor
+        of a uniform u < 1 times the fill, which for a fill below 2**53
+        rounds below it. One gather reads them into a (K, B, M + 2) block, of
+        which the contexts and rewards are views: the first layer's
+        `np.matmul` rounds by its operands' layout, so the digests depend on
+        it.
         """
         batch_size = checked_int(batch_size, "batch_size", minimum=1)
-        sizes = self.size[agents]
+        sizes = self.size.take(agents)
         if not sizes.all():
             raise ValueError("cannot sample from empty memory")
         idx = (rng.random((len(agents), batch_size)) * sizes[:, None]).astype(np.int64)  # the floor
-        rows = self.tuples.take(agents[:, None] * self.capacity + idx, axis=0)  # (K, B, M + 2)
+        rows = self.tuples.take(agents[:, None] * self.capacity + idx, axis=0)
         return rows[..., :-2], rows[..., -2].astype(np.int64), rows[..., -1]

@@ -1,29 +1,27 @@
 """Channel-access policies behind one interface.
 
-Actions are transmission patterns: M-bit words where bit m set means
-"transmit on channel m" and the all-zeros word is legal silence. Pattern
-index i maps to bits via the binary expansion of i, least significant bit
-first. Three policies are provided: the learned network policy, a
-context-free value-table bandit, and uniform random selection; the first
-two share `EpsilonGreedy`'s selection over their own values. Exploration
-rate and learning rate decay once per alarm event that the agent takes part
-in, never per slot: each agent counts its own events. Each agent's
-exploration rate is held in one (N,) array, refreshed for an event's agents
-when the event ends, so a round's selection only gathers it.
+Actions are transmission patterns: M-bit words, bit m set meaning
+"transmit on channel m" and the all-zeros word legal silence; pattern i's
+bits are the binary expansion of i, least significant first. Three policies
+are provided: the learned network policy, a context-free value-table
+bandit, and uniform random selection; the first two share `EpsilonGreedy`'s
+selection over their own values. Exploration and learning rates decay once
+per alarm event that the agent takes part in, never per slot: each agent
+counts its own events, and its rates change only when an event ends.
 
-Each policy is one population object that holds the state of all N agents.
-It is built from the config and the run seed (`make_policy(config, seed)`)
-and derives the random streams it draws from itself: every population
-derives `explore` (exploration and random patterns), and the network
-population also `init` (its initial weights, drawn once) and `sample` (its
-minibatches). No other component draws from them.
+Each policy is one population object holding the state of all N agents,
+built from the config and the run seed (`make_policy(config, seed)`). It
+derives the random streams it draws from itself: `explore` (exploration
+and random patterns), and for the network population also `init` (its
+initial weights, drawn once) and `sample` (its minibatches). No other
+component draws from them.
 
-Its class attribute `reads_contexts` says whether it reads the contention
-signature. The engine builds the signature's owner (`signature.Contexts`)
+Its class attribute `reads_contexts`, declared in each policy class's own
+body so that none inherits the answer, says whether it reads the contention
+signature: the engine builds the signature's owner (`signature.Contexts`)
 only for a policy that does, and passes `None` as `contexts` to one that
-does not. Each policy class declares it in its own body, so that none
-inherits the answer. The methods take the agents concerned as one `np.intp`
-array of distinct agents, which the engine builds once per contention round:
+does not. The methods take the agents concerned as one `np.intp` array of
+distinct agents, which the engine builds once per contention round:
 
 - `select_action(agents, contexts)`: one pattern per agent, given each
   agent's context row;
@@ -122,12 +120,14 @@ class EpsilonGreedy:
         """One uniform per agent against its epsilon, then one random pattern
         per exploring agent, then each greedy agent's first maximum of its
         values, so ties break to the lowest index."""
-        rng = self.rng_explore
-        explore = rng.random(len(agents)) < self.eps[agents]
-        actions = np.zeros(len(agents), dtype=np.int64)
-        actions[explore] = _random_patterns(self.config.n_patterns, np.count_nonzero(explore), rng)
-        greedy = ~explore
-        if greedy.any():
+        rng, k = self.rng_explore, len(agents)
+        explore = rng.random(k) < self.eps.take(agents)
+        actions = np.zeros(k, dtype=np.int64)
+        n_explore = np.count_nonzero(explore)
+        if n_explore:
+            actions[explore] = _random_patterns(self.config.n_patterns, n_explore, rng)
+        if n_explore < k:
+            greedy = ~explore
             greedy_contexts = None if contexts is None else contexts[greedy]
             actions[greedy] = self._values(agents[greedy], greedy_contexts).argmax(axis=1)
         return actions
@@ -142,7 +142,7 @@ class EpsilonGreedy:
         return actions
 
     def end_event(self, agents: np.ndarray) -> None:
-        events = self.events[agents] + 1
+        events = self.events.take(agents) + 1
         self.events[agents] = events
         self.eps[agents] = self._decayed(events)
 
@@ -177,16 +177,14 @@ class MapRaPopulation(EpsilonGreedy):
 
 class DrlPopulation(EpsilonGreedy):
     """Network policy: each agent is epsilon-greedy over its own learned
-    action values. The networks `params` and their RMSProp averages `sq` are
-    one (N, P) block each, the learning rates one array `lr` and the replay
-    memories one set of rings, so a slot's arithmetic runs once over all
-    active agents.
+    action values. The networks `params`, their RMSProp averages `sq`, the
+    learning rates `lr` and the replay rings each hold all N agents, so a
+    slot's arithmetic runs once over all active agents.
 
     Each observed tuple is pushed to its agent's replay, then one clipped
-    RMSProp step is taken on a minibatch from it: `replay.pushes` also
-    counts updates. The minibatch loss before the step is returned per
-    agent for convergence tracking. An event's end decays its agents'
-    learning rates.
+    RMSProp step is taken on a minibatch from it (`replay.pushes` also
+    counts updates); the minibatch loss before the step is returned per
+    agent. An event's end decays its agents' learning rates.
     """
 
     reads_contexts = True
@@ -201,7 +199,7 @@ class DrlPopulation(EpsilonGreedy):
         self.replay = learning.StackedReplay(config.n_subnets, config.replay, config.n_channels)
 
     def _values(self, agents: np.ndarray, contexts: np.ndarray) -> np.ndarray:
-        return learning.forward_stacked(self.params[agents], self.config.layer_sizes, contexts)
+        return learning.forward_stacked(self.params.take(agents, axis=0), self.config.layer_sizes, contexts)
 
     def observe(self, agents, contexts, actions, rewards) -> np.ndarray:
         cfg = self.config
@@ -209,10 +207,10 @@ class DrlPopulation(EpsilonGreedy):
         self.replay.push(agents, contexts, actions, rewards)  # checks that contexts and rewards are finite
         batch = self.replay.sample(agents, cfg.minibatch, self.rng_sample)
         # the agents' rows, gathered once, stepped in place and written back
-        params, sq = self.params[agents], self.sq[agents]
+        params, sq = self.params.take(agents, axis=0), self.sq.take(agents, axis=0)
         grads, losses = learning.backward_stacked(params, cfg.layer_sizes, batch)
         learning.clip_gradient_stacked(grads, cfg.clip_threshold)
-        learning.rmsprop_step_stacked(params, sq, self.lr[agents], grads, cfg.rms_decay, cfg.rms_smoothing)
+        learning.rmsprop_step_stacked(params, sq, self.lr.take(agents), grads, cfg.rms_decay, cfg.rms_smoothing)
         self.params[agents] = params
         self.sq[agents] = sq
         return losses

@@ -5,10 +5,12 @@ slot of the slot loop, counted exactly.
 a builtin function or method ("c_call"). This script counts both over one
 `Simulation(config, seed)` construction and over the slots of that seeded
 run, and prints them for the set-up, per contention slot and per slot, with
-the most common C callables of the slots. The counts do not depend on the
-host, so two runs of one tree print the same numbers, and a change to the
-calls a set-up or a slot makes shows in them even where a timing could not
-resolve it.
+the most common Python and C callables of the slots. A Python callable is
+named by its module and qualified name, and a generator counts once per
+resumption: numpy's `_einsum_dispatcher`, resumed 5 times per `einsum`
+call, counts 5. The counts do not depend on the host, so two runs of one
+tree print the same numbers, and a change to the calls a set-up or a slot
+makes shows in them even where a timing could not resolve it.
 
 The counter misses ufunc calls (`np.maximum(...)`, `np.add.reduce` counts
 as one `reduce`) and array operators (`a * b`, `a[i]`), which the profiler
@@ -70,7 +72,7 @@ RUNS = {
         1000,
     ),
 }
-TOP_C = 8
+TOP = 8
 
 
 @dataclass
@@ -79,8 +81,12 @@ class Counts:
     setup_c_calls: int
     slots: int
     contention_slots: int
-    python_calls: int
+    python_callables: Counter
     c_calls: Counter
+
+    @property
+    def python_calls(self) -> int:
+        return sum(self.python_callables.values())
 
     def per_contention_slot(self, n: int) -> float:
         return n / self.contention_slots
@@ -89,15 +95,15 @@ class Counts:
         return n / self.slots
 
 
-def profiled(call: Callable[[], Any]) -> tuple[Any, int, Counter]:
+def profiled(call: Callable[[], Any]) -> tuple[Any, Counter, Counter]:
     """What `call()` returns, and the Python calls and the C calls, by
     callable, that it makes."""
-    python_calls, c_calls = 0, Counter()
+    python_calls, c_calls = Counter(), Counter()
 
     def profile(frame, event, arg):
-        nonlocal python_calls
         if event == "call":
-            python_calls += 1
+            code = frame.f_code
+            python_calls[f"{frame.f_globals.get('__name__')}.{getattr(code, 'co_qualname', code.co_name)}"] += 1
         elif event == "c_call" and arg is not sys.setprofile:  # not the call that ends the count
             c_calls[getattr(arg, "__qualname__", repr(arg))] += 1
 
@@ -129,7 +135,7 @@ def count(scenario: dict, warm: int = WARM_SLOTS, slots: int = COUNTED_SLOTS, se
     contended = sim.trace.n_contention_slots - contended
     if not contended:
         raise RuntimeError(f"{scenario}: no contention slot in {slots} slots")
-    return Counts(setup_python, sum(setup_c.values()), slots, contended, python_calls, c_calls)
+    return Counts(sum(setup_python.values()), sum(setup_c.values()), slots, contended, python_calls, c_calls)
 
 
 def retained_record(scenario: dict, slots: int, seed: int = SEED) -> tuple[int, int]:
@@ -165,10 +171,9 @@ def main() -> int:
             f"{counts.per_contention_slot(c_total):.2f} C calls; "
             f"per slot {counts.per_slot(counts.python_calls):.2f} Python calls, {counts.per_slot(c_total):.2f} C calls"
         )
-        top = ", ".join(
-            f"{c_name} {counts.per_contention_slot(k):.1f}" for c_name, k in counts.c_calls.most_common(TOP_C)
-        )
-        print(f"  most common C calls: {top}")
+        for kind, calls in (("Python", counts.python_callables), ("C", counts.c_calls)):
+            top = ", ".join(f"{name} {counts.per_contention_slot(k):.1f}" for name, k in calls.most_common(TOP))
+            print(f"  most common {kind} calls: {top}")
         retained, contended = retained_record(scenario, WARM_SLOTS + slots)
         print(
             f"  run record: {retained / contended:.1f} bytes retained per contention slot "

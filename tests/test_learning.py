@@ -41,7 +41,7 @@ def clipped_copy(g, beta0):
 
 def fitted_values(params, sizes, contexts, actions):
     """Each network's taken-action values on its own contexts (K, B, M)."""
-    values = learning._outputs_stacked(layer_views(params, sizes), contexts)
+    values = learning._outputs_stacked(params, learning._layout(*sizes), contexts)
     return np.take_along_axis(values, actions[..., None], axis=2)[..., 0]
 
 
@@ -170,6 +170,19 @@ def test_clip_scales_each_row_on_its_own():
     before = g.copy()
     clip_gradient_stacked(g, 5.0)
     assert np.allclose(g[0], before[0] / 2.0) and np.array_equal(g[1], before[1])
+
+
+def test_clip_scales_only_rows_above_the_bound():
+    # in a mixed stack, a row at or below beta0 has factor exactly 1.0, so
+    # its bits stay, a row whose norm is beta0 exactly included
+    rows = [[0.3, 0.4, 0.0], [3.0, 4.0, 0.0], [6.0, 8.0, 0.0], [-1.5, 0.0, 2.0], [12.0, 0.0, -9.0], [0.0, -0.0, 0.0]]
+    g = np.array(rows)
+    norms = grad_norm_stacked(g)
+    assert norms[1] == 5.0 and list(norms > 5.0) == [False, False, True, False, True, False]
+    clipped = clipped_copy(g, 5.0)
+    below = norms <= 5.0
+    assert np.array_equal(clipped[below].view(np.int64), g[below].view(np.int64))
+    assert np.array_equal(clipped[~below], g[~below] * (5.0 / norms[~below])[:, None])
 
 
 def test_clip_zero_gradient():
@@ -343,6 +356,22 @@ def test_largest_uniform_times_fill_floors_to_the_last_slot():
     assert np.array_equal((u * fills).astype(np.int64), fills - 1)
 
 
+def test_replay_sample_returns_views_of_one_gathered_block(rng):
+    # the contexts are views of the (K, B, M + 2) block that one gather
+    # reads, not a contiguous copy or a column of their own: the first
+    # layer's np.matmul rounds by its operands' layout, so either would move
+    # the last bits of the DRL golden digests
+    mem = StackedReplay(3, 5, n_channels=2)
+    for i in range(4):
+        mem.push(np.array([0, 2]), rng.random((2, 2)), np.array([i, 3 - i]), rng.standard_normal(2))
+    contexts, actions, rewards = mem.sample(np.array([2, 0]), 7, rng)
+    block = contexts.base
+    assert rewards.base is block and block.shape == (2, 7, 2 + 2)
+    assert np.shares_memory(contexts, block) and np.shares_memory(rewards, block)
+    assert not contexts.flags.c_contiguous
+    assert np.array_equal(block[..., -2], actions)
+
+
 def test_replay_empty_sample_rejected(rng):
     mem = StackedReplay(2, 4, n_channels=2)
     mem.push(np.array([0]), np.zeros((1, 2)), np.array([0]), np.array([0.0]))
@@ -429,6 +458,24 @@ def test_taken_output_gradient_equals_all_outputs_gradient(rng):
     assert never_taken > 0
 
 
+def test_einsum_over_a_width_one_axis_is_the_product_once_a_bias_is_added():
+    # backward_stacked takes the taken-action value over a width-1 last
+    # hidden layer as the product, where einsum would sum one term: einsum
+    # turns a -0.0 product into +0.0, and adding a nonzero bias erases that,
+    # zeros among the factors included
+    data = np.random.default_rng(11)
+    for shape in [(1, 1, 1), (3, 5, 1), (7, 240, 1)]:
+        a, b = data.standard_normal(shape), data.standard_normal(shape)
+        a[data.random(shape) < 0.3] = 0.0
+        a[data.random(shape) < 0.1] = -0.0
+        b[data.random(shape) < 0.2] = -0.0
+        bias = data.standard_normal(shape[:2])
+        bias[bias == 0.0] = 1.0
+        got = a[:, :, 0] * b[:, :, 0] + bias
+        want = np.einsum("kbh,kbh->kb", a, b) + bias
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_stack_is_one_parameter_block(rng):
     sizes = (3, 2, 1, 8)
     models = [ref.init_mlp(sizes, rng) for _ in range(4)]
@@ -505,7 +552,7 @@ def test_output_bias_gradient_equals_delta_sum(rng):
         batch = (rng.random((n_nets, b_size, m)), actions, rng.standard_normal((n_nets, b_size)) * 10.0)
         _, out_bias_grads = layer_views(learning.backward_stacked(params, sizes, batch)[0], sizes)[-1]
 
-        values = learning._outputs_stacked(layer_views(params, sizes), batch[0])
+        values = learning._outputs_stacked(params, learning._layout(*sizes), batch[0])
         nets, rows = np.meshgrid(np.arange(n_nets), np.arange(b_size), indexing="ij")
         delta = np.zeros_like(values)
         delta[nets, rows, actions] = 2.0 * (values[nets, rows, actions] - batch[2]) / b_size

@@ -129,6 +129,33 @@ def test_a_batch_of_exploring_and_greedy_agents(kind):
         assert swapped != greedy
 
 
+@pytest.mark.parametrize("kind", ["mapra", "drl"])
+def test_all_greedy_agents_draw_one_uniform_each(kind):
+    # with no agent exploring, no pattern is drawn: one uniform per agent
+    cfg = make_config(policy_kind=kind, **GREEDY)
+    policy = make_policy(cfg, seed=5)
+    agents = agent_array(3, 0, 2)
+    twin = copy.deepcopy(policy.rng_explore)
+    policy.select_action(agents, np.zeros((3, 2)))
+    twin.random(len(agents))
+    assert policy.rng_explore.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["mapra", "drl"])
+def test_all_exploring_agents_read_no_values(kind):
+    policy = make_policy(make_config(policy_kind=kind, epsilon_start=1.0, epsilon_floor=1.0), seed=6)
+
+    def no_values(agents, contexts):
+        raise AssertionError("an exploring agent read its values")
+
+    policy._values = no_values
+    agents = agent_array(1, 3, 0, 2)
+    twin = copy.deepcopy(policy.rng_explore)
+    actions = policy.select_action(agents, np.zeros((4, 2)))
+    assert np.all(twin.random(4) < 1.0)
+    assert np.array_equal(actions, (twin.random(4) * 4).astype(np.int64))
+
+
 def test_mapra_update_rule():
     cfg = make_config(mapra_tau=0.1)
     policy = MapRaPopulation(cfg, seed=0)

@@ -34,10 +34,20 @@ birth_slot`, counts its attempts before the current round; undelivered, it
 fails at age D, after exactly D + 1 rounds. Acknowledgements are error-free
 and instantaneous on a dedicated channel.
 
-The mobility step is lazy: a slot only counts it, and the steps owed are
-advanced when the poses are next read, which is when an event spawns or a
-contention round runs (see `Simulation.poses`). Each advance makes a new
-pose array (see `geometry`), so an array read earlier stays as it was.
+The mobility step is lazy: a slot only counts it, and the poses are
+brought to the current slot when next read, which is when an event spawns
+or a contention round runs (see `Simulation.poses`). A context-free run
+reads them only as an alarm spawns, and catches up the steps owed in one
+`step_mobility` call. A run that reads contexts reads them every round,
+from a look-ahead block (see `geometry`): one call that draws nothing
+gives the x and y of the block's next 32 slots and its clean prefix, the
+slots before some pose's move would leave the rectangle. A read inside the
+clean prefix takes its row, and the contexts take that row's link
+amplitudes (see `signature`); a read past it steps from the prefix's last
+row with `step_mobility`, the only code that draws from the mobility
+stream, and builds a new block there. The first block is built at the
+first read. Each advance makes a new pose array, so an array read earlier
+stays as it was.
 The minimum separation holds at placement only: in motion a pose turns only
 at the walls of the deployment rectangle, independently of the others.
 
@@ -59,7 +69,7 @@ import numpy as np
 from . import signature as sig
 from .config import ScenarioConfig, checked_int, derive_stream
 from .events import AlarmEvent, maybe_spawn_event
-from .geometry import place_uniform, step_mobility
+from .geometry import _look_ahead, place_uniform, step_mobility
 from .policies import Population, _pattern_table, make_policy
 
 
@@ -150,7 +160,7 @@ def resolve_collisions(action_indices: list[int] | np.ndarray, n_channels: int) 
             f"pattern indices must be integers in [0, {n_patterns}) for {n_channels} channels, got {action_indices!r}"
         )
     # transmitters per channel: how often each pattern is played, times its bits
-    return bool((counts @ _pattern_table(n_channels) == 1).any())
+    return bool(np.logical_or.reduce(counts @ _pattern_table(n_channels) == 1))
 
 
 class Simulation:
@@ -166,7 +176,10 @@ class Simulation:
 
         self.policy: Population = make_policy(config, seed)
         self._poses = place_uniform(config, derive_stream(seed, "placement"))
-        self._pending_steps = 0  # mobility steps owed to the poses
+        self._pending_steps = 0  # slots since that of `_poses`
+        # a context reader's look-ahead block from `_poses` and its clean
+        # prefix; before the first read, `_poses` alone
+        self._path, self._clean = None, 0
         # the signature chain and its snapshot, only for a policy that reads contexts
         self.contexts = sig.Contexts(config, seed, self._poses) if self.policy.reads_contexts else None
         self.event: AlarmEvent | None = None  # the live alarm, if any
@@ -180,11 +193,34 @@ class Simulation:
         `geometry`). A slot only counts its mobility step; the steps owed
         are advanced here, in one call, when the poses are read. Only
         mobility draws from its stream, so the draws and the poses are those
-        of one step per slot, whenever the poses are read."""
+        of one step per slot, whenever the poses are read. A run that reads
+        contexts reads them from its look-ahead block instead."""
+        if self.contexts is not None:
+            return self._row_poses(self._look_ahead_row()[1])
         if self._pending_steps:
             self._poses = step_mobility(self._poses, self.config, self.rng_mobility, self._pending_steps)
             self._pending_steps = 0
         return self._poses
+
+    def _look_ahead_row(self) -> tuple[np.ndarray, int]:
+        """The look-ahead block and the current slot's row in it. A slot past
+        the clean prefix is stepped exactly from the prefix's last row, and
+        starts a new block."""
+        row = self._pending_steps
+        if row > self._clean:
+            self._poses = step_mobility(self._row_poses(self._clean), self.config, self.rng_mobility, row - self._clean)
+            self._path, self._pending_steps, row = None, 0, 0
+        if self._path is None:
+            self._path, self._clean = _look_ahead(self._poses, self.config)
+        return self._path, row
+
+    def _row_poses(self, row: int) -> np.ndarray:
+        """The poses of a clean row of the look-ahead block: only x and y moved."""
+        if not row:
+            return self._poses
+        poses = self._poses.copy()
+        poses["x"], poses["y"] = self._path[row]
+        return poses
 
     def run_slot(self) -> SlotOutcome:
         cfg = self.config
@@ -207,7 +243,7 @@ class Simulation:
 
     def _contention_round(self, event: AlarmEvent, active: np.ndarray) -> SlotOutcome:
         cfg, age = self.config, self.trace.n_slots - event.birth_slot
-        contexts = None if self.contexts is None else self.contexts(self.poses, active)
+        contexts = None if self.contexts is None else self.contexts(*self._look_ahead_row(), active)
         actions = self.policy.select_action(active, contexts)
         delivered = resolve_collisions(actions, cfg.n_channels)
 

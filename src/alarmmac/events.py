@@ -131,7 +131,7 @@ def build_active_set(
     with different eta but equal seeds see coupled randomness.
     """
     ex, ey = epicenter
-    return tuple(np.flatnonzero(_activated(poses["x"] - ex, poses["y"] - ey, rng, config)).tolist())
+    return tuple(_activated(poses["x"] - ex, poses["y"] - ey, rng, config).nonzero()[0].tolist())
 
 
 def maybe_spawn_event(

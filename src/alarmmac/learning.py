@@ -138,7 +138,7 @@ def _outputs_stacked(params: np.ndarray, layout: tuple, x: np.ndarray) -> np.nda
 def forward_stacked(params: np.ndarray, layer_sizes: Sequence[int], contexts: np.ndarray) -> np.ndarray:
     """Action values of network k for context k: (K, M) -> (K, 2**M)."""
     x = np.asarray(contexts, dtype=float)
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ValueError("context must be finite")
     return _outputs_stacked(params, _columns(params, layer_sizes), x[:, None, :])[:, 0]
 
@@ -195,7 +195,7 @@ def clip_gradient_stacked(grads: np.ndarray, beta0: float) -> None:
     if beta0 <= 0:
         raise ValueError("beta0 must be > 0")
     norms = grad_norm_stacked(grads)
-    if not (norms <= beta0).all():
+    if not np.logical_and.reduce(norms <= beta0):
         grads *= (beta0 / np.maximum(norms, beta0))[:, None]
 
 
@@ -247,7 +247,7 @@ class StackedReplay:
         new[:, :-2] = contexts
         new[:, -2] = actions
         new[:, -1] = rewards
-        if not np.isfinite(new).all():
+        if not np.logical_and.reduce(np.isfinite(new), axis=None):
             raise ValueError("contexts and rewards must be finite")
         pushes = self.pushes.take(agents)
         self.tuples[agents * self.capacity + pushes % self.capacity] = new
@@ -265,8 +265,8 @@ class StackedReplay:
         it.
         """
         batch_size = checked_int(batch_size, "batch_size", minimum=1)
-        sizes = self.size.take(agents)
-        if not sizes.all():
+        sizes = np.minimum(self.pushes.take(agents), self.capacity)
+        if not np.logical_and.reduce(sizes):
             raise ValueError("cannot sample from empty memory")
         idx = (rng.random((len(agents), batch_size)) * sizes[:, None]).astype(np.int64)  # the floor
         rows = self.tuples.take(agents[:, None] * self.capacity + idx, axis=0)

@@ -123,7 +123,7 @@ class EpsilonGreedy:
         rng, k = self.rng_explore, len(agents)
         explore = rng.random(k) < self.eps.take(agents)
         actions = np.zeros(k, dtype=np.int64)
-        n_explore = np.count_nonzero(explore)
+        n_explore = np.add.reduce(explore)
         if n_explore:
             actions[explore] = _random_patterns(self.config.n_patterns, n_explore, rng)
         if n_explore < k:

@@ -17,7 +17,11 @@ subnetwork, signatures (M,) or (k, M).
 `Contexts` owns the whole chain of one run, from the link gains (see
 `channel`) to the features: the snapshot it draws at set-up, the streams it
 draws from and, called once per contention round, the active agents'
-contexts. Only a policy that reads contexts needs one.
+contexts. Only a policy that reads contexts needs one. Its large-scale link
+amplitudes follow the engine's look-ahead blocks (see `geometry`): one
+amplitude formula turns a block's (33, N) rows of positions into (33, N)
+amplitude rows, once per block, and each round gathers its agents from the
+current row; fading and noise are drawn per round.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ def aggregate_pilots(gains: np.ndarray, snr: float, noise: np.ndarray) -> np.nda
     """Uplink aggregate received by the controller; `snr` is linear and
     `noise` (M,) is the controller's receiver noise. Every pilot symbol is 1,
     so the aggregate sums the gains (k, M) over the active subnetworks."""
-    return math.sqrt(snr) * gains.sum(axis=0) + noise
+    return math.sqrt(snr) * np.add.reduce(gains, axis=0) + noise
 
 
 def broadcast_cs(y: np.ndarray, gains: np.ndarray, snr: float, noise: np.ndarray) -> np.ndarray:
@@ -60,7 +64,7 @@ def featurize(y_n: np.ndarray) -> np.ndarray:
     Accepts a single signature (M,) or a batch (k, M).
     """
     mags = np.abs(y_n)
-    peak = mags.max(axis=-1, keepdims=True) if mags.size else 0.0
+    peak = np.maximum.reduce(mags, axis=-1, keepdims=True) if mags.size else 0.0
     return mags / (1.0 + peak)
 
 
@@ -74,9 +78,10 @@ class Contexts:
     of the N set-up attenuations: the middle one, or the mean of the two
     middle ones for even N.
 
-    Called with the current poses and a round's agents, it returns their
-    (k, M) contexts. The call and its helpers are private, so a traced run
-    times only the `channel` and signature functions they call."""
+    Called with the engine's look-ahead block, the current slot's row in it
+    and a round's agents, it returns their (k, M) contexts. The call and its
+    helpers are private, so a traced run times only the `channel` and
+    signature functions they call."""
 
     def __init__(self, config: ScenarioConfig, seed: int, poses: np.ndarray):
         self.config = config
@@ -85,31 +90,34 @@ class Contexts:
         self.rng_fading = derive_stream(seed, "fading")
         self.rng_noise = derive_stream(seed, "noise")
         rng_channel = derive_stream(seed, "channel")
-        everyone = np.arange(config.n_subnets)
-        self.los = chan.draw_los(self._cap_distances(poses, everyone), rng_channel, config)
+        x, y = poses["x"], poses["y"]
+        self.los = chan.draw_los(self._cap_distances(x, y), rng_channel, config)
         self.pathloss = chan.pathloss_coefficients(self.los, config)
-        positions = np.column_stack((poses["x"], poses["y"]))
-        self.shadow_db = chan.shadowing_db(positions, self.los, rng_channel, config)
-        self.reference_amp = _median(self._amplitudes(poses, everyone))
+        self.shadow_db = chan.shadowing_db(np.column_stack((x, y)), self.los, rng_channel, config)
+        self.reference_amp = _median(self._amplitudes(x, y))
+        self._path = self._rows = None  # the last look-ahead block and its amplitude rows
 
-    def _cap_distances(self, poses: np.ndarray, agents: np.ndarray) -> np.ndarray:
-        """Distance from each of `agents` to the central controller."""
+    def _cap_distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Distance from positions x, y to the central controller."""
         cx, cy = self.cap_xy
-        return np.hypot(poses["x"][agents] - cx, poses["y"][agents] - cy)
+        return np.hypot(x - cx, y - cy)
 
-    def _amplitudes(self, poses: np.ndarray, agents: np.ndarray) -> np.ndarray:
-        """Large-scale amplitude of each of `agents`' links to the controller:
-        pathloss at the current distance with the snapshot's coefficients,
-        and the snapshot's shadowing."""
-        pathloss = chan.pathloss_db(self._cap_distances(poses, agents), self.pathloss[:, agents])
-        return chan.attenuation(pathloss, self.shadow_db[agents])
+    def _amplitudes(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Large-scale amplitude of the N links to the controller at
+        positions x, y (..., N): pathloss at the distance with the snapshot's
+        coefficients, and the snapshot's shadowing."""
+        return chan.attenuation(chan.pathloss_db(self._cap_distances(x, y), self.pathloss), self.shadow_db)
 
-    def _link_gains(self, poses: np.ndarray, agents: np.ndarray) -> np.ndarray:
-        """Per-channel complex gains of `agents`' uplinks this round,
-        normalised by the snapshot median attenuation, so that snr_avg_db is
-        the average link SNR at a typical distance."""
+    def _link_gains(self, amplitudes: np.ndarray, agents: np.ndarray) -> np.ndarray:
+        """Per-channel complex gains of `agents`' uplinks this round, from
+        the N links' `amplitudes` normalised by the snapshot median
+        attenuation, so that snr_avg_db is the average link SNR at a typical
+        distance."""
         kappa = chan.complex_gaussian(self.rng_fading, (len(agents), self.config.n_channels))
-        return kappa * (self._amplitudes(poses, agents) / self.reference_amp)[:, None]
+        return kappa * (amplitudes[agents] / self.reference_amp)[:, None]
 
-    def __call__(self, poses: np.ndarray, agents: np.ndarray) -> np.ndarray:
-        return featurize(contention_signatures(self._link_gains(poses, agents), self.snr_linear, self.rng_noise))
+    def __call__(self, path: np.ndarray, row: int, agents: np.ndarray) -> np.ndarray:
+        if path is not self._path:  # a new look-ahead block: its amplitude rows
+            self._path, self._rows = path, self._amplitudes(path[:, 0], path[:, 1])
+        gains = self._link_gains(self._rows[row], agents)
+        return featurize(contention_signatures(gains, self.snr_linear, self.rng_noise))

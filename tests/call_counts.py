@@ -28,6 +28,12 @@ first-call caches and imports of set-up, and counts the second; it then
 runs 5 warm-up slots, which fill those of the slot loop, and counts 250
 slots, the sparse run 1000.
 
+For each scenario it also prints, per 1000 counted slots, the look-ahead
+pose blocks built (`geometry._look_ahead`, only in a run whose policy
+reads contexts) and the `geometry.step_mobility` calls: in such a run each
+is a fallback past a block's clean prefix, in a context-free run the lazy
+catch-up of the steps owed when the poses are read.
+
 For each scenario it also prints the bytes that dropping the run record
 (`RunTrace`) of a fresh run of the same warm-up and counted slots frees,
 per contention slot, from `tracemalloc`: the memory a run retains per slot
@@ -171,6 +177,9 @@ def main() -> int:
             f"{counts.per_contention_slot(c_total):.2f} C calls; "
             f"per slot {counts.per_slot(counts.python_calls):.2f} Python calls, {counts.per_slot(c_total):.2f} C calls"
         )
+        blocks, steps = (1000 * counts.python_callables[f"alarmmac.geometry.{name}"] / counts.slots
+                         for name in ("_look_ahead", "step_mobility"))
+        print(f"  mobility per 1000 slots: {blocks:.1f} look-ahead blocks, {steps:.1f} step_mobility calls")
         for kind, calls in (("Python", counts.python_callables), ("C", counts.c_calls)):
             top = ", ".join(f"{name} {counts.per_contention_slot(k):.1f}" for name, k in calls.most_common(TOP))
             print(f"  most common {kind} calls: {top}")

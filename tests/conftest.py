@@ -74,6 +74,16 @@ def agent_array(*agents: int) -> np.ndarray:
     return np.array(agents, dtype=np.intp)
 
 
+def counting(calls: list, fn):
+    """`fn`, appending its positional arguments to `calls` at every call."""
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
 def inject_event(sim, active) -> AlarmEvent:
     """Make an alarm with active set `active` live in `sim`, born in its
     next slot, as its slot loop does on a spawn: the event and its agents

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alarmmac import events, geometry, learning
+from alarmmac import engine, events, geometry, learning
 from alarmmac.config import config_to_dict
 from alarmmac.engine import Simulation
-from conftest import CONTENTION, make_config
+from conftest import CONTENTION, counting, make_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -79,22 +79,23 @@ def test_spawn_hook_counts_the_event_and_its_active_set(harness, threshold):
 
 
 LINK_ROUND_CALLS = {  # per contention slot of a policy that reads contexts
-    "channel.attenuation": 1,
     "channel.complex_gaussian": 2,
-    "channel.pathloss_db": 1,
     "signature.aggregate_pilots": 1,
     "signature.broadcast_cs": 1,
     "signature.contention_signatures": 1,
     "signature.featurize": 1,
 }
+LINK_BLOCK_CALLS = ("channel.attenuation", "channel.pathloss_db")  # per look-ahead block it builds
 LINK_SETUP_CALLS = ("attenuation", "correlation_factor", "draw_los", "los_probability",
                     "pathloss_coefficients", "pathloss_db", "shadowing_db")
 
 
 @pytest.mark.parametrize("policy", ["drl", "mapra", "rch"])
-def test_traced_runs_time_each_link_and_signature_function_in_its_layer(harness, policy):
+def test_traced_runs_time_each_link_and_signature_function_in_its_layer(harness, monkeypatch, policy):
     # a wrapped method around the chain would put one layer's time inside another's
     tracer, workloads = harness
+    blocks = []
+    monkeypatch.setattr(engine, "_look_ahead", counting(blocks, engine._look_ahead))
     tr = tracer.Tracer()
     patch = tracer.install(tr, workloads.HOOKS)
     setup, rounds = tr.phase, tracer.Phase()
@@ -109,9 +110,12 @@ def test_traced_runs_time_each_link_and_signature_function_in_its_layer(harness,
         return {name: n for name, n in phase.calls.items() if name.startswith(("channel.", "signature."))}
 
     if policy != "drl":
-        assert link_calls(setup) == {} and link_calls(rounds) == {}
+        assert link_calls(setup) == {} and link_calls(rounds) == {} and blocks == []
         return
     contention = sim.trace.n_contention_slots
-    assert contention > 0
+    assert 0 < len(blocks) < contention
     assert link_calls(setup) == {f"channel.{name}": 1 for name in LINK_SETUP_CALLS}
-    assert link_calls(rounds) == {name: n * contention for name, n in LINK_ROUND_CALLS.items()}
+    assert link_calls(rounds) == {
+        **{name: n * contention for name, n in LINK_ROUND_CALLS.items()},
+        **dict.fromkeys(LINK_BLOCK_CALLS, len(blocks)),
+    }

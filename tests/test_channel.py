@@ -116,11 +116,16 @@ def expected_attenuation(sim, n):
     return attenuation(pathloss_db(d, coefficients), contexts.shadow_db[[n]])[0] / contexts.reference_amp
 
 
+def link_amplitudes(sim):
+    """The amplitude row of every link at the current poses, which a round's `_link_gains` gathers from."""
+    return sim.contexts._amplitudes(sim.poses["x"], sim.poses["y"])
+
+
 def test_link_gains_compose_exactly():
     sim = gain_world(n_subnets=6, n_channels=3)
     active = np.array([0, 2, 5], dtype=np.intp)
     kappa = complex_gaussian(copy.deepcopy(sim.contexts.rng_fading), (len(active), 3))
-    gains = sim.contexts._link_gains(sim.poses, active)
+    gains = sim.contexts._link_gains(link_amplitudes(sim), active)
     assert gains.shape == (len(active), 3)
     for row, n in enumerate(active):
         assert np.array_equal(gains[row], kappa[row] * expected_attenuation(sim, n))
@@ -132,7 +137,8 @@ def test_link_gains_mean_power_matches_attenuation():
     active = np.arange(sim.config.n_subnets)
     expected = np.array([expected_attenuation(sim, n) for n in active]) ** 2
     assert np.all(sim.contexts.shadow_db == 0.0)
-    powers = [np.abs(sim.contexts._link_gains(sim.poses, active)) ** 2 / expected[:, None] for _ in range(5_000)]
+    amplitudes = link_amplitudes(sim)
+    powers = [np.abs(sim.contexts._link_gains(amplitudes, active)) ** 2 / expected[:, None] for _ in range(5_000)]
     assert abs(np.mean(powers) - 1.0) < 0.02
 
 

@@ -1,3 +1,4 @@
+import copy
 import gc
 import sys
 import tracemalloc
@@ -6,13 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alarmmac import channel, engine
+from alarmmac import channel, engine, signature
 from alarmmac.config import ActivationMode, PolicyKind, derive_stream
 from alarmmac.engine import Simulation, resolve_collisions
 from alarmmac.events import maybe_spawn_event
 from alarmmac.geometry import step_mobility
 from alarmmac.policies import DrlPopulation, MapRaPopulation, RchPopulation
-from conftest import CONTENTION, FixedPolicy, inject_event, make_config
+from conftest import CONTENTION, FixedPolicy, counting, inject_event, make_config
 from test_golden import GOLDEN, SCENARIOS, run_digest
 
 
@@ -395,16 +396,6 @@ def test_drl_reads_one_context_row_per_active_agent(monkeypatch):
         assert isinstance(contexts, np.ndarray) and contexts.shape == (k, cfg.n_channels)
 
 
-def counting(calls: list, fn):
-    """`fn`, appending its positional arguments to `calls` at every call."""
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    return counted
-
-
 def test_a_round_hands_one_agent_array_to_the_gains_and_every_population_call(monkeypatch):
     seen = []
     for name in ("select_action", "observe", "end_event"):
@@ -457,6 +448,54 @@ def test_golden_digest_whenever_poses_are_read(scenario, policy, read_share):
     # the poses are read before a random `read_share` of the slots
     reads = np.random.default_rng(11).random(SCENARIOS[scenario][1]) < read_share
     assert run_digest(scenario, policy, reads)[0] == GOLDEN[scenario, policy]
+
+
+# 0.12 m per slot in a 12 x 9 m rectangle: some pose reaches a wall every few slots
+BOUNCING = dict(n_subnets=20, area_width_m=12.0, area_height_m=9.0, speed_mps=40.0, min_separation_m=1.0)
+
+
+def round_contexts(contexts, poses, agents, fading, noise):
+    """A round's contexts from the amplitudes of `agents`' links alone, at
+    `poses`, with the fading and noise generators given."""
+    cx, cy = contexts.cap_xy
+    d = np.hypot(poses["x"][agents] - cx, poses["y"][agents] - cy)
+    amplitudes = channel.attenuation(channel.pathloss_db(d, contexts.pathloss[:, agents]), contexts.shadow_db[agents])
+    kappa = channel.complex_gaussian(fading, (len(agents), contexts.config.n_channels))
+    gains = kappa * (amplitudes / contexts.reference_amp)[:, None]
+    return signature.featurize(signature.contention_signatures(gains, contexts.snr_linear, noise))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.05])
+def test_a_context_reader_reads_the_poses_and_amplitudes_of_one_step_per_slot(monkeypatch, alpha):
+    # alpha 1 reads the poses in nearly every slot, alpha 0.05 after gaps
+    # that may outlast a whole look-ahead block
+    blocks, steps = [], []
+    monkeypatch.setattr(engine, "_look_ahead", counting(blocks, engine._look_ahead))
+    monkeypatch.setattr(engine, "step_mobility", counting(steps, step_mobility))
+    cfg = replace(CONTENTION, policy_kind=PolicyKind.DRL, alpha=alpha, deadline_slots=15, **BOUNCING)
+    sim = Simulation(cfg, seed=3)
+    contexts, reads = sim.contexts, []
+    reference = {"poses": sim.poses, "rng": derive_stream(3, "mobility")}
+
+    def checked(path, row, agents):
+        # the run's poses and mobility stream are those of one step per slot
+        assert np.array_equal(sim.poses, reference["poses"])
+        assert sim.rng_mobility.bit_generator.state == reference["rng"].bit_generator.state
+        fading, noise = copy.deepcopy(contexts.rng_fading), copy.deepcopy(contexts.rng_noise)
+        got = contexts(path, row, agents)
+        assert np.array_equal(got, round_contexts(contexts, reference["poses"], agents, fading, noise))
+        reads.append(row)
+        return got
+
+    sim.contexts = checked
+    for _ in range(1500):
+        reference["poses"] = step_mobility(reference["poses"], cfg, reference["rng"])
+        sim.run_slot()
+    # the rounds read rows inside blocks, and blocks end early at the walls;
+    # every block after the one built at the first read follows a fallback
+    assert len(reads) > 100 and max(reads) > 1
+    assert 10 < len(blocks) < len(reads) and len(steps) == len(blocks) - 1
+    assert any(n_steps > 1 for _, _, _, n_steps in steps) == (alpha < 1.0)
 
 
 def test_mobility_advances_only_when_a_slot_reads_the_poses(monkeypatch):

@@ -35,19 +35,19 @@ fails at age D, after exactly D + 1 rounds. Acknowledgements are error-free
 and instantaneous on a dedicated channel.
 
 The mobility step is lazy: a slot only counts it, and the poses are
-brought to the current slot when next read, which is when an event spawns
-or a contention round runs (see `Simulation.poses`). A context-free run
-reads them only as an alarm spawns, and catches up the steps owed in one
-`step_mobility` call. A run that reads contexts reads them every round,
-from a look-ahead block (see `geometry`): one call that draws nothing
-gives the x and y of the block's next 32 slots and its clean prefix, the
-slots before some pose's move would leave the rectangle. A read inside the
-clean prefix takes its row, and the contexts take that row's link
-amplitudes (see `signature`); a read past it steps from the prefix's last
-row with `step_mobility`, the only code that draws from the mobility
-stream, and builds a new block there. The first block is built at the
-first read. Each advance makes a new pose array, so an array read earlier
-stays as it was.
+brought to the current slot when next read, as an event spawns or a
+contention round runs (see `Simulation.poses`). One catch-up serves every
+run: a read inside the clean prefix of the look-ahead block takes its row,
+and a read past it steps exactly from the prefix's last row in one
+`step_mobility` call, the only code that draws from the mobility stream.
+Only a run that reads contexts, every round, builds a block (see
+`geometry`), at its first read and after each step: one call that draws
+nothing gives the x and y of the next 32 slots and the clean prefix, the
+slots before some pose's move would leave the rectangle, and the contexts
+take the row's link amplitudes (see `signature`). A context-free run reads
+the poses only as an alarm spawns, too seldom for a block to pay; it keeps
+none, so its clean prefix is 0 and each read steps all the slots owed.
+Each advance makes a new pose array: an array read earlier stays as it was.
 The minimum separation holds at placement only: in motion a pose turns only
 at the walls of the deployment rectangle, independently of the others.
 
@@ -177,8 +177,8 @@ class Simulation:
         self.policy: Population = make_policy(config, seed)
         self._poses = place_uniform(config, derive_stream(seed, "placement"))
         self._pending_steps = 0  # slots since that of `_poses`
-        # a context reader's look-ahead block from `_poses` and its clean
-        # prefix; before the first read, `_poses` alone
+        # the look-ahead block from `_poses` and its clean prefix: a context
+        # reader's, from its first read; none in a context-free run
         self._path, self._clean = None, 0
         # the signature chain and its snapshot, only for a policy that reads contexts
         self.contexts = sig.Contexts(config, seed, self._poses) if self.policy.reads_contexts else None
@@ -190,27 +190,24 @@ class Simulation:
     def poses(self) -> np.ndarray:
         """The poses in the current slot, a structured array with fields `x`,
         `y`, `heading` and the heading's direction `cos` and `sin` (see
-        `geometry`). A slot only counts its mobility step; the steps owed
-        are advanced here, in one call, when the poses are read. Only
-        mobility draws from its stream, so the draws and the poses are those
-        of one step per slot, whenever the poses are read. A run that reads
-        contexts reads them from its look-ahead block instead."""
-        if self.contexts is not None:
-            return self._row_poses(self._look_ahead_row()[1])
-        if self._pending_steps:
-            self._poses = step_mobility(self._poses, self.config, self.rng_mobility, self._pending_steps)
-            self._pending_steps = 0
-        return self._poses
+        `geometry`). A slot only counts its step; a read inside the clean
+        prefix takes its row of the look-ahead block, and one past it steps
+        the slots owed in one call; a context-free run keeps no block, so
+        its clean prefix is 0. Only mobility draws from its stream, so the
+        draws and the poses are those of one step per slot, however read."""
+        return self._row_poses(self._look_ahead_row()[1])
 
-    def _look_ahead_row(self) -> tuple[np.ndarray, int]:
-        """The look-ahead block and the current slot's row in it. A slot past
-        the clean prefix is stepped exactly from the prefix's last row, and
-        starts a new block."""
+    def _look_ahead_row(self) -> tuple[np.ndarray | None, int]:
+        """The look-ahead block, if any, and the current slot's row in it. A
+        slot past the clean prefix is stepped exactly from the prefix's last
+        row, where a context reader builds its next block."""
         row = self._pending_steps
         if row > self._clean:
             self._poses = step_mobility(self._row_poses(self._clean), self.config, self.rng_mobility, row - self._clean)
             self._path, self._pending_steps, row = None, 0, 0
-        if self._path is None:
+        # a block in context-free runs too, whose reads are far apart, bought no
+        # speed and raised dense_rch's peak RSS by 0.21 MB (in 20 of 20 pairs)
+        if self._path is None and self.contexts is not None:
             self._path, self._clean = _look_ahead(self._poses, self.config)
         return self._path, row
 

@@ -55,9 +55,9 @@ class AlarmEvent:
 def activation_probability(d_m: ArrayLike, eta: float) -> np.ndarray:
     """exp(-eta * d) per distance; strictly decreasing in d, 1 at the epicenter."""
     d = np.asarray(d_m, dtype=float)
-    if (d < 0).any():
+    if not (d >= 0).all():  # NaN fails every comparison
         raise ValueError("distance must be >= 0")
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be > 0")
     return np.exp(-eta * d)
 

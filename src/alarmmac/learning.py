@@ -192,7 +192,7 @@ def clip_gradient_stacked(grads: np.ndarray, beta0: float) -> None:
     """Global norm clipping of each network's gradient on its own, in place:
     g <- g * beta0 / max(||g||, beta0). A row at or below the bound has
     factor exactly 1.0, so when every row is, the step is skipped."""
-    if beta0 <= 0:
+    if not beta0 > 0:  # NaN too
         raise ValueError("beta0 must be > 0")
     norms = grad_norm_stacked(grads)
     if not np.logical_and.reduce(norms <= beta0):

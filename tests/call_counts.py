@@ -30,9 +30,11 @@ slots, the sparse run 1000.
 
 For each scenario it also prints, per 1000 counted slots, the look-ahead
 pose blocks built (`geometry._look_ahead`, only in a run whose policy
-reads contexts) and the `geometry.step_mobility` calls: in such a run each
-is a fallback past a block's clean prefix, in a context-free run the lazy
-catch-up of the steps owed when the poses are read.
+reads contexts) and the `geometry.step_mobility` calls, each the catch-up
+of a read past a block's clean prefix, which is 0 in a context-free run.
+It splits the calls of the counted slots into one-slot windows, which
+`geometry._advance_window` screens with the one-slot test, and longer ones,
+counted in a fresh run of the same slots.
 
 For each scenario it also prints the bytes that dropping the run record
 (`RunTrace`) of a fresh run of the same warm-up and counted slots frees,
@@ -61,8 +63,10 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
+from alarmmac import engine  # noqa: E402
 from alarmmac.config import load_config_file  # noqa: E402
 from alarmmac.engine import Simulation  # noqa: E402
+from alarmmac.geometry import step_mobility  # noqa: E402
 
 CONTENTION = load_config_file(str(HERE.parent / "configs" / "contention.json"))
 SEED = 7
@@ -144,6 +148,28 @@ def count(scenario: dict, warm: int = WARM_SLOTS, slots: int = COUNTED_SLOTS, se
     return Counts(sum(setup_python.values()), sum(setup_c.values()), slots, contended, python_calls, c_calls)
 
 
+def mobility_windows(scenario: dict, slots: int) -> list[int]:
+    """The `n_steps` of each `step_mobility` call in `slots` slots of a
+    fresh run of the config keys `scenario` over CONTENTION, after the
+    warm-up slots: the calls of `count`'s run, which draws the same."""
+    sim = Simulation(replace(CONTENTION, **scenario), seed=SEED)
+    for _ in range(WARM_SLOTS):
+        sim.run_slot()
+    windows = []
+
+    def counted(poses, config, rng, n_steps=1):
+        windows.append(n_steps)
+        return step_mobility(poses, config, rng, n_steps)
+
+    engine.step_mobility = counted
+    try:
+        for _ in range(slots):
+            sim.run_slot()
+    finally:
+        engine.step_mobility = step_mobility
+    return windows
+
+
 def retained_record(scenario: dict, slots: int, seed: int = SEED) -> tuple[int, int]:
     """(bytes freed by dropping the run record of `slots` slots of the
     config keys `scenario` over CONTENTION, its contention slots)."""
@@ -179,7 +205,11 @@ def main() -> int:
         )
         blocks, steps = (1000 * counts.python_callables[f"alarmmac.geometry.{name}"] / counts.slots
                          for name in ("_look_ahead", "step_mobility"))
-        print(f"  mobility per 1000 slots: {blocks:.1f} look-ahead blocks, {steps:.1f} step_mobility calls")
+        windows = mobility_windows(scenario, slots)
+        print(
+            f"  mobility per 1000 slots: {blocks:.1f} look-ahead blocks, {steps:.1f} step_mobility calls; "
+            f"{windows.count(1)} of the {len(windows)} calls one-slot windows"
+        )
         for kind, calls in (("Python", counts.python_callables), ("C", counts.c_calls)):
             top = ", ".join(f"{name} {counts.per_contention_slot(k):.1f}" for name, k in calls.most_common(TOP))
             print(f"  most common {kind} calls: {top}")

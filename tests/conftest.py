@@ -54,6 +54,9 @@ CONTENTION = load_config_file(str(CONFIGS / "contention.json"))
 # the preset of acceptance criteria 3, 6 and 7: the contention scenario,
 # run until its events are counted, with faster learning than the defaults
 CRITERIA = load_config_file(str(CONFIGS / "criteria.json"))
+# config keys of a small fast room: 0.12 m per slot in a 12 x 9 m rectangle,
+# so some pose reaches a wall every few slots
+BOUNCING = dict(n_subnets=20, area_width_m=12.0, area_height_m=9.0, speed_mps=40.0, min_separation_m=1.0)
 
 
 def pose_array(records) -> np.ndarray:

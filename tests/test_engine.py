@@ -13,7 +13,7 @@ from alarmmac.engine import Simulation, resolve_collisions
 from alarmmac.events import maybe_spawn_event
 from alarmmac.geometry import step_mobility
 from alarmmac.policies import DrlPopulation, MapRaPopulation, RchPopulation
-from conftest import CONTENTION, FixedPolicy, counting, inject_event, make_config
+from conftest import BOUNCING, CONTENTION, FixedPolicy, counting, inject_event, make_config
 from test_golden import GOLDEN, SCENARIOS, run_digest
 
 
@@ -450,10 +450,6 @@ def test_golden_digest_whenever_poses_are_read(scenario, policy, read_share):
     assert run_digest(scenario, policy, reads)[0] == GOLDEN[scenario, policy]
 
 
-# 0.12 m per slot in a 12 x 9 m rectangle: some pose reaches a wall every few slots
-BOUNCING = dict(n_subnets=20, area_width_m=12.0, area_height_m=9.0, speed_mps=40.0, min_separation_m=1.0)
-
-
 def round_contexts(contexts, poses, agents, fading, noise):
     """A round's contexts from the amplitudes of `agents`' links alone, at
     `poses`, with the fading and noise generators given."""
@@ -496,6 +492,28 @@ def test_a_context_reader_reads_the_poses_and_amplitudes_of_one_step_per_slot(mo
     assert len(reads) > 100 and max(reads) > 1
     assert 10 < len(blocks) < len(reads) and len(steps) == len(blocks) - 1
     assert any(n_steps > 1 for _, _, _, n_steps in steps) == (alpha < 1.0)
+
+
+@pytest.mark.parametrize("read_share", [1.0, 0.1])
+@pytest.mark.parametrize("policy", ["mapra", "rch"])
+def test_a_context_free_run_reads_the_poses_of_one_step_per_slot(monkeypatch, policy, read_share):
+    # the same catch-up without a block: a read steps all the slots owed
+    blocks, steps = [], []
+    monkeypatch.setattr(engine, "_look_ahead", counting(blocks, engine._look_ahead))
+    monkeypatch.setattr(engine, "step_mobility", counting(steps, step_mobility))
+    cfg = replace(CONTENTION, policy_kind=policy, **BOUNCING)
+    sim = Simulation(cfg, seed=3)
+    poses, rng = sim.poses, derive_stream(3, "mobility")
+    first = poses["heading"]
+    for read in np.random.default_rng(5).random(1500) < read_share:
+        if read:
+            assert np.array_equal(sim.poses, poses)
+            assert sim.rng_mobility.bit_generator.state == rng.bit_generator.state
+        poses = step_mobility(poses, cfg, rng)
+        sim.run_slot()
+    assert np.array_equal(sim.poses, poses) and np.count_nonzero(poses["heading"] != first) > 10
+    assert not blocks
+    assert len(steps) > 100 and any(n_steps > 1 for _, _, _, n_steps in steps) == (read_share < 1.0)
 
 
 def test_mobility_advances_only_when_a_slot_reads_the_poses(monkeypatch):

@@ -41,6 +41,11 @@ def test_activation_probability_rejects_bad_args():
         activation_probability(-1.0, 0.6)
     with pytest.raises(ValueError):
         activation_probability(1.0, 0.0)
+    # NaN fails every comparison, so the guards ask for what is valid
+    with pytest.raises(ValueError, match="eta"):
+        activation_probability(1.0, float("nan"))
+    with pytest.raises(ValueError, match="distance"):
+        activation_probability([1.0, float("nan")], 0.6)
 
 
 def test_alpha_zero_never_spawns(rng):

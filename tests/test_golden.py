@@ -20,6 +20,13 @@ a minibatch: its replay capacity is 16 and its minibatch 8, so most of its
 minibatches come from such memories, and all 20 memories reach capacity.
 In the other DRL cases no memory fills to the minibatch size.
 
+bouncing-drl guards a context reader's poses at the walls: in its 12 x 9 m
+room some pose turns every few slots, and all 92 of its look-ahead blocks
+end before their 32 slots.
+Serving one row past a block's clean prefix, a turning pose's straight-line
+position for one slot, moves its digest, though not crowded-drl's.
+bouncing-rch runs the same room through the context-free catch-up.
+
 The digests hold with one BLAS thread, which tests/conftest.py pins. The
 crowded DRL trace reads the Cholesky factor of the N = 150 shadowing
 covariance, whose last bits depend on the OpenBLAS thread count.
@@ -35,7 +42,7 @@ import pytest
 from alarmmac.config import ScenarioConfig
 from alarmmac.engine import Simulation
 
-from conftest import CONTENTION
+from conftest import BOUNCING, CONTENTION
 
 # name -> (config, slots); each run sets its own policy
 SCENARIOS = {
@@ -51,6 +58,9 @@ SCENARIOS = {
     "crowded": (replace(CONTENTION, n_subnets=150, speed_mps=25.0, eta=0.6, tx_threshold=0.1), 40),
     # the contention scenario with short memories, which all fill
     "full-replay": (replace(CONTENTION, replay_capacity=16, minibatch_size=8), 120),
+    # the contention scenario in a small fast room: some pose turns at a wall
+    # every few slots, so a context reader's look-ahead blocks end early
+    "bouncing": (replace(CONTENTION, **BOUNCING), 300),
 }
 
 GOLDEN = {
@@ -65,6 +75,8 @@ GOLDEN = {
     ("crowded", "drl"): "46863eaf9033be54a25248b655944b911aced4e9b954f7cbcd5fc3c4985d874d",
     ("greedy", "drl"): "067cf1495d99892b5ecf6873521d0d52eec03b7e94aea352eefff451077b2749",
     ("full-replay", "drl"): "615f2d7efb0c78463f3aef4364e40ca94ee07b4be528b0b7752151d19a4b8dac",
+    ("bouncing", "rch"): "aa08290151792fb5cbed5b43ec19dffc189bea5860b31d4757a373c0c8b0954f",
+    ("bouncing", "drl"): "59a59beb73e4e4dff911657640494ac65f9e168e882013f1272de27c025c4b32",
 }
 
 
@@ -96,8 +108,8 @@ def run_digest(scenario: str, policy: str, reads: np.ndarray | None = None, seed
 def test_golden_digest(scenario, policy):
     digest, resamples = run_digest(scenario, policy)
     assert digest == GOLDEN[scenario, policy]
-    if scenario == "crowded":
-        assert resamples > 0  # the crowded scenario exercises the resample path
+    if scenario in ("crowded", "bouncing"):
+        assert resamples > 0  # these scenarios exercise the resample path
 
 
 def test_statistics_record_names_its_commit_or_unknown(monkeypatch, tmp_path):

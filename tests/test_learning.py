@@ -190,6 +190,16 @@ def test_clip_zero_gradient():
     assert grad_norm_stacked(clipped_copy(g, 5.0))[0] == 0.0
 
 
+@pytest.mark.parametrize("beta0", [0.0, -1.0, float("nan")])
+def test_clip_rejects_a_bound_that_is_not_positive(beta0):
+    # NaN fails every comparison, so the guard asks for what is valid
+    g = one_layer(np.array([[6.0, 8.0]]), np.array([0.0]))
+    before = g.copy()
+    with pytest.raises(ValueError, match="beta0"):
+        clip_gradient_stacked(g, beta0)
+    assert np.array_equal(g, before)
+
+
 def test_clip_preserves_direction(rng):
     for _ in range(50):
         raw = rng.standard_normal(6) * rng.uniform(0.1, 40.0)

@@ -17,11 +17,27 @@ sum_k C(N, k) 2**(M k), the count is the same, by the binomial theorem.)
 Its success indicator over that grid depends on (N, M) only, so it is built
 once per pair and kept read-only: at most 21 grids, 0.62 MB in all. It is
 the enumeration's own table, not derived from the dynamic programme's, so
-the enumeration stays independent of it. The grid search is limited to
-N <= 3, M <= 2. The dynamic programme runs backwards over agents, one
-gather of a cached (2**M, 3**M) shift map per agent: O(N * 2**M * 3**M)
-time and O(2**M * 3**M) memory, so it reaches benchmark scale (N = 20 and
-up) for M <= 8; the enumeration stays as its independent reference.
+the enumeration stays independent of it.
+
+The outcome grid grows one agent axis at a time, each new cell the one
+product of a grid entry and the agent's weight, by `np.einsum`. An
+`np.multiply.outer` takes the same products, but it runs the last N = 6,
+M = 3 level as 59 049 inner loops of 9 elements, and the six levels took
+1.23 ms against einsum's 0.64 ms (2-vCPU Xeon, numpy 2.4). einsum adds
+each product to +0.0, so a -0.0 product (from a p_n of -0.0) reads +0.0.
+No sum of the grid can tell: the sign of a zero term moves no non-zero
+sum, a float sum is -0.0 only if every term is, and the all-inactive
+cell, a product of the non-negative 1 - p_n, is a failure zeroed to +0.0.
+
+The grid search is limited to N <= 3, M <= 2. Its candidate rows are the
+compositions of k = 1 / grid_step ticks into 2**M parts, walked directly
+by stars and bars: C(k + 2**M - 1, 2**M - 1) rows at O(rows) cost, not
+filtered out of the (k + 1)**(2**M) products of 0..k.
+
+The dynamic programme runs backwards over agents, one gather of a cached
+(2**M, 3**M) shift map per agent: O(N * 2**M * 3**M) time and
+O(2**M * 3**M) memory, so it reaches benchmark scale (N = 20 and up) for
+M <= 8; the enumeration stays as its independent reference.
 """
 
 from __future__ import annotations
@@ -77,9 +93,11 @@ def uniform_access(n: int, n_channels: int) -> AccessDistribution:
 
 
 def _checked_p(p: np.ndarray, access: AccessDistribution | None = None) -> np.ndarray:
-    """`p` as a float array of activation probabilities in [0, 1]; a
+    """`p` as a 1-D float array of activation probabilities in [0, 1]; a
     ValueError otherwise, or if `access` has not one psi row per entry."""
     p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise ValueError(f"p: activation probabilities must be a 1-D array, got shape {p.shape}")
     if access is not None and access.psi.shape[0] != len(p):
         raise ValueError("psi must have one row per subnetwork")
     if not _in_unit_interval(p):
@@ -108,7 +126,9 @@ def success_probability_bruteforce(p: np.ndarray, access: AccessDistribution) ->
     weights = np.hstack([(1.0 - p)[:, None], p[:, None] * access.psi])
     prob = np.ones(())
     for row in weights:
-        prob = np.multiply.outer(prob, row)
+        # one product per new cell, as an outer product takes it; the module
+        # docstring says why einsum, and why its +0.0 for -0.0 moves no sum
+        prob = np.einsum("...,i->...i", prob, row)
     # zeroing the failures in place keeps the sum pairwise over one array
     np.multiply(prob, _enumeration_success(n, m), out=prob)
     return float(prob.sum())
@@ -220,7 +240,10 @@ class DtmcSpec:
 
 
 def _checked_stationary(ps: float, deadline: int) -> int:
-    """`deadline` as an int; a ValueError naming `ps` or `deadline` if either is out of range."""
+    """`deadline` as an int; a ValueError naming `ps` or `deadline` if either
+    is out of range, or `ps` if it is not a scalar."""
+    if np.ndim(ps) != 0:
+        raise ValueError(f"ps: must be a scalar, got shape {np.shape(ps)}")
     if not _in_unit_interval(ps):
         raise ValueError(f"ps: must lie in [0, 1], got {ps!r}")
     return checked_int(deadline, "deadline", minimum=0)
@@ -239,7 +262,8 @@ def transition_blocks(spec: DtmcSpec) -> tuple[np.ndarray, np.ndarray]:
     age and the deadline miss absorbs from age D only.
     """
     ps = spec.ps
-    q = np.diag(1.0 - ps[:-1], 1)
+    q = np.zeros((ps.size, ps.size))
+    q.flat[1 :: ps.size + 1] = 1.0 - ps[:-1]
     r = np.zeros((ps.size, 2))
     r[:, 0] = ps
     r[-1, 1] = 1.0 - ps[-1]
@@ -278,7 +302,8 @@ def deadline_probability_via_absorption(spec: DtmcSpec) -> tuple[float, float]:
     """Same quantities from absorption of the block transition matrix."""
     q, r = transition_blocks(spec)
     absorb = np.linalg.solve(np.eye(q.shape[0]) - q, r)
-    return float(absorb[0, 0]), float(absorb[0, 1])
+    p_leq, p_miss = absorb[0].tolist()
+    return p_leq, p_miss
 
 
 def deadline_probability_by_paths(spec: DtmcSpec) -> tuple[float, float]:
@@ -304,11 +329,16 @@ def stationary_deadline_probability(ps: float, deadline: int) -> tuple[float, fl
 
 
 def _grid_rows(width: int, grid_step: float) -> list[tuple[float, ...]]:
+    """Every access row on the grid, in lexicographic order: the
+    compositions of k = 1 / grid_step ticks into `width` parts. The
+    width - 1 cuts are the running totals after each part but the last, a
+    weakly increasing choice from 0..k (stars and bars), and cuts in
+    lexicographic order give rows in lexicographic order."""
     ticks = int(round(1.0 / grid_step))
     rows: list[tuple[float, ...]] = []
-    for combo in itertools.product(range(ticks + 1), repeat=width):
-        if sum(combo) == ticks:
-            rows.append(tuple(c * grid_step for c in combo))
+    for cuts in itertools.combinations_with_replacement(range(ticks + 1), width - 1):
+        edges = (0, *cuts, ticks)
+        rows.append(tuple([(hi - lo) * grid_step for lo, hi in zip(edges, edges[1:])]))
     return rows
 
 

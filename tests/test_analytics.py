@@ -1,4 +1,7 @@
+import functools
 import itertools
+import operator
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -159,12 +162,7 @@ class TestSuccessProbability:
         ]
 
     def test_equals_the_in_call_grid_bit_for_bit_on_the_benchmark_inputs(self, monkeypatch):
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-        import workloads
-
-        cfg = workloads.oracle_config()
-        _, setup_seed, input_seed = workloads.run_seeds(1, 2)
-        inp = workloads.oracle_inputs(cfg, workloads.oracle_setup(cfg, setup_seed), input_seed)
+        inp = _benchmark_inputs(monkeypatch)
         cases = {
             "0.7465937165239963": (inp.p, uniform_access(6, 3)),
             "0.7182373880193296": (inp.p, AccessDistribution(inp.psi)),
@@ -173,6 +171,61 @@ class TestSuccessProbability:
         for expected, (p, access) in cases.items():
             got = success_probability_bruteforce(p, access)
             assert repr(got) == expected and got == _in_call_success_probability(p, access)
+
+    def test_equals_the_outer_product_chain_bit_for_bit_at_every_size(self):
+        # the reference grows its grid by np.multiply.outer; p holds exact
+        # zeros and ones, and -0.0 in every other trial
+        rng = np.random.default_rng(50)
+        for n in range(7):
+            for m in (1, 2, 3):
+                for trial in range(6):
+                    p, access = selfcheck.random_instance(rng, n, m)
+                    if trial % 2:
+                        p[p == 0.0] = -0.0
+                        p[rng.random(n) < 0.25] = -0.0
+                    got = success_probability_bruteforce(p, access)
+                    expected = _in_call_success_probability(p, access)
+                    assert got == expected and repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("p", [[-0.0], [-0.0, -0.0, -0.0], [-0.0, 0.5, 0.0], [1.0, -0.0, 1.0]])
+    def test_a_negative_zero_product_moves_no_sum(self, p):
+        # einsum adds each product to +0.0, so a cell whose product is -0.0
+        # (an odd number of active agents with p_n = -0.0) reads +0.0 there
+        p, access = np.array(p), uniform_access(len(p), 2)
+        weights = np.hstack([(1.0 - p)[:, None], p[:, None] * access.psi])
+        outer, einsum = np.ones(()), np.ones(())
+        for row in weights:
+            outer = np.multiply.outer(outer, row)
+            einsum = np.einsum("...,i->...i", einsum, row)
+        flipped = np.signbit(outer) != np.signbit(einsum)
+        assert np.array_equal(outer, einsum) and flipped.any() and np.all(outer[flipped] == 0.0)
+        # the all-inactive cell is the product of the 1 - p_n, never -0.0,
+        # and it is a failure, so masking leaves it +0.0 in both grids
+        success = analytics._enumeration_success(len(p), 2)
+        outer *= success
+        einsum *= success
+        inactive = (0,) * len(p)
+        assert not success[inactive] and repr(float(outer[inactive])) == repr(float(einsum[inactive])) == "0.0"
+        # an IEEE sum is -0.0 only if every term is, so a +0.0 term fixes the
+        # sign of a zero sum, and a zero's sign moves no other sum; a lone
+        # agent's other cells are all -0.0 and add up to -0.0 without it
+        cells = outer.ravel().tolist()
+        if len(p) == 1:
+            assert repr(functools.reduce(operator.add, cells[1:])) == "-0.0"
+            assert repr(functools.reduce(operator.add, cells)) == "0.0"
+        got = success_probability_bruteforce(p, access)
+        assert repr(got) == repr(float(outer.sum())) == repr(float(einsum.sum()))
+        assert repr(got) == repr(_in_call_success_probability(p, access))
+
+
+def _benchmark_inputs(monkeypatch):
+    """The oracle inputs of the benchmark's oracles workload at seed 1."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    cfg = workloads.oracle_config()
+    _, setup_seed, input_seed = workloads.run_seeds(1, 2)
+    return workloads.oracle_inputs(cfg, workloads.oracle_setup(cfg, setup_seed), input_seed)
 
 
 def _reference_success_grid(n, n_channels):
@@ -331,6 +384,14 @@ class TestSuccessProbabilityDp:
                 got = success_probability_dp(np.ones(k), uniform_access(k, m))
                 assert abs(got - (1.0 - (1.0 - k / 2.0**k) ** m)) < 1e-12
 
+    @pytest.mark.parametrize("oracle", [success_probability_bruteforce, success_probability_dp])
+    @pytest.mark.parametrize("p", [np.full((3, 1), 0.5), np.array(0.5)])
+    def test_activation_not_one_dimensional_rejected(self, oracle, p):
+        # a column gave the programme a raw IndexError and the enumeration
+        # an unnamed concatenation error; a scalar, a TypeError from len()
+        with pytest.raises(ValueError, match="^p: .*1-D"):
+            oracle(p, uniform_access(p.size, 2))
+
     def test_inputs_checked_like_bruteforce(self):
         with pytest.raises(ValueError):
             success_probability_dp(np.ones(2), uniform_access(3, 2))
@@ -447,6 +508,26 @@ class TestDeadlineProbability:
         assert np.allclose(r[:, 0], spec.ps)
         assert r[2, 1] == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("form", [stationary_deadline_probability, stationary_dtmc])
+    def test_stationary_forms_reject_an_array_of_success_probabilities(self, form):
+        # the closed form returned arrays and the chain raised a raw TypeError
+        for ps in (np.array([0.2, 0.3]), np.array([0.5]), [0.5]):
+            with pytest.raises(ValueError, match="^ps: .*scalar"):
+                form(ps, 3)
+
+    def test_blocks_and_absorption_equal_the_diag_formulation_bit_for_bit(self, monkeypatch):
+        chains = list(_benchmark_inputs(monkeypatch).chains)
+        assert len(chains) == 300
+        chains += [DtmcSpec(np.zeros(6)), DtmcSpec(np.ones(6)), DtmcSpec(np.array([-0.0, 1.0, 0.0]))]
+        chains += [DtmcSpec(np.array([ps])) for ps in (0.0, 0.3, 1.0)]  # D = 0
+        for spec in chains:
+            (q, r), (ref_q, ref_r) = transition_blocks(spec), _diag_transition_blocks(spec)
+            assert q.dtype == ref_q.dtype and q.shape == ref_q.shape and q.tobytes() == ref_q.tobytes()
+            assert r.tobytes() == ref_r.tobytes()
+            got, expected = deadline_probability_via_absorption(spec), _float_absorption(spec)
+            assert got == expected and repr(got) == repr(expected)
+            assert all(type(v) is float for v in got)
+
     def test_transition_blocks_match_the_literal_superdiagonal(self):
         rng = np.random.default_rng(9)
         for deadline in range(16):
@@ -456,6 +537,22 @@ class TestDeadlineProbability:
             for d in range(deadline):
                 literal[d, d + 1] = 1.0 - spec.ps[d]
             assert q.dtype == literal.dtype and np.array_equal(q, literal)
+
+
+def _diag_transition_blocks(spec):
+    """The age chain's blocks with Q built by np.diag."""
+    ps = spec.ps
+    r = np.zeros((ps.size, 2))
+    r[:, 0] = ps
+    r[-1, 1] = 1.0 - ps[-1]
+    return np.diag(1.0 - ps[:-1], 1), r
+
+
+def _float_absorption(spec):
+    """The absorption form read entry by entry with float()."""
+    q, r = _diag_transition_blocks(spec)
+    absorb = np.linalg.solve(np.eye(q.shape[0]) - q, r)
+    return float(absorb[0, 0]), float(absorb[0, 1])
 
 
 def _reference_best_stationary_psi(p, n_channels, deadline, grid_step=0.25):
@@ -547,6 +644,26 @@ class TestBestStationaryPsi:
         for p in (np.ones(3), rng.random(3), np.full(3, 0.5)):
             access, _ = best_stationary_psi(p, 2, 3, 0.25)
             assert np.array_equal(access.psi, _forward_best_stationary_psi(p, 2, 0.25))
+
+    def test_grid_rows_are_the_filtered_products_in_order(self):
+        for m in (1, 2):
+            for k in range(1, 31):
+                assert analytics._grid_rows(1 << m, 1 / k) == _grid_rows(m, 1 / k)
+
+    def test_a_fine_grid_costs_its_rows_not_every_product(self):
+        # 176 851 rows of 100 ticks in four parts: filtering all 101**4
+        # products of 0..100 for them takes about 12 s on a 2-vCPU Xeon, the
+        # composition walk about 0.3 s
+        start = time.perf_counter()
+        access, miss = best_stationary_psi(np.array([0.5]), n_channels=2, deadline=3, grid_step=0.01)
+        assert time.perf_counter() - start < 4.0
+        assert np.array_equal(access.psi, [[0.0, 0.0, 0.0, 1.0]]) and miss == 0.5**4
+
+    @pytest.mark.parametrize("p", [np.full((2, 1), 0.5), np.array(0.5)])
+    def test_activation_not_one_dimensional_rejected(self, p):
+        # a column once returned a result, as if it were one agent per row
+        with pytest.raises(ValueError, match="^p: .*1-D"):
+            best_stationary_psi(p, n_channels=1, deadline=3)
 
     def test_oversized_grid_rejected(self):
         with pytest.raises(ValueError, match="grid_step"):

@@ -2,16 +2,20 @@
 
 Places a fleet of subnetworks in the factory cell, steps the mobility model,
 and shows how the spatial attenuation rate shapes the activation footprint
-of an alarm event.
+of an alarm event. Last, it estimates the acceptance criteria preset's
+active-size pmf and turns it into uniform random channel hopping's exact
+in-time probability, the figure the simulated RCH runs are checked against.
 """
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from alarmmac.config import ActivationMode, ScenarioConfig, derive_stream
-from alarmmac.events import activation_probability, build_active_set, empirical_activation
+from alarmmac import analytics
+from alarmmac.config import ActivationMode, ScenarioConfig, derive_stream, load_config_file
+from alarmmac.events import activation_probability, active_size_pmf, build_active_set, empirical_activation
 from alarmmac.geometry import place_uniform, step_mobility
 
 cfg = ScenarioConfig(n_subnets=20, n_channels=3, rng_seed=7)
@@ -57,3 +61,22 @@ probe = replace(cfg, eta=0.1, tx_threshold=0.25, activation_mode=ActivationMode.
 est = empirical_activation(poses, probe, derive_stream(2, "demo"), n_trials=50_000)
 print(f"  alpha={probe.alpha}: min {est.min():.4f}  mean {est.mean():.4f}  max {est.max():.4f}")
 print("  (interior poses see more epicenters inside their activation disk than corner poses)")
+
+print("\n=== active size and uniform RCH's exact in-time (criteria preset) ===")
+criteria = load_config_file(str(Path(__file__).resolve().parent.parent / "configs" / "criteria.json"))
+# 20 placements of 2000 epicentres each; the first is the one a run of seed 1 starts from
+pmf = active_size_pmf(criteria, 20, 2000, 1)
+quartiles = np.searchsorted(np.cumsum(pmf), [0.25, 0.5, 0.75]).tolist()
+print(f"N={criteria.n_subnets}: E[k] {pmf @ np.arange(len(pmf)):.4f}, quartiles of k {quartiles}, "
+      f"P(k=0) {pmf[0]:.4f}")
+# an alarm with k active poses is delivered within D slots with probability
+# 1 - (1 - P_s(k))**(D + 1); a k = 0 alarm is a coverage miss, not a failure
+in_time = sum(
+    pmf[k] * analytics.stationary_deadline_probability(
+        analytics.success_probability_dp(np.ones(k), analytics.uniform_access(k, criteria.n_channels)),
+        criteria.deadline_slots,
+    )[0]
+    for k in range(1, len(pmf))
+) / (1.0 - pmf[0])
+print(f"uniform RCH, M={criteria.n_channels}, D={criteria.deadline_slots}: exact in-time {in_time:.4f} "
+      "given k >= 1")

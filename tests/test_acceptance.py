@@ -13,6 +13,7 @@ import numpy as np
 from alarmmac import analytics, selfcheck
 from alarmmac.config import PolicyKind, ScenarioConfig, derive_run_seed
 from alarmmac.engine import Simulation
+from alarmmac.events import active_size_pmf
 from alarmmac.policies import make_policy
 from alarmmac.reporting import in_time_probability, paired_difference, run_experiment
 
@@ -104,6 +105,32 @@ def test_criterion_3_at_benchmark_scale_matches_dp():
         and abs(observed - expected) <= 4.0 * sigma,
         f"{observed} successful slots vs {expected:.1f} +- {sigma:.1f} expected over "
         f"{len(counts)} contention slots, k up to {max(counts)}",
+    )
+
+
+def test_criterion_3_rch_in_time_matches_the_active_size_pmf():
+    # an alarm with k active poses is delivered within D slots with
+    # probability 1 - (1 - P_s(k))**(D + 1); a k = 0 alarm is a coverage
+    # miss, not a failure, so the runs' in-time is conditioned on k >= 1
+    started = time.perf_counter()
+    pmf = active_size_pmf(CRITERIA, 20, 2000, 1)
+    exact = sum(
+        pmf[k] * analytics.stationary_deadline_probability(
+            analytics.success_probability_dp(np.ones(k), analytics.uniform_access(k, CRITERIA.n_channels)),
+            CRITERIA.deadline_slots,
+        )[0]
+        for k in range(1, len(pmf))
+    ) / (1.0 - pmf[0])
+    seeds = [derive_run_seed(0, s) for s in range(20)]
+    result = run_experiment(replace(CRITERIA, policy_kind="rch"), seeds=seeds, until_events=300)
+    z = (result.mean_in_time - exact) / result.stderr_in_time
+    elapsed = time.perf_counter() - started
+    report(
+        3,
+        "random policy's in-time at N = 20 matches its exact value from the active-size pmf",
+        abs(z) <= 4.0,
+        f"simulated {result.mean_in_time:.4f} +- {result.stderr_in_time:.4f} over {len(seeds)} runs vs exact "
+        f"{exact:.4f}, z {z:+.2f}, {elapsed:.2f}s",
     )
 
 

@@ -651,11 +651,13 @@ class TestBestStationaryPsi:
                 assert analytics._grid_rows(1 << m, 1 / k) == _grid_rows(m, 1 / k)
 
     def test_a_fine_grid_costs_its_rows_not_every_product(self):
-        # 176 851 rows of 100 ticks in four parts: filtering all 101**4
-        # products of 0..100 for them takes about 12 s on a 2-vCPU Xeon, the
-        # composition walk about 0.3 s
+        # the finest grid the size guard admits at N = 1, M = 2: 457 310
+        # rows of 138 ticks in four parts, C(141, 3). Filtering all 139**4
+        # products of 0..138 for them would take about 40 s on a 2-vCPU Xeon
+        # (scaled from 12 s for the 101**4 of step 0.01), the composition
+        # walk takes under 1 s
         start = time.perf_counter()
-        access, miss = best_stationary_psi(np.array([0.5]), n_channels=2, deadline=3, grid_step=0.01)
+        access, miss = best_stationary_psi(np.array([0.5]), n_channels=2, deadline=3, grid_step=1 / 138)
         assert time.perf_counter() - start < 4.0
         assert np.array_equal(access.psi, [[0.0, 0.0, 0.0, 1.0]]) and miss == 0.5**4
 
@@ -668,6 +670,9 @@ class TestBestStationaryPsi:
     def test_oversized_grid_rejected(self):
         with pytest.raises(ValueError, match="grid_step"):
             best_stationary_psi(np.ones(3), n_channels=2, deadline=3, grid_step=0.1)
+        # one tick past the finest admitted grid at N = 1: C(142, 3) rows
+        with pytest.raises(ValueError, match="grid_step"):
+            best_stationary_psi(np.array([0.5]), n_channels=2, deadline=3, grid_step=1 / 139)
 
     @pytest.mark.parametrize("p", [[1.5], [-0.1], [np.nan]])
     def test_activation_outside_unit_interval_rejected(self, p):

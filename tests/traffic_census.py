@@ -16,9 +16,13 @@ nested functions included) that none of them called, as
 Code that only the tests reach is a candidate for deletion: the tests then
 pin code that no user runs. A listed name outside `ALLOWLIST` exits 1, and
 so does an allowlist entry that names no unreached function (a function
-that is gone or now reached), so that the list stays exact. Traffic that
-fails (a benchmark run with a failed operation, a command with an exit code
-other than the one listed) exits 1 too, since its calls would be missing.
+that is gone or now reached), so that the list stays exact. The allowlist
+holds only what the benchmark's own code reads: each entry names the text
+in bench/workloads.py that reads it, and the census exits 1, naming the
+entry, once that text is gone, so the benchmark change that drops a read
+drops the function and its entry with it. Traffic that fails (a benchmark
+run with a failed operation, a command with an exit code other than the
+one listed) exits 1 too, since its calls would be missing.
 
     PYTHONPATH=src python -X dev -W error tests/traffic_census.py
 
@@ -43,13 +47,21 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from alarmmac import cli  # noqa: E402
 import workloads  # noqa: E402
 
+BENCH_WORKLOADS = ROOT / "bench" / "workloads.py"
+# unreached name -> (why it stays, the text in bench/workloads.py that reads it)
 ALLOWLIST = {
-    "learning.grad_norm": "bench/workloads.py binds it for a clipping hook on a name that no longer "
-    "exists; ROADMAP direction 1b deletes both",
-    "analytics.DtmcSpec.deadline": "read only by the benchmark's failure message when the DTMC forms disagree",
-    "reporting.paired_difference": "reached through tests/epoch_statistics.py, which CI runs as its own step",
-    "reporting._t_quantile_975": "called only by reporting.paired_difference",
-    "events.active_size_pmf": "the active-size pmf that ROADMAP directions 3a, 11 and 26 build on",
+    "learning.grad_norm": (
+        "bench/workloads.py binds it for a clipping hook on a name that no longer exists; the benchmark's "
+        "code changes only in a benchmark change, so only that change (ROADMAP 1b) may remove the read, "
+        "the function and this entry",
+        "learning.grad_norm",
+    ),
+    "analytics.DtmcSpec.deadline": (
+        "read only by the benchmark's failure message when the DTMC forms disagree; the benchmark's code "
+        "changes only in a benchmark change, so only that change (ROADMAP 1b) may remove the read, the "
+        "property and this entry",
+        "spec.deadline",
+    ),
 }
 
 PRESETS = sorted((ROOT / "configs").glob("*.json"))
@@ -134,12 +146,17 @@ def main() -> int:
           f"{len(unreached)} unreached")
     bad = list(failures)
     for name in unreached:
-        reason = ALLOWLIST.get(name)
-        print(f"  {name}: {reason or 'NOT ALLOWED: only the tests call it'}")
-        if reason is None:
+        if name in ALLOWLIST:
+            print(f"  {name}: {ALLOWLIST[name][0]}")
+        else:
+            print(f"  {name}: NOT ALLOWED: only the tests call it")
             bad.append(f"{name} is reached by no caller outside the tests")
     bad += [f"allowlist entry {name} names no unreached function" for name in sorted(ALLOWLIST.keys() - set(unreached))]
-    print("\n".join(bad) or "every unreached function is on the allowlist, and every allowlist entry is unreached")
+    bench_source = BENCH_WORKLOADS.read_text()
+    bad += [f"allowlist entry {name}: {text!r} no longer appears in bench/workloads.py"
+            for name, (_, text) in sorted(ALLOWLIST.items()) if text not in bench_source]
+    print("\n".join(bad) or "every unreached function is on the allowlist, and every allowlist entry is unreached "
+                              "and read by bench/workloads.py")
     return 1 if bad else 0
 
 

@@ -20,11 +20,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = {
-    "01_scenario_and_activation.py": "a80e3d891423ca2dba462cfa27068cc39acd96c8932c73f8fdb92ce32ed2b223",
+    "01_scenario_and_activation.py": "191c7ed005ec3be30dd990581c9836897c3d5635d4d9a8834fabc1a1d2fe49d3",
     "02_contention_signature.py": "a0d8d443d7f84f948afb5ff07cd9a92ed01bd83e43d4260e91d1149e8c314616",
     "03_exact_oracles.py": "37f9525be6d7cfa35219ec430a065d7ec7bfce3cc9dbadc5806eca745d864e63",
     "04_online_learning.py": "c95ea3026b1c96825952b6615d2b3faba3f0b858d0f118f41ebf835e3b10bbb7",
-    "05_policy_comparison.py": "3c80af50df29f8dfcbb72d1e01ae795a35792c07e4e647bc7279c12cdd05ef1f",
+    "05_policy_comparison.py": "1bde169c1f2fbf1de76b69d5b9cdb89ab11f55160a139ee902bd7324a3099a13",
 }
 
 

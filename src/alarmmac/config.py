@@ -285,13 +285,25 @@ def _setup_bytes(cfg: ScenarioConfig) -> dict[str, int]:
     return footprint
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's members as a dict; a key given twice is a ConfigError,
+    where `json` would keep the last value."""
+    members: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in members:
+            raise ConfigError(f"{key}: given more than once")
+        members[key] = value
+    return members
+
+
 def load_config(text: str) -> ScenarioConfig:
     """Parse a JSON document into a validated ScenarioConfig.
 
-    Absent keys take their defaults; unknown keys are an error.
+    Absent keys take their defaults; unknown keys and repeated keys are an
+    error.
     """
     try:
-        raw = json.loads(text) if text.strip() else {}
+        raw = json.loads(text, object_pairs_hook=_unique_keys) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config does not parse: {exc}") from exc
     if not isinstance(raw, dict):

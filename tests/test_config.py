@@ -68,6 +68,12 @@ def test_unknown_keys_rejected():
         load_config('{"n_subnets": 3, "n_chanels": 2}')
 
 
+def test_repeated_key_rejected_naming_it():
+    # json keeps the last of a repeated key, which would run 7 subnetworks silently
+    with pytest.raises(ConfigError, match="^n_subnets: given more than once$"):
+        load_config('{"n_subnets": 5, "n_channels": 2, "n_subnets": 7}')
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

@@ -7,13 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alarmmac import channel, engine, signature
+from alarmmac import channel, engine
 from alarmmac.config import ActivationMode, PolicyKind, derive_stream
 from alarmmac.engine import Simulation, resolve_collisions
 from alarmmac.events import maybe_spawn_event
 from alarmmac.geometry import step_mobility
 from alarmmac.policies import DrlPopulation, MapRaPopulation, RchPopulation
 from conftest import BOUNCING, CONTENTION, FixedPolicy, counting, inject_event, make_config
+from reference_engine import round_contexts
 from test_golden import GOLDEN, SCENARIOS, run_digest
 
 
@@ -448,17 +449,6 @@ def test_golden_digest_whenever_poses_are_read(scenario, policy, read_share):
     # the poses are read before a random `read_share` of the slots
     reads = np.random.default_rng(11).random(SCENARIOS[scenario][1]) < read_share
     assert run_digest(scenario, policy, reads)[0] == GOLDEN[scenario, policy]
-
-
-def round_contexts(contexts, poses, agents, fading, noise):
-    """A round's contexts from the amplitudes of `agents`' links alone, at
-    `poses`, with the fading and noise generators given."""
-    cx, cy = contexts.cap_xy
-    d = np.hypot(poses["x"][agents] - cx, poses["y"][agents] - cy)
-    amplitudes = channel.attenuation(channel.pathloss_db(d, contexts.pathloss[:, agents]), contexts.shadow_db[agents])
-    kappa = channel.complex_gaussian(fading, (len(agents), contexts.config.n_channels))
-    gains = kappa * (amplitudes / contexts.reference_amp)[:, None]
-    return signature.featurize(signature.contention_signatures(gains, contexts.snr_linear, noise))
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.05])

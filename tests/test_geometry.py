@@ -17,6 +17,7 @@ from alarmmac.geometry import (
 )
 
 from conftest import make_config, pose_array
+from reference_engine import _reference_place, _reference_step, headed
 
 
 def test_single_pose_inside_rectangle(rng):
@@ -98,56 +99,13 @@ def test_containment_holds_over_many_slots():
             assert 0 <= x <= cfg.area_width_m and 0 <= y <= cfg.area_height_m
 
 
-# --- scalar references: the per-pose loops the vectorised code must match ---
-
-
-def headed(poses):
-    """(x, y, heading) tuples of Python floats, the state the references keep."""
-    return [(x, y, heading) for x, y, heading, _, _ in poses.tolist()]
+# --- the scalar references of tests/reference_engine.py against the vectorised code ---
 
 
 def assert_same_poses(new, ref):
     """Equal bit for bit in every field: positions, headings and directions."""
     assert new.dtype.names == ref.dtype.names
     assert new.tobytes() == ref.tobytes()
-
-
-def _reference_place(config, rng, rejected=None):
-    """One candidate at a time; appends each pose's count of rejected
-    candidates to `rejected`, if given."""
-    n, sep = config.n_subnets, config.min_separation_m
-    placed = []
-    for _ in range(n):
-        misses = 0
-        while True:
-            x = rng.uniform(0.0, config.area_width_m)
-            y = rng.uniform(0.0, config.area_height_m)
-            if all((x - px) * (x - px) + (y - py) * (y - py) >= sep * sep for px, py in placed):
-                placed.append((x, y))
-                break
-            misses += 1
-        if rejected is not None:
-            rejected.append(misses)
-    headings = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return pose_array((px, py, h) for (px, py), h in zip(placed, headings.tolist()))
-
-
-def _reference_step(poses, config, rng):
-    """One slot over (x, y, heading) tuples of Python floats, pose by pose:
-    only the walls turn a pose."""
-    step = config.speed_mps * config.slot_ms / 1000.0
-    out = []
-    for x, y, heading in poses:
-        moved = None
-        for _ in range(16):
-            nx = x + step * math.cos(heading)
-            ny = y + step * math.sin(heading)
-            if 0.0 <= nx <= config.area_width_m and 0.0 <= ny <= config.area_height_m:
-                moved = (nx, ny, heading)
-                break
-            heading = rng.uniform(0.0, 2.0 * math.pi)
-        out.append((x, y, heading) if moved is None else moved)
-    return out
 
 
 def stepped_apart(poses, cfg, rng, n_steps=1):

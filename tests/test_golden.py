@@ -96,12 +96,18 @@ def run_digest(scenario: str, policy: str, reads: np.ndarray | None = None, seed
             flags.append(outcome.success)
     headings.append(sim.poses["heading"])
     resamples = sum(np.count_nonzero(a != b) for a, b in zip(headings, headings[1:]))
+    return trace_digest(sim.trace, flags), resamples
+
+
+def trace_digest(trace, flags: list[bool]) -> str:
+    """The digest of a run's `trace` and the success `flags` of its
+    contention slots, in order."""
     h = hashlib.sha256()
-    for e in sim.trace.events:
+    for e in trace.events:
         h.update(struct.pack("<qq?qq", e.birth_slot, e.end_slot, e.delivered, e.attempts, e.active_size))
     h.update(bytes(flags))
-    h.update(np.asarray(sim.trace.mse, dtype="<f8").tobytes())
-    return h.hexdigest(), resamples
+    h.update(np.asarray(trace.mse, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("scenario,policy", sorted(GOLDEN))

@@ -21,6 +21,7 @@ from alarmmac.policies import (
 
 from conftest import CONTENTION, agent_array, make_config
 import reference_mlp as ref
+from reference_engine import ReferenceAgent
 
 
 def test_pattern_examples():
@@ -293,38 +294,6 @@ def test_drl_initial_weights_are_per_agent_draws(monkeypatch, hidden_size, hidde
     # the learner's state is three plain arrays
     assert all(type(a) is np.ndarray for a in (policy.params, policy.sq, policy.lr))
     assert init.bit_generator.state == twin.bit_generator.state
-
-
-class ReferenceAgent:
-    """One agent trained the single-model way: its own replay ring, then
-    backward -> clip_gradient -> rmsprop_step."""
-
-    def __init__(self, model, cfg):
-        self.model = model
-        self.opt = ref.RmsPropState.for_model(
-            model, decay=cfg.rms_decay, smoothing=cfg.rms_smoothing, lr=cfg.lr_initial
-        )
-        self.cfg = cfg
-        self.tuples = []
-        self.pushed = 0
-        self.clip_fired = 0
-
-    def observe(self, context, action, reward, batch):
-        """Push the tuple, then train on `batch`, a minibatch drawn from this
-        agent's memory by the population under test."""
-        if len(self.tuples) < self.cfg.replay:
-            self.tuples.append((context, action, reward))
-        else:  # overwrite the oldest slot
-            self.tuples[self.pushed % self.cfg.replay] = (context, action, reward)
-        self.pushed += 1
-        for drawn in zip(*batch):
-            assert any(
-                np.array_equal(drawn[0], c) and drawn[1] == a and drawn[2] == r for c, a, r in self.tuples
-            ), "the minibatch holds a tuple this agent never stored"
-        grads, batch_loss = ref.backward(self.model, batch)
-        self.clip_fired += ref.grad_norm(grads) > self.cfg.clip_threshold
-        ref.rmsprop_step(self.model, self.opt, ref.clip_gradient(grads, self.cfg.clip_threshold))
-        return batch_loss
 
 
 @pytest.mark.parametrize("k", [1, 3, 7])
